@@ -722,7 +722,8 @@ def min_size_halfplane_cover(
         covered |= masks[pick]
 
     lp_bound = lpmod.solve_lp(lpmod.build_size_lp(points, ordered))
-    assert lp_bound.status == lpmod.OPTIMAL
+    if lp_bound.status != lpmod.OPTIMAL:
+        raise RuntimeError("coverage was prechecked")
     lower = math.ceil(lp_bound.value)
     if len(greedy) <= lower:
         return [ordered[i] for i in sorted(greedy)]

@@ -1,9 +1,20 @@
-"""Exact rational linear programming with Bland's rule.
+"""Exact linear programming with Bland's rule on integer rows.
 
-A small dense two-phase primal simplex over `fractions.Fraction`.  All
-variables are nonnegative; upper bounds are expanded into rows.  Bland's
-pivoting rule (lowest eligible index for both entering and leaving
-variables) guarantees termination and makes runs reproducible.
+A small dense two-phase primal simplex.  All variables are nonnegative;
+upper bounds are expanded into rows.  Bland's pivoting rule (lowest
+eligible index for both entering and leaving variables) guarantees
+termination and makes runs reproducible.
+
+The arithmetic is fraction-free (Edmonds' integer-preserving pivoting).
+The rows are built once over `fractions.Fraction`; from then on every
+tableau row, the reduced-cost row included, is a list of Python ints
+equal to the rational row times an implicit positive scale.  A pivot
+cross-multiplies instead of dividing and then divides each changed row by
+the gcd of its entries, which keeps the integers small.  Scaling a row by
+a positive constant changes no sign and no ratio rhs/a, and ratios are
+compared by cross-multiplying, so Bland's rule takes exactly the pivots
+the rational tableau would take and returns the same vertex.  A basic
+variable's value is its row's rhs over its own entry in that row.
 
 The module also builds the fractional-cover programs used by the square
 solvers: the membership program (minimize the largest fractional load on
@@ -12,6 +23,7 @@ a monitored point) and the size program (minimize total weight).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -44,11 +56,23 @@ class LinearProgram:
     upper_bounds: tuple[Fraction | None, ...]
 
     def __post_init__(self) -> None:
-        assert len(self.objective) == self.n_vars
-        assert len(self.upper_bounds) == self.n_vars
-        for row in self.rows:
-            assert len(row.coeffs) == self.n_vars
-            assert row.rel in (REL_LE, REL_GE, REL_EQ)
+        if len(self.objective) != self.n_vars:
+            raise ValueError(
+                f"objective has {len(self.objective)} coefficients, "
+                f"expected {self.n_vars}"
+            )
+        if len(self.upper_bounds) != self.n_vars:
+            raise ValueError(
+                f"{len(self.upper_bounds)} upper bounds, expected {self.n_vars}"
+            )
+        for i, row in enumerate(self.rows):
+            if len(row.coeffs) != self.n_vars:
+                raise ValueError(
+                    f"row {i} has {len(row.coeffs)} coefficients, "
+                    f"expected {self.n_vars}"
+                )
+            if row.rel not in (REL_LE, REL_GE, REL_EQ):
+                raise ValueError(f"row {i} has unknown relation {row.rel!r}")
 
 
 @dataclass(frozen=True)
@@ -62,67 +86,89 @@ class LPSolution:
 
 
 def make_program(n_vars, objective, rows, upper_bounds=None) -> LinearProgram:
+    # tuples come from lists, not generators: CPython resizes a tuple built
+    # from a generator, and the resized blocks pile up on its tuple free
+    # lists until a full collection, which the integer tableau rarely triggers
     ups = tuple(upper_bounds) if upper_bounds is not None else (None,) * n_vars
     return LinearProgram(
         n_vars=n_vars,
-        objective=tuple(frac(c) for c in objective),
-        rows=tuple(
-            ConstraintRow(tuple(frac(c) for c in coeffs), rel, frac(rhs))
+        objective=tuple([frac(c) for c in objective]),
+        rows=tuple([
+            ConstraintRow(tuple([frac(c) for c in coeffs]), rel, frac(rhs))
             for coeffs, rel, rhs in rows
-        ),
-        upper_bounds=tuple(None if u is None else frac(u) for u in ups),
+        ]),
+        upper_bounds=tuple([None if u is None else frac(u) for u in ups]),
     )
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
+def _reduce(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (a positive constant)."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _to_ints(row: Sequence[Fraction]) -> list[int]:
+    """Integer row equal to the rational one times a positive scale."""
+    scale = math.lcm(*[v.denominator for v in row])
+    return _reduce([v.numerator * (scale // v.denominator) for v in row])
+
+
+def _eliminate(trow: list[int], prow: list[int], col: int) -> list[int]:
+    """`trow` with column `col` cleared against `prow`, whose entry there is
+    positive; the result keeps a positive scale."""
+    factor = trow[col]
+    if not factor:
+        return trow
+    piv = prow[col]
+    return _reduce([piv * v - factor * pv for v, pv in zip(trow, prow)])
+
+
+def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> None:
     prow = tableau[row]
-    for r, tr in enumerate(tableau):
-        if r == row:
-            continue
-        factor = tr[col]
-        if factor != 0:
-            tableau[r] = [v - factor * pv for v, pv in zip(tr, prow)]
+    if prow[col] < 0:
+        # only the artificial drive-out pivots on a negative entry; the
+        # negated row keeps a positive scale
+        prow = tableau[row] = [-v for v in prow]
+    for r, trow in enumerate(tableau):
+        if r != row:
+            tableau[r] = _eliminate(trow, prow, col)
     basis[row] = col
 
 
 def _simplex_phase(
-    tableau: list[list[Fraction]],
+    tableau: list[list[int]],
     basis: list[int],
-    cost: list[Fraction],
+    cost: list[int],
     n_cols: int,
 ) -> str:
     """Run simplex to optimality on the given reduced-cost row (in place)."""
     while True:
-        entering = -1
-        for j in range(n_cols):
-            if cost[j] < 0:
-                entering = j
-                break
+        entering = next((j for j in range(n_cols) if cost[j] < 0), -1)
         if entering < 0:
             return OPTIMAL
+        # minimum ratio rhs/a over a > 0, compared by cross-multiplying;
+        # ties go to the lowest basic index
         leaving = -1
-        best_ratio = None
         for r, trow in enumerate(tableau):
             a = trow[entering]
             if a > 0:
-                ratio = trow[-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
+                if leaving < 0:
+                    leaving, num, den = r, trow[-1], a
+                    continue
+                mine, best = trow[-1] * den, num * a
+                if mine < best or (mine == best and basis[r] < basis[leaving]):
+                    leaving, num, den = r, trow[-1], a
         if leaving < 0:
             return UNBOUNDED
         _pivot(tableau, basis, leaving, entering)
-        piv_cost = cost[entering]
-        if piv_cost != 0:
-            prow = tableau[leaving]
-            for j in range(n_cols + 1):
-                cost[j] -= piv_cost * prow[j]
+        cost[:] = _eliminate(cost, tableau[leaving], entering)
+
+
+def _price_out(cost: list[int], tableau: list[list[int]], basis: list[int]) -> list[int]:
+    """Reduced costs: clear every basic column of the cost row."""
+    for r, b in enumerate(basis):
+        cost = _eliminate(cost, tableau[r], b)
+    return cost
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
@@ -150,7 +196,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
     # columns: structural | slacks | artificials
     col = n
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = [-1] * m
     slack_of_row: list[int | None] = [None] * m
     for r, (coeffs, rel, rhs) in enumerate(norm_rows):
@@ -177,20 +223,17 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         else:
             basis[r] = slack_of_row[r]
         trow[-1] = rhs
-        tableau.append(trow)
+        tableau.append(_to_ints(trow))
 
     artificials = [a for a in art_of_row if a is not None]
     if artificials:
-        cost = [Fraction(0)] * (n_cols + 1)
+        cost = [0] * (n_cols + 1)
         for a in artificials:
-            cost[a] = Fraction(1)
-        for r, b in enumerate(basis):
-            if cost[b] != 0:
-                for j in range(n_cols + 1):
-                    cost[j] -= tableau[r][j]
-        status = _simplex_phase(tableau, basis, cost, n_cols)
-        assert status == OPTIMAL, "phase 1 is always bounded"
-        if -cost[-1] != 0:
+            cost[a] = 1
+        cost = _price_out(cost, tableau, basis)
+        if _simplex_phase(tableau, basis, cost, n_cols) != OPTIMAL:
+            raise RuntimeError("phase 1 is always bounded")
+        if cost[-1] != 0:
             return LPSolution(INFEASIBLE, None, ())
         # pivot artificials out of the basis where possible; a row whose
         # artificial cannot leave is redundant and dropped
@@ -214,24 +257,18 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         basis = [basis[r] for r in keep_rows]
         for trow in tableau:
             for a in artificials:
-                trow[a] = Fraction(0)
+                trow[a] = 0
 
-    cost = [Fraction(0)] * (n_cols + 1)
-    for j in range(n):
-        cost[j] = lp.objective[j]
-    for r, b in enumerate(basis):
-        if cost[b] != 0:
-            factor = cost[b]
-            for j in range(n_cols + 1):
-                cost[j] -= factor * tableau[r][j]
+    cost = _to_ints(list(lp.objective) + [Fraction(0)] * (n_cols + 1 - n))
+    cost = _price_out(cost, tableau, basis)
     status = _simplex_phase(tableau, basis, cost, n_cols)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, None, ())
 
     assignment = [Fraction(0)] * n
-    for r, b in enumerate(basis):
+    for trow, b in zip(tableau, basis):
         if b < n:
-            assignment[b] = tableau[r][-1]
+            assignment[b] = Fraction(trow[-1], trow[b])
     value = sum(
         (c * v for c, v in zip(lp.objective, assignment)), start=Fraction(0)
     )

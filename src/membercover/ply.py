@@ -82,7 +82,8 @@ def min_size_cell_cover_approx(
             raise Uncoverable(p)
     program = lpmod.build_size_lp(points, squares)
     sol = lpmod.solve_lp(program)
-    assert sol.status == lpmod.OPTIMAL
+    if sol.status != lpmod.OPTIMAL:
+        raise RuntimeError("coverage was prechecked")
 
     corners = cell.corners()
     bucket_of: dict[int, int] = {}

@@ -232,30 +232,35 @@ def solve_cell_report(
         if not any(q.contains(p) for q in squares):
             raise Uncoverable(p)
 
+    # cell-local S': a monitored point outside every cell square has depth
+    # 0 in any cover drawn from them, and its LP row -y <= 0 is redundant
+    local = [s for s in sprime if any(q.contains(s) for q in squares)]
+
     # zero-membership shortcut: if the squares avoiding every monitored
     # point already cover the cell, take exactly those
-    quiet = [q for q in squares if not any(q.contains(s) for s in sprime)]
+    quiet = [q for q in squares if not any(q.contains(s) for s in local)]
     if all(any(q.contains(p) for q in quiet) for p in points):
         cover = CoverSolution(tuple(sorted(q.id for q in quiet)), 0)
         return CellReport(cover, None, None, (), True)
 
-    program = lpmod.build_membership_lp(points, sprime, squares)
+    program = lpmod.build_membership_lp(points, local, squares)
     sol = lpmod.solve_lp(program)
-    assert sol.status == lpmod.OPTIMAL, "coverage was prechecked"
-    partition = corner_partition(points, sprime, squares, cell, sol)
+    if sol.status != lpmod.OPTIMAL:
+        raise RuntimeError("coverage was prechecked")
+    partition = corner_partition(points, local, squares, cell, sol)
     bucket_covers = []
     ids: set[int] = set()
     for corner in range(N_CORNERS):
         bucket = solve_one_corner(
             partition.point_buckets[corner],
-            sprime,
+            local,
             partition.square_buckets[corner],
             cell,
             corner,
         )
         bucket_covers.append(bucket)
         ids.update(bucket.ids)
-    cover = CoverSolution.build(ids, sprime, squares)
+    cover = CoverSolution.build(ids, local, squares)
     return CellReport(cover, sol.value, partition, tuple(bucket_covers), False)
 
 

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import cell_instance, lp_vertex_enumeration
 
+import membercover
 from membercover import (
     Halfplane,
     Point,
@@ -15,14 +20,20 @@ from membercover import (
     membership_of_fractional,
     solve_lp,
 )
+from membercover import lp as lpmod
 from membercover.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    ConstraintRow,
     FractionalCover,
+    LinearProgram,
+    LPSolution,
     make_program,
     weights_from_solution,
 )
+
+F = Fraction
 
 
 def P(x, y):
@@ -110,6 +121,135 @@ class TestSimplex:
                     assert lhs == row.rhs
             for v, ub in zip(sol.assignment, lp.upper_bounds):
                 assert v >= 0 and (ub is None or v <= ub)
+
+
+# Exact solutions of seeded cell programs, recorded with the rational
+# (Fraction) tableau that the integer-row tableau replaced.  Bland's rule
+# must reach the same vertex, not merely the same value.
+MEMBERSHIP_GOLDEN = {
+    3: LPSolution(OPTIMAL, F(2), (
+        F(0), F(1), F(1), F(1), F(1), F(0), F(0), F(0), F(1), F(0), F(2),
+    )),
+    12: LPSolution(OPTIMAL, F(1, 2), (
+        F(0), F(1, 2), F(1), F(0), F(0), F(0), F(0), F(1, 2), F(0), F(0), F(1, 2),
+    )),
+    18: LPSolution(OPTIMAL, F(1), (
+        F(0), F(1), F(0), F(0), F(1), F(0), F(0), F(0), F(1), F(0), F(1),
+    )),
+    21: LPSolution(OPTIMAL, F(1, 2), (
+        F(1), F(0), F(1, 2), F(0), F(0), F(0), F(1, 2), F(1, 2),
+    )),
+    30: LPSolution(OPTIMAL, F(1, 2), (
+        F(1, 2), F(0), F(0), F(0), F(1, 2), F(1), F(0), F(0), F(1, 2),
+    )),
+    39: LPSolution(OPTIMAL, F(1), (
+        F(0), F(0), F(0), F(0), F(1), F(1), F(1), F(0), F(0), F(1),
+    )),
+}
+SIZE_GOLDEN = {
+    3: LPSolution(OPTIMAL, F(3), (
+        F(0), F(0), F(1), F(1), F(0), F(0), F(0), F(0), F(1), F(0),
+    )),
+    14: LPSolution(OPTIMAL, F(3), (
+        F(0), F(0), F(0), F(1), F(1), F(0), F(0), F(0), F(1), F(0),
+    )),
+    18: LPSolution(OPTIMAL, F(3), (
+        F(0), F(0), F(1), F(0), F(1), F(0), F(0), F(0), F(1), F(0),
+    )),
+    27: LPSolution(OPTIMAL, F(4), (
+        F(1), F(0), F(1), F(0), F(1), F(0), F(0), F(0), F(1), F(0),
+    )),
+    36: LPSolution(OPTIMAL, F(3), (
+        F(1), F(0), F(1), F(0), F(0), F(1), F(0), F(0), F(0),
+    )),
+    50: LPSolution(OPTIMAL, F(3), (
+        F(1), F(1), F(1), F(0), F(0),
+    )),
+}
+
+
+class TestExactSolutions:
+    @pytest.mark.parametrize("seed", sorted(MEMBERSHIP_GOLDEN))
+    def test_membership_golden(self, seed):
+        points, sprime, squares = cell_instance(seed)
+        sol = solve_lp(build_membership_lp(points, sprime, squares))
+        assert sol == MEMBERSHIP_GOLDEN[seed]
+
+    @pytest.mark.parametrize("seed", sorted(SIZE_GOLDEN))
+    def test_size_golden(self, seed):
+        points, _sprime, squares = cell_instance(seed)
+        assert solve_lp(build_size_lp(points, squares)) == SIZE_GOLDEN[seed]
+
+    def test_local_sprime_same_solution(self):
+        # rows -y <= 0 of monitored points outside every square never
+        # leave the basis, so dropping them leaves Bland's path unchanged
+        dropped = 0
+        for seed in range(40):
+            points, sprime, squares = cell_instance(seed)
+            local = [s for s in sprime if any(q.contains(s) for q in squares)]
+            dropped += len(sprime) - len(local)
+            whole = solve_lp(build_membership_lp(points, sprime, squares))
+            assert solve_lp(build_membership_lp(points, local, squares)) == whole
+        assert dropped > 0
+
+    def test_artificial_driven_out_on_negative_pivot(self, monkeypatch):
+        # phase 1 ends with the artificial of -x3 >= 0 basic at zero; the
+        # drive-out pivots on its -1 entry, and phase 2 pivots on that row again
+        entries = []
+        pivot = lpmod._pivot
+
+        def spy(tableau, basis, row, col):
+            entries.append(tableau[row][col])
+            pivot(tableau, basis, row, col)
+
+        monkeypatch.setattr(lpmod, "_pivot", spy)
+        lp = make_program(
+            3,
+            [-1, 2, 1],
+            [([0, 1, -1], ">=", 1), ([-2, 1, 2], ">=", 0), ([0, 0, -1], ">=", 0)],
+            [None, None, None],
+        )
+        sol = solve_lp(lp)
+        assert any(e < 0 for e in entries)
+        assert sol == LPSolution(OPTIMAL, F(3, 2), (F(1, 2), F(1), F(0)))
+        assert sol.value == lp_vertex_enumeration(lp)
+
+
+MALFORMED = {
+    "objective": lambda: LinearProgram(2, (F(1),), (), (None, None)),
+    "upper_bounds": lambda: LinearProgram(1, (F(1),), (), ()),
+    "row_length": lambda: LinearProgram(
+        1, (F(1),), (ConstraintRow((F(1), F(1)), ">=", F(1)),), (None,)
+    ),
+    "relation": lambda: LinearProgram(
+        1, (F(1),), (ConstraintRow((F(1),), "<", F(1)),), (None,)
+    ),
+}
+
+
+class TestValidation:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_program_raises(self, case):
+        with pytest.raises(ValueError):
+            MALFORMED[case]()
+
+    def test_malformed_program_raises_under_optimize(self):
+        src = str(Path(membercover.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "from fractions import Fraction as F\n"
+            "from membercover.lp import LinearProgram\n"
+            "assert False, 'asserts are on'\n"
+            "try:\n"
+            "    LinearProgram(2, (F(1),), (), (None, None))\n"
+            "except ValueError:\n"
+            "    print('ValueError')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "ValueError"
 
 
 class TestMembershipProgram:
