@@ -78,7 +78,8 @@ class RunReport:
             if self.solver.endswith("ply")
             else membership(doc.sprime, self.cover, doc.ranges)
         )
-        assert value == self.value, "cached objective drifted from the cover"
+        if value != self.value:
+            raise RuntimeError("cached objective drifted from the cover")
         obj = {
             "schema": BENCH_SCHEMA_VERSION,
             "solver": self.solver,

@@ -118,7 +118,8 @@ def exact_mmgsc_bruteforce(
             best_ids = tuple(ordered[pos].id for pos in combo)
             if best_val == 0:
                 break
-    assert best_val is not None
+    if best_val is None:
+        raise RuntimeError("full range set failed after coverage precheck")
     return best_val, best_ids
 
 
@@ -167,5 +168,6 @@ def exact_mpgsc_bruteforce(
             best_ids = tuple(ordered[pos].id for pos in combo)
             if best_val <= (1 if points else 0):
                 break
-    assert best_val is not None
+    if best_val is None:
+        raise RuntimeError("full range set failed after coverage precheck")
     return best_val, best_ids

@@ -10,7 +10,6 @@ the exact quadrant greedy per bucket.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from . import lp as lpmod
@@ -22,13 +21,9 @@ from .geometry import (
     grid_partition,
     square_extent,
 )
-from .squares import (
-    N_CORNERS,
-    canonical_point,
-    canonical_square,
-    maximal_squares,
-    quadrant_greedy_cover,
-)
+from .squares import N_CORNERS, corner_partition, solve_one_corner
+# the benchmark's tracer (perfbench/tracing.py) patches ply.quadrant_greedy_cover
+from .squares import quadrant_greedy_cover  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -41,22 +36,35 @@ class PlyReport:
 
 
 def ply(squares: Sequence[UnitSquare]) -> PlyReport:
-    """Exact maximum depth of a set of closed unit squares.
+    """Exact maximum depth of a set of closed unit squares, by a sweep.
 
-    For closed axis-parallel boxes the maximum is attained at a point
-    whose x is some square's left/right edge and whose y is some bottom/top
-    edge, so scanning that coordinate grid is exhaustive.
+    The deepest points form a union of closed boxes, each the intersection
+    of some squares, so the smallest x among them is some square's left
+    edge and, at that x, the smallest y is some bottom edge.  The sweep
+    visits the distinct left edges in ascending order; at each it runs a
+    1-D sweep over the y events of the squares spanning it, opens before
+    closes at equal y, and keeps a point only when it is strictly deeper
+    than the best so far.  So the witness is the lexicographically first
+    (x, y) of maximum depth.  O(m^2 log m) for m squares.
     """
-    if not squares:
-        return PlyReport(0, None)
-    xs = sorted({q.tr.x - 1 for q in squares} | {q.tr.x for q in squares})
-    ys = sorted({q.tr.y - 1 for q in squares} | {q.tr.y for q in squares})
+    boxes = sorted((q.tr.x - 1, q.tr.x, q.tr.y - 1, q.tr.y) for q in squares)
     best = 0
     witness = None
-    for x in xs:
-        hit_x = [q for q in squares if q.tr.x - 1 <= x <= q.tr.x]
-        for y in ys:
-            depth = sum(1 for q in hit_x if q.tr.y - 1 <= y <= q.tr.y)
+    for x in sorted({box[0] for box in boxes}):
+        events = []
+        for left, right, bottom, top in boxes:
+            if left > x:
+                break
+            if x <= right:
+                events.append((bottom, 0))
+                events.append((top, 1))
+        events.sort()
+        depth = 0
+        for y, closes in events:
+            if closes:
+                depth -= 1
+                continue
+            depth += 1
             if depth > best:
                 best = depth
                 witness = Point(x, y)
@@ -70,10 +78,11 @@ def min_size_cell_cover_approx(
 ) -> CoverSolution:
     """Constant-factor minimum-size cover of one cell.
 
-    Solve the size LP, bucket squares by corner and points by largest
-    fractional load, then run the exact quadrant greedy per bucket.  Each
-    bucket's optimum is at most four times its LP mass, so the union stays
-    within a constant of the fractional (hence integral) minimum.
+    Solve the size LP, then round it through the membership solver's corner
+    pipeline: bucket squares by corner and points by largest fractional
+    load, and run the exact quadrant greedy per bucket.  Each bucket's
+    optimum is at most four times its LP mass, so the union stays within a
+    constant of the fractional (hence integral) minimum.
     """
     if not points:
         return CoverSolution((), 0)
@@ -84,38 +93,17 @@ def min_size_cell_cover_approx(
     sol = lpmod.solve_lp(program)
     if sol.status != lpmod.OPTIMAL:
         raise RuntimeError("coverage was prechecked")
-
-    corners = cell.corners()
-    bucket_of: dict[int, int] = {}
-    square_buckets: list[list[UnitSquare]] = [[] for _ in range(N_CORNERS)]
-    for pos, q in enumerate(squares):
-        for idx, c in enumerate(corners):
-            if q.contains(c):
-                square_buckets[idx].append(q)
-                bucket_of[pos] = idx
-                break
-        else:
-            raise ValueError(f"square {q.id} intersects no corner of the cell")
-    point_buckets: list[list[Point]] = [[] for _ in range(N_CORNERS)]
-    for p in points:
-        delta = [Fraction(0)] * N_CORNERS
-        for pos, q in enumerate(squares):
-            if q.contains(p):
-                delta[bucket_of[pos]] += sol.assignment[pos]
-        winner = max(range(N_CORNERS), key=lambda idx: (delta[idx], -idx))
-        point_buckets[winner].append(p)
-
+    partition = corner_partition(points, squares, cell, sol)
     ids: set[int] = set()
     for corner in range(N_CORNERS):
-        bucket_points = point_buckets[corner]
-        if not bucket_points:
-            continue
-        maxi = maximal_squares(square_buckets[corner], cell, corner)
-        chosen = quadrant_greedy_cover(
-            [canonical_point(p, cell, corner) for p in bucket_points],
-            [(q.id,) + canonical_square(q, cell, corner) for q in maxi],
+        bucket = solve_one_corner(
+            partition.point_buckets[corner],
+            (),
+            partition.square_buckets[corner],
+            cell,
+            corner,
         )
-        ids.update(chosen)
+        ids.update(bucket.ids)
     return CoverSolution(tuple(sorted(ids)), 0)
 
 

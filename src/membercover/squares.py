@@ -79,7 +79,6 @@ class CornerPartition:
 
 def corner_partition(
     points: Sequence[Point],
-    sprime: Sequence[Point],
     squares: Sequence[UnitSquare],
     cell: GridCell,
     lpsol: lpmod.LPSolution,
@@ -247,7 +246,7 @@ def solve_cell_report(
     sol = lpmod.solve_lp(program)
     if sol.status != lpmod.OPTIMAL:
         raise RuntimeError("coverage was prechecked")
-    partition = corner_partition(points, local, squares, cell, sol)
+    partition = corner_partition(points, squares, cell, sol)
     bucket_covers = []
     ids: set[int] = set()
     for corner in range(N_CORNERS):

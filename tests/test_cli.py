@@ -1,8 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import membercover
 from membercover.cli import CSV_COLUMNS, run_bench, run_cli, write_csv
 from membercover.instances import parse_instance
 from membercover.svgplot import render_svg
@@ -202,3 +207,27 @@ def test_bench_cli_files(tmp_path, capsys):
     with open(out_csv) as fh:
         parsed = list(csv.DictReader(fh))
     assert parsed and list(parsed[0].keys()) == CSV_COLUMNS
+
+
+def test_drifted_report_raises_under_optimize():
+    src = str(Path(membercover.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "from membercover import Point, UnitSquare\n"
+        "from membercover.cli import RunReport\n"
+        "from membercover.instances import InstanceDoc\n"
+        "assert False, 'asserts are on'\n"
+        "# two stacked squares have ply 2; the report claims 1\n"
+        "doc = InstanceDoc('squares', (Point.of(0, 0),), (),\n"
+        "                  (UnitSquare(0, Point.of(1, 1)), UnitSquare(1, Point.of(1, 1))))\n"
+        "report = RunReport('squares-ply', doc.digest(), 'squares', 1, 2, (0, 1), 1, 2, None, 0.0)\n"
+        "try:\n"
+        "    report.to_json(doc)\n"
+        "except RuntimeError as err:\n"
+        "    print(err)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "cached objective drifted from the cover"

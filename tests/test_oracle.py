@@ -73,6 +73,20 @@ def test_mpgsc_basics():
     assert exact_mpgsc_bruteforce([P(0, 0)], stacked)[0] == 1
 
 
+@pytest.mark.parametrize("oracle", ["mmgsc", "mpgsc"])
+def test_empty_enumeration_raises(monkeypatch, oracle):
+    # a broken enumeration must not pass for an answer, also under -O
+    from membercover import oracle as oracle_mod
+
+    monkeypatch.setattr(oracle_mod, "_subsets_by_size", lambda n: iter(()))
+    squares = [UnitSquare(0, P(1, 1))]
+    with pytest.raises(RuntimeError):
+        if oracle == "mmgsc":
+            exact_mmgsc_bruteforce([P(0, 0)], [P(0, 0)], squares)
+        else:
+            exact_mpgsc_bruteforce([P(0, 0)], squares)
+
+
 def _relabeled(ranges):
     """Same geometry under reversed ids: an independent enumeration order."""
     n = len(ranges)

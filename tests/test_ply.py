@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import square_instance
+from conftest import cell_instance, square_instance
 
 from membercover import (
+    CoverSolution,
     GridCell,
     Point,
     Uncoverable,
@@ -65,10 +66,106 @@ class TestPly:
             assert depth_at_witness == report.value
 
 
+def _edge_grid_ply(squares):
+    """Reference: depth at every (edge x, edge y) pair, O(m^3).
+
+    Returns the maximum depth and the lexicographically first grid point
+    attaining it, the point the sweep must report.
+    """
+    if not squares:
+        return 0, None
+    xs = sorted({q.tr.x - 1 for q in squares} | {q.tr.x for q in squares})
+    ys = sorted({q.tr.y - 1 for q in squares} | {q.tr.y for q in squares})
+    best = 0
+    witness = None
+    for x in xs:
+        hit_x = [q for q in squares if q.tr.x - 1 <= x <= q.tr.x]
+        for y in ys:
+            depth = sum(1 for q in hit_x if q.tr.y - 1 <= y <= q.tr.y)
+            if depth > best:
+                best = depth
+                witness = Point(x, y)
+    return best, witness
+
+
+def _random_squares(rng):
+    """0-14 squares on a 1/den lattice; small lattices force shared edges,
+    corner touches and exact duplicates, which also get added outright."""
+    den = rng.choice([1, 2, 4, 64])
+    span = rng.choice([2, 3, 4]) * den
+    squares = []
+    for i in range(rng.randint(0, 14)):
+        if squares and rng.random() < 0.15:
+            tr = rng.choice(squares).tr
+        else:
+            tr = Point(Fraction(rng.randint(0, span), den), Fraction(rng.randint(0, span), den))
+        squares.append(UnitSquare(i, tr))
+    return squares
+
+
+class TestPlySweep:
+    @pytest.mark.parametrize(
+        "corners, value, witness",
+        [
+            ([], 0, None),
+            ([(1, 1)], 1, (0, 0)),
+            ([(1, 1)] * 3, 3, (0, 0)),  # duplicates
+            ([(1, 1), (2, 1)], 2, (1, 0)),  # shared vertical edge
+            ([(1, 1), (1, 2)], 2, (0, 1)),  # shared horizontal edge
+            ([(1, 1), (2, 2)], 2, (1, 1)),  # corner touch
+            ([(1, 1), (3, 3)], 1, (0, 0)),  # disjoint
+            ([(2, 1), (1, 2), ("3/2", "3/2")], 3, (1, 1)),
+            ([(2, 1), ("3/2", "3/2")], 2, (1, "1/2")),
+            ([(1, 1), (2, 1), (1, 2), (2, 2)], 4, (1, 1)),  # four around a vertex
+        ],
+    )
+    def test_hand_cases(self, corners, value, witness):
+        squares = [UnitSquare(i, P(u, v)) for i, (u, v) in enumerate(corners)]
+        report = ply(squares)
+        assert report.value == value
+        assert report.witness == (None if witness is None else P(*witness))
+        assert (report.value, report.witness) == _edge_grid_ply(squares)
+
+    def test_matches_edge_grid_scan(self):
+        rng = random.Random(2024)
+        for _ in range(2400):
+            squares = _random_squares(rng)
+            report = ply(squares)
+            assert (report.value, report.witness) == _edge_grid_ply(squares), squares
+
+
 CELL = GridCell(0, 0)
+
+# min_size_cell_cover_approx(*cell_instance(seed), CELL).ids as computed by
+# the per-cell rounding that predates the shared corner pipeline
+CELL_COVER_GOLDEN = {
+    0: (0,),
+    1: (3, 7),
+    3: (3, 6, 8),
+    6: (0, 1, 2),
+    7: (0, 7),
+    10: (1, 5),
+    14: (4, 8, 9),
+    18: (2, 4, 8),
+    22: (1, 2, 5),
+    27: (0, 2, 8, 9),
+    32: (0, 1, 2),
+    36: (0, 2, 5),
+}
 
 
 class TestCellCover:
+    @pytest.mark.parametrize("seed", sorted(CELL_COVER_GOLDEN))
+    def test_golden_ids(self, seed):
+        points, _sp, squares = cell_instance(seed)
+        cover = min_size_cell_cover_approx(points, squares, CELL)
+        assert cover == CoverSolution(CELL_COVER_GOLDEN[seed], 0)
+
+    def test_square_without_corner_is_value_error(self):
+        squares = [UnitSquare(0, P(1, 1)), UnitSquare(1, P(5, 5))]
+        with pytest.raises(ValueError):
+            min_size_cell_cover_approx([P("1/2", "1/2")], squares, CELL)
+
     def test_single(self):
         cover = min_size_cell_cover_approx([P("1/2", "1/2")], [UnitSquare(0, P(1, 1))], CELL)
         assert cover.ids == (0,)

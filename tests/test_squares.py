@@ -43,7 +43,7 @@ def P(x, y):
 def _solved_partition(points, sprime, squares, cell=CELL):
     lp = build_membership_lp(points, sprime, squares)
     sol = solve_lp(lp)
-    return corner_partition(points, sprime, squares, cell, sol), sol
+    return corner_partition(points, squares, cell, sol), sol
 
 
 class TestCornerPartition:
@@ -79,7 +79,7 @@ class TestCornerPartition:
                 return False
 
         with pytest.raises(SquareWithoutCorner):
-            corner_partition(points, [], [Sliver()], tall_cell, sol)
+            corner_partition(points, [Sliver()], tall_cell, sol)
 
     def test_winning_load_at_least_quarter(self):
         for seed in range(30):
