@@ -7,7 +7,7 @@ rational arithmetic; brute-force oracles and an exact rational LP solver
 back every approximation guarantee at desk scale.
 """
 
-from .covers import CoverSolution, Uncoverable, covers_all, membership
+from .covers import CoverSolution, Uncoverable, membership
 from .geometry import (
     ConvexRegion,
     GridCell,
@@ -19,8 +19,6 @@ from .geometry import (
     complement_region,
     face_sample_points,
     grid_partition,
-    halfplane_contains,
-    square_contains,
     union_compare,
 )
 from .halfplanes import (

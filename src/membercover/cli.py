@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import CoverSolution, Uncoverable, covers_all, membership
+from .covers import CoverSolution, Uncoverable
 from .halfplanes import additive_error_cover, exact_mmgsc_halfplanes, ptas
 from .instances import (
     KIND_HALFPLANES,
@@ -33,6 +33,8 @@ from .oracle import (
     exact_minsize_bruteforce,
     exact_mmgsc_bruteforce,
     exact_mpgsc_bruteforce,
+    memb_eval,
+    verify_cover,
 )
 from .ply import ply as ply_of
 from .ply import solve_mpgsc
@@ -76,7 +78,7 @@ class RunReport:
         value = (
             ply_of([r for r in doc.ranges if r.id in set(self.cover)]).value
             if self.solver.endswith("ply")
-            else membership(doc.sprime, self.cover, doc.ranges)
+            else memb_eval(doc.sprime, self.cover, doc.ranges)
         )
         if value != self.value:
             raise RuntimeError("cached objective drifted from the cover")
@@ -362,8 +364,8 @@ def _cmd_verify(args) -> int:
         raise InstanceParseError(
             f"cover names unknown range ids {unknown}", field_name="cover"
         )
-    ok = covers_all(doc.s, ids, doc.ranges)
-    memb = membership(doc.sprime, ids, doc.ranges)
+    ok = verify_cover(doc.s, ids, doc.ranges)
+    memb = memb_eval(doc.sprime, ids, doc.ranges)
     obj = {"covers": ok, "membership": memb, "size": len(set(ids))}
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     return 0 if ok else 2

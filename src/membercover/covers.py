@@ -46,7 +46,9 @@ def membership(sprime: Sequence[Point], chosen_ids, ranges: Sequence) -> int:
     return best
 
 
-def covers_all(points: Sequence[Point], chosen_ids, ranges: Sequence) -> bool:
-    chosen = set(chosen_ids)
-    picked = [r for r in ranges if r.id in chosen]
-    return all(any(r.contains(p) for r in picked) for p in points)
+def first_uncovered(points: Sequence[Point], ranges: Sequence) -> Point | None:
+    """The first point that no range contains, or None if all are covered."""
+    for p in points:
+        if not any(r.contains(p) for r in ranges):
+            return p
+    return None

@@ -140,14 +140,6 @@ def cell_of_point(p: Point) -> GridCell:
     return GridCell(math.floor(p.x), math.floor(p.y))
 
 
-def square_contains(q: UnitSquare, p: Point) -> bool:
-    return q.contains(p)
-
-
-def halfplane_contains(h: Halfplane, p: Point) -> bool:
-    return h.contains(p)
-
-
 # ---------------------------------------------------------------------------
 # clockwise angle order
 # ---------------------------------------------------------------------------
@@ -197,20 +189,6 @@ def cw_angle_cmp(ref: tuple, u: tuple, v: tuple) -> int:
 def angle_cmp(ref: Halfplane, u: Halfplane, v: Halfplane) -> int:
     """Order halfplane normals by clockwise angle from the reference normal."""
     return cw_angle_cmp(ref.normal(), u.normal(), v.normal())
-
-
-def cw_arc_lt_pi(u: tuple, v: tuple) -> bool:
-    """True iff the clockwise angle from u to v lies strictly in (0, pi)."""
-    return _cross(u, v) < 0
-
-
-def cw_arc_contains(u: tuple, v: tuple, d: tuple) -> bool:
-    """True iff direction d lies strictly inside the clockwise arc u -> v.
-
-    Requires the arc to span less than pi (callers guarantee this); then
-    membership is two cross-product signs.
-    """
-    return _cross(u, d) < 0 and _cross(d, v) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +405,8 @@ def linear_inf(cons: Sequence[tuple], f: tuple) -> Fraction | None:
             val = fa * x + fb * y + fc
             if best is None or val < best:
                 best = val
-    assert best is not None, "pointed nonempty region must have a vertex"
+    if best is None:
+        raise RuntimeError("pointed nonempty region must have a vertex")
     return best
 
 

@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import lp as lpmod
-from .covers import CoverSolution, Uncoverable
+from .covers import CoverSolution, Uncoverable, first_uncovered
 from .geometry import (
     Halfplane,
     Point,
@@ -335,6 +336,20 @@ class _AnchorContext:
         )
 
 
+def _point_masks(
+    points: Sequence[Point],
+    sprime: Sequence[Point],
+    halfplanes: Sequence[Halfplane],
+) -> tuple[list[HPt], dict[int, int]]:
+    """The points of S in homogeneous coordinates, and for each halfplane
+    id the bitmask of the points of S' it contains."""
+    sp_masks = {
+        h.id: sum(1 << bit for bit, q in enumerate(sprime) if h.contains(q))
+        for h in halfplanes
+    }
+    return [_hpt(q) for q in points], sp_masks
+
+
 def build_decision_graph(
     points: Sequence[Point],
     sprime: Sequence[Point],
@@ -343,13 +358,7 @@ def build_decision_graph(
     k: int,
 ) -> WindGraph:
     """Decision graph for one anchor; exact and self-contained."""
-    s_pts = [_hpt(q) for q in points]
-    sp_masks = {
-        h.id: sum(
-            1 << bit for bit, q in enumerate(sprime) if h.contains(q)
-        )
-        for h in h_active
-    }
+    s_pts, sp_masks = _point_masks(points, sprime, h_active)
     ctx = _AnchorContext(p, list(h_active), s_pts, sp_masks)
     return ctx.graph(k)
 
@@ -446,8 +455,8 @@ def _dummy_halfplanes(
 class _Decider:
     """Shared state for deciding membership thresholds k = 0, 1, 2, ...
 
-    Anchor contexts are independent of k, so the escalation loop of the
-    exact solver reuses them.
+    Every fact below is independent of k and computed at most once, so the
+    escalation loop of the exact solver reuses them.
     """
 
     def __init__(
@@ -461,33 +470,29 @@ class _Decider:
         self.halfplanes = sorted(halfplanes, key=lambda h: h.id)
         self.dummies, self.delta = _dummy_halfplanes(points, sprime)
         self.extended = self.halfplanes + self.dummies
-        self._quiet: CoverSolution | None | str = "unset"
-        self._small_options: list[tuple[int, int, tuple[int, ...]]] | None = None
-        self._min_cover: list[Halfplane] | None = None
-        self._anchors: list[Point] | None = None
         self._contexts: dict[int, _AnchorContext] = {}
-        self._s_hpts = [_hpt(q) for q in points]
-        self._sp_masks = {
-            h.id: sum(1 << b for b, q in enumerate(sprime) if h.contains(q))
-            for h in self.extended
-        }
+        self._s_hpts, self._sp_masks = _point_masks(points, sprime, self.extended)
 
     # -- cheap certificates -------------------------------------------------
 
+    @cached_property
+    def uncovered(self) -> Point | None:
+        """The first point of S that no halfplane contains, if any."""
+        return first_uncovered(self.points, self.halfplanes)
+
+    @cached_property
     def quiet_cover(self) -> CoverSolution | None:
         """The exact zero-membership test: halfplanes avoiding every
         monitored point either cover the mandatory points or nothing does."""
-        if self._quiet == "unset":
-            quiet = [
-                h for h in self.halfplanes
-                if not any(h.contains(q) for q in self.sprime)
-            ]
-            if all(any(h.contains(p) for h in quiet) for p in self.points):
-                self._quiet = CoverSolution(tuple(sorted(h.id for h in quiet)), 0)
-            else:
-                self._quiet = None
-        return self._quiet
+        quiet = [
+            h for h in self.halfplanes
+            if not any(h.contains(q) for q in self.sprime)
+        ]
+        if first_uncovered(self.points, quiet) is not None:
+            return None
+        return CoverSolution(tuple(sorted(h.id for h in quiet)), 0)
 
+    @cached_property
     def small_options(self) -> list[tuple[int, int, tuple[int, ...]]]:
         """Covers of size <= 3 as (membership, size, ids), sorted.
 
@@ -496,56 +501,50 @@ class _Decider:
         dummies are stripped, so scanning these small subsets completes
         the non-polygonal side of the decision.
         """
-        if self._small_options is None:
-            opts = []
-            for size in (1, 2, 3):
-                for combo in combinations(self.halfplanes, size):
-                    if all(
-                        any(h.contains(p) for h in combo) for p in self.points
-                    ):
-                        cs = CoverSolution.build(
-                            [h.id for h in combo], self.sprime, self.halfplanes
-                        )
-                        opts.append((cs.memb, len(combo), cs.ids))
-            opts.sort()
-            self._small_options = opts
-        return self._small_options
+        opts = []
+        for size in (1, 2, 3):
+            for combo in combinations(self.halfplanes, size):
+                if first_uncovered(self.points, combo) is None:
+                    cs = CoverSolution.build(
+                        [h.id for h in combo], self.sprime, self.halfplanes
+                    )
+                    opts.append((cs.memb, len(combo), cs.ids))
+        opts.sort()
+        return opts
 
+    @cached_property
     def min_cover(self) -> list[Halfplane]:
-        if self._min_cover is None:
-            self._min_cover = min_size_halfplane_cover(self.points, self.halfplanes)
-        return self._min_cover
+        return min_size_halfplane_cover(self.points, self.halfplanes)
 
     # -- anchors ------------------------------------------------------------
 
+    @cached_property
     def anchors(self) -> list[Point]:
-        if self._anchors is None:
-            lines = [h.line() for h in self.extended]
-            samples = sorted(
-                (
-                    p
-                    for p in face_sample_points(lines)
-                    if abs(p.x) < self.delta and abs(p.y) < self.delta
-                ),
-                key=lambda p: (p.x, p.y),
+        lines = [h.line() for h in self.extended]
+        samples = sorted(
+            (
+                p
+                for p in face_sample_points(lines)
+                if abs(p.x) < self.delta and abs(p.y) < self.delta
+            ),
+            key=lambda p: (p.x, p.y),
+        )
+        seen: set[tuple[int, ...]] = set()
+        chosen = []
+        for p in samples:
+            sig = tuple(
+                1 if a * p.x + b * p.y + c > 0 else -1
+                for (a, b, c) in lines
             )
-            seen: set[tuple[int, ...]] = set()
-            chosen = []
-            for p in samples:
-                sig = tuple(
-                    1 if a * p.x + b * p.y + c > 0 else -1
-                    for (a, b, c) in lines
-                )
-                if sig not in seen:
-                    seen.add(sig)
-                    chosen.append(p)
-            self._anchors = chosen
-        return self._anchors
+            if sig not in seen:
+                seen.add(sig)
+                chosen.append(p)
+        return chosen
 
     def context(self, idx: int) -> _AnchorContext:
         ctx = self._contexts.get(idx)
         if ctx is None:
-            p = self.anchors()[idx]
+            p = self.anchors[idx]
             active = [h for h in self.extended if not h.contains(p)]
             ctx = _AnchorContext(p, active, self._s_hpts, self._sp_masks)
             self._contexts[idx] = ctx
@@ -556,30 +555,29 @@ class _Decider:
     def decide(self, k: int) -> DecisionOutcome | None:
         if not self.points:
             return DecisionOutcome(CoverSolution((), 0), "empty", None)
-        if any(
-            not any(h.contains(p) for h in self.halfplanes) for p in self.points
-        ):
+        if self.uncovered is not None:
             return None
 
-        quiet = self.quiet_cover()
+        quiet = self.quiet_cover
         if quiet is not None:
             return DecisionOutcome(quiet, "quiet", None)
         if k == 0:
             return None  # zero membership needs a cover by quiet halfplanes
 
-        for memb, _size, ids in self.small_options():
+        for memb, _size, ids in self.small_options:
             if memb <= k:
                 return DecisionOutcome(CoverSolution(ids, memb), "small", None)
 
-        mc = self.min_cover()
+        mc = self.min_cover
         if len(mc) <= k:
             cover = CoverSolution.build(
                 [h.id for h in mc], self.sprime, self.halfplanes
             )
-            assert cover.memb <= k
+            if cover.memb > k:
+                raise RuntimeError("a cover of size <= k has membership above k")
             return DecisionOutcome(cover, "minsize", None)
 
-        for idx in range(len(self.anchors())):
+        for idx in range(len(self.anchors)):
             ctx = self.context(idx)
             graph = ctx.graph(k)
             cycle = find_winding_cycle(graph)
@@ -600,12 +598,13 @@ class _Decider:
         cover_ids = sorted(set(h for h in hosts_in_order if h >= 0))
         cover = CoverSolution.build(cover_ids, self.sprime, self.halfplanes)
         # machinery self-check: the reconstructed solution must be valid
-        assert crossings == 1, "cycle search returned a multi-winding cycle"
-        assert cover.memb <= k, "reconstructed cover exceeds the threshold"
+        if crossings != 1:
+            raise RuntimeError("cycle search returned a multi-winding cycle")
+        if cover.memb > k:
+            raise RuntimeError("reconstructed cover exceeds the threshold")
         picked = [h for h in self.halfplanes if h.id in set(cover_ids)]
-        assert all(
-            any(h.contains(p) for h in picked) for p in self.points
-        ), "reconstructed cover misses a point"
+        if first_uncovered(self.points, picked) is not None:
+            raise RuntimeError("reconstructed cover misses a point")
         cert = WindingCertificate(
             anchor=ctx.anchor,
             ray=ctx.ray,
@@ -642,10 +641,9 @@ def exact_mmgsc_halfplanes_report(
     halfplanes: Sequence[Halfplane],
     max_k: int | None = None,
 ) -> ExactSolveReport:
-    for p in points:
-        if not any(h.contains(p) for h in halfplanes):
-            raise Uncoverable(p)
     decider = _Decider(points, sprime, halfplanes)
+    if decider.uncovered is not None:
+        raise Uncoverable(decider.uncovered)
     cap = len(halfplanes) if max_k is None else max_k
     for k in range(cap + 1):
         outcome = decider.decide(k)
@@ -667,8 +665,9 @@ def exact_mmgsc_halfplanes(
 # plane covers, minimum-size covers, local search
 # ---------------------------------------------------------------------------
 
-def plane_cover_triple(halfplanes: Sequence[Halfplane]) -> list[Halfplane] | None:
-    """Up to three halfplanes covering the whole plane, if any exist.
+def _plane_covers(halfplanes: Sequence[Halfplane]) -> Iterator[tuple[Halfplane, ...]]:
+    """Every pair, then every triple, of halfplanes whose union is the
+    plane, in id order.
 
     The union is the plane iff the intersection of the complements is
     empty, and an empty intersection already shows on a pair or triple.
@@ -677,8 +676,13 @@ def plane_cover_triple(halfplanes: Sequence[Halfplane]) -> list[Halfplane] | Non
     for size in (2, 3):
         for combo in combinations(ordered, size):
             if complement_region(combo).empty:
-                return list(combo)
-    return None
+                yield combo
+
+
+def plane_cover_triple(halfplanes: Sequence[Halfplane]) -> list[Halfplane] | None:
+    """Up to three halfplanes covering the whole plane, if any exist."""
+    combo = next(_plane_covers(halfplanes), None)
+    return None if combo is None else list(combo)
 
 
 def min_size_halfplane_cover(
@@ -829,6 +833,32 @@ def one_stable_local_search(
     raise RuntimeError("local search failed to stabilize within its round budget")
 
 
+def _additive_cover(
+    points: Sequence[Point],
+    sprime: Sequence[Point],
+    halfplanes: Sequence[Halfplane],
+) -> tuple[CoverSolution, bool]:
+    """The additive-error cover, and whether the halfplanes cover the plane."""
+    missing = first_uncovered(points, halfplanes)
+    if missing is not None:
+        raise Uncoverable(missing)
+    plane = complement_region(halfplanes).empty
+    if not points:
+        return CoverSolution((), 0), plane
+
+    stable = min_size_halfplane_cover(points, halfplanes)
+    stable = one_stable_local_search(stable, halfplanes)
+    best = CoverSolution.build([h.id for h in stable], sprime, halfplanes)
+    if plane:
+        # the first cover of least membership wins, the local-search one on a tie
+        plane_covers = (
+            CoverSolution.build([h.id for h in combo], sprime, halfplanes)
+            for combo in _plane_covers(halfplanes)
+        )
+        best = min((best, *plane_covers), key=lambda cs: cs.memb)
+    return best, plane
+
+
 def additive_error_cover(
     points: Sequence[Point],
     sprime: Sequence[Point],
@@ -841,29 +871,7 @@ def additive_error_cover(
     the local-search cover and the lower membership wins; both candidates
     admit no improving single swap.
     """
-    for p in points:
-        if not any(h.contains(p) for h in halfplanes):
-            raise Uncoverable(p)
-    if not points:
-        return CoverSolution((), 0)
-
-    stable = min_size_halfplane_cover(points, halfplanes)
-    stable = one_stable_local_search(stable, halfplanes)
-    best = CoverSolution.build([h.id for h in stable], sprime, halfplanes)
-
-    if complement_region(halfplanes).empty:
-        plane_best: CoverSolution | None = None
-        for size in (2, 3):
-            for combo in combinations(sorted(halfplanes, key=lambda h: h.id), size):
-                if complement_region(combo).empty:
-                    cs = CoverSolution.build(
-                        [h.id for h in combo], sprime, halfplanes
-                    )
-                    if plane_best is None or cs.memb < plane_best.memb:
-                        plane_best = cs
-        if plane_best is not None and plane_best.memb < best.memb:
-            return plane_best
-    return best
+    return _additive_cover(points, sprime, halfplanes)[0]
 
 
 ADDITIVE_ERROR = 2
@@ -886,12 +894,8 @@ def ptas(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    rough = additive_error_cover(points, sprime, halfplanes)
-    constant = (
-        ADDITIVE_ERROR_PLANE
-        if complement_region(halfplanes).empty
-        else ADDITIVE_ERROR
-    )
+    rough, plane = _additive_cover(points, sprime, halfplanes)
+    constant = ADDITIVE_ERROR_PLANE if plane else ADDITIVE_ERROR
     threshold = (1 + eps) / eps * constant
     if rough.memb >= threshold:
         return rough

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import lp as lpmod
-from .covers import CoverSolution, Uncoverable
+from . import squares as squaresmod
+from .covers import CoverSolution, Uncoverable, first_uncovered
 from .geometry import (
     GridCell,
     Point,
@@ -21,8 +22,10 @@ from .geometry import (
     grid_partition,
     square_extent,
 )
-from .squares import N_CORNERS, corner_partition, solve_one_corner
-# the benchmark's tracer (perfbench/tracing.py) patches ply.quadrant_greedy_cover
+from .squares import N_CORNERS
+# nothing in this module calls quadrant_greedy_cover; the name stays only
+# because perfbench/tracing.py patches ply.quadrant_greedy_cover and raises
+# KeyError when it is missing
 from .squares import quadrant_greedy_cover  # noqa: F401
 
 
@@ -86,17 +89,18 @@ def min_size_cell_cover_approx(
     """
     if not points:
         return CoverSolution((), 0)
-    for p in points:
-        if not any(q.contains(p) for q in squares):
-            raise Uncoverable(p)
+    missing = first_uncovered(points, squares)
+    if missing is not None:
+        raise Uncoverable(missing)
     program = lpmod.build_size_lp(points, squares)
     sol = lpmod.solve_lp(program)
     if sol.status != lpmod.OPTIMAL:
         raise RuntimeError("coverage was prechecked")
-    partition = corner_partition(points, squares, cell, sol)
+    # looked up on the module at call time, so patches of squares.* see these calls
+    partition = squaresmod.corner_partition(points, squares, cell, sol)
     ids: set[int] = set()
     for corner in range(N_CORNERS):
-        bucket = solve_one_corner(
+        bucket = squaresmod.solve_one_corner(
             partition.point_buckets[corner],
             (),
             partition.square_buckets[corner],

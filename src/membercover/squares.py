@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import lp as lpmod
-from .covers import CoverSolution, Uncoverable
+from .covers import CoverSolution, Uncoverable, first_uncovered
 from .geometry import (
     GridCell,
     Point,
@@ -227,9 +227,9 @@ def solve_cell_report(
         return CellReport(CoverSolution((), 0), None, None, (), True)
     if cell is None:
         cell = cell_of_point(points[0])
-    for p in points:
-        if not any(q.contains(p) for q in squares):
-            raise Uncoverable(p)
+    missing = first_uncovered(points, squares)
+    if missing is not None:
+        raise Uncoverable(missing)
 
     # cell-local S': a monitored point outside every cell square has depth
     # 0 in any cover drawn from them, and its LP row -y <= 0 is redundant
@@ -238,7 +238,7 @@ def solve_cell_report(
     # zero-membership shortcut: if the squares avoiding every monitored
     # point already cover the cell, take exactly those
     quiet = [q for q in squares if not any(q.contains(s) for s in local)]
-    if all(any(q.contains(p) for q in quiet) for p in points):
+    if first_uncovered(points, quiet) is None:
         cover = CoverSolution(tuple(sorted(q.id for q in quiet)), 0)
         return CellReport(cover, None, None, (), True)
 

@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
+import membercover
 from membercover import (
     ConvexRegion,
     GridCell,
@@ -13,8 +18,6 @@ from membercover import (
     complement_region,
     face_sample_points,
     grid_partition,
-    halfplane_contains,
-    square_contains,
     union_compare,
 )
 from membercover.geometry import (
@@ -35,14 +38,14 @@ def P(x, y):
 class TestContainment:
     def test_square_corner(self):
         q = UnitSquare(0, P(1, 1))
-        assert square_contains(q, P(0, 0))
-        assert square_contains(q, P(1, 1))
-        assert not square_contains(q, P("3/2", "1/2"))
+        assert q.contains(P(0, 0))
+        assert q.contains(P(1, 1))
+        assert not q.contains(P("3/2", "1/2"))
 
     def test_halfplane_boundary(self):
-        assert halfplane_contains(Halfplane(0, 0, 1, 0), P(5, 0))
-        assert not halfplane_contains(Halfplane(0, 0, 1, 0), P(0, -1))
-        assert halfplane_contains(Halfplane(0, 1, 1, -2), P(1, 1))
+        assert Halfplane(0, 0, 1, 0).contains(P(5, 0))
+        assert not Halfplane(0, 0, 1, 0).contains(P(0, -1))
+        assert Halfplane(0, 1, 1, -2).contains(P(1, 1))
 
 
 class TestAngleOrder:
@@ -380,6 +383,25 @@ class TestRegionInternals:
         cons = [(1, 0, 0), (0, 1, 0), (-1, -1, 2)]  # triangle x,y >= 0, x+y <= 2
         assert linear_inf(cons, (1, 1, 0)) == 0
         assert linear_inf(cons, (-1, -1, 0)) == -2
+
+    def test_linear_inf_infeasible_raises_under_optimize(self):
+        # x >= 1, x <= 0, y >= 0 is empty, and its normals are not all
+        # parallel: no vertex is feasible, which must raise even under -O
+        src = str(Path(membercover.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "from membercover.geometry import linear_inf\n"
+            "assert False, 'asserts are on'\n"
+            "try:\n"
+            "    print(linear_inf([(1, 0, -1), (-1, 0, 0), (0, 1, 0)], (1, 0, 0)))\n"
+            "except RuntimeError as err:\n"
+            "    print(err)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "pointed nonempty region must have a vertex"
 
     def test_feasible_point_slab(self):
         w = feasible_point([(0, 1, 1), (0, -1, 1)])

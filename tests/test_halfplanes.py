@@ -30,6 +30,7 @@ from membercover.halfplanes import (
     AnchorOnLine,
     StabilityConfig,
     WindGraph,
+    WindingCertificate,
     exact_mmgsc_halfplanes_report,
 )
 
@@ -394,6 +395,123 @@ class TestPtas:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             ptas([], [], BOX, 0)
+
+
+# Outputs recorded with the solvers as they stood before the plane-cover
+# enumeration and the coverage test were folded into one implementation
+# each.  Seeds 4, 5, 9, 13, 26 and 73 are plane-coverable, the rest are
+# not; the two hand-built instances are plane-coverable and their best
+# plane cover (a pair, then a triple) beats the local-search cover.
+GOLDEN_SEEDS = {
+    # seed: (additive, ptas eps=1, ptas eps=1/2, exact (ids, memb, k, path))
+    4: (((0,), 1), ((1, 2, 3, 5), 0), ((1, 2, 3, 5), 0), ((1, 2, 3, 5), 0, 0, "quiet")),
+    5: (((0,), 1), ((0,), 1), ((0,), 1), ((0,), 1, 1, "small")),
+    9: (((0,), 1), ((0,), 1), ((0,), 1), ((0,), 1, 1, "small")),
+    13: (((2,), 1), ((2,), 1), ((2,), 1), ((2,), 1, 1, "small")),
+    16: (((0,), 1), ((0,), 1), ((0,), 1), ((0,), 1, 1, "small")),
+    19: (((0, 3), 2), ((2, 3), 1), ((2, 3), 1), ((2, 3), 1, 1, "small")),
+    23: (((0, 1), 2), ((0, 1), 2), ((0, 1), 2), ((0, 1), 2, 2, "small")),
+    26: (((0, 1), 2), ((0, 1), 2), ((0, 1), 2), ((0, 1), 2, 2, "small")),
+    45: (((1,), 1), ((0, 3, 5, 6), 0), ((0, 3, 5, 6), 0), ((0, 3, 5, 6), 0, 0, "quiet")),
+    48: (((1, 2), 2), ((1, 2), 2), ((1, 2), 2), ((1, 2), 2, 2, "small")),
+    52: (((0, 2), 2), ((0, 2), 2), ((0, 2), 2), ((0, 2), 2, 2, "small")),
+    73: (((0,), 1), ((1, 2, 4), 0), ((1, 2, 4), 0), ((1, 2, 4), 0, 0, "quiet")),
+}
+
+GOLDEN_HAND = [
+    (
+        [Halfplane(0, 0, 3, 1), Halfplane(1, 0, -3, 4), Halfplane(2, 0, 2, -1)],
+        [P(-3, 3), P(-4, 0), P(0, -2)],
+        [P(-3, -3), P(3, 2), P(-4, 0)],
+        (((1, 2), 1), ((1, 2), 1), ((1, 2), 1), ((1, 2), 1, 1, "small")),
+    ),
+    (
+        [
+            Halfplane(0, 2, 2, -1),
+            Halfplane(1, -1, 2, 4),
+            Halfplane(2, -3, -2, -2),
+            Halfplane(3, 1, -3, -3),
+            Halfplane(4, 1, 2, -2),
+        ],
+        [P(0, 4), P(4, -1), P(-4, 0)],
+        [P(-4, 1), P(1, 0)],
+        (((1, 3, 4), 1), ((0, 2), 1), ((0, 2), 1), ((0, 2), 1, 1, "small")),
+    ),
+]
+
+
+def _golden_row(points, sprime, planes):
+    rough = additive_error_cover(points, sprime, planes)
+    one = ptas(points, sprime, planes, 1)
+    half = ptas(points, sprime, planes, Fraction(1, 2))
+    exact = exact_mmgsc_halfplanes_report(points, sprime, planes)
+    return (
+        (rough.ids, rough.memb),
+        (one.ids, one.memb),
+        (half.ids, half.memb),
+        (exact.cover.ids, exact.cover.memb, exact.k, exact.path),
+    )
+
+
+class TestGoldens:
+    def test_seeded_instances(self):
+        for seed, expected in GOLDEN_SEEDS.items():
+            points, sprime, planes = halfplane_instance(seed)
+            assert complement_region(planes).empty == (seed in (4, 5, 9, 13, 26, 73))
+            assert _golden_row(points, sprime, planes) == expected, seed
+
+    def test_plane_cover_beats_local_search(self):
+        for planes, points, sprime, expected in GOLDEN_HAND:
+            assert complement_region(planes).empty
+            assert _golden_row(points, sprime, planes) == expected
+
+    def test_cycle_certificates(self):
+        fan1 = exact_mmgsc_halfplanes_report(*fan_instance(1))
+        assert (fan1.cover.ids, fan1.cover.memb, fan1.k, fan1.path) == (
+            (0, 1, 2, 3, 4, 5, 6), 3, 3, "cycle"
+        )
+        assert fan1.certificate == WindingCertificate(
+            anchor=P("-16/3", 2),
+            ray=(1, 0),
+            k=3,
+            polygon=(
+                P(3, 7), P(3, "-1/2"), P("-1/3", -3), P("-11/3", -3),
+                P(-7, "-1/2"), P(-7, "9/2"), P("-11/3", 7),
+            ),
+            hosts=(0, 5, 3, 6, 2, 4, 1),
+            crossings=1,
+        )
+        fan5 = exact_mmgsc_halfplanes_report(*fan_instance(5))
+        assert (fan5.cover.ids, fan5.cover.memb, fan5.k, fan5.path) == (
+            (0, 1, 2, 3, 4, 5), 1, 1, "cycle"
+        )
+        assert fan5.certificate == WindingCertificate(
+            anchor=P("-16/3", 2),
+            ray=(1, 0),
+            k=1,
+            polygon=(
+                P(3, 7), P(3, -3), P("-11/3", -3), P(-7, "-1/2"),
+                P(-7, "9/2"), P("-11/3", 7),
+            ),
+            hosts=(0, 3, 5, 2, 4, 1),
+            crossings=1,
+        )
+
+    def test_ptas_builds_the_full_region_once(self, monkeypatch):
+        import membercover.halfplanes as hp
+
+        points, sprime, planes = halfplane_instance(4)
+        full = frozenset(h.id for h in planes)
+        calls = []
+        raw = hp.complement_region
+
+        def counting(hs):
+            calls.append(frozenset(h.id for h in hs) == full)
+            return raw(hs)
+
+        monkeypatch.setattr(hp, "complement_region", counting)
+        hp.ptas(points, sprime, planes, 1)
+        assert calls.count(True) == 1
 
 
 class TestAngleFacts:
