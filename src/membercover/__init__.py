@@ -7,7 +7,7 @@ rational arithmetic; brute-force oracles and an exact rational LP solver
 back every approximation guarantee at desk scale.
 """
 
-from .covers import CoverSolution, Uncoverable, membership
+from .covers import CoverSolution, Uncoverable, incidence, membership
 from .geometry import (
     ConvexRegion,
     GridCell,
@@ -24,7 +24,6 @@ from .geometry import (
 from .halfplanes import (
     AnchorOnLine,
     SegmentPhi,
-    StabilityConfig,
     WindGraph,
     additive_error_cover,
     build_decision_graph,

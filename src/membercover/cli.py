@@ -147,7 +147,6 @@ def _oracle_value(doc: InstanceDoc, solver: str, budget: OracleBudget) -> int | 
 def run_report(
     doc: InstanceDoc,
     solver: str,
-    seed: int,
     epsilon: Fraction = Fraction(1),
     with_oracle: bool = False,
     budget: OracleBudget = OracleBudget(),
@@ -188,7 +187,7 @@ def _bench_seed(args_tuple):
     rows = []
     for solver in bench_solvers(kind):
         try:
-            report = run_report(doc, solver, seed, with_oracle=with_oracle)
+            report = run_report(doc, solver, with_oracle=with_oracle)
         except Uncoverable:
             rows.append(
                 {
@@ -315,13 +314,7 @@ def _cmd_solve(args) -> int:
         solver = "squares-membership"
     else:
         solver = "halfplanes-ptas"
-    report = run_report(
-        doc,
-        solver,
-        seed=doc.seed or 0,
-        epsilon=Fraction(args.epsilon),
-        with_oracle=args.with_oracle,
-    )
+    report = run_report(doc, solver, epsilon=args.epsilon, with_oracle=args.with_oracle)
     sys.stdout.write(report.to_json(doc))
     return 0
 
@@ -348,22 +341,25 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    doc = _load(args.instance)
-    with open(args.cover) as fh:
+def _load_cover(path: str, doc: InstanceDoc) -> list[int]:
+    """The ids of a cover file: an object whose "cover" lists ids of `doc`."""
+    with open(path) as fh:
         try:
             cover_doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceParseError(f"cover file: {exc.msg}", line=exc.lineno)
-    ids = cover_doc.get("cover")
-    if not isinstance(ids, list) or not all(isinstance(i, int) for i in ids):
+    ids = cover_doc.get("cover") if isinstance(cover_doc, dict) else None
+    if not isinstance(ids, list) or not all(type(i) is int for i in ids):  # no bools
         raise InstanceParseError("cover file needs a list of ids", field_name="cover")
-    known = {r.id for r in doc.ranges}
-    unknown = sorted(set(ids) - known)
+    unknown = sorted(set(ids) - {r.id for r in doc.ranges})
     if unknown:
-        raise InstanceParseError(
-            f"cover names unknown range ids {unknown}", field_name="cover"
-        )
+        raise InstanceParseError(f"cover names unknown ids {unknown}", field_name="cover")
+    return ids
+
+
+def _cmd_verify(args) -> int:
+    doc = _load(args.instance)
+    ids = _load_cover(args.cover, doc)
     ok = verify_cover(doc.s, ids, doc.ranges)
     memb = memb_eval(doc.sprime, ids, doc.ranges)
     obj = {"covers": ok, "membership": memb, "size": len(set(ids))}
@@ -396,14 +392,32 @@ def _cmd_bench(args) -> int:
 
 def _cmd_plot(args) -> int:
     doc = _load(args.instance)
-    cover_ids: list[int] = []
-    if args.cover:
-        with open(args.cover) as fh:
-            cover_ids = json.load(fh).get("cover", [])
+    cover_ids = _load_cover(args.cover, doc) if args.cover else []
     svg = render_svg(doc, cover_ids)
     with open(args.out, "w") as fh:
         fh.write(svg)
     return 0
+
+
+def _at_least(low: int):
+    """An argparse type: a decimal integer no smaller than `low` (>= 0)."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+def _positive_rational(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = Fraction(0)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,10 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a random instance")
     gen.add_argument("--kind", choices=(KIND_SQUARES, KIND_HALFPLANES), required=True)
-    gen.add_argument("--points", type=int, default=8)
-    gen.add_argument("--prime-points", type=int, default=None)
-    gen.add_argument("--ranges", type=int, default=8)
-    gen.add_argument("--extent", type=int, default=4)
+    gen.add_argument("--points", type=_at_least(0), default=8)
+    gen.add_argument("--prime-points", type=_at_least(0), default=None)
+    gen.add_argument("--ranges", type=_at_least(0), default=8)
+    gen.add_argument("--extent", type=_at_least(1), default=4)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=_cmd_gen)
@@ -427,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(OBJECTIVE_MEMBERSHIP, OBJECTIVE_PLY),
         default=OBJECTIVE_MEMBERSHIP,
     )
-    solve.add_argument("--epsilon", default="1")
+    solve.add_argument("--epsilon", type=_positive_rational, default="1")
     solve.add_argument("--with-oracle", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 
@@ -454,10 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a seeded solver matrix")
     bench.add_argument("--kind", choices=(KIND_SQUARES, KIND_HALFPLANES), required=True)
-    bench.add_argument("--seeds", type=int, default=20)
-    bench.add_argument("--max-ranges", type=int, default=8)
-    bench.add_argument("--points", type=int, default=8)
-    bench.add_argument("--extent", type=int, default=4)
+    bench.add_argument("--seeds", type=_at_least(0), default=20)
+    bench.add_argument("--max-ranges", type=_at_least(1), default=8)
+    bench.add_argument("--points", type=_at_least(0), default=8)
+    bench.add_argument("--extent", type=_at_least(1), default=4)
     bench.add_argument("--with-oracle", action="store_true")
     bench.add_argument("--out-csv", default=None)
     bench.add_argument("--out-json", default=None)
@@ -483,7 +497,7 @@ def run_cli(argv=None) -> int:
     except InstanceParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceeded as exc:

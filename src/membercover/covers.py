@@ -1,4 +1,6 @@
-"""Shared solution types and errors for the cover solvers."""
+"""Shared solution types, errors and the point-to-range incidence table:
+the solvers' one point-in-range test, on whose rows coverage, membership
+and quiet sets are bit arithmetic under a `chosen` bitmask of positions."""
 
 from __future__ import annotations
 
@@ -7,6 +9,8 @@ from typing import Sequence
 
 from .geometry import Point
 
+ALL = -1  # the `chosen` bitmask that selects every range
+
 
 class Uncoverable(Exception):
     """Raised when some point cannot be covered by any available range."""
@@ -14,6 +18,48 @@ class Uncoverable(Exception):
     def __init__(self, point: Point):
         self.point = point
         super().__init__(f"point {point!r} is not covered by any range")
+
+
+def incidence(points: Sequence[Point], ranges: Sequence) -> list[int]:
+    """Row i is the bitmask of the positions in `ranges` of the ranges that
+    contain points[i]."""
+    rows = []
+    for p in points:
+        row = 0
+        for j, r in enumerate(ranges):
+            if r.contains(p):
+                row |= 1 << j
+        rows.append(row)
+    return rows
+
+
+def covering_incidence(points: Sequence[Point], ranges: Sequence) -> list[int]:
+    """`incidence(points, ranges)` once every point lies in some range;
+    otherwise Uncoverable names the first point that does not."""
+    rows = incidence(points, ranges)
+    missing = first_uncovered(points, rows, ALL)
+    if missing is not None:
+        raise Uncoverable(missing)
+    return rows
+
+
+def mask_of(ids, ranges: Sequence) -> int:
+    """The bitmask of the positions in `ranges` of the ranges with these ids."""
+    wanted = set(ids)
+    return sum([1 << j for j, r in enumerate(ranges) if r.id in wanted])
+
+
+def first_uncovered(points: Sequence[Point], rows: Sequence[int], chosen: int) -> Point | None:
+    """The first point that no range of `chosen` contains, or None."""
+    for p, row in zip(points, rows):
+        if not row & chosen:
+            return p
+    return None
+
+
+def depth(rows: Sequence[int], chosen: int) -> int:
+    """The most ranges of `chosen` that contain one point; 0 without points."""
+    return max([(row & chosen).bit_count() for row in rows], default=0)
 
 
 @dataclass(frozen=True)
@@ -28,27 +74,30 @@ class CoverSolution:
         return len(self.ids)
 
     @staticmethod
-    def build(ids, sprime: Sequence[Point], ranges: Sequence) -> "CoverSolution":
+    def build(ids, sp_rows: Sequence[int], ranges: Sequence) -> "CoverSolution":
+        """The cover by the ranges with these ids; `sp_rows` is the
+        incidence table of the monitored points over `ranges`."""
         chosen = sorted(set(ids))
-        return CoverSolution(tuple(chosen), membership(sprime, chosen, ranges))
+        return CoverSolution(tuple(chosen), depth(sp_rows, mask_of(chosen, ranges)))
+
+
+def quiet_cover(
+    points: Sequence[Point], s_rows: Sequence[int], sp_rows: Sequence[int], ranges: Sequence
+) -> CoverSolution | None:
+    """The ranges that contain no monitored point, if they cover `points`;
+    the tables are over `ranges`, or over a sequence that starts with them."""
+    quiet = (1 << len(ranges)) - 1
+    for row in sp_rows:
+        quiet &= ~row
+    if first_uncovered(points, s_rows, quiet) is not None:
+        return None
+    return CoverSolution(
+        tuple(sorted([r.id for j, r in enumerate(ranges) if quiet >> j & 1])), 0
+    )
 
 
 def membership(sprime: Sequence[Point], chosen_ids, ranges: Sequence) -> int:
     """max over monitored points of how many chosen ranges contain it."""
-    chosen = set(chosen_ids)
     by_id = {r.id: r for r in ranges}
-    picked = [by_id[i] for i in chosen]
-    best = 0
-    for q in sprime:
-        depth = sum(1 for r in picked if r.contains(q))
-        if depth > best:
-            best = depth
-    return best
-
-
-def first_uncovered(points: Sequence[Point], ranges: Sequence) -> Point | None:
-    """The first point that no range contains, or None if all are covered."""
-    for p in points:
-        if not any(r.contains(p) for r in ranges):
-            return p
-    return None
+    picked = [by_id[i] for i in set(chosen_ids)]
+    return depth(incidence(sprime, picked), ALL)

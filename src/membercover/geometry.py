@@ -121,9 +121,6 @@ class GridCell:
             Point(i + 1, j + 1),
         )
 
-    def contains_halfopen(self, p: Point) -> bool:
-        return self.i <= p.x < self.i + 1 and self.j <= p.y < self.j + 1
-
     def closed_intersects_bbox(
         self, bbox: tuple[Fraction, Fraction, Fraction, Fraction]
     ) -> bool:

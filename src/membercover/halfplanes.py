@@ -26,7 +26,17 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from . import lp as lpmod
-from .covers import CoverSolution, Uncoverable, first_uncovered
+from .covers import (
+    ALL,
+    CoverSolution,
+    Uncoverable,
+    covering_incidence,
+    depth,
+    first_uncovered,
+    incidence,
+    mask_of,
+    quiet_cover,
+)
 from .geometry import (
     Halfplane,
     Point,
@@ -336,18 +346,16 @@ class _AnchorContext:
         )
 
 
-def _point_masks(
-    points: Sequence[Point],
-    sprime: Sequence[Point],
-    halfplanes: Sequence[Halfplane],
-) -> tuple[list[HPt], dict[int, int]]:
-    """The points of S in homogeneous coordinates, and for each halfplane
-    id the bitmask of the points of S' it contains."""
-    sp_masks = {
-        h.id: sum(1 << bit for bit, q in enumerate(sprime) if h.contains(q))
-        for h in halfplanes
-    }
-    return [_hpt(q) for q in points], sp_masks
+def _columns(rows: Sequence[int], width: int) -> list[int]:
+    """The transpose of an incidence table: entry j is the bitmask of the
+    points whose row holds range position j."""
+    return [sum([(row >> j & 1) << bit for bit, row in enumerate(rows)]) for j in range(width)]
+
+
+def _sp_masks(sp_rows: Sequence[int], halfplanes: Sequence[Halfplane]) -> dict[int, int]:
+    """For each halfplane id, the bitmask of the points of S' it contains:
+    the columns of the S' table `sp_rows` over `halfplanes`."""
+    return dict(zip([h.id for h in halfplanes], _columns(sp_rows, len(halfplanes))))
 
 
 def build_decision_graph(
@@ -358,25 +366,22 @@ def build_decision_graph(
     k: int,
 ) -> WindGraph:
     """Decision graph for one anchor; exact and self-contained."""
-    s_pts, sp_masks = _point_masks(points, sprime, h_active)
-    ctx = _AnchorContext(p, list(h_active), s_pts, sp_masks)
+    sp_masks = _sp_masks(incidence(sprime, h_active), h_active)
+    ctx = _AnchorContext(p, list(h_active), [_hpt(q) for q in points], sp_masks)
     return ctx.graph(k)
 
 
-def find_winding_cycle(
-    graph: WindGraph, minimize: str = "none"
-) -> list[int] | None:
+def find_winding_cycle(graph: WindGraph) -> list[int] | None:
     """A cycle crossing the reference ray exactly once, if one exists.
 
     Every arc's angular extent is below a halfturn, so the crossing count
     of a cycle equals its winding number and a single crossing forces a
     total turning of one full revolution.  For each crossing arc
-    (u -> v) we search a v -> u path through non-crossing arcs;
-    `minimize="hops"` keeps the breadth-first shortest such cycle.
+    (u -> v) we search a v -> u path through non-crossing arcs, breadth
+    first, and return the first cycle found.
 
     Returns vertex indices with the first repeated at the end, or None.
     """
-    best: list[int] | None = None
     for u in range(len(graph.vertices)):
         if not graph.cross[u]:
             continue
@@ -401,12 +406,8 @@ def find_winding_cycle(
                 path.append(node)
                 node = parent[node]
             path.reverse()  # v ... u
-            cycle = [u] + path
-            if best is None or len(cycle) < len(best):
-                best = cycle
-                if minimize != "hops":
-                    return best
-    return best
+            return [u] + path
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -466,31 +467,29 @@ class _Decider:
         halfplanes: Sequence[Halfplane],
     ):
         self.points = list(points)
-        self.sprime = list(sprime)
         self.halfplanes = sorted(halfplanes, key=lambda h: h.id)
         self.dummies, self.delta = _dummy_halfplanes(points, sprime)
         self.extended = self.halfplanes + self.dummies
         self._contexts: dict[int, _AnchorContext] = {}
-        self._s_hpts, self._sp_masks = _point_masks(points, sprime, self.extended)
+        # both tables are over self.extended, whose first len(self.halfplanes)
+        # positions are the instance halfplanes; the dummies contain no point
+        self.s_rows = incidence(self.points, self.extended)
+        self.sp_rows = incidence(sprime, self.extended)
+        self._s_hpts = [_hpt(q) for q in self.points]
+        self._sp_masks = _sp_masks(self.sp_rows, self.extended)
 
     # -- cheap certificates -------------------------------------------------
 
     @cached_property
     def uncovered(self) -> Point | None:
         """The first point of S that no halfplane contains, if any."""
-        return first_uncovered(self.points, self.halfplanes)
+        return first_uncovered(self.points, self.s_rows, ALL)
 
     @cached_property
     def quiet_cover(self) -> CoverSolution | None:
         """The exact zero-membership test: halfplanes avoiding every
         monitored point either cover the mandatory points or nothing does."""
-        quiet = [
-            h for h in self.halfplanes
-            if not any(h.contains(q) for q in self.sprime)
-        ]
-        if first_uncovered(self.points, quiet) is not None:
-            return None
-        return CoverSolution(tuple(sorted(h.id for h in quiet)), 0)
+        return quiet_cover(self.points, self.s_rows, self.sp_rows, self.halfplanes)
 
     @cached_property
     def small_options(self) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -503,12 +502,11 @@ class _Decider:
         """
         opts = []
         for size in (1, 2, 3):
-            for combo in combinations(self.halfplanes, size):
-                if first_uncovered(self.points, combo) is None:
-                    cs = CoverSolution.build(
-                        [h.id for h in combo], self.sprime, self.halfplanes
-                    )
-                    opts.append((cs.memb, len(combo), cs.ids))
+            for combo in combinations(range(len(self.halfplanes)), size):
+                chosen = sum([1 << j for j in combo])
+                if first_uncovered(self.points, self.s_rows, chosen) is None:
+                    ids = tuple([self.halfplanes[j].id for j in combo])
+                    opts.append((depth(self.sp_rows, chosen), size, ids))
         opts.sort()
         return opts
 
@@ -570,9 +568,7 @@ class _Decider:
 
         mc = self.min_cover
         if len(mc) <= k:
-            cover = CoverSolution.build(
-                [h.id for h in mc], self.sprime, self.halfplanes
-            )
+            cover = CoverSolution.build([h.id for h in mc], self.sp_rows, self.extended)
             if cover.memb > k:
                 raise RuntimeError("a cover of size <= k has membership above k")
             return DecisionOutcome(cover, "minsize", None)
@@ -596,14 +592,14 @@ class _Decider:
         polygon = tuple(_hpt_point(ctx.segments[s].a_h) for s in heads)
         crossings = sum(1 for v in cycle[:-1] if graph.cross[v])
         cover_ids = sorted(set(h for h in hosts_in_order if h >= 0))
-        cover = CoverSolution.build(cover_ids, self.sprime, self.halfplanes)
+        chosen = mask_of(cover_ids, self.extended)
+        cover = CoverSolution(tuple(cover_ids), depth(self.sp_rows, chosen))
         # machinery self-check: the reconstructed solution must be valid
         if crossings != 1:
             raise RuntimeError("cycle search returned a multi-winding cycle")
         if cover.memb > k:
             raise RuntimeError("reconstructed cover exceeds the threshold")
-        picked = [h for h in self.halfplanes if h.id in set(cover_ids)]
-        if first_uncovered(self.points, picked) is not None:
+        if first_uncovered(self.points, self.s_rows, chosen) is not None:
             raise RuntimeError("reconstructed cover misses a point")
         cert = WindingCertificate(
             anchor=ctx.anchor,
@@ -697,20 +693,9 @@ def min_size_halfplane_cover(
     if not points:
         return []
     ordered = sorted(halfplanes, key=lambda h: h.id)
-    masks = []
-    for h in ordered:
-        m = 0
-        for bit, p in enumerate(points):
-            if h.contains(p):
-                m |= 1 << bit
-        masks.append(m)
+    s_rows = covering_incidence(points, ordered)
+    masks = _columns(s_rows, len(ordered))
     full = (1 << len(points)) - 1
-    union_all = 0
-    for m in masks:
-        union_all |= m
-    if union_all != full:
-        missing = (~union_all) & full
-        raise Uncoverable(points[missing.bit_length() - 1])
 
     # greedy incumbent
     covered = 0
@@ -725,7 +710,7 @@ def min_size_halfplane_cover(
         greedy.append(pick)
         covered |= masks[pick]
 
-    lp_bound = lpmod.solve_lp(lpmod.build_size_lp(points, ordered))
+    lp_bound = lpmod.solve_lp(lpmod.build_size_lp(s_rows, len(ordered)))
     if lp_bound.status != lpmod.OPTIMAL:
         raise RuntimeError("coverage was prechecked")
     lower = math.ceil(lp_bound.value)
@@ -768,28 +753,15 @@ def min_size_halfplane_cover(
     return [ordered[i] for i in best_pick]
 
 
-@dataclass(frozen=True)
-class StabilityConfig:
-    k: int = 1
-    max_rounds: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("swap size must be at least 1")
-
-
 def one_stable_local_search(
-    chosen: Sequence[Halfplane],
-    pool: Sequence[Halfplane],
-    config: StabilityConfig = StabilityConfig(),
+    chosen: Sequence[Halfplane], pool: Sequence[Halfplane]
 ) -> list[Halfplane]:
-    """Swap up to k halfplanes at a time while the union strictly grows.
+    """Swap one halfplane at a time while the union strictly grows.
 
     Cardinality never changes and coverage is preserved automatically (the
     union only grows).  For a minimum-size starting cover each member can
-    leave at most once, so the default round budget of 2*|pool| + 8 is
-    generous; for other starting sets pass an explicit max_rounds.  The
-    result admits no further improving swap.
+    leave at most once, so the round budget of 2*|pool| + 8 is generous.
+    The result admits no further improving swap.
     """
     current = sorted(chosen, key=lambda h: h.id)
     pool_sorted = sorted(pool, key=lambda h: h.id)
@@ -803,33 +775,26 @@ def one_stable_local_search(
             regions[key] = reg
         return reg
 
-    max_rounds = config.max_rounds
-    if max_rounds is None:
-        max_rounds = 2 * len(pool_sorted) + 8
-    for _ in range(max_rounds):
+    def improving_swap() -> list[Halfplane] | None:
         base_region = region_of(current)
         ids = set(h.id for h in current)
-        improved = False
-        for t in range(1, config.k + 1):
-            for outs in combinations(current, t):
-                rest = [h for h in current if h not in outs]
-                for ins in combinations(
-                    [h for h in pool_sorted if h.id not in ids], t
+        outside = [h for h in pool_sorted if h.id not in ids]
+        for out in current:
+            rest = [h for h in current if h != out]
+            for inc in outside:
+                candidate = sorted(rest + [inc], key=lambda h: h.id)
+                cand_region = region_of(candidate)
+                if region_subset(cand_region, base_region) and not region_subset(
+                    base_region, cand_region
                 ):
-                    candidate = sorted(rest + list(ins), key=lambda h: h.id)
-                    cand_region = region_of(candidate)
-                    if region_subset(cand_region, base_region) and not region_subset(
-                        base_region, cand_region
-                    ):
-                        current = candidate
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-        if not improved:
+                    return candidate
+        return None
+
+    for _ in range(2 * len(pool_sorted) + 8):
+        swapped = improving_swap()
+        if swapped is None:
             return current
+        current = swapped
     raise RuntimeError("local search failed to stabilize within its round budget")
 
 
@@ -839,20 +804,19 @@ def _additive_cover(
     halfplanes: Sequence[Halfplane],
 ) -> tuple[CoverSolution, bool]:
     """The additive-error cover, and whether the halfplanes cover the plane."""
-    missing = first_uncovered(points, halfplanes)
-    if missing is not None:
-        raise Uncoverable(missing)
+    covering_incidence(points, halfplanes)  # raises Uncoverable
     plane = complement_region(halfplanes).empty
     if not points:
         return CoverSolution((), 0), plane
 
+    sp_rows = incidence(sprime, halfplanes)
     stable = min_size_halfplane_cover(points, halfplanes)
     stable = one_stable_local_search(stable, halfplanes)
-    best = CoverSolution.build([h.id for h in stable], sprime, halfplanes)
+    best = CoverSolution.build([h.id for h in stable], sp_rows, halfplanes)
     if plane:
         # the first cover of least membership wins, the local-search one on a tie
         plane_covers = (
-            CoverSolution.build([h.id for h in combo], sprime, halfplanes)
+            CoverSolution.build([h.id for h in combo], sp_rows, halfplanes)
             for combo in _plane_covers(halfplanes)
         )
         best = min((best, *plane_covers), key=lambda cs: cs.memb)

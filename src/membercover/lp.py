@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .covers import incidence
 from .geometry import Point, frac
 
 REL_LE = "<="
@@ -80,9 +81,6 @@ class LPSolution:
     status: str
     value: Fraction | None
     assignment: tuple[Fraction, ...]
-
-    def __getitem__(self, var: int) -> Fraction:
-        return self.assignment[var]
 
 
 def make_program(n_vars, objective, rows, upper_bounds=None) -> LinearProgram:
@@ -294,67 +292,50 @@ class FractionalCover:
         return self.weights.get(rid, Fraction(0))
 
 
+def _indicator(row: int, width: int, zero: Fraction, one: Fraction) -> list[Fraction]:
+    """Coefficients one at the set bits of an incidence row, zero elsewhere."""
+    return [one if row >> j & 1 else zero for j in range(width)]
+
+
 def build_membership_lp(
-    points: Sequence[Point], sprime: Sequence[Point], ranges: Sequence
+    s_rows: Sequence[int], sp_rows: Sequence[int], n_ranges: int
 ) -> LinearProgram:
     """Fractional relaxation of the membership objective.
 
-    Variables are one weight per range (in input order, bounded by one)
-    plus a final load variable y; every point of `points` must collect
-    total weight at least one, every point of `sprime` at most y.
+    `s_rows` and `sp_rows` are the incidence tables (`covers.incidence`) of
+    the mandatory and the monitored points over the same `n_ranges` ranges.
+    Variables are one weight per range (in table order, bounded by one)
+    plus a final load variable y; every mandatory point must collect total
+    weight at least one, every monitored point at most y.
     """
-    n = len(ranges)
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for p in points:
-        coeffs = [Fraction(0)] * (n + 1)
-        for j, r in enumerate(ranges):
-            if r.contains(p):
-                coeffs[j] = Fraction(1)
-        rows.append((coeffs, REL_GE, Fraction(1)))
-    for q in sprime:
-        coeffs = [Fraction(0)] * (n + 1)
-        for j, r in enumerate(ranges):
-            if r.contains(q):
-                coeffs[j] = Fraction(1)
-        coeffs[n] = Fraction(-1)
-        rows.append((coeffs, REL_LE, Fraction(0)))
-    objective = [Fraction(0)] * n + [Fraction(1)]
-    uppers = [Fraction(1)] * n + [None]
-    return make_program(n + 1, objective, rows, uppers)
+    n = n_ranges
+    zero, one, minus_one = Fraction(0), Fraction(1), Fraction(-1)
+    rows = [(_indicator(row, n + 1, zero, one), REL_GE, one) for row in s_rows]
+    for row in sp_rows:
+        coeffs = _indicator(row, n + 1, zero, one)
+        coeffs[n] = minus_one
+        rows.append((coeffs, REL_LE, zero))
+    return make_program(n + 1, [zero] * n + [one], rows, [one] * n + [None])
 
 
-def build_size_lp(points: Sequence[Point], ranges: Sequence) -> LinearProgram:
-    """Fractional relaxation of minimum-size cover: min total weight."""
-    n = len(ranges)
-    rows = []
-    for p in points:
-        coeffs = [Fraction(0)] * n
-        for j, r in enumerate(ranges):
-            if r.contains(p):
-                coeffs[j] = Fraction(1)
-        rows.append((coeffs, REL_GE, Fraction(1)))
-    objective = [Fraction(1)] * n
-    uppers = [Fraction(1)] * n
-    return make_program(n, objective, rows, uppers)
+def build_size_lp(s_rows: Sequence[int], n_ranges: int) -> LinearProgram:
+    """Fractional relaxation of minimum-size cover: min total weight.
 
-
-def weights_from_solution(sol: LPSolution, ranges: Sequence) -> FractionalCover:
-    """Read the per-range weights out of a solved cover program."""
-    return FractionalCover(
-        {r.id: sol.assignment[j] for j, r in enumerate(ranges)}
-    )
+    `s_rows` is the incidence table of the points over the `n_ranges` ranges.
+    """
+    n = n_ranges
+    zero, one = Fraction(0), Fraction(1)
+    rows = [(_indicator(row, n, zero, one), REL_GE, one) for row in s_rows]
+    return make_program(n, [one] * n, rows, [one] * n)
 
 
 def membership_of_fractional(
     sprime: Sequence[Point], cover: FractionalCover, ranges: Sequence
 ) -> Fraction:
     """Largest total weight any monitored point collects; 0 when empty."""
-    best = Fraction(0)
-    for q in sprime:
-        load = sum(
-            (cover.weight(r.id) for r in ranges if r.contains(q)),
-            start=Fraction(0),
-        )
-        if load > best:
-            best = load
-    return best
+    weights = [cover.weight(r.id) for r in ranges]
+    loads = [
+        sum((w for j, w in enumerate(weights) if row >> j & 1), start=Fraction(0))
+        for row in incidence(sprime, ranges)
+    ]
+    return max(loads, default=Fraction(0))

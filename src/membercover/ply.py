@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import lp as lpmod
 from . import squares as squaresmod
-from .covers import CoverSolution, Uncoverable, first_uncovered
+from .covers import CoverSolution, covering_incidence
 from .geometry import (
     GridCell,
     Point,
@@ -22,7 +22,6 @@ from .geometry import (
     grid_partition,
     square_extent,
 )
-from .squares import N_CORNERS
 # nothing in this module calls quadrant_greedy_cover; the name stays only
 # because perfbench/tracing.py patches ply.quadrant_greedy_cover and raises
 # KeyError when it is missing
@@ -89,26 +88,10 @@ def min_size_cell_cover_approx(
     """
     if not points:
         return CoverSolution((), 0)
-    missing = first_uncovered(points, squares)
-    if missing is not None:
-        raise Uncoverable(missing)
-    program = lpmod.build_size_lp(points, squares)
-    sol = lpmod.solve_lp(program)
-    if sol.status != lpmod.OPTIMAL:
-        raise RuntimeError("coverage was prechecked")
-    # looked up on the module at call time, so patches of squares.* see these calls
-    partition = squaresmod.corner_partition(points, squares, cell, sol)
-    ids: set[int] = set()
-    for corner in range(N_CORNERS):
-        bucket = squaresmod.solve_one_corner(
-            partition.point_buckets[corner],
-            (),
-            partition.square_buckets[corner],
-            cell,
-            corner,
-        )
-        ids.update(bucket.ids)
-    return CoverSolution(tuple(sorted(ids)), 0)
+    s_rows = covering_incidence(points, squares)
+    program = lpmod.build_size_lp(s_rows, len(squares))
+    _, chosen = squaresmod.round_cell_lp(points, s_rows, squares, cell, program)
+    return CoverSolution(tuple(sorted({i for ids in chosen for i in ids})), 0)
 
 
 def solve_mpgsc(

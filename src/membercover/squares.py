@@ -16,7 +16,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import lp as lpmod
-from .covers import CoverSolution, Uncoverable, first_uncovered
+from .covers import (
+    CoverSolution,
+    Uncoverable,
+    covering_incidence,
+    incidence,
+    membership,
+    quiet_cover,
+)
 from .geometry import (
     GridCell,
     Point,
@@ -79,6 +86,7 @@ class CornerPartition:
 
 def corner_partition(
     points: Sequence[Point],
+    s_rows: Sequence[int],
     squares: Sequence[UnitSquare],
     cell: GridCell,
     lpsol: lpmod.LPSolution,
@@ -86,33 +94,35 @@ def corner_partition(
     """Assign each square to one corner it contains and each point to the
     corner bucket with the largest fractional load (ties to the lowest
     corner index).  The winning load is always at least 1/4.
+
+    `s_rows` is the incidence table of `points` over `squares`.
     """
     corners = cell.corners()
     square_buckets: list[list[UnitSquare]] = [[] for _ in range(N_CORNERS)]
-    bucket_of: dict[int, int] = {}
-    for pos, q in enumerate(squares):
+    bucket_of: list[int] = []
+    for q in squares:
         for idx, c in enumerate(corners):
             if q.contains(c):
                 square_buckets[idx].append(q)
-                bucket_of[pos] = idx
+                bucket_of.append(idx)
                 break
         else:
             raise SquareWithoutCorner(
                 f"square {q.id} meets cell ({cell.i},{cell.j}) but no corner"
             )
     point_buckets: list[list[Point]] = [[] for _ in range(N_CORNERS)]
-    for p in points:
+    for p, row in zip(points, s_rows):
         delta = [Fraction(0)] * N_CORNERS
-        for pos, q in enumerate(squares):
-            if q.contains(p):
-                delta[bucket_of[pos]] += lpsol.assignment[pos]
+        for pos, corner in enumerate(bucket_of):
+            if row >> pos & 1:
+                delta[corner] += lpsol.assignment[pos]
         winner = max(range(N_CORNERS), key=lambda idx: (delta[idx], -idx))
         point_buckets[winner].append(p)
     return CornerPartition(
         cell=cell,
         squares=tuple(squares),
-        point_buckets=tuple(tuple(b) for b in point_buckets),
-        square_buckets=tuple(tuple(b) for b in square_buckets),
+        point_buckets=tuple([tuple(b) for b in point_buckets]),
+        square_buckets=tuple([tuple(b) for b in square_buckets]),
         lp_solution=lpsol,
     )
 
@@ -171,25 +181,43 @@ def quadrant_greedy_cover(
 
 def solve_one_corner(
     points: Sequence[Point],
-    sprime: Sequence[Point],
     squares: Sequence[UnitSquare],
     cell: GridCell,
     corner: int,
-) -> CoverSolution:
-    """Minimum-size cover of a one-corner bucket via the quadrant greedy.
+) -> tuple[int, ...]:
+    """Ids of a minimum-size cover of a one-corner bucket, sorted, via the
+    quadrant greedy.
 
     Restricting to dominance-maximal squares keeps the cover a staircase,
     which bounds its membership by any fractional cover's plus two.
     """
     if not points:
-        return CoverSolution((), 0)
+        return ()
     maxi = maximal_squares(squares, cell, corner)
     canon_points = [canonical_point(p, cell, corner) for p in points]
     canon_quads = [
         (q.id,) + canonical_square(q, cell, corner) for q in maxi
     ]
-    chosen = quadrant_greedy_cover(canon_points, canon_quads)
-    return CoverSolution.build(chosen, sprime, squares)
+    return tuple(sorted(quadrant_greedy_cover(canon_points, canon_quads)))
+
+
+def round_cell_lp(
+    points: Sequence[Point],
+    s_rows: Sequence[int],
+    squares: Sequence[UnitSquare],
+    cell: GridCell,
+    program: lpmod.LinearProgram,
+) -> tuple[CornerPartition, list[tuple[int, ...]]]:
+    """Solve a cell's cover program (coverage prechecked) and round it: the
+    corner partition, and the quadrant-greedy cover ids of each corner."""
+    sol = lpmod.solve_lp(program)
+    if sol.status != lpmod.OPTIMAL:
+        raise RuntimeError("coverage was prechecked")
+    partition = corner_partition(points, s_rows, squares, cell, sol)
+    return partition, [
+        solve_one_corner(partition.point_buckets[c], partition.square_buckets[c], cell, c)
+        for c in range(N_CORNERS)
+    ]
 
 
 @dataclass(frozen=True)
@@ -227,40 +255,23 @@ def solve_cell_report(
         return CellReport(CoverSolution((), 0), None, None, (), True)
     if cell is None:
         cell = cell_of_point(points[0])
-    missing = first_uncovered(points, squares)
-    if missing is not None:
-        raise Uncoverable(missing)
+    s_rows = covering_incidence(points, squares)
 
     # cell-local S': a monitored point outside every cell square has depth
     # 0 in any cover drawn from them, and its LP row -y <= 0 is redundant
-    local = [s for s in sprime if any(q.contains(s) for q in squares)]
+    sp_rows = [row for row in incidence(sprime, squares) if row]
 
     # zero-membership shortcut: if the squares avoiding every monitored
     # point already cover the cell, take exactly those
-    quiet = [q for q in squares if not any(q.contains(s) for s in local)]
-    if first_uncovered(points, quiet) is None:
-        cover = CoverSolution(tuple(sorted(q.id for q in quiet)), 0)
-        return CellReport(cover, None, None, (), True)
+    quiet = quiet_cover(points, s_rows, sp_rows, squares)
+    if quiet is not None:
+        return CellReport(quiet, None, None, (), True)
 
-    program = lpmod.build_membership_lp(points, local, squares)
-    sol = lpmod.solve_lp(program)
-    if sol.status != lpmod.OPTIMAL:
-        raise RuntimeError("coverage was prechecked")
-    partition = corner_partition(points, squares, cell, sol)
-    bucket_covers = []
-    ids: set[int] = set()
-    for corner in range(N_CORNERS):
-        bucket = solve_one_corner(
-            partition.point_buckets[corner],
-            local,
-            partition.square_buckets[corner],
-            cell,
-            corner,
-        )
-        bucket_covers.append(bucket)
-        ids.update(bucket.ids)
-    cover = CoverSolution.build(ids, local, squares)
-    return CellReport(cover, sol.value, partition, tuple(bucket_covers), False)
+    program = lpmod.build_membership_lp(s_rows, sp_rows, len(squares))
+    partition, chosen = round_cell_lp(points, s_rows, squares, cell, program)
+    bucket_covers = tuple([CoverSolution.build(ids, sp_rows, squares) for ids in chosen])
+    cover = CoverSolution.build([i for ids in chosen for i in ids], sp_rows, squares)
+    return CellReport(cover, partition.lp_solution.value, partition, bucket_covers, False)
 
 
 def solve_cell(
@@ -295,7 +306,7 @@ def solve_mmgsc_squares_report(
         ids.update(report.cover.ids)
         if report.lp_value is not None and (max_lp is None or report.lp_value > max_lp):
             max_lp = report.lp_value
-    cover = CoverSolution.build(ids, sprime, squares)
+    cover = CoverSolution(tuple(sorted(ids)), membership(sprime, ids, squares))
     return SquaresReport(cover, reports, max_lp)
 
 

@@ -28,6 +28,7 @@ from membercover import (
     exact_minsize_bruteforce,
     exact_mmgsc_bruteforce,
     exact_mpgsc_bruteforce,
+    incidence,
     maximal_squares,
     membership_of_fractional,
     ptas,
@@ -122,7 +123,9 @@ def test_criterion_02_lp_below_opt(cell_battery):
     for points, sprime, squares, report, opt in rows:
         lp_value = report.lp_value
         if lp_value is None:
-            lp_value = solve_lp(build_membership_lp(points, sprime, squares)).value
+            lp_value = solve_lp(build_membership_lp(
+                incidence(points, squares), incidence(sprime, squares), len(squares)
+            )).value
         if lp_value > opt:
             violations += 1
     _line("criterion 2 (fractional optimum below integral)", violations == 0,
@@ -166,7 +169,7 @@ def test_criterion_04_greedy_equals_minimum_and_lp():
             canon_points, [(q.id, q.tr.x, q.tr.y) for q in maxi]
         )
         opt_size, _ = exact_minsize_bruteforce(points, squares)
-        lp_value = solve_lp(build_size_lp(points, squares)).value
+        lp_value = solve_lp(build_size_lp(incidence(points, squares), len(squares))).value
         if len(chosen) != opt_size or Fraction(opt_size) != lp_value:
             violations += 1
     _line("criterion 4 (quadrant greedy = minimum = size LP)", violations == 0,

@@ -7,6 +7,8 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import pytest
+
 import membercover
 from membercover.cli import CSV_COLUMNS, run_bench, run_cli, write_csv
 from membercover.instances import parse_instance
@@ -184,13 +186,33 @@ def test_bench_parallel_matches_serial(monkeypatch):
     assert strip(rows_par) == strip(rows_ser)
 
 
-def test_stability_config_validation():
-    import pytest as _pytest
-
-    from membercover import StabilityConfig
-
-    with _pytest.raises(ValueError):
-        StabilityConfig(k=0)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plot", "{inst}", "--cover", "{broken}", "--out", "{svg}"),
+        ("plot", "{inst}", "--cover", "{as_list}", "--out", "{svg}"),
+        ("verify", "{inst}", "{as_list}"),
+        ("verify", "{inst}", "{bool_id}"),
+        ("solve", "{inst}", "--epsilon", "abc"),
+        ("gen", "--kind", "squares", "--points", "-1"),
+    ],
+    ids=["plot-broken-json", "plot-list-cover", "verify-list-cover", "verify-bool-id",
+         "bad-epsilon", "negative-count"],
+)
+def test_bad_input_is_one_line_error(tmp_path, capsys, argv):
+    inst = tmp_path / "in.json"
+    _run(capsys, "gen", "--kind", "halfplanes", "--points", "3", "--ranges", "4",
+         "--seed", "9", "--out", str(inst))
+    files = {"inst": inst, "broken": tmp_path / "broken.json",
+             "as_list": tmp_path / "list.json", "bool_id": tmp_path / "bool.json",
+             "svg": tmp_path / "out.svg"}
+    files["broken"].write_text('{"cover": [0,')
+    files["as_list"].write_text("[0, 1]")
+    files["bool_id"].write_text('{"cover": [true]}')
+    code, out, err = _run(capsys, *[a.format(**files) for a in argv])
+    assert code == 1
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_bench_cli_files(tmp_path, capsys):

@@ -28,9 +28,9 @@ from membercover import (
 )
 from membercover.halfplanes import (
     AnchorOnLine,
-    StabilityConfig,
     WindGraph,
     WindingCertificate,
+    _Decider,
     exact_mmgsc_halfplanes_report,
 )
 
@@ -184,18 +184,6 @@ class TestDecisionGraph:
         )
         assert find_winding_cycle(graph) is None
 
-    def test_minimize_hops_prefers_short_cycle(self):
-        graph = WindGraph(
-            k=0,
-            segments=[],
-            vertices=[(0,), (1,), (2,), (3,), (4,)],
-            succ=[[1, 2], [0], [3], [4], [0]],
-            cross=[True, False, False, False, False],
-            ray=(1, 0),
-            anchor=P(0, 0),
-        )
-        assert find_winding_cycle(graph, minimize="hops") == [0, 1, 0]
-
 
 class TestDecideMembership:
     def test_empty_points(self):
@@ -221,6 +209,24 @@ class TestDecideMembership:
                     assert verify_cover(points, got.ids, planes)
                 else:
                     assert got is None
+
+    def test_decider_facts_read_the_tables(self, monkeypatch):
+        # once the decider holds its S and S' tables, the cheap facts are
+        # bit arithmetic: no halfplane is asked about a point again
+        points, sprime, planes = halfplane_instance(1)
+        decider = _Decider(points, sprime, planes)
+        calls = []
+        contains = Halfplane.contains
+
+        def counting(self, p):
+            calls.append(p)
+            return contains(self, p)
+
+        monkeypatch.setattr(Halfplane, "contains", counting)
+        assert decider.uncovered is None
+        assert decider.quiet_cover is None
+        assert len(decider.small_options) == 27
+        assert calls == []
 
 
 class TestExactSolver:
@@ -295,6 +301,12 @@ class TestMinSizeCover:
             opt, _ = exact_minsize_bruteforce(points, planes)
             assert len(got) == opt
             assert verify_cover(points, [h.id for h in got], planes)
+
+    def test_uncoverable_names_first_point(self):
+        planes = [Halfplane(0, 0, 1, 0)]  # y >= 0
+        with pytest.raises(Uncoverable) as err:
+            min_size_halfplane_cover([P(0, 1), P(0, -1), P(0, -2)], planes)
+        assert err.value.point == P(0, -1)
 
 
 class TestLocalSearch:

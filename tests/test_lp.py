@@ -17,6 +17,7 @@ from membercover import (
     build_membership_lp,
     build_size_lp,
     exact_mmgsc_bruteforce,
+    incidence,
     membership_of_fractional,
     solve_lp,
 )
@@ -30,7 +31,6 @@ from membercover.lp import (
     LinearProgram,
     LPSolution,
     make_program,
-    weights_from_solution,
 )
 
 F = Fraction
@@ -91,7 +91,8 @@ class TestSimplex:
             UnitSquare(2, P("1/2", "3/2")),
         ]
         points = [P("1/2", "1/2"), P("3/4", "1/4")]
-        lp = build_membership_lp(points, points, squares)
+        rows = incidence(points, squares)
+        lp = build_membership_lp(rows, rows, len(squares))
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.value == lp_vertex_enumeration(lp)
@@ -99,7 +100,8 @@ class TestSimplex:
     def test_determinism(self):
         squares = [UnitSquare(i, P(Fraction(i + 2, 3), 1)) for i in range(4)]
         points = [P("1/2", "1/2")]
-        lp = build_membership_lp(points, points, squares)
+        rows = incidence(points, squares)
+        lp = build_membership_lp(rows, rows, len(squares))
         a = solve_lp(lp)
         b = solve_lp(lp)
         assert repr(a) == repr(b)
@@ -108,7 +110,9 @@ class TestSimplex:
         rng = random.Random(4)
         for seed in range(15):
             points, sprime, squares = cell_instance(seed, max_squares=6, max_points=6)
-            lp = build_membership_lp(points, sprime, squares)
+            lp = build_membership_lp(
+                incidence(points, squares), incidence(sprime, squares), len(squares)
+            )
             sol = solve_lp(lp)
             assert sol.status == OPTIMAL
             for row in lp.rows:
@@ -172,13 +176,16 @@ class TestExactSolutions:
     @pytest.mark.parametrize("seed", sorted(MEMBERSHIP_GOLDEN))
     def test_membership_golden(self, seed):
         points, sprime, squares = cell_instance(seed)
-        sol = solve_lp(build_membership_lp(points, sprime, squares))
+        sol = solve_lp(build_membership_lp(
+            incidence(points, squares), incidence(sprime, squares), len(squares)
+        ))
         assert sol == MEMBERSHIP_GOLDEN[seed]
 
     @pytest.mark.parametrize("seed", sorted(SIZE_GOLDEN))
     def test_size_golden(self, seed):
         points, _sprime, squares = cell_instance(seed)
-        assert solve_lp(build_size_lp(points, squares)) == SIZE_GOLDEN[seed]
+        lp = build_size_lp(incidence(points, squares), len(squares))
+        assert solve_lp(lp) == SIZE_GOLDEN[seed]
 
     def test_local_sprime_same_solution(self):
         # rows -y <= 0 of monitored points outside every square never
@@ -188,8 +195,13 @@ class TestExactSolutions:
             points, sprime, squares = cell_instance(seed)
             local = [s for s in sprime if any(q.contains(s) for q in squares)]
             dropped += len(sprime) - len(local)
-            whole = solve_lp(build_membership_lp(points, sprime, squares))
-            assert solve_lp(build_membership_lp(points, local, squares)) == whole
+            s_rows = incidence(points, squares)
+            whole = solve_lp(
+                build_membership_lp(s_rows, incidence(sprime, squares), len(squares))
+            )
+            assert solve_lp(
+                build_membership_lp(s_rows, incidence(local, squares), len(squares))
+            ) == whole
         assert dropped > 0
 
     def test_artificial_driven_out_on_negative_pivot(self, monkeypatch):
@@ -256,26 +268,31 @@ class TestMembershipProgram:
     def test_single_point_two_squares(self):
         squares = [UnitSquare(0, P(1, 1)), UnitSquare(1, P("1/2", "1/2"))]
         p = P("1/4", "1/4")
-        lp = build_membership_lp([p], [p], squares)
+        rows = incidence([p], squares)
+        lp = build_membership_lp(rows, rows, len(squares))
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL and sol.value == 1
         assert sol.value == lp_vertex_enumeration(lp)
 
     def test_unmonitored_query_point(self):
         squares = [UnitSquare(0, P(1, 1))]
-        lp = build_membership_lp([P("1/2", "1/2")], [P(5, 5)], squares)
+        lp = build_membership_lp(
+            incidence([P("1/2", "1/2")], squares), incidence([P(5, 5)], squares), len(squares)
+        )
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL and sol.value == 0
 
     def test_no_ranges_infeasible(self):
-        lp = build_membership_lp([P(0, 0)], [], [])
+        lp = build_membership_lp(incidence([P(0, 0)], []), [], 0)
         assert solve_lp(lp).status == INFEASIBLE
 
     def test_lower_bounds_optimum(self):
         # relaxation never exceeds the best integral membership
         for seed in range(25):
             points, sprime, squares = cell_instance(seed, max_squares=8, max_points=6)
-            lp = build_membership_lp(points, sprime, squares)
+            lp = build_membership_lp(
+                incidence(points, squares), incidence(sprime, squares), len(squares)
+            )
             sol = solve_lp(lp)
             assert sol.status == OPTIMAL
             opt, _ = exact_mmgsc_bruteforce(points, sprime, squares)
@@ -284,19 +301,19 @@ class TestMembershipProgram:
 
 class TestSizeProgram:
     def test_single(self):
-        lp = build_size_lp([P("1/2", "1/2")], [UnitSquare(0, P(1, 1))])
+        lp = build_size_lp(incidence([P("1/2", "1/2")], [UnitSquare(0, P(1, 1))]), 1)
         assert solve_lp(lp).value == 1
 
     def test_two_separate_points(self):
         squares = [UnitSquare(0, P(1, 1)), UnitSquare(1, P(5, 5))]
-        lp = build_size_lp([P("1/2", "1/2"), P("9/2", "9/2")], squares)
+        lp = build_size_lp(incidence([P("1/2", "1/2"), P("9/2", "9/2")], squares), len(squares))
         assert solve_lp(lp).value == 2
 
     def test_packing_bound(self):
         # any feasible fractional packing is a lower bound on the size LP
         for seed in range(10):
             points, _sprime, squares = cell_instance(seed, max_squares=6, max_points=6)
-            lp = build_size_lp(points, squares)
+            lp = build_size_lp(incidence(points, squares), len(squares))
             value = solve_lp(lp).value
             depth = [sum(1 for p in points if q.contains(p)) for q in squares]
             max_depth = max(depth)
@@ -334,11 +351,3 @@ class TestFractionalMembership:
             sum(weights[q.id] for q in squares if q.contains(p)) for p in pts
         )
         assert got == expected
-
-    def test_weights_from_solution(self):
-        squares = [UnitSquare(0, P(1, 1)), UnitSquare(1, P(2, 2))]
-        p = P("1/2", "1/2")
-        lp = build_membership_lp([p], [], squares)
-        sol = solve_lp(lp)
-        cover = weights_from_solution(sol, squares)
-        assert sum(cover.weight(q.id) for q in squares if q.contains(p)) >= 1

@@ -14,6 +14,7 @@ from membercover import (
     build_size_lp,
     exact_minsize_bruteforce,
     exact_mpgsc_bruteforce,
+    incidence,
     min_size_cell_cover_approx,
     ply,
     solve_lp,
@@ -181,7 +182,7 @@ class TestCellCover:
             points, _sp, squares = cell_instance(seed, max_squares=8, max_points=8)
             cover = min_size_cell_cover_approx(points, squares, CELL)
             assert verify_cover(points, cover.ids, squares)
-            lp_value = solve_lp(build_size_lp(points, squares)).value
+            lp_value = solve_lp(build_size_lp(incidence(points, squares), len(squares))).value
             assert cover.size <= 16 * lp_value
             opt, _ = exact_minsize_bruteforce(points, squares)
             assert cover.size <= 16 * opt

@@ -15,6 +15,7 @@ from membercover import (
     build_size_lp,
     corner_partition,
     exact_mmgsc_bruteforce,
+    incidence,
     maximal_squares,
     membership_of_fractional,
     quadrant_greedy_cover,
@@ -41,9 +42,10 @@ def P(x, y):
 
 
 def _solved_partition(points, sprime, squares, cell=CELL):
-    lp = build_membership_lp(points, sprime, squares)
+    s_rows = incidence(points, squares)
+    lp = build_membership_lp(s_rows, incidence(sprime, squares), len(squares))
     sol = solve_lp(lp)
-    return corner_partition(points, squares, cell, sol), sol
+    return corner_partition(points, s_rows, squares, cell, sol), sol
 
 
 class TestCornerPartition:
@@ -69,7 +71,7 @@ class TestCornerPartition:
         tall_cell = GridCell(0, 0)
         bad = UnitSquare(1, P("5/4", "1/2"))
         points = [P("1/2", "1/4")]
-        lp = build_membership_lp(points, [], [wide])
+        lp = build_membership_lp(incidence(points, [wide]), [], 1)
         sol = solve_lp(lp)
         # a fake "square" narrower than the cell: emulate via a corner miss
         class Sliver:
@@ -79,7 +81,7 @@ class TestCornerPartition:
                 return False
 
         with pytest.raises(SquareWithoutCorner):
-            corner_partition(points, [Sliver()], tall_cell, sol)
+            corner_partition(points, incidence(points, [Sliver()]), [Sliver()], tall_cell, sol)
 
     def test_winning_load_at_least_quarter(self):
         for seed in range(30):
@@ -180,8 +182,8 @@ class TestQuadrantGreedy:
 class TestSolveOneCorner:
     def test_zero_membership(self):
         sq = UnitSquare(0, P(1, 1))
-        cover = solve_one_corner([P("1/2", "1/2")], [P(5, 5)], [sq], CELL, 0)
-        assert cover.ids == (0,) and cover.memb == 0
+        ids = solve_one_corner([P("1/2", "1/2")], [sq], CELL, 0)
+        assert ids == (0,) and membership([P(5, 5)], ids, [sq]) == 0
 
     def test_membership_close_to_fraction(self):
         for seed in range(40):
@@ -194,10 +196,10 @@ class TestSolveOneCorner:
                 bucket_squares = report.partition.square_buckets[corner]
                 if not bucket_points:
                     continue
-                cover = solve_one_corner(bucket_points, sprime, bucket_squares, CELL, corner)
+                ids = solve_one_corner(bucket_points, bucket_squares, CELL, corner)
                 frac = bucket_fractional_cover(report.partition, corner)
                 frac_memb = membership_of_fractional(sprime, frac, squares)
-                assert Fraction(cover.memb) <= frac_memb + 2
+                assert Fraction(membership(sprime, ids, squares)) <= frac_memb + 2
 
 
 class TestSolveCell:
@@ -223,6 +225,28 @@ class TestSolveCell:
                 assert Fraction(cover.memb) <= 16 * report.lp_value + 8
             opt, _ = exact_mmgsc_bruteforce(points, sprime, squares)
             assert cover.memb <= 16 * opt + 8
+
+    def test_each_point_tested_once_per_square(self, monkeypatch):
+        # one S table and one S' table per cell: (|S| + |S'|) * |Q| point
+        # tests, plus the corner tests that assign squares to buckets
+        contains = UnitSquare.contains
+        calls = []
+
+        def counting(self, p):
+            calls.append(p)
+            return contains(self, p)
+
+        points, sprime, squares = cell_instance(3)
+        monkeypatch.setattr(UnitSquare, "contains", counting)
+        report = solve_cell_report(points, sprime, squares, CELL)
+        monkeypatch.undo()
+        assert report.partition is not None  # the LP path, corner tests included
+        corner_tests = sum(
+            1 + next(i for i, c in enumerate(CELL.corners()) if q.contains(c))
+            for q in squares
+        )
+        assert (len(points), len(sprime), len(squares), corner_tests) == (9, 7, 10, 20)
+        assert len(calls) == (len(points) + len(sprime)) * len(squares) + corner_tests == 180
 
 
 class TestSolveSquares:
@@ -256,9 +280,13 @@ class TestSolveSquares:
     def test_adding_square_never_raises_lp_value(self):
         for seed in range(15):
             points, sprime, squares = cell_instance(seed, max_squares=6, max_points=6)
-            base = solve_lp(build_membership_lp(points, sprime, squares)).value
+            base = solve_lp(build_membership_lp(
+                incidence(points, squares), incidence(sprime, squares), len(squares)
+            )).value
             bigger = squares + [UnitSquare(len(squares), P(1, 1))]
-            more = solve_lp(build_membership_lp(points, sprime, bigger)).value
+            more = solve_lp(build_membership_lp(
+                incidence(points, bigger), incidence(sprime, bigger), len(bigger)
+            )).value
             assert more <= base
 
 
