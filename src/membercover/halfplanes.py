@@ -30,7 +30,6 @@ from .covers import (
     ALL,
     CoverSolution,
     Uncoverable,
-    covering_incidence,
     depth,
     first_uncovered,
     incidence,
@@ -352,12 +351,6 @@ def _columns(rows: Sequence[int], width: int) -> list[int]:
     return [sum([(row >> j & 1) << bit for bit, row in enumerate(rows)]) for j in range(width)]
 
 
-def _sp_masks(sp_rows: Sequence[int], halfplanes: Sequence[Halfplane]) -> dict[int, int]:
-    """For each halfplane id, the bitmask of the points of S' it contains:
-    the columns of the S' table `sp_rows` over `halfplanes`."""
-    return dict(zip([h.id for h in halfplanes], _columns(sp_rows, len(halfplanes))))
-
-
 def build_decision_graph(
     points: Sequence[Point],
     sprime: Sequence[Point],
@@ -366,9 +359,8 @@ def build_decision_graph(
     k: int,
 ) -> WindGraph:
     """Decision graph for one anchor; exact and self-contained."""
-    sp_masks = _sp_masks(incidence(sprime, h_active), h_active)
-    ctx = _AnchorContext(p, list(h_active), [_hpt(q) for q in points], sp_masks)
-    return ctx.graph(k)
+    inst = _HalfplaneInstance(points, sprime, h_active)
+    return _AnchorContext(p, list(h_active), inst.s_hpts, inst.sp_masks).graph(k)
 
 
 def find_winding_cycle(graph: WindGraph) -> list[int] | None:
@@ -411,7 +403,7 @@ def find_winding_cycle(graph: WindGraph) -> list[int] | None:
 
 
 # ---------------------------------------------------------------------------
-# decision procedure and exact optimum
+# one instance: the decision procedure, the exact optimum, the additive cover
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -427,8 +419,11 @@ class WindingCertificate:
 
 
 @dataclass(frozen=True)
-class DecisionOutcome:
+class ExactSolveReport:
+    """A cover accepted at threshold k (the optimum, from the exact solver)."""
+
     cover: CoverSolution
+    k: int
     path: str  # "empty" | "quiet" | "small" | "minsize" | "cycle"
     certificate: WindingCertificate | None
 
@@ -453,11 +448,13 @@ def _dummy_halfplanes(
     ], delta
 
 
-class _Decider:
-    """Shared state for deciding membership thresholds k = 0, 1, 2, ...
+class _HalfplaneInstance:
+    """One instance (S, S', H), built once per public call, and every fact
+    its solvers read off it; the PTAS asks one for both of its solvers.
 
-    Every fact below is independent of k and computed at most once, so the
-    escalation loop of the exact solver reuses them.
+    One S and one S' table over the id-sorted halfplanes are the only
+    point-in-halfplane tests.  The dummies contain no point, so the same
+    rows serve over `extended`.  Other facts are computed on first use.
     """
 
     def __init__(
@@ -470,13 +467,14 @@ class _Decider:
         self.halfplanes = sorted(halfplanes, key=lambda h: h.id)
         self.dummies, self.delta = _dummy_halfplanes(points, sprime)
         self.extended = self.halfplanes + self.dummies
+        self.s_rows = incidence(self.points, self.halfplanes)
+        # the minimum-size cover alone passes no S' and needs no S' table
+        self.sp_rows = incidence(sprime, self.halfplanes) if sprime else []
+        self.s_hpts = [_hpt(q) for q in self.points]
+        # S' mask per id of `extended`: the columns of the S' table, 0 for dummies
+        ids = [h.id for h in self.extended]
+        self.sp_masks = dict(zip(ids, _columns(self.sp_rows, len(ids))))
         self._contexts: dict[int, _AnchorContext] = {}
-        # both tables are over self.extended, whose first len(self.halfplanes)
-        # positions are the instance halfplanes; the dummies contain no point
-        self.s_rows = incidence(self.points, self.extended)
-        self.sp_rows = incidence(sprime, self.extended)
-        self._s_hpts = [_hpt(q) for q in self.points]
-        self._sp_masks = _sp_masks(self.sp_rows, self.extended)
 
     # -- cheap certificates -------------------------------------------------
 
@@ -511,8 +509,18 @@ class _Decider:
         return opts
 
     @cached_property
+    def plane_covers(self) -> list[tuple[Halfplane, ...]]:
+        """The pairs, then the triples, of halfplanes covering the plane;
+        empty iff the halfplanes do not cover it (Helly)."""
+        return list(_plane_covers(self.halfplanes))
+
+    @cached_property
     def min_cover(self) -> list[Halfplane]:
-        return min_size_halfplane_cover(self.points, self.halfplanes)
+        """A minimum-cardinality cover of S in id order; Uncoverable names
+        the first point of S that no halfplane contains."""
+        if self.uncovered is not None:
+            raise Uncoverable(self.uncovered)
+        return _min_size_cover(self.halfplanes, self.s_rows)
 
     # -- anchors ------------------------------------------------------------
 
@@ -544,55 +552,52 @@ class _Decider:
         if ctx is None:
             p = self.anchors[idx]
             active = [h for h in self.extended if not h.contains(p)]
-            ctx = _AnchorContext(p, active, self._s_hpts, self._sp_masks)
+            ctx = _AnchorContext(p, active, self.s_hpts, self.sp_masks)
             self._contexts[idx] = ctx
         return ctx
 
     # -- the decision -------------------------------------------------------
 
-    def decide(self, k: int) -> DecisionOutcome | None:
+    def decide(self, k: int) -> ExactSolveReport | None:
         if not self.points:
-            return DecisionOutcome(CoverSolution((), 0), "empty", None)
+            return ExactSolveReport(CoverSolution((), 0), k, "empty", None)
         if self.uncovered is not None:
             return None
 
         quiet = self.quiet_cover
         if quiet is not None:
-            return DecisionOutcome(quiet, "quiet", None)
+            return ExactSolveReport(quiet, k, "quiet", None)
         if k == 0:
             return None  # zero membership needs a cover by quiet halfplanes
 
         for memb, _size, ids in self.small_options:
             if memb <= k:
-                return DecisionOutcome(CoverSolution(ids, memb), "small", None)
+                return ExactSolveReport(CoverSolution(ids, memb), k, "small", None)
 
         mc = self.min_cover
         if len(mc) <= k:
-            cover = CoverSolution.build([h.id for h in mc], self.sp_rows, self.extended)
+            cover = CoverSolution.build([h.id for h in mc], self.sp_rows, self.halfplanes)
             if cover.memb > k:
                 raise RuntimeError("a cover of size <= k has membership above k")
-            return DecisionOutcome(cover, "minsize", None)
+            return ExactSolveReport(cover, k, "minsize", None)
 
         for idx in range(len(self.anchors)):
             ctx = self.context(idx)
             graph = ctx.graph(k)
             cycle = find_winding_cycle(graph)
-            if cycle is None:
-                continue
-            outcome = self._outcome_from_cycle(ctx, graph, cycle, k)
-            if outcome is not None:
-                return outcome
+            if cycle is not None:
+                return self._outcome_from_cycle(ctx, graph, cycle, k)
         return None
 
     def _outcome_from_cycle(
         self, ctx: _AnchorContext, graph: WindGraph, cycle: list[int], k: int
-    ) -> DecisionOutcome:
+    ) -> ExactSolveReport:
         heads = [graph.vertices[v][0] for v in cycle[:-1]]
         hosts_in_order = tuple(ctx.segments[s].host for s in heads)
         polygon = tuple(_hpt_point(ctx.segments[s].a_h) for s in heads)
         crossings = sum(1 for v in cycle[:-1] if graph.cross[v])
         cover_ids = sorted(set(h for h in hosts_in_order if h >= 0))
-        chosen = mask_of(cover_ids, self.extended)
+        chosen = mask_of(cover_ids, self.halfplanes)
         cover = CoverSolution(tuple(cover_ids), depth(self.sp_rows, chosen))
         # machinery self-check: the reconstructed solution must be valid
         if crossings != 1:
@@ -609,7 +614,33 @@ class _Decider:
             hosts=hosts_in_order,
             crossings=crossings,
         )
-        return DecisionOutcome(cover, "cycle", cert)
+        return ExactSolveReport(cover, k, "cycle", cert)
+
+    def escalate(self) -> ExactSolveReport:
+        """The first k = 0, 1, 2, ... whose decision accepts.  All of H is a
+        cover of membership at most |H|, so k never passes |H|; Uncoverable
+        when S has a point outside every halfplane."""
+        if self.uncovered is not None:
+            raise Uncoverable(self.uncovered)
+        for k in range(len(self.halfplanes) + 1):
+            report = self.decide(k)
+            if report is not None:
+                return report
+        raise AssertionError("escalation must succeed at k = |H| for coverable input")
+
+    def additive(self) -> CoverSolution:
+        """The additive-error cover: the minimum-size cover after one-stable
+        local search, unless a plane cover has lower membership."""
+        if not self.points:
+            return CoverSolution((), 0)
+        stable = one_stable_local_search(self.min_cover, self.halfplanes)
+        best = CoverSolution.build([h.id for h in stable], self.sp_rows, self.halfplanes)
+        # the first cover of least membership wins, the local-search one on a tie
+        candidates = (
+            CoverSolution.build([h.id for h in combo], self.sp_rows, self.halfplanes)
+            for combo in self.plane_covers
+        )
+        return min((best, *candidates), key=lambda cs: cs.memb)
 
 
 def decide_membership(
@@ -619,33 +650,17 @@ def decide_membership(
     k: int,
 ) -> CoverSolution | None:
     """Is there a cover whose membership stays at most k?  Exact."""
-    outcome = _Decider(points, sprime, halfplanes).decide(k)
-    return outcome.cover if outcome is not None else None
-
-
-@dataclass(frozen=True)
-class ExactSolveReport:
-    cover: CoverSolution
-    k: int
-    path: str
-    certificate: WindingCertificate | None
+    report = _HalfplaneInstance(points, sprime, halfplanes).decide(k)
+    return report.cover if report is not None else None
 
 
 def exact_mmgsc_halfplanes_report(
     points: Sequence[Point],
     sprime: Sequence[Point],
     halfplanes: Sequence[Halfplane],
-    max_k: int | None = None,
 ) -> ExactSolveReport:
-    decider = _Decider(points, sprime, halfplanes)
-    if decider.uncovered is not None:
-        raise Uncoverable(decider.uncovered)
-    cap = len(halfplanes) if max_k is None else max_k
-    for k in range(cap + 1):
-        outcome = decider.decide(k)
-        if outcome is not None:
-            return ExactSolveReport(outcome.cover, k, outcome.path, outcome.certificate)
-    raise AssertionError("escalation must succeed at k = |H| for coverable input")
+    """The optimal membership cover, with its k, path and certificate."""
+    return _HalfplaneInstance(points, sprime, halfplanes).escalate()
 
 
 def exact_mmgsc_halfplanes(
@@ -681,21 +696,18 @@ def plane_cover_triple(halfplanes: Sequence[Halfplane]) -> list[Halfplane] | Non
     return None if combo is None else list(combo)
 
 
-def min_size_halfplane_cover(
-    points: Sequence[Point], halfplanes: Sequence[Halfplane]
-) -> list[Halfplane]:
-    """Exact minimum-cardinality cover via branch and bound.
+def _min_size_cover(ordered: Sequence[Halfplane], s_rows: Sequence[int]) -> list[Halfplane]:
+    """Exact minimum-cardinality cover via branch and bound, given the S
+    table over `ordered` with no zero row.
 
     Candidates are ordered by coverage; the incumbent starts from the
     greedy cover, and the relaxed size LP gives a global lower bound that
     often certifies the greedy cover outright.
     """
-    if not points:
+    if not s_rows:
         return []
-    ordered = sorted(halfplanes, key=lambda h: h.id)
-    s_rows = covering_incidence(points, ordered)
     masks = _columns(s_rows, len(ordered))
-    full = (1 << len(points)) - 1
+    full = (1 << len(s_rows)) - 1
 
     # greedy incumbent
     covered = 0
@@ -753,6 +765,14 @@ def min_size_halfplane_cover(
     return [ordered[i] for i in best_pick]
 
 
+def min_size_halfplane_cover(
+    points: Sequence[Point], halfplanes: Sequence[Halfplane]
+) -> list[Halfplane]:
+    """An exact minimum-cardinality cover of `points` in id order (branch and
+    bound); Uncoverable names the first point that no halfplane contains."""
+    return _HalfplaneInstance(points, (), halfplanes).min_cover
+
+
 def one_stable_local_search(
     chosen: Sequence[Halfplane], pool: Sequence[Halfplane]
 ) -> list[Halfplane]:
@@ -798,31 +818,6 @@ def one_stable_local_search(
     raise RuntimeError("local search failed to stabilize within its round budget")
 
 
-def _additive_cover(
-    points: Sequence[Point],
-    sprime: Sequence[Point],
-    halfplanes: Sequence[Halfplane],
-) -> tuple[CoverSolution, bool]:
-    """The additive-error cover, and whether the halfplanes cover the plane."""
-    covering_incidence(points, halfplanes)  # raises Uncoverable
-    plane = complement_region(halfplanes).empty
-    if not points:
-        return CoverSolution((), 0), plane
-
-    sp_rows = incidence(sprime, halfplanes)
-    stable = min_size_halfplane_cover(points, halfplanes)
-    stable = one_stable_local_search(stable, halfplanes)
-    best = CoverSolution.build([h.id for h in stable], sp_rows, halfplanes)
-    if plane:
-        # the first cover of least membership wins, the local-search one on a tie
-        plane_covers = (
-            CoverSolution.build([h.id for h in combo], sp_rows, halfplanes)
-            for combo in _plane_covers(halfplanes)
-        )
-        best = min((best, *plane_covers), key=lambda cs: cs.memb)
-    return best, plane
-
-
 def additive_error_cover(
     points: Sequence[Point],
     sprime: Sequence[Point],
@@ -835,7 +830,7 @@ def additive_error_cover(
     the local-search cover and the lower membership wins; both candidates
     admit no improving single swap.
     """
-    return _additive_cover(points, sprime, halfplanes)[0]
+    return _HalfplaneInstance(points, sprime, halfplanes).additive()
 
 
 ADDITIVE_ERROR = 2
@@ -851,18 +846,17 @@ def ptas(
     """(1 + eps)-approximation of the optimal membership.
 
     The additive-error cover either certifies the ratio outright (when
-    its membership is large against the additive constant) or caps the
-    threshold escalation of the exact search at a constant depending only
-    on eps.
+    its membership is large against the additive constant) or is itself
+    below a constant depending only on eps; the exact search then stops
+    at the optimum, no later than that membership.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    rough, plane = _additive_cover(points, sprime, halfplanes)
-    constant = ADDITIVE_ERROR_PLANE if plane else ADDITIVE_ERROR
+    inst = _HalfplaneInstance(points, sprime, halfplanes)
+    rough = inst.additive()
+    constant = ADDITIVE_ERROR_PLANE if inst.plane_covers else ADDITIVE_ERROR
     threshold = (1 + eps) / eps * constant
     if rough.memb >= threshold:
         return rough
-    return exact_mmgsc_halfplanes_report(
-        points, sprime, halfplanes, max_k=rough.memb
-    ).cover
+    return inst.escalate().cover

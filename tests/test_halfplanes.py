@@ -19,6 +19,7 @@ from membercover import (
     exact_mmgsc_bruteforce,
     exact_mmgsc_halfplanes,
     find_winding_cycle,
+    incidence,
     min_size_halfplane_cover,
     one_stable_local_search,
     plane_cover_triple,
@@ -30,7 +31,7 @@ from membercover.halfplanes import (
     AnchorOnLine,
     WindGraph,
     WindingCertificate,
-    _Decider,
+    _HalfplaneInstance,
     exact_mmgsc_halfplanes_report,
 )
 
@@ -214,7 +215,7 @@ class TestDecideMembership:
         # once the decider holds its S and S' tables, the cheap facts are
         # bit arithmetic: no halfplane is asked about a point again
         points, sprime, planes = halfplane_instance(1)
-        decider = _Decider(points, sprime, planes)
+        decider = _HalfplaneInstance(points, sprime, planes)
         calls = []
         contains = Halfplane.contains
 
@@ -399,7 +400,7 @@ class TestPtas:
         def _boom(*args, **kwargs):
             raise AssertionError("exact search must not run on this branch")
 
-        monkeypatch.setattr(hp, "exact_mmgsc_halfplanes_report", _boom)
+        monkeypatch.setattr(hp._HalfplaneInstance, "escalate", _boom)
         got = hp.ptas(points, sprime, planes, 1)
         assert got.memb == 4  # threshold is 4: the rough cover is accepted
         assert got.ids == tuple(range(8))
@@ -509,7 +510,8 @@ class TestGoldens:
             crossings=1,
         )
 
-    def test_ptas_builds_the_full_region_once(self, monkeypatch):
+    def test_ptas_builds_no_full_region(self, monkeypatch):
+        # the plane flag comes from the pair and triple scan (Helly)
         import membercover.halfplanes as hp
 
         points, sprime, planes = halfplane_instance(4)
@@ -523,7 +525,80 @@ class TestGoldens:
 
         monkeypatch.setattr(hp, "complement_region", counting)
         hp.ptas(points, sprime, planes, 1)
-        assert calls.count(True) == 1
+        assert calls.count(True) == 0
+
+
+def _count_calls(monkeypatch, owners, name):
+    """Patch `name` in each of `owners` to count its calls in one list."""
+    calls = []
+    for owner in owners:
+        raw = getattr(owner, name)
+
+        def counting(*args, raw=raw):
+            calls.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestOneInstance:
+    def test_plane_flag_matches_full_region(self):
+        fans = [
+            [Halfplane(i, 1, i, -1) for i in range(4)],
+            _tangent_fan()[2],
+            *(fan_instance(seed)[2] for seed in range(4)),
+        ]
+        cases = [halfplane_instance(seed) for seed in range(200)]
+        cases += [([], [], hs) for hs in fans]
+        for points, sprime, hs in cases:
+            inst = _HalfplaneInstance(points, sprime, hs)
+            assert bool(inst.plane_covers) == complement_region(hs).empty
+        assert not any(complement_region(hs).empty for hs in fans)  # not vacuous
+
+    def test_dummies_contain_no_point(self):
+        # the tables over the instance halfplanes serve over `extended`;
+        # delta is floor(max |coordinate|) + 1, so probe coordinates at and
+        # just below an integer magnitude, on both signs
+        rng = random.Random(41)
+        for seed in range(40):
+            points, sprime, planes = halfplane_instance(seed)
+            m = rng.randint(5, 12)
+            below = m - Fraction(1, 64)
+            at = [P(-m, -m), P(m, -below), P(-below, m)]
+            near = [P(-below, -below), P(below, 0), P(0, -below)]
+            for extra, delta in ((at, m + 1), (near, m)):
+                for pts, sp in ((points + extra, sprime), (points, sprime + extra)):
+                    inst = _HalfplaneInstance(pts, sp, planes)
+                    assert inst.delta == delta
+                    for q in (pts, sp):
+                        assert incidence(q, inst.extended) == incidence(q, inst.halfplanes)
+
+    def test_tables_built_once_per_call(self, monkeypatch):
+        import membercover.covers as covers
+        import membercover.halfplanes as hp
+
+        # covers.incidence is also reached through covers.covering_incidence
+        calls = _count_calls(monkeypatch, (covers, hp), "incidence")
+
+        def count(solve, *args):
+            calls.clear()
+            solve(*args)
+            return len(calls)
+
+        random4, fan1 = halfplane_instance(4), fan_instance(1)
+        assert count(ptas, *random4, 1) == 2
+        assert count(ptas, *fan1, 1) == 2
+        assert count(exact_mmgsc_halfplanes_report, *random4) == 2
+        assert count(exact_mmgsc_halfplanes_report, *fan1) == 2
+        assert count(min_size_halfplane_cover, random4[0], random4[2]) == 1
+
+    def test_ptas_solves_the_size_lp_once(self, monkeypatch):
+        import membercover.lp as lpmod
+
+        calls = _count_calls(monkeypatch, (lpmod,), "solve_lp")
+        ptas(*fan_instance(1), 1)
+        assert len(calls) == 1
 
 
 class TestAngleFacts:

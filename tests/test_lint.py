@@ -29,22 +29,21 @@ CONTAINS_ALLOWED = {
     ("covers.py", "incidence", "p"),
     ("squares.py", "corner_partition", "c"),
     ("halfplanes.py", "build_segments", "p"),
-    ("halfplanes.py", "_Decider.context", "p"),
+    ("halfplanes.py", "_HalfplaneInstance.context", "p"),
 }
 SOLVER_MODULES = ("covers.py", "lp.py", "squares.py", "ply.py", "halfplanes.py")
 
 
-def _contains_calls(tree):
-    """(enclosing def, argument source, line) of every `.contains(` call."""
+def _calls(tree, names):
+    """(enclosing def, argument source, line) of every call `f(...)` or
+    `x.f(...)` whose f is in `names`."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "contains"
+        if isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) in names or getattr(node.func, "id", None) in names
         ):
             found.append((scope, ", ".join(map(ast.unparse, node.args)), node.lineno))
         for child in ast.iter_child_nodes(node):
@@ -59,10 +58,19 @@ def test_containment_only_through_incidence():
     for name in SOLVER_MODULES:
         path = SRC / name
         tree = ast.parse(path.read_text(), filename=str(path))
-        for scope, arg, line in _contains_calls(tree):
+        for scope, arg, line in _calls(tree, {"contains"}):
             live.add((name, scope, arg))
             if (name, scope, arg) not in CONTAINS_ALLOWED:
                 found.append(f"{name}:{line} in {scope or '<module>'}")
     assert found == []
     # a stale allow-list entry would let a new call in under its name
     assert CONTAINS_ALLOWED <= live
+
+
+def test_halfplane_tables_built_only_by_the_instance():
+    # every halfplane solver reads the S and S' tables of one
+    # _HalfplaneInstance instead of building its own
+    path = SRC / "halfplanes.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scopes = {scope for scope, _arg, _line in _calls(tree, {"incidence", "covering_incidence"})}
+    assert scopes == {"_HalfplaneInstance.__init__"}
