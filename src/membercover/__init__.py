@@ -38,12 +38,10 @@ from .halfplanes import (
 )
 from .instances import InstanceDoc, generate, parse_instance, serialize_instance
 from .lp import (
-    FractionalCover,
     LinearProgram,
     LPSolution,
     build_membership_lp,
     build_size_lp,
-    membership_of_fractional,
     solve_lp,
 )
 from .oracle import (

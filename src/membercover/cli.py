@@ -75,8 +75,9 @@ class RunReport:
     oracle_value: int | None = None
 
     def to_json(self, doc: InstanceDoc) -> str:
+        ids = set(self.cover)
         value = (
-            ply_of([r for r in doc.ranges if r.id in set(self.cover)]).value
+            ply_of([r for r in doc.ranges if r.id in ids]).value
             if self.solver.endswith("ply")
             else memb_eval(doc.sprime, self.cover, doc.ranges)
         )
@@ -108,29 +109,28 @@ class _UsageError(Exception):
     pass
 
 
-def _solve_one(doc: InstanceDoc, solver: str, epsilon: Fraction) -> tuple[CoverSolution, Fraction | None]:
+def _solve_one(
+    doc: InstanceDoc, solver: str, epsilon: Fraction
+) -> tuple[CoverSolution, int, Fraction | None]:
+    """The cover, its objective value and the largest cell LP value, if any."""
     if solver == "squares-membership":
         report = solve_mmgsc_squares_report(doc.s, doc.sprime, doc.ranges)
-        return report.cover, report.max_lp_value
+        return report.cover, report.cover.memb, report.max_lp_value
     if solver == "squares-ply":
-        cover, _report = solve_mpgsc(doc.s, doc.ranges)
-        return cover, None
+        cover, ply_report = solve_mpgsc(doc.s, doc.ranges)
+        return cover, ply_report.value, None
     if solver == "halfplanes-additive":
-        return additive_error_cover(doc.s, doc.sprime, doc.ranges), None
-    if solver == "halfplanes-exact":
-        return exact_mmgsc_halfplanes(doc.s, doc.sprime, doc.ranges), None
-    if solver.startswith("halfplanes-ptas-"):
+        cover = additive_error_cover(doc.s, doc.sprime, doc.ranges)
+    elif solver == "halfplanes-exact":
+        cover = exact_mmgsc_halfplanes(doc.s, doc.sprime, doc.ranges)
+    elif solver.startswith("halfplanes-ptas-"):
         eps = Fraction(solver.rsplit("-", 1)[1])
-        return ptas(doc.s, doc.sprime, doc.ranges, eps), None
-    if solver == "halfplanes-ptas":
-        return ptas(doc.s, doc.sprime, doc.ranges, epsilon), None
-    raise ValueError(f"unknown solver {solver!r}")
-
-
-def _objective_value(doc: InstanceDoc, solver: str, cover: CoverSolution) -> int:
-    if solver.endswith("ply"):
-        return ply_of([r for r in doc.ranges if r.id in set(cover.ids)]).value
-    return cover.memb
+        cover = ptas(doc.s, doc.sprime, doc.ranges, eps)
+    elif solver == "halfplanes-ptas":
+        cover = ptas(doc.s, doc.sprime, doc.ranges, epsilon)
+    else:
+        raise ValueError(f"unknown solver {solver!r}")
+    return cover, cover.memb, None
 
 
 def _oracle_value(doc: InstanceDoc, solver: str, budget: OracleBudget) -> int | None:
@@ -152,7 +152,7 @@ def run_report(
     budget: OracleBudget = OracleBudget(),
 ) -> RunReport:
     start = time.perf_counter()
-    cover, lp_value = _solve_one(doc, solver, epsilon)
+    cover, value, lp_value = _solve_one(doc, solver, epsilon)
     millis = (time.perf_counter() - start) * 1000
     oracle_value = _oracle_value(doc, solver, budget) if with_oracle else None
     return RunReport(
@@ -162,7 +162,7 @@ def run_report(
         n_points=doc.n_points,
         n_ranges=doc.n_ranges,
         cover=cover.ids,
-        value=_objective_value(doc, solver, cover),
+        value=value,
         size=cover.size,
         lp_value=lp_value,
         millis=millis,

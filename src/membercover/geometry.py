@@ -277,7 +277,7 @@ def face_sample_points(lines: Sequence[tuple]) -> list[Point]:
 
 
 # ---------------------------------------------------------------------------
-# convex regions as irreducible halfplane intersections
+# convex regions as halfplane intersections
 # ---------------------------------------------------------------------------
 
 Constraint = tuple[Fraction, Fraction, Fraction]  # a*x + b*y + c >= 0
@@ -434,18 +434,18 @@ def strictly_feasible(cons: Sequence[tuple]) -> bool:
 
 @dataclass(frozen=True)
 class ConvexRegion:
-    """Closure of an open intersection of halfplanes, as an irreducible list.
+    """Closure of an open intersection of halfplanes.
 
     Complement regions are closures of open sets, so a region counts as
     empty when the strict system has no solution, even if the closed
-    constraints still share a segment or point.  For an empty region the
-    stored constraints are a minimal strictly-infeasible witness subset
-    (at most three members, by Helly).
+    constraints still share a segment or point; an empty region stores no
+    constraints.  A nonempty region keeps every distinct constraint,
+    redundant ones included: `contains` and `region_subset` are exact
+    either way.
     """
 
     constraints: tuple[tuple[int, int, int], ...]
     empty: bool
-    bounded: bool
 
     def contains(self, p: Point) -> bool:
         if self.empty:
@@ -453,30 +453,12 @@ class ConvexRegion:
         return all(a * p.x + b * p.y + c >= 0 for (a, b, c) in self.constraints)
 
 
-def _infeasible_witness(cons: Sequence[tuple]) -> tuple:
-    for k in (1, 2, 3):
-        for subset in combinations(cons, k):
-            if not strictly_feasible(subset):
-                return tuple(subset)
-    raise AssertionError("strictly infeasible system without a small witness")
-
-
 def region_from_constraints(raw: Iterable[tuple]) -> ConvexRegion:
-    """Build an irreducible ConvexRegion from (a, b, c) constraint triples."""
-    cons = sorted(set(_normalize_constraint(*t) for t in raw))
-    if not strictly_feasible(cons):
-        return ConvexRegion(_infeasible_witness(cons), empty=True, bounded=True)
-    kept: list[tuple[int, int, int]] = list(cons)
-    idx = 0
-    while idx < len(kept):
-        others = kept[:idx] + kept[idx + 1 :]
-        inf = linear_inf(others, kept[idx]) if others else None
-        if others and inf is not None and inf >= 0:
-            kept.pop(idx)  # redundant: region unchanged without it
-        else:
-            idx += 1
-    unbounded = any(d != (0, 0) for d in _recession_directions(kept)) or not kept
-    return ConvexRegion(tuple(kept), empty=False, bounded=not unbounded)
+    """Build a ConvexRegion from (a, b, c) constraint triples, scaled to
+    primitive integers and deduplicated."""
+    cons = tuple(sorted(set(_normalize_constraint(*t) for t in raw)))
+    empty = not strictly_feasible(cons)
+    return ConvexRegion(() if empty else cons, empty)
 
 
 def complement_region(halfplanes: Sequence[Halfplane]) -> ConvexRegion:

@@ -36,13 +36,11 @@ from .covers import (
     mask_of,
     quiet_cover,
 )
-from .geometry import (
-    Halfplane,
-    Point,
-    complement_region,
-    face_sample_points,
-    region_subset,
-)
+from .geometry import Halfplane, Point, face_sample_points, strictly_feasible
+
+# nothing in this module calls these; the names stay only because
+# perfbench/tracing.py patches them here and raises KeyError when missing
+from .geometry import complement_region, region_subset  # noqa: F401
 
 DUMMY_BASE_ID = -1  # dummies use ids -1..-4, never colliding with instances
 
@@ -676,17 +674,21 @@ def exact_mmgsc_halfplanes(
 # plane covers, minimum-size covers, local search
 # ---------------------------------------------------------------------------
 
+def _flipped(halfplanes: Iterable[Halfplane]) -> list[tuple[int, int, int]]:
+    return [(-h.a, -h.b, -h.c) for h in halfplanes]  # open complements: -h > 0
+
+
 def _plane_covers(halfplanes: Sequence[Halfplane]) -> Iterator[tuple[Halfplane, ...]]:
     """Every pair, then every triple, of halfplanes whose union is the
     plane, in id order.
 
-    The union is the plane iff the intersection of the complements is
-    empty, and an empty intersection already shows on a pair or triple.
+    The union is the plane iff the open complements have no common point,
+    and an empty intersection already shows on a pair or triple (Helly).
     """
     ordered = sorted(halfplanes, key=lambda h: h.id)
     for size in (2, 3):
         for combo in combinations(ordered, size):
-            if complement_region(combo).empty:
+            if not strictly_feasible(_flipped(combo)):
                 yield combo
 
 
@@ -785,29 +787,24 @@ def one_stable_local_search(
     """
     current = sorted(chosen, key=lambda h: h.id)
     pool_sorted = sorted(pool, key=lambda h: h.id)
-    regions: dict[frozenset[int], object] = {}
-
-    def region_of(subset: Sequence[Halfplane]):
-        key = frozenset(h.id for h in subset)
-        reg = regions.get(key)
-        if reg is None:
-            reg = complement_region(subset)
-            regions[key] = reg
-        return reg
 
     def improving_swap() -> list[Halfplane] | None:
-        base_region = region_of(current)
+        # a closed h lies in union(Z) iff h > 0 and all -z > 0 (z in Z) have
+        # no common solution: h is the closure of its interior and the
+        # complement of union(Z) is open.  So the union strictly grows iff
+        # inc leaves union(current) and out stays inside union(rest + inc).
         ids = set(h.id for h in current)
-        outside = [h for h in pool_sorted if h.id not in ids]
+        outside = _flipped(current)
+        growing = [
+            h for h in pool_sorted
+            if h.id not in ids and strictly_feasible([h.line(), *outside])
+        ]
         for out in current:
             rest = [h for h in current if h != out]
-            for inc in outside:
-                candidate = sorted(rest + [inc], key=lambda h: h.id)
-                cand_region = region_of(candidate)
-                if region_subset(cand_region, base_region) and not region_subset(
-                    base_region, cand_region
-                ):
-                    return candidate
+            escapes = [out.line(), *_flipped(rest)]
+            for inc in growing:
+                if not strictly_feasible(escapes + _flipped([inc])):
+                    return sorted(rest + [inc], key=lambda h: h.id)
         return None
 
     for _ in range(2 * len(pool_sorted) + 8):

@@ -26,10 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .covers import incidence
-from .geometry import Point, frac
+from .geometry import frac
 
 REL_LE = "<="
 REL_GE = ">="
@@ -277,21 +276,6 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 # cover programs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FractionalCover:
-    """Range-id -> weight map with every weight in [0, 1]."""
-
-    weights: Mapping[int, Fraction]
-
-    def __post_init__(self) -> None:
-        for rid, w in self.weights.items():
-            if not 0 <= w <= 1:
-                raise ValueError(f"weight of range {rid} outside [0, 1]: {w}")
-
-    def weight(self, rid: int) -> Fraction:
-        return self.weights.get(rid, Fraction(0))
-
-
 def _indicator(row: int, width: int, zero: Fraction, one: Fraction) -> list[Fraction]:
     """Coefficients one at the set bits of an incidence row, zero elsewhere."""
     return [one if row >> j & 1 else zero for j in range(width)]
@@ -327,15 +311,3 @@ def build_size_lp(s_rows: Sequence[int], n_ranges: int) -> LinearProgram:
     zero, one = Fraction(0), Fraction(1)
     rows = [(_indicator(row, n, zero, one), REL_GE, one) for row in s_rows]
     return make_program(n, [one] * n, rows, [one] * n)
-
-
-def membership_of_fractional(
-    sprime: Sequence[Point], cover: FractionalCover, ranges: Sequence
-) -> Fraction:
-    """Largest total weight any monitored point collects; 0 when empty."""
-    weights = [cover.weight(r.id) for r in ranges]
-    loads = [
-        sum((w for j, w in enumerate(weights) if row >> j & 1), start=Fraction(0))
-        for row in incidence(sprime, ranges)
-    ]
-    return max(loads, default=Fraction(0))

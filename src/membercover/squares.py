@@ -231,20 +231,6 @@ class CellReport:
     zero_membership: bool
 
 
-def bucket_fractional_cover(
-    partition: CornerPartition, corner: int
-) -> lpmod.FractionalCover:
-    """Per-bucket weights: four times the LP weight, capped at one."""
-    sol = partition.lp_solution
-    bucket = set(q.id for q in partition.square_buckets[corner])
-    weights = {
-        q.id: min(4 * sol.assignment[pos], Fraction(1))
-        for pos, q in enumerate(partition.squares)
-        if q.id in bucket
-    }
-    return lpmod.FractionalCover(weights)
-
-
 def solve_cell_report(
     points: Sequence[Point],
     sprime: Sequence[Point],

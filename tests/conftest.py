@@ -8,8 +8,10 @@ checked against genuinely different computations.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Mapping
 
 from membercover import Halfplane, Point, UnitSquare
 from membercover.lp import REL_EQ, REL_GE, REL_LE, LinearProgram
@@ -80,6 +82,47 @@ def lp_vertex_enumeration(lp: LinearProgram):
         if best is None or value < best:
             best = value
     return best
+
+
+# ---------------------------------------------------------------------------
+# fractional covers for the bucket-membership bound (criterion 5)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FractionalCover:
+    """Range-id -> weight map with every weight in [0, 1]."""
+
+    weights: Mapping[int, Fraction]
+
+    def __post_init__(self) -> None:
+        for rid, w in self.weights.items():
+            if not 0 <= w <= 1:
+                raise ValueError(f"weight of range {rid} outside [0, 1]: {w}")
+
+    def weight(self, rid: int) -> Fraction:
+        return self.weights.get(rid, Fraction(0))
+
+
+def membership_of_fractional(sprime, cover: FractionalCover, ranges) -> Fraction:
+    """Largest total weight any monitored point collects; 0 when empty."""
+    loads = [
+        sum((cover.weight(r.id) for r in ranges if r.contains(p)), start=Fraction(0))
+        for p in sprime
+    ]
+    return max(loads, default=Fraction(0))
+
+
+def bucket_fractional_cover(partition, corner: int) -> FractionalCover:
+    """Per-bucket weights of a cell's CornerPartition: four times the LP
+    weight, capped at one."""
+    sol = partition.lp_solution
+    bucket = set(q.id for q in partition.square_buckets[corner])
+    weights = {
+        q.id: min(4 * sol.assignment[pos], Fraction(1))
+        for pos, q in enumerate(partition.squares)
+        if q.id in bucket
+    }
+    return FractionalCover(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    bucket_fractional_cover,
     cell_instance,
     fan_instance,
     halfplane_instance,
+    membership_of_fractional,
     one_corner_instance,
     square_instance,
     verify_winding_certificate,
@@ -30,7 +32,6 @@ from membercover import (
     exact_mpgsc_bruteforce,
     incidence,
     maximal_squares,
-    membership_of_fractional,
     ptas,
     quadrant_greedy_cover,
     solve_lp,
@@ -43,7 +44,7 @@ from membercover.halfplanes import (
     additive_error_cover,
     exact_mmgsc_halfplanes_report,
 )
-from membercover.squares import bucket_fractional_cover, solve_cell_report
+from membercover.squares import solve_cell_report
 
 CELL = GridCell(0, 0)
 

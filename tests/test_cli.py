@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import square_instance
+
 import membercover
+import membercover.cli as cli
 from membercover.cli import CSV_COLUMNS, run_bench, run_cli, write_csv
-from membercover.instances import parse_instance
+from membercover.instances import InstanceDoc, parse_instance
 from membercover.svgplot import render_svg
 
 
@@ -253,3 +256,18 @@ def test_drifted_report_raises_under_optimize():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "cached objective drifted from the cover"
+
+
+def test_ply_report_reads_the_solvers_ply(monkeypatch):
+    # solve_mpgsc already measures the ply of its cover; run_report keeps
+    # that value, and only to_json's drift check recomputes it
+    points, sprime, squares = square_instance(4, extent=2)  # ply 2
+    doc = InstanceDoc("squares", tuple(points), tuple(sprime), tuple(squares))
+    calls = []
+    raw = cli.ply_of
+    monkeypatch.setattr(cli, "ply_of", lambda rs: calls.append(rs) or raw(rs))
+    report = cli.run_report(doc, "squares-ply")
+    assert calls == []
+    assert report.value == raw([q for q in squares if q.id in set(report.cover)]).value == 2
+    report.to_json(doc)
+    assert len(calls) == 1

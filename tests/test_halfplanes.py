@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -62,6 +63,33 @@ class TestPlaneCover:
     def test_narrow_normal_fan_has_none(self):
         hs = [Halfplane(i, 1, i, -1) for i in range(4)]
         assert plane_cover_triple(hs) is None
+
+    def test_plane_covers_match_complement_regions(self):
+        degenerate = [
+            [Halfplane(0, 0, 1, 0), Halfplane(1, 0, -1, 0)],    # antiparallel, touching
+            [Halfplane(0, 0, 1, 1), Halfplane(1, 0, -1, 1)],    # antiparallel, overlapping
+            [Halfplane(0, 0, 1, -1), Halfplane(1, 0, -1, -1)],  # antiparallel, a slab apart
+            [Halfplane(0, 1, 2, 0), Halfplane(1, 2, 4, 3), Halfplane(2, -1, -2, 5),
+             Halfplane(3, -2, -4, -1)],                         # parallel normals
+            [Halfplane(0, 1, 1, 0), Halfplane(1, 1, 1, 0), Halfplane(2, 2, 2, 0),
+             Halfplane(3, -1, -1, 0), Halfplane(4, -3, -3, 0)],  # duplicate lines
+            [Halfplane(0, 1, 0, 0), Halfplane(1, -1, 2, 0),
+             Halfplane(2, -1, -2, 0)],                          # concurrent, covering
+            [Halfplane(0, 1, 0, 0), Halfplane(1, 0, 1, 0),
+             Halfplane(2, 1, 1, 0)],                            # concurrent, not covering
+            [Halfplane(0, 1, 0, 0), Halfplane(1, 0, 1, 0), Halfplane(2, -1, -1, 0),
+             Halfplane(3, 1, 1, 0)],                            # concurrent, mixed
+        ]
+        cases = [halfplane_instance(seed) for seed in range(200)]
+        cases += [([], [], hs) for hs in degenerate]
+        sizes = []
+        for points, sprime, hs in cases:
+            ordered = sorted(hs, key=lambda h: h.id)
+            combos = [*combinations(ordered, 2), *combinations(ordered, 3)]
+            expected = [c for c in combos if complement_region(c).empty]
+            assert _HalfplaneInstance(points, sprime, hs).plane_covers == expected
+            sizes += [len(c) for c in expected]
+        assert 2 in sizes and 3 in sizes  # both pairs and triples are exercised
 
 
 class TestBuildSegments:
@@ -336,6 +364,39 @@ class TestLocalSearch:
                     candidate = [h for h in out if h.id != h_out.id] + [h_in]
                     assert union_compare(out, candidate) != "subset"
 
+    def test_matches_union_compare_reference(self):
+        # seeded random starts of every size, not only minimum-size covers
+        rng = random.Random(53)
+        swapped = 0
+        for seed in range(120):
+            _points, _sp, planes = halfplane_instance(seed, max_planes=7)
+            start = rng.sample(planes, rng.randint(1, min(4, len(planes))))
+            expected, swaps = _reference_local_search(start, planes)
+            assert one_stable_local_search(start, planes) == expected
+            swapped += swaps > 0
+        assert swapped >= 20  # the check is not vacuous
+
+
+def _reference_local_search(chosen, pool):
+    """The swap loop over complement regions: take the first (out, inc) in
+    id order whose swap strictly grows the union, until none does.  Returns
+    the stable set and the number of swaps taken."""
+    current = sorted(chosen, key=lambda h: h.id)
+    pool_sorted = sorted(pool, key=lambda h: h.id)
+    for swaps in range(2 * len(pool_sorted) + 8):
+        ids = set(h.id for h in current)
+        candidates = (
+            sorted([h for h in current if h != out] + [inc], key=lambda h: h.id)
+            for out in current
+            for inc in pool_sorted
+            if inc.id not in ids
+        )
+        better = next((c for c in candidates if union_compare(current, c) == "subset"), None)
+        if better is None:
+            return current, swaps
+        current = better
+    raise RuntimeError("local search failed to stabilize within its round budget")
+
 
 class TestAdditiveError:
     def test_trivial_zero(self):
@@ -510,22 +571,18 @@ class TestGoldens:
             crossings=1,
         )
 
-    def test_ptas_builds_no_full_region(self, monkeypatch):
-        # the plane flag comes from the pair and triple scan (Helly)
-        import membercover.halfplanes as hp
+    def test_halfplane_solves_build_no_region(self, monkeypatch):
+        # plane covers and swaps are strict-feasibility tests on raw triples
+        import membercover.geometry as geometry
 
-        points, sprime, planes = halfplane_instance(4)
-        full = frozenset(h.id for h in planes)
-        calls = []
-        raw = hp.complement_region
-
-        def counting(hs):
-            calls.append(frozenset(h.id for h in hs) == full)
-            return raw(hs)
-
-        monkeypatch.setattr(hp, "complement_region", counting)
-        hp.ptas(points, sprime, planes, 1)
-        assert calls.count(True) == 0
+        calls = _count_calls(monkeypatch, (geometry,), "region_from_constraints")
+        for points, sprime, planes in (halfplane_instance(4), fan_instance(1)):
+            ptas(points, sprime, planes, 1)
+            additive_error_cover(points, sprime, planes)
+            exact_mmgsc_halfplanes_report(points, sprime, planes)
+        assert calls == []
+        complement_region(planes)  # the counter does see a build
+        assert len(calls) == 1
 
 
 def _count_calls(monkeypatch, owners, name):

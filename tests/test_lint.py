@@ -74,3 +74,12 @@ def test_halfplane_tables_built_only_by_the_instance():
     tree = ast.parse(path.read_text(), filename=str(path))
     scopes = {scope for scope, _arg, _line in _calls(tree, {"incidence", "covering_incidence"})}
     assert scopes == {"_HalfplaneInstance.__init__"}
+
+
+def test_no_region_calls_in_halfplanes():
+    # every union question of the halfplane solvers is one strict-feasibility
+    # test; the region names stay imported in halfplanes.py for the tracer only
+    path = SRC / "halfplanes.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {"complement_region", "region_subset", "union_compare", "region_from_constraints"}
+    assert _calls(tree, names) == []

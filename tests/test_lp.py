@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cell_instance, lp_vertex_enumeration
+from conftest import (
+    FractionalCover,
+    cell_instance,
+    lp_vertex_enumeration,
+    membership_of_fractional,
+)
 
 import membercover
 from membercover import (
@@ -18,7 +23,6 @@ from membercover import (
     build_size_lp,
     exact_mmgsc_bruteforce,
     incidence,
-    membership_of_fractional,
     solve_lp,
 )
 from membercover import lp as lpmod
@@ -27,7 +31,6 @@ from membercover.lp import (
     OPTIMAL,
     UNBOUNDED,
     ConstraintRow,
-    FractionalCover,
     LinearProgram,
     LPSolution,
     make_program,

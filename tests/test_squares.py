@@ -4,7 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from conftest import cell_instance, one_corner_instance
+from conftest import (
+    bucket_fractional_cover,
+    cell_instance,
+    membership_of_fractional,
+    one_corner_instance,
+)
 
 from membercover import (
     GridCell,
@@ -17,7 +22,6 @@ from membercover import (
     exact_mmgsc_bruteforce,
     incidence,
     maximal_squares,
-    membership_of_fractional,
     quadrant_greedy_cover,
     solve_cell,
     solve_lp,
@@ -28,7 +32,6 @@ from membercover import (
 from membercover.covers import membership
 from membercover.squares import (
     SquareWithoutCorner,
-    bucket_fractional_cover,
     canonical_point,
     canonical_square,
     solve_cell_report,
