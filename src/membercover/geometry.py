@@ -321,34 +321,6 @@ def _parallel_interval(cons: Sequence[tuple]):
     return (a0, b0), lo, hi
 
 
-def feasible_point(cons: Sequence[tuple]) -> Point | None:
-    """Exact feasibility of an intersection of closed halfplanes.
-
-    Returns a witness point or None.  A nonempty region that is not a
-    slab/halfplane/plane is pointed, so some pairwise boundary
-    intersection is feasible; the parallel-normal cases reduce to a 1-D
-    interval along the common normal.
-    """
-    if not cons:
-        return Point(Fraction(0), Fraction(0))
-    if _all_normals_parallel(cons):
-        (a0, b0), lo, hi = _parallel_interval(cons)
-        if lo is not None and hi is not None and lo > hi:
-            return None
-        t = lo if lo is not None else (hi if hi is not None else Fraction(0))
-        norm2 = Fraction(a0 * a0 + b0 * b0)
-        return Point(t * a0 / norm2, t * b0 / norm2)
-    for (a1, b1, c1), (a2, b2, c2) in combinations(cons, 2):
-        det = a1 * b2 - a2 * b1
-        if det == 0:
-            continue
-        x = Fraction(b1 * c2 - b2 * c1, det)
-        y = Fraction(a2 * c1 - a1 * c2, det)
-        if all(a * x + b * y + c >= 0 for (a, b, c) in cons):
-            return Point(x, y)
-    return None
-
-
 def _recession_directions(cons: Sequence[tuple]) -> list[tuple[int, int]]:
     """Generators of the recession cone {d : n_j . d >= 0 for all j}.
 
@@ -407,27 +379,45 @@ def linear_inf(cons: Sequence[tuple], f: tuple) -> Fraction | None:
     return best
 
 
-def linear_sup(cons: Sequence[tuple], f: tuple) -> Fraction | None:
-    """Exact supremum over a nonempty region; None means plus infinity."""
-    inf = linear_inf(cons, (-f[0], -f[1], -f[2]))
-    return None if inf is None else -inf
-
-
 def strictly_feasible(cons: Sequence[tuple]) -> bool:
     """Does the OPEN system {a*x + b*y + c > 0} have a solution?
 
-    Equivalent to the closed region being two-dimensional: a constraint
-    whose supremum over the closed region is zero pins the region into
-    its boundary line, and otherwise a centroid of per-constraint
-    witnesses is strictly interior.
+    Helly: open convex sets in the plane share a point iff every three of
+    them do, so the system is infeasible iff some subset of at most three
+    constraints is.  Motzkin's transposition theorem: a subset is
+    infeasible iff some lambda >= 0, lambda != 0, has
+    sum(lambda_i * (a_i, b_i)) = 0 and sum(lambda_i * c_i) <= 0.  A minimal
+    infeasible subset has a certificate with full support, tested by sign:
+
+    * one constraint: its normal is zero and c <= 0;
+    * a pair: the normals are antiparallel, and with lambda = (|n2|, |n1|),
+      read on one nonzero axis, the offsets sum to at most zero;
+    * a triple whose normals span the plane: lambda is the vector of cross
+      products (n2 x n3, n3 x n1, n1 x n2), which must have one strict sign.
+      Normals that do not span reduce to a pair or a single constraint.
+
+    Only products and sums of the inputs decide, so the test is exact on
+    integer (and rational) coefficients and builds no Fraction of its own.
     """
-    if not cons:
-        return True
-    if feasible_point(cons) is None:
-        return False
-    for g in cons:
-        sup = linear_sup(cons, g)
-        if sup is not None and sup <= 0:
+    for a, b, c in cons:
+        if a == 0 and b == 0 and c <= 0:
+            return False
+    for (a1, b1, c1), (a2, b2, c2) in combinations(cons, 2):
+        if a1 * b2 == a2 * b1 and a1 * a2 + b1 * b2 < 0:
+            if a1:
+                weighted = abs(a2) * c1 + abs(a1) * c2
+            else:
+                weighted = abs(b2) * c1 + abs(b1) * c2
+            if weighted <= 0:
+                return False
+    for (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) in combinations(cons, 3):
+        l1 = a2 * b3 - a3 * b2
+        l2 = a3 * b1 - a1 * b3
+        l3 = a1 * b2 - a2 * b1
+        weighted = l1 * c1 + l2 * c2 + l3 * c3
+        if l1 > 0 and l2 > 0 and l3 > 0 and weighted <= 0:
+            return False
+        if l1 < 0 and l2 < 0 and l3 < 0 and weighted >= 0:
             return False
     return True
 
@@ -456,7 +446,7 @@ class ConvexRegion:
 def region_from_constraints(raw: Iterable[tuple]) -> ConvexRegion:
     """Build a ConvexRegion from (a, b, c) constraint triples, scaled to
     primitive integers and deduplicated."""
-    cons = tuple(sorted(set(_normalize_constraint(*t) for t in raw)))
+    cons = tuple(sorted({_normalize_constraint(*t) for t in raw}))
     empty = not strictly_feasible(cons)
     return ConvexRegion(() if empty else cons, empty)
 

@@ -536,10 +536,10 @@ class _HalfplaneInstance:
         seen: set[tuple[int, ...]] = set()
         chosen = []
         for p in samples:
-            sig = tuple(
+            sig = tuple([
                 1 if a * p.x + b * p.y + c > 0 else -1
                 for (a, b, c) in lines
-            )
+            ])
             if sig not in seen:
                 seen.add(sig)
                 chosen.append(p)
@@ -591,8 +591,8 @@ class _HalfplaneInstance:
         self, ctx: _AnchorContext, graph: WindGraph, cycle: list[int], k: int
     ) -> ExactSolveReport:
         heads = [graph.vertices[v][0] for v in cycle[:-1]]
-        hosts_in_order = tuple(ctx.segments[s].host for s in heads)
-        polygon = tuple(_hpt_point(ctx.segments[s].a_h) for s in heads)
+        hosts_in_order = tuple([ctx.segments[s].host for s in heads])
+        polygon = tuple([_hpt_point(ctx.segments[s].a_h) for s in heads])
         crossings = sum(1 for v in cycle[:-1] if graph.cross[v])
         cover_ids = sorted(set(h for h in hosts_in_order if h >= 0))
         chosen = mask_of(cover_ids, self.halfplanes)
@@ -684,6 +684,9 @@ def _plane_covers(halfplanes: Sequence[Halfplane]) -> Iterator[tuple[Halfplane, 
 
     The union is the plane iff the open complements have no common point,
     and an empty intersection already shows on a pair or triple (Helly).
+    On a pair or triple `strictly_feasible` is a constant number of
+    integer products: an antiparallel-normal test for a pair, the signs of
+    the three normal cross products for a triple.
     """
     ordered = sorted(halfplanes, key=lambda h: h.id)
     for size in (2, 3):

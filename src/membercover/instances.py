@@ -192,8 +192,8 @@ def generate(
             Fraction(rng.randint(lo * res, hi * res), res),
         )
 
-    s = tuple(grid_point(0, extent) for _ in range(n_points))
-    sprime = tuple(grid_point(0, extent) for _ in range(n_prime))
+    s = tuple([grid_point(0, extent) for _ in range(n_points)])
+    sprime = tuple([grid_point(0, extent) for _ in range(n_prime)])
     ranges: list = []
     if kind == KIND_SQUARES:
         for idx in range(n_ranges):

@@ -118,7 +118,7 @@ def exact_mmgsc_bruteforce(
         memb = max((bin(mask & qm).count("1") for qm in sprime_masks), default=0)
         if best_val is None or memb < best_val:
             best_val = memb
-            best_ids = tuple(ordered[pos].id for pos in combo)
+            best_ids = tuple([ordered[pos].id for pos in combo])
             if best_val == 0:
                 break
     if best_val is None:
@@ -142,7 +142,7 @@ def exact_minsize_bruteforce(
     for count, (mask, combo) in enumerate(_subsets_by_size(len(ordered))):
         _tick(deadline, count)
         if all(mask & pm for pm in cover_masks):
-            return len(combo), tuple(ordered[pos].id for pos in combo)
+            return len(combo), tuple([ordered[pos].id for pos in combo])
     raise AssertionError("full range set failed after coverage precheck")
 
 
@@ -168,7 +168,7 @@ def exact_mpgsc_bruteforce(
         value = ply_of([ordered[pos] for pos in combo]).value
         if best_val is None or value < best_val:
             best_val = value
-            best_ids = tuple(ordered[pos].id for pos in combo)
+            best_ids = tuple([ordered[pos].id for pos in combo])
             if best_val <= (1 if points else 0):
                 break
     if best_val is None:

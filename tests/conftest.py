@@ -14,7 +14,16 @@ from itertools import combinations
 from typing import Mapping
 
 from membercover import Halfplane, Point, UnitSquare
-from membercover.lp import REL_EQ, REL_GE, REL_LE, LinearProgram
+from membercover.lp import (
+    OPTIMAL,
+    REL_EQ,
+    REL_GE,
+    REL_LE,
+    UNBOUNDED,
+    LinearProgram,
+    make_program,
+    solve_lp,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +91,26 @@ def lp_vertex_enumeration(lp: LinearProgram):
         if best is None or value < best:
             best = value
     return best
+
+
+# ---------------------------------------------------------------------------
+# LP oracle for strict feasibility of a halfplane system
+# ---------------------------------------------------------------------------
+
+def strict_feasible_lp(cons) -> bool:
+    """Strict feasibility of {a*x + b*y + c > 0} by LP: maximize the slack t
+    of a*x + b*y + c >= t over split variables x+, x-, y+, y-, t >= 0.
+
+    The reference for `geometry.strictly_feasible`, which decides the same
+    question by sign tests on pairs and triples instead of a simplex.
+    """
+    rows = [([a, -a, b, -b, -1], REL_GE, -c) for (a, b, c) in cons]
+    sol = solve_lp(make_program(5, [0, 0, 0, 0, -1], rows, [None] * 5))
+    if sol.status == UNBOUNDED:
+        return True
+    if sol.status != OPTIMAL:
+        return False  # even t = 0 infeasible: closed system already empty
+    return -sol.value > 0
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,16 @@ from membercover import (
     grid_partition,
     union_compare,
 )
+from membercover import geometry
 from membercover.geometry import (
     cw_angle_cmp,
-    feasible_point,
     linear_inf,
     region_subset,
     square_extent,
     strictly_feasible,
 )
-from membercover.lp import OPTIMAL, UNBOUNDED, make_program, solve_lp
+
+from conftest import strict_feasible_lp
 
 
 def P(x, y):
@@ -254,19 +255,52 @@ class TestFaceSamples:
             assert len(sigs) == _face_count_oracle(lines)
 
 
-def _strict_feasible_lp(cons):
-    """LP oracle: maximize the slack of the system via split variables."""
-    # vars: x+, x-, y+, y-, t ; minimize -t ; a(x+-x-)+b(y+-y-)+c >= t
-    rows = []
-    for (a, b, c) in cons:
-        rows.append(([a, -a, b, -b, -1], ">=", -c))
-    lp = make_program(5, [0, 0, 0, 0, -1], rows, [None] * 5)
-    sol = solve_lp(lp)
-    if sol.status == UNBOUNDED:
-        return True
-    if sol.status != OPTIMAL:
-        return False  # even t = 0 infeasible: closed system already empty
-    return -sol.value > 0
+# (constraints, strictly feasible?) for a*x + b*y + c > 0
+STRICT_SYSTEMS = [
+    ([], True),
+    ([(0, 0, 1)], True),                      # zero normal, positive constant
+    ([(0, 0, 0)], False),                     # zero normal, 0 > 0
+    ([(0, 0, 1), (1, 0, 0)], True),           # zero normal beside a halfplane
+    ([(0, 1, 1), (0, -1, 1)], True),          # the slab -1 < y < 1
+    ([(1, 0, 0), (-1, 0, 0)], False),         # touching pair: closed meets on x = 0
+    ([(1, 0, 1), (-2, 0, -2)], False),        # touching pair, scaled
+    ([(1, 0, 1), (-2, 0, -1)], True),         # -1 < x < -1/2
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], True),     # concurrent, one open quadrant
+    ([(1, 0, 0), (0, 1, 0), (-1, -1, 0)], False),  # concurrent, normals span the plane
+    ([(1, 0, 0), (0, 1, 0), (-1, -1, 1)], True),   # open triangle
+    ([(1, 2, 0), (2, 4, 3), (-1, -2, 5), (-2, -4, 1)], True),   # parallel: 0 < x + 2y < 1/2
+    ([(1, 2, 0), (2, 4, 3), (-1, -2, 5), (-2, -4, -1)], False),  # parallel: x + 2y < -1/2
+]
+
+
+def _seeded_system(seed):
+    """1-7 halfplanes: fresh ones, duplicates, positive multiples, negations
+    and parallel normals with new offsets; every third system starts with
+    three lines through one lattice point."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    centre = (rng.randint(-2, 2), rng.randint(-2, 2)) if seed % 3 == 0 else None
+    lines = []
+    while len(lines) < n:
+        concurrent = centre is not None and len(lines) < 3
+        kind = rng.randrange(5) if lines and not concurrent else 0
+        if kind == 0:
+            a = b = 0
+            while a == 0 and b == 0:
+                a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+            c = -(a * centre[0] + b * centre[1]) if concurrent else rng.randint(-4, 4)
+        else:
+            a, b, c = rng.choice(lines)  # kind 1 keeps the duplicate
+            if kind == 2:
+                m = rng.randint(2, 3)
+                a, b, c = m * a, m * b, m * c
+            elif kind == 3:
+                a, b, c = -a, -b, -c
+            elif kind == 4:
+                m = rng.choice((-2, -1, 1, 2))
+                a, b, c = m * a, m * b, rng.randint(-4, 4)
+        lines.append((a, b, c))
+    return [Halfplane(i, a, b, c) for i, (a, b, c) in enumerate(lines)]
 
 
 class TestComplementRegion:
@@ -291,20 +325,15 @@ class TestComplementRegion:
         assert reg.empty
 
     def test_emptiness_matches_lp_oracle(self):
-        rng = random.Random(23)
-        for _ in range(150):
-            n = rng.randint(1, 5)
-            hs = []
-            for i in range(n):
-                a = b = 0
-                while a == 0 and b == 0:
-                    a = rng.randint(-4, 4)
-                    b = rng.randint(-4, 4)
-                hs.append(Halfplane(i, a, b, rng.randint(-4, 4)))
-            reg = complement_region(hs)
+        outcomes = []
+        for seed in range(2000):
+            hs = _seeded_system(seed)
             cons = [(-h.a, -h.b, -h.c) for h in hs]
-            assert reg.empty == (not _strict_feasible_lp(cons))
-            assert strictly_feasible(cons) == _strict_feasible_lp(cons)
+            feasible = strict_feasible_lp(cons)
+            assert complement_region(hs).empty == (not feasible)
+            assert strictly_feasible(cons) == feasible
+            outcomes.append(feasible)
+        assert 500 < sum(outcomes) < 1500  # both answers well exercised
 
 
 def _union_member(hs, p):
@@ -375,6 +404,24 @@ class TestUnionCompare:
             assert union_compare(z, z + [extra]) in ("equal", "subset")
 
 
+class TestStrictlyFeasible:
+    def test_hand_built_systems(self):
+        for cons, feasible in STRICT_SYSTEMS:
+            assert strictly_feasible(cons) == feasible == strict_feasible_lp(cons)
+        # the touching pair is closed-feasible: the origin meets both
+        touching = [Halfplane(0, 1, 0, 0), Halfplane(1, -1, 0, 0)]
+        assert all(h.contains(P(0, 0)) for h in touching)
+
+    def test_decides_without_fractions(self, monkeypatch):
+        # integer signs decide; the kernel builds no rational on integer input
+        def no_fraction(*args):
+            raise AssertionError("strictly_feasible built a Fraction")
+
+        monkeypatch.setattr(geometry, "Fraction", no_fraction)
+        for cons, feasible in STRICT_SYSTEMS:
+            assert strictly_feasible(cons) == feasible
+
+
 class TestRegionInternals:
     def test_linear_inf_unbounded(self):
         assert linear_inf([(0, 1, 0)], (0, -1, 0)) is None  # -y over y >= 0
@@ -402,10 +449,6 @@ class TestRegionInternals:
             env=env, capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "pointed nonempty region must have a vertex"
-
-    def test_feasible_point_slab(self):
-        w = feasible_point([(0, 1, 1), (0, -1, 1)])
-        assert w is not None and -1 <= w.y <= 1
 
     def test_region_subset_basic(self):
         from membercover.geometry import region_from_constraints

@@ -5,7 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from conftest import fan_instance, halfplane_instance, verify_winding_certificate
+from conftest import (
+    fan_instance,
+    halfplane_instance,
+    strict_feasible_lp,
+    verify_winding_certificate,
+)
 
 from membercover import (
     Halfplane,
@@ -64,7 +69,7 @@ class TestPlaneCover:
         hs = [Halfplane(i, 1, i, -1) for i in range(4)]
         assert plane_cover_triple(hs) is None
 
-    def test_plane_covers_match_complement_regions(self):
+    def test_plane_covers_match_lp_oracle(self):
         degenerate = [
             [Halfplane(0, 0, 1, 0), Halfplane(1, 0, -1, 0)],    # antiparallel, touching
             [Halfplane(0, 0, 1, 1), Halfplane(1, 0, -1, 1)],    # antiparallel, overlapping
@@ -86,7 +91,11 @@ class TestPlaneCover:
         for points, sprime, hs in cases:
             ordered = sorted(hs, key=lambda h: h.id)
             combos = [*combinations(ordered, 2), *combinations(ordered, 3)]
-            expected = [c for c in combos if complement_region(c).empty]
+            # a union is the plane iff the open complements -h > 0 share no point
+            expected = [
+                c for c in combos
+                if not strict_feasible_lp([(-h.a, -h.b, -h.c) for h in c])
+            ]
             assert _HalfplaneInstance(points, sprime, hs).plane_covers == expected
             sizes += [len(c) for c in expected]
         assert 2 in sizes and 3 in sizes  # both pairs and triples are exercised
@@ -610,7 +619,8 @@ class TestOneInstance:
         cases += [([], [], hs) for hs in fans]
         for points, sprime, hs in cases:
             inst = _HalfplaneInstance(points, sprime, hs)
-            assert bool(inst.plane_covers) == complement_region(hs).empty
+            full_set_covers = not strict_feasible_lp([(-h.a, -h.b, -h.c) for h in hs])
+            assert bool(inst.plane_covers) == full_set_covers
         assert not any(complement_region(hs).empty for hs in fans)  # not vacuous
 
     def test_dummies_contain_no_point(self):

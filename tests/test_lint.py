@@ -83,3 +83,20 @@ def test_no_region_calls_in_halfplanes():
     tree = ast.parse(path.read_text(), filename=str(path))
     names = {"complement_region", "region_subset", "union_compare", "region_from_constraints"}
     assert _calls(tree, names) == []
+
+
+def test_no_tuple_of_generator():
+    # CPython grows a generator-built tuple by resizing, and the resized
+    # blocks pile up on its tuple free lists until a full collection, so
+    # peak RSS grows with the number of solves; build from a list instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "tuple"
+            and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
+        ]
+    assert found == []
