@@ -107,19 +107,27 @@ def _dot2(u: tuple[int, int], v: tuple[int, int]) -> int:
     return u[0] * v[0] + u[1] * v[1]
 
 
-def _on_segment(x: HPt, a: HPt, b: HPt) -> bool:
-    if _orient(a, b, x) != 0:
-        return False
-    da = _dirvec(a, x)
-    db = _dirvec(b, x)
-    return _dot2(da, _dirvec(a, b)) >= 0 and _dot2(db, _dirvec(b, a)) >= 0
+def _cross3(p: HPt, q: HPt) -> tuple[int, int, int]:
+    """The homogeneous line through p and q: x . (p x q) = det(p, q, x), so
+    its sign at x is the turn p->q->x."""
+    return (
+        p[1] * q[2] - p[2] * q[1],
+        p[2] * q[0] - p[0] * q[2],
+        p[0] * q[1] - p[1] * q[0],
+    )
 
 
-def _in_triangle(x: HPt, p: HPt, a: HPt, b: HPt) -> bool:
-    o1 = _orient(p, a, x)
-    o2 = _orient(a, b, x)
-    o3 = _orient(b, p, x)
-    return (o1 >= 0 and o2 >= 0 and o3 >= 0) or (o1 <= 0 and o2 <= 0 and o3 <= 0)
+def _sign_masks(line: tuple[int, int, int], pts: Sequence[HPt]) -> tuple[int, int]:
+    """Bitmasks of the points x with line . x <= 0 and with line . x >= 0."""
+    a, b, c = line
+    nonpos = nonneg = 0
+    for bit, (x, y, w) in enumerate(pts):
+        v = a * x + b * y + c * w
+        if v <= 0:
+            nonpos |= 1 << bit
+        if v >= 0:
+            nonneg |= 1 << bit
+    return nonpos, nonneg
 
 
 # ---------------------------------------------------------------------------
@@ -217,53 +225,47 @@ class WindGraph:
 
 
 class _AnchorContext:
-    """Segment arrangement plus containment bitmasks for one anchor."""
+    """Segment arrangement plus containment bitmasks for one anchor.
 
-    def __init__(
-        self,
-        anchor: Point,
-        active: list[Halfplane],
-        s_pts: list[HPt],
-        sp_masks: dict[int, int],
-    ):
+    A segment's closed triangle (anchor, left, right) is the intersection
+    of {orient(p, left, x) <= 0}, {orient(p, right, x) >= 0} and the host
+    line's closed side holding the anchor, so its mask is an AND of one
+    orientation mask per endpoint and one side mask of the instance; the
+    points of the triangle on the host line are those on the segment.
+    """
+
+    def __init__(self, anchor: Point, active: list[Halfplane], inst: _HalfplaneInstance):
         self.anchor = anchor
-        self.active = active
         self.p_h = _hpt(anchor)
         self.segments = build_segments(active, anchor)
-        self.ray = _ray_direction(
-            self.p_h, [s.a_h for s in self.segments] + [s.b_h for s in self.segments]
-        )
+        endpoints = set([s.a_h for s in self.segments] + [s.b_h for s in self.segments])
+        self.ray = _ray_direction(self.p_h, endpoints)
 
+        s_pts, sides = inst.s_hpts, inst.line_sides
+        # per endpoint e, the points x with orient(p, e, x) <= 0 and >= 0
+        wedge = {e: _sign_masks(_cross3(self.p_h, e), s_pts) for e in endpoints}
         # points of S on at least one active boundary line can still end
         # up on a chain segment; any other point swallowed by a triangle
         # kills every chain through it
         on_some_line = 0
-        for bit, x in enumerate(s_pts):
-            for h in active:
-                if h.a * x[0] + h.b * x[1] + h.c * x[2] == 0:
-                    on_some_line |= 1 << bit
-                    break
+        for h in active:
+            on_some_line |= sides[h.id][1]
 
         keep: list[SegmentPhi] = []
         tri_list: list[int] = []
         on_list: list[int] = []
         for seg in self.segments:
-            tri = 0
-            on = 0
-            for bit, x in enumerate(s_pts):
-                if _in_triangle(x, self.p_h, seg.a_h, seg.b_h):
-                    tri |= 1 << bit
-                    if _on_segment(x, seg.a_h, seg.b_h):
-                        on |= 1 << bit
+            side, online = sides[seg.host]
+            tri = wedge[seg.a_h][0] & wedge[seg.b_h][1] & side
             if tri & ~on_some_line:
                 continue  # swallows a point that no segment can carry
             keep.append(seg)
             tri_list.append(tri)
-            on_list.append(on)
+            on_list.append(tri & online)
         self.segments = keep
         self.tri_mask = tri_list
         self.on_mask = on_list
-        self.sp_mask = [sp_masks[s.host] for s in self.segments]
+        self.sp_mask = [inst.sp_masks[s.host] for s in self.segments]
         self.dirs = [_dirvec(s.a_h, s.b_h) for s in self.segments]
         self.cross = [
             _cross2(_dirvec(self.p_h, s.a_h), self.ray) < 0
@@ -284,34 +286,30 @@ class _AnchorContext:
             self.succ_seg.append(nexts)
 
     def chains(self, k: int) -> list[tuple[int, ...]]:
-        """All (k+1)-chains passing the containment conditions."""
+        """All (k+1)-chains passing the containment conditions, depth first.
+
+        Each step carries the running OR of the triangle and on-segment
+        masks and the running AND of the S' masks, so a chain is tested
+        once at its last segment and no unfiltered chain is kept.
+        """
         out: list[tuple[int, ...]] = []
-        n = len(self.segments)
         tri, on, sp = self.tri_mask, self.on_mask, self.sp_mask
         succ = self.succ_seg
 
-        def extend(chain: list[int]) -> None:
-            if len(chain) == k + 1:
-                tri_or = 0
-                on_or = 0
-                sp_and = -1
-                for idx in chain:
-                    tri_or |= tri[idx]
-                    on_or |= on[idx]
-                    sp_and &= sp[idx]
-                if tri_or & ~on_or:
-                    return
-                if sp_and:
-                    return
-                out.append(tuple(chain))
+        def extend(chain: tuple[int, ...], tri_or: int, on_or: int, sp_and: int) -> None:
+            nexts = succ[chain[-1]]
+            if len(chain) < k:
+                for j in nexts:
+                    extend(chain + (j,), tri_or | tri[j], on_or | on[j], sp_and & sp[j])
                 return
-            for j in succ[chain[-1]]:
-                chain.append(j)
-                extend(chain)
-                chain.pop()
+            for j in nexts:  # the last segment: test the chain, do not descend
+                if not (sp_and & sp[j]) and not ((tri_or | tri[j]) & ~(on_or | on[j])):
+                    out.append(chain + (j,))
 
-        for start in range(n):
-            extend([start])
+        if k == 0:
+            return [(i,) for i in range(len(tri)) if not sp[i] and not (tri[i] & ~on[i])]
+        for start in range(len(tri)):
+            extend((start,), tri[start], on[start], sp[start])
         return out
 
     def graph(self, k: int) -> WindGraph:
@@ -358,7 +356,7 @@ def build_decision_graph(
 ) -> WindGraph:
     """Decision graph for one anchor; exact and self-contained."""
     inst = _HalfplaneInstance(points, sprime, h_active)
-    return _AnchorContext(p, list(h_active), inst.s_hpts, inst.sp_masks).graph(k)
+    return _AnchorContext(p, list(h_active), inst).graph(k)
 
 
 def find_winding_cycle(graph: WindGraph) -> list[int] | None:
@@ -523,6 +521,16 @@ class _HalfplaneInstance:
     # -- anchors ------------------------------------------------------------
 
     @cached_property
+    def line_sides(self) -> dict[int, tuple[int, int]]:
+        """Per id of `extended`, the points of S on the closed side h <= 0
+        of its boundary line and the points on the line itself."""
+        sides = {}
+        for h in self.extended:
+            nonpos, nonneg = _sign_masks(h.line(), self.s_hpts)
+            sides[h.id] = (nonpos, nonpos & nonneg)
+        return sides
+
+    @cached_property
     def anchors(self) -> list[Point]:
         lines = [h.line() for h in self.extended]
         samples = sorted(
@@ -536,10 +544,8 @@ class _HalfplaneInstance:
         seen: set[tuple[int, ...]] = set()
         chosen = []
         for p in samples:
-            sig = tuple([
-                1 if a * p.x + b * p.y + c > 0 else -1
-                for (a, b, c) in lines
-            ])
+            x, y, w = _hpt(p)
+            sig = tuple([1 if a * x + b * y + c * w > 0 else -1 for (a, b, c) in lines])
             if sig not in seen:
                 seen.add(sig)
                 chosen.append(p)
@@ -549,8 +555,9 @@ class _HalfplaneInstance:
         ctx = self._contexts.get(idx)
         if ctx is None:
             p = self.anchors[idx]
-            active = [h for h in self.extended if not h.contains(p)]
-            ctx = _AnchorContext(p, active, self.s_hpts, self.sp_masks)
+            x, y, w = _hpt(p)
+            active = [h for h in self.extended if h.a * x + h.b * y + h.c * w < 0]
+            ctx = _AnchorContext(p, active, self)
             self._contexts[idx] = ctx
         return ctx
 

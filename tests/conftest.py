@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Mapping
 
 from membercover import Halfplane, Point, UnitSquare
+from membercover.halfplanes import _dirvec, _dot2, _orient
 from membercover.lp import (
     OPTIMAL,
     REL_EQ,
@@ -152,6 +153,29 @@ def bucket_fractional_cover(partition, corner: int) -> FractionalCover:
         if q.id in bucket
     }
     return FractionalCover(weights)
+
+
+# ---------------------------------------------------------------------------
+# per-segment containment, the reference for the anchor-context masks
+# ---------------------------------------------------------------------------
+
+def on_segment(x, a, b) -> bool:
+    """Is the homogeneous point x on the closed segment [a, b]?  One
+    orientation and two dot products, per point and segment."""
+    if _orient(a, b, x) != 0:
+        return False
+    da = _dirvec(a, x)
+    db = _dirvec(b, x)
+    return _dot2(da, _dirvec(a, b)) >= 0 and _dot2(db, _dirvec(b, a)) >= 0
+
+
+def in_triangle(x, p, a, b) -> bool:
+    """Is the homogeneous point x in the closed triangle (p, a, b)?  Three
+    orientations, per point and segment."""
+    o1 = _orient(p, a, x)
+    o2 = _orient(a, b, x)
+    o3 = _orient(b, p, x)
+    return (o1 >= 0 and o2 >= 0 and o3 >= 0) or (o1 <= 0 and o2 <= 0 and o3 <= 0)
 
 
 # ---------------------------------------------------------------------------

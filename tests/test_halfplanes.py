@@ -8,6 +8,8 @@ import pytest
 from conftest import (
     fan_instance,
     halfplane_instance,
+    in_triangle,
+    on_segment,
     strict_feasible_lp,
     verify_winding_certificate,
 )
@@ -37,7 +39,9 @@ from membercover.halfplanes import (
     AnchorOnLine,
     WindGraph,
     WindingCertificate,
+    _AnchorContext,
     _HalfplaneInstance,
+    _hpt,
     exact_mmgsc_halfplanes_report,
 )
 
@@ -179,11 +183,8 @@ class TestDecisionGraph:
         assert len(blocked.vertices) < 4
         for v in blocked.vertices:
             seg = blocked.segments[v[0]]
-            ax, ay, aw = seg.a_h
             # the witness point (0,0) must not lie inside this triangle
-            from membercover.halfplanes import _hpt, _in_triangle
-
-            assert not _in_triangle(_hpt(P(0, 0)), _hpt(anchor), seg.a_h, seg.b_h)
+            assert not in_triangle(_hpt(P(0, 0)), _hpt(anchor), seg.a_h, seg.b_h)
         assert find_winding_cycle(blocked) is None
 
     def test_monitored_point_in_host_intersection_blocks(self):
@@ -221,6 +222,150 @@ class TestDecisionGraph:
             anchor=P(0, 0),
         )
         assert find_winding_cycle(graph) is None
+
+
+def _reference_context(anchor, active, s_hpts):
+    """Segments, triangle masks and on-segment masks of one anchor, by one
+    `in_triangle` and one `on_segment` test per segment and point of S;
+    a segment whose triangle swallows a point on no active line is dropped."""
+    p_h = _hpt(anchor)
+    on_some_line = sum([
+        1 << bit
+        for bit, (x, y, w) in enumerate(s_hpts)
+        if any(h.a * x + h.b * y + h.c * w == 0 for h in active)
+    ])
+    segments, tris, ons = [], [], []
+    for seg in build_segments(active, anchor):
+        tri = on = 0
+        for bit, x in enumerate(s_hpts):
+            if in_triangle(x, p_h, seg.a_h, seg.b_h):
+                tri |= 1 << bit
+                if on_segment(x, seg.a_h, seg.b_h):
+                    on |= 1 << bit
+        if not tri & ~on_some_line:
+            segments.append(seg)
+            tris.append(tri)
+            ons.append(on)
+    return segments, tris, ons
+
+
+def _reference_chains(ctx, k):
+    """Every (k+1)-path of successors, its masks combined at its last
+    segment, as the chains were first enumerated."""
+    out = []
+
+    def extend(chain):
+        if len(chain) == k + 1:
+            tri_or = on_or = 0
+            sp_and = -1
+            for idx in chain:
+                tri_or |= ctx.tri_mask[idx]
+                on_or |= ctx.on_mask[idx]
+                sp_and &= ctx.sp_mask[idx]
+            if not tri_or & ~on_or and not sp_and:
+                out.append(tuple(chain))
+            return
+        for j in ctx.succ_seg[chain[-1]]:
+            chain.append(j)
+            extend(chain)
+            chain.pop()
+
+    for start in range(len(ctx.segments)):
+        extend([start])
+    return out
+
+
+# x >= 1, x <= -1, y >= 1, y <= -1, x + y >= 3, and x - y >= -1, which
+# holds the anchor (0, 0) and meets x = 1 and x + y = 3 at (1, 2).  S has
+# a segment endpoint (1, -1), the points (1/2, 1/2) and (2, 2) on the ray
+# from (0, 0) through the endpoint (1, 1), the point (1, 5) on x = 1
+# beyond its other intersections, the intersection (-1, -1) of two active
+# lines, (1, 2) where three lines meet, and (-2, -1), where the active
+# y = -1 meets the inactive x - y = -1.
+HAND_PLANES = [
+    Halfplane(0, 1, 0, -1),
+    Halfplane(1, -1, 0, -1),
+    Halfplane(2, 0, 1, -1),
+    Halfplane(3, 0, -1, -1),
+    Halfplane(4, 1, 1, -3),
+    Halfplane(5, 1, -1, 1),
+]
+HAND_ON_LINES = [P(1, -1), P(1, 5), P(-1, -1), P(1, 2), P(-2, -1)]
+HAND_OFF_LINES = [P("1/2", "1/2"), P(2, 2)]
+HAND_ANCHORS = [P(0, 0), P("1/2", "-1/3"), P(5, 5), P("-3/2", "1/7")]
+
+
+def _hand_contexts():
+    """Contexts of the hand-built instance at the chosen anchors."""
+    inst = _HalfplaneInstance(HAND_ON_LINES + HAND_OFF_LINES, [P(2, 2)], HAND_PLANES)
+    for anchor in HAND_ANCHORS:
+        active = [h for h in inst.extended if not h.contains(anchor)]
+        yield inst, anchor, active, _AnchorContext(anchor, active, inst)
+
+
+def _seeded_contexts():
+    """Every anchor context of a few fan and random instances."""
+    cases = [fan_instance(seed) for seed in range(3)]
+    cases += [halfplane_instance(seed) for seed in range(12)]
+    for points, sprime, planes in cases:
+        inst = _HalfplaneInstance(points, sprime, planes)
+        for idx in range(len(inst.anchors)):
+            ctx = inst.context(idx)
+            active = [h for h in inst.extended if not h.contains(ctx.anchor)]
+            yield inst, ctx.anchor, active, ctx
+
+
+class TestAnchorContext:
+    def test_masks_match_per_segment_reference(self):
+        contexts = list(_hand_contexts()) + list(_seeded_contexts())
+        for inst, anchor, active, ctx in contexts:
+            expected = _reference_context(anchor, active, inst.s_hpts)
+            assert (ctx.segments, ctx.tri_mask, ctx.on_mask) == expected, anchor
+        assert len(contexts) > 100
+
+    def test_hand_built_boundary_cases(self):
+        # points on an active line are carried by some kept segment; a
+        # triangle swallowing a point on no line drops its segment
+        on_bits = (1 << len(HAND_ON_LINES)) - 1
+        for _inst, anchor, active, ctx in _hand_contexts():
+            carried = 0
+            for tri, on in zip(ctx.tri_mask, ctx.on_mask):
+                assert tri & ~on_bits == 0
+                carried |= on
+            if anchor == P(0, 0):
+                assert carried == on_bits
+
+    def test_chains_match_reference(self):
+        for _inst, _anchor, _active, ctx in list(_hand_contexts()) + list(_seeded_contexts()):
+            for k in range(4):
+                assert ctx.chains(k) == _reference_chains(ctx, k)
+
+    def test_orientation_tests_per_context(self, monkeypatch):
+        # an orientation test is one _orient call or one point of a
+        # _sign_masks call: at most one per (S point, endpoint) pair for the
+        # masks, plus one per segment built for its clockwise order
+        import membercover.halfplanes as hp
+
+        orients = _count_calls(monkeypatch, (hp,), "_orient")
+        masks = _count_calls(monkeypatch, (hp,), "_sign_masks")
+        built = []
+        raw_build = hp.build_segments
+
+        def recording(*args):
+            built.append(raw_build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(hp, "build_segments", recording)
+        for points, sprime, planes in (fan_instance(1), halfplane_instance(3)):
+            inst = _HalfplaneInstance(points, sprime, planes)
+            inst.line_sides  # per instance, not per anchor
+            for idx in range(len(inst.anchors)):
+                del orients[:], masks[:], built[:]
+                inst.context(idx)
+                (segments,) = built
+                endpoints = set([s.a_h for s in segments] + [s.b_h for s in segments])
+                tests = len(orients) + len(points) * len(masks)
+                assert tests <= len(points) * len(endpoints) + len(segments)
 
 
 class TestDecideMembership:

@@ -29,7 +29,6 @@ CONTAINS_ALLOWED = {
     ("covers.py", "incidence", "p"),
     ("squares.py", "corner_partition", "c"),
     ("halfplanes.py", "build_segments", "p"),
-    ("halfplanes.py", "_HalfplaneInstance.context", "p"),
 }
 SOLVER_MODULES = ("covers.py", "lp.py", "squares.py", "ply.py", "halfplanes.py")
 
