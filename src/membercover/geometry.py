@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 Scalar = Fraction
 
@@ -193,10 +193,8 @@ def angle_cmp(ref: Halfplane, u: Halfplane, v: Halfplane) -> int:
 # ---------------------------------------------------------------------------
 
 def grid_partition(
-    points: Sequence[Point],
-    ranges: Sequence,
-    extent: Callable[[object], tuple[Fraction, Fraction, Fraction, Fraction]],
-) -> dict[GridCell, tuple[list[Point], list]]:
+    points: Sequence[Point], ranges: Sequence[UnitSquare]
+) -> dict[GridCell, tuple[list[Point], list[UnitSquare]]]:
     """Split an instance over the unit grid.
 
     Each point lands in exactly one cell (half-open rule); each range is
@@ -204,14 +202,14 @@ def grid_partition(
     bounding box.  Cells without points are omitted, since they need no
     cover.
     """
-    cells: dict[GridCell, tuple[list[Point], list]] = {}
+    cells: dict[GridCell, tuple[list[Point], list[UnitSquare]]] = {}
     for p in points:
         cell = cell_of_point(p)
         if cell not in cells:
             cells[cell] = ([], [])
         cells[cell][0].append(p)
     for r in ranges:
-        xmin, ymin, xmax, ymax = extent(r)
+        xmin, ymin, xmax, ymax = r.bbox()
         i_lo = math.ceil(xmin) - 1
         i_hi = math.floor(xmax)
         j_lo = math.ceil(ymin) - 1
@@ -222,10 +220,6 @@ def grid_partition(
                 if cell in cells and cell.closed_intersects_bbox((xmin, ymin, xmax, ymax)):
                     cells[cell][1].append(r)
     return cells
-
-
-def square_extent(q: UnitSquare) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    return q.bbox()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
 
 from . import lp as lpmod
@@ -32,7 +32,6 @@ from .covers import (
     Uncoverable,
     depth,
     first_uncovered,
-    incidence,
     mask_of,
     quiet_cover,
 )
@@ -166,9 +165,10 @@ def build_segments(h_active: Sequence[Halfplane], p: Point) -> list[SegmentPhi]:
     """
     p_h = _hpt(p)
     for h in h_active:
-        if h.a * p_h[0] + h.b * p_h[1] + h.c * p_h[2] == 0:
+        v = h.a * p_h[0] + h.b * p_h[1] + h.c * p_h[2]
+        if v == 0:
             raise AnchorOnLine(f"anchor {p!r} lies on the boundary of {h.id}")
-        if h.contains(p):
+        if v > 0:
             raise ValueError(f"halfplane {h.id} contains the anchor {p!r}")
     segments: list[SegmentPhi] = []
     lines = [h.line() for h in h_active]
@@ -316,19 +316,16 @@ class _AnchorContext:
         vertices = self.chains(k)
         index: dict[tuple[int, ...], int] = {v: i for i, v in enumerate(vertices)}
         succ: list[list[int]] = []
+        # the lists come out increasing: succ_seg and by_head grow in index order
         if k == 0:
             for v in vertices:
-                succ.append(
-                    sorted(
-                        index[(j,)] for j in self.succ_seg[v[0]] if (j,) in index
-                    )
-                )
+                succ.append([index[(j,)] for j in self.succ_seg[v[0]] if (j,) in index])
         else:
             by_head: dict[tuple[int, ...], list[int]] = {}
             for i, v in enumerate(vertices):
                 by_head.setdefault(v[:-1], []).append(i)
             for v in vertices:
-                succ.append(sorted(by_head.get(v[1:], ())))
+                succ.append(by_head.get(v[1:], []))
         cross = [self.cross[v[0]] for v in vertices]
         return WindGraph(
             k=k,
@@ -342,8 +339,8 @@ class _AnchorContext:
 
 
 def _columns(rows: Sequence[int], width: int) -> list[int]:
-    """The transpose of an incidence table: entry j is the bitmask of the
-    points whose row holds range position j."""
+    """The transpose of a bit table: entry j is the bitmask of the rows
+    that hold bit j.  Its own inverse: rows to columns and back."""
     return [sum([(row >> j & 1) << bit for bit, row in enumerate(rows)]) for j in range(width)]
 
 
@@ -448,9 +445,10 @@ class _HalfplaneInstance:
     """One instance (S, S', H), built once per public call, and every fact
     its solvers read off it; the PTAS asks one for both of its solvers.
 
-    One S and one S' table over the id-sorted halfplanes are the only
-    point-in-halfplane tests.  The dummies contain no point, so the same
-    rows serve over `extended`.  Other facts are computed on first use.
+    One integer sign pass per line of `extended` over S and S' is the only
+    point-versus-line test: it gives the line sides and the S and S' tables
+    over the id-sorted halfplanes.  The dummies contain no point, so the
+    same rows serve over `extended`.  Other facts are computed on first use.
     """
 
     def __init__(
@@ -463,13 +461,23 @@ class _HalfplaneInstance:
         self.halfplanes = sorted(halfplanes, key=lambda h: h.id)
         self.dummies, self.delta = _dummy_halfplanes(points, sprime)
         self.extended = self.halfplanes + self.dummies
-        self.s_rows = incidence(self.points, self.halfplanes)
-        # the minimum-size cover alone passes no S' and needs no S' table
-        self.sp_rows = incidence(sprime, self.halfplanes) if sprime else []
         self.s_hpts = [_hpt(q) for q in self.points]
-        # S' mask per id of `extended`: the columns of the S' table, 0 for dummies
-        ids = [h.id for h in self.extended]
-        self.sp_masks = dict(zip(ids, _columns(self.sp_rows, len(ids))))
+        sp_hpts = [_hpt(q) for q in sprime]
+        # per id of `extended`: S on the closed side h <= 0 and on the line,
+        # and S' in h; the tables transpose the columns of the instance
+        # halfplanes, which lead `extended`
+        self.line_sides: dict[int, tuple[int, int]] = {}
+        self.sp_masks: dict[int, int] = {}
+        s_columns = []
+        for h in self.extended:
+            nonpos, nonneg = _sign_masks(h.line(), self.s_hpts)
+            self.line_sides[h.id] = (nonpos, nonpos & nonneg)
+            self.sp_masks[h.id] = _sign_masks(h.line(), sp_hpts)[1]
+            s_columns.append(nonneg)
+        n = len(self.halfplanes)
+        self.s_columns = s_columns[:n]
+        self.s_rows = _columns(self.s_columns, len(self.points))
+        self.sp_rows = _columns(list(self.sp_masks.values())[:n], len(sp_hpts))
         self._contexts: dict[int, _AnchorContext] = {}
 
     # -- cheap certificates -------------------------------------------------
@@ -516,22 +524,14 @@ class _HalfplaneInstance:
         the first point of S that no halfplane contains."""
         if self.uncovered is not None:
             raise Uncoverable(self.uncovered)
-        return _min_size_cover(self.halfplanes, self.s_rows)
+        return _min_size_cover(self.halfplanes, self.s_rows, self.s_columns)
 
     # -- anchors ------------------------------------------------------------
 
     @cached_property
-    def line_sides(self) -> dict[int, tuple[int, int]]:
-        """Per id of `extended`, the points of S on the closed side h <= 0
-        of its boundary line and the points on the line itself."""
-        sides = {}
-        for h in self.extended:
-            nonpos, nonneg = _sign_masks(h.line(), self.s_hpts)
-            sides[h.id] = (nonpos, nonpos & nonneg)
-        return sides
-
-    @cached_property
-    def anchors(self) -> list[Point]:
+    def anchors(self) -> list[tuple[Point, tuple[bool, ...]]]:
+        """One sample per face inside the dummy box, with its face: entry i
+        tells whether it lies outside extended[i] (no sample is on a line)."""
         lines = [h.line() for h in self.extended]
         samples = sorted(
             (
@@ -541,23 +541,21 @@ class _HalfplaneInstance:
             ),
             key=lambda p: (p.x, p.y),
         )
-        seen: set[tuple[int, ...]] = set()
+        seen: set[tuple[bool, ...]] = set()
         chosen = []
         for p in samples:
             x, y, w = _hpt(p)
-            sig = tuple([1 if a * x + b * y + c * w > 0 else -1 for (a, b, c) in lines])
-            if sig not in seen:
-                seen.add(sig)
-                chosen.append(p)
+            outside = tuple([a * x + b * y + c * w < 0 for (a, b, c) in lines])
+            if outside not in seen:
+                seen.add(outside)
+                chosen.append((p, outside))
         return chosen
 
     def context(self, idx: int) -> _AnchorContext:
         ctx = self._contexts.get(idx)
         if ctx is None:
-            p = self.anchors[idx]
-            x, y, w = _hpt(p)
-            active = [h for h in self.extended if h.a * x + h.b * y + h.c * w < 0]
-            ctx = _AnchorContext(p, active, self)
+            p, outside = self.anchors[idx]
+            ctx = _AnchorContext(p, list(compress(self.extended, outside)), self)
             self._contexts[idx] = ctx
         return ctx
 
@@ -708,9 +706,11 @@ def plane_cover_triple(halfplanes: Sequence[Halfplane]) -> list[Halfplane] | Non
     return None if combo is None else list(combo)
 
 
-def _min_size_cover(ordered: Sequence[Halfplane], s_rows: Sequence[int]) -> list[Halfplane]:
+def _min_size_cover(
+    ordered: Sequence[Halfplane], s_rows: Sequence[int], masks: Sequence[int]
+) -> list[Halfplane]:
     """Exact minimum-cardinality cover via branch and bound, given the S
-    table over `ordered` with no zero row.
+    table over `ordered` with no zero row and its columns `masks`.
 
     Candidates are ordered by coverage; the incumbent starts from the
     greedy cover, and the relaxed size LP gives a global lower bound that
@@ -718,7 +718,6 @@ def _min_size_cover(ordered: Sequence[Halfplane], s_rows: Sequence[int]) -> list
     """
     if not s_rows:
         return []
-    masks = _columns(s_rows, len(ordered))
     full = (1 << len(s_rows)) - 1
 
     # greedy incumbent

@@ -20,7 +20,6 @@ from .geometry import (
     Point,
     UnitSquare,
     grid_partition,
-    square_extent,
 )
 # nothing in this module calls quadrant_greedy_cover; the name stays only
 # because perfbench/tracing.py patches ply.quadrant_greedy_cover and raises
@@ -98,7 +97,7 @@ def solve_mpgsc(
     points: Sequence[Point], squares: Sequence[UnitSquare]
 ) -> tuple[CoverSolution, PlyReport]:
     """Cover the points while keeping the maximum square overlap low."""
-    cells = grid_partition(points, squares, square_extent)
+    cells = grid_partition(points, squares)
     ids: set[int] = set()
     per_cell_sizes = {}
     for cell in sorted(cells, key=lambda c: (c.i, c.j)):

@@ -30,7 +30,6 @@ from .geometry import (
     UnitSquare,
     cell_of_point,
     grid_partition,
-    square_extent,
 )
 
 
@@ -41,32 +40,30 @@ class SquareWithoutCorner(ValueError):
 N_CORNERS = 4  # priority order: bottom-left, bottom-right, top-left, top-right
 
 
+def _corner_local(p: Point, cell: GridCell, corner: int, reach: int) -> tuple[Fraction, Fraction]:
+    """p with the corner at the origin: an axis flipped by the corner maps
+    to (cell index + reach) - coordinate, the other to coordinate - index.
+    The integer offset is folded first, one Fraction operation per axis."""
+    i, j = cell.i, cell.j
+    return (
+        i + reach - p.x if corner & 1 else p.x - i,
+        j + reach - p.y if corner & 2 else p.y - j,
+    )
+
+
 def canonical_point(p: Point, cell: GridCell, corner: int) -> tuple[Fraction, Fraction]:
     """Map a point into corner-local coordinates with the corner at the origin.
 
     After the reflection the cell is [0,1]^2 and a square containing the
     corner acts as the quadrant x <= u, y <= v for its canonical (u, v).
     """
-    i, j = cell.i, cell.j
-    if corner == 0:
-        return (p.x - i, p.y - j)
-    if corner == 1:
-        return (i + 1 - p.x, p.y - j)
-    if corner == 2:
-        return (p.x - i, j + 1 - p.y)
-    return (i + 1 - p.x, j + 1 - p.y)
+    return _corner_local(p, cell, corner, 1)
 
 
 def canonical_square(q: UnitSquare, cell: GridCell, corner: int) -> tuple[Fraction, Fraction]:
-    """Clipped top-right corner of the square in corner-local coordinates."""
-    i, j = cell.i, cell.j
-    if corner == 0:
-        return (q.tr.x - i, q.tr.y - j)
-    if corner == 1:
-        return (i + 2 - q.tr.x, q.tr.y - j)
-    if corner == 2:
-        return (q.tr.x - i, j + 2 - q.tr.y)
-    return (i + 2 - q.tr.x, j + 2 - q.tr.y)
+    """Clipped top-right corner of the square in corner-local coordinates:
+    the canonical point of its far edge, one unit beyond the cell's."""
+    return _corner_local(q.tr, cell, corner, 2)
 
 
 @dataclass(frozen=True)
@@ -281,7 +278,7 @@ def solve_mmgsc_squares_report(
     sprime: Sequence[Point],
     squares: Sequence[UnitSquare],
 ) -> SquaresReport:
-    cells = grid_partition(points, squares, square_extent)
+    cells = grid_partition(points, squares)
     ids: set[int] = set()
     reports = {}
     max_lp: Fraction | None = None

@@ -25,7 +25,6 @@ from membercover.geometry import (
     cw_angle_cmp,
     linear_inf,
     region_subset,
-    square_extent,
     strictly_feasible,
 )
 
@@ -141,7 +140,7 @@ class TestSandwich:
 
 class TestGridPartition:
     def test_single_cell(self):
-        cells = grid_partition([P("1/2", "1/2")], [UnitSquare(0, P(1, 1))], square_extent)
+        cells = grid_partition([P("1/2", "1/2")], [UnitSquare(0, P(1, 1))])
         assert set(cells) == {GridCell(0, 0)}
         pts, ranges = cells[GridCell(0, 0)]
         assert pts == [P("1/2", "1/2")]
@@ -149,7 +148,7 @@ class TestGridPartition:
 
     def test_square_spanning_two_cells(self):
         sq = UnitSquare(0, P("3/2", 1))
-        cells = grid_partition([P("1/2", "1/2"), P("3/2", "1/2")], [sq], square_extent)
+        cells = grid_partition([P("1/2", "1/2"), P("3/2", "1/2")], [sq])
         assert set(cells) == {GridCell(0, 0), GridCell(1, 0)}
         for cell in cells:
             assert [r.id for r in cells[cell][1]] == [0]
@@ -164,7 +163,7 @@ class TestGridPartition:
             UnitSquare(i, Point(Fraction(rng.randint(-64, 191), 64), Fraction(rng.randint(-64, 191), 64)))
             for i in range(10)
         ]
-        cells = grid_partition(points, squares, square_extent)
+        cells = grid_partition(points, squares)
         assert sum(len(v[0]) for v in cells.values()) == len(points)
         for p in points:
             owners = [c for c in cells if c.i <= p.x < c.i + 1 and c.j <= p.y < c.j + 1]

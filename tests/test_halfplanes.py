@@ -340,6 +340,13 @@ class TestAnchorContext:
             for k in range(4):
                 assert ctx.chains(k) == _reference_chains(ctx, k)
 
+    def test_successor_lists_increase(self):
+        # graph() builds each successor list in vertex order, unsorted
+        for _inst, _anchor, _active, ctx in list(_hand_contexts()) + list(_seeded_contexts()):
+            for k in range(4):
+                for nexts in ctx.graph(k).succ:
+                    assert all(a < b for a, b in zip(nexts, nexts[1:]))
+
     def test_orientation_tests_per_context(self, monkeypatch):
         # an orientation test is one _orient call or one point of a
         # _sign_masks call: at most one per (S point, endpoint) pair for the
@@ -358,7 +365,6 @@ class TestAnchorContext:
         monkeypatch.setattr(hp, "build_segments", recording)
         for points, sprime, planes in (fan_instance(1), halfplane_instance(3)):
             inst = _HalfplaneInstance(points, sprime, planes)
-            inst.line_sides  # per instance, not per anchor
             for idx in range(len(inst.anchors)):
                 del orients[:], masks[:], built[:]
                 inst.context(idx)
@@ -786,24 +792,47 @@ class TestOneInstance:
                     for q in (pts, sp):
                         assert incidence(q, inst.extended) == incidence(q, inst.halfplanes)
 
-    def test_tables_built_once_per_call(self, monkeypatch):
-        import membercover.covers as covers
-        import membercover.halfplanes as hp
+    def test_tables_match_fraction_incidence(self):
+        # the integer sign pass of the instance against Fraction arithmetic
+        cases = [halfplane_instance(seed) for seed in range(200)]
+        cases += [fan_instance(seed) for seed in range(8)]
+        hand_s = HAND_ON_LINES + HAND_OFF_LINES
+        cases += [
+            (hand_s, HAND_ON_LINES + [P(2, 2)], HAND_PLANES),
+            (hand_s, [], HAND_PLANES),
+            ([], HAND_ON_LINES, HAND_PLANES),
+        ]
+        for points, sprime, planes in cases:
+            inst = _HalfplaneInstance(points, sprime, planes)
+            assert inst.s_rows == incidence(points, inst.halfplanes)
+            assert inst.sp_rows == incidence(sprime, inst.halfplanes)
+            for h in inst.extended:
+                values = [h.a * p.x + h.b * p.y + h.c for p in points]
+                nonpos = sum([1 << bit for bit, v in enumerate(values) if v <= 0])
+                online = sum([1 << bit for bit, v in enumerate(values) if v == 0])
+                assert inst.line_sides[h.id] == (nonpos, online)
+            assert [inst.sp_masks[h.id] for h in inst.dummies] == [0] * 4
 
-        # covers.incidence is also reached through covers.covering_incidence
-        calls = _count_calls(monkeypatch, (covers, hp), "incidence")
+    def test_solves_make_no_fraction_containment_test(self, monkeypatch):
+        # every side of a point against a boundary line is an integer sign
+        # test of the instance; Halfplane.contains is left to the oracles
+        cases = (halfplane_instance(4), fan_instance(1))  # samples with contains
+        calls = []
+        contains = Halfplane.contains
 
-        def count(solve, *args):
-            calls.clear()
-            solve(*args)
-            return len(calls)
+        def counting(self, p):
+            calls.append(p)
+            return contains(self, p)
 
-        random4, fan1 = halfplane_instance(4), fan_instance(1)
-        assert count(ptas, *random4, 1) == 2
-        assert count(ptas, *fan1, 1) == 2
-        assert count(exact_mmgsc_halfplanes_report, *random4) == 2
-        assert count(exact_mmgsc_halfplanes_report, *fan1) == 2
-        assert count(min_size_halfplane_cover, random4[0], random4[2]) == 1
+        monkeypatch.setattr(Halfplane, "contains", counting)
+        for points, sprime, planes in cases:
+            ptas(points, sprime, planes, 1)
+            additive_error_cover(points, sprime, planes)
+            exact_mmgsc_halfplanes_report(points, sprime, planes)
+            min_size_halfplane_cover(points, planes)
+        assert calls == []
+        planes[0].contains(points[0])  # the counter does see a test
+        assert len(calls) == 1
 
     def test_ptas_solves_the_size_lp_once(self, monkeypatch):
         import membercover.lp as lpmod

@@ -22,13 +22,13 @@ def test_no_assert_statements():
     assert found == []
 
 
-# covers.incidence is the one point-in-range test of the solvers; the only
-# other `.contains(` calls test a cell corner or an anchor, not a point of
-# S or S'.  Entries are (module, enclosing def, argument source).
+# The solvers test points against ranges with two kernels: covers.incidence
+# for squares, and for halfplanes the integer sign test `_sign_masks` on
+# homogeneous points.  The only other `.contains(` call tests a cell corner,
+# not a point of S or S'.  Entries are (module, enclosing def, argument source).
 CONTAINS_ALLOWED = {
     ("covers.py", "incidence", "p"),
     ("squares.py", "corner_partition", "c"),
-    ("halfplanes.py", "build_segments", "p"),
 }
 SOLVER_MODULES = ("covers.py", "lp.py", "squares.py", "ply.py", "halfplanes.py")
 
@@ -67,12 +67,14 @@ def test_containment_only_through_incidence():
 
 
 def test_halfplane_tables_built_only_by_the_instance():
-    # every halfplane solver reads the S and S' tables of one
-    # _HalfplaneInstance instead of building its own
+    # every halfplane solver reads the S and S' tables and line sides of one
+    # _HalfplaneInstance, built by integer sign passes; an anchor context
+    # signs S only against its own segment endpoints
     path = SRC / "halfplanes.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    scopes = {scope for scope, _arg, _line in _calls(tree, {"incidence", "covering_incidence"})}
-    assert scopes == {"_HalfplaneInstance.__init__"}
+    assert _calls(tree, {"incidence", "covering_incidence"}) == []
+    scopes = {scope for scope, _arg, _line in _calls(tree, {"_sign_masks"})}
+    assert scopes == {"_HalfplaneInstance.__init__", "_AnchorContext.__init__"}
 
 
 def test_no_region_calls_in_halfplanes():
