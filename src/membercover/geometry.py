@@ -1,9 +1,11 @@
 """Exact planar primitives shared by all cover solvers.
 
-Every coordinate is a `fractions.Fraction` and every predicate is decided
-by rational sign tests.  There is no floating-point path anywhere in this
-module; degenerate inputs (shared boundaries, duplicate ranges, collinear
-normals) are therefore handled exactly rather than by epsilon tuning.
+Every coordinate is a `fractions.Fraction`, except the face samples of a
+line arrangement, which are homogeneous integer triples, and every
+predicate is decided by exact sign tests.  There is no floating-point path
+anywhere in this module; degenerate inputs (shared boundaries, duplicate
+ranges, collinear normals) are therefore handled exactly rather than by
+epsilon tuning.
 
 Conventions used throughout the package:
 
@@ -226,47 +228,57 @@ def grid_partition(
 # face sampling of a line arrangement
 # ---------------------------------------------------------------------------
 
-def face_sample_points(lines: Sequence[tuple]) -> list[Point]:
-    """Return rational points hitting the interior of every arrangement face.
+def face_sample_points(lines: Sequence[tuple]) -> list[tuple[int, int, int]]:
+    """Return points hitting the interior of every arrangement face, as
+    homogeneous integer triples (X, Y, W) with W > 0, meaning (X/W, Y/W).
 
     Lines are (a, b, c) triples for ``a*x + b*y + c = 0`` with nonzero
     (a, b).  The construction sweeps vertical slabs between consecutive
     critical abscissas (pairwise intersections plus vertical lines, with
-    sentinels beyond the extremes) and emits midpoints between consecutive
-    ordinates on each slab line.  No returned point lies on an input line.
+    sentinels one unit beyond the extremes) and emits midpoints between
+    consecutive ordinates on each slab line.  Abscissas share the
+    denominator D, the lcm of the intersection determinants (and of |a| for
+    vertical lines), so slab abscissas share 2D; ordinates on a slab share
+    2D * L with L the lcm of the nonzero |b|, so every sample has W = 4DL.
+    Slabs come out increasing and ordinates within a slab increasing, so
+    the samples are in (x, y) order.  No returned point lies on an input
+    line.
     """
     for (a, b, _c) in lines:
         if a == 0 and b == 0:
             raise ValueError("degenerate line with zero normal")
-    xs: set[Fraction] = set()
+    crossings: list[tuple[int, int]] = []  # abscissa as (numerator, denominator)
     for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
-        det = Fraction(a1) * b2 - Fraction(a2) * b1
-        if det == 0:
-            continue
-        xs.add((Fraction(b1) * c2 - Fraction(b2) * c1) / det)
-    for (a, b, c) in lines:
-        if b == 0:
-            xs.add(Fraction(-c, a))
+        det = a1 * b2 - a2 * b1
+        if det != 0:
+            crossings.append((b1 * c2 - b2 * c1, det))
+    crossings += [(-c, a) for (a, b, c) in lines if b == 0]
+    d = math.lcm(*[abs(den) for _num, den in crossings])
+    xs = {num * (d // den) for num, den in crossings}
+    slab_unit = 2 * d  # denominator of the slab abscissas
+    lcm_b = math.lcm(*[abs(b) for (_a, b, _c) in lines if b != 0])
+    y_unit = slab_unit * lcm_b  # denominator of the ordinates on a slab
+    w = 2 * y_unit
+    sloped = [(a, c, lcm_b // b) for (a, b, c) in lines if b != 0]
 
-    def _mid_candidates(values: set[Fraction]) -> list[Fraction]:
+    def mid_candidates(values: set[int], unit: int) -> list[int]:
+        # numerators over 2 * unit of one unit below, the midpoints between
+        # and one unit above the numerators `values` over `unit`
         if not values:
-            return [Fraction(0)]
+            return [0]
         ordered = sorted(values)
-        out = [ordered[0] - 1]
-        out.extend(
-            (lo + hi) / 2 for lo, hi in zip(ordered, ordered[1:])
-        )
-        out.append(ordered[-1] + 1)
+        out = [2 * ordered[0] - 2 * unit]
+        out.extend([lo + hi for lo, hi in zip(ordered, ordered[1:])])
+        out.append(2 * ordered[-1] + 2 * unit)
         return out
 
-    samples: list[Point] = []
-    for x_star in _mid_candidates(xs):
-        ys: set[Fraction] = set()
-        for (a, b, c) in lines:
-            if b != 0:
-                ys.add(Fraction(-(a * x_star + c), b))
-        for y_star in _mid_candidates(ys):
-            samples.append(Point(x_star, y_star))
+    samples: list[tuple[int, int, int]] = []
+    for x_num in mid_candidates(xs, d):
+        # on x = x_num / slab_unit the line meets y = -(a x + c) / b
+        ys = {-(a * x_num + c * slab_unit) * scale for (a, c, scale) in sloped}
+        x = x_num * 2 * lcm_b
+        for y in mid_candidates(ys, y_unit):
+            samples.append((x, y, w))
     return samples
 
 

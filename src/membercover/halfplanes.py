@@ -11,7 +11,9 @@ graph has a cycle winding exactly once around a guessed interior point.
 Winding is counted combinatorially, as crossings of a reference ray, so
 irrational angle sums never appear: every edge subtends an arc smaller
 than a halfturn, hence a cycle's crossing count equals its winding
-number.
+number.  The polygon's hosts are the cover returned and all lie outside
+the guessed point, so only faces whose outside halfplanes cover the
+mandatory points are searched.
 
 All hot predicates run on homogeneous integer coordinates.
 """
@@ -494,23 +496,29 @@ class _HalfplaneInstance:
         return quiet_cover(self.points, self.s_rows, self.sp_rows, self.halfplanes)
 
     @cached_property
-    def small_options(self) -> list[tuple[int, int, tuple[int, ...]]]:
-        """Covers of size <= 3 as (membership, size, ids), sorted.
+    def small_option(self) -> tuple[int, int, tuple[int, ...]] | None:
+        """The least cover of size <= 3 as (membership, size, ids), if any.
 
         Any valid solution whose irreducible closure spans the whole plane
         leaves a cover of at most three instance halfplanes once the
         dummies are stripped, so scanning these small subsets completes
         the non-polygonal side of the decision.
         """
-        opts = []
+        # combinations come out in (size, ids) order, the halfplanes being
+        # id-sorted, and no cover has membership 0 without a quiet cover;
+        # so the first cover at that floor is the least option
+        floor = 0 if self.quiet_cover is not None else 1
+        best = None
         for size in (1, 2, 3):
             for combo in combinations(range(len(self.halfplanes)), size):
                 chosen = sum([1 << j for j in combo])
                 if first_uncovered(self.points, self.s_rows, chosen) is None:
-                    ids = tuple([self.halfplanes[j].id for j in combo])
-                    opts.append((depth(self.sp_rows, chosen), size, ids))
-        opts.sort()
-        return opts
+                    memb = depth(self.sp_rows, chosen)
+                    if best is None or memb < best[0]:
+                        best = (memb, size, tuple([self.halfplanes[j].id for j in combo]))
+                        if memb <= floor:
+                            return best
+        return best
 
     @cached_property
     def plane_covers(self) -> list[tuple[Halfplane, ...]]:
@@ -531,24 +539,34 @@ class _HalfplaneInstance:
     @cached_property
     def anchors(self) -> list[tuple[Point, tuple[bool, ...]]]:
         """One sample per face inside the dummy box, with its face: entry i
-        tells whether it lies outside extended[i] (no sample is on a line)."""
+        tells whether it lies outside extended[i] (no sample is on a line).
+        The samples come in (x, y) order, so each face keeps its least one."""
         lines = [h.line() for h in self.extended]
-        samples = sorted(
-            (
-                p
-                for p in face_sample_points(lines)
-                if abs(p.x) < self.delta and abs(p.y) < self.delta
-            ),
-            key=lambda p: (p.x, p.y),
-        )
         seen: set[tuple[bool, ...]] = set()
         chosen = []
-        for p in samples:
-            x, y, w = _hpt(p)
+        for x, y, w in face_sample_points(lines):
+            bound = self.delta * w
+            if not (-bound < x < bound and -bound < y < bound):
+                continue
             outside = tuple([a * x + b * y + c * w < 0 for (a, b, c) in lines])
             if outside not in seen:
                 seen.add(outside)
-                chosen.append((p, outside))
+                chosen.append((Point(Fraction(x, w), Fraction(y, w)), outside))
+        return chosen
+
+    @cached_property
+    def covering_anchors(self) -> list[int]:
+        """Indices of the anchors whose outside halfplanes cover S.  A cycle's
+        hosts are the cover it returns and all lie outside its anchor, so
+        no other anchor holds a cycle."""
+        full = (1 << len(self.points)) - 1
+        chosen = []
+        for idx, (_p, outside) in enumerate(self.anchors):
+            covered = 0
+            for column in compress(self.s_columns, outside):  # dummies cover nothing
+                covered |= column
+            if covered == full:
+                chosen.append(idx)
         return chosen
 
     def context(self, idx: int) -> _AnchorContext:
@@ -573,9 +591,10 @@ class _HalfplaneInstance:
         if k == 0:
             return None  # zero membership needs a cover by quiet halfplanes
 
-        for memb, _size, ids in self.small_options:
-            if memb <= k:
-                return ExactSolveReport(CoverSolution(ids, memb), k, "small", None)
+        small = self.small_option
+        if small is not None and small[0] <= k:
+            memb, _size, ids = small
+            return ExactSolveReport(CoverSolution(ids, memb), k, "small", None)
 
         mc = self.min_cover
         if len(mc) <= k:
@@ -584,7 +603,7 @@ class _HalfplaneInstance:
                 raise RuntimeError("a cover of size <= k has membership above k")
             return ExactSolveReport(cover, k, "minsize", None)
 
-        for idx in range(len(self.anchors)):
+        for idx in self.covering_anchors:
             ctx = self.context(idx)
             graph = ctx.graph(k)
             cycle = find_winding_cycle(graph)

@@ -115,6 +115,47 @@ def strict_feasible_lp(cons) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# face sampling of a line arrangement in Fraction, the reference for the
+# integer sampler
+# ---------------------------------------------------------------------------
+
+def face_sample_points_reference(lines) -> list[Point]:
+    """Points hitting the interior of every face of the arrangement of the
+    (a, b, c) lines, in (x, y) order: midpoints between consecutive
+    ordinates on vertical lines midway between consecutive critical
+    abscissas, with sentinels one unit beyond the extremes, all in
+    Fraction.  The reference for `geometry.face_sample_points`."""
+    xs: set[Fraction] = set()
+    for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
+        det = Fraction(a1) * b2 - Fraction(a2) * b1
+        if det == 0:
+            continue
+        xs.add((Fraction(b1) * c2 - Fraction(b2) * c1) / det)
+    for (a, b, c) in lines:
+        if b == 0:
+            xs.add(Fraction(-c, a))
+
+    def mid_candidates(values: set[Fraction]) -> list[Fraction]:
+        if not values:
+            return [Fraction(0)]
+        ordered = sorted(values)
+        out = [ordered[0] - 1]
+        out.extend((lo + hi) / 2 for lo, hi in zip(ordered, ordered[1:]))
+        out.append(ordered[-1] + 1)
+        return out
+
+    samples: list[Point] = []
+    for x_star in mid_candidates(xs):
+        ys: set[Fraction] = set()
+        for (a, b, c) in lines:
+            if b != 0:
+                ys.add(Fraction(-(a * x_star + c), b))
+        for y_star in mid_candidates(ys):
+            samples.append(Point(x_star, y_star))
+    return samples
+
+
+# ---------------------------------------------------------------------------
 # fractional covers for the bucket-membership bound (criterion 5)
 # ---------------------------------------------------------------------------
 

@@ -28,7 +28,12 @@ from membercover.geometry import (
     strictly_feasible,
 )
 
-from conftest import strict_feasible_lp
+from conftest import (
+    face_sample_points_reference,
+    fan_instance,
+    halfplane_instance,
+    strict_feasible_lp,
+)
 
 
 def P(x, y):
@@ -203,55 +208,82 @@ def _face_count_oracle(lines):
     return 1 + len(distinct) + sum(len(ls) - 1 for ls in vertices.values())
 
 
+def _face_sample_cases():
+    """Hand-picked degenerate arrangements, then 12 seeded random ones of
+    one to six lines, zero normals dropped."""
+    cases = [
+        [(0, 1, 0), (0, 1, -1), (0, 1, 2)],            # parallel stack
+        [(0, 1, 0), (1, 0, 0), (1, 1, 0)],              # concurrent triple
+        [(1, 0, 0), (1, 0, -1), (0, 1, 0), (0, 1, -1)],  # grid
+        [(1, 0, 0), (1, 0, 0), (0, 1, 5)],              # duplicate line
+        [(1, 2, 3), (2, 4, 6), (1, -1, 0), (0, 1, -2)],  # scaled duplicate
+    ]
+    rng = random.Random(17)
+    for _ in range(12):
+        n = rng.randint(1, 6)
+        cases.append(
+            [
+                (rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
+                for _ in range(n)
+            ]
+        )
+    for lines in cases:
+        lines = [l for l in lines if (l[0], l[1]) != (0, 0)]
+        if lines:
+            yield lines
+
+
+def _face_signs(lines, samples):
+    """The sign vector of each homogeneous sample, asserting W > 0 and that
+    no sample lies on a line."""
+    sigs = set()
+    for (x, y, w) in samples:
+        assert w > 0
+        values = [a * x + b * y + c * w for (a, b, c) in lines]
+        assert 0 not in values
+        sigs.add(tuple([v > 0 for v in values]))
+    return sigs
+
+
 class TestFaceSamples:
     def test_one_line_two_sides(self):
         pts = face_sample_points([(0, 1, 0)])
-        assert any(p.y > 0 for p in pts) and any(p.y < 0 for p in pts)
+        assert all(w > 0 for _x, _y, w in pts)
+        assert any(y > 0 for _x, y, _w in pts) and any(y < 0 for _x, y, _w in pts)
 
     def test_two_lines_four_quadrants(self):
         pts = face_sample_points([(0, 1, 0), (1, 0, 0)])
-        signs = {(p.x > 0, p.y > 0) for p in pts}
+        assert all(w > 0 for _x, _y, w in pts)
+        signs = {(x > 0, y > 0) for x, y, _w in pts}
         assert len(signs) == 4
 
     def test_five_general_lines_sixteen_faces(self):
         lines = [(1, 1, 0), (1, -2, 3), (2, 1, -5), (1, 3, 7), (3, -1, -1)]
         assert _face_count_oracle(lines) == 16
-        pts = face_sample_points(lines)
-        sigs = set()
-        for p in pts:
-            for (a, b, c) in lines:
-                assert a * p.x + b * p.y + c != 0
-            sigs.add(tuple(a * p.x + b * p.y + c > 0 for (a, b, c) in lines))
-        assert len(sigs) == 16
+        assert len(_face_signs(lines, face_sample_points(lines))) == 16
 
     def test_degenerate_arrangements_up_to_six(self):
-        cases = [
-            [(0, 1, 0), (0, 1, -1), (0, 1, 2)],            # parallel stack
-            [(0, 1, 0), (1, 0, 0), (1, 1, 0)],              # concurrent triple
-            [(1, 0, 0), (1, 0, -1), (0, 1, 0), (0, 1, -1)],  # grid
-            [(1, 0, 0), (1, 0, 0), (0, 1, 5)],              # duplicate line
-            [(1, 2, 3), (2, 4, 6), (1, -1, 0), (0, 1, -2)],  # scaled duplicate
-        ]
-        rng = random.Random(17)
-        for _ in range(12):
-            n = rng.randint(1, 6)
-            cases.append(
-                [
-                    (rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
-                    for _ in range(n)
-                ]
-            )
-        for lines in cases:
-            lines = [l for l in lines if (l[0], l[1]) != (0, 0)]
-            if not lines:
-                continue
-            pts = face_sample_points(lines)
-            sigs = set()
-            for p in pts:
-                for (a, b, c) in lines:
-                    assert a * p.x + b * p.y + c != 0
-                sigs.add(tuple(a * p.x + b * p.y + c > 0 for (a, b, c) in lines))
+        for lines in _face_sample_cases():
+            sigs = _face_signs(lines, face_sample_points(lines))
             assert len(sigs) == _face_count_oracle(lines)
+
+    def test_integer_samples_match_fraction_reference(self):
+        # the same points in the same order as the Fraction construction, on
+        # the cases above, on seeded systems with duplicate, scaled, negated,
+        # parallel and concurrent lines, and on the halfplanes of the solver
+        # test instances
+        cases = [[(1, 1, 0), (1, -2, 3), (2, 1, -5), (1, 3, 7), (3, -1, -1)]]
+        cases += list(_face_sample_cases())
+        cases += [[h.line() for h in _seeded_system(seed)] for seed in range(240)]
+        cases += [[h.line() for h in fan_instance(seed)[2]] for seed in range(4)]
+        cases += [[h.line() for h in halfplane_instance(seed)[2]] for seed in range(20)]
+        for lines in cases:
+            got = [
+                Point(Fraction(x, w), Fraction(y, w))
+                for x, y, w in face_sample_points(lines)
+            ]
+            assert got == face_sample_points_reference(lines), lines
+        assert len(cases) > 200
 
 
 # (constraints, strictly feasible?) for a*x + b*y + c > 0

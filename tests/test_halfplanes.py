@@ -131,6 +131,13 @@ class TestBuildSegments:
         with pytest.raises(AnchorOnLine):
             build_segments([Halfplane(0, 1, 0, 0), Halfplane(1, 0, 1, -1)], P(0, -1))
 
+    def test_active_halfplane_holding_the_anchor_rejected(self):
+        # x >= 0 holds (1, -1) strictly: the anchor must lie outside every
+        # active halfplane
+        with pytest.raises(ValueError, match="contains the anchor") as caught:
+            build_segments([Halfplane(0, 0, 1, -1), Halfplane(1, 1, 0, 0)], P(1, -1))
+        assert not isinstance(caught.value, AnchorOnLine)
+
     def test_counts_match_per_line_oracle(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -374,6 +381,58 @@ class TestAnchorContext:
                 assert tests <= len(points) * len(endpoints) + len(segments)
 
 
+class TestCoveringAnchors:
+    def test_skipped_anchors_hold_no_cycle(self):
+        # an anchor whose outside halfplanes miss a point of S has no cycle
+        # at any k; the covering set is checked against Halfplane.contains
+        cases = [(HAND_ON_LINES + HAND_OFF_LINES, [P(2, 2)], HAND_PLANES)]
+        cases += [fan_instance(seed) for seed in range(3)]
+        cases += [halfplane_instance(seed) for seed in range(12)]
+        skipped = 0
+        for points, sprime, planes in cases:
+            inst = _HalfplaneInstance(points, sprime, planes)
+            expected = [
+                idx
+                for idx, (anchor, _outside) in enumerate(inst.anchors)
+                if all(any(h.contains(q) and not h.contains(anchor) for h in planes) for q in points)
+            ]
+            assert inst.covering_anchors == expected
+            for idx in range(len(inst.anchors)):
+                if idx in expected:
+                    continue
+                skipped += 1
+                ctx = inst.context(idx)
+                for k in range(4):
+                    assert find_winding_cycle(ctx.graph(k)) is None
+        assert skipped > 100
+
+    def test_fan_solves_build_contexts_only_at_covering_anchors(self, monkeypatch):
+        import membercover.halfplanes as hp
+
+        built = []
+        raw_init = hp._AnchorContext.__init__
+
+        def recording(self, anchor, active, inst):
+            built.append((anchor, inst))
+            raw_init(self, anchor, active, inst)
+
+        monkeypatch.setattr(hp._AnchorContext, "__init__", recording)
+        paths = []
+        for seed in range(8):
+            points, sprime, planes = fan_instance(seed)
+            del built[:]
+            report = exact_mmgsc_halfplanes_report(points, sprime, planes)
+            paths.append(report.path)
+            if report.path != "cycle":
+                assert built == []  # a quiet solve never reaches the anchors
+                continue
+            # only the face outside every halfplane covers the tangency points
+            ((anchor, inst),) = built
+            assert len(inst.anchors) > 1
+            assert [inst.anchors[idx][0] for idx in inst.covering_anchors] == [anchor]
+        assert paths.count("cycle") == 6
+
+
 class TestDecideMembership:
     def test_empty_points(self):
         cover = decide_membership([], [P(0, 0)], BOX, 0)
@@ -414,7 +473,7 @@ class TestDecideMembership:
         monkeypatch.setattr(Halfplane, "contains", counting)
         assert decider.uncovered is None
         assert decider.quiet_cover is None
-        assert len(decider.small_options) == 27
+        assert decider.small_option == (1, 1, (6,))
         assert calls == []
 
 

@@ -52,6 +52,21 @@ def _calls(tree, names):
     return found
 
 
+def _defs(tree):
+    """Dotted names of every def and class, as `_calls` names scopes."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
 def test_containment_only_through_incidence():
     found, live = [], set()
     for name in SOLVER_MODULES:
@@ -84,6 +99,25 @@ def test_no_region_calls_in_halfplanes():
     tree = ast.parse(path.read_text(), filename=str(path))
     names = {"complement_region", "region_subset", "union_compare", "region_from_constraints"}
     assert _calls(tree, names) == []
+
+
+def test_face_sampling_on_integers():
+    # the arrangement's face samples are integer triples over a common
+    # denominator, and the anchors sign them as they come; nested defs
+    # count as their enclosing function
+    for name, scope, banned in (
+        ("geometry.py", "face_sample_points", "Fraction"),
+        ("halfplanes.py", "_HalfplaneInstance.anchors", "_hpt"),
+    ):
+        path = SRC / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert scope in _defs(tree)  # the rule still names a live function
+        inside = [
+            line
+            for s, _arg, line in _calls(tree, {banned})
+            if s == scope or s.startswith(scope + ".")
+        ]
+        assert inside == []
 
 
 def test_no_tuple_of_generator():
