@@ -1,6 +1,11 @@
-"""Shared solution types, errors and the point-to-range incidence table:
-the solvers' one point-in-range test, on whose rows coverage, membership
-and quiet sets are bit arithmetic under a `chosen` bitmask of positions."""
+"""Shared solution types, errors and the point-to-range incidence table,
+on whose rows coverage, membership and quiet sets are bit arithmetic under
+a `chosen` bitmask of positions.
+
+`incidence` is the generic table: one `range.contains(point)` call per
+pair.  The solvers build the same tables with their own integer kernels
+(`squares.square_tables`, and `_sign_masks` in `halfplanes`), and the
+tests compare those against it."""
 
 from __future__ import annotations
 
@@ -33,14 +38,11 @@ def incidence(points: Sequence[Point], ranges: Sequence) -> list[int]:
     return rows
 
 
-def covering_incidence(points: Sequence[Point], ranges: Sequence) -> list[int]:
-    """`incidence(points, ranges)` once every point lies in some range;
-    otherwise Uncoverable names the first point that does not."""
-    rows = incidence(points, ranges)
+def check_covered(points: Sequence[Point], rows: Sequence[int]) -> None:
+    """Raise Uncoverable naming the first point whose incidence row is empty."""
     missing = first_uncovered(points, rows, ALL)
     if missing is not None:
         raise Uncoverable(missing)
-    return rows
 
 
 def mask_of(ids, ranges: Sequence) -> int:

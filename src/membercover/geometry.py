@@ -1,11 +1,14 @@
 """Exact planar primitives shared by all cover solvers.
 
-Every coordinate is a `fractions.Fraction`, except the face samples of a
-line arrangement, which are homogeneous integer triples, and every
-predicate is decided by exact sign tests.  There is no floating-point path
-anywhere in this module; degenerate inputs (shared boundaries, duplicate
-ranges, collinear normals) are therefore handled exactly rather than by
-epsilon tuning.
+Input coordinates are `fractions.Fraction`s.  The squares solvers move
+them onto one integer grid: `grid_unit` gives the lcm D of their
+denominators and `on_grid` the integers D*x and D*y, so a unit square with
+top-right corner (U, V) on that grid is the box U - D <= X <= U,
+V - D <= Y <= V.  The face samples of a line arrangement are homogeneous
+integer triples.  Every predicate is decided by exact sign tests or integer
+comparisons.  There is no floating-point path anywhere in this module;
+degenerate inputs (shared boundaries, duplicate ranges, collinear normals)
+are therefore handled exactly rather than by epsilon tuning.
 
 Conventions used throughout the package:
 
@@ -74,10 +77,6 @@ class UnitSquare:
             and self.tr.y - 1 <= p.y <= self.tr.y
         )
 
-    def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """Closed bounding box (xmin, ymin, xmax, ymax); equals the square."""
-        return (self.tr.x - 1, self.tr.y - 1, self.tr.x, self.tr.y)
-
 
 @dataclass(frozen=True, slots=True)
 class Halfplane:
@@ -123,20 +122,28 @@ class GridCell:
             Point(i + 1, j + 1),
         )
 
-    def closed_intersects_bbox(
-        self, bbox: tuple[Fraction, Fraction, Fraction, Fraction]
-    ) -> bool:
-        xmin, ymin, xmax, ymax = bbox
-        return (
-            xmin <= self.i + 1
-            and xmax >= self.i
-            and ymin <= self.j + 1
-            and ymax >= self.j
-        )
-
 
 def cell_of_point(p: Point) -> GridCell:
-    return GridCell(math.floor(p.x), math.floor(p.y))
+    return GridCell(p.x.numerator // p.x.denominator, p.y.numerator // p.y.denominator)
+
+
+# ---------------------------------------------------------------------------
+# the integer grid of a squares instance
+# ---------------------------------------------------------------------------
+
+def grid_unit(points: Iterable[Point]) -> int:
+    """D: the least positive integer with D*x and D*y integers for every
+    point; 1 without points."""
+    return math.lcm(*{c.denominator for p in points for c in (p.x, p.y)})
+
+
+def on_grid(points: Iterable[Point], d: int) -> list[tuple[int, int]]:
+    """(D*x, D*y) of each point, as integers; `d` is a multiple of
+    `grid_unit(points)`."""
+    return [
+        (p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
+        for p in points
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +207,11 @@ def grid_partition(
     """Split an instance over the unit grid.
 
     Each point lands in exactly one cell (half-open rule); each range is
-    attached to every cell whose closed square meets the range's closed
-    bounding box.  Cells without points are omitted, since they need no
-    cover.
+    attached to every cell whose closed square meets the closed range.
+    Cells without points are omitted, since they need no cover.
+
+    The closed cell [i, i+1] meets the square [u-1, u] iff u-1 <= i+1 and
+    i <= u, that is iff ceil(u) - 2 <= i <= floor(u), and likewise in y.
     """
     cells: dict[GridCell, tuple[list[Point], list[UnitSquare]]] = {}
     for p in points:
@@ -211,15 +220,13 @@ def grid_partition(
             cells[cell] = ([], [])
         cells[cell][0].append(p)
     for r in ranges:
-        xmin, ymin, xmax, ymax = r.bbox()
-        i_lo = math.ceil(xmin) - 1
-        i_hi = math.floor(xmax)
-        j_lo = math.ceil(ymin) - 1
-        j_hi = math.floor(ymax)
-        for i in range(i_lo, i_hi + 1):
-            for j in range(j_lo, j_hi + 1):
+        u, v = r.tr.x, r.tr.y
+        un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
+        # floor(n/d) is n // d and ceil(n/d) is -(-n // d)
+        for i in range(-(-un // ud) - 2, un // ud + 1):
+            for j in range(-(-vn // vd) - 2, vn // vd + 1):
                 cell = GridCell(i, j)
-                if cell in cells and cell.closed_intersects_bbox((xmin, ymin, xmax, ymax)):
+                if cell in cells:
                     cells[cell][1].append(r)
     return cells
 

@@ -6,9 +6,11 @@ eligible index for both entering and leaving variables) guarantees
 termination and makes runs reproducible.
 
 The arithmetic is fraction-free (Edmonds' integer-preserving pivoting).
-The rows are built once over `fractions.Fraction`; from then on every
-tableau row, the reduced-cost row included, is a list of Python ints
-equal to the rational row times an implicit positive scale.  A pivot
+Every tableau row, the reduced-cost row included, is a list of Python ints
+equal to the rational row times an implicit positive scale.  A row is
+built as ints straight from its constraint: the coefficients and the rhs
+times the lcm of their denominators, the slack at plus or minus that lcm
+and the artificial at the lcm, divided by the gcd of the entries.  A pivot
 cross-multiplies instead of dividing and then divides each changed row by
 the gcd of its entries, which keeps the integers small.  Scaling a row by
 a positive constant changes no sign and no ratio rhs/a, and ratios are
@@ -104,12 +106,6 @@ def _reduce(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def _to_ints(row: Sequence[Fraction]) -> list[int]:
-    """Integer row equal to the rational one times a positive scale."""
-    scale = math.lcm(*[v.denominator for v in row])
-    return _reduce([v.numerator * (scale // v.denominator) for v in row])
-
-
 def _eliminate(trow: list[int], prow: list[int], col: int) -> list[int]:
     """`trow` with column `col` cleared against `prow`, whose entry there is
     positive; the result keeps a positive scale."""
@@ -168,61 +164,65 @@ def _price_out(cost: list[int], tableau: list[list[int]], basis: list[int]) -> l
     return cost
 
 
-def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Exact optimum (or infeasible/unbounded status) of a LinearProgram."""
-    rows: list[tuple[list[Fraction], str, Fraction]] = [
-        (list(r.coeffs), r.rel, r.rhs) for r in lp.rows
-    ]
+def _scaled(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[int], int, int]:
+    """Integer coefficients and rhs equal to the rational ones times the
+    lcm of their denominators, and that lcm."""
+    scale = math.lcm(rhs.denominator, *[c.denominator for c in coeffs])
+    return (
+        [c.numerator * (scale // c.denominator) for c in coeffs],
+        rhs.numerator * (scale // rhs.denominator),
+        scale,
+    )
+
+
+def _initial_tableau(lp: LinearProgram) -> tuple[list[list[int]], list[int], list[int], int]:
+    """The phase-1 tableau as integer rows, its basis, the artificial
+    columns and the column count.
+
+    One row per constraint, then one per upper bound, each normalized to a
+    nonnegative rhs.  Columns: structural | one slack or surplus per
+    inequality | one artificial per row lacking a natural basic column.
+    """
+    n = lp.n_vars
+    rows = [_scaled(r.coeffs, r.rhs) + (r.rel,) for r in lp.rows]
     for i, ub in enumerate(lp.upper_bounds):
         if ub is not None:
-            coeffs = [Fraction(0)] * lp.n_vars
-            coeffs[i] = Fraction(1)
-            rows.append((coeffs, REL_LE, ub))
+            coeffs = [0] * n
+            coeffs[i] = ub.denominator
+            rows.append((coeffs, ub.numerator, ub.denominator, REL_LE))
+    for r, (coeffs, rhs, scale, rel) in enumerate(rows):
+        if rhs < 0:
+            flipped = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}[rel]
+            rows[r] = ([-c for c in coeffs], -rhs, scale, flipped)
 
     m = len(rows)
-    n = lp.n_vars
-    # normalize rhs >= 0, then add one slack/surplus per inequality and
-    # one artificial per row lacking a natural basic column
-    norm_rows = []
-    for coeffs, rel, rhs in rows:
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            rel = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}[rel]
-        norm_rows.append((coeffs, rel, rhs))
-
-    # columns: structural | slacks | artificials
-    col = n
+    n_slacks = sum(1 for *_, rel in rows if rel != REL_EQ)
+    n_cols = n + n_slacks + sum(1 for *_, rel in rows if rel != REL_LE)
     tableau: list[list[int]] = []
     basis: list[int] = [-1] * m
-    slack_of_row: list[int | None] = [None] * m
-    for r, (coeffs, rel, rhs) in enumerate(norm_rows):
+    artificials: list[int] = []
+    slack, art = n, n + n_slacks
+    for r, (coeffs, rhs, scale, rel) in enumerate(rows):
+        trow = coeffs + [0] * (n_cols - n) + [rhs]
         if rel != REL_EQ:
-            slack_of_row[r] = col
-            col += 1
-    art_of_row: list[int | None] = [None] * m
-    for r, (coeffs, rel, rhs) in enumerate(norm_rows):
-        needs_artificial = rel == REL_EQ or rel == REL_GE
-        if needs_artificial:
-            art_of_row[r] = col
-            col += 1
-    n_cols = col
+            trow[slack] = scale if rel == REL_LE else -scale
+            basis[r] = slack
+            slack += 1
+        if rel != REL_LE:
+            trow[art] = scale
+            basis[r] = art
+            artificials.append(art)
+            art += 1
+        tableau.append(_reduce(trow))
+    return tableau, basis, artificials, n_cols
 
-    for r, (coeffs, rel, rhs) in enumerate(norm_rows):
-        trow = [Fraction(0)] * (n_cols + 1)
-        for j, c in enumerate(coeffs):
-            trow[j] = c
-        if slack_of_row[r] is not None:
-            trow[slack_of_row[r]] = Fraction(1) if rel == REL_LE else Fraction(-1)
-        if art_of_row[r] is not None:
-            trow[art_of_row[r]] = Fraction(1)
-            basis[r] = art_of_row[r]
-        else:
-            basis[r] = slack_of_row[r]
-        trow[-1] = rhs
-        tableau.append(_to_ints(trow))
 
-    artificials = [a for a in art_of_row if a is not None]
+def solve_lp(lp: LinearProgram) -> LPSolution:
+    """Exact optimum (or infeasible/unbounded status) of a LinearProgram."""
+    n = lp.n_vars
+    tableau, basis, artificials, n_cols = _initial_tableau(lp)
+    m = len(tableau)
+
     if artificials:
         cost = [0] * (n_cols + 1)
         for a in artificials:
@@ -256,7 +256,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             for a in artificials:
                 trow[a] = 0
 
-    cost = _to_ints(list(lp.objective) + [Fraction(0)] * (n_cols + 1 - n))
+    objective, _, _ = _scaled(lp.objective, 0)
+    cost = _reduce(objective + [0] * (n_cols + 1 - n))
     cost = _price_out(cost, tableau, basis)
     status = _simplex_phase(tableau, basis, cost, n_cols)
     if status == UNBOUNDED:
@@ -266,8 +267,9 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     for trow, b in zip(tableau, basis):
         if b < n:
             assignment[b] = Fraction(trow[-1], trow[b])
+    # most weights of a cover program are 0, and so are most of its costs
     value = sum(
-        (c * v for c, v in zip(lp.objective, assignment)), start=Fraction(0)
+        [c * v for c, v in zip(lp.objective, assignment) if c and v], start=Fraction(0)
     )
     return LPSolution(OPTIMAL, value, tuple(assignment))
 

@@ -10,16 +10,19 @@ the exact quadrant greedy per bucket.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from . import lp as lpmod
 from . import squares as squaresmod
-from .covers import CoverSolution, covering_incidence
+from .covers import CoverSolution, check_covered
 from .geometry import (
     GridCell,
     Point,
     UnitSquare,
     grid_partition,
+    grid_unit,
+    on_grid,
 )
 # nothing in this module calls quadrant_greedy_cover; the name stays only
 # because perfbench/tracing.py patches ply.quadrant_greedy_cover and raises
@@ -47,8 +50,14 @@ def ply(squares: Sequence[UnitSquare]) -> PlyReport:
     closes at equal y, and keeps a point only when it is strictly deeper
     than the best so far.  So the witness is the lexicographically first
     (x, y) of maximum depth.  O(m^2 log m) for m squares.
+
+    The sweep runs on the integer grid of unit D: a square with top-right
+    corner (U, V) is the box (U - D, U, V - D, V), and only the witness
+    goes back to Fractions.
     """
-    boxes = sorted((q.tr.x - 1, q.tr.x, q.tr.y - 1, q.tr.y) for q in squares)
+    corners = [q.tr for q in squares]
+    d = grid_unit(corners)
+    boxes = sorted([(u - d, u, v - d, v) for u, v in on_grid(corners, d)])
     best = 0
     witness = None
     for x in sorted({box[0] for box in boxes}):
@@ -68,7 +77,9 @@ def ply(squares: Sequence[UnitSquare]) -> PlyReport:
             depth += 1
             if depth > best:
                 best = depth
-                witness = Point(x, y)
+                witness = (x, y)
+    if witness is not None:
+        witness = Point(Fraction(witness[0], d), Fraction(witness[1], d))
     return PlyReport(best, witness)
 
 
@@ -87,7 +98,8 @@ def min_size_cell_cover_approx(
     """
     if not points:
         return CoverSolution((), 0)
-    s_rows = covering_incidence(points, squares)
+    (s_rows,) = squaresmod.square_tables(squares, points)
+    check_covered(points, s_rows)
     program = lpmod.build_size_lp(s_rows, len(squares))
     _, chosen = squaresmod.round_cell_lp(points, s_rows, squares, cell, program)
     return CoverSolution(tuple(sorted({i for ids in chosen for i in ids})), 0)

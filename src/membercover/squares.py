@@ -7,21 +7,32 @@ corner bucket to a staircase of dominance-maximal squares, and cover it
 with an exactly optimal quadrant greedy.  A cover found this way exceeds
 the LP load by at most an additive 2 per bucket, which yields the
 16*y + 8 per-cell bound and a constant factor overall.
+
+Every square predicate is decided on Python ints.  Each call moves its
+points and square corners onto one integer grid (`geometry.grid_unit`,
+`geometry.on_grid`): a point becomes (X, Y), a square its top-right
+corner (U, V), and the square contains the point iff U - D <= X <= U and
+V - D <= Y <= V.  `square_tables` builds every S and S' table of the
+squares solvers with that one test.  Corner-local coordinates are one
+integer subtraction, and the corner split reads the LP weights over their
+common denominator.  `Fraction` remains only at the boundary: the input,
+the LP solution and the reports.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import lp as lpmod
 from .covers import (
+    ALL,
     CoverSolution,
     Uncoverable,
-    covering_incidence,
-    incidence,
-    membership,
+    check_covered,
+    depth,
     quiet_cover,
 )
 from .geometry import (
@@ -30,6 +41,8 @@ from .geometry import (
     UnitSquare,
     cell_of_point,
     grid_partition,
+    grid_unit,
+    on_grid,
 )
 
 
@@ -40,30 +53,65 @@ class SquareWithoutCorner(ValueError):
 N_CORNERS = 4  # priority order: bottom-left, bottom-right, top-left, top-right
 
 
-def _corner_local(p: Point, cell: GridCell, corner: int, reach: int) -> tuple[Fraction, Fraction]:
-    """p with the corner at the origin: an axis flipped by the corner maps
-    to (cell index + reach) - coordinate, the other to coordinate - index.
-    The integer offset is folded first, one Fraction operation per axis."""
-    i, j = cell.i, cell.j
+def square_tables(
+    squares: Sequence[UnitSquare], *point_lists: Sequence[Point]
+) -> list[list[int]]:
+    """One incidence table per point list over `squares`: row i is the
+    bitmask of the positions of the squares that contain the list's i-th
+    point, as `covers.incidence` would give, decided on one integer grid."""
+    corners = [q.tr for q in squares]
+    d = grid_unit(corners + [p for pts in point_lists for p in pts])
+    boxes = [(1 << pos, u - d, u, v - d, v) for pos, (u, v) in enumerate(on_grid(corners, d))]
+    tables = []
+    for pts in point_lists:
+        rows = []
+        for x, y in on_grid(pts, d):
+            row = 0
+            for bit, left, right, bottom, top in boxes:
+                if left <= x <= right and bottom <= y <= top:
+                    row |= bit
+            rows.append(row)
+        tables.append(rows)
+    return tables
+
+
+def _corner_local(
+    xy: tuple[int, int], cell: GridCell, corner: int, reach: int, d: int
+) -> tuple[int, int]:
+    """Grid point xy with the corner at the origin: an axis flipped by the
+    corner maps to (cell index + reach) * D - coordinate, the other to
+    coordinate - index * D.  `reach` is 1 for points and 2 for square
+    corners, the far edge of a square being one unit beyond the cell's."""
+    x, y = xy
     return (
-        i + reach - p.x if corner & 1 else p.x - i,
-        j + reach - p.y if corner & 2 else p.y - j,
+        (cell.i + reach) * d - x if corner & 1 else x - cell.i * d,
+        (cell.j + reach) * d - y if corner & 2 else y - cell.j * d,
     )
 
 
-def canonical_point(p: Point, cell: GridCell, corner: int) -> tuple[Fraction, Fraction]:
-    """Map a point into corner-local coordinates with the corner at the origin.
+def _staircase(
+    squares: Sequence[UnitSquare], cell: GridCell, corner: int, d: int
+) -> list[tuple[int, int, UnitSquare]]:
+    """(u, v, square) of the dominance-maximal squares, by id, with (u, v)
+    the square's canonical corner on the grid of unit d.
 
-    After the reflection the cell is [0,1]^2 and a square containing the
-    corner acts as the quadrant x <= u, y <= v for its canonical (u, v).
+    After the reflection the cell is [0, D]^2 and a square containing the
+    corner acts as the quadrant x <= u, y <= v, so Q is dominated by Q' iff
+    u <= u' and v <= v'.  Exact duplicates keep the lowest id.
     """
-    return _corner_local(p, cell, corner, 1)
-
-
-def canonical_square(q: UnitSquare, cell: GridCell, corner: int) -> tuple[Fraction, Fraction]:
-    """Clipped top-right corner of the square in corner-local coordinates:
-    the canonical point of its far edge, one unit beyond the cell's."""
-    return _corner_local(q.tr, cell, corner, 2)
+    decorated = [
+        _corner_local(uv, cell, corner, 2, d) + (q,)
+        for uv, q in zip(on_grid([q.tr for q in squares], d), squares)
+    ]
+    decorated.sort(key=lambda t: (-t[0], -t[1], t[2].id))
+    kept: list[tuple[int, int, UnitSquare]] = []
+    best_v: int | None = None
+    for u, v, q in decorated:
+        if best_v is None or v > best_v:
+            kept.append((u, v, q))
+            best_v = v
+    kept.sort(key=lambda t: t[2].id)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -92,14 +140,23 @@ def corner_partition(
     corner bucket with the largest fractional load (ties to the lowest
     corner index).  The winning load is always at least 1/4.
 
-    `s_rows` is the incidence table of `points` over `squares`.
+    `s_rows` is the incidence table of `points` over `squares`.  A square
+    with top-right corner (u, v) contains the cell corner (cx, cy) iff
+    ceil(u) - 1 <= cx <= floor(u) and ceil(v) - 1 <= cy <= floor(v).
+    Loads are compared as integers over the common denominator of the LP
+    weights.
     """
-    corners = cell.corners()
     square_buckets: list[list[UnitSquare]] = [[] for _ in range(N_CORNERS)]
     bucket_of: list[int] = []
     for q in squares:
-        for idx, c in enumerate(corners):
-            if q.contains(c):
+        u, v = q.tr.x, q.tr.y
+        un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
+        # floor(n/d) is n // d and ceil(n/d) is -(-n // d)
+        u_lo, u_hi = -(-un // ud) - 1, un // ud
+        v_lo, v_hi = -(-vn // vd) - 1, vn // vd
+        for idx in range(N_CORNERS):
+            cx, cy = cell.i + (idx & 1), cell.j + (idx >> 1)
+            if u_lo <= cx <= u_hi and v_lo <= cy <= v_hi:
                 square_buckets[idx].append(q)
                 bucket_of.append(idx)
                 break
@@ -107,12 +164,15 @@ def corner_partition(
             raise SquareWithoutCorner(
                 f"square {q.id} meets cell ({cell.i},{cell.j}) but no corner"
             )
+    weights = lpsol.assignment[:len(squares)]
+    scale = math.lcm(*[w.denominator for w in weights])
+    weights = [w.numerator * (scale // w.denominator) for w in weights]
     point_buckets: list[list[Point]] = [[] for _ in range(N_CORNERS)]
     for p, row in zip(points, s_rows):
-        delta = [Fraction(0)] * N_CORNERS
+        delta = [0] * N_CORNERS
         for pos, corner in enumerate(bucket_of):
             if row >> pos & 1:
-                delta[corner] += lpsol.assignment[pos]
+                delta[corner] += weights[pos]
         winner = max(range(N_CORNERS), key=lambda idx: (delta[idx], -idx))
         point_buckets[winner].append(p)
     return CornerPartition(
@@ -133,18 +193,8 @@ def maximal_squares(
     dominated by Q' iff u <= u' and v <= v'.  Exact duplicates keep the
     lowest id.
     """
-    decorated = [
-        (canonical_square(q, cell, corner), q) for q in squares
-    ]
-    decorated.sort(key=lambda t: (-t[0][0], -t[0][1], t[1].id))
-    kept: list[UnitSquare] = []
-    best_v: Fraction | None = None
-    for (u, v), q in decorated:
-        if best_v is None or v > best_v:
-            kept.append(q)
-            best_v = v
-    kept.sort(key=lambda q: q.id)
-    return kept
+    d = grid_unit([q.tr for q in squares])
+    return [q for _u, _v, q in _staircase(squares, cell, corner, d)]
 
 
 def quadrant_greedy_cover(
@@ -156,7 +206,8 @@ def quadrant_greedy_cover(
     Repeatedly take the uncovered point with the largest x (ties: largest
     y) and cover it with the quadrant of largest v among those containing
     it (ties: largest u, then lowest id).  For staircase instances this
-    greedy is exactly optimal.
+    greedy is exactly optimal.  It only compares coordinates, so they may
+    be Fractions or the integers of one grid.
     """
     remaining = sorted(points, key=lambda p: (-p[0], -p[1]))
     chosen: list[int] = []
@@ -183,18 +234,16 @@ def solve_one_corner(
     corner: int,
 ) -> tuple[int, ...]:
     """Ids of a minimum-size cover of a one-corner bucket, sorted, via the
-    quadrant greedy.
+    quadrant greedy on canonical grid coordinates.
 
     Restricting to dominance-maximal squares keeps the cover a staircase,
     which bounds its membership by any fractional cover's plus two.
     """
     if not points:
         return ()
-    maxi = maximal_squares(squares, cell, corner)
-    canon_points = [canonical_point(p, cell, corner) for p in points]
-    canon_quads = [
-        (q.id,) + canonical_square(q, cell, corner) for q in maxi
-    ]
+    d = grid_unit([q.tr for q in squares] + list(points))
+    canon_quads = [(q.id, u, v) for u, v, q in _staircase(squares, cell, corner, d)]
+    canon_points = [_corner_local(xy, cell, corner, 1, d) for xy in on_grid(points, d)]
     return tuple(sorted(quadrant_greedy_cover(canon_points, canon_quads)))
 
 
@@ -238,11 +287,12 @@ def solve_cell_report(
         return CellReport(CoverSolution((), 0), None, None, (), True)
     if cell is None:
         cell = cell_of_point(points[0])
-    s_rows = covering_incidence(points, squares)
+    s_rows, sp_rows = square_tables(squares, points, sprime)
+    check_covered(points, s_rows)
 
     # cell-local S': a monitored point outside every cell square has depth
     # 0 in any cover drawn from them, and its LP row -y <= 0 is redundant
-    sp_rows = [row for row in incidence(sprime, squares) if row]
+    sp_rows = [row for row in sp_rows if row]
 
     # zero-membership shortcut: if the squares avoiding every monitored
     # point already cover the cell, take exactly those
@@ -289,7 +339,10 @@ def solve_mmgsc_squares_report(
         ids.update(report.cover.ids)
         if report.lp_value is not None and (max_lp is None or report.lp_value > max_lp):
             max_lp = report.lp_value
-    cover = CoverSolution(tuple(sorted(ids)), membership(sprime, ids, squares))
+    chosen = sorted(ids)
+    by_id = {q.id: q for q in squares}
+    (sp_rows,) = square_tables([by_id[i] for i in chosen], sprime)
+    cover = CoverSolution(tuple(chosen), depth(sp_rows, ALL))
     return SquaresReport(cover, reports, max_lp)
 
 

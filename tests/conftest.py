@@ -13,7 +13,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
-from membercover import Halfplane, Point, UnitSquare
+import math
+
+from membercover import GridCell, Halfplane, Point, UnitSquare
 from membercover.halfplanes import _dirvec, _dot2, _orient
 from membercover.lp import (
     OPTIMAL,
@@ -22,6 +24,7 @@ from membercover.lp import (
     REL_LE,
     UNBOUNDED,
     LinearProgram,
+    _reduce,
     make_program,
     solve_lp,
 )
@@ -92,6 +95,103 @@ def lp_vertex_enumeration(lp: LinearProgram):
         if best is None or value < best:
             best = value
     return best
+
+
+# ---------------------------------------------------------------------------
+# the phase-1 tableau over Fraction rows, the reference for the integer rows
+# ---------------------------------------------------------------------------
+
+def to_ints(row) -> list[int]:
+    """Integer row equal to the rational one times a positive scale."""
+    scale = math.lcm(*[v.denominator for v in row])
+    return _reduce([v.numerator * (scale // v.denominator) for v in row])
+
+
+def fraction_tableau(lp: LinearProgram):
+    """(tableau, basis, artificials, n_cols) of `lp.solve_lp`'s phase 1, with
+    every row built over Fraction at full width and then turned into ints
+    by `to_ints`: the reference for `lp._initial_tableau`."""
+    rows = [(list(r.coeffs), r.rel, r.rhs) for r in lp.rows]
+    for i, ub in enumerate(lp.upper_bounds):
+        if ub is not None:
+            coeffs = [Fraction(0)] * lp.n_vars
+            coeffs[i] = Fraction(1)
+            rows.append((coeffs, REL_LE, ub))
+    norm_rows = []
+    for coeffs, rel, rhs in rows:
+        if rhs < 0:
+            coeffs = [-c for c in coeffs]
+            rhs = -rhs
+            rel = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}[rel]
+        norm_rows.append((coeffs, rel, rhs))
+    m = len(norm_rows)
+    col = lp.n_vars
+    slack_of_row = [None] * m
+    for r, (_coeffs, rel, _rhs) in enumerate(norm_rows):
+        if rel != REL_EQ:
+            slack_of_row[r] = col
+            col += 1
+    art_of_row = [None] * m
+    for r, (_coeffs, rel, _rhs) in enumerate(norm_rows):
+        if rel in (REL_EQ, REL_GE):
+            art_of_row[r] = col
+            col += 1
+    n_cols = col
+    tableau, basis = [], []
+    for r, (coeffs, rel, rhs) in enumerate(norm_rows):
+        trow = [Fraction(0)] * (n_cols + 1)
+        trow[:len(coeffs)] = coeffs
+        if slack_of_row[r] is not None:
+            trow[slack_of_row[r]] = Fraction(1) if rel == REL_LE else Fraction(-1)
+        if art_of_row[r] is not None:
+            trow[art_of_row[r]] = Fraction(1)
+        basis.append(slack_of_row[r] if art_of_row[r] is None else art_of_row[r])
+        trow[-1] = rhs
+        tableau.append(to_ints(trow))
+    return tableau, basis, [a for a in art_of_row if a is not None], n_cols
+
+
+# ---------------------------------------------------------------------------
+# corner-local coordinates in Fraction, the reference for the integer
+# reflection of the squares solvers
+# ---------------------------------------------------------------------------
+
+def canonical_point(p: Point, cell: GridCell, corner: int) -> tuple[Fraction, Fraction]:
+    """Map a point into corner-local coordinates with the corner at the origin.
+
+    After the reflection the cell is [0,1]^2 and a square containing the
+    corner acts as the quadrant x <= u, y <= v for its canonical (u, v).
+    An axis flipped by the corner maps to (cell index + 1) - coordinate,
+    the other to coordinate - index.
+    """
+    return (
+        cell.i + 1 - p.x if corner & 1 else p.x - cell.i,
+        cell.j + 1 - p.y if corner & 2 else p.y - cell.j,
+    )
+
+
+def canonical_square(q: UnitSquare, cell: GridCell, corner: int) -> tuple[Fraction, Fraction]:
+    """Clipped top-right corner of the square in corner-local coordinates:
+    the canonical point of its far edge, one unit beyond the cell's."""
+    return (
+        cell.i + 2 - q.tr.x if corner & 1 else q.tr.x - cell.i,
+        cell.j + 2 - q.tr.y if corner & 2 else q.tr.y - cell.j,
+    )
+
+
+def maximal_squares_reference(squares, cell: GridCell, corner: int) -> list[UnitSquare]:
+    """The dominance-maximal squares by id, on the Fraction keys of
+    `canonical_square`: the reference for `squares.maximal_squares`."""
+    decorated = sorted(
+        [(canonical_square(q, cell, corner), q) for q in squares],
+        key=lambda t: (-t[0][0], -t[0][1], t[1].id),
+    )
+    kept, best_v = [], None
+    for (_u, v), q in decorated:
+        if best_v is None or v > best_v:
+            kept.append(q)
+            best_v = v
+    return sorted(kept, key=lambda q: q.id)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +355,44 @@ def cell_instance(seed: int, max_squares: int = 10, max_points: int = 12):
     sprime = [
         Point(grid_frac(rng, -1, 2), grid_frac(rng, -1, 2)) for _ in range(n_prime)
     ]
+    return points, sprime, squares
+
+
+def mixed_grid_instance(rng: random.Random, cell: GridCell, max_squares: int = 8):
+    """Points, monitored points and squares around `cell` on the lattices
+    1/3, 1/7 and 1/64 mixed, so the common grid unit is not 64.
+
+    Squares are duplicates of earlier ones, have integer corners (each
+    then sits on a cell corner), or have a free corner in the 3x3 block of
+    cells around `cell`.  Points are square corners, points on square
+    edges, or free points in that block.
+    """
+
+    def coord(base: int) -> Fraction:
+        den = rng.choice([1, 3, 7, 64])
+        return base + Fraction(rng.randint(-den, 2 * den), den)
+
+    squares: list[UnitSquare] = []
+    for i in range(rng.randint(1, max_squares)):
+        kind = rng.random()
+        if squares and kind < 0.15:
+            tr = rng.choice(squares).tr
+        elif kind < 0.4:
+            tr = Point(Fraction(cell.i + rng.randint(0, 2)), Fraction(cell.j + rng.randint(0, 2)))
+        else:
+            tr = Point(coord(cell.i), coord(cell.j))
+        squares.append(UnitSquare(i, tr))
+
+    def point() -> Point:
+        if rng.random() < 0.5:
+            q = rng.choice(squares)
+            x = rng.choice([q.tr.x - 1, q.tr.x, coord(cell.i)])
+            y = rng.choice([q.tr.y - 1, q.tr.y, coord(cell.j)])
+            return Point(x, y)
+        return Point(coord(cell.i), coord(cell.j))
+
+    points = [point() for _ in range(rng.randint(1, 10))]
+    sprime = [point() for _ in range(rng.randint(0, 10))]
     return points, sprime, squares
 
 

@@ -175,7 +175,7 @@ class TestGridPartition:
             assert len(owners) == 1
         for cell, (pts, ranges) in cells.items():
             for q in squares:
-                xmin, ymin, xmax, ymax = q.bbox()
+                xmin, ymin, xmax, ymax = q.tr.x - 1, q.tr.y - 1, q.tr.x, q.tr.y
                 overlap = (
                     xmin <= cell.i + 1
                     and xmax >= cell.i

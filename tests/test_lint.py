@@ -22,13 +22,13 @@ def test_no_assert_statements():
     assert found == []
 
 
-# The solvers test points against ranges with two kernels: covers.incidence
-# for squares, and for halfplanes the integer sign test `_sign_masks` on
-# homogeneous points.  The only other `.contains(` call tests a cell corner,
-# not a point of S or S'.  Entries are (module, enclosing def, argument source).
+# The solvers test points against ranges with integer kernels: for squares
+# `squares.square_tables` on one integer grid, and for halfplanes the sign
+# test `_sign_masks` on homogeneous points.  The only `.contains(` call left
+# in the solver modules is the generic reference table covers.incidence.
+# Entries are (module, enclosing def, argument source).
 CONTAINS_ALLOWED = {
     ("covers.py", "incidence", "p"),
-    ("squares.py", "corner_partition", "c"),
 }
 SOLVER_MODULES = ("covers.py", "lp.py", "squares.py", "ply.py", "halfplanes.py")
 
@@ -79,6 +79,17 @@ def test_containment_only_through_incidence():
     assert found == []
     # a stale allow-list entry would let a new call in under its name
     assert CONTAINS_ALLOWED <= live
+    assert not {name for name, _scope, _arg in live} & {"squares.py", "ply.py", "lp.py"}
+
+
+def test_square_tables_built_only_by_the_kernel():
+    # the squares solvers build every S and S' table, and the final
+    # membership, with square_tables; the generic Fraction table stays out
+    for name in ("squares.py", "ply.py"):
+        path = SRC / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert _calls(tree, {"incidence", "membership"}) == []
+        assert _calls(tree, {"square_tables"})
 
 
 def test_halfplane_tables_built_only_by_the_instance():

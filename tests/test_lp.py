@@ -10,8 +10,10 @@ import pytest
 from conftest import (
     FractionalCover,
     cell_instance,
+    fraction_tableau,
     lp_vertex_enumeration,
     membership_of_fractional,
+    to_ints,
 )
 
 import membercover
@@ -128,6 +130,47 @@ class TestSimplex:
                     assert lhs == row.rhs
             for v, ub in zip(sol.assignment, lp.upper_bounds):
                 assert v >= 0 and (ub is None or v <= ub)
+
+
+class TestIntegerRows:
+    """The tableau rows built as ints against `to_ints` of the rows built
+    over Fraction, on rational programs: equal rows take equal pivots."""
+
+    @staticmethod
+    def _random_program(rng):
+        def rational():
+            return Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 7, 64]))
+
+        n = rng.randint(1, 4)
+        rows = [
+            ([rational() for _ in range(n)], rng.choice(["<=", ">=", "=="]), rational())
+            for _ in range(rng.randint(0, 4))
+        ]
+        ups = [rng.choice([None, rational(), Fraction(rng.randint(1, 9), 4)]) for _ in range(n)]
+        return make_program(n, [rational() for _ in range(n)], rows, ups)
+
+    def test_rational_rows_match_fraction_rows(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            lp = self._random_program(rng)
+            assert lpmod._initial_tableau(lp) == fraction_tableau(lp)
+
+    def test_cover_program_rows_match_fraction_rows(self):
+        for seed in range(20):
+            points, sprime, squares = cell_instance(seed)
+            s_rows = incidence(points, squares)
+            for lp in (
+                build_membership_lp(s_rows, incidence(sprime, squares), len(squares)),
+                build_size_lp(s_rows, len(squares)),
+            ):
+                assert lpmod._initial_tableau(lp) == fraction_tableau(lp)
+
+    def test_cost_row_matches_fraction_row(self):
+        rng = random.Random(13)
+        for _ in range(100):
+            lp = self._random_program(rng)
+            objective, _rhs, _scale = lpmod._scaled(lp.objective, 0)
+            assert lpmod._reduce(objective + [0] * 3) == to_ints(list(lp.objective) + [F(0)] * 3)
 
 
 # Exact solutions of seeded cell programs, recorded with the rational

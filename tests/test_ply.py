@@ -134,6 +134,26 @@ class TestPlySweep:
             report = ply(squares)
             assert (report.value, report.witness) == _edge_grid_ply(squares), squares
 
+    def test_matches_edge_grid_scan_on_mixed_lattices(self):
+        # the sweep runs on the grid of unit D, the lcm of the corner
+        # denominators; mixed 1/3, 1/7 and 1/64 lattices make D other than
+        # 64, and corners in [-2, 2]^2 put edges and witnesses below zero
+        rng = random.Random(2025)
+        for _ in range(1200):
+            squares = []
+            for i in range(rng.randint(0, 14)):
+                if squares and rng.random() < 0.15:
+                    tr = rng.choice(squares).tr
+                else:
+                    dx, dy = rng.choice([1, 3, 7, 64]), rng.choice([1, 3, 7, 64])
+                    tr = Point(
+                        Fraction(rng.randint(-2 * dx, 2 * dx), dx),
+                        Fraction(rng.randint(-2 * dy, 2 * dy), dy),
+                    )
+                squares.append(UnitSquare(i, tr))
+            report = ply(squares)
+            assert (report.value, report.witness) == _edge_grid_ply(squares), squares
+
 
 CELL = GridCell(0, 0)
 

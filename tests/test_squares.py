@@ -6,9 +6,14 @@ import pytest
 
 from conftest import (
     bucket_fractional_cover,
+    canonical_point,
+    canonical_square,
     cell_instance,
+    maximal_squares_reference,
     membership_of_fractional,
+    mixed_grid_instance,
     one_corner_instance,
+    square_instance,
 )
 
 from membercover import (
@@ -26,15 +31,18 @@ from membercover import (
     solve_cell,
     solve_lp,
     solve_mmgsc_squares,
+    solve_mpgsc,
     solve_one_corner,
     verify_cover,
 )
 from membercover.covers import membership
+from membercover.geometry import grid_unit, on_grid
+from membercover.lp import OPTIMAL, LPSolution
 from membercover.squares import (
     SquareWithoutCorner,
-    canonical_point,
-    canonical_square,
+    _corner_local,
     solve_cell_report,
+    square_tables,
 )
 
 CELL = GridCell(0, 0)
@@ -71,20 +79,15 @@ class TestCornerPartition:
 
     def test_square_without_corner_rejected(self):
         wide = UnitSquare(0, P(1, "1/2"))
-        tall_cell = GridCell(0, 0)
-        bad = UnitSquare(1, P("5/4", "1/2"))
         points = [P("1/2", "1/4")]
         lp = build_membership_lp(incidence(points, [wide]), [], 1)
         sol = solve_lp(lp)
-        # a fake "square" narrower than the cell: emulate via a corner miss
-        class Sliver:
-            id = 1
-
-            def contains(self, p):
-                return False
-
-        with pytest.raises(SquareWithoutCorner):
-            corner_partition(points, incidence(points, [Sliver()]), [Sliver()], tall_cell, sol)
+        # a unit square meets the closed cell iff it holds one of its
+        # corners, so these miss the cell: one beside it in x, one below it
+        for far in (UnitSquare(1, P("5/2", "1/2")), UnitSquare(1, P("1/2", "-1/4"))):
+            assert not any(far.contains(c) for c in CELL.corners())
+            with pytest.raises(SquareWithoutCorner):
+                corner_partition(points, incidence(points, [far]), [far], CELL, sol)
 
     def test_winning_load_at_least_quarter(self):
         for seed in range(30):
@@ -229,9 +232,10 @@ class TestSolveCell:
             opt, _ = exact_mmgsc_bruteforce(points, sprime, squares)
             assert cover.memb <= 16 * opt + 8
 
-    def test_each_point_tested_once_per_square(self, monkeypatch):
-        # one S table and one S' table per cell: (|S| + |S'|) * |Q| point
-        # tests, plus the corner tests that assign squares to buckets
+    def test_no_square_contains_calls(self, monkeypatch):
+        # the squares solvers decide every containment on the integer grid;
+        # covers.incidence, the generic reference, is the only caller of
+        # UnitSquare.contains
         contains = UnitSquare.contains
         calls = []
 
@@ -240,16 +244,18 @@ class TestSolveCell:
             return contains(self, p)
 
         points, sprime, squares = cell_instance(3)
+        multi_points, multi_sprime, multi_squares = square_instance(3)
         monkeypatch.setattr(UnitSquare, "contains", counting)
+        incidence(points, squares)
+        seen = len(calls)  # the patch is live
+        del calls[:]
         report = solve_cell_report(points, sprime, squares, CELL)
+        solve_mmgsc_squares(multi_points, multi_sprime, multi_squares)
+        solve_mpgsc(multi_points, multi_squares)
         monkeypatch.undo()
-        assert report.partition is not None  # the LP path, corner tests included
-        corner_tests = sum(
-            1 + next(i for i, c in enumerate(CELL.corners()) if q.contains(c))
-            for q in squares
-        )
-        assert (len(points), len(sprime), len(squares), corner_tests) == (9, 7, 10, 20)
-        assert len(calls) == (len(points) + len(sprime)) * len(squares) + corner_tests == 180
+        assert seen == len(points) * len(squares) > 0
+        assert report.partition is not None  # the LP path, corner split included
+        assert calls == []
 
 
 class TestSolveSquares:
@@ -267,8 +273,6 @@ class TestSolveSquares:
         assert verify_cover(points, cover.ids, [sq])
 
     def test_multi_cell_bound(self):
-        from conftest import square_instance
-
         for seed in range(25):
             points, sprime, squares = square_instance(seed)
             cover = solve_mmgsc_squares(points, sprime, squares)
@@ -312,3 +316,109 @@ class TestCanonical:
             u, v = canonical_square(sq, cell, corner)
             px, py = canonical_point(p, cell, corner)
             assert sq.contains(p) == (px <= u and py <= v)
+
+
+# cells with negative indices exercise floor and ceil of negative coordinates
+GRID_CELLS = (GridCell(0, 0), GridCell(-2, -1), GridCell(3, -4))
+
+
+class TestIntegerGrid:
+    """The integer kernels against their Fraction references, on mixed
+    1/3, 1/7 and 1/64 lattices (so the grid unit is not 64), with points on
+    square edges and corners, square corners on cell corners and
+    duplicate squares."""
+
+    def test_grid_unit_is_mixed(self):
+        points, _sprime, squares = mixed_grid_instance(random.Random(0), GRID_CELLS[1])
+        d = grid_unit(points + [q.tr for q in squares])
+        assert d % 64 == 0 and d != 64
+        assert all(x == p.x * d and y == p.y * d for (x, y), p in zip(on_grid(points, d), points))
+
+    def test_square_tables_match_incidence(self):
+        rng = random.Random(5)
+        for trial in range(300):
+            points, sprime, squares = mixed_grid_instance(rng, GRID_CELLS[trial % 3])
+            assert square_tables(squares, points, sprime) == [
+                incidence(points, squares), incidence(sprime, squares)
+            ]
+
+    def test_canonical_coordinates_match_fraction(self):
+        rng = random.Random(6)
+        for trial in range(300):
+            cell = GRID_CELLS[trial % 3]
+            points, _sprime, squares = mixed_grid_instance(rng, cell)
+            d = grid_unit(points + [q.tr for q in squares])
+            for corner in range(4):
+                for xy, p in zip(on_grid(points, d), points):
+                    fx, fy = canonical_point(p, cell, corner)
+                    assert _corner_local(xy, cell, corner, 1, d) == (fx * d, fy * d)
+                for uv, q in zip(on_grid([q.tr for q in squares], d), squares):
+                    fu, fv = canonical_square(q, cell, corner)
+                    assert _corner_local(uv, cell, corner, 2, d) == (fu * d, fv * d)
+
+    def test_maximal_squares_match_fraction_keys(self):
+        rng = random.Random(7)
+        for trial in range(300):
+            cell = GRID_CELLS[trial % 3]
+            _points, _sprime, squares = mixed_grid_instance(rng, cell)
+            for corner in range(4):
+                assert maximal_squares(squares, cell, corner) == maximal_squares_reference(
+                    squares, cell, corner
+                )
+
+    def test_corner_split_matches_fraction_reference(self):
+        # squares go to the first cell corner they contain; points to the
+        # corner of largest Fraction load, for any rational weights
+        rng = random.Random(8)
+        for trial in range(300):
+            cell = GRID_CELLS[trial % 3]
+            points, _sprime, squares = mixed_grid_instance(rng, cell)
+            at_corner = [
+                next((k for k, c in enumerate(cell.corners()) if q.contains(c)), None)
+                for q in squares
+            ]
+            weights = tuple(
+                Fraction(rng.randint(0, 6), rng.choice([1, 2, 3, 4, 7])) for _ in squares
+            )
+            sol = LPSolution(OPTIMAL, sum(weights), weights)
+            s_rows = incidence(points, squares)
+            if None in at_corner:
+                with pytest.raises(SquareWithoutCorner):
+                    corner_partition(points, s_rows, squares, cell, sol)
+                continue
+            part = corner_partition(points, s_rows, squares, cell, sol)
+            winners = []
+            for p in points:
+                loads = [
+                    sum(
+                        w
+                        for q, c, w in zip(squares, at_corner, weights)
+                        if c == k and q.contains(p)
+                    )
+                    for k in range(4)
+                ]
+                winners.append(max(range(4), key=lambda k: (loads[k], -k)))
+            for k in range(4):
+                assert part.square_buckets[k] == tuple(
+                    q for q, c in zip(squares, at_corner) if c == k
+                )
+                assert part.point_buckets[k] == tuple(
+                    p for p, won in zip(points, winners) if won == k
+                )
+
+    def test_one_corner_matches_fraction_pipeline(self):
+        rng = random.Random(9)
+        for trial in range(300):
+            cell = GRID_CELLS[trial % 3]
+            points, _sprime, squares = mixed_grid_instance(rng, cell)
+            for corner in range(4):
+                bucket = [q for q in squares if q.contains(cell.corners()[corner])]
+                covered = [p for p in points if any(q.contains(p) for q in bucket)]
+                quads = [
+                    (q.id,) + canonical_square(q, cell, corner)
+                    for q in maximal_squares_reference(bucket, cell, corner)
+                ]
+                expected = quadrant_greedy_cover(
+                    [canonical_point(p, cell, corner) for p in covered], quads
+                ) if covered else []
+                assert solve_one_corner(covered, bucket, cell, corner) == tuple(sorted(expected))
