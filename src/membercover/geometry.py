@@ -112,16 +112,6 @@ class GridCell:
     i: int
     j: int
 
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        """Corner order: bottom-left, bottom-right, top-left, top-right."""
-        i, j = Fraction(self.i), Fraction(self.j)
-        return (
-            Point(i, j),
-            Point(i + 1, j),
-            Point(i, j + 1),
-            Point(i + 1, j + 1),
-        )
-
 
 def cell_of_point(p: Point) -> GridCell:
     return GridCell(p.x.numerator // p.x.denominator, p.y.numerator // p.y.denominator)
@@ -392,6 +382,39 @@ def linear_inf(cons: Sequence[tuple], f: tuple) -> Fraction | None:
     return best
 
 
+def pair_certificate(con1: tuple, con2: tuple) -> bool:
+    """Do the open constraints {con1 > 0, con2 > 0} have a Motzkin
+    certificate of infeasibility with full support?  That is: the normals
+    are antiparallel, and with lambda = (|n2|, |n1|), read on one nonzero
+    axis, the offsets sum to at most zero."""
+    a1, b1, c1 = con1
+    a2, b2, c2 = con2
+    if a1 * b2 != a2 * b1 or a1 * a2 + b1 * b2 >= 0:
+        return False
+    if a1:
+        return abs(a2) * c1 + abs(a1) * c2 <= 0
+    return abs(b2) * c1 + abs(b1) * c2 <= 0
+
+
+def triple_certificate(con1: tuple, con2: tuple, con3: tuple) -> bool:
+    """Do the open constraints {con_i > 0} have a Motzkin certificate of
+    infeasibility with full support, given normals that span the plane?
+    lambda is the vector of cross products (n2 x n3, n3 x n1, n1 x n2),
+    which must have one strict sign with the weighted offsets on the other
+    side of zero (or at it)."""
+    a1, b1, c1 = con1
+    a2, b2, c2 = con2
+    a3, b3, c3 = con3
+    l1 = a2 * b3 - a3 * b2
+    l2 = a3 * b1 - a1 * b3
+    l3 = a1 * b2 - a2 * b1
+    if l1 > 0 and l2 > 0 and l3 > 0:
+        return l1 * c1 + l2 * c2 + l3 * c3 <= 0
+    if l1 < 0 and l2 < 0 and l3 < 0:
+        return l1 * c1 + l2 * c2 + l3 * c3 >= 0
+    return False
+
+
 def strictly_feasible(cons: Sequence[tuple]) -> bool:
     """Does the OPEN system {a*x + b*y + c > 0} have a solution?
 
@@ -403,10 +426,8 @@ def strictly_feasible(cons: Sequence[tuple]) -> bool:
     infeasible subset has a certificate with full support, tested by sign:
 
     * one constraint: its normal is zero and c <= 0;
-    * a pair: the normals are antiparallel, and with lambda = (|n2|, |n1|),
-      read on one nonzero axis, the offsets sum to at most zero;
-    * a triple whose normals span the plane: lambda is the vector of cross
-      products (n2 x n3, n3 x n1, n1 x n2), which must have one strict sign.
+    * a pair: `pair_certificate`, antiparallel normals;
+    * a triple whose normals span the plane: `triple_certificate`.
       Normals that do not span reduce to a pair or a single constraint.
 
     Only products and sums of the inputs decide, so the test is exact on
@@ -415,22 +436,11 @@ def strictly_feasible(cons: Sequence[tuple]) -> bool:
     for a, b, c in cons:
         if a == 0 and b == 0 and c <= 0:
             return False
-    for (a1, b1, c1), (a2, b2, c2) in combinations(cons, 2):
-        if a1 * b2 == a2 * b1 and a1 * a2 + b1 * b2 < 0:
-            if a1:
-                weighted = abs(a2) * c1 + abs(a1) * c2
-            else:
-                weighted = abs(b2) * c1 + abs(b1) * c2
-            if weighted <= 0:
-                return False
-    for (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) in combinations(cons, 3):
-        l1 = a2 * b3 - a3 * b2
-        l2 = a3 * b1 - a1 * b3
-        l3 = a1 * b2 - a2 * b1
-        weighted = l1 * c1 + l2 * c2 + l3 * c3
-        if l1 > 0 and l2 > 0 and l3 > 0 and weighted <= 0:
+    for con1, con2 in combinations(cons, 2):
+        if pair_certificate(con1, con2):
             return False
-        if l1 < 0 and l2 < 0 and l3 < 0 and weighted >= 0:
+    for con1, con2, con3 in combinations(cons, 3):
+        if triple_certificate(con1, con2, con3):
             return False
     return True
 

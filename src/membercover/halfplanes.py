@@ -37,7 +37,14 @@ from .covers import (
     mask_of,
     quiet_cover,
 )
-from .geometry import Halfplane, Point, face_sample_points, strictly_feasible
+from .geometry import (
+    Halfplane,
+    Point,
+    face_sample_points,
+    pair_certificate,
+    strictly_feasible,
+    triple_certificate,
+)
 
 # nothing in this module calls these; the names stay only because
 # perfbench/tracing.py patches them here and raises KeyError when missing
@@ -496,6 +503,27 @@ class _HalfplaneInstance:
         return quiet_cover(self.points, self.s_rows, self.sp_rows, self.halfplanes)
 
     @cached_property
+    def _small_scan(self) -> tuple[tuple[int, int, tuple[int, ...]] | None, int]:
+        # combinations come out in (size, ids) order, the halfplanes being
+        # id-sorted, and no cover has membership 0 without a quiet cover;
+        # so the first cover at that floor is the least option.  The first
+        # cover met, no later than that return, has the least size.
+        floor = 0 if self.quiet_cover is not None else 1
+        best = None
+        least_size = 4
+        for size in (1, 2, 3):
+            for combo in combinations(range(len(self.halfplanes)), size):
+                chosen = sum([1 << j for j in combo])
+                if first_uncovered(self.points, self.s_rows, chosen) is None:
+                    least_size = min(least_size, size)
+                    memb = depth(self.sp_rows, chosen)
+                    if best is None or memb < best[0]:
+                        best = (memb, size, tuple([self.halfplanes[j].id for j in combo]))
+                        if memb <= floor:
+                            return best, least_size
+        return best, least_size
+
+    @property
     def small_option(self) -> tuple[int, int, tuple[int, ...]] | None:
         """The least cover of size <= 3 as (membership, size, ids), if any.
 
@@ -504,21 +532,15 @@ class _HalfplaneInstance:
         dummies are stripped, so scanning these small subsets completes
         the non-polygonal side of the decision.
         """
-        # combinations come out in (size, ids) order, the halfplanes being
-        # id-sorted, and no cover has membership 0 without a quiet cover;
-        # so the first cover at that floor is the least option
-        floor = 0 if self.quiet_cover is not None else 1
-        best = None
-        for size in (1, 2, 3):
-            for combo in combinations(range(len(self.halfplanes)), size):
-                chosen = sum([1 << j for j in combo])
-                if first_uncovered(self.points, self.s_rows, chosen) is None:
-                    memb = depth(self.sp_rows, chosen)
-                    if best is None or memb < best[0]:
-                        best = (memb, size, tuple([self.halfplanes[j].id for j in combo]))
-                        if memb <= floor:
-                            return best
-        return best
+        return self._small_scan[0]
+
+    @property
+    def size_floor(self) -> int:
+        """A proven lower bound on the size of a cover of S: the least size
+        of a cover of at most three halfplanes, which is then the minimum,
+        or 4 when no such cover exists.  The small-cover scan meets its
+        first cover, of least size, before it can stop."""
+        return self._small_scan[1]
 
     @cached_property
     def plane_covers(self) -> list[tuple[Halfplane, ...]]:
@@ -532,7 +554,7 @@ class _HalfplaneInstance:
         the first point of S that no halfplane contains."""
         if self.uncovered is not None:
             raise Uncoverable(self.uncovered)
-        return _min_size_cover(self.halfplanes, self.s_rows, self.s_columns)
+        return _min_size_cover(self.halfplanes, self.s_rows, self.s_columns, self.size_floor)
 
     # -- anchors ------------------------------------------------------------
 
@@ -596,12 +618,15 @@ class _HalfplaneInstance:
             memb, _size, ids = small
             return ExactSolveReport(CoverSolution(ids, memb), k, "small", None)
 
-        mc = self.min_cover
-        if len(mc) <= k:
-            cover = CoverSolution.build([h.id for h in mc], self.sp_rows, self.halfplanes)
-            if cover.memb > k:
-                raise RuntimeError("a cover of size <= k has membership above k")
-            return ExactSolveReport(cover, k, "minsize", None)
+        # a cover of size <= k has membership <= k; at k <= 3, or with a small
+        # cover, the small option above would already have returned it
+        if small is None and k >= 4:
+            mc = self.min_cover
+            if len(mc) <= k:
+                cover = CoverSolution.build([h.id for h in mc], self.sp_rows, self.halfplanes)
+                if cover.memb > k:
+                    raise RuntimeError("a cover of size <= k has membership above k")
+                return ExactSolveReport(cover, k, "minsize", None)
 
         for idx in self.covering_anchors:
             ctx = self.context(idx)
@@ -708,15 +733,27 @@ def _plane_covers(halfplanes: Sequence[Halfplane]) -> Iterator[tuple[Halfplane, 
 
     The union is the plane iff the open complements have no common point,
     and an empty intersection already shows on a pair or triple (Helly).
-    On a pair or triple `strictly_feasible` is a constant number of
-    integer products: an antiparallel-normal test for a pair, the signs of
-    the three normal cross products for a triple.
+    No normal is zero, so a pair covers iff its complements carry the
+    antiparallel certificate (`pair_certificate`), and a triple covers iff
+    it holds a covering pair or its complements carry the three-normal
+    certificate (`triple_certificate`).  The halfplanes are flipped once
+    and each pair is tested once.
     """
     ordered = sorted(halfplanes, key=lambda h: h.id)
-    for size in (2, 3):
-        for combo in combinations(ordered, size):
-            if not strictly_feasible(_flipped(combo)):
-                yield combo
+    flipped = _flipped(ordered)
+    covering: set[tuple[int, int]] = set()
+    for i, j in combinations(range(len(ordered)), 2):
+        if pair_certificate(flipped[i], flipped[j]):
+            covering.add((i, j))
+            yield (ordered[i], ordered[j])
+    for i, j, k in combinations(range(len(ordered)), 3):
+        if (
+            (i, j) in covering
+            or (i, k) in covering
+            or (j, k) in covering
+            or triple_certificate(flipped[i], flipped[j], flipped[k])
+        ):
+            yield (ordered[i], ordered[j], ordered[k])
 
 
 def plane_cover_triple(halfplanes: Sequence[Halfplane]) -> list[Halfplane] | None:
@@ -726,14 +763,21 @@ def plane_cover_triple(halfplanes: Sequence[Halfplane]) -> list[Halfplane] | Non
 
 
 def _min_size_cover(
-    ordered: Sequence[Halfplane], s_rows: Sequence[int], masks: Sequence[int]
+    ordered: Sequence[Halfplane],
+    s_rows: Sequence[int],
+    masks: Sequence[int],
+    floor: int,
 ) -> list[Halfplane]:
     """Exact minimum-cardinality cover via branch and bound, given the S
     table over `ordered` with no zero row and its columns `masks`.
 
     Candidates are ordered by coverage; the incumbent starts from the
-    greedy cover, and the relaxed size LP gives a global lower bound that
-    often certifies the greedy cover outright.
+    greedy cover.  `floor` is a proven lower bound on the minimum size (0
+    for none), as `_HalfplaneInstance.size_floor` certifies from the small
+    covers: a greedy cover no larger is returned at once.  Otherwise the relaxed size
+    LP gives a global lower bound that often certifies the greedy cover.
+    The search replaces the incumbent only with a strictly smaller cover,
+    so either certificate returns the set the search would.
     """
     if not s_rows:
         return []
@@ -751,6 +795,8 @@ def _min_size_cover(
             raise AssertionError("greedy stalled despite full coverage existing")
         greedy.append(pick)
         covered |= masks[pick]
+    if len(greedy) <= floor:
+        return [ordered[i] for i in sorted(greedy)]
 
     lp_bound = lpmod.solve_lp(lpmod.build_size_lp(s_rows, len(ordered)))
     if lp_bound.status != lpmod.OPTIMAL:
@@ -799,7 +845,8 @@ def min_size_halfplane_cover(
     points: Sequence[Point], halfplanes: Sequence[Halfplane]
 ) -> list[Halfplane]:
     """An exact minimum-cardinality cover of `points` in id order (branch and
-    bound); Uncoverable names the first point that no halfplane contains."""
+    bound behind the small-cover floor); Uncoverable names the first point
+    that no halfplane contains."""
     return _HalfplaneInstance(points, (), halfplanes).min_cover
 
 

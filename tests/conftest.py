@@ -156,6 +156,13 @@ def fraction_tableau(lp: LinearProgram):
 # reflection of the squares solvers
 # ---------------------------------------------------------------------------
 
+def cell_corners(cell: GridCell) -> tuple[Point, Point, Point, Point]:
+    """The corners of the closed cell in corner order: bottom-left,
+    bottom-right, top-left, top-right; the reference for the corner split."""
+    i, j = Fraction(cell.i), Fraction(cell.j)
+    return (Point(i, j), Point(i + 1, j), Point(i, j + 1), Point(i + 1, j + 1))
+
+
 def canonical_point(p: Point, cell: GridCell, corner: int) -> tuple[Fraction, Fraction]:
     """Map a point into corner-local coordinates with the corner at the origin.
 

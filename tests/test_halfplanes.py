@@ -41,9 +41,13 @@ from membercover.halfplanes import (
     WindingCertificate,
     _AnchorContext,
     _HalfplaneInstance,
+    _flipped,
     _hpt,
+    _min_size_cover,
+    _plane_covers,
     exact_mmgsc_halfplanes_report,
 )
+from membercover.geometry import strictly_feasible
 
 
 def P(x, y):
@@ -103,6 +107,42 @@ class TestPlaneCover:
             assert _HalfplaneInstance(points, sprime, hs).plane_covers == expected
             sizes += [len(c) for c in expected]
         assert 2 in sizes and 3 in sizes  # both pairs and triples are exercised
+
+    def test_pair_table_matches_per_combo_test(self):
+        # the scan that reuses its covering pairs for the triples gives the
+        # list of one strict-feasibility test per combination; normals from
+        # a small box make parallel and antiparallel pairs common, and half
+        # the batteries put every line through one point
+        rng = random.Random(13)
+        seen = {"parallel": 0, "antiparallel": 0, "concurrent": 0, "triple only": 0}
+        for _ in range(400):
+            n = rng.randint(2, 7)
+            q = (rng.randint(-2, 2), rng.randint(-2, 2))
+            concurrent = rng.random() < 0.5
+            hs = []
+            for hid in rng.sample(range(30), n):
+                a = b = 0
+                while a == 0 and b == 0:
+                    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                c = -(a * q[0] + b * q[1]) if concurrent else rng.randint(-3, 3)
+                hs.append(Halfplane(hid, a, b, c))
+            ordered = sorted(hs, key=lambda h: h.id)
+            expected = [
+                c for size in (2, 3) for c in combinations(ordered, size)
+                if not strictly_feasible(_flipped(c))
+            ]
+            assert list(_plane_covers(hs)) == expected
+            first = plane_cover_triple(hs)
+            assert first == (list(expected[0]) if expected else None)
+            for g, h in combinations(hs, 2):
+                if g.a * h.b == g.b * h.a:
+                    seen["antiparallel" if g.a * h.a + g.b * h.b < 0 else "parallel"] += 1
+            seen["concurrent"] += concurrent
+            seen["triple only"] += any(
+                len(c) == 3 and all(strictly_feasible(_flipped(p)) for p in combinations(c, 2))
+                for c in expected
+            )
+        assert min(seen.values()) >= 20, seen  # every degenerate kind is exercised
 
 
 class TestBuildSegments:
@@ -555,6 +595,68 @@ class TestMinSizeCover:
         with pytest.raises(Uncoverable) as err:
             min_size_halfplane_cover([P(0, 1), P(0, -1), P(0, -2)], planes)
         assert err.value.point == P(0, -1)
+
+
+class TestSizeFloor:
+    """The small covers certify the minimum size: the least size of a cover
+    of at most three halfplanes, or 4 when none exists."""
+
+    @staticmethod
+    def _cases():
+        return [halfplane_instance(seed) for seed in range(120)] + [
+            fan_instance(seed) for seed in range(8)
+        ]
+
+    def test_floor_keeps_the_search_outcome(self):
+        floors = set()
+        for points, sprime, planes in self._cases():
+            inst = _HalfplaneInstance(points, sprime, planes)
+            # the LP and branch and bound alone, with no certified floor
+            plain = _min_size_cover(inst.halfplanes, inst.s_rows, inst.s_columns, 0)
+            opt, _ids = exact_minsize_bruteforce(points, planes)
+            assert [h.id for h in inst.min_cover] == [h.id for h in plain]
+            assert len(inst.min_cover) == opt
+            assert inst.size_floor == min(opt, 4)
+            floors.add(inst.size_floor)
+        assert floors == {1, 2, 3, 4}
+
+    def test_small_option_is_the_least_small_cover(self):
+        for points, sprime, planes in self._cases():
+            inst = _HalfplaneInstance(points, sprime, planes)
+            ordered = sorted(planes, key=lambda h: h.id)
+            options = []
+            for size in (1, 2, 3):
+                for combo in combinations(ordered, size):
+                    ids = [h.id for h in combo]
+                    if verify_cover(points, ids, planes):
+                        memb = max(
+                            [sum([h.contains(q) for h in combo]) for q in sprime], default=0
+                        )
+                        options.append((memb, size, tuple(ids)))
+            assert inst.small_option == min(options, default=None)
+
+    def test_small_covers_skip_the_size_lp(self, monkeypatch):
+        import membercover.lp as lpmod
+
+        calls = _count_calls(monkeypatch, (lpmod,), "solve_lp")
+        for seed in range(40):
+            points, sprime, planes = halfplane_instance(seed)
+            assert _HalfplaneInstance(points, sprime, planes).small_option is not None
+            ptas(points, sprime, planes, 1)
+            ptas(points, sprime, planes, Fraction(1, 2))
+        assert calls == []
+
+    def test_exact_search_below_four_reads_no_min_cover(self, monkeypatch):
+        # fan_instance(1) has optimum 3 and no cover of three halfplanes: the
+        # exact search ends on a cycle without the minimum-size cover
+        import membercover.lp as lpmod
+
+        calls = _count_calls(monkeypatch, (lpmod,), "solve_lp")
+        assert exact_mmgsc_halfplanes_report(*fan_instance(1)).k == 3
+        inst = _HalfplaneInstance(*fan_instance(1))
+        assert inst.escalate().path == "cycle"
+        assert inst.small_option is None and "min_cover" not in inst.__dict__
+        assert calls == []
 
 
 class TestLocalSearch:

@@ -146,3 +146,54 @@ def test_no_tuple_of_generator():
             and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
         ]
     assert found == []
+
+
+def test_size_lp_only_behind_the_floor():
+    # the small-cover scan certifies the minimum size whenever a cover of at
+    # most three halfplanes exists; the size LP is left to the branch and
+    # bound, which runs it only past that floor
+    path = SRC / "halfplanes.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert {scope for scope, _arg, _line in _calls(tree, {"solve_lp"})} == {"_min_size_cover"}
+
+
+def _same_sign_tests(tree):
+    """Dotted names of the defs holding `x > 0 and y > 0 and z > 0` (or the
+    same with <): three values tested for one strict sign, the shape of the
+    three-normal Motzkin certificate."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+            ops = [
+                type(v.ops[0])
+                for v in node.values
+                if isinstance(v, ast.Compare)
+                and len(v.ops) == 1
+                and isinstance(v.ops[0], (ast.Gt, ast.Lt))
+                and isinstance(v.comparators[0], ast.Constant)
+                and v.comparators[0].value == 0
+            ]
+            if any(ops.count(op) >= 3 for op in set(ops)):
+                found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_triple_certificate():
+    # strict feasibility and the plane-cover scan share one implementation
+    # of the triple cross-product certificate
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {f"{path.name}:{scope}" for scope in _same_sign_tests(tree)}
+    assert found == {"geometry.py:triple_certificate"}
+    for name, scope in (("geometry.py", "strictly_feasible"), ("halfplanes.py", "_plane_covers")):
+        path = SRC / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert scope in {s for s, _arg, _line in _calls(tree, {"triple_certificate"})}

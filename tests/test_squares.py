@@ -8,6 +8,7 @@ from conftest import (
     bucket_fractional_cover,
     canonical_point,
     canonical_square,
+    cell_corners,
     cell_instance,
     maximal_squares_reference,
     membership_of_fractional,
@@ -85,7 +86,7 @@ class TestCornerPartition:
         # a unit square meets the closed cell iff it holds one of its
         # corners, so these miss the cell: one beside it in x, one below it
         for far in (UnitSquare(1, P("5/2", "1/2")), UnitSquare(1, P("1/2", "-1/4"))):
-            assert not any(far.contains(c) for c in CELL.corners())
+            assert not any(far.contains(c) for c in cell_corners(CELL))
             with pytest.raises(SquareWithoutCorner):
                 corner_partition(points, incidence(points, [far]), [far], CELL, sol)
 
@@ -301,7 +302,7 @@ class TestCanonical:
     def test_canonical_roundtrip_containment(self):
         rng = random.Random(19)
         cell = GridCell(2, -1)
-        corners = cell.corners()
+        corners = cell_corners(cell)
         for _ in range(200):
             corner = rng.randrange(4)
             cx, cy = corners[corner].x, corners[corner].y
@@ -374,7 +375,7 @@ class TestIntegerGrid:
             cell = GRID_CELLS[trial % 3]
             points, _sprime, squares = mixed_grid_instance(rng, cell)
             at_corner = [
-                next((k for k, c in enumerate(cell.corners()) if q.contains(c)), None)
+                next((k for k, c in enumerate(cell_corners(cell)) if q.contains(c)), None)
                 for q in squares
             ]
             weights = tuple(
@@ -412,7 +413,7 @@ class TestIntegerGrid:
             cell = GRID_CELLS[trial % 3]
             points, _sprime, squares = mixed_grid_instance(rng, cell)
             for corner in range(4):
-                bucket = [q for q in squares if q.contains(cell.corners()[corner])]
+                bucket = [q for q in squares if q.contains(cell_corners(cell)[corner])]
                 covered = [p for p in points if any(q.contains(p) for q in bucket)]
                 quads = [
                     (q.id,) + canonical_square(q, cell, corner)
