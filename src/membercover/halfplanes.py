@@ -65,8 +65,9 @@ HPt = tuple[int, int, int]  # (X, Y, W) with W > 0, meaning (X/W, Y/W)
 
 
 def _hpt(p: Point) -> HPt:
-    w = math.lcm(p.x.denominator, p.y.denominator)
-    return (int(p.x * w), int(p.y * w), w)
+    x, y = p.x, p.y
+    w = math.lcm(x.denominator, y.denominator)
+    return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
 
 
 def _hpt_point(h: HPt) -> Point:
@@ -294,31 +295,79 @@ class _AnchorContext:
             ]
             self.succ_seg.append(nexts)
 
+        # every_succ_sp[s]: the S' points in every successor of s (-1, all
+        # of them, when s has none); reach[t][s]: the S points on some
+        # segment 1..t successor steps from s, grown by `_reach` on demand
+        every_succ_sp = []
+        for nexts in self.succ_seg:
+            common = -1
+            for j in nexts:
+                common &= self.sp_mask[j]
+            every_succ_sp.append(common)
+        self.every_succ_sp = every_succ_sp
+        self.reach: list[list[int]] = [[0] * len(self.segments)]
+
+    def _reach(self, t: int) -> list[list[int]]:
+        """The reach table through t steps, extending the rows built so far:
+        reach[t][s] is the OR over successors j of on_mask[j] | reach[t-1][j]."""
+        reach, on = self.reach, self.on_mask
+        while len(reach) <= t:
+            prev = reach[-1]
+            row = []
+            for nexts in self.succ_seg:
+                seen = 0
+                for j in nexts:
+                    seen |= on[j] | prev[j]
+                row.append(seen)
+            reach.append(row)
+        return reach
+
     def chains(self, k: int) -> list[tuple[int, ...]]:
         """All (k+1)-chains passing the containment conditions, depth first.
 
         Each step carries the running OR of the triangle and on-segment
-        masks and the running AND of the S' masks, so a chain is tested
-        once at its last segment and no unfiltered chain is kept.
+        masks and the running AND of the S' masks; a chain is tested at its
+        last segment.  A prefix is cut off as soon as no completion of it
+        can pass, by two necessary conditions:
+
+        - a point in the prefix's triangles and on none of its segments
+          must lie on a later segment, and every later segment is reached
+          from the prefix's last segment s within the t segments still to
+          add: the point must be in reach[t][s];
+        - before the last segment, the prefix's S' AND must miss some
+          successor's S' mask, so it must miss every_succ_sp[s].
+
+        Both conditions hold for every prefix of a passing chain, so the
+        cut subtrees emit nothing and the chains come out as the full
+        enumeration lists them, in the same order.
         """
         out: list[tuple[int, ...]] = []
         tri, on, sp = self.tri_mask, self.on_mask, self.sp_mask
-        succ = self.succ_seg
+        succ, every_succ_sp = self.succ_seg, self.every_succ_sp
+        if k == 0:
+            return [(i,) for i in range(len(tri)) if not sp[i] and not (tri[i] & ~on[i])]
+        reach = self._reach(k)
 
         def extend(chain: tuple[int, ...], tri_or: int, on_or: int, sp_and: int) -> None:
-            nexts = succ[chain[-1]]
-            if len(chain) < k:
-                for j in nexts:
-                    extend(chain + (j,), tri_or | tri[j], on_or | on[j], sp_and & sp[j])
+            s = chain[-1]
+            left = k - len(chain)  # segments still to add after a successor
+            if left:
+                ahead = reach[left]
+                for j in succ[s]:
+                    t_or, o_or = tri_or | tri[j], on_or | on[j]
+                    if not (t_or & ~o_or & ~ahead[j]):
+                        extend(chain + (j,), t_or, o_or, sp_and & sp[j])
                 return
-            for j in nexts:  # the last segment: test the chain, do not descend
+            if sp_and & every_succ_sp[s]:
+                return
+            for j in succ[s]:  # the last segment: test the chain, do not descend
                 if not (sp_and & sp[j]) and not ((tri_or | tri[j]) & ~(on_or | on[j])):
                     out.append(chain + (j,))
 
-        if k == 0:
-            return [(i,) for i in range(len(tri)) if not sp[i] and not (tri[i] & ~on[i])]
+        ahead = reach[k]
         for start in range(len(tri)):
-            extend((start,), tri[start], on[start], sp[start])
+            if not (tri[start] & ~on[start] & ~ahead[start]):
+                extend((start,), tri[start], on[start], sp[start])
         return out
 
     def graph(self, k: int) -> WindGraph:
@@ -439,9 +488,10 @@ def _dummy_halfplanes(
     magnitude) so the coefficients stay integers, and strict so no input
     point touches a dummy.
     """
-    coords = [abs(c) for p in points for c in (p.x, p.y)]
-    coords += [abs(c) for p in sprime for c in (p.x, p.y)]
-    delta = math.floor(max(coords, default=0)) + 1
+    # the floor of the largest magnitude is the largest floor, on ints
+    floors = [abs(c.numerator) // c.denominator for p in points for c in (p.x, p.y)]
+    floors += [abs(c.numerator) // c.denominator for p in sprime for c in (p.x, p.y)]
+    delta = max(floors, default=0) + 1
     return [
         Halfplane(DUMMY_BASE_ID - 0, 0, -1, -delta),  # y <= -delta
         Halfplane(DUMMY_BASE_ID - 1, 0, 1, -delta),   # y >= delta
@@ -681,13 +731,12 @@ class _HalfplaneInstance:
         if not self.points:
             return CoverSolution((), 0)
         stable = one_stable_local_search(self.min_cover, self.halfplanes)
-        best = CoverSolution.build([h.id for h in stable], self.sp_rows, self.halfplanes)
+        candidates = [[h.id for h in stable]]
+        candidates += [[h.id for h in combo] for combo in self.plane_covers]
+        membs = [depth(self.sp_rows, mask_of(ids, self.halfplanes)) for ids in candidates]
         # the first cover of least membership wins, the local-search one on a tie
-        candidates = (
-            CoverSolution.build([h.id for h in combo], self.sp_rows, self.halfplanes)
-            for combo in self.plane_covers
-        )
-        return min((best, *candidates), key=lambda cs: cs.memb)
+        winner = candidates[membs.index(min(membs))]
+        return CoverSolution.build(winner, self.sp_rows, self.halfplanes)
 
 
 def decide_membership(

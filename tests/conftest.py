@@ -16,7 +16,8 @@ from typing import Mapping
 import math
 
 from membercover import GridCell, Halfplane, Point, UnitSquare
-from membercover.halfplanes import _dirvec, _dot2, _orient
+from membercover.covers import CoverSolution
+from membercover.halfplanes import _dirvec, _dot2, _orient, one_stable_local_search
 from membercover.lp import (
     OPTIMAL,
     REL_EQ,
@@ -326,6 +327,22 @@ def in_triangle(x, p, a, b) -> bool:
     return (o1 >= 0 and o2 >= 0 and o3 >= 0) or (o1 <= 0 and o2 <= 0 and o3 <= 0)
 
 
+def additive_reference(inst):
+    """The additive-error cover of a `_HalfplaneInstance`, one
+    CoverSolution.build per candidate and the least membership by `min`:
+    the reference for `_HalfplaneInstance.additive`, which builds only the
+    winner."""
+    if not inst.points:
+        return CoverSolution((), 0)
+    stable = one_stable_local_search(inst.min_cover, inst.halfplanes)
+    best = CoverSolution.build([h.id for h in stable], inst.sp_rows, inst.halfplanes)
+    candidates = [
+        CoverSolution.build([h.id for h in combo], inst.sp_rows, inst.halfplanes)
+        for combo in inst.plane_covers
+    ]
+    return min([best, *candidates], key=lambda cs: cs.memb)
+
+
 # ---------------------------------------------------------------------------
 # seeded instance builders
 # ---------------------------------------------------------------------------
@@ -478,6 +495,47 @@ def fan_instance(seed: int):
         Point(Fraction(tx + rng.randint(-7, 7)), Fraction(ty + rng.randint(-7, 7)))
         for _ in range(n_prime)
     ]
+    return points, sprime, planes
+
+
+# the integer points of the radius-65 circle, by angle: halfplanes tangent
+# there share one norm, so each tangency point lies in its own halfplane only
+FAN_RADIUS = 65
+FAN_POINTS = sorted(
+    [
+        (x, y)
+        for x in range(-FAN_RADIUS, FAN_RADIUS + 1)
+        for y in range(-FAN_RADIUS, FAN_RADIUS + 1)
+        if x * x + y * y == FAN_RADIUS * FAN_RADIUS
+    ],
+    key=lambda t: math.atan2(t[1], t[0]),
+)
+
+
+def tangent_fan(seed, n: int, k: int, n_prime: int = 6):
+    """n halfplanes a*x + b*y >= 65^2 tangent to the circle at (a, b),
+    sampled by random.Random(seed), with monitored points in the box of
+    half-width 130: the first has depth exactly k, the others at most k.
+
+    Every cover takes all n halfplanes, so the optimum membership is k.
+    The same draws as the benchmark's `halfplanes-fan` generator with n
+    halfplanes and optimum k; its ladder rows use seed 1.
+    """
+    rng = random.Random(seed)
+    r2 = FAN_RADIUS * FAN_RADIUS
+    box = 2 * FAN_RADIUS
+    tangents = sorted(rng.sample(FAN_POINTS, n), key=FAN_POINTS.index)
+
+    def monitored(exact: bool) -> Point:
+        while True:
+            x, y = rng.randint(-box, box), rng.randint(-box, box)
+            depth = sum(1 for a, b in tangents if a * x + b * y >= r2)
+            if depth == k or (depth < k and not exact):
+                return Point(Fraction(x), Fraction(y))
+
+    sprime = [monitored(exact=True)] + [monitored(exact=False) for _ in range(n_prime - 1)]
+    points = [Point(Fraction(a), Fraction(b)) for a, b in tangents]
+    planes = [Halfplane(i, a, b, -r2) for i, (a, b) in enumerate(tangents)]
     return points, sprime, planes
 
 

@@ -6,11 +6,13 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    additive_reference,
     fan_instance,
     halfplane_instance,
     in_triangle,
     on_segment,
     strict_feasible_lp,
+    tangent_fan,
     verify_winding_certificate,
 )
 
@@ -28,6 +30,7 @@ from membercover import (
     exact_mmgsc_halfplanes,
     find_winding_cycle,
     incidence,
+    memb_eval,
     min_size_halfplane_cover,
     one_stable_local_search,
     plane_cover_triple,
@@ -41,6 +44,7 @@ from membercover.halfplanes import (
     WindingCertificate,
     _AnchorContext,
     _HalfplaneInstance,
+    _dummy_halfplanes,
     _flipped,
     _hpt,
     _min_size_cover,
@@ -362,6 +366,16 @@ def _seeded_contexts():
             yield inst, ctx.anchor, active, ctx
 
 
+def _tangent_fan_contexts():
+    """The covering anchor contexts of radius-65 tangent fans as the
+    benchmark draws them: the first 8-halfplane, optimum-2 instance of the
+    seed-1 pool, and the n=10, k=3 ladder row."""
+    for points, sprime, planes in (tangent_fan("halfplanes-fan:1", 8, 2), tangent_fan(1, 10, 3)):
+        inst = _HalfplaneInstance(points, sprime, planes)
+        for idx in inst.covering_anchors:
+            yield inst.context(idx)
+
+
 class TestAnchorContext:
     def test_masks_match_per_segment_reference(self):
         contexts = list(_hand_contexts()) + list(_seeded_contexts())
@@ -383,9 +397,32 @@ class TestAnchorContext:
                 assert carried == on_bits
 
     def test_chains_match_reference(self):
-        for _inst, _anchor, _active, ctx in list(_hand_contexts()) + list(_seeded_contexts()):
-            for k in range(4):
+        # the cutoffs drop only prefixes that no completion lets pass
+        contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
+        contexts += list(_tangent_fan_contexts())
+        for ctx in contexts:
+            for k in range(5):
                 assert ctx.chains(k) == _reference_chains(ctx, k)
+
+    def test_cutoff_tables_match_successor_walk(self):
+        contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
+        contexts += list(_tangent_fan_contexts())
+        for ctx in contexts:
+            ctx.chains(4)
+            assert len(ctx.reach) == 5
+            for s, nexts in enumerate(ctx.succ_seg):
+                common = -1
+                for j in nexts:
+                    common &= ctx.sp_mask[j]
+                assert ctx.every_succ_sp[s] == common
+                # the segments 1..t steps from s, one step at a time
+                frontier, seen = {s}, 0
+                assert ctx.reach[0][s] == 0
+                for t in range(1, 5):
+                    frontier = {j for i in frontier for j in ctx.succ_seg[i]}
+                    for j in frontier:
+                        seen |= ctx.on_mask[j]
+                    assert ctx.reach[t][s] == seen
 
     def test_successor_lists_increase(self):
         # graph() builds each successor list in vertex order, unsorted
@@ -552,6 +589,16 @@ class TestExactSolver:
         assert report.cover.memb == opt
         if report.path == "cycle":
             verify_winding_certificate(report, points, sprime, planes)
+
+    def test_tangent_fan_ladder_row(self):
+        # the n=16, k=3 ladder row: every cover takes all 16 halfplanes, so
+        # the optimum is the depth of the deepest monitored point
+        points, sprime, planes = tangent_fan(1, 16, 3)
+        report = exact_mmgsc_halfplanes_report(points, sprime, planes)
+        assert (report.k, report.path) == (3, "cycle")
+        assert report.cover.ids == tuple(range(16))
+        assert report.cover.memb == memb_eval(sprime, report.cover.ids, planes) == 3
+        verify_winding_certificate(report, points, sprime, planes)
 
     def test_identical_inputs_identical_outputs(self):
         for seed in (1, 4, 9):
@@ -729,6 +776,22 @@ class TestAdditiveError:
         planes = [Halfplane(0, 0, 1, 0), Halfplane(1, 0, -1, 0)]
         cover = additive_error_cover([P(0, 1), P(0, -1)], [P(0, 0)], planes)
         assert cover.memb <= 3
+
+    def test_matches_one_build_per_candidate(self, monkeypatch):
+        # one membership per candidate cover and one build, of the winner,
+        # give the cover that building every candidate gives
+        import membercover.halfplanes as hp
+
+        cases = [halfplane_instance(seed) for seed in range(120)]
+        cases += [fan_instance(seed) for seed in range(8)]
+        expected = [additive_reference(_HalfplaneInstance(*case)) for case in cases]
+        builds = _count_calls(monkeypatch, (hp.CoverSolution,), "build")
+        for case, want in zip(cases, expected):
+            del builds[:]
+            assert _HalfplaneInstance(*case).additive() == want
+            assert len(builds) <= 2
+        # not vacuous: some of the instances have plane covers to compare
+        assert any(_HalfplaneInstance(*case).plane_covers for case in cases)
 
     def test_additive_bound_battery(self):
         for seed in range(30):
@@ -921,6 +984,31 @@ def _count_calls(monkeypatch, owners, name):
 
 
 class TestOneInstance:
+    def test_hpt_matches_fraction_scaling(self):
+        rng = random.Random("hpt")
+        dens = [1, 2, 3, 7, 12, 64, 81]
+        coords = [Fraction(rng.randint(-500, 500), rng.choice(dens)) for _ in range(200)]
+        coords += [Fraction(-5, 3), Fraction(7, -12), Fraction(0), Fraction(-4)]
+        for x, y in zip(coords, reversed(coords)):
+            p = Point(x, y)
+            w = math.lcm(x.denominator, y.denominator)
+            assert _hpt(p) == (int(p.x * w), int(p.y * w), w)
+        assert _hpt(P("-5/3", "-7/12")) == (-20, -7, 12)
+
+    def test_dummy_offset_matches_fraction_floor(self):
+        rng = random.Random("dummies")
+        for _ in range(100):
+            pts = [
+                P(*[Fraction(rng.randint(-900, 900), rng.randint(1, 40)) for _ in "xy"])
+                for _ in range(rng.randint(0, 5))
+            ]
+            sprime = [P(Fraction(rng.randint(-900, 0), 7), Fraction(-rng.randint(1, 99), 13))]
+            coords = [abs(c) for q in pts + sprime for c in (q.x, q.y)]
+            _dummies, delta = _dummy_halfplanes(pts, sprime)
+            assert delta == math.floor(max(coords)) + 1
+        assert _dummy_halfplanes([P("-7/2", "1/3")], [])[1] == 4
+        assert _dummy_halfplanes([], [])[1] == 1
+
     def test_plane_flag_matches_full_region(self):
         fans = [
             [Halfplane(i, 1, i, -1) for i in range(4)],

@@ -197,3 +197,33 @@ def test_one_triple_certificate():
         path = SRC / name
         tree = ast.parse(path.read_text(), filename=str(path))
         assert scope in {s for s, _arg, _line in _calls(tree, {"triple_certificate"})}
+
+
+def test_one_chain_enumerator():
+    # a chain enumerator tests the triangle masks; the anchor context's
+    # `chains` is the only one in the library, nested defs counting as
+    # their enclosing function, and the full enumeration that it must match
+    # stays in the tests as `_reference_chains`
+    path = SRC / "halfplanes.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    readers = set()
+
+    def visit(node, scope, in_def):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not in_def:
+            scope = f"{scope}.{node.name}" if scope else node.name
+            in_def = not isinstance(node, ast.ClassDef)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "tri_mask"
+            and isinstance(node.ctx, ast.Load)
+        ):
+            readers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, in_def)
+
+    visit(tree, "", False)
+    assert readers == {"_AnchorContext.chains"}
+    tests = Path(__file__).resolve().parent / "test_halfplanes.py"
+    test_tree = ast.parse(tests.read_text(), filename=str(tests))
+    assert "_reference_chains" in _defs(test_tree)
+    assert "_reference_chains" not in _defs(tree)
