@@ -7,7 +7,7 @@ rational arithmetic; brute-force oracles and an exact rational LP solver
 back every approximation guarantee at desk scale.
 """
 
-from .covers import CoverSolution, Uncoverable, incidence, membership
+from .covers import CoverSolution, Uncoverable, incidence
 from .geometry import (
     ConvexRegion,
     GridCell,
@@ -15,7 +15,6 @@ from .geometry import (
     Point,
     Scalar,
     UnitSquare,
-    angle_cmp,
     complement_region,
     face_sample_points,
     grid_partition,

@@ -97,9 +97,3 @@ def quiet_cover(
         tuple(sorted([r.id for j, r in enumerate(ranges) if quiet >> j & 1])), 0
     )
 
-
-def membership(sprime: Sequence[Point], chosen_ids, ranges: Sequence) -> int:
-    """max over monitored points of how many chosen ranges contain it."""
-    by_id = {r.id: r for r in ranges}
-    picked = [by_id[i] for i in set(chosen_ids)]
-    return depth(incidence(sprime, picked), ALL)

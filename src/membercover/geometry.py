@@ -6,7 +6,11 @@ denominators and `on_grid` the integers D*x and D*y, so a unit square with
 top-right corner (U, V) on that grid is the box U - D <= X <= U,
 V - D <= Y <= V.  The face samples of a line arrangement are homogeneous
 integer triples.  Every predicate is decided by exact sign tests or integer
-comparisons.  There is no floating-point path anywhere in this module;
+comparisons.  Union and region questions share one kernel,
+`strictly_feasible`, the Helly and Motzkin sign test on an open halfplane
+system: a region is the closure of such a system, and `region_subset` and
+`union_compare` ask it whether a system plus one flipped constraint still
+has a point.  There is no floating-point path anywhere in this module;
 degenerate inputs (shared boundaries, duplicate ranges, collinear normals)
 are therefore handled exactly rather than by epsilon tuning.
 
@@ -29,10 +33,6 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 Scalar = Fraction
-
-LESS = -1
-EQUAL = 0
-GREATER = 1
 
 UNION_EQUAL = "equal"
 UNION_SUBSET = "subset"
@@ -137,57 +137,6 @@ def on_grid(points: Iterable[Point], d: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# clockwise angle order
-# ---------------------------------------------------------------------------
-
-def _cross(u: tuple, v: tuple):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _dot(u: tuple, v: tuple):
-    return u[0] * v[0] + u[1] * v[1]
-
-
-def _cw_half_index(ref: tuple, w: tuple) -> int:
-    """Coarse position of the clockwise angle from ref to w in [0, 2pi).
-
-    0: angle 0, 1: (0, pi), 2: exactly pi, 3: (pi, 2pi).  Clockwise
-    rotation has negative orientation, hence the sign of the cross
-    product distinguishes the two open halves.
-    """
-    c = _cross(ref, w)
-    if c < 0:
-        return 1
-    if c > 0:
-        return 3
-    return 0 if _dot(ref, w) > 0 else 2
-
-
-def cw_angle_cmp(ref: tuple, u: tuple, v: tuple) -> int:
-    """Compare clockwise angles from ref: ang(ref,u) vs ang(ref,v).
-
-    All vectors must be nonzero; result is -1/0/+1.  Exact: quadrant
-    classification plus one cross-product sign, no trigonometry.
-    """
-    hu = _cw_half_index(ref, u)
-    hv = _cw_half_index(ref, v)
-    if hu != hv:
-        return LESS if hu < hv else GREATER
-    if hu in (0, 2):
-        return EQUAL
-    # same open half: later clockwise means v is clockwise of u
-    c = _cross(u, v)
-    if c == 0:
-        return EQUAL
-    return LESS if c < 0 else GREATER
-
-
-def angle_cmp(ref: Halfplane, u: Halfplane, v: Halfplane) -> int:
-    """Order halfplane normals by clockwise angle from the reference normal."""
-    return cw_angle_cmp(ref.normal(), u.normal(), v.normal())
-
-
-# ---------------------------------------------------------------------------
 # grid partition
 # ---------------------------------------------------------------------------
 
@@ -283,9 +232,6 @@ def face_sample_points(lines: Sequence[tuple]) -> list[tuple[int, int, int]]:
 # convex regions as halfplane intersections
 # ---------------------------------------------------------------------------
 
-Constraint = tuple[Fraction, Fraction, Fraction]  # a*x + b*y + c >= 0
-
-
 def _normalize_constraint(a, b, c) -> tuple[int, int, int]:
     """Scale a rational constraint to a primitive integer triple."""
     fa, fb, fc = frac(a), frac(b), frac(c)
@@ -295,91 +241,6 @@ def _normalize_constraint(a, b, c) -> tuple[int, int, int]:
     if g > 1:
         ia, ib, ic = ia // g, ib // g, ic // g
     return (ia, ib, ic)
-
-
-def _all_normals_parallel(cons: Sequence[tuple]) -> bool:
-    for (a1, b1, _), (a2, b2, _) in combinations(cons, 2):
-        if a1 * b2 - a2 * b1 != 0:
-            return False
-    return True
-
-
-def _parallel_interval(cons: Sequence[tuple]):
-    """For constraints with pairwise parallel normals, bound t = n0 . x.
-
-    Returns (n0, lo, hi) with None meaning unbounded on that side.
-    """
-    a0, b0, _ = cons[0]
-    lo = None
-    hi = None
-    for (a, b, c) in cons:
-        lam = Fraction(a, a0) if a0 != 0 else Fraction(b, b0)
-        bound = Fraction(-c) / lam
-        if lam > 0:
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            if hi is None or bound < hi:
-                hi = bound
-    return (a0, b0), lo, hi
-
-
-def _recession_directions(cons: Sequence[tuple]) -> list[tuple[int, int]]:
-    """Generators of the recession cone {d : n_j . d >= 0 for all j}.
-
-    Every extreme ray makes some constraint tight, so rotated normals
-    suffice; the bare normals cover the halfplane-shaped cone and the
-    axis sentinels cover the unconstrained plane.
-    """
-    cands: list[tuple[int, int]] = []
-    if not cons:
-        return [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    for (a, b, _c) in cons:
-        cands.extend(((-b, a), (b, -a), (a, b)))
-    feasible = []
-    for d in cands:
-        if all(a * d[0] + b * d[1] >= 0 for (a, b, _c) in cons):
-            feasible.append(d)
-    return feasible
-
-
-def linear_inf(cons: Sequence[tuple], f: tuple) -> Fraction | None:
-    """Exact infimum of ``f = (fa, fb, fc)`` over a nonempty region.
-
-    Returns None for an infimum of minus infinity.  Callers must have
-    established feasibility of ``cons`` beforehand.
-    """
-    fa, fb, fc = f
-    for d in _recession_directions(cons):
-        if fa * d[0] + fb * d[1] < 0:
-            return None
-    if not cons:
-        return frac(fc)  # objective gradient is zero here, else unbounded
-    if _all_normals_parallel(cons):
-        (a0, b0), lo, hi = _parallel_interval(cons)
-        # f is bounded along the slab direction, so its gradient is a
-        # multiple kappa of the common normal
-        kappa = Fraction(fa, a0) if a0 != 0 else Fraction(fb, b0)
-        norm2 = Fraction(a0 * a0 + b0 * b0)
-        if kappa > 0:
-            return kappa * lo + fc if lo is not None else None
-        if kappa < 0:
-            return kappa * hi + fc if hi is not None else None
-        return frac(fc)
-    best = None
-    for (a1, b1, c1), (a2, b2, c2) in combinations(cons, 2):
-        det = a1 * b2 - a2 * b1
-        if det == 0:
-            continue
-        x = Fraction(b1 * c2 - b2 * c1, det)
-        y = Fraction(a2 * c1 - a1 * c2, det)
-        if all(a * x + b * y + c >= 0 for (a, b, c) in cons):
-            val = fa * x + fb * y + fc
-            if best is None or val < best:
-                best = val
-    if best is None:
-        raise RuntimeError("pointed nonempty region must have a vertex")
-    return best
 
 
 def pair_certificate(con1: tuple, con2: tuple) -> bool:
@@ -480,16 +341,17 @@ def complement_region(halfplanes: Sequence[Halfplane]) -> ConvexRegion:
 
 
 def region_subset(p: ConvexRegion, q: ConvexRegion) -> bool:
-    """Exact test P subseteq Q via infima of Q's constraints over P."""
+    """Exact test P subseteq Q.  P is the closure of its open system, so
+    P lies in the closed halfplane g >= 0 iff that open system together
+    with -g > 0 has no solution: one `strictly_feasible` call per
+    constraint g of Q."""
     if p.empty:
         return True
     if q.empty:
         return False
-    for g in q.constraints:
-        inf = linear_inf(p.constraints, g)
-        if inf is None or inf < 0:
-            return False
-    return True
+    return not any(
+        strictly_feasible(p.constraints + ((-a, -b, -c),)) for (a, b, c) in q.constraints
+    )
 
 
 def union_compare(z: Sequence[Halfplane], z2: Sequence[Halfplane]) -> str:

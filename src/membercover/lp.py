@@ -20,7 +20,9 @@ variable's value is its row's rhs over its own entry in that row.
 
 The module also builds the fractional-cover programs used by the square
 solvers: the membership program (minimize the largest fractional load on
-a monitored point) and the size program (minimize total weight).
+a monitored point) and the size program (minimize total weight).  Their
+0/1/-1 coefficients stay plain ints: `make_program` passes ints through
+and coerces only other values with `frac`.
 """
 
 from __future__ import annotations
@@ -41,11 +43,14 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+Rational = int | Fraction  # an int is exact with denominator 1
+
+
 @dataclass(frozen=True)
 class ConstraintRow:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
     rel: str
-    rhs: Fraction
+    rhs: Rational
 
 
 @dataclass(frozen=True)
@@ -53,9 +58,9 @@ class LinearProgram:
     """min objective . x  subject to rows, 0 <= x_i (<= upper_bounds[i])."""
 
     n_vars: int
-    objective: tuple[Fraction, ...]
+    objective: tuple[Rational, ...]
     rows: tuple[ConstraintRow, ...]
-    upper_bounds: tuple[Fraction | None, ...]
+    upper_bounds: tuple[Rational | None, ...]
 
     def __post_init__(self) -> None:
         if len(self.objective) != self.n_vars:
@@ -84,6 +89,11 @@ class LPSolution:
     assignment: tuple[Fraction, ...]
 
 
+def _rational(value) -> Rational:
+    """Ints as they are, anything else through `frac`."""
+    return value if isinstance(value, int) else frac(value)
+
+
 def make_program(n_vars, objective, rows, upper_bounds=None) -> LinearProgram:
     # tuples come from lists, not generators: CPython resizes a tuple built
     # from a generator, and the resized blocks pile up on its tuple free
@@ -91,12 +101,12 @@ def make_program(n_vars, objective, rows, upper_bounds=None) -> LinearProgram:
     ups = tuple(upper_bounds) if upper_bounds is not None else (None,) * n_vars
     return LinearProgram(
         n_vars=n_vars,
-        objective=tuple([frac(c) for c in objective]),
+        objective=tuple([_rational(c) for c in objective]),
         rows=tuple([
-            ConstraintRow(tuple([frac(c) for c in coeffs]), rel, frac(rhs))
+            ConstraintRow(tuple([_rational(c) for c in coeffs]), rel, _rational(rhs))
             for coeffs, rel, rhs in rows
         ]),
-        upper_bounds=tuple([None if u is None else frac(u) for u in ups]),
+        upper_bounds=tuple([None if u is None else _rational(u) for u in ups]),
     )
 
 
@@ -164,7 +174,7 @@ def _price_out(cost: list[int], tableau: list[list[int]], basis: list[int]) -> l
     return cost
 
 
-def _scaled(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[list[int], int, int]:
+def _scaled(coeffs: Sequence[Rational], rhs: Rational) -> tuple[list[int], int, int]:
     """Integer coefficients and rhs equal to the rational ones times the
     lcm of their denominators, and that lcm."""
     scale = math.lcm(rhs.denominator, *[c.denominator for c in coeffs])
@@ -278,9 +288,9 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 # cover programs
 # ---------------------------------------------------------------------------
 
-def _indicator(row: int, width: int, zero: Fraction, one: Fraction) -> list[Fraction]:
+def _indicator(row: int, width: int) -> list[int]:
     """Coefficients one at the set bits of an incidence row, zero elsewhere."""
-    return [one if row >> j & 1 else zero for j in range(width)]
+    return [1 if row >> j & 1 else 0 for j in range(width)]
 
 
 def build_membership_lp(
@@ -295,13 +305,12 @@ def build_membership_lp(
     weight at least one, every monitored point at most y.
     """
     n = n_ranges
-    zero, one, minus_one = Fraction(0), Fraction(1), Fraction(-1)
-    rows = [(_indicator(row, n + 1, zero, one), REL_GE, one) for row in s_rows]
+    rows = [(_indicator(row, n + 1), REL_GE, 1) for row in s_rows]
     for row in sp_rows:
-        coeffs = _indicator(row, n + 1, zero, one)
-        coeffs[n] = minus_one
-        rows.append((coeffs, REL_LE, zero))
-    return make_program(n + 1, [zero] * n + [one], rows, [one] * n + [None])
+        coeffs = _indicator(row, n + 1)
+        coeffs[n] = -1
+        rows.append((coeffs, REL_LE, 0))
+    return make_program(n + 1, [0] * n + [1], rows, [1] * n + [None])
 
 
 def build_size_lp(s_rows: Sequence[int], n_ranges: int) -> LinearProgram:
@@ -310,6 +319,5 @@ def build_size_lp(s_rows: Sequence[int], n_ranges: int) -> LinearProgram:
     `s_rows` is the incidence table of the points over the `n_ranges` ranges.
     """
     n = n_ranges
-    zero, one = Fraction(0), Fraction(1)
-    rows = [(_indicator(row, n, zero, one), REL_GE, one) for row in s_rows]
-    return make_program(n, [one] * n, rows, [one] * n)
+    rows = [(_indicator(row, n), REL_GE, 1) for row in s_rows]
+    return make_program(n, [1] * n, rows, [1] * n)

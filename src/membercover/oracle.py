@@ -6,8 +6,8 @@ lexicographically by range id) and evaluate coverage, membership and ply
 from first principles.  Containment is precomputed into bitmasks so the
 enumeration itself runs on machine integers while staying exact.
 `verify_cover` and `memb_eval` stay apart from `covers.first_uncovered`
-and `covers.membership` on purpose: they are the independent checker that
-the benchmark and the tests hold the solvers' covers against.
+and `covers.depth` on purpose: they are the independent checker that the
+benchmark and the tests hold the solvers' covers against.
 """
 
 from __future__ import annotations

@@ -222,6 +222,31 @@ def strict_feasible_lp(cons) -> bool:
     return -sol.value > 0
 
 
+def region_subset_lp(p, q) -> bool:
+    """P subseteq Q for ConvexRegions by LP: minimize each constraint g of Q
+    over P's closed constraints, on split variables x+, x-, y+, y-; P is not
+    inside Q when some minimum is unbounded or negative.
+
+    The reference for `geometry.region_subset`, which asks the strict
+    feasibility kernel instead.  Emptiness is read from the regions, whose
+    `empty` flags `strict_feasible_lp` checks separately.
+    """
+    if p.empty:
+        return True
+    if q.empty:
+        return False
+    rows = [([a, -a, b, -b], REL_GE, -c) for (a, b, c) in p.constraints]
+    for a, b, c in q.constraints:
+        sol = solve_lp(make_program(4, [a, -a, b, -b], rows, [None] * 4))
+        if sol.status == UNBOUNDED:
+            return False
+        if sol.status != OPTIMAL:
+            raise RuntimeError("a nonempty region has feasible closed constraints")
+        if sol.value + c < 0:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # face sampling of a line arrangement in Fraction, the reference for the
 # integer sampler

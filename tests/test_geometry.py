@@ -1,20 +1,14 @@
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
-import membercover
 from membercover import (
     ConvexRegion,
     GridCell,
     Halfplane,
     Point,
     UnitSquare,
-    angle_cmp,
     complement_region,
     face_sample_points,
     grid_partition,
@@ -22,8 +16,7 @@ from membercover import (
 )
 from membercover import geometry
 from membercover.geometry import (
-    cw_angle_cmp,
-    linear_inf,
+    region_from_constraints,
     region_subset,
     strictly_feasible,
 )
@@ -32,6 +25,7 @@ from conftest import (
     face_sample_points_reference,
     fan_instance,
     halfplane_instance,
+    region_subset_lp,
     strict_feasible_lp,
 )
 
@@ -51,73 +45,6 @@ class TestContainment:
         assert Halfplane(0, 0, 1, 0).contains(P(5, 0))
         assert not Halfplane(0, 0, 1, 0).contains(P(0, -1))
         assert Halfplane(0, 1, 1, -2).contains(P(1, 1))
-
-
-class TestAngleOrder:
-    def test_axis_quadrants(self):
-        ref = Halfplane(0, 0, 1, 0)
-        u = Halfplane(1, 1, 0, 0)
-        v = Halfplane(2, 0, -1, 0)
-        assert angle_cmp(ref, u, v) == -1  # quarter turn before half turn
-
-    def test_scale_invariance(self):
-        ref = Halfplane(0, 0, 1, 0)
-        assert angle_cmp(ref, Halfplane(1, 2, 0, 0), Halfplane(2, 1, 0, 0)) == 0
-
-    def test_against_float_angles(self):
-        # derived oracle: clockwise angle via atan2, on random integer normals
-        rng = random.Random(5)
-        for _ in range(500):
-            vecs = []
-            while len(vecs) < 3:
-                v = (rng.randint(-9, 9), rng.randint(-9, 9))
-                if v != (0, 0):
-                    vecs.append(v)
-            ref, u, v = vecs
-
-            def cw(w):
-                return (math.atan2(ref[1], ref[0]) - math.atan2(w[1], w[0])) % (2 * math.pi)
-
-            got = cw_angle_cmp(ref, u, v)
-            expected_gap = cw(u) - cw(v)
-            if abs(expected_gap) > 1e-9:
-                assert got == (-1 if expected_gap < 0 else 1)
-            else:
-                # ties are exact: same direction after scaling
-                assert (got == 0) == (
-                    u[0] * v[1] - u[1] * v[0] == 0 and u[0] * v[0] + u[1] * v[1] > 0
-                )
-
-    def test_specific_diagonal_order(self):
-        ref = Halfplane(0, 1, 0, 0)
-        u = Halfplane(1, 1, -1, 0)
-        v = Halfplane(2, -1, -1, 0)
-        assert angle_cmp(ref, u, v) == -1  # eighth turn before three eighths
-
-    def test_total_preorder_small_normals(self):
-        # exhaustive over all integer normals with |a|, |b| <= 5
-        normals = [
-            (a, b) for a in range(-5, 6) for b in range(-5, 6) if (a, b) != (0, 0)
-        ]
-        for ref in ((2, 1), (0, -3), (-5, 5)):
-            for u in normals:
-                assert cw_angle_cmp(ref, u, u) == 0
-                # zero angle iff positive multiple of the reference
-                zero = cw_angle_cmp(ref, u, ref) == 0 and cw_angle_cmp(ref, ref, u) == 0
-                parallel_same = (
-                    u[0] * ref[1] - u[1] * ref[0] == 0
-                    and u[0] * ref[0] + u[1] * ref[1] > 0
-                )
-                assert zero == parallel_same
-        ref = (2, 1)
-        rng = random.Random(11)
-        for _ in range(2000):
-            u, v, w = rng.choices(normals, k=3)
-            cuv, cvw = cw_angle_cmp(ref, u, v), cw_angle_cmp(ref, v, w)
-            if cuv <= 0 and cvw <= 0:
-                assert cw_angle_cmp(ref, u, w) <= 0
-            # antisymmetry
-            assert cw_angle_cmp(ref, v, u) == -cuv
 
 
 class TestSandwich:
@@ -454,37 +381,26 @@ class TestStrictlyFeasible:
 
 
 class TestRegionInternals:
-    def test_linear_inf_unbounded(self):
-        assert linear_inf([(0, 1, 0)], (0, -1, 0)) is None  # -y over y >= 0
-
-    def test_linear_inf_vertex(self):
-        cons = [(1, 0, 0), (0, 1, 0), (-1, -1, 2)]  # triangle x,y >= 0, x+y <= 2
-        assert linear_inf(cons, (1, 1, 0)) == 0
-        assert linear_inf(cons, (-1, -1, 0)) == -2
-
-    def test_linear_inf_infeasible_raises_under_optimize(self):
-        # x >= 1, x <= 0, y >= 0 is empty, and its normals are not all
-        # parallel: no vertex is feasible, which must raise even under -O
-        src = str(Path(membercover.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        code = (
-            "from membercover.geometry import linear_inf\n"
-            "assert False, 'asserts are on'\n"
-            "try:\n"
-            "    print(linear_inf([(1, 0, -1), (-1, 0, 0), (0, 1, 0)], (1, 0, 0)))\n"
-            "except RuntimeError as err:\n"
-            "    print(err)\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "pointed nonempty region must have a vertex"
-
     def test_region_subset_basic(self):
-        from membercover.geometry import region_from_constraints
-
         tri = region_from_constraints([(1, 0, 0), (0, 1, 0), (-1, -1, 2)])
         quad = region_from_constraints([(1, 0, 0), (0, 1, 0)])
         assert region_subset(tri, quad)
         assert not region_subset(quad, tri)
+
+    def test_region_subset_matches_lp_oracle(self):
+        # P is the complement of a seeded system and Q the complement of
+        # some of its halfplanes plus up to three of another system's, so
+        # P often lies inside Q and often does not; both orders are asked
+        outcomes = []
+        for seed in range(2000):
+            rng = random.Random(seed)
+            z = _seeded_system(seed)
+            z2 = rng.sample(z, rng.randint(0, len(z))) + _seeded_system(seed + 10_000)[: rng.randint(0, 3)]
+            p, q = complement_region(z), complement_region(z2)
+            for a, b in ((p, q), (q, p)):
+                got = region_subset(a, b)
+                assert got == region_subset_lp(a, b), (z, z2)
+                if not a.empty and not b.empty:
+                    outcomes.append(got)
+        assert len(outcomes) > 1500
+        assert 0.2 * len(outcomes) < sum(outcomes) < 0.8 * len(outcomes)

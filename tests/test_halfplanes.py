@@ -1130,7 +1130,6 @@ class TestAngleFacts:
                 continue
             _q, kept = built
             found += 1
-            from membercover.geometry import cw_angle_cmp
 
             def ordering_from(base):
                 others = [h for h in kept if h.id != base.id]
@@ -1144,9 +1143,9 @@ class TestAngleFacts:
                     key = _cw_key(base.normal(), h.normal())
                     if key[0] >= 2:  # at or past a halfturn
                         return False
-                    if last is not None and cw_angle_cmp(base.normal(), last.normal(), h.normal()) == 0:
+                    if last is not None and _same_direction(last.normal(), h.normal()):
                         return False
-                    if cw_angle_cmp(base.normal(), base.normal(), h.normal()) == 0:
+                    if _same_direction(base.normal(), h.normal()):
                         return False
                     last = h
                 return True
@@ -1162,8 +1161,6 @@ class TestAngleFacts:
             if built is None or len(built[1]) < 3:
                 continue
             q, kept = built
-            from membercover.geometry import cw_angle_cmp
-
             base = None
             ordered = None
             for h in kept:
@@ -1172,8 +1169,8 @@ class TestAngleFacts:
                     key=lambda o: _cw_key(h.normal(), o.normal()),
                 )
                 if all(_cw_key(h.normal(), o.normal())[0] < 2 for o in others):
-                    strict = all(
-                        cw_angle_cmp(h.normal(), a.normal(), b.normal()) != 0
+                    strict = not any(
+                        _same_direction(a.normal(), b.normal())
                         for a, b in zip(others, others[1:])
                     )
                     if strict:
@@ -1196,14 +1193,14 @@ class TestAngleFacts:
         assert checked >= 10
 
 
+def _same_direction(u, v):
+    """Are the nonzero vectors u and v positive multiples of each other?"""
+    return u[0] * v[1] - u[1] * v[0] == 0 and u[0] * v[0] + u[1] * v[1] > 0
+
+
 def _cw_key(ref, w):
-    """Sort key reproducing clockwise angle order, for test use."""
-    from membercover.geometry import _cw_half_index, _cross
-
-    h = _cw_half_index(ref, w)
-    # within an open half, order by cross sign against a rotating sweep:
-    # use atan-free comparison by packing the vector after normalization
-    import math as _m
-
-    ang = (_m.atan2(ref[1], ref[0]) - _m.atan2(w[1], w[0])) % (2 * _m.pi)
-    return (h, ang)
+    """Sort key for the clockwise angle from ref to w: the exact half index
+    (0 at angle 0, 1 in (0, pi), 2 at pi, 3 in (pi, 2pi)), then the angle."""
+    cross = ref[0] * w[1] - ref[1] * w[0]
+    half = 1 if cross < 0 else 3 if cross > 0 else 0 if _same_direction(ref, w) else 2
+    return (half, (math.atan2(ref[1], ref[0]) - math.atan2(w[1], w[0])) % (2 * math.pi))

@@ -227,3 +227,25 @@ def test_one_chain_enumerator():
     test_tree = ast.parse(tests.read_text(), filename=str(tests))
     assert "_reference_chains" in _defs(test_tree)
     assert "_reference_chains" not in _defs(tree)
+
+
+def test_one_union_kernel():
+    # region containment asks the same strict-feasibility kernel as the
+    # halfplane solvers; the LP-free region calculus and the clockwise
+    # angle order, which no solver called, stay deleted
+    path = SRC / "geometry.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "region_subset" in {s for s, _arg, _line in _calls(tree, {"strictly_feasible"})}
+    gone = {
+        "linear_inf",
+        "_recession_directions",
+        "_parallel_interval",
+        "_all_normals_parallel",
+        "cw_angle_cmp",
+        "angle_cmp",
+    }
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{name}" for name in _defs(tree) if name.split(".")[-1] in gone]
+    assert found == []

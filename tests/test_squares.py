@@ -28,6 +28,7 @@ from membercover import (
     exact_mmgsc_bruteforce,
     incidence,
     maximal_squares,
+    memb_eval,
     quadrant_greedy_cover,
     solve_cell,
     solve_lp,
@@ -36,7 +37,6 @@ from membercover import (
     solve_one_corner,
     verify_cover,
 )
-from membercover.covers import membership
 from membercover.geometry import grid_unit, on_grid
 from membercover.lp import OPTIMAL, LPSolution
 from membercover.squares import (
@@ -190,7 +190,7 @@ class TestSolveOneCorner:
     def test_zero_membership(self):
         sq = UnitSquare(0, P(1, 1))
         ids = solve_one_corner([P("1/2", "1/2")], [sq], CELL, 0)
-        assert ids == (0,) and membership([P(5, 5)], ids, [sq]) == 0
+        assert ids == (0,) and memb_eval([P(5, 5)], ids, [sq]) == 0
 
     def test_membership_close_to_fraction(self):
         for seed in range(40):
@@ -206,7 +206,7 @@ class TestSolveOneCorner:
                 ids = solve_one_corner(bucket_points, bucket_squares, CELL, corner)
                 frac = bucket_fractional_cover(report.partition, corner)
                 frac_memb = membership_of_fractional(sprime, frac, squares)
-                assert Fraction(membership(sprime, ids, squares)) <= frac_memb + 2
+                assert Fraction(memb_eval(sprime, ids, squares)) <= frac_memb + 2
 
 
 class TestSolveCell:
@@ -227,7 +227,7 @@ class TestSolveCell:
             report = solve_cell_report(points, sprime, squares, CELL)
             cover = report.cover
             assert verify_cover(points, cover.ids, squares)
-            assert cover.memb == membership(sprime, cover.ids, squares)
+            assert cover.memb == memb_eval(sprime, cover.ids, squares)
             if report.lp_value is not None:
                 assert Fraction(cover.memb) <= 16 * report.lp_value + 8
             opt, _ = exact_mmgsc_bruteforce(points, sprime, squares)
