@@ -13,7 +13,6 @@ from .geometry import (
     GridCell,
     Halfplane,
     Point,
-    Scalar,
     UnitSquare,
     complement_region,
     face_sample_points,

@@ -1,8 +1,6 @@
 """Command-line front end: gen, solve, exact, verify, bench, plot.
 
 Exit codes: 0 success, 1 usage or parse errors, 2 uncoverable instance.
-The only environment knob is MEMBERCOVER_THREADS, which parallelizes the
-bench matrix; results are ordered by (seed, solver) regardless.
 """
 
 from __future__ import annotations
@@ -10,7 +8,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -121,8 +118,6 @@ def _solve_one(
         return cover, ply_report.value, None
     if solver == "halfplanes-additive":
         cover = additive_error_cover(doc.s, doc.sprime, doc.ranges)
-    elif solver == "halfplanes-exact":
-        cover = exact_mmgsc_halfplanes(doc.s, doc.sprime, doc.ranges)
     elif solver.startswith("halfplanes-ptas-"):
         eps = Fraction(solver.rsplit("-", 1)[1])
         cover = ptas(doc.s, doc.sprime, doc.ranges, eps)
@@ -133,12 +128,13 @@ def _solve_one(
     return cover, cover.memb, None
 
 
-def _oracle_value(doc: InstanceDoc, solver: str, budget: OracleBudget) -> int | None:
+def _oracle_value(doc: InstanceDoc, solver: str) -> int | None:
+    """The oracle's optimum under its default budget; None past the budget."""
     try:
         if solver.endswith("ply"):
-            value, _ = exact_mpgsc_bruteforce(doc.s, doc.ranges, budget)
+            value, _ = exact_mpgsc_bruteforce(doc.s, doc.ranges)
         else:
-            value, _ = exact_mmgsc_bruteforce(doc.s, doc.sprime, doc.ranges, budget)
+            value, _ = exact_mmgsc_bruteforce(doc.s, doc.sprime, doc.ranges)
         return value
     except BudgetExceeded:
         return None
@@ -149,12 +145,11 @@ def run_report(
     solver: str,
     epsilon: Fraction = Fraction(1),
     with_oracle: bool = False,
-    budget: OracleBudget = OracleBudget(),
 ) -> RunReport:
     start = time.perf_counter()
     cover, value, lp_value = _solve_one(doc, solver, epsilon)
     millis = (time.perf_counter() - start) * 1000
-    oracle_value = _oracle_value(doc, solver, budget) if with_oracle else None
+    oracle_value = _oracle_value(doc, solver) if with_oracle else None
     return RunReport(
         solver=solver,
         digest=doc.digest(),
@@ -180,44 +175,33 @@ def bench_solvers(kind: str) -> list[str]:
     return ["halfplanes-additive", "halfplanes-ptas-1", "halfplanes-ptas-1/2"]
 
 
-def _bench_seed(args_tuple):
-    kind, seed, n_points, max_ranges, extent, with_oracle = args_tuple
+def _bench_seed(
+    kind: str, seed: int, n_points: int, max_ranges: int, extent: int, with_oracle: bool
+) -> list[dict]:
     n_ranges = (seed % max_ranges) + 1
     doc = generate(kind, n_points=n_points, n_ranges=n_ranges, extent=extent, seed=seed)
     rows = []
     for solver in bench_solvers(kind):
+        row = {
+            "seed": seed,
+            "kind": kind,
+            "solver": solver,
+            "n_points": doc.n_points,
+            "n_ranges": doc.n_ranges,
+        }
         try:
             report = run_report(doc, solver, with_oracle=with_oracle)
         except Uncoverable:
-            rows.append(
-                {
-                    "seed": seed,
-                    "kind": kind,
-                    "solver": solver,
-                    "n_points": doc.n_points,
-                    "n_ranges": doc.n_ranges,
-                    "value": "uncoverable",
-                    "oracle_value": "",
-                    "lp_value": "",
-                    "size": "",
-                    "millis": "0",
-                }
+            row.update(value="uncoverable", oracle_value="", lp_value="", size="", millis="0")
+        else:
+            row.update(
+                value=report.value,
+                oracle_value="" if report.oracle_value is None else report.oracle_value,
+                lp_value="" if report.lp_value is None else str(report.lp_value),
+                size=report.size,
+                millis=f"{report.millis:.3f}",
             )
-            continue
-        rows.append(
-            {
-                "seed": seed,
-                "kind": kind,
-                "solver": solver,
-                "n_points": report.n_points,
-                "n_ranges": report.n_ranges,
-                "value": report.value,
-                "oracle_value": "" if report.oracle_value is None else report.oracle_value,
-                "lp_value": "" if report.lp_value is None else str(report.lp_value),
-                "size": report.size,
-                "millis": f"{report.millis:.3f}",
-            }
-        )
+        rows.append(row)
     return rows
 
 
@@ -229,20 +213,11 @@ def run_bench(
     extent: int,
     with_oracle: bool,
 ) -> tuple[list[dict], dict]:
-    tasks = [
-        (kind, seed, n_points, max_ranges, extent, with_oracle)
+    rows = [
+        row
         for seed in range(seeds)
+        for row in _bench_seed(kind, seed, n_points, max_ranges, extent, with_oracle)
     ]
-    threads = int(os.environ.get("MEMBERCOVER_THREADS", "1"))
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_bench_seed, tasks))
-    else:
-        chunks = [_bench_seed(t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r["seed"], r["solver"]))
 
     summary: dict = {
         "schema": BENCH_SCHEMA_VERSION,

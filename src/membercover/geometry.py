@@ -32,8 +32,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-Scalar = Fraction
-
 UNION_EQUAL = "equal"
 UNION_SUBSET = "subset"
 UNION_SUPERSET = "superset"

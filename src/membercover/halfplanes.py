@@ -153,7 +153,6 @@ class SegmentPhi:
     """
 
     host: int  # halfplane id
-    anchor: Point
     a_h: HPt
     b_h: HPt
 
@@ -193,9 +192,9 @@ def build_segments(h_active: Sequence[Halfplane], p: Point) -> list[SegmentPhi]:
         ordered = sorted(pts)
         for a, b in combinations(ordered, 2):
             if _orient(p_h, a, b) < 0:
-                segments.append(SegmentPhi(host.id, p, a, b))
+                segments.append(SegmentPhi(host.id, a, b))
             else:
-                segments.append(SegmentPhi(host.id, p, b, a))
+                segments.append(SegmentPhi(host.id, b, a))
     return segments
 
 
@@ -218,20 +217,17 @@ def _ray_direction(p_h: HPt, endpoints: Iterable[HPt]) -> tuple[int, int]:
 
 @dataclass
 class WindGraph:
-    """Nodes are (k+1)-tuples of chained segments; arcs shift by one.
+    """Nodes are (k+1)-tuples of chained segments, as indices into the
+    anchor context's kept segments; arcs shift by one.
 
     `cross[v]` tells whether the angular arc of the node's first segment
     crosses the reference ray; it is the crossing flag of every arc
     leaving v.
     """
 
-    k: int
-    segments: list[SegmentPhi]
     vertices: list[tuple[int, ...]]
     succ: list[list[int]]
     cross: list[bool]
-    ray: tuple[int, int]
-    anchor: Point
 
 
 class _AnchorContext:
@@ -384,16 +380,7 @@ class _AnchorContext:
                 by_head.setdefault(v[:-1], []).append(i)
             for v in vertices:
                 succ.append(by_head.get(v[1:], []))
-        cross = [self.cross[v[0]] for v in vertices]
-        return WindGraph(
-            k=k,
-            segments=self.segments,
-            vertices=vertices,
-            succ=succ,
-            cross=cross,
-            ray=self.ray,
-            anchor=self.anchor,
-        )
+        return WindGraph(vertices, succ, [self.cross[v[0]] for v in vertices])
 
 
 def _columns(rows: Sequence[int], width: int) -> list[int]:
@@ -593,10 +580,10 @@ class _HalfplaneInstance:
         return self._small_scan[1]
 
     @cached_property
-    def plane_covers(self) -> list[tuple[Halfplane, ...]]:
-        """The pairs, then the triples, of halfplanes covering the plane;
-        empty iff the halfplanes do not cover it (Helly)."""
-        return list(_plane_covers(self.halfplanes))
+    def covers_plane(self) -> bool:
+        """Do the halfplanes cover the plane?  Iff some pair or triple does
+        (Helly), so the first plane cover found decides."""
+        return next(_plane_covers(self.halfplanes), None) is not None
 
     @cached_property
     def min_cover(self) -> list[Halfplane]:
@@ -727,16 +714,28 @@ class _HalfplaneInstance:
 
     def additive(self) -> CoverSolution:
         """The additive-error cover: the minimum-size cover after one-stable
-        local search, unless a plane cover has lower membership."""
+        local search, unless a plane cover has lower membership.
+
+        The local-search cover wins ties, then the first plane cover of
+        least membership.  A plane cover holds every monitored point, so
+        none goes below 1 when S' is not empty (0 when it is): the scan
+        stops at that floor, or never starts when the local-search cover
+        is at it already.
+        """
         if not self.points:
             return CoverSolution((), 0)
         stable = one_stable_local_search(self.min_cover, self.halfplanes)
-        candidates = [[h.id for h in stable]]
-        candidates += [[h.id for h in combo] for combo in self.plane_covers]
-        membs = [depth(self.sp_rows, mask_of(ids, self.halfplanes)) for ids in candidates]
-        # the first cover of least membership wins, the local-search one on a tie
-        winner = candidates[membs.index(min(membs))]
-        return CoverSolution.build(winner, self.sp_rows, self.halfplanes)
+        best = CoverSolution.build([h.id for h in stable], self.sp_rows, self.halfplanes)
+        floor = 1 if self.sp_rows else 0
+        if best.memb <= floor or not self.covers_plane:
+            return best
+        for combo in _plane_covers(self.halfplanes):
+            memb = depth(self.sp_rows, sum([1 << j for j in combo]))
+            if memb < best.memb:
+                best = CoverSolution(tuple([self.halfplanes[j].id for j in combo]), memb)
+                if memb <= floor:
+                    break
+        return best
 
 
 def decide_membership(
@@ -776,9 +775,9 @@ def _flipped(halfplanes: Iterable[Halfplane]) -> list[tuple[int, int, int]]:
     return [(-h.a, -h.b, -h.c) for h in halfplanes]  # open complements: -h > 0
 
 
-def _plane_covers(halfplanes: Sequence[Halfplane]) -> Iterator[tuple[Halfplane, ...]]:
+def _plane_covers(halfplanes: Sequence[Halfplane]) -> Iterator[tuple[int, ...]]:
     """Every pair, then every triple, of halfplanes whose union is the
-    plane, in id order.
+    plane, as increasing positions in the id-sorted halfplanes.
 
     The union is the plane iff the open complements have no common point,
     and an empty intersection already shows on a pair or triple (Helly).
@@ -788,27 +787,27 @@ def _plane_covers(halfplanes: Sequence[Halfplane]) -> Iterator[tuple[Halfplane, 
     certificate (`triple_certificate`).  The halfplanes are flipped once
     and each pair is tested once.
     """
-    ordered = sorted(halfplanes, key=lambda h: h.id)
-    flipped = _flipped(ordered)
+    flipped = _flipped(sorted(halfplanes, key=lambda h: h.id))
     covering: set[tuple[int, int]] = set()
-    for i, j in combinations(range(len(ordered)), 2):
+    for i, j in combinations(range(len(flipped)), 2):
         if pair_certificate(flipped[i], flipped[j]):
             covering.add((i, j))
-            yield (ordered[i], ordered[j])
-    for i, j, k in combinations(range(len(ordered)), 3):
+            yield (i, j)
+    for i, j, k in combinations(range(len(flipped)), 3):
         if (
             (i, j) in covering
             or (i, k) in covering
             or (j, k) in covering
             or triple_certificate(flipped[i], flipped[j], flipped[k])
         ):
-            yield (ordered[i], ordered[j], ordered[k])
+            yield (i, j, k)
 
 
 def plane_cover_triple(halfplanes: Sequence[Halfplane]) -> list[Halfplane] | None:
     """Up to three halfplanes covering the whole plane, if any exist."""
-    combo = next(_plane_covers(halfplanes), None)
-    return None if combo is None else list(combo)
+    ordered = sorted(halfplanes, key=lambda h: h.id)
+    combo = next(_plane_covers(ordered), None)
+    return None if combo is None else [ordered[j] for j in combo]
 
 
 def _min_size_cover(
@@ -976,7 +975,7 @@ def ptas(
         raise ValueError("eps must be positive")
     inst = _HalfplaneInstance(points, sprime, halfplanes)
     rough = inst.additive()
-    constant = ADDITIVE_ERROR_PLANE if inst.plane_covers else ADDITIVE_ERROR
+    constant = ADDITIVE_ERROR_PLANE if inst.covers_plane else ADDITIVE_ERROR
     threshold = (1 + eps) / eps * constant
     if rough.memb >= threshold:
         return rough

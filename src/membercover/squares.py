@@ -39,7 +39,6 @@ from .geometry import (
     GridCell,
     Point,
     UnitSquare,
-    cell_of_point,
     grid_partition,
     grid_unit,
     on_grid,
@@ -122,7 +121,6 @@ class CornerPartition:
     order of `lp_solution`.
     """
 
-    cell: GridCell
     squares: tuple[UnitSquare, ...]
     point_buckets: tuple[tuple[Point, ...], ...]
     square_buckets: tuple[tuple[UnitSquare, ...], ...]
@@ -176,7 +174,6 @@ def corner_partition(
         winner = max(range(N_CORNERS), key=lambda idx: (delta[idx], -idx))
         point_buckets[winner].append(p)
     return CornerPartition(
-        cell=cell,
         squares=tuple(squares),
         point_buckets=tuple([tuple(b) for b in point_buckets]),
         square_buckets=tuple([tuple(b) for b in square_buckets]),
@@ -268,12 +265,14 @@ def round_cell_lp(
 
 @dataclass(frozen=True)
 class CellReport:
-    """Cell solve with its diagnostics, for tests and the bench harness."""
+    """Cell solve with its diagnostics: the LP value, the corner partition
+    and the ids of each corner bucket's cover (all empty on the quiet
+    path, where no LP runs)."""
 
     cover: CoverSolution
     lp_value: Fraction | None
     partition: CornerPartition | None
-    bucket_covers: tuple[CoverSolution, ...]
+    bucket_ids: tuple[tuple[int, ...], ...]
     zero_membership: bool
 
 
@@ -281,12 +280,10 @@ def solve_cell_report(
     points: Sequence[Point],
     sprime: Sequence[Point],
     squares: Sequence[UnitSquare],
-    cell: GridCell | None = None,
+    cell: GridCell,
 ) -> CellReport:
     if not points:
         return CellReport(CoverSolution((), 0), None, None, (), True)
-    if cell is None:
-        cell = cell_of_point(points[0])
     s_rows, sp_rows = square_tables(squares, points, sprime)
     check_covered(points, s_rows)
 
@@ -302,16 +299,15 @@ def solve_cell_report(
 
     program = lpmod.build_membership_lp(s_rows, sp_rows, len(squares))
     partition, chosen = round_cell_lp(points, s_rows, squares, cell, program)
-    bucket_covers = tuple([CoverSolution.build(ids, sp_rows, squares) for ids in chosen])
     cover = CoverSolution.build([i for ids in chosen for i in ids], sp_rows, squares)
-    return CellReport(cover, partition.lp_solution.value, partition, bucket_covers, False)
+    return CellReport(cover, partition.lp_solution.value, partition, tuple(chosen), False)
 
 
 def solve_cell(
     points: Sequence[Point],
     sprime: Sequence[Point],
     squares: Sequence[UnitSquare],
-    cell: GridCell | None = None,
+    cell: GridCell,
 ) -> CoverSolution:
     return solve_cell_report(points, sprime, squares, cell).cover
 
@@ -319,7 +315,6 @@ def solve_cell(
 @dataclass(frozen=True)
 class SquaresReport:
     cover: CoverSolution
-    cell_reports: dict
     max_lp_value: Fraction | None
 
 
@@ -330,12 +325,10 @@ def solve_mmgsc_squares_report(
 ) -> SquaresReport:
     cells = grid_partition(points, squares)
     ids: set[int] = set()
-    reports = {}
     max_lp: Fraction | None = None
     for cell in sorted(cells, key=lambda c: (c.i, c.j)):
         cell_points, cell_squares = cells[cell]
         report = solve_cell_report(cell_points, sprime, cell_squares, cell)
-        reports[cell] = report
         ids.update(report.cover.ids)
         if report.lp_value is not None and (max_lp is None or report.lp_value > max_lp):
             max_lp = report.lp_value
@@ -343,7 +336,7 @@ def solve_mmgsc_squares_report(
     by_id = {q.id: q for q in squares}
     (sp_rows,) = square_tables([by_id[i] for i in chosen], sprime)
     cover = CoverSolution(tuple(chosen), depth(sp_rows, ALL))
-    return SquaresReport(cover, reports, max_lp)
+    return SquaresReport(cover, max_lp)
 
 
 def solve_mmgsc_squares(

@@ -17,7 +17,13 @@ import math
 
 from membercover import GridCell, Halfplane, Point, UnitSquare
 from membercover.covers import CoverSolution
-from membercover.halfplanes import _dirvec, _dot2, _orient, one_stable_local_search
+from membercover.halfplanes import (
+    _dirvec,
+    _dot2,
+    _orient,
+    _plane_covers,
+    one_stable_local_search,
+)
 from membercover.lp import (
     OPTIMAL,
     REL_EQ,
@@ -356,14 +362,14 @@ def additive_reference(inst):
     """The additive-error cover of a `_HalfplaneInstance`, one
     CoverSolution.build per candidate and the least membership by `min`:
     the reference for `_HalfplaneInstance.additive`, which builds only the
-    winner."""
+    winner, and reads plane covers only until one reaches the floor."""
     if not inst.points:
         return CoverSolution((), 0)
     stable = one_stable_local_search(inst.min_cover, inst.halfplanes)
     best = CoverSolution.build([h.id for h in stable], inst.sp_rows, inst.halfplanes)
     candidates = [
-        CoverSolution.build([h.id for h in combo], inst.sp_rows, inst.halfplanes)
-        for combo in inst.plane_covers
+        CoverSolution.build([inst.halfplanes[j].id for j in combo], inst.sp_rows, inst.halfplanes)
+        for combo in _plane_covers(inst.halfplanes)
     ]
     return min([best, *candidates], key=lambda cs: cs.memb)
 
@@ -561,6 +567,34 @@ def tangent_fan(seed, n: int, k: int, n_prime: int = 6):
     sprime = [monitored(exact=True)] + [monitored(exact=False) for _ in range(n_prime - 1)]
     points = [Point(Fraction(a), Fraction(b)) for a, b in tangents]
     planes = [Halfplane(i, a, b, -r2) for i, (a, b) in enumerate(tangents)]
+    return points, sprime, planes
+
+
+def ring_instance(seed, n: int, n_points: int = 12, n_prime: int = 12):
+    """n halfplanes missing the origin, with S on the radius-40 circle.
+
+    A halfplane has a random direction t, normal (a, b) = round(16 cos t,
+    16 sin t) and c = -round(28 |(a, b)| U(0.9, 1.1)).  Each of the
+    `n_points` draws round(40 cos f, 40 sin f) is kept if some halfplane
+    contains it, and S' holds `n_prime` integer points of [-60, 60]^2.
+    All draws come from random.Random(seed) in that order.
+    """
+    rng = random.Random(seed)
+    planes = []
+    for i in range(n):
+        t = rng.uniform(0, 2 * math.pi)
+        a, b = round(16 * math.cos(t)), round(16 * math.sin(t))
+        planes.append(Halfplane(i, a, b, -round(28 * math.hypot(a, b) * rng.uniform(0.9, 1.1))))
+    points = []
+    for _ in range(n_points):
+        f = rng.uniform(0, 2 * math.pi)
+        p = Point(Fraction(round(40 * math.cos(f))), Fraction(round(40 * math.sin(f))))
+        if any(h.contains(p) for h in planes):
+            points.append(p)
+    sprime = [
+        Point(Fraction(rng.randint(-60, 60)), Fraction(rng.randint(-60, 60)))
+        for _ in range(n_prime)
+    ]
     return points, sprime, planes
 
 

@@ -9,12 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from conftest import square_instance
+from conftest import fan_instance, halfplane_instance, square_instance
 
 import membercover
 import membercover.cli as cli
 from membercover.cli import CSV_COLUMNS, run_bench, run_cli, write_csv
-from membercover.instances import InstanceDoc, parse_instance
+from membercover.instances import InstanceDoc, parse_instance, serialize_instance
+from membercover.oracle import (
+    exact_minsize_bruteforce,
+    exact_mmgsc_bruteforce,
+    exact_mpgsc_bruteforce,
+    memb_eval,
+    verify_cover,
+)
+from membercover.ply import ply
 from membercover.svgplot import render_svg
 
 
@@ -175,18 +183,40 @@ def test_solve_with_oracle_flag(tmp_path, capsys):
     assert report["value"] >= report["oracle_value"]
 
 
-def test_bench_parallel_matches_serial(monkeypatch):
-    kwargs = dict(kind="halfplanes", seeds=4, max_ranges=5, n_points=4,
-                  extent=4, with_oracle=True)
-    monkeypatch.setenv("MEMBERCOVER_THREADS", "2")
-    rows_par, _ = run_bench(**kwargs)
-    monkeypatch.setenv("MEMBERCOVER_THREADS", "1")
-    rows_ser, _ = run_bench(**kwargs)
+def _exact(tmp_path, capsys, kind, instance, *flags):
+    points, sprime, ranges = instance
+    doc = InstanceDoc(kind, tuple(points), tuple(sprime), tuple(ranges))
+    inst = tmp_path / "in.json"
+    inst.write_text(serialize_instance(doc))
+    code, out, _ = _run(capsys, "exact", str(inst), *flags)
+    assert code == 0
+    report = json.loads(out)
+    assert verify_cover(doc.s, report["witness"], doc.ranges)
+    return doc, report
 
-    def strip(rows):
-        return [{k: v for k, v in r.items() if k != "millis"} for r in rows]
 
-    assert strip(rows_par) == strip(rows_ser)
+@pytest.mark.parametrize("seed", [7, 9])
+def test_exact_ply_objective(tmp_path, capsys, seed):
+    doc, report = _exact(tmp_path, capsys, "squares", square_instance(seed),
+                         "--objective", "ply")
+    assert report["value"] == exact_mpgsc_bruteforce(doc.s, doc.ranges)[0]
+    chosen = set(report["witness"])
+    assert ply([q for q in doc.ranges if q.id in chosen]).value == report["value"]
+
+
+@pytest.mark.parametrize("seed", [7, 9])
+def test_exact_size_objective(tmp_path, capsys, seed):
+    doc, report = _exact(tmp_path, capsys, "squares", square_instance(seed),
+                         "--objective", "size")
+    assert report["value"] == exact_minsize_bruteforce(doc.s, doc.ranges)[0]
+    assert len(set(report["witness"])) == report["value"]
+
+
+@pytest.mark.parametrize("instance", [halfplane_instance(9), fan_instance(1)])
+def test_exact_search_solver(tmp_path, capsys, instance):
+    doc, report = _exact(tmp_path, capsys, "halfplanes", instance, "--solver", "search")
+    assert report["value"] == exact_mmgsc_bruteforce(doc.s, doc.sprime, doc.ranges)[0]
+    assert memb_eval(doc.sprime, report["witness"], doc.ranges) == report["value"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from conftest import (
     halfplane_instance,
     in_triangle,
     on_segment,
+    ring_instance,
     strict_feasible_lp,
     tangent_fan,
     verify_winding_certificate,
@@ -108,7 +110,8 @@ class TestPlaneCover:
                 c for c in combos
                 if not strict_feasible_lp([(-h.a, -h.b, -h.c) for h in c])
             ]
-            assert _HalfplaneInstance(points, sprime, hs).plane_covers == expected
+            assert [tuple([ordered[j] for j in c]) for c in _plane_covers(hs)] == expected
+            assert _HalfplaneInstance(points, sprime, hs).covers_plane == bool(expected)
             sizes += [len(c) for c in expected]
         assert 2 in sizes and 3 in sizes  # both pairs and triples are exercised
 
@@ -135,7 +138,7 @@ class TestPlaneCover:
                 c for size in (2, 3) for c in combinations(ordered, size)
                 if not strictly_feasible(_flipped(c))
             ]
-            assert list(_plane_covers(hs)) == expected
+            assert [tuple([ordered[j] for j in c]) for c in _plane_covers(hs)] == expected
             first = plane_cover_triple(hs)
             assert first == (list(expected[0]) if expected else None)
             for g, h in combinations(hs, 2):
@@ -228,12 +231,13 @@ class TestDecisionGraph:
         # a mandatory point swallowed by a segment's triangle knocks the
         # segment out of the graph; the box can then no longer close
         anchor = P("1/2", "1/2")
-        blocked = build_decision_graph([P(0, 0)], [], BOX, anchor, 0)
+        ctx = _AnchorContext(anchor, BOX, _HalfplaneInstance([P(0, 0)], [], BOX))
+        blocked = ctx.graph(0)
         free = build_decision_graph([], [], BOX, anchor, 0)
         assert len(free.vertices) == 4
         assert len(blocked.vertices) < 4
         for v in blocked.vertices:
-            seg = blocked.segments[v[0]]
+            seg = ctx.segments[v[0]]
             # the witness point (0,0) must not lie inside this triangle
             assert not in_triangle(_hpt(P(0, 0)), _hpt(anchor), seg.a_h, seg.b_h)
         assert find_winding_cycle(blocked) is None
@@ -245,33 +249,21 @@ class TestDecisionGraph:
             Halfplane(2, 0, 1, -1),
             Halfplane(3, 0, -1, -1),
         ]
-        inside = build_decision_graph([], [P(2, 0)], far, P(0, 0), 0)
-        hosts = {inside.segments[v[0]].host for v in inside.vertices}
+        ctx = _AnchorContext(P(0, 0), far, _HalfplaneInstance([], [P(2, 0)], far))
+        hosts = {ctx.segments[v[0]].host for v in ctx.graph(0).vertices}
         assert 0 not in hosts  # x >= 1 contains the monitored point at k = 0
 
     def test_winding_two_rejected(self):
         # synthetic graph: two mandatory crossings in every cycle
         graph = WindGraph(
-            k=0,
-            segments=[],
             vertices=[(0,), (1,), (2,), (3,)],
             succ=[[1], [2], [3], [0]],
             cross=[True, False, True, False],
-            ray=(1, 0),
-            anchor=P(0, 0),
         )
         assert find_winding_cycle(graph) is None
 
     def test_no_crossing_edge_no_cycle(self):
-        graph = WindGraph(
-            k=0,
-            segments=[],
-            vertices=[(0,), (1,)],
-            succ=[[1], [0]],
-            cross=[False, False],
-            ray=(1, 0),
-            anchor=P(0, 0),
-        )
+        graph = WindGraph(vertices=[(0,), (1,)], succ=[[1], [0]], cross=[False, False])
         assert find_winding_cycle(graph) is None
 
 
@@ -600,6 +592,19 @@ class TestExactSolver:
         assert report.cover.memb == memb_eval(sprime, report.cover.ids, planes) == 3
         verify_winding_certificate(report, points, sprime, planes)
 
+    def test_minsize_path(self):
+        # four halfplanes below tangents of y = x^2 + 10, each holding only
+        # its own point of S and all holding the origin: no small cover
+        # exists, every cover takes all four, and k = 4 accepts the
+        # minimum-size cover
+        ts = (-3, -1, 1, 3)
+        planes = [Halfplane(i, 2 * t, -1, 10 - t * t) for i, t in enumerate(ts)]
+        points = [P(t, t * t + 9) for t in ts]
+        report = exact_mmgsc_halfplanes_report(points, [P(0, 0)], planes)
+        assert (report.path, report.k, report.cover.ids) == ("minsize", 4, (0, 1, 2, 3))
+        assert report.cover.memb == 4
+        assert exact_mmgsc_bruteforce(points, [P(0, 0)], planes) == (4, (0, 1, 2, 3))
+
     def test_identical_inputs_identical_outputs(self):
         for seed in (1, 4, 9):
             points, sprime, planes = halfplane_instance(seed, max_planes=7, max_points=6)
@@ -636,6 +641,44 @@ class TestMinSizeCover:
             opt, _ = exact_minsize_bruteforce(points, planes)
             assert len(got) == opt
             assert verify_cover(points, [h.id for h in got], planes)
+
+    def test_branch_and_bound_on_ring_draws(self):
+        # the search after the LP bound runs when the greedy cover is larger
+        # than both the small-cover floor and the rounded-up size LP value;
+        # on ring draws with 20 points of S that mostly means no cover of at
+        # most three halfplanes (floor 4) and a greedy cover of 5 or 6
+        import membercover.halfplanes as hp
+
+        searches = []
+
+        def profile(frame, event, _arg):
+            code = frame.f_code
+            if event == "call" and code.co_name == "dfs" and code.co_filename == hp.__file__:
+                searches.append(code)
+
+        searched = []
+        for n in (8, 10, 12, 16):
+            for seed in range(60):
+                points, sprime, planes = ring_instance(seed, n, n_points=20)
+                inst = _HalfplaneInstance(points, sprime, planes)
+                if inst.uncovered is not None:
+                    continue
+                del searches[:]
+                previous = sys.getprofile()
+                sys.setprofile(profile)
+                try:
+                    cover = inst.min_cover
+                finally:
+                    sys.setprofile(previous)
+                if not searches:
+                    continue
+                searched.append(inst.size_floor)
+                assert len(cover) == exact_minsize_bruteforce(points, planes)[0]
+                assert verify_cover(points, [h.id for h in cover], planes)
+        # 36 of the 240 draws have floor 4; in 6 more a floor below 4
+        # already is the minimum, but the greedy cover is larger and the LP
+        # bound does not reach it
+        assert (len(searched), searched.count(4)) == (42, 36)
 
     def test_uncoverable_names_first_point(self):
         planes = [Halfplane(0, 0, 1, 0)]  # y >= 0
@@ -791,7 +834,7 @@ class TestAdditiveError:
             assert _HalfplaneInstance(*case).additive() == want
             assert len(builds) <= 2
         # not vacuous: some of the instances have plane covers to compare
-        assert any(_HalfplaneInstance(*case).plane_covers for case in cases)
+        assert any(_HalfplaneInstance(*case).covers_plane for case in cases)
 
     def test_additive_bound_battery(self):
         for seed in range(30):
@@ -1020,7 +1063,7 @@ class TestOneInstance:
         for points, sprime, hs in cases:
             inst = _HalfplaneInstance(points, sprime, hs)
             full_set_covers = not strict_feasible_lp([(-h.a, -h.b, -h.c) for h in hs])
-            assert bool(inst.plane_covers) == full_set_covers
+            assert inst.covers_plane == full_set_covers
         assert not any(complement_region(hs).empty for hs in fans)  # not vacuous
 
     def test_dummies_contain_no_point(self):

@@ -22,6 +22,22 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_environment_reads():
+    # the library has no environment knobs: its behaviour follows from its
+    # arguments alone, so no module names os.environ, os.getenv or
+    # os.environb, by attribute or by import
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno}" for a in node.names if a.name in names]
+    assert found == []
+
+
 # The solvers test points against ranges with integer kernels: for squares
 # `squares.square_tables` on one integer grid, and for halfplanes the sign
 # test `_sign_masks` on homogeneous points.  The only `.contains(` call left
