@@ -13,6 +13,7 @@ from .geometry import (
     GridCell,
     Halfplane,
     Point,
+    SquareGrid,
     UnitSquare,
     complement_region,
     face_sample_points,

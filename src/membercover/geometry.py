@@ -1,10 +1,11 @@
 """Exact planar primitives shared by all cover solvers.
 
-Input coordinates are `fractions.Fraction`s.  The squares solvers move
-them onto one integer grid: `grid_unit` gives the lcm D of their
-denominators and `on_grid` the integers D*x and D*y, so a unit square with
-top-right corner (U, V) on that grid is the box U - D <= X <= U,
-V - D <= Y <= V.  The face samples of a line arrangement are homogeneous
+Input coordinates are `fractions.Fraction`s.  Each squares solve moves
+them onto one integer grid once: `SquareGrid.of` takes the lcm D of their
+denominators (`grid_unit`) and the integers D*x and D*y (`on_grid`), so a
+unit square with top-right corner (U, V) on that grid is the box
+U - D <= X <= U, V - D <= Y <= V; `grid_partition` cuts that grid into
+per-cell slices.  The face samples of a line arrangement are homogeneous
 integer triples.  Every predicate is decided by exact sign tests or integer
 comparisons.  Union and region questions share one kernel,
 `strictly_feasible`, the Helly and Motzkin sign test on an open halfplane
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 UNION_EQUAL = "equal"
 UNION_SUBSET = "subset"
@@ -111,12 +112,8 @@ class GridCell:
     j: int
 
 
-def cell_of_point(p: Point) -> GridCell:
-    return GridCell(p.x.numerator // p.x.denominator, p.y.numerator // p.y.denominator)
-
-
 # ---------------------------------------------------------------------------
-# the integer grid of a squares instance
+# the integer grid of a squares instance, and its partition into cells
 # ---------------------------------------------------------------------------
 
 def grid_unit(points: Iterable[Point]) -> int:
@@ -134,38 +131,65 @@ def on_grid(points: Iterable[Point], d: int) -> list[tuple[int, int]]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# grid partition
-# ---------------------------------------------------------------------------
+class SquareGrid(NamedTuple):
+    """Points of S and unit squares on the integer grid of unit `d`, with
+    the monitored points S' as integers only: `xy[i]` is (D*x, D*y) of
+    `points[i]`, `uv[i]` the top-right corner of `squares[i]` and `sp_xy`
+    holds S' in input order.  A named tuple, so that a solve cuts its
+    slices per cell and per corner cheaply."""
 
-def grid_partition(
-    points: Sequence[Point], ranges: Sequence[UnitSquare]
-) -> dict[GridCell, tuple[list[Point], list[UnitSquare]]]:
-    """Split an instance over the unit grid.
+    d: int
+    points: tuple[Point, ...]
+    xy: tuple[tuple[int, int], ...]
+    squares: tuple[UnitSquare, ...]
+    uv: tuple[tuple[int, int], ...]
+    sp_xy: tuple[tuple[int, int], ...] = ()
 
-    Each point lands in exactly one cell (half-open rule); each range is
-    attached to every cell whose closed square meets the closed range.
-    Cells without points are omitted, since they need no cover.
+    @staticmethod
+    def of(
+        points: Sequence[Point], squares: Sequence[UnitSquare], sprime: Sequence[Point] = ()
+    ) -> "SquareGrid":
+        """The one grid of an instance: one `grid_unit` over every
+        coordinate, one `on_grid` for the points and one for the corners."""
+        corners = [q.tr for q in squares]
+        d = grid_unit([*points, *sprime, *corners])
+        xy = on_grid([*points, *sprime], d)
+        n = len(points)
+        return SquareGrid(d, tuple(points), tuple(xy[:n]), tuple(squares),
+                          tuple(on_grid(corners, d)), tuple(xy[n:]))
 
-    The closed cell [i, i+1] meets the square [u-1, u] iff u-1 <= i+1 and
-    i <= u, that is iff ceil(u) - 2 <= i <= floor(u), and likewise in y.
+    def part(self, points, xy, squares, uv) -> "SquareGrid":
+        """A slice: these points and squares of the grid with their grid
+        integers, and the same D and S'."""
+        return SquareGrid(self.d, tuple(points), tuple(xy), tuple(squares), tuple(uv), self.sp_xy)
+
+
+def grid_partition(grid: SquareGrid) -> dict[GridCell, SquareGrid]:
+    """Split an instance over the unit grid into one slice per cell.
+
+    Each point lands in exactly one cell (half-open rule), the cell
+    (X // D, Y // D); each square is attached to every cell whose closed
+    square meets it, that is to the cells ceil(U/D) - 2 <= i <= floor(U/D)
+    and likewise in y.  Cells without points are omitted, since they need
+    no cover.
     """
-    cells: dict[GridCell, tuple[list[Point], list[UnitSquare]]] = {}
-    for p in points:
-        cell = cell_of_point(p)
-        if cell not in cells:
-            cells[cell] = ([], [])
-        cells[cell][0].append(p)
-    for r in ranges:
-        u, v = r.tr.x, r.tr.y
-        un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
-        # floor(n/d) is n // d and ceil(n/d) is -(-n // d)
-        for i in range(-(-un // ud) - 2, un // ud + 1):
-            for j in range(-(-vn // vd) - 2, vn // vd + 1):
-                cell = GridCell(i, j)
-                if cell in cells:
-                    cells[cell][1].append(r)
-    return cells
+    d = grid.d
+    # keyed by (i, j) until the end: a plain tuple hashes faster than a GridCell
+    cells: dict[tuple[int, int], tuple[list, list, list, list]] = {}
+    for p, xy in zip(grid.points, grid.xy):
+        members = cells.setdefault((xy[0] // d, xy[1] // d), ([], [], [], []))
+        members[0].append(p)
+        members[1].append(xy)
+    for q, uv in zip(grid.squares, grid.uv):
+        u, v = uv
+        # floor(U/D) is U // D and ceil(U/D) is -(-U // D)
+        for i in range(-(-u // d) - 2, u // d + 1):
+            for j in range(-(-v // d) - 2, v // d + 1):
+                members = cells.get((i, j))
+                if members is not None:
+                    members[2].append(q)
+                    members[3].append(uv)
+    return {GridCell(*cell): grid.part(*members) for cell, members in cells.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -822,10 +822,13 @@ def _min_size_cover(
     Candidates are ordered by coverage; the incumbent starts from the
     greedy cover.  `floor` is a proven lower bound on the minimum size (0
     for none), as `_HalfplaneInstance.size_floor` certifies from the small
-    covers: a greedy cover no larger is returned at once.  Otherwise the relaxed size
-    LP gives a global lower bound that often certifies the greedy cover.
-    The search replaces the incumbent only with a strictly smaller cover,
-    so either certificate returns the set the search would.
+    covers: a greedy cover no larger is returned at once.  A floor of 1 to
+    3 is the minimum itself, so no LP bound can reach past it; at 4 or 0
+    the relaxed size LP gives a global lower bound that often certifies
+    the greedy cover.  The search stops as soon as its incumbent reaches
+    the proven bound.  It replaces the incumbent only with a strictly
+    smaller cover, so every certificate and every stop returns the set the
+    full search would.
     """
     if not s_rows:
         return []
@@ -846,12 +849,14 @@ def _min_size_cover(
     if len(greedy) <= floor:
         return [ordered[i] for i in sorted(greedy)]
 
-    lp_bound = lpmod.solve_lp(lpmod.build_size_lp(s_rows, len(ordered)))
-    if lp_bound.status != lpmod.OPTIMAL:
-        raise RuntimeError("coverage was prechecked")
-    lower = math.ceil(lp_bound.value)
-    if len(greedy) <= lower:
-        return [ordered[i] for i in sorted(greedy)]
+    lower = floor
+    if not 0 < floor < 4:
+        lp_bound = lpmod.solve_lp(lpmod.build_size_lp(s_rows, len(ordered)))
+        if lp_bound.status != lpmod.OPTIMAL:
+            raise RuntimeError("coverage was prechecked")
+        lower = max(floor, math.ceil(lp_bound.value))
+        if len(greedy) <= lower:
+            return [ordered[i] for i in sorted(greedy)]
 
     order = sorted(
         range(len(ordered)), key=lambda i: (-bin(masks[i]).count("1"), ordered[i].id)
@@ -866,6 +871,8 @@ def _min_size_cover(
 
     def dfs(pos: int, chosen: list[int], covered: int) -> None:
         nonlocal best_size, best_pick
+        if best_size <= lower:
+            return
         if covered == full:
             if len(chosen) < best_size:
                 best_size = len(chosen)

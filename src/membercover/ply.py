@@ -5,11 +5,16 @@ cell; stitching the per-cell covers together inflates the optimal ply by
 a constant.  The per-cell solver reuses the squares machinery: size LP,
 corner split (the 1/4 load bound holds verbatim for coverage rows), and
 the exact quadrant greedy per bucket.
+
+`solve_mpgsc` puts S and the square corners on one integer grid once
+(`geometry.SquareGrid.of`) and hands each cell its slice of it.  `ply`
+takes bare squares, since the brute-force ply oracle calls it on subsets, so it scales
+their corners itself, once per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,6 +24,7 @@ from .covers import CoverSolution, check_covered
 from .geometry import (
     GridCell,
     Point,
+    SquareGrid,
     UnitSquare,
     grid_partition,
     grid_unit,
@@ -32,11 +38,10 @@ from .squares import quadrant_greedy_cover  # noqa: F401
 
 @dataclass(frozen=True)
 class PlyReport:
-    """Exact maximum depth, a point attaining it, and per-cell cover sizes."""
+    """Exact maximum depth and a point attaining it."""
 
     value: int
     witness: Point | None
-    per_cell_sizes: dict = field(default_factory=dict)
 
 
 def ply(squares: Sequence[UnitSquare]) -> PlyReport:
@@ -83,12 +88,9 @@ def ply(squares: Sequence[UnitSquare]) -> PlyReport:
     return PlyReport(best, witness)
 
 
-def min_size_cell_cover_approx(
-    points: Sequence[Point],
-    squares: Sequence[UnitSquare],
-    cell: GridCell,
-) -> CoverSolution:
-    """Constant-factor minimum-size cover of one cell.
+def min_size_cell_cover_approx(grid: SquareGrid, cell: GridCell) -> CoverSolution:
+    """Constant-factor minimum-size cover of one cell, given its slice of
+    the grid.
 
     Solve the size LP, then round it through the membership solver's corner
     pipeline: bucket squares by corner and points by largest fractional
@@ -96,12 +98,12 @@ def min_size_cell_cover_approx(
     optimum is at most four times its LP mass, so the union stays within a
     constant of the fractional (hence integral) minimum.
     """
-    if not points:
+    if not grid.points:
         return CoverSolution((), 0)
-    (s_rows,) = squaresmod.square_tables(squares, points)
-    check_covered(points, s_rows)
-    program = lpmod.build_size_lp(s_rows, len(squares))
-    _, chosen = squaresmod.round_cell_lp(points, s_rows, squares, cell, program)
+    (s_rows,) = squaresmod.square_tables(grid.d, grid.uv, grid.xy)
+    check_covered(grid.points, s_rows)
+    program = lpmod.build_size_lp(s_rows, len(grid.squares))
+    _, chosen = squaresmod.round_cell_lp(grid, s_rows, cell, program)
     return CoverSolution(tuple(sorted({i for ids in chosen for i in ids})), 0)
 
 
@@ -109,18 +111,10 @@ def solve_mpgsc(
     points: Sequence[Point], squares: Sequence[UnitSquare]
 ) -> tuple[CoverSolution, PlyReport]:
     """Cover the points while keeping the maximum square overlap low."""
-    cells = grid_partition(points, squares)
+    cells = grid_partition(SquareGrid.of(points, squares))
     ids: set[int] = set()
-    per_cell_sizes = {}
     for cell in sorted(cells, key=lambda c: (c.i, c.j)):
-        cell_points, cell_squares = cells[cell]
-        cover = min_size_cell_cover_approx(cell_points, cell_squares, cell)
-        per_cell_sizes[cell] = cover.size
-        ids.update(cover.ids)
+        ids.update(min_size_cell_cover_approx(cells[cell], cell).ids)
     chosen = sorted(ids)
     by_id = {q.id: q for q in squares}
-    report = ply([by_id[i] for i in chosen])
-    return (
-        CoverSolution(tuple(chosen), 0),
-        PlyReport(report.value, report.witness, per_cell_sizes),
-    )
+    return CoverSolution(tuple(chosen), 0), ply([by_id[i] for i in chosen])

@@ -8,15 +8,18 @@ with an exactly optimal quadrant greedy.  A cover found this way exceeds
 the LP load by at most an additive 2 per bucket, which yields the
 16*y + 8 per-cell bound and a constant factor overall.
 
-Every square predicate is decided on Python ints.  Each call moves its
-points and square corners onto one integer grid (`geometry.grid_unit`,
-`geometry.on_grid`): a point becomes (X, Y), a square its top-right
+Every square predicate is decided on Python ints.  Each solve moves its
+points, monitored points and square corners onto one integer grid once
+(`geometry.SquareGrid.of`): a point becomes (X, Y), a square its top-right
 corner (U, V), and the square contains the point iff U - D <= X <= U and
-V - D <= Y <= V.  `square_tables` builds every S and S' table of the
-squares solvers with that one test.  Corner-local coordinates are one
-integer subtraction, and the corner split reads the LP weights over their
-common denominator.  `Fraction` remains only at the boundary: the input,
-the LP solution and the reports.
+V - D <= Y <= V.  Every step below reads those integers through its
+slice of the grid: `grid_partition` gives each cell one, the corner split
+gives each corner bucket one, and `square_tables` builds every S and S'
+table with that one test.  A square holds the cell corner (cx, cy) iff
+U - D <= cx*D <= U and V - D <= cy*D <= V, corner-local coordinates are
+one integer subtraction, and the corner split reads the LP weights over
+their common denominator.  `Fraction` remains only at the boundary: the
+input, the LP solution and the reports.
 """
 
 from __future__ import annotations
@@ -35,14 +38,7 @@ from .covers import (
     depth,
     quiet_cover,
 )
-from .geometry import (
-    GridCell,
-    Point,
-    UnitSquare,
-    grid_partition,
-    grid_unit,
-    on_grid,
-)
+from .geometry import GridCell, Point, SquareGrid, UnitSquare, grid_partition
 
 
 class SquareWithoutCorner(ValueError):
@@ -53,18 +49,16 @@ N_CORNERS = 4  # priority order: bottom-left, bottom-right, top-left, top-right
 
 
 def square_tables(
-    squares: Sequence[UnitSquare], *point_lists: Sequence[Point]
+    d: int, uv: Sequence[tuple[int, int]], *xy_lists: Sequence[tuple[int, int]]
 ) -> list[list[int]]:
-    """One incidence table per point list over `squares`: row i is the
-    bitmask of the positions of the squares that contain the list's i-th
-    point, as `covers.incidence` would give, decided on one integer grid."""
-    corners = [q.tr for q in squares]
-    d = grid_unit(corners + [p for pts in point_lists for p in pts])
-    boxes = [(1 << pos, u - d, u, v - d, v) for pos, (u, v) in enumerate(on_grid(corners, d))]
+    """One incidence table per list of grid points over the squares with
+    grid corners `uv`: row i is the bitmask of the positions of the squares
+    that contain the list's i-th point, as `covers.incidence` would give."""
+    boxes = [(1 << pos, u - d, u, v - d, v) for pos, (u, v) in enumerate(uv)]
     tables = []
-    for pts in point_lists:
+    for xys in xy_lists:
         rows = []
-        for x, y in on_grid(pts, d):
+        for x, y in xys:
             row = 0
             for bit, left, right, bottom, top in boxes:
                 if left <= x <= right and bottom <= y <= top:
@@ -89,18 +83,18 @@ def _corner_local(
 
 
 def _staircase(
-    squares: Sequence[UnitSquare], cell: GridCell, corner: int, d: int
+    grid: SquareGrid, cell: GridCell, corner: int
 ) -> list[tuple[int, int, UnitSquare]]:
-    """(u, v, square) of the dominance-maximal squares, by id, with (u, v)
-    the square's canonical corner on the grid of unit d.
+    """(u, v, square) of the dominance-maximal squares of the grid, by id,
+    with (u, v) the square's corner-local grid corner.
 
     After the reflection the cell is [0, D]^2 and a square containing the
     corner acts as the quadrant x <= u, y <= v, so Q is dominated by Q' iff
     u <= u' and v <= v'.  Exact duplicates keep the lowest id.
     """
     decorated = [
-        _corner_local(uv, cell, corner, 2, d) + (q,)
-        for uv, q in zip(on_grid([q.tr for q in squares], d), squares)
+        _corner_local(uv, cell, corner, 2, grid.d) + (q,)
+        for uv, q in zip(grid.uv, grid.squares)
     ]
     decorated.sort(key=lambda t: (-t[0], -t[1], t[2].id))
     kept: list[tuple[int, int, UnitSquare]] = []
@@ -115,83 +109,73 @@ def _staircase(
 
 @dataclass(frozen=True)
 class CornerPartition:
-    """LP-driven split of a cell instance into four one-corner buckets.
+    """LP-driven split of a cell instance into four one-corner buckets,
+    each a slice of the cell's grid: `buckets[c].points` and
+    `buckets[c].squares` are the points and squares of corner c.
 
-    `squares` keeps the instance order, which is also the LP variable
-    order of `lp_solution`.
+    `squares` keeps the cell order, which is also the LP variable order of
+    `lp_solution`.
     """
 
     squares: tuple[UnitSquare, ...]
-    point_buckets: tuple[tuple[Point, ...], ...]
-    square_buckets: tuple[tuple[UnitSquare, ...], ...]
+    buckets: tuple[SquareGrid, ...]
     lp_solution: lpmod.LPSolution
 
 
 def corner_partition(
-    points: Sequence[Point],
+    grid: SquareGrid,
     s_rows: Sequence[int],
-    squares: Sequence[UnitSquare],
     cell: GridCell,
     lpsol: lpmod.LPSolution,
 ) -> CornerPartition:
-    """Assign each square to one corner it contains and each point to the
-    corner bucket with the largest fractional load (ties to the lowest
-    corner index).  The winning load is always at least 1/4.
+    """Assign each square of the cell grid to one corner it contains and
+    each point to the corner bucket with the largest fractional load (ties
+    to the lowest corner index).  The winning load is always at least 1/4.
 
-    `s_rows` is the incidence table of `points` over `squares`.  A square
-    with top-right corner (u, v) contains the cell corner (cx, cy) iff
-    ceil(u) - 1 <= cx <= floor(u) and ceil(v) - 1 <= cy <= floor(v).
-    Loads are compared as integers over the common denominator of the LP
-    weights.
+    `s_rows` is the incidence table of the grid's points over its squares.
+    A square with grid corner (U, V) contains the cell corner (cx, cy) iff
+    U - D <= cx*D <= U and V - D <= cy*D <= V.  Loads are compared as
+    integers over the common denominator of the LP weights.
     """
-    square_buckets: list[list[UnitSquare]] = [[] for _ in range(N_CORNERS)]
+    d = grid.d
+    corners = [((cell.i + (idx & 1)) * d, (cell.j + (idx >> 1)) * d) for idx in range(N_CORNERS)]
+    # per corner: its points, their grid integers, its squares, their corners
+    buckets: list[tuple[list, list, list, list]] = [([], [], [], []) for _ in range(N_CORNERS)]
     bucket_of: list[int] = []
-    for q in squares:
-        u, v = q.tr.x, q.tr.y
-        un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
-        # floor(n/d) is n // d and ceil(n/d) is -(-n // d)
-        u_lo, u_hi = -(-un // ud) - 1, un // ud
-        v_lo, v_hi = -(-vn // vd) - 1, vn // vd
-        for idx in range(N_CORNERS):
-            cx, cy = cell.i + (idx & 1), cell.j + (idx >> 1)
-            if u_lo <= cx <= u_hi and v_lo <= cy <= v_hi:
-                square_buckets[idx].append(q)
+    for q, uv in zip(grid.squares, grid.uv):
+        u, v = uv
+        for idx, (cx, cy) in enumerate(corners):
+            if u - d <= cx <= u and v - d <= cy <= v:
+                buckets[idx][2].append(q)
+                buckets[idx][3].append(uv)
                 bucket_of.append(idx)
                 break
         else:
             raise SquareWithoutCorner(
                 f"square {q.id} meets cell ({cell.i},{cell.j}) but no corner"
             )
-    weights = lpsol.assignment[:len(squares)]
+    weights = lpsol.assignment[:len(grid.squares)]
     scale = math.lcm(*[w.denominator for w in weights])
     weights = [w.numerator * (scale // w.denominator) for w in weights]
-    point_buckets: list[list[Point]] = [[] for _ in range(N_CORNERS)]
-    for p, row in zip(points, s_rows):
+    for p, xy, row in zip(grid.points, grid.xy, s_rows):
         delta = [0] * N_CORNERS
         for pos, corner in enumerate(bucket_of):
             if row >> pos & 1:
                 delta[corner] += weights[pos]
         winner = max(range(N_CORNERS), key=lambda idx: (delta[idx], -idx))
-        point_buckets[winner].append(p)
+        buckets[winner][0].append(p)
+        buckets[winner][1].append(xy)
     return CornerPartition(
-        squares=tuple(squares),
-        point_buckets=tuple([tuple(b) for b in point_buckets]),
-        square_buckets=tuple([tuple(b) for b in square_buckets]),
+        squares=grid.squares,
+        buckets=tuple([grid.part(*members) for members in buckets]),
         lp_solution=lpsol,
     )
 
 
-def maximal_squares(
-    squares: Sequence[UnitSquare], cell: GridCell, corner: int
-) -> list[UnitSquare]:
-    """Drop squares whose cell-clipped region another square swallows.
-
-    In canonical coordinates the clipped regions are quadrants, so Q is
-    dominated by Q' iff u <= u' and v <= v'.  Exact duplicates keep the
-    lowest id.
-    """
-    d = grid_unit([q.tr for q in squares])
-    return [q for _u, _v, q in _staircase(squares, cell, corner, d)]
+def maximal_squares(grid: SquareGrid, cell: GridCell, corner: int) -> list[UnitSquare]:
+    """The grid's squares, by id, whose cell-clipped region no other square
+    swallows: the squares of `_staircase`."""
+    return [q for _u, _v, q in _staircase(grid, cell, corner)]
 
 
 def quadrant_greedy_cover(
@@ -224,30 +208,24 @@ def quadrant_greedy_cover(
     return chosen
 
 
-def solve_one_corner(
-    points: Sequence[Point],
-    squares: Sequence[UnitSquare],
-    cell: GridCell,
-    corner: int,
-) -> tuple[int, ...]:
-    """Ids of a minimum-size cover of a one-corner bucket, sorted, via the
-    quadrant greedy on canonical grid coordinates.
+def solve_one_corner(grid: SquareGrid, cell: GridCell, corner: int) -> tuple[int, ...]:
+    """Ids of a minimum-size cover of a one-corner bucket, its slice of the
+    cell grid, sorted, via the quadrant greedy on corner-local grid
+    coordinates.
 
     Restricting to dominance-maximal squares keeps the cover a staircase,
     which bounds its membership by any fractional cover's plus two.
     """
-    if not points:
+    if not grid.points:
         return ()
-    d = grid_unit([q.tr for q in squares] + list(points))
-    canon_quads = [(q.id, u, v) for u, v, q in _staircase(squares, cell, corner, d)]
-    canon_points = [_corner_local(xy, cell, corner, 1, d) for xy in on_grid(points, d)]
+    canon_quads = [(q.id, u, v) for u, v, q in _staircase(grid, cell, corner)]
+    canon_points = [_corner_local(xy, cell, corner, 1, grid.d) for xy in grid.xy]
     return tuple(sorted(quadrant_greedy_cover(canon_points, canon_quads)))
 
 
 def round_cell_lp(
-    points: Sequence[Point],
+    grid: SquareGrid,
     s_rows: Sequence[int],
-    squares: Sequence[UnitSquare],
     cell: GridCell,
     program: lpmod.LinearProgram,
 ) -> tuple[CornerPartition, list[tuple[int, ...]]]:
@@ -256,10 +234,9 @@ def round_cell_lp(
     sol = lpmod.solve_lp(program)
     if sol.status != lpmod.OPTIMAL:
         raise RuntimeError("coverage was prechecked")
-    partition = corner_partition(points, s_rows, squares, cell, sol)
+    partition = corner_partition(grid, s_rows, cell, sol)
     return partition, [
-        solve_one_corner(partition.point_buckets[c], partition.square_buckets[c], cell, c)
-        for c in range(N_CORNERS)
+        solve_one_corner(partition.buckets[c], cell, c) for c in range(N_CORNERS)
     ]
 
 
@@ -276,16 +253,13 @@ class CellReport:
     zero_membership: bool
 
 
-def solve_cell_report(
-    points: Sequence[Point],
-    sprime: Sequence[Point],
-    squares: Sequence[UnitSquare],
-    cell: GridCell,
-) -> CellReport:
-    if not points:
+def solve_cell_report(grid: SquareGrid, cell: GridCell) -> CellReport:
+    """Membership cover of one cell, given its slice of the grid (its
+    points and squares, and all of S')."""
+    if not grid.points:
         return CellReport(CoverSolution((), 0), None, None, (), True)
-    s_rows, sp_rows = square_tables(squares, points, sprime)
-    check_covered(points, s_rows)
+    s_rows, sp_rows = square_tables(grid.d, grid.uv, grid.xy, grid.sp_xy)
+    check_covered(grid.points, s_rows)
 
     # cell-local S': a monitored point outside every cell square has depth
     # 0 in any cover drawn from them, and its LP row -y <= 0 is redundant
@@ -293,23 +267,18 @@ def solve_cell_report(
 
     # zero-membership shortcut: if the squares avoiding every monitored
     # point already cover the cell, take exactly those
-    quiet = quiet_cover(points, s_rows, sp_rows, squares)
+    quiet = quiet_cover(grid.points, s_rows, sp_rows, grid.squares)
     if quiet is not None:
         return CellReport(quiet, None, None, (), True)
 
-    program = lpmod.build_membership_lp(s_rows, sp_rows, len(squares))
-    partition, chosen = round_cell_lp(points, s_rows, squares, cell, program)
-    cover = CoverSolution.build([i for ids in chosen for i in ids], sp_rows, squares)
+    program = lpmod.build_membership_lp(s_rows, sp_rows, len(grid.squares))
+    partition, chosen = round_cell_lp(grid, s_rows, cell, program)
+    cover = CoverSolution.build([i for ids in chosen for i in ids], sp_rows, grid.squares)
     return CellReport(cover, partition.lp_solution.value, partition, tuple(chosen), False)
 
 
-def solve_cell(
-    points: Sequence[Point],
-    sprime: Sequence[Point],
-    squares: Sequence[UnitSquare],
-    cell: GridCell,
-) -> CoverSolution:
-    return solve_cell_report(points, sprime, squares, cell).cover
+def solve_cell(grid: SquareGrid, cell: GridCell) -> CoverSolution:
+    return solve_cell_report(grid, cell).cover
 
 
 @dataclass(frozen=True)
@@ -323,20 +292,19 @@ def solve_mmgsc_squares_report(
     sprime: Sequence[Point],
     squares: Sequence[UnitSquare],
 ) -> SquaresReport:
-    cells = grid_partition(points, squares)
+    grid = SquareGrid.of(points, squares, sprime)
+    cells = grid_partition(grid)
     ids: set[int] = set()
     max_lp: Fraction | None = None
     for cell in sorted(cells, key=lambda c: (c.i, c.j)):
-        cell_points, cell_squares = cells[cell]
-        report = solve_cell_report(cell_points, sprime, cell_squares, cell)
+        report = solve_cell_report(cells[cell], cell)
         ids.update(report.cover.ids)
         if report.lp_value is not None and (max_lp is None or report.lp_value > max_lp):
             max_lp = report.lp_value
     chosen = sorted(ids)
-    by_id = {q.id: q for q in squares}
-    (sp_rows,) = square_tables([by_id[i] for i in chosen], sprime)
-    cover = CoverSolution(tuple(chosen), depth(sp_rows, ALL))
-    return SquaresReport(cover, max_lp)
+    uv_of = {q.id: uv for q, uv in zip(grid.squares, grid.uv)}
+    (sp_rows,) = square_tables(grid.d, [uv_of[i] for i in chosen], grid.sp_xy)
+    return SquaresReport(CoverSolution(tuple(chosen), depth(sp_rows, ALL)), max_lp)
 
 
 def solve_mmgsc_squares(

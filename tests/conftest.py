@@ -326,7 +326,7 @@ def bucket_fractional_cover(partition, corner: int) -> FractionalCover:
     """Per-bucket weights of a cell's CornerPartition: four times the LP
     weight, capped at one."""
     sol = partition.lp_solution
-    bucket = set(q.id for q in partition.square_buckets[corner])
+    bucket = set(q.id for q in partition.buckets[corner].squares)
     weights = {
         q.id: min(4 * sol.assignment[pos], Fraction(1))
         for pos, q in enumerate(partition.squares)

@@ -24,6 +24,7 @@ from conftest import (
 from membercover import (
     GridCell,
     Point,
+    SquareGrid,
     UnitSquare,
     build_membership_lp,
     build_size_lp,
@@ -70,7 +71,7 @@ def cell_battery():
     rows = []
     for seed in range(CELL_SEEDS):
         points, sprime, squares = cell_instance(seed, max_squares=10, max_points=12)
-        report = solve_cell_report(points, sprime, squares, CELL)
+        report = solve_cell_report(SquareGrid.of(points, squares, sprime), CELL)
         opt, _ = exact_mmgsc_bruteforce(points, sprime, squares)
         rows.append((points, sprime, squares, report, opt))
     elapsed = time.perf_counter() - start
@@ -145,8 +146,8 @@ def test_criterion_03_quarter_load(cell_battery):
             continue
         sol = part.lp_solution
         for corner in range(4):
-            bucket = set(q.id for q in part.square_buckets[corner])
-            for p in part.point_buckets[corner]:
+            bucket = set(q.id for q in part.buckets[corner].squares)
+            for p in part.buckets[corner].points:
                 delta = sum(
                     sol.assignment[pos]
                     for pos, q in enumerate(part.squares)
@@ -166,7 +167,7 @@ def test_criterion_04_greedy_equals_minimum_and_lp():
         canon_points, quads = one_corner_instance(seed, max_squares=8)
         squares = [UnitSquare(i, Point.of(u, v)) for i, u, v in quads]
         points = [Point.of(u, v) for u, v in canon_points]
-        maxi = maximal_squares(squares, CELL, 0)
+        maxi = maximal_squares(SquareGrid.of([], squares), CELL, 0)
         chosen = quadrant_greedy_cover(
             canon_points, [(q.id, q.tr.x, q.tr.y) for q in maxi]
         )
@@ -187,7 +188,7 @@ def test_criterion_05_bucket_membership_within_two(cell_battery):
         if report.partition is None:
             continue
         for corner in range(4):
-            if not report.partition.point_buckets[corner]:
+            if not report.partition.buckets[corner].points:
                 continue
             memb = memb_eval(sprime, report.bucket_ids[corner], squares)
             frac = bucket_fractional_cover(report.partition, corner)

@@ -8,6 +8,7 @@ from membercover import (
     GridCell,
     Halfplane,
     Point,
+    SquareGrid,
     UnitSquare,
     complement_region,
     face_sample_points,
@@ -72,18 +73,17 @@ class TestSandwich:
 
 class TestGridPartition:
     def test_single_cell(self):
-        cells = grid_partition([P("1/2", "1/2")], [UnitSquare(0, P(1, 1))])
+        cells = grid_partition(SquareGrid.of([P("1/2", "1/2")], [UnitSquare(0, P(1, 1))]))
         assert set(cells) == {GridCell(0, 0)}
-        pts, ranges = cells[GridCell(0, 0)]
-        assert pts == [P("1/2", "1/2")]
-        assert [r.id for r in ranges] == [0]
+        assert cells[GridCell(0, 0)].points == (P("1/2", "1/2"),)
+        assert [r.id for r in cells[GridCell(0, 0)].squares] == [0]
 
     def test_square_spanning_two_cells(self):
         sq = UnitSquare(0, P("3/2", 1))
-        cells = grid_partition([P("1/2", "1/2"), P("3/2", "1/2")], [sq])
+        cells = grid_partition(SquareGrid.of([P("1/2", "1/2"), P("3/2", "1/2")], [sq]))
         assert set(cells) == {GridCell(0, 0), GridCell(1, 0)}
         for cell in cells:
-            assert [r.id for r in cells[cell][1]] == [0]
+            assert [r.id for r in cells[cell].squares] == [0]
 
     def test_brute_force_pairs(self):
         rng = random.Random(3)
@@ -95,12 +95,17 @@ class TestGridPartition:
             UnitSquare(i, Point(Fraction(rng.randint(-64, 191), 64), Fraction(rng.randint(-64, 191), 64)))
             for i in range(10)
         ]
-        cells = grid_partition(points, squares)
-        assert sum(len(v[0]) for v in cells.values()) == len(points)
+        cells = grid_partition(SquareGrid.of(points, squares))
+        assert sum(len(v.points) for v in cells.values()) == len(points)
         for p in points:
             owners = [c for c in cells if c.i <= p.x < c.i + 1 and c.j <= p.y < c.j + 1]
-            assert len(owners) == 1
-        for cell, (pts, ranges) in cells.items():
+            assert len(owners) == 1 and p in cells[owners[0]].points
+        for cell, part in cells.items():
+            # a slice keeps the one grid's unit and integers beside its objects
+            d = part.d
+            assert all(xy == (p.x * d, p.y * d) for xy, p in zip(part.xy, part.points))
+            assert all(uv == (q.tr.x * d, q.tr.y * d) for uv, q in zip(part.uv, part.squares))
+            ranges = part.squares
             for q in squares:
                 xmin, ymin, xmax, ymax = q.tr.x - 1, q.tr.y - 1, q.tr.x, q.tr.y
                 overlap = (

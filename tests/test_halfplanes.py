@@ -680,6 +680,48 @@ class TestMinSizeCover:
         # bound does not reach it
         assert (len(searched), searched.count(4)) == (42, 36)
 
+    def test_floor_below_four_skips_the_size_lp(self, monkeypatch):
+        # a floor of 1 to 3 is the minimum size, so ceil(size LP) <= floor
+        # and the LP could never certify the greedy cover: the search runs
+        # without it, stops at the floor and returns the set it returned
+        # with no floor
+        import membercover.halfplanes as hp
+
+        searches, lp_calls = [], []
+        solve_lp = hp.lpmod.solve_lp
+
+        def counting(program):
+            lp_calls.append(program)
+            return solve_lp(program)
+
+        def profile(frame, event, _arg):
+            code = frame.f_code
+            if event == "call" and code.co_name == "dfs" and code.co_filename == hp.__file__:
+                searches.append(code)
+
+        monkeypatch.setattr(hp.lpmod, "solve_lp", counting)
+        searched = 0
+        for n in (8, 10, 12, 16):
+            for seed in range(60):
+                points, sprime, planes = ring_instance(seed, n, n_points=20)
+                inst = _HalfplaneInstance(points, sprime, planes)
+                if inst.uncovered is not None or inst.size_floor == 4:
+                    continue
+                del searches[:], lp_calls[:]
+                previous = sys.getprofile()
+                sys.setprofile(profile)
+                try:
+                    cover = inst.min_cover
+                finally:
+                    sys.setprofile(previous)
+                assert lp_calls == []
+                if not searches:
+                    continue
+                searched += 1
+                assert len(cover) == inst.size_floor
+                assert cover == _min_size_cover(inst.halfplanes, inst.s_rows, inst.s_columns, 0)
+        assert searched == 6
+
     def test_uncoverable_names_first_point(self):
         planes = [Halfplane(0, 0, 1, 0)]  # y >= 0
         with pytest.raises(Uncoverable) as err:

@@ -108,6 +108,23 @@ def test_square_tables_built_only_by_the_kernel():
         assert _calls(tree, {"square_tables"})
 
 
+def test_grid_scaled_only_by_the_public_solves():
+    # each public squares solve builds its one SquareGrid, and every per-cell
+    # step reads a slice of it; `ply` takes bare squares (the oracles call it
+    # on subsets), so it scales their corners itself
+    scopes = {"grid_unit": set(), "on_grid": set(), "of": set()}
+    for name in ("squares.py", "ply.py"):
+        path = SRC / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in scopes:
+            scopes[fn] |= {f"{name}:{scope}" for scope, _arg, _line in _calls(tree, {fn})}
+    assert scopes == {
+        "grid_unit": {"ply.py:ply"},
+        "on_grid": {"ply.py:ply"},
+        "of": {"squares.py:solve_mmgsc_squares_report", "ply.py:solve_mpgsc"},
+    }
+
+
 def test_halfplane_tables_built_only_by_the_instance():
     # every halfplane solver reads the S and S' tables and line sides of one
     # _HalfplaneInstance, built by integer sign passes; an anchor context

@@ -9,11 +9,13 @@ from membercover import (
     CoverSolution,
     GridCell,
     Point,
+    SquareGrid,
     Uncoverable,
     UnitSquare,
     build_size_lp,
     exact_minsize_bruteforce,
     exact_mpgsc_bruteforce,
+    grid_partition,
     incidence,
     min_size_cell_cover_approx,
     ply,
@@ -179,28 +181,29 @@ class TestCellCover:
     @pytest.mark.parametrize("seed", sorted(CELL_COVER_GOLDEN))
     def test_golden_ids(self, seed):
         points, _sp, squares = cell_instance(seed)
-        cover = min_size_cell_cover_approx(points, squares, CELL)
+        cover = min_size_cell_cover_approx(SquareGrid.of(points, squares), CELL)
         assert cover == CoverSolution(CELL_COVER_GOLDEN[seed], 0)
 
     def test_square_without_corner_is_value_error(self):
         squares = [UnitSquare(0, P(1, 1)), UnitSquare(1, P(5, 5))]
         with pytest.raises(ValueError):
-            min_size_cell_cover_approx([P("1/2", "1/2")], squares, CELL)
+            min_size_cell_cover_approx(SquareGrid.of([P("1/2", "1/2")], squares), CELL)
 
     def test_single(self):
-        cover = min_size_cell_cover_approx([P("1/2", "1/2")], [UnitSquare(0, P(1, 1))], CELL)
+        grid = SquareGrid.of([P("1/2", "1/2")], [UnitSquare(0, P(1, 1))])
+        cover = min_size_cell_cover_approx(grid, CELL)
         assert cover.ids == (0,)
 
     def test_uncoverable(self):
         with pytest.raises(Uncoverable):
-            min_size_cell_cover_approx([P("1/2", "1/2")], [UnitSquare(0, P(9, 9))], CELL)
+            min_size_cell_cover_approx(SquareGrid.of([P("1/2", "1/2")], [UnitSquare(0, P(9, 9))]), CELL)
 
     def test_within_lp_and_oracle_factor(self):
         from conftest import cell_instance
 
         for seed in range(40):
             points, _sp, squares = cell_instance(seed, max_squares=8, max_points=8)
-            cover = min_size_cell_cover_approx(points, squares, CELL)
+            cover = min_size_cell_cover_approx(SquareGrid.of(points, squares), CELL)
             assert verify_cover(points, cover.ids, squares)
             lp_value = solve_lp(build_size_lp(incidence(points, squares), len(squares))).value
             assert cover.size <= 16 * lp_value
@@ -233,7 +236,9 @@ class TestSolveMpgsc:
             assert report.value <= 576 * opt
             if report.value:
                 # the witness cell neighborhood carries most of the overlap
-                assert 9 * max(report.per_cell_sizes.values()) >= report.value
+                cells = grid_partition(SquareGrid.of(points, squares))
+                sizes = [min_size_cell_cover_approx(g, cell).size for cell, g in cells.items()]
+                assert 9 * max(sizes) >= report.value
             # cross-validate the reported ply on a dense exact sample
             chosen = [q for q in squares if q.id in set(cover.ids)]
             assert report.value == _dense_depth_max(chosen)

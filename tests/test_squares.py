@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -20,6 +21,7 @@ from conftest import (
 from membercover import (
     GridCell,
     Point,
+    SquareGrid,
     Uncoverable,
     UnitSquare,
     build_membership_lp,
@@ -57,7 +59,7 @@ def _solved_partition(points, sprime, squares, cell=CELL):
     s_rows = incidence(points, squares)
     lp = build_membership_lp(s_rows, incidence(sprime, squares), len(squares))
     sol = solve_lp(lp)
-    return corner_partition(points, s_rows, squares, cell, sol), sol
+    return corner_partition(SquareGrid.of(points, squares), s_rows, cell, sol), sol
 
 
 class TestCornerPartition:
@@ -65,9 +67,9 @@ class TestCornerPartition:
         # the unit square over the whole cell contains all four corners
         sq = UnitSquare(0, P(1, 1))
         part, _ = _solved_partition([P("1/2", "1/2")], [P("1/2", "1/2")], [sq])
-        assert [q.id for q in part.square_buckets[0]] == [0]
-        assert all(not part.square_buckets[i] for i in (1, 2, 3))
-        assert part.point_buckets[0] == (P("1/2", "1/2"),)
+        assert [q.id for q in part.buckets[0].squares] == [0]
+        assert all(not part.buckets[i].squares for i in (1, 2, 3))
+        assert part.buckets[0].points == (P("1/2", "1/2"),)
 
     def test_tie_breaks_to_lowest_corner(self):
         low = UnitSquare(0, P("1/2", "1/2"))   # bottom-left corner only
@@ -76,7 +78,7 @@ class TestCornerPartition:
         part, sol = _solved_partition([p], [], [low, high])
         assert sol.assignment[0] + sol.assignment[1] >= 1
         if sol.assignment[0] == sol.assignment[1]:
-            assert p in part.point_buckets[0]
+            assert p in part.buckets[0].points
 
     def test_square_without_corner_rejected(self):
         wide = UnitSquare(0, P(1, "1/2"))
@@ -88,15 +90,17 @@ class TestCornerPartition:
         for far in (UnitSquare(1, P("5/2", "1/2")), UnitSquare(1, P("1/2", "-1/4"))):
             assert not any(far.contains(c) for c in cell_corners(CELL))
             with pytest.raises(SquareWithoutCorner):
-                corner_partition(points, incidence(points, [far]), [far], CELL, sol)
+                corner_partition(
+                    SquareGrid.of(points, [far]), incidence(points, [far]), CELL, sol
+                )
 
     def test_winning_load_at_least_quarter(self):
         for seed in range(30):
             points, sprime, squares = cell_instance(seed, max_squares=6, max_points=8)
             part, sol = _solved_partition(points, sprime, squares)
             for corner in range(4):
-                bucket_sqs = part.square_buckets[corner]
-                for p in part.point_buckets[corner]:
+                bucket_sqs = part.buckets[corner].squares
+                for p in part.buckets[corner].points:
                     delta = sum(
                         sol.assignment[pos]
                         for pos, q in enumerate(squares)
@@ -113,15 +117,15 @@ class TestMaximalSquares:
 
     def test_antichain_all_kept(self):
         sqs = self._of([(Fraction(1, 2), Fraction(9, 10)), (Fraction(7, 10), Fraction(7, 10)), (Fraction(9, 10), Fraction(1, 2))])
-        assert [q.id for q in maximal_squares(sqs, CELL, 0)] == [0, 1, 2]
+        assert [q.id for q in maximal_squares(SquareGrid.of([], sqs), CELL, 0)] == [0, 1, 2]
 
     def test_dominated_dropped(self):
         sqs = self._of([(Fraction(1, 2), Fraction(1, 2)), (Fraction(9, 10), Fraction(9, 10))])
-        assert [q.id for q in maximal_squares(sqs, CELL, 0)] == [1]
+        assert [q.id for q in maximal_squares(SquareGrid.of([], sqs), CELL, 0)] == [1]
 
     def test_duplicate_keeps_lowest_id(self):
         sqs = self._of([(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))])
-        assert [q.id for q in maximal_squares(sqs, CELL, 0)] == [0]
+        assert [q.id for q in maximal_squares(SquareGrid.of([], sqs), CELL, 0)] == [0]
 
     def test_matches_pairwise_filter(self):
         rng = random.Random(13)
@@ -130,7 +134,7 @@ class TestMaximalSquares:
                 UnitSquare(i, P(Fraction(rng.randint(1, 64), 64), Fraction(rng.randint(1, 64), 64)))
                 for i in range(10)
             ]
-            got = {q.id for q in maximal_squares(sqs, CELL, 0)}
+            got = {q.id for q in maximal_squares(SquareGrid.of([], sqs), CELL, 0)}
             coords = {q.id: canonical_square(q, CELL, 0) for q in sqs}
             expected = set()
             for q in sqs:
@@ -189,21 +193,20 @@ class TestQuadrantGreedy:
 class TestSolveOneCorner:
     def test_zero_membership(self):
         sq = UnitSquare(0, P(1, 1))
-        ids = solve_one_corner([P("1/2", "1/2")], [sq], CELL, 0)
+        ids = solve_one_corner(SquareGrid.of([P("1/2", "1/2")], [sq]), CELL, 0)
         assert ids == (0,) and memb_eval([P(5, 5)], ids, [sq]) == 0
 
     def test_membership_close_to_fraction(self):
         for seed in range(40):
             points, sprime, squares = cell_instance(seed, max_squares=8, max_points=8)
-            report = solve_cell_report(points, sprime, squares, CELL)
+            report = solve_cell_report(SquareGrid.of(points, squares, sprime), CELL)
             if report.partition is None:
                 continue
             for corner in range(4):
-                bucket_points = report.partition.point_buckets[corner]
-                bucket_squares = report.partition.square_buckets[corner]
-                if not bucket_points:
+                bucket = report.partition.buckets[corner]
+                if not bucket.points:
                     continue
-                ids = solve_one_corner(bucket_points, bucket_squares, CELL, corner)
+                ids = solve_one_corner(bucket, CELL, corner)
                 frac = bucket_fractional_cover(report.partition, corner)
                 frac_memb = membership_of_fractional(sprime, frac, squares)
                 assert Fraction(memb_eval(sprime, ids, squares)) <= frac_memb + 2
@@ -213,18 +216,18 @@ class TestSolveCell:
     def test_zero_membership_branch(self):
         squares = [UnitSquare(0, P(1, 1)), UnitSquare(1, P("3/2", "3/2"))]
         sprime = [P("5/4", "5/4")]
-        cover = solve_cell([P("1/2", "1/2")], sprime, squares, CELL)
+        cover = solve_cell(SquareGrid.of([P("1/2", "1/2")], squares, sprime), CELL)
         assert cover.memb == 0
         assert cover.ids == (0,)  # exactly the squares avoiding monitored points
 
     def test_uncoverable(self):
         with pytest.raises(Uncoverable):
-            solve_cell([P("1/2", "1/2")], [], [UnitSquare(0, P(5, 5))], CELL)
+            solve_cell(SquareGrid.of([P("1/2", "1/2")], [UnitSquare(0, P(5, 5))]), CELL)
 
     def test_lp_bound_and_oracle_bound(self):
         for seed in range(40):
             points, sprime, squares = cell_instance(seed, max_squares=8, max_points=8)
-            report = solve_cell_report(points, sprime, squares, CELL)
+            report = solve_cell_report(SquareGrid.of(points, squares, sprime), CELL)
             cover = report.cover
             assert verify_cover(points, cover.ids, squares)
             assert cover.memb == memb_eval(sprime, cover.ids, squares)
@@ -250,7 +253,7 @@ class TestSolveCell:
         incidence(points, squares)
         seen = len(calls)  # the patch is live
         del calls[:]
-        report = solve_cell_report(points, sprime, squares, CELL)
+        report = solve_cell_report(SquareGrid.of(points, squares, sprime), CELL)
         solve_mmgsc_squares(multi_points, multi_sprime, multi_squares)
         solve_mpgsc(multi_points, multi_squares)
         monkeypatch.undo()
@@ -259,11 +262,37 @@ class TestSolveCell:
         assert calls == []
 
 
+class TestOneGridPerSolve:
+    def test_grid_scaled_once_per_solve(self, monkeypatch):
+        # each public solve puts S, S' and the square corners on the integer
+        # grid once; the per-cell steps read that grid's integers, and the
+        # ply sweep of solve_mpgsc scales the chosen corners once more
+        calls = {"grid_unit": 0, "on_grid": 0}
+        for module in ("geometry", "squares", "ply"):
+            mod = importlib.import_module(f"membercover.{module}")
+            for name in calls:
+                if name in vars(mod):
+                    def counting(*args, _fn=getattr(mod, name), _name=name):
+                        calls[_name] += 1
+                        return _fn(*args)
+                    monkeypatch.setattr(mod, name, counting)
+        for seed in range(30):
+            points, sprime, squares = square_instance(seed)
+            for name in calls:
+                calls[name] = 0
+            solve_mmgsc_squares(points, sprime, squares)
+            assert calls["grid_unit"] <= 1 and calls["on_grid"] <= 3, (seed, calls)
+            for name in calls:
+                calls[name] = 0
+            solve_mpgsc(points, squares)
+            assert calls["grid_unit"] <= 2 and calls["on_grid"] <= 3, (seed, calls)
+
+
 class TestSolveSquares:
     def test_single_cell_equals_cell_solver(self):
         points, sprime, squares = cell_instance(11)
         whole = solve_mmgsc_squares(points, sprime, squares)
-        cell = solve_cell(points, sprime, squares, CELL)
+        cell = solve_cell(SquareGrid.of(points, squares, sprime), CELL)
         assert whole.ids == cell.ids
 
     def test_two_cells_shared_square(self):
@@ -330,16 +359,21 @@ class TestIntegerGrid:
     duplicate squares."""
 
     def test_grid_unit_is_mixed(self):
-        points, _sprime, squares = mixed_grid_instance(random.Random(0), GRID_CELLS[1])
+        points, sprime, squares = mixed_grid_instance(random.Random(0), GRID_CELLS[1])
         d = grid_unit(points + [q.tr for q in squares])
         assert d % 64 == 0 and d != 64
         assert all(x == p.x * d and y == p.y * d for (x, y), p in zip(on_grid(points, d), points))
+        grid = SquareGrid.of(points, squares, sprime)
+        assert grid.d == grid_unit(points + sprime + [q.tr for q in squares])
+        for ps, xys in ((points, grid.xy), (sprime, grid.sp_xy), ([q.tr for q in squares], grid.uv)):
+            assert list(xys) == on_grid(ps, grid.d)
 
     def test_square_tables_match_incidence(self):
         rng = random.Random(5)
         for trial in range(300):
             points, sprime, squares = mixed_grid_instance(rng, GRID_CELLS[trial % 3])
-            assert square_tables(squares, points, sprime) == [
+            grid = SquareGrid.of(points, squares, sprime)
+            assert square_tables(grid.d, grid.uv, grid.xy, grid.sp_xy) == [
                 incidence(points, squares), incidence(sprime, squares)
             ]
 
@@ -363,7 +397,9 @@ class TestIntegerGrid:
             cell = GRID_CELLS[trial % 3]
             _points, _sprime, squares = mixed_grid_instance(rng, cell)
             for corner in range(4):
-                assert maximal_squares(squares, cell, corner) == maximal_squares_reference(
+                assert maximal_squares(
+                    SquareGrid.of([], squares), cell, corner
+                ) == maximal_squares_reference(
                     squares, cell, corner
                 )
 
@@ -383,11 +419,12 @@ class TestIntegerGrid:
             )
             sol = LPSolution(OPTIMAL, sum(weights), weights)
             s_rows = incidence(points, squares)
+            grid = SquareGrid.of(points, squares)
             if None in at_corner:
                 with pytest.raises(SquareWithoutCorner):
-                    corner_partition(points, s_rows, squares, cell, sol)
+                    corner_partition(grid, s_rows, cell, sol)
                 continue
-            part = corner_partition(points, s_rows, squares, cell, sol)
+            part = corner_partition(grid, s_rows, cell, sol)
             winners = []
             for p in points:
                 loads = [
@@ -400,10 +437,10 @@ class TestIntegerGrid:
                 ]
                 winners.append(max(range(4), key=lambda k: (loads[k], -k)))
             for k in range(4):
-                assert part.square_buckets[k] == tuple(
+                assert part.buckets[k].squares == tuple(
                     q for q, c in zip(squares, at_corner) if c == k
                 )
-                assert part.point_buckets[k] == tuple(
+                assert part.buckets[k].points == tuple(
                     p for p, won in zip(points, winners) if won == k
                 )
 
@@ -422,4 +459,5 @@ class TestIntegerGrid:
                 expected = quadrant_greedy_cover(
                     [canonical_point(p, cell, corner) for p in covered], quads
                 ) if covered else []
-                assert solve_one_corner(covered, bucket, cell, corner) == tuple(sorted(expected))
+                got = solve_one_corner(SquareGrid.of(covered, bucket), cell, corner)
+                assert got == tuple(sorted(expected))
