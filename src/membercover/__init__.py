@@ -7,7 +7,7 @@ rational arithmetic; brute-force oracles and an exact rational LP solver
 back every approximation guarantee at desk scale.
 """
 
-from .covers import CoverSolution, Uncoverable, incidence
+from .covers import CoverSolution, Uncoverable
 from .geometry import (
     ConvexRegion,
     GridCell,
@@ -49,6 +49,7 @@ from .oracle import (
     exact_minsize_bruteforce,
     exact_mmgsc_bruteforce,
     exact_mpgsc_bruteforce,
+    incidence,
     memb_eval,
     verify_cover,
 )

@@ -60,10 +60,6 @@ OBJECTIVE_SIZE = "size"
 @dataclass(frozen=True)
 class RunReport:
     solver: str
-    digest: str
-    kind: str
-    n_points: int
-    n_ranges: int
     cover: tuple[int, ...]
     value: int
     size: int
@@ -83,10 +79,10 @@ class RunReport:
         obj = {
             "schema": BENCH_SCHEMA_VERSION,
             "solver": self.solver,
-            "digest": self.digest,
-            "kind": self.kind,
-            "n_points": self.n_points,
-            "n_ranges": self.n_ranges,
+            "digest": doc.digest(),
+            "kind": doc.kind,
+            "n_points": doc.n_points,
+            "n_ranges": doc.n_ranges,
             "cover": list(self.cover),
             "value": self.value,
             "size": self.size,
@@ -152,10 +148,6 @@ def run_report(
     oracle_value = _oracle_value(doc, solver) if with_oracle else None
     return RunReport(
         solver=solver,
-        digest=doc.digest(),
-        kind=doc.kind,
-        n_points=doc.n_points,
-        n_ranges=doc.n_ranges,
         cover=cover.ids,
         value=value,
         size=cover.size,

@@ -1,11 +1,8 @@
-"""Shared solution types, errors and the point-to-range incidence table,
-on whose rows coverage, membership and quiet sets are bit arithmetic under
-a `chosen` bitmask of positions.
-
-`incidence` is the generic table: one `range.contains(point)` call per
-pair.  The solvers build the same tables with their own integer kernels
-(`squares.square_tables`, and `_sign_masks` in `halfplanes`), and the
-tests compare those against it."""
+"""Shared solution types and errors, and the bit arithmetic on point-to-range
+incidence tables (`oracle.incidence`): coverage, membership and quiet sets
+are computed on the rows under a `chosen` bitmask of positions.  The
+solvers build their tables with their own integer kernels
+(`squares.square_tables`, and `_sign_masks` in `halfplanes`)."""
 
 from __future__ import annotations
 
@@ -23,19 +20,6 @@ class Uncoverable(Exception):
     def __init__(self, point: Point):
         self.point = point
         super().__init__(f"point {point!r} is not covered by any range")
-
-
-def incidence(points: Sequence[Point], ranges: Sequence) -> list[int]:
-    """Row i is the bitmask of the positions in `ranges` of the ranges that
-    contain points[i]."""
-    rows = []
-    for p in points:
-        row = 0
-        for j, r in enumerate(ranges):
-            if r.contains(p):
-                row |= 1 << j
-        rows.append(row)
-    return rows
 
 
 def check_covered(points: Sequence[Point], rows: Sequence[int]) -> None:

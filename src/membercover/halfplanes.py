@@ -272,24 +272,28 @@ class _AnchorContext:
         self.tri_mask = tri_list
         self.on_mask = on_list
         self.sp_mask = [inst.sp_masks[s.host] for s in self.segments]
-        self.dirs = [_dirvec(s.a_h, s.b_h) for s in self.segments]
         self.cross = [
             _cross2(_dirvec(self.p_h, s.a_h), self.ray) < 0
             and _cross2(self.ray, _dirvec(self.p_h, s.b_h)) < 0
             for s in self.segments
         ]
 
-        by_left: dict[HPt, list[int]] = {}
+        # succ_seg[s]: the segments j starting at the right endpoint of s
+        # that turn clockwise from s, cross(dir s, dir j) <= 0.  Segment s
+        # on host (a, b, c) has orient(p, left, right) < 0 with the anchor
+        # on the side a*x + b*y + c < 0, so right - left is a positive
+        # multiple of (b, -a), the same for every anchor; the cross product
+        # then has the sign of a_s * b_j - a_j * b_s on the hosts' normals.
+        normal = {h.id: (h.a, h.b) for h in active}
+        by_left: dict[HPt, list[tuple[int, int, int]]] = {}
         for idx, seg in enumerate(self.segments):
-            by_left.setdefault(seg.a_h, []).append(idx)
+            by_left.setdefault(seg.a_h, []).append((idx, *normal[seg.host]))
         self.succ_seg: list[list[int]] = []
-        for idx, seg in enumerate(self.segments):
-            nexts = [
-                j
-                for j in by_left.get(seg.b_h, ())
-                if _cross2(self.dirs[idx], self.dirs[j]) <= 0
-            ]
-            self.succ_seg.append(nexts)
+        for seg in self.segments:
+            a, b = normal[seg.host]
+            self.succ_seg.append(
+                [j for j, a_j, b_j in by_left.get(seg.b_h, ()) if a * b_j <= a_j * b]
+            )
 
         # every_succ_sp[s]: the S' points in every successor of s (-1, all
         # of them, when s has none); reach[t][s]: the S points on some

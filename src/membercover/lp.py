@@ -298,7 +298,7 @@ def build_membership_lp(
 ) -> LinearProgram:
     """Fractional relaxation of the membership objective.
 
-    `s_rows` and `sp_rows` are the incidence tables (`covers.incidence`) of
+    `s_rows` and `sp_rows` are the incidence tables (`oracle.incidence`) of
     the mandatory and the monitored points over the same `n_ranges` ranges.
     Variables are one weight per range (in table order, bounded by one)
     plus a final load variable y; every mandatory point must collect total

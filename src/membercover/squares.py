@@ -53,7 +53,7 @@ def square_tables(
 ) -> list[list[int]]:
     """One incidence table per list of grid points over the squares with
     grid corners `uv`: row i is the bitmask of the positions of the squares
-    that contain the list's i-th point, as `covers.incidence` would give."""
+    that contain the list's i-th point, as `oracle.incidence` would give."""
     boxes = [(1 << pos, u - d, u, v - d, v) for pos, (u, v) in enumerate(uv)]
     tables = []
     for xys in xy_lists:

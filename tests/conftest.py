@@ -385,6 +385,22 @@ def grid_frac(rng: random.Random, lo: int, hi: int) -> Fraction:
     return Fraction(rng.randint(lo * RES, hi * RES), RES)
 
 
+def least_cover_reference(points, ranges, value):
+    """(value, ids) of the least (value(chosen), size, ids) over every subset
+    `chosen` of `ranges` (a tuple of ranges in id order) that covers
+    `points`, enumerated by itertools; None when no subset covers."""
+    ordered = sorted(ranges, key=lambda r: r.id)
+    holds = {r.id: frozenset([i for i, p in enumerate(points) if r.contains(p)]) for r in ordered}
+    every = frozenset(range(len(points)))
+    best = None
+    for size in range(len(ordered) + 1):
+        for chosen in combinations(ordered, size):
+            if frozenset().union(*[holds[r.id] for r in chosen]) == every:
+                key = (value(chosen), size, tuple([r.id for r in chosen]))
+                best = key if best is None else min(best, key)
+    return None if best is None else (best[0], best[2])
+
+
 def cell_instance(seed: int, max_squares: int = 10, max_points: int = 12):
     """Single-cell instance: points in [0,1) x [0,1), squares meeting it.
 

@@ -275,7 +275,7 @@ def test_drifted_report_raises_under_optimize():
         "# two stacked squares have ply 2; the report claims 1\n"
         "doc = InstanceDoc('squares', (Point.of(0, 0),), (),\n"
         "                  (UnitSquare(0, Point.of(1, 1)), UnitSquare(1, Point.of(1, 1))))\n"
-        "report = RunReport('squares-ply', doc.digest(), 'squares', 1, 2, (0, 1), 1, 2, None, 0.0)\n"
+        "report = RunReport('squares-ply', (0, 1), 1, 2, None, 0.0)\n"
         "try:\n"
         "    report.to_json(doc)\n"
         "except RuntimeError as err:\n"

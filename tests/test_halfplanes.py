@@ -46,6 +46,8 @@ from membercover.halfplanes import (
     WindingCertificate,
     _AnchorContext,
     _HalfplaneInstance,
+    _cross2,
+    _dirvec,
     _dummy_halfplanes,
     _flipped,
     _hpt,
@@ -415,6 +417,25 @@ class TestAnchorContext:
                     for j in frontier:
                         seen |= ctx.on_mask[j]
                     assert ctx.reach[t][s] == seen
+
+    def test_successors_match_direction_reference(self):
+        # succ_seg turns by the hosts' normals; the reference turns by the
+        # segments' own directions, one _cross2 per (segment, successor)
+        contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
+        contexts += list(_tangent_fan_contexts())
+        for seed in range(4):
+            inst = _HalfplaneInstance(*ring_instance(seed, 12))
+            contexts += [inst.context(idx) for idx in inst.covering_anchors[:5]]
+        pairs = 0
+        for ctx in contexts:
+            dirs = [_dirvec(seg.a_h, seg.b_h) for seg in ctx.segments]
+            expected = []
+            for i, seg in enumerate(ctx.segments):
+                starts = [j for j, nxt in enumerate(ctx.segments) if nxt.a_h == seg.b_h]
+                pairs += len(starts)
+                expected.append([j for j in starts if _cross2(dirs[i], dirs[j]) <= 0])
+            assert ctx.succ_seg == expected
+        assert pairs > 1000
 
     def test_successor_lists_increase(self):
         # graph() builds each successor list in vertex order, unsorted

@@ -40,12 +40,10 @@ def test_no_environment_reads():
 
 # The solvers test points against ranges with integer kernels: for squares
 # `squares.square_tables` on one integer grid, and for halfplanes the sign
-# test `_sign_masks` on homogeneous points.  The only `.contains(` call left
-# in the solver modules is the generic reference table covers.incidence.
-# Entries are (module, enclosing def, argument source).
-CONTAINS_ALLOWED = {
-    ("covers.py", "incidence", "p"),
-}
+# test `_sign_masks` on homogeneous points.  The generic `Fraction` table
+# `incidence` lives in oracle.py, so no solver module makes a `.contains(`
+# call.  Entries are (module, enclosing def, argument source).
+CONTAINS_ALLOWED: set[tuple[str, str, str]] = set()
 SOLVER_MODULES = ("covers.py", "lp.py", "squares.py", "ply.py", "halfplanes.py")
 
 
@@ -96,6 +94,16 @@ def test_containment_only_through_incidence():
     # a stale allow-list entry would let a new call in under its name
     assert CONTAINS_ALLOWED <= live
     assert not {name for name, _scope, _arg in live} & {"squares.py", "ply.py", "lp.py"}
+
+
+def test_one_subset_search_in_the_oracles():
+    # the three brute-force optima share one search; only it walks the
+    # subsets, and it builds the one containment table of the library
+    path = SRC / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    walkers = {scope for scope, _arg, _line in _calls(tree, {"_subsets_by_size"})}
+    assert len(walkers) == 1
+    assert walkers <= {scope for scope, _arg, _line in _calls(tree, {"incidence"})}
 
 
 def test_square_tables_built_only_by_the_kernel():

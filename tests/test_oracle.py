@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import cell_instance, halfplane_instance
+from conftest import cell_instance, halfplane_instance, least_cover_reference, square_instance
 
 from membercover import (
     BudgetExceeded,
@@ -73,7 +73,7 @@ def test_mpgsc_basics():
     assert exact_mpgsc_bruteforce([P(0, 0)], stacked)[0] == 1
 
 
-@pytest.mark.parametrize("oracle", ["mmgsc", "mpgsc"])
+@pytest.mark.parametrize("oracle", ["mmgsc", "minsize", "mpgsc"])
 def test_empty_enumeration_raises(monkeypatch, oracle):
     # a broken enumeration must not pass for an answer, also under -O
     from membercover import oracle as oracle_mod
@@ -83,8 +83,40 @@ def test_empty_enumeration_raises(monkeypatch, oracle):
     with pytest.raises(RuntimeError):
         if oracle == "mmgsc":
             exact_mmgsc_bruteforce([P(0, 0)], [P(0, 0)], squares)
+        elif oracle == "minsize":
+            exact_minsize_bruteforce([P(0, 0)], squares)
         else:
             exact_mpgsc_bruteforce([P(0, 0)], squares)
+
+
+def _depth_scorer(probes, ranges):
+    """value(chosen): the most ranges of `chosen` that hold one probe point."""
+    inside = {r.id: [r.contains(q) for q in probes] for r in ranges}
+    return lambda chosen: max([sum(col) for col in zip(*[inside[r.id] for r in chosen])], default=0)
+
+
+@pytest.mark.parametrize(
+    "make, seeds",
+    [(cell_instance, 60), (halfplane_instance, 60), (square_instance, 30)],
+    ids=["cell", "halfplane", "square"],
+)
+def test_optima_match_itertools_reference(make, seeds):
+    # value and witness ids: the least (value, size, ids) over all covers
+    for seed in range(seeds):
+        points, sprime, ranges = make(seed)
+        memb = least_cover_reference(points, ranges, _depth_scorer(sprime, ranges))
+        assert memb is not None
+        assert exact_mmgsc_bruteforce(points, sprime, ranges) == memb
+        size = least_cover_reference(points, ranges, len)
+        assert exact_minsize_bruteforce(points, ranges) == size
+        if make is halfplane_instance:
+            continue
+        # the chosen squares' intersection, when not empty, holds its
+        # lower-left corner (greatest left edge, greatest bottom edge), so
+        # the ply of a set of squares is its depth at some such point
+        corners = [Point(q.tr.x - 1, r.tr.y - 1) for q in ranges for r in ranges]
+        ply_ref = least_cover_reference(points, ranges, _depth_scorer(corners, ranges))
+        assert exact_mpgsc_bruteforce(points, ranges) == ply_ref
 
 
 def _relabeled(ranges):
