@@ -243,19 +243,13 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         if cost[-1] != 0:
             return LPSolution(INFEASIBLE, None, ())
         # pivot artificials out of the basis where possible; a row whose
-        # artificial cannot leave is redundant and dropped
-        art_set = set(artificials)
+        # artificial cannot leave is redundant and dropped.  The artificials
+        # are the last columns, so phase 2 runs on each row cut before them
+        n_cols = artificials[0]
         keep_rows = []
         for r in range(m):
-            if basis[r] in art_set:
-                pivot_col = next(
-                    (
-                        j
-                        for j in range(n_cols)
-                        if j not in art_set and tableau[r][j] != 0
-                    ),
-                    None,
-                )
+            if basis[r] >= n_cols:
+                pivot_col = next((j for j in range(n_cols) if tableau[r][j] != 0), None)
                 if pivot_col is None:
                     continue
                 _pivot(tableau, basis, r, pivot_col)
@@ -263,8 +257,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         tableau = [tableau[r] for r in keep_rows]
         basis = [basis[r] for r in keep_rows]
         for trow in tableau:
-            for a in artificials:
-                trow[a] = 0
+            del trow[n_cols:-1]
 
     objective, _, _ = _scaled(lp.objective, 0)
     cost = _reduce(objective + [0] * (n_cols + 1 - n))

@@ -2,9 +2,13 @@
 
 The grid reduction needs only a constant-factor minimum-size cover per
 cell; stitching the per-cell covers together inflates the optimal ply by
-a constant.  The per-cell solver reuses the squares machinery: size LP,
-corner split (the 1/4 load bound holds verbatim for coverage rows), and
-the exact quadrant greedy per bucket.
+a constant.  The per-cell solver reuses the squares machinery: corner
+split, then the exact quadrant greedy per bucket.  A point whose squares
+all contain one cell corner goes to that corner, so the size LP is built
+and solved only in a cell with a point whose squares span two or more
+corners, and only such a point reads its weights: it goes to its corner
+of largest load, which is at least 1/4 since its coverage row sums to at
+least 1.
 
 `solve_mpgsc` puts S and the square corners on one integer grid once
 (`geometry.SquareGrid.of`) and hands each cell its slice of it.  `ply`
@@ -92,18 +96,22 @@ def min_size_cell_cover_approx(grid: SquareGrid, cell: GridCell) -> CoverSolutio
     """Constant-factor minimum-size cover of one cell, given its slice of
     the grid.
 
-    Solve the size LP, then round it through the membership solver's corner
-    pipeline: bucket squares by corner and points by largest fractional
-    load, and run the exact quadrant greedy per bucket.  Each bucket's
-    optimum is at most four times its LP mass, so the union stays within a
-    constant of the fractional (hence integral) minimum.
+    Round the size LP through the membership solver's corner pipeline:
+    bucket squares by corner and points by the one corner holding their
+    squares, else by largest fractional load, and run the exact quadrant
+    greedy per bucket.  The LP is built and solved only when some point
+    reads its weights.  Each bucket's optimum is at most four times its LP
+    mass, so the union stays within a constant of the fractional (hence
+    integral) minimum.
     """
     if not grid.points:
         return CoverSolution((), 0)
     (s_rows,) = squaresmod.square_tables(grid.d, grid.uv, grid.xy)
     check_covered(grid.points, s_rows)
-    program = lpmod.build_size_lp(s_rows, len(grid.squares))
-    _, chosen = squaresmod.round_cell_lp(grid, s_rows, cell, program)
+    _, chosen = squaresmod.round_cell_lp(
+        grid, s_rows, cell,
+        lambda: squaresmod.solve_cell_lp(lpmod.build_size_lp(s_rows, len(grid.squares))),
+    )
     return CoverSolution(tuple(sorted({i for ids in chosen for i in ids})), 0)
 
 

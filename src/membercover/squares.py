@@ -2,11 +2,12 @@
 
 Pipeline: partition the plane into unit grid cells, and inside each cell
 relax the instance to an exact rational LP, split points and squares by
-the cell corner that carries the largest fractional load, reduce each
-corner bucket to a staircase of dominance-maximal squares, and cover it
-with an exactly optimal quadrant greedy.  A cover found this way exceeds
-the LP load by at most an additive 2 per bucket, which yields the
-16*y + 8 per-cell bound and a constant factor overall.
+the cell corner that carries the largest fractional load (a point whose
+squares all hold one corner goes there without reading the weights),
+reduce each corner bucket to a staircase of dominance-maximal squares,
+and cover it with an exactly optimal quadrant greedy.  A cover found this
+way exceeds the LP load by at most an additive 2 per bucket, which yields
+the 16*y + 8 per-cell bound and a constant factor overall.
 
 Every square predicate is decided on Python ints.  Each solve moves its
 points, monitored points and square corners onto one integer grid once
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import lp as lpmod
 from .covers import (
@@ -109,28 +110,37 @@ def _staircase(
 
 @dataclass(frozen=True)
 class CornerPartition:
-    """LP-driven split of a cell instance into four one-corner buckets,
-    each a slice of the cell's grid: `buckets[c].points` and
-    `buckets[c].squares` are the points and squares of corner c.
+    """Split of a cell instance into four one-corner buckets, each a slice
+    of the cell's grid: `buckets[c].points` and `buckets[c].squares` are
+    the points and squares of corner c.
 
     `squares` keeps the cell order, which is also the LP variable order of
-    `lp_solution`.
+    `lp_solution`: the cell LP's solution, or None when no point of the
+    cell needed its weights.
     """
 
     squares: tuple[UnitSquare, ...]
     buckets: tuple[SquareGrid, ...]
-    lp_solution: lpmod.LPSolution
+    lp_solution: lpmod.LPSolution | None
 
 
 def corner_partition(
     grid: SquareGrid,
     s_rows: Sequence[int],
     cell: GridCell,
-    lpsol: lpmod.LPSolution,
+    solve: Callable[[], lpmod.LPSolution],
 ) -> CornerPartition:
-    """Assign each square of the cell grid to one corner it contains and
-    each point to the corner bucket with the largest fractional load (ties
-    to the lowest corner index).  The winning load is always at least 1/4.
+    """Assign each square of the cell grid to the first corner it contains
+    and each point to a corner bucket.
+
+    A point whose squares all sit at one corner goes to that corner: under
+    any feasible cover its load there is at least 1 and 0 elsewhere.  Every
+    other point goes to the corner with the largest fractional load of the
+    cell LP (ties to the lowest corner index), and under the LP optimum
+    that load is at least 1/4, its four loads summing to at least 1.
+    `solve` returns the LP solution; it runs at most once, at the first
+    point whose squares span two or more corners, and not at all when no
+    point's do.
 
     `s_rows` is the incidence table of the grid's points over its squares.
     A square with grid corner (U, V) contains the cell corner (cx, cy) iff
@@ -142,27 +152,36 @@ def corner_partition(
     # per corner: its points, their grid integers, its squares, their corners
     buckets: list[tuple[list, list, list, list]] = [([], [], [], []) for _ in range(N_CORNERS)]
     bucket_of: list[int] = []
-    for q, uv in zip(grid.squares, grid.uv):
+    held = [0] * N_CORNERS  # per corner, the bitmask of the positions of its squares
+    for pos, (q, uv) in enumerate(zip(grid.squares, grid.uv)):
         u, v = uv
         for idx, (cx, cy) in enumerate(corners):
             if u - d <= cx <= u and v - d <= cy <= v:
                 buckets[idx][2].append(q)
                 buckets[idx][3].append(uv)
                 bucket_of.append(idx)
+                held[idx] |= 1 << pos
                 break
         else:
             raise SquareWithoutCorner(
                 f"square {q.id} meets cell ({cell.i},{cell.j}) but no corner"
             )
-    weights = lpsol.assignment[:len(grid.squares)]
-    scale = math.lcm(*[w.denominator for w in weights])
-    weights = [w.numerator * (scale // w.denominator) for w in weights]
+    lpsol = weights = None
     for p, xy, row in zip(grid.points, grid.xy, s_rows):
-        delta = [0] * N_CORNERS
-        for pos, corner in enumerate(bucket_of):
-            if row >> pos & 1:
-                delta[corner] += weights[pos]
-        winner = max(range(N_CORNERS), key=lambda idx: (delta[idx], -idx))
+        at = [idx for idx in range(N_CORNERS) if row & held[idx]]
+        if len(at) == 1:
+            winner = at[0]
+        else:
+            if weights is None:
+                lpsol = solve()
+                weights = lpsol.assignment[:len(grid.squares)]
+                scale = math.lcm(*[w.denominator for w in weights])
+                weights = [w.numerator * (scale // w.denominator) for w in weights]
+            delta = [0] * N_CORNERS
+            for pos, corner in enumerate(bucket_of):
+                if row >> pos & 1:
+                    delta[corner] += weights[pos]
+            winner = max(range(N_CORNERS), key=lambda idx: (delta[idx], -idx))
         buckets[winner][0].append(p)
         buckets[winner][1].append(xy)
     return CornerPartition(
@@ -223,18 +242,25 @@ def solve_one_corner(grid: SquareGrid, cell: GridCell, corner: int) -> tuple[int
     return tuple(sorted(quadrant_greedy_cover(canon_points, canon_quads)))
 
 
+def solve_cell_lp(program: lpmod.LinearProgram) -> lpmod.LPSolution:
+    """The optimum of a cell's cover program, whose coverage the caller
+    has checked."""
+    sol = lpmod.solve_lp(program)
+    if sol.status != lpmod.OPTIMAL:
+        raise RuntimeError("coverage was prechecked")
+    return sol
+
+
 def round_cell_lp(
     grid: SquareGrid,
     s_rows: Sequence[int],
     cell: GridCell,
-    program: lpmod.LinearProgram,
+    solve: Callable[[], lpmod.LPSolution],
 ) -> tuple[CornerPartition, list[tuple[int, ...]]]:
-    """Solve a cell's cover program (coverage prechecked) and round it: the
-    corner partition, and the quadrant-greedy cover ids of each corner."""
-    sol = lpmod.solve_lp(program)
-    if sol.status != lpmod.OPTIMAL:
-        raise RuntimeError("coverage was prechecked")
-    partition = corner_partition(grid, s_rows, cell, sol)
+    """Round a cell's cover program, whose solution `solve` returns when
+    the corner split asks for it: the corner partition, and the
+    quadrant-greedy cover ids of each corner."""
+    partition = corner_partition(grid, s_rows, cell, solve)
     return partition, [
         solve_one_corner(partition.buckets[c], cell, c) for c in range(N_CORNERS)
     ]
@@ -258,7 +284,15 @@ def solve_cell_report(grid: SquareGrid, cell: GridCell) -> CellReport:
     points and squares, and all of S')."""
     if not grid.points:
         return CellReport(CoverSolution((), 0), None, None, (), True)
-    s_rows, sp_rows = square_tables(grid.d, grid.uv, grid.xy, grid.sp_xy)
+    # a square attached to the cell lies in the 3x3 block of cells around
+    # it, so only the S' points in that block can have a nonzero row
+    d = grid.d
+    left, bottom = (cell.i - 1) * d, (cell.j - 1) * d
+    near = [
+        (x, y) for x, y in grid.sp_xy
+        if left <= x <= left + 3 * d and bottom <= y <= bottom + 3 * d
+    ]
+    s_rows, sp_rows = square_tables(d, grid.uv, grid.xy, near)
     check_covered(grid.points, s_rows)
 
     # cell-local S': a monitored point outside every cell square has depth
@@ -271,10 +305,12 @@ def solve_cell_report(grid: SquareGrid, cell: GridCell) -> CellReport:
     if quiet is not None:
         return CellReport(quiet, None, None, (), True)
 
-    program = lpmod.build_membership_lp(s_rows, sp_rows, len(grid.squares))
-    partition, chosen = round_cell_lp(grid, s_rows, cell, program)
+    sol = solve_cell_lp(lpmod.build_membership_lp(s_rows, sp_rows, len(grid.squares)))
+    partition, chosen = round_cell_lp(grid, s_rows, cell, lambda: sol)
     cover = CoverSolution.build([i for ids in chosen for i in ids], sp_rows, grid.squares)
-    return CellReport(cover, partition.lp_solution.value, partition, tuple(chosen), False)
+    # the report carries the LP whether or not the corner split read it
+    partition = CornerPartition(partition.squares, partition.buckets, sol)
+    return CellReport(cover, sol.value, partition, tuple(chosen), False)
 
 
 def solve_cell(grid: SquareGrid, cell: GridCell) -> CoverSolution:

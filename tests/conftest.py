@@ -32,9 +32,12 @@ from membercover.lp import (
     UNBOUNDED,
     LinearProgram,
     _reduce,
+    build_size_lp,
     make_program,
     solve_lp,
 )
+from membercover.oracle import incidence
+from membercover.squares import quadrant_greedy_cover
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +209,37 @@ def maximal_squares_reference(squares, cell: GridCell, corner: int) -> list[Unit
             kept.append(q)
             best_v = v
     return sorted(kept, key=lambda q: q.id)
+
+
+def min_size_cell_cover_reference(points, squares, cell: GridCell) -> tuple[int, ...]:
+    """The ids of `ply.min_size_cell_cover_approx` by the eager rounding:
+    always solve the size LP, send each square to the first cell corner it
+    contains and each point to the corner of largest Fraction load (ties
+    to the lowest corner), then run the quadrant greedy on each bucket's
+    `maximal_squares_reference` in `canonical_point` coordinates."""
+    if not points:
+        return ()
+    sol = solve_lp(build_size_lp(incidence(points, squares), len(squares)))
+    corners = cell_corners(cell)
+    at = [next(k for k, c in enumerate(corners) if q.contains(c)) for q in squares]
+    chosen = set()
+    for k in range(4):
+        bucket = [q for q, c in zip(squares, at) if c == k]
+        mine = []
+        for p in points:
+            loads = [
+                sum(w for q, c, w in zip(squares, at, sol.assignment) if c == corner and q.contains(p))
+                for corner in range(4)
+            ]
+            if max(range(4), key=lambda corner: (loads[corner], -corner)) == k:
+                mine.append(canonical_point(p, cell, k))
+        if mine:
+            quads = [
+                (q.id,) + canonical_square(q, cell, k)
+                for q in maximal_squares_reference(bucket, cell, k)
+            ]
+            chosen.update(quadrant_greedy_cover(mine, quads))
+    return tuple(sorted(chosen))
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,29 @@ def test_size_lp_only_behind_the_floor():
     assert {scope for scope, _arg, _line in _calls(tree, {"solve_lp"})} == {"_min_size_cover"}
 
 
+def test_cell_lp_solved_in_one_place():
+    # the squares solvers reach the LP only as `lpmod.solve_lp`, so a patch
+    # of the `lp.solve_lp` attribute sees every call, and from one function
+    scopes, bound = set(), []
+    for name in ("squares.py", "ply.py"):
+        path = SRC / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes |= {f"{name}:{scope}" for scope, _arg, _line in _calls(tree, {"solve_lp"})}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "solve_lp" in {a.name for a in node.names}:
+                bound.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.Name) and node.id == "solve_lp":
+                bound.append(f"{name}:{node.lineno}")
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "solve_lp"
+                and getattr(node.value, "id", None) != "lpmod"
+            ):
+                bound.append(f"{name}:{node.lineno}")
+    assert bound == []
+    assert scopes == {"squares.py:solve_cell_lp"}
+
+
 def _same_sign_tests(tree):
     """Dotted names of the defs holding `x > 0 and y > 0 and z > 0` (or the
     same with <): three values tested for one strict sign, the shape of the

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cell_instance, square_instance
+from conftest import (
+    cell_corners,
+    cell_instance,
+    min_size_cell_cover_reference,
+    mixed_grid_instance,
+    square_instance,
+)
 
 from membercover import (
     CoverSolution,
@@ -23,6 +29,7 @@ from membercover import (
     solve_mpgsc,
     verify_cover,
 )
+from membercover import lp as lpmod
 
 
 def P(x, y):
@@ -209,6 +216,56 @@ class TestCellCover:
             assert cover.size <= 16 * lp_value
             opt, _ = exact_minsize_bruteforce(points, squares)
             assert cover.size <= 16 * opt
+
+
+    def test_matches_eager_rounding(self):
+        # the split solves the size LP only when a point's squares span two
+        # corners; the covers equal those of always solving it and sending
+        # every point to its largest load
+        for seed in range(60):
+            points, _sp, squares = cell_instance(seed)
+            cover = min_size_cell_cover_approx(SquareGrid.of(points, squares), CELL)
+            assert cover.ids == min_size_cell_cover_reference(points, squares, CELL)
+        rng = random.Random(10)
+        for trial in range(300):
+            cell = (GridCell(0, 0), GridCell(-2, -1), GridCell(3, -4))[trial % 3]
+            points, _sp, squares = mixed_grid_instance(rng, cell)
+            corners = cell_corners(cell)
+            squares = [q for q in squares if any(q.contains(c) for c in corners)]
+            points = [p for p in points if any(q.contains(p) for q in squares)]
+            cover = min_size_cell_cover_approx(SquareGrid.of(points, squares), cell)
+            assert cover.ids == min_size_cell_cover_reference(points, squares, cell)
+
+
+def _cells_with_split_points(points, squares) -> int:
+    """Cells holding a point whose squares contain different first cell
+    corners, by Fraction containment."""
+    split = set()
+    for p in points:
+        cell = GridCell(p.x.numerator // p.x.denominator, p.y.numerator // p.y.denominator)
+        corners = cell_corners(cell)
+        at = {
+            next(k for k, c in enumerate(corners) if q.contains(c))
+            for q in squares
+            if q.contains(p)
+        }
+        if len(at) > 1:
+            split.add(cell)
+    return len(split)
+
+
+def test_size_lp_solved_only_where_corners_split(monkeypatch):
+    calls = []
+    solve_lp = lpmod.solve_lp
+    monkeypatch.setattr(lpmod, "solve_lp", lambda program: calls.append(1) or solve_lp(program))
+    solved = 0
+    for seed in range(30):
+        points, _sp, squares = square_instance(seed)
+        calls.clear()
+        solve_mpgsc(points, squares)
+        assert len(calls) == _cells_with_split_points(points, squares), seed
+        solved += len(calls)
+    assert solved  # the battery reaches the LP
 
 
 class TestSolveMpgsc:

@@ -59,7 +59,7 @@ def _solved_partition(points, sprime, squares, cell=CELL):
     s_rows = incidence(points, squares)
     lp = build_membership_lp(s_rows, incidence(sprime, squares), len(squares))
     sol = solve_lp(lp)
-    return corner_partition(SquareGrid.of(points, squares), s_rows, cell, sol), sol
+    return corner_partition(SquareGrid.of(points, squares), s_rows, cell, lambda: sol), sol
 
 
 class TestCornerPartition:
@@ -91,7 +91,7 @@ class TestCornerPartition:
             assert not any(far.contains(c) for c in cell_corners(CELL))
             with pytest.raises(SquareWithoutCorner):
                 corner_partition(
-                    SquareGrid.of(points, [far]), incidence(points, [far]), CELL, sol
+                    SquareGrid.of(points, [far]), incidence(points, [far]), CELL, lambda: sol
                 )
 
     def test_winning_load_at_least_quarter(self):
@@ -404,8 +404,9 @@ class TestIntegerGrid:
                 )
 
     def test_corner_split_matches_fraction_reference(self):
-        # squares go to the first cell corner they contain; points to the
-        # corner of largest Fraction load, for any rational weights
+        # squares go to the first cell corner they contain; a point to the
+        # one corner holding its squares, else to the corner of largest
+        # Fraction load (ties to the lowest corner), for any rational weights
         rng = random.Random(8)
         for trial in range(300):
             cell = GRID_CELLS[trial % 3]
@@ -422,11 +423,15 @@ class TestIntegerGrid:
             grid = SquareGrid.of(points, squares)
             if None in at_corner:
                 with pytest.raises(SquareWithoutCorner):
-                    corner_partition(grid, s_rows, cell, sol)
+                    corner_partition(grid, s_rows, cell, lambda: sol)
                 continue
-            part = corner_partition(grid, s_rows, cell, sol)
+            part = corner_partition(grid, s_rows, cell, lambda: sol)
             winners = []
             for p in points:
+                holding = {c for q, c in zip(squares, at_corner) if q.contains(p)}
+                if len(holding) == 1:
+                    winners.append(holding.pop())
+                    continue
                 loads = [
                     sum(
                         w
