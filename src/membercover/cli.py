@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import CoverSolution, Uncoverable
+from .geometry import frac
 from .halfplanes import additive_error_cover, exact_mmgsc_halfplanes, ptas
 from .instances import (
     KIND_HALFPLANES,
@@ -22,6 +24,7 @@ from .instances import (
     InstanceParseError,
     generate,
     parse_instance,
+    read_json,
     serialize_instance,
 )
 from .oracle import (
@@ -115,8 +118,7 @@ def _solve_one(
     if solver == "halfplanes-additive":
         cover = additive_error_cover(doc.s, doc.sprime, doc.ranges)
     elif solver.startswith("halfplanes-ptas-"):
-        eps = Fraction(solver.rsplit("-", 1)[1])
-        cover = ptas(doc.s, doc.sprime, doc.ranges, eps)
+        cover = ptas(doc.s, doc.sprime, doc.ranges, solver.removeprefix("halfplanes-ptas-"))
     elif solver == "halfplanes-ptas":
         cover = ptas(doc.s, doc.sprime, doc.ranges, epsilon)
     else:
@@ -248,6 +250,15 @@ def write_csv(rows: list[dict], stream) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _emit(text: str, path: str | None) -> None:
+    """Write `text` to the file at `path`, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_gen(args) -> int:
     doc = generate(
         args.kind,
@@ -257,17 +268,12 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
         n_prime=args.prime_points,
     )
-    text = serialize_instance(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(serialize_instance(doc), args.out)
     return 0
 
 
 def _load(path: str) -> InstanceDoc:
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # the JSON reader decodes, so bad bytes are a parse error
         return parse_instance(fh.read())
 
 
@@ -310,11 +316,8 @@ def _cmd_exact(args) -> int:
 
 def _load_cover(path: str, doc: InstanceDoc) -> list[int]:
     """The ids of a cover file: an object whose "cover" lists ids of `doc`."""
-    with open(path) as fh:
-        try:
-            cover_doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceParseError(f"cover file: {exc.msg}", line=exc.lineno)
+    with open(path, "rb") as fh:
+        cover_doc = read_json(fh.read(), "cover file")
     ids = cover_doc.get("cover") if isinstance(cover_doc, dict) else None
     if not isinstance(ids, list) or not all(type(i) is int for i in ids):  # no bools
         raise InstanceParseError("cover file needs a list of ids", field_name="cover")
@@ -343,26 +346,17 @@ def _cmd_bench(args) -> int:
         extent=args.extent,
         with_oracle=args.with_oracle,
     )
-    if args.out_csv:
-        with open(args.out_csv, "w") as fh:
-            write_csv(rows, fh)
-    else:
-        write_csv(rows, sys.stdout)
-    summary_text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    if args.out_json:
-        with open(args.out_json, "w") as fh:
-            fh.write(summary_text)
-    else:
-        sys.stdout.write(summary_text)
+    table = io.StringIO()
+    write_csv(rows, table)
+    _emit(table.getvalue(), args.out_csv)
+    _emit(json.dumps(summary, sort_keys=True, indent=2) + "\n", args.out_json)
     return 0
 
 
 def _cmd_plot(args) -> int:
     doc = _load(args.instance)
     cover_ids = _load_cover(args.cover, doc) if args.cover else []
-    svg = render_svg(doc, cover_ids)
-    with open(args.out, "w") as fh:
-        fh.write(svg)
+    _emit(render_svg(doc, cover_ids), args.out)
     return 0
 
 
@@ -378,12 +372,13 @@ def _at_least(low: int):
 
 
 def _positive_rational(text: str) -> Fraction:
+    """An argparse type: a positive rational in `frac`'s grammar."""
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        value = Fraction(0)
+        value = frac(text)
+    except ValueError:
+        value = 0
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive rational, got {text[:60]!r}")
     return value
 
 
@@ -425,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="bruteforce",
         help="membership on halfplanes can also use the escalation search",
     )
-    exact.add_argument("--max-ranges", type=int, default=16)
+    exact.add_argument("--max-ranges", type=_at_least(0), default=16)
     exact.set_defaults(func=_cmd_exact)
 
     verify = sub.add_parser("verify", help="check a cover file against an instance")
@@ -458,16 +453,10 @@ def run_cli(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InstanceParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BudgetExceeded as exc:
+    except (_UsageError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Uncoverable as exc:
@@ -477,3 +466,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -28,6 +28,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -39,15 +40,32 @@ UNION_SUPERSET = "superset"
 UNION_INCOMPARABLE = "incomparable"
 
 
+MAX_DIGITS = 256  # past about 308 digits a coordinate overflows svgplot's floats
+_INT_BOUND = 10**MAX_DIGITS
+_RATIONAL = re.compile(r"(-?[0-9]{1,%d})(?:/([0-9]{1,%d}))?" % (MAX_DIGITS, MAX_DIGITS))
+
+
 def frac(value) -> Fraction:
-    """Coerce ints, rational strings like ``"3/64"`` and Fractions to Fraction."""
-    if isinstance(value, Fraction):
+    """The one reader of a number from outside: a Fraction, an int (not a
+    bool) or a string in the grammar that `str(Fraction)` writes, ``-?N``
+    or ``-?N/D`` with D nonzero, each integer of at most MAX_DIGITS
+    digits.  Anything else raises ValueError."""
+    if type(value) is str:
+        match = _RATIONAL.fullmatch(value)
+        if match and match[2] is None:
+            return Fraction(int(match[1]))
+        if match and int(match[2]):
+            return Fraction(int(match[1]), int(match[2]))
+    elif type(value) is int:
+        if -_INT_BOUND < value < _INT_BOUND:
+            return Fraction(value)
+        raise ValueError(f"integer has more than {MAX_DIGITS} digits")
+    elif isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+    raise ValueError(
+        f"not an exact rational -?N or -?N/D (D > 0, at most {MAX_DIGITS} digits each): "
+        f"{repr(value)[:60]}"
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,7 +274,7 @@ def face_sample_points(lines: Sequence[tuple]) -> list[tuple[int, int, int]]:
 
 def _normalize_constraint(a, b, c) -> tuple[int, int, int]:
     """Scale a rational constraint to a primitive integer triple."""
-    fa, fb, fc = frac(a), frac(b), frac(c)
+    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
     scale = math.lcm(fa.denominator, fb.denominator, fc.denominator)
     ia, ib, ic = int(fa * scale), int(fb * scale), int(fc * scale)
     g = math.gcd(math.gcd(abs(ia), abs(ib)), abs(ic))

@@ -41,6 +41,7 @@ from .geometry import (
     Halfplane,
     Point,
     face_sample_points,
+    frac,
     pair_certificate,
     strictly_feasible,
     triple_certificate,
@@ -979,9 +980,10 @@ def ptas(
     The additive-error cover either certifies the ratio outright (when
     its membership is large against the additive constant) or is itself
     below a constant depending only on eps; the exact search then stops
-    at the optimum, no later than that membership.
+    at the optimum, no later than that membership.  `eps` is read by
+    `geometry.frac`, so a float or a decimal string raises ValueError.
     """
-    eps = Fraction(eps)
+    eps = frac(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     inst = _HalfplaneInstance(points, sprime, halfplanes)

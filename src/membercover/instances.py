@@ -1,7 +1,8 @@
 """Instance documents: parsing, canonical serialization, and generation.
 
-Instances are JSON with exact rational coordinates encoded as strings
-("num/den" or a bare integer); binary floats are rejected so a document
+Instances are JSON with exact rational coordinates: integers, or strings
+"num/den" or a bare integer as `str(Fraction)` writes them, each read by
+`geometry.frac`; floats and every other string are rejected, so a document
 always round-trips to the same rationals.  Range ids follow file order.
 """
 
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Halfplane, Point, UnitSquare
+from .geometry import Halfplane, Point, UnitSquare, frac
 
 KIND_SQUARES = "squares"
 KIND_HALFPLANES = "halfplanes"
@@ -55,44 +56,39 @@ class InstanceDoc:
         return hashlib.sha256(serialize_instance(self).encode()).hexdigest()
 
 
-def _coord(value, name: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise InstanceParseError(
-            f"coordinate must be an integer or a rational string, got {value!r}",
-            field_name=name,
-        )
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceParseError(
-                f"bad rational {value!r}: {exc}", field_name=name
-            ) from None
-    raise InstanceParseError(f"bad coordinate {value!r}", field_name=name)
+def _coord(value, name: str, idx: int) -> Fraction:
+    """`value` read by `frac`; the entry `name[idx]` is named on error."""
+    try:
+        return frac(value)
+    except ValueError as exc:
+        raise InstanceParseError(str(exc), field_name=f"{name}[{idx}]") from None
+
+
+def _point(pair, name: str, idx: int) -> Point:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise InstanceParseError(f"entry {idx} is not an [x, y] pair", field_name=name)
+    return Point(_coord(pair[0], name, idx), _coord(pair[1], name, idx))
 
 
 def _point_list(raw, name: str) -> tuple[Point, ...]:
     if not isinstance(raw, list):
         raise InstanceParseError("expected a list of [x, y] pairs", field_name=name)
-    points = []
-    for idx, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InstanceParseError(
-                f"entry {idx} is not an [x, y] pair", field_name=name
-            )
-        points.append(
-            Point(_coord(pair[0], f"{name}[{idx}].x"), _coord(pair[1], f"{name}[{idx}].y"))
-        )
-    return tuple(points)
+    return tuple([_point(pair, name, idx) for idx, pair in enumerate(raw)])
 
 
-def parse_instance(text: str) -> InstanceDoc:
+def read_json(text: str | bytes, what: str):
+    """`json.loads(text)`; any failure is an InstanceParseError about `what`."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InstanceParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+        raise InstanceParseError(f"{what}: {exc.msg}", line=exc.lineno) from None
+    # bytes that are not UTF-8, an int past the digit limit, deep nesting
+    except (ValueError, RecursionError) as exc:
+        raise InstanceParseError(f"{what}: {exc}") from None
+
+
+def parse_instance(text: str | bytes) -> InstanceDoc:
+    raw = read_json(text, "invalid JSON")
     if not isinstance(raw, dict):
         raise InstanceParseError("top level must be an object")
     kind = raw.get("kind")
@@ -108,57 +104,34 @@ def parse_instance(text: str) -> InstanceDoc:
         raise InstanceParseError("expected a list", field_name="ranges")
     ranges: list = []
     for idx, entry in enumerate(ranges_raw):
-        if kind == KIND_SQUARES:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise InstanceParseError(
-                    f"square {idx} must be a [x, y] top-right corner",
-                    field_name="ranges",
-                )
-            ranges.append(
-                UnitSquare(
-                    idx,
-                    Point(
-                        _coord(entry[0], f"ranges[{idx}].x"),
-                        _coord(entry[1], f"ranges[{idx}].y"),
-                    ),
-                )
+        if kind == KIND_SQUARES:  # the top-right corner
+            ranges.append(UnitSquare(idx, _point(entry, "ranges", idx)))
+            continue
+        if not isinstance(entry, list) or len(entry) != 3 or any(type(v) is not int for v in entry):
+            raise InstanceParseError(
+                f"halfplane {idx} must be an [a, b, c] integer triple", field_name="ranges"
             )
-        else:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 3
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)
-            ):
-                raise InstanceParseError(
-                    f"halfplane {idx} must be an [a, b, c] integer triple",
-                    field_name="ranges",
-                )
-            a, b, c = entry
-            if a == 0 and b == 0:
-                raise InstanceParseError(
-                    f"halfplane {idx} has zero normal", field_name="ranges"
-                )
-            ranges.append(Halfplane(idx, a, b, c))
+        # integers under the coordinates' digit rule
+        a, b, c = [int(_coord(v, "ranges", idx)) for v in entry]
+        if a == 0 and b == 0:
+            raise InstanceParseError(f"halfplane {idx} has zero normal", field_name="ranges")
+        ranges.append(Halfplane(idx, a, b, c))
     seed = raw.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and type(seed) is not int:  # no bools
         raise InstanceParseError("seed must be an integer", field_name="seed")
     return InstanceDoc(kind=kind, s=s, sprime=sprime, ranges=tuple(ranges), seed=seed)
-
-
-def _coord_str(value: Fraction) -> str:
-    return str(value)
 
 
 def serialize_instance(doc: InstanceDoc) -> str:
     """Canonical single-line JSON; parse(serialize(d)) == d."""
     if doc.kind == KIND_SQUARES:
-        ranges = [[_coord_str(q.tr.x), _coord_str(q.tr.y)] for q in doc.ranges]
+        ranges = [[str(q.tr.x), str(q.tr.y)] for q in doc.ranges]
     else:
         ranges = [[h.a, h.b, h.c] for h in doc.ranges]
     obj = {
         "kind": doc.kind,
-        "S": [[_coord_str(p.x), _coord_str(p.y)] for p in doc.s],
-        "Sprime": [[_coord_str(p.x), _coord_str(p.y)] for p in doc.sprime],
+        "S": [[str(p.x), str(p.y)] for p in doc.s],
+        "Sprime": [[str(p.x), str(p.y)] for p in doc.sprime],
         "ranges": ranges,
     }
     if doc.seed is not None:

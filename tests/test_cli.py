@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from conftest import fan_instance, halfplane_instance, square_instance
 import membercover
 import membercover.cli as cli
 from membercover.cli import CSV_COLUMNS, run_bench, run_cli, write_csv
-from membercover.instances import InstanceDoc, parse_instance, serialize_instance
+from membercover.instances import InstanceDoc, generate, parse_instance, serialize_instance
 from membercover.oracle import (
     exact_minsize_bruteforce,
     exact_mmgsc_bruteforce,
@@ -219,6 +220,26 @@ def test_exact_search_solver(tmp_path, capsys, instance):
     assert memb_eval(doc.sprime, report["witness"], doc.ranges) == report["value"]
 
 
+# instances that the reader refuses: coordinates outside the grammar that
+# str(Fraction) writes or past the digit cap, and a JSON int past int's limit
+BAD_INSTANCES = {
+    name: '{"kind":"squares","S":[[%s,0]],"Sprime":[],"ranges":[[1,1]]}' % coord
+    for name, coord in (
+        ("exponent", '"1e10000000"'),
+        ("decimal", '"0.5"'),
+        ("underscore", '" 1_0 "'),
+        ("zero_den", '"1/0"'),
+        ("long_str", '"%s"' % ("1" * 257)),
+        ("long_int", "1" * 257),
+        ("json_int", "1" * 5000),
+    )
+}
+BAD_INSTANCES["long_coeff"] = '{"kind":"halfplanes","S":[],"Sprime":[],"ranges":[[1,0,%s]]}' % (
+    "1" * 257
+)
+BAD_INSTANCES["deep"] = "[" * 100000  # past the JSON decoder's recursion limit
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -228,9 +249,15 @@ def test_exact_search_solver(tmp_path, capsys, instance):
         ("verify", "{inst}", "{bool_id}"),
         ("solve", "{inst}", "--epsilon", "abc"),
         ("gen", "--kind", "squares", "--points", "-1"),
+        *[("solve", "{%s}" % name) for name in BAD_INSTANCES],
+        ("solve", "{inst}", "--epsilon", "1e999999999"),
+        ("exact", "{inst}", "--max-ranges", "-1"),
+        ("solve", "{binary}"),
+        ("verify", "{inst}", "{int_cover}"),
     ],
     ids=["plot-broken-json", "plot-list-cover", "verify-list-cover", "verify-bool-id",
-         "bad-epsilon", "negative-count"],
+         "bad-epsilon", "negative-count", *BAD_INSTANCES, "exponent-epsilon",
+         "negative-max-ranges", "not-utf8", "json-int-cover"],
 )
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv):
     inst = tmp_path / "in.json"
@@ -242,10 +269,43 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, argv):
     files["broken"].write_text('{"cover": [0,')
     files["as_list"].write_text("[0, 1]")
     files["bool_id"].write_text('{"cover": [true]}')
+    files["binary"] = tmp_path / "binary.json"
+    files["binary"].write_bytes(b"\x80{}")  # not UTF-8
+    files["int_cover"] = tmp_path / "int_cover.json"
+    files["int_cover"].write_text('{"cover": [%s]}' % ("1" * 5000))
+    for name, text in BAD_INSTANCES.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(text)
+    start = time.perf_counter()
     code, out, err = _run(capsys, *[a.format(**files) for a in argv])
+    assert time.perf_counter() - start < 5  # refused at once, not parsed at length
     assert code == 1
     assert out == "" and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_plot_at_the_digit_cap(tmp_path, capsys):
+    # svgplot draws in floats; a coordinate of MAX_DIGITS digits still fits
+    inst = tmp_path / "in.json"
+    inst.write_text(
+        '{"kind":"squares","S":[["1","1"]],"Sprime":[],"ranges":[["%s","1"]]}' % ("9" * 256)
+    )
+    out_svg = tmp_path / "out.svg"
+    code, _out, err = _run(capsys, "plot", str(inst), "--out", str(out_svg))
+    assert code == 0 and err == ""
+    assert ET.parse(out_svg).getroot().tag.endswith("svg")
+
+
+def test_module_entry_point(tmp_path):
+    # python -m membercover.cli runs the same CLI as the console script
+    src = str(Path(membercover.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["gen", "--kind", "squares", "--points", "3", "--ranges", "4", "--seed", "5"]
+    out = subprocess.run(
+        [sys.executable, "-m", "membercover.cli", *argv],
+        env=env, capture_output=True, text=True, check=True, cwd=tmp_path,
+    )
+    assert out.stdout == serialize_instance(generate("squares", 3, 4, seed=5))
 
 
 def test_bench_cli_files(tmp_path, capsys):

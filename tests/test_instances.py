@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from membercover import (
     parse_instance,
     serialize_instance,
 )
+from membercover.geometry import MAX_DIGITS, frac
 from membercover.instances import InstanceParseError
 
 
@@ -91,3 +93,53 @@ def test_generator_sweep_valid():
 def test_digest_stable():
     doc = parse_instance(MINIMAL_SQUARES)
     assert doc.digest() == parse_instance(serialize_instance(doc)).digest()
+
+
+def test_reader_accepts_what_the_writer_writes():
+    # frac reads exactly the grammar of str(Fraction), up to the digit cap
+    rng = random.Random(20)
+    for _ in range(2000):
+        num_digits, den_digits = rng.randint(1, MAX_DIGITS), rng.randint(1, MAX_DIGITS)
+        num = rng.randrange(10 ** num_digits) * rng.choice((1, -1))
+        q = Fraction(num, rng.randrange(1, 10 ** den_digits))
+        assert frac(str(q)) == q
+        assert frac(q.numerator) == q.numerator
+    assert frac("-" + "9" * MAX_DIGITS + "/" + "9" * MAX_DIGITS) == -1
+    assert frac(10 ** MAX_DIGITS - 1) == 10 ** MAX_DIGITS - 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1e3", "0.5", ".5", "1.", " 1", "1 ", " 1_0 ", "1_0", "+1", "1/-2", "-1/-2", "1/0",
+     "1/00", "", "-", "/2", "1/", "inf", "nan", "١", "1\n", "1" * (MAX_DIGITS + 1),
+     "1/" + "1" * (MAX_DIGITS + 1), 10 ** MAX_DIGITS, -(10 ** MAX_DIGITS), 0.5, True,
+     None, [1]],
+    ids=lambda value: repr(value)[:16],
+)
+def test_reader_refuses_other_forms(value):
+    # forms that only Fraction(str) accepts, and numbers past the cap
+    with pytest.raises(ValueError):
+        frac(value)
+    text = serialize_instance(generate("squares", n_points=1, n_ranges=1, seed=1))
+    doc = json.loads(text)
+    doc["S"][0][0] = value
+    with pytest.raises(InstanceParseError):
+        parse_instance(json.dumps(doc))
+
+
+def test_json_int_past_the_int_limit_is_a_parse_error():
+    with pytest.raises(InstanceParseError):
+        parse_instance('{"kind":"squares","S":[[%s,0]],"Sprime":[],"ranges":[]}' % ("1" * 5000))
+
+
+def test_halfplane_coefficients_under_the_digit_cap():
+    ok = '{"kind":"halfplanes","S":[],"Sprime":[],"ranges":[[1,0,%s]]}' % ("9" * MAX_DIGITS)
+    assert parse_instance(ok).ranges[0].c == 10 ** MAX_DIGITS - 1
+    with pytest.raises(InstanceParseError):
+        parse_instance(ok.replace("9" * MAX_DIGITS, "9" * (MAX_DIGITS + 1)))
+
+
+@pytest.mark.parametrize("seed", ["true", "1.0", '"1"'])
+def test_seed_must_be_an_integer(seed):
+    with pytest.raises(InstanceParseError):
+        parse_instance('{"kind":"squares","S":[],"Sprime":[],"ranges":[],"seed":%s}' % seed)

@@ -313,3 +313,26 @@ def test_one_union_kernel():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{name}" for name in _defs(tree) if name.split(".")[-1] in gone]
     assert found == []
+
+
+def test_outside_numbers_only_through_frac():
+    # `geometry.frac` is the one reader of a number from outside; the front
+    # end makes no one-argument Fraction(...) call but on a numeric literal,
+    # so no string or foreign value reaches Fraction's lenient parser
+    found = []
+    for name in ("instances.py", "cli.py", "halfplanes.py"):
+        path = SRC / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and len(node.args) + len(node.keywords) == 1
+            and not (
+                node.args
+                and isinstance(node.args[0], ast.Constant)
+                and type(node.args[0].value) in (int, float)
+            )
+        ]
+    assert found == []
