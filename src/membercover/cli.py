@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import CoverSolution, Uncoverable
-from .geometry import frac
+from .geometry import frac, integer
 from .halfplanes import additive_error_cover, exact_mmgsc_halfplanes, ptas
 from .instances import (
     KIND_HALFPLANES,
@@ -360,13 +360,22 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """An argparse type: an integer in `integer`'s grammar."""
+    try:
+        return integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _at_least(low: int):
-    """An argparse type: a decimal integer no smaller than `low` (>= 0)."""
+    """An argparse type: an integer in `integer`'s grammar, no smaller than `low`."""
 
     def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < low:
+        value = _integer(text)
+        if value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return int(text)
+        return value
 
     return parse
 
@@ -392,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--prime-points", type=_at_least(0), default=None)
     gen.add_argument("--ranges", type=_at_least(0), default=8)
     gen.add_argument("--extent", type=_at_least(1), default=4)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_integer, default=0)
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=_cmd_gen)
 

@@ -42,7 +42,8 @@ UNION_INCOMPARABLE = "incomparable"
 
 MAX_DIGITS = 256  # past about 308 digits a coordinate overflows svgplot's floats
 _INT_BOUND = 10**MAX_DIGITS
-_RATIONAL = re.compile(r"(-?[0-9]{1,%d})(?:/([0-9]{1,%d}))?" % (MAX_DIGITS, MAX_DIGITS))
+_INTEGER = re.compile(r"-?[0-9]{1,%d}" % MAX_DIGITS)
+_RATIONAL = re.compile(r"(%s)(?:/([0-9]{1,%d}))?" % (_INTEGER.pattern, MAX_DIGITS))
 
 
 def frac(value) -> Fraction:
@@ -66,6 +67,15 @@ def frac(value) -> Fraction:
         f"not an exact rational -?N or -?N/D (D > 0, at most {MAX_DIGITS} digits each): "
         f"{repr(value)[:60]}"
     )
+
+
+def integer(text: str) -> int:
+    """The reader of an integer from outside, beside `frac`: a string
+    ``-?N`` of at most MAX_DIGITS ASCII digits, with no padding, plus sign
+    or underscore.  Anything else raises ValueError."""
+    if type(text) is str and _INTEGER.fullmatch(text):
+        return int(text)
+    raise ValueError(f"not an integer -?N of at most {MAX_DIGITS} digits: {repr(text)[:60]}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,20 +1,28 @@
 """Exact linear programming with Bland's rule on integer rows.
 
-A small dense two-phase primal simplex.  All variables are nonnegative;
-upper bounds are expanded into rows.  Bland's pivoting rule (lowest
-eligible index for both entering and leaving variables) guarantees
-termination and makes runs reproducible.
+A two-phase primal simplex.  All variables are nonnegative; upper bounds
+are expanded into rows.  Bland's pivoting rule (lowest eligible index for
+both entering and leaving variables) guarantees termination and makes runs
+reproducible.
+
+The tableau is a list of dense rows, one per constraint and the
+reduced-cost row last, each a list of Python ints with the rhs at its end.
+A pivot touches only what it changes.  A row that holds 0 in the entering
+column is skipped.  Every other row, the cost row included, is updated in
+place, and only at the pivot row's nonzero columns; it is multiplied first
+when the pivot entry does not divide its entry in the entering column, and
+in almost every pivot of a cover program the pivot entry is 1.  Pricing
+out clears the cost row the same way, one basic column at a time.
 
 The arithmetic is fraction-free (Edmonds' integer-preserving pivoting).
-Every tableau row, the reduced-cost row included, is a list of Python ints
-equal to the rational row times an implicit positive scale.  A row is
-built as ints straight from its constraint: the coefficients and the rhs
-times the lcm of their denominators, the slack at plus or minus that lcm
-and the artificial at the lcm, divided by the gcd of the entries.  A pivot
-cross-multiplies instead of dividing and then divides each changed row by
-the gcd of its entries, which keeps the integers small.  Scaling a row by
-a positive constant changes no sign and no ratio rhs/a, and ratios are
-compared by cross-multiplying, so Bland's rule takes exactly the pivots
+Every row is equal to the rational row times an implicit positive scale.
+A row is built as ints straight from its constraint: the coefficients and
+the rhs times the lcm of their denominators, the slack at plus or minus
+that lcm and the artificial at the lcm, divided by the gcd of the entries.
+A pivot cross-multiplies instead of dividing and then divides each changed
+row by the gcd of its entries, which keeps the integers small.  Scaling a
+row by a positive constant changes no sign and no ratio rhs/a, and ratios
+are compared by cross-multiplying, so Bland's rule takes exactly the pivots
 the rational tableau would take and returns the same vertex.  A basic
 variable's value is its row's rhs over its own entry in that row.
 
@@ -22,7 +30,8 @@ The module also builds the fractional-cover programs used by the square
 solvers: the membership program (minimize the largest fractional load on
 a monitored point) and the size program (minimize total weight).  Their
 0/1/-1 coefficients stay plain ints: `make_program` passes ints through
-and coerces only other values with `frac`.
+and reads every other value, a bool too, with `frac`, and the tableau
+takes an all-int row as it is.
 """
 
 from __future__ import annotations
@@ -89,9 +98,20 @@ class LPSolution:
     assignment: tuple[Fraction, ...]
 
 
+def _all_ints(values: Sequence) -> bool:
+    """Is every value an int (a bool is not)?"""
+    return set(map(type, values)) <= {int}
+
+
 def _rational(value) -> Rational:
-    """Ints as they are, anything else through `frac`."""
-    return value if isinstance(value, int) else frac(value)
+    """Ints as they are, anything else (a bool too) through `frac`."""
+    return value if type(value) is int else frac(value)
+
+
+def _rationals(values) -> tuple[Rational, ...]:
+    """Each value as `_rational` reads it; an all-int list in one check."""
+    values = list(values)
+    return tuple(values if _all_ints(values) else [_rational(v) for v in values])
 
 
 def make_program(n_vars, objective, rows, upper_bounds=None) -> LinearProgram:
@@ -101,10 +121,9 @@ def make_program(n_vars, objective, rows, upper_bounds=None) -> LinearProgram:
     ups = tuple(upper_bounds) if upper_bounds is not None else (None,) * n_vars
     return LinearProgram(
         n_vars=n_vars,
-        objective=tuple([_rational(c) for c in objective]),
+        objective=_rationals(objective),
         rows=tuple([
-            ConstraintRow(tuple([_rational(c) for c in coeffs]), rel, _rational(rhs))
-            for coeffs, rel, rhs in rows
+            ConstraintRow(_rationals(coeffs), rel, _rational(rhs)) for coeffs, rel, rhs in rows
         ]),
         upper_bounds=tuple([None if u is None else _rational(u) for u in ups]),
     )
@@ -116,14 +135,33 @@ def _reduce(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def _eliminate(trow: list[int], prow: list[int], col: int) -> list[int]:
-    """`trow` with column `col` cleared against `prow`, whose entry there is
-    positive; the result keeps a positive scale."""
-    factor = trow[col]
-    if not factor:
-        return trow
+def _clear(rows, prow: list[int], col: int) -> None:
+    """Clear column `col` of every row in `rows` but `prow` against `prow`,
+    whose entry there is positive, in place; each changed row keeps a
+    positive scale.
+
+    A row with 0 in `col` is left as it is.  Any other row is multiplied by
+    the pivot entry over its gcd with the row's own entry in `col` (unless
+    that is 1), a multiple of `prow` is subtracted at `prow`'s nonzero
+    columns only, and the row is divided by the gcd of its entries."""
     piv = prow[col]
-    return _reduce([piv * v - factor * pv for v, pv in zip(trow, prow)])
+    nonzero = [(j, v) for j, v in enumerate(prow) if v]
+    for trow in rows:
+        factor = trow[col]
+        if not factor or trow is prow:
+            continue
+        if piv != 1:
+            # the row is divided by its gcd at the end, so scaling by the
+            # pivot over its common divisor with the factor gives the same row
+            g = math.gcd(piv, factor)
+            scale, factor = piv // g, factor // g
+            if scale != 1:
+                trow[:] = [scale * v for v in trow]
+        for j, pv in nonzero:
+            trow[j] -= factor * pv
+        g = math.gcd(*trow)
+        if g > 1:
+            trow[:] = [v // g for v in trow]
 
 
 def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> None:
@@ -132,19 +170,14 @@ def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> No
         # only the artificial drive-out pivots on a negative entry; the
         # negated row keeps a positive scale
         prow = tableau[row] = [-v for v in prow]
-    for r, trow in enumerate(tableau):
-        if r != row:
-            tableau[r] = _eliminate(trow, prow, col)
+    _clear(tableau, prow, col)
     basis[row] = col
 
 
-def _simplex_phase(
-    tableau: list[list[int]],
-    basis: list[int],
-    cost: list[int],
-    n_cols: int,
-) -> str:
-    """Run simplex to optimality on the given reduced-cost row (in place)."""
+def _simplex_phase(tableau: list[list[int]], basis: list[int], n_cols: int) -> str:
+    """Run simplex to optimality on the reduced-cost row, the tableau's last
+    row (in place).  `basis` has one entry per constraint row."""
+    cost = tableau[-1]
     while True:
         entering = next((j for j in range(n_cols) if cost[j] < 0), -1)
         if entering < 0:
@@ -152,7 +185,7 @@ def _simplex_phase(
         # minimum ratio rhs/a over a > 0, compared by cross-multiplying;
         # ties go to the lowest basic index
         leaving = -1
-        for r, trow in enumerate(tableau):
+        for r, trow in enumerate(tableau[:-1]):
             a = trow[entering]
             if a > 0:
                 if leaving < 0:
@@ -164,19 +197,22 @@ def _simplex_phase(
         if leaving < 0:
             return UNBOUNDED
         _pivot(tableau, basis, leaving, entering)
-        cost[:] = _eliminate(cost, tableau[leaving], entering)
 
 
-def _price_out(cost: list[int], tableau: list[list[int]], basis: list[int]) -> list[int]:
-    """Reduced costs: clear every basic column of the cost row."""
-    for r, b in enumerate(basis):
-        cost = _eliminate(cost, tableau[r], b)
-    return cost
+def _price_out(tableau: list[list[int]], basis: list[int]) -> None:
+    """Reduced costs: clear every basic column of the tableau's last row,
+    the cost row (in place)."""
+    cost = tableau[-1]
+    for trow, b in zip(tableau, basis):
+        if cost[b]:
+            _clear((cost,), trow, b)
 
 
 def _scaled(coeffs: Sequence[Rational], rhs: Rational) -> tuple[list[int], int, int]:
     """Integer coefficients and rhs equal to the rational ones times the
     lcm of their denominators, and that lcm."""
+    if type(rhs) is int and _all_ints(coeffs):
+        return list(coeffs), rhs, 1  # no denominator to read
     scale = math.lcm(rhs.denominator, *[c.denominator for c in coeffs])
     return (
         [c.numerator * (scale // c.denominator) for c in coeffs],
@@ -223,7 +259,8 @@ def _initial_tableau(lp: LinearProgram) -> tuple[list[list[int]], list[int], lis
             basis[r] = art
             artificials.append(art)
             art += 1
-        tableau.append(_reduce(trow))
+        # the slack or artificial entry is +-scale, so a row at scale 1 is reduced
+        tableau.append(_reduce(trow) if scale > 1 else trow)
     return tableau, basis, artificials, n_cols
 
 
@@ -237,10 +274,11 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         cost = [0] * (n_cols + 1)
         for a in artificials:
             cost[a] = 1
-        cost = _price_out(cost, tableau, basis)
-        if _simplex_phase(tableau, basis, cost, n_cols) != OPTIMAL:
+        tableau.append(cost)
+        _price_out(tableau, basis)
+        if _simplex_phase(tableau, basis, n_cols) != OPTIMAL:
             raise RuntimeError("phase 1 is always bounded")
-        if cost[-1] != 0:
+        if tableau.pop()[-1] != 0:
             return LPSolution(INFEASIBLE, None, ())
         # pivot artificials out of the basis where possible; a row whose
         # artificial cannot leave is redundant and dropped.  The artificials
@@ -260,9 +298,9 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             del trow[n_cols:-1]
 
     objective, _, _ = _scaled(lp.objective, 0)
-    cost = _reduce(objective + [0] * (n_cols + 1 - n))
-    cost = _price_out(cost, tableau, basis)
-    status = _simplex_phase(tableau, basis, cost, n_cols)
+    tableau.append(_reduce(objective + [0] * (n_cols + 1 - n)))
+    _price_out(tableau, basis)
+    status = _simplex_phase(tableau, basis, n_cols)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, None, ())
 
@@ -283,7 +321,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
 def _indicator(row: int, width: int) -> list[int]:
     """Coefficients one at the set bits of an incidence row, zero elsewhere."""
-    return [1 if row >> j & 1 else 0 for j in range(width)]
+    return [row >> j & 1 for j in range(width)]
 
 
 def build_membership_lp(

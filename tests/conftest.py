@@ -25,12 +25,14 @@ from membercover.halfplanes import (
     one_stable_local_search,
 )
 from membercover.lp import (
+    INFEASIBLE,
     OPTIMAL,
     REL_EQ,
     REL_GE,
     REL_LE,
     UNBOUNDED,
     LinearProgram,
+    LPSolution,
     _reduce,
     build_size_lp,
     make_program,
@@ -159,6 +161,120 @@ def fraction_tableau(lp: LinearProgram):
         trow[-1] = rhs
         tableau.append(to_ints(trow))
     return tableau, basis, [a for a in art_of_row if a is not None], n_cols
+
+
+# ---------------------------------------------------------------------------
+# the dense integer-row simplex, the reference for `lp.solve_lp`'s pivots
+# ---------------------------------------------------------------------------
+# Every pivot clears the entering column of every row over the whole row
+# width, the cost row included, with one call per row.  The start tableau
+# and the cost row come from `fraction_tableau` and `to_ints`.
+
+def _reference_eliminate(trow: list[int], prow: list[int], col: int) -> list[int]:
+    """`trow` with column `col` cleared against `prow`, whose entry there is
+    positive; the result keeps a positive scale."""
+    factor = trow[col]
+    if not factor:
+        return trow
+    piv = prow[col]
+    return _reduce([piv * v - factor * pv for v, pv in zip(trow, prow)])
+
+
+def _reference_pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> None:
+    prow = tableau[row]
+    if prow[col] < 0:
+        # only the artificial drive-out pivots on a negative entry; the
+        # negated row keeps a positive scale
+        prow = tableau[row] = [-v for v in prow]
+    for r, trow in enumerate(tableau):
+        if r != row:
+            tableau[r] = _reference_eliminate(trow, prow, col)
+    basis[row] = col
+
+
+def _reference_simplex_phase(
+    tableau: list[list[int]],
+    basis: list[int],
+    cost: list[int],
+    n_cols: int,
+) -> str:
+    """Run simplex to optimality on the given reduced-cost row (in place)."""
+    while True:
+        entering = next((j for j in range(n_cols) if cost[j] < 0), -1)
+        if entering < 0:
+            return OPTIMAL
+        # minimum ratio rhs/a over a > 0, compared by cross-multiplying;
+        # ties go to the lowest basic index
+        leaving = -1
+        for r, trow in enumerate(tableau):
+            a = trow[entering]
+            if a > 0:
+                if leaving < 0:
+                    leaving, num, den = r, trow[-1], a
+                    continue
+                mine, best = trow[-1] * den, num * a
+                if mine < best or (mine == best and basis[r] < basis[leaving]):
+                    leaving, num, den = r, trow[-1], a
+        if leaving < 0:
+            return UNBOUNDED
+        _reference_pivot(tableau, basis, leaving, entering)
+        cost[:] = _reference_eliminate(cost, tableau[leaving], entering)
+
+
+def _reference_price_out(cost: list[int], tableau: list[list[int]], basis: list[int]) -> list[int]:
+    """Reduced costs: clear every basic column of the cost row."""
+    for r, b in enumerate(basis):
+        cost = _reference_eliminate(cost, tableau[r], b)
+    return cost
+
+
+def reference_solve_lp(lp: LinearProgram) -> LPSolution:
+    """Exact optimum (or infeasible/unbounded status) of a LinearProgram."""
+    n = lp.n_vars
+    tableau, basis, artificials, n_cols = fraction_tableau(lp)
+    m = len(tableau)
+
+    if artificials:
+        cost = [0] * (n_cols + 1)
+        for a in artificials:
+            cost[a] = 1
+        cost = _reference_price_out(cost, tableau, basis)
+        if _reference_simplex_phase(tableau, basis, cost, n_cols) != OPTIMAL:
+            raise RuntimeError("phase 1 is always bounded")
+        if cost[-1] != 0:
+            return LPSolution(INFEASIBLE, None, ())
+        # pivot artificials out of the basis where possible; a row whose
+        # artificial cannot leave is redundant and dropped.  The artificials
+        # are the last columns, so phase 2 runs on each row cut before them
+        n_cols = artificials[0]
+        keep_rows = []
+        for r in range(m):
+            if basis[r] >= n_cols:
+                pivot_col = next((j for j in range(n_cols) if tableau[r][j] != 0), None)
+                if pivot_col is None:
+                    continue
+                _reference_pivot(tableau, basis, r, pivot_col)
+            keep_rows.append(r)
+        tableau = [tableau[r] for r in keep_rows]
+        basis = [basis[r] for r in keep_rows]
+        for trow in tableau:
+            del trow[n_cols:-1]
+
+    cost = to_ints(list(lp.objective) + [Fraction(0)] * (n_cols + 1 - n))
+    cost = _reference_price_out(cost, tableau, basis)
+    status = _reference_simplex_phase(tableau, basis, cost, n_cols)
+    if status == UNBOUNDED:
+        return LPSolution(UNBOUNDED, None, ())
+
+    assignment = [Fraction(0)] * n
+    for trow, b in zip(tableau, basis):
+        if b < n:
+            assignment[b] = Fraction(trow[-1], trow[b])
+    # most weights of a cover program are 0, and so are most of its costs
+    value = sum(
+        [c * v for c, v in zip(lp.objective, assignment) if c and v], start=Fraction(0)
+    )
+    return LPSolution(OPTIMAL, value, tuple(assignment))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from membercover import (
     parse_instance,
     serialize_instance,
 )
-from membercover.geometry import MAX_DIGITS, frac
+from membercover.geometry import MAX_DIGITS, frac, integer
 from membercover.instances import InstanceParseError
 
 
@@ -125,6 +125,16 @@ def test_reader_refuses_other_forms(value):
     doc["S"][0][0] = value
     with pytest.raises(InstanceParseError):
         parse_instance(json.dumps(doc))
+
+
+def test_integer_reader():
+    # `integer` reads the integer half of frac's grammar and nothing more
+    for text in ("0", "-0", "7", "-12", "007", "9" * MAX_DIGITS, "-" + "9" * MAX_DIGITS):
+        assert integer(text) == int(text)
+    for value in (" 1", "1 ", " 1_0 ", "1_0", "+1", "1/2", "1.0", "1e3", "", "-", "٣",
+                  "١٠", "1\n", "1" * (MAX_DIGITS + 1), 5, True, None):
+        with pytest.raises(ValueError):
+            integer(value)
 
 
 def test_json_int_past_the_int_limit_is_a_parse_error():

@@ -336,3 +336,19 @@ def test_outside_numbers_only_through_frac():
             )
         ]
     assert found == []
+
+
+def test_cli_integers_only_through_the_strict_reader():
+    # argparse's `type=int` reads " 1_0 " as 10 and `type=float` reads
+    # "1e999"; every number flag of the CLI goes through geometry's readers
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.keyword)
+        and node.arg == "type"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("int", "float")
+    ]
+    assert found == []

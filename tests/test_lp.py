@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
+import conftest
 from conftest import (
     FractionalCover,
     cell_instance,
     fraction_tableau,
     lp_vertex_enumeration,
     membership_of_fractional,
+    reference_solve_lp,
     to_ints,
 )
 
@@ -173,6 +175,43 @@ class TestIntegerRows:
             assert lpmod._reduce(objective + [0] * 3) == to_ints(list(lp.objective) + [F(0)] * 3)
 
 
+class TestPivotPath:
+    """The pivots that touch only the rows and columns they change against
+    the dense ones of `reference_solve_lp`: the same (row, col) pivots in
+    the same order, and `==` solutions."""
+
+    @staticmethod
+    def _programs():
+        rng = random.Random(12)
+        for _ in range(300):
+            yield TestIntegerRows._random_program(rng)
+        for seed in range(40):
+            points, sprime, squares = cell_instance(seed)
+            s_rows = incidence(points, squares)
+            yield build_membership_lp(s_rows, incidence(sprime, squares), len(squares))
+            yield build_size_lp(s_rows, len(squares))
+
+    def test_same_pivots_and_solutions_as_reference(self, monkeypatch):
+        paths = {}
+        for module, name in ((lpmod, "_pivot"), (conftest, "_reference_pivot")):
+            path = paths[name] = []
+
+            def spy(tableau, basis, row, col, pivot=getattr(module, name), path=path):
+                path.append((row, col))
+                pivot(tableau, basis, row, col)
+
+            monkeypatch.setattr(module, name, spy)
+        statuses = set()
+        for lp in self._programs():
+            for path in paths.values():
+                path.clear()
+            sol = solve_lp(lp)
+            assert sol == reference_solve_lp(lp)
+            assert paths["_pivot"] == paths["_reference_pivot"]
+            statuses.add(sol.status)
+        assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
 # Exact solutions of seeded cell programs, recorded with the rational
 # (Fraction) tableau that the integer-row tableau replaced.  Bland's rule
 # must reach the same vertex, not merely the same value.
@@ -290,6 +329,17 @@ class TestValidation:
     def test_malformed_program_raises(self, case):
         with pytest.raises(ValueError):
             MALFORMED[case]()
+
+    def test_bool_coefficients_raise(self):
+        # a bool is an int subclass; make_program reads it as `frac` does
+        for args in (
+            (1, [True], [([1], ">=", 1)]),
+            (1, [1], [([True], ">=", 1)]),
+            (1, [1], [([1], ">=", True)]),
+            (1, [1], [([1], ">=", 1)], [False]),
+        ):
+            with pytest.raises(ValueError):
+                make_program(*args)
 
     def test_malformed_program_raises_under_optimize(self):
         src = str(Path(membercover.__file__).resolve().parent.parent)
