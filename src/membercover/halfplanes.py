@@ -15,6 +15,16 @@ number.  The polygon's hosts are the cover returned and all lie outside
 the guessed point, so only faces whose outside halfplanes cover the
 mandatory points are searched.
 
+The graph is never listed whole.  It starts from the chains whose first
+edge crosses the ray, and a node's successors are enumerated, and new
+chains given ids, only when the search first asks for them.  The arcs
+that do not cross the ray form no cycle: every arc turns clockwise by
+more than zero and less than a halfturn, so a closed walk turns by a
+positive multiple of a full revolution and crosses the ray.  One
+memoized post-order walk over them therefore gives each node it meets
+the set of crossing nodes it reaches, and only the crossing arc that
+closes a cycle gets a breadth-first search.
+
 All hot predicates run on homogeneous integer coordinates.
 """
 
@@ -25,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import lp as lpmod
 from .covers import (
@@ -216,19 +226,47 @@ def _ray_direction(p_h: HPt, endpoints: Iterable[HPt]) -> tuple[int, int]:
 # the decision graph
 # ---------------------------------------------------------------------------
 
+Chain = tuple[int, ...]
+
+
 @dataclass
 class WindGraph:
     """Nodes are (k+1)-tuples of chained segments, as indices into the
     anchor context's kept segments; arcs shift by one.
+
+    A node's id is its position in `vertices`.  The graph starts with every
+    crossing node; `successors(v)` fills `succ[v]` on first request, by
+    `step` on the node's chain, and appends each chain not met before as a
+    new, non-crossing node.  A graph given whole has no `step`.
 
     `cross[v]` tells whether the angular arc of the node's first segment
     crosses the reference ray; it is the crossing flag of every arc
     leaving v.
     """
 
-    vertices: list[tuple[int, ...]]
-    succ: list[list[int]]
+    vertices: list[Chain]
+    succ: list[list[int] | None]
     cross: list[bool]
+    step: Callable[[Chain], list[Chain]] | None = None
+
+    def __post_init__(self) -> None:
+        self.ids = {v: i for i, v in enumerate(self.vertices)}
+
+    def successors(self, v: int) -> list[int]:
+        out = self.succ[v]
+        if out is None:
+            ids, vertices = self.ids, self.vertices
+            out = []
+            for chain in self.step(vertices[v]):
+                w = ids.get(chain)
+                if w is None:
+                    w = ids[chain] = len(vertices)
+                    vertices.append(chain)
+                    self.succ.append(None)
+                    self.cross.append(False)
+                out.append(w)
+            self.succ[v] = out
+        return out
 
 
 class _AnchorContext:
@@ -273,11 +311,11 @@ class _AnchorContext:
         self.tri_mask = tri_list
         self.on_mask = on_list
         self.sp_mask = [inst.sp_masks[s.host] for s in self.segments]
-        self.cross = [
-            _cross2(_dirvec(self.p_h, s.a_h), self.ray) < 0
-            and _cross2(self.ray, _dirvec(self.p_h, s.b_h)) < 0
-            for s in self.segments
-        ]
+        # a segment crosses the ray iff its left endpoint lies clockwise of
+        # the ray and its right endpoint counterclockwise: one side test per
+        # endpoint
+        ray_side = {e: _cross2(_dirvec(self.p_h, e), self.ray) for e in endpoints}
+        self.cross = [ray_side[s.a_h] < 0 < ray_side[s.b_h] for s in self.segments]
 
         # succ_seg[s]: the segments j starting at the right endpoint of s
         # that turn clockwise from s, cross(dir s, dir j) <= 0.  Segment s
@@ -323,8 +361,10 @@ class _AnchorContext:
             reach.append(row)
         return reach
 
-    def chains(self, k: int) -> list[tuple[int, ...]]:
-        """All (k+1)-chains passing the containment conditions, depth first.
+    def chains(self, k: int, starts: Iterable[Chain] | None = None) -> list[Chain]:
+        """All (k+1)-chains passing the containment conditions, depth first:
+        those extending the increasing prefixes `starts`, chains of 1 to k+1
+        segments, or every chain when no prefixes are given.
 
         Each step carries the running OR of the triangle and on-segment
         masks and the running AND of the S' masks; a chain is tested at its
@@ -340,16 +380,17 @@ class _AnchorContext:
 
         Both conditions hold for every prefix of a passing chain, so the
         cut subtrees emit nothing and the chains come out as the full
-        enumeration lists them, in the same order.
+        enumeration lists them, in the same order: increasing, since every
+        successor list increases.
         """
-        out: list[tuple[int, ...]] = []
+        out: list[Chain] = []
         tri, on, sp = self.tri_mask, self.on_mask, self.sp_mask
         succ, every_succ_sp = self.succ_seg, self.every_succ_sp
-        if k == 0:
-            return [(i,) for i in range(len(tri)) if not sp[i] and not (tri[i] & ~on[i])]
+        if starts is None:
+            starts = [(s,) for s in range(len(tri))]
         reach = self._reach(k)
 
-        def extend(chain: tuple[int, ...], tri_or: int, on_or: int, sp_and: int) -> None:
+        def extend(chain: Chain, tri_or: int, on_or: int, sp_and: int) -> None:
             s = chain[-1]
             left = k - len(chain)  # segments still to add after a successor
             if left:
@@ -365,27 +406,37 @@ class _AnchorContext:
                 if not (sp_and & sp[j]) and not ((tri_or | tri[j]) & ~(on_or | on[j])):
                     out.append(chain + (j,))
 
-        ahead = reach[k]
-        for start in range(len(tri)):
-            if not (tri[start] & ~on[start] & ~ahead[start]):
-                extend((start,), tri[start], on[start], sp[start])
+        for prefix in starts:
+            tri_or = on_or = 0
+            sp_and = -1
+            for s in prefix:
+                tri_or |= tri[s]
+                on_or |= on[s]
+                sp_and &= sp[s]
+            if len(prefix) > k:  # a whole chain: test it
+                if not sp_and and not (tri_or & ~on_or):
+                    out.append(prefix)
+            elif not (tri_or & ~on_or & ~reach[k + 1 - len(prefix)][prefix[-1]]):
+                extend(prefix, tri_or, on_or, sp_and)
         return out
 
     def graph(self, k: int) -> WindGraph:
-        vertices = self.chains(k)
-        index: dict[tuple[int, ...], int] = {v: i for i, v in enumerate(vertices)}
-        succ: list[list[int]] = []
-        # the lists come out increasing: succ_seg and by_head grow in index order
-        if k == 0:
-            for v in vertices:
-                succ.append([index[(j,)] for j in self.succ_seg[v[0]] if (j,) in index])
-        else:
-            by_head: dict[tuple[int, ...], list[int]] = {}
-            for i, v in enumerate(vertices):
-                by_head.setdefault(v[:-1], []).append(i)
-            for v in vertices:
-                succ.append(by_head.get(v[1:], []))
-        return WindGraph(vertices, succ, [self.cross[v[0]] for v in vertices])
+        """The decision graph at k, holding at first only its crossing
+        nodes: the passing chains whose first segment crosses the ray.
+
+        The successors of a node v are the passing chains v[1:] + (j,),
+        for j in succ_seg[v[-1]], listed by `chains` from the prefix v[1:]
+        (from the one-segment chains (j,) at k = 0); they come out
+        increasing.  Every passing chain with a crossing first segment is
+        a crossing node already, so each chain met later is non-crossing.
+        """
+        succ = self.succ_seg
+
+        def step(v: Chain) -> list[Chain]:
+            return self.chains(k, [v[1:]] if k else [(j,) for j in succ[v[0]]])
+
+        crossing = self.chains(k, [(s,) for s in compress(range(len(succ)), self.cross)])
+        return WindGraph(crossing, [None] * len(crossing), [True] * len(crossing), step)
 
 
 def _columns(rows: Sequence[int], width: int) -> list[int]:
@@ -412,29 +463,36 @@ def find_winding_cycle(graph: WindGraph) -> list[int] | None:
     Every arc's angular extent is below a halfturn, so the crossing count
     of a cycle equals its winding number and a single crossing forces a
     total turning of one full revolution.  For each crossing arc
-    (u -> v) we search a v -> u path through non-crossing arcs, breadth
-    first, and return the first cycle found.
+    (u -> v), in node order, a v -> u path through non-crossing nodes
+    closes such a cycle.  Whether v reaches u is read off
+    `_crossings_reached`, one walk shared by every arc, so only the first
+    arc that closes a cycle gets a breadth-first search, and its cycle is
+    returned.
 
-    Returns vertex indices with the first repeated at the end, or None.
+    Returns node ids with the first repeated at the end, or None.
     """
-    for u in range(len(graph.vertices)):
-        if not graph.cross[u]:
+    cross, successors = graph.cross, graph.successors
+    reached: dict[int, int] = {}
+    for u in range(len(graph.vertices)):  # nodes added by the walk do not cross
+        if not cross[u]:
             continue
-        for v in graph.succ[u]:
+        for v in successors(u):
+            if not _crossings_reached(graph, v, reached) >> u & 1:
+                continue
             parent: dict[int, int | None] = {v: None}
             queue = [v]
             while queue and u not in parent:
                 frontier: list[int] = []
                 for w in queue:
-                    if graph.cross[w]:
+                    if cross[w]:
                         continue  # its outgoing arcs would cross again
-                    for nxt in graph.succ[w]:
+                    for nxt in successors(w):
                         if nxt not in parent:
                             parent[nxt] = w
                             frontier.append(nxt)
                 queue = frontier
             if u not in parent:
-                continue
+                continue  # only past a mask the walk saturated
             path = []
             node: int | None = u
             while node is not None:
@@ -443,6 +501,48 @@ def find_winding_cycle(graph: WindGraph) -> list[int] | None:
             path.reverse()  # v ... u
             return [u] + path
     return None
+
+
+def _crossings_reached(graph: WindGraph, v: int, reached: dict[int, int]) -> int:
+    """The bitmask of the crossing nodes w with a path v ... w whose nodes
+    before w do not cross; a crossing v reaches only itself.
+
+    One post-order walk, memoized in `reached` across calls.  On a
+    decision graph the non-crossing arcs hold no cycle: every arc turns
+    clockwise by more than zero and less than a halfturn, so a closed walk
+    winds at least once and crosses the ray.  On any other graph, an arc
+    back to an open node ORs in -1, the open node's mark, which saturates
+    the masks of the nodes on that path: every bit set, so the caller's
+    search decides for them.  Every other mask is exact.
+    """
+    cross, successors = graph.cross, graph.successors
+    if cross[v]:
+        return 1 << v
+    mask = reached.get(v)
+    if mask is not None:
+        return mask
+    reached[v] = -1  # open
+    path, arcs, acc = [v], [iter(successors(v))], [0]
+    while path:
+        for w in arcs[-1]:
+            if cross[w]:
+                acc[-1] |= 1 << w
+                continue
+            mask = reached.get(w)
+            if mask is not None:
+                acc[-1] |= mask
+                continue
+            reached[w] = -1
+            path.append(w)
+            arcs.append(iter(successors(w)))
+            acc.append(0)
+            break
+        else:
+            arcs.pop()
+            mask = reached[path.pop()] = acc.pop()
+            if acc:
+                acc[-1] |= mask
+    return reached[v]
 
 
 # ---------------------------------------------------------------------------

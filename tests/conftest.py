@@ -508,6 +508,69 @@ def in_triangle(x, p, a, b) -> bool:
     return (o1 >= 0 and o2 >= 0 and o3 >= 0) or (o1 <= 0 and o2 <= 0 and o3 <= 0)
 
 
+# ---------------------------------------------------------------------------
+# the whole decision graph and one search per crossing arc, the reference
+# for the on-demand walk of `find_winding_cycle`
+# ---------------------------------------------------------------------------
+
+def reference_graph(ctx, k):
+    """The decision graph of an anchor context at k, in full: every chain
+    of `ctx.chains(k)` a node, in its order, and the successors of v the
+    chains whose first k segments are v's last k, in node order."""
+    vertices = ctx.chains(k)
+    index = {v: i for i, v in enumerate(vertices)}
+    succ = []
+    if k == 0:
+        for v in vertices:
+            succ.append([index[(j,)] for j in ctx.succ_seg[v[0]] if (j,) in index])
+    else:
+        by_head = {}
+        for i, v in enumerate(vertices):
+            by_head.setdefault(v[:-1], []).append(i)
+        for v in vertices:
+            succ.append(by_head.get(v[1:], []))
+    return vertices, succ, [ctx.cross[v[0]] for v in vertices]
+
+
+def reference_cycle(succ, cross):
+    """For each crossing arc (u -> v) in node order, a breadth-first search
+    for u from v that expands no crossing node; the first cycle found, as
+    node indices with the first repeated at the end, or None."""
+    for u in range(len(succ)):
+        if not cross[u]:
+            continue
+        for v in succ[u]:
+            parent = {v: None}
+            queue = [v]
+            while queue and u not in parent:
+                frontier = []
+                for w in queue:
+                    if cross[w]:
+                        continue
+                    for nxt in succ[w]:
+                        if nxt not in parent:
+                            parent[nxt] = w
+                            frontier.append(nxt)
+                queue = frontier
+            if u not in parent:
+                continue
+            path = []
+            node = u
+            while node is not None:
+                path.append(node)
+                node = parent[node]
+            return [u] + path[::-1]
+    return None
+
+
+def reference_winding_cycle(ctx, k):
+    """The chains of the once-winding cycle that the full graph's
+    per-arc search finds at k, or None."""
+    vertices, succ, cross = reference_graph(ctx, k)
+    cycle = reference_cycle(succ, cross)
+    return None if cycle is None else [vertices[v] for v in cycle]
+
+
 def additive_reference(inst):
     """The additive-error cover of a `_HalfplaneInstance`, one
     CoverSolution.build per candidate and the least membership by `min`:

@@ -12,6 +12,9 @@ from conftest import (
     halfplane_instance,
     in_triangle,
     on_segment,
+    reference_cycle,
+    reference_graph,
+    reference_winding_cycle,
     ring_instance,
     strict_feasible_lp,
     tangent_fan,
@@ -222,27 +225,35 @@ class TestBuildSegments:
 
 class TestDecisionGraph:
     def test_box_cycle_k0(self):
+        # the walk starts from the one crossing chain and meets the other
+        # three as the full graph has them
+        ctx = _AnchorContext(P(0, 0), BOX, _HalfplaneInstance([], [], BOX))
+        vertices, succ, cross = reference_graph(ctx, 0)
+        assert len(vertices) == 4
+        assert sum(len(s) for s in succ) == 4
+        assert sum(cross) == 1
         graph = build_decision_graph([], [], BOX, P(0, 0), 0)
-        assert len(graph.vertices) == 4
-        assert sum(len(s) for s in graph.succ) == 4
-        assert sum(graph.cross) == 1
+        assert len(graph.vertices) == 1
         cycle = find_winding_cycle(graph)
         assert cycle is not None and len(cycle) == 5
+        assert [graph.vertices[v] for v in cycle] == reference_winding_cycle(ctx, 0)
+        assert sorted(graph.vertices) == sorted(vertices)
 
     def test_point_inside_triangle_blocks_segment(self):
         # a mandatory point swallowed by a segment's triangle knocks the
         # segment out of the graph; the box can then no longer close
         anchor = P("1/2", "1/2")
         ctx = _AnchorContext(anchor, BOX, _HalfplaneInstance([P(0, 0)], [], BOX))
-        blocked = ctx.graph(0)
-        free = build_decision_graph([], [], BOX, anchor, 0)
-        assert len(free.vertices) == 4
-        assert len(blocked.vertices) < 4
-        for v in blocked.vertices:
+        free = _AnchorContext(anchor, BOX, _HalfplaneInstance([], [], BOX))
+        blocked = reference_graph(ctx, 0)[0]
+        assert len(reference_graph(free, 0)[0]) == 4
+        assert len(blocked) < 4
+        for v in blocked:
             seg = ctx.segments[v[0]]
             # the witness point (0,0) must not lie inside this triangle
             assert not in_triangle(_hpt(P(0, 0)), _hpt(anchor), seg.a_h, seg.b_h)
-        assert find_winding_cycle(blocked) is None
+        assert reference_winding_cycle(ctx, 0) is None
+        assert find_winding_cycle(ctx.graph(0)) is None
 
     def test_monitored_point_in_host_intersection_blocks(self):
         far = [
@@ -252,8 +263,8 @@ class TestDecisionGraph:
             Halfplane(3, 0, -1, -1),
         ]
         ctx = _AnchorContext(P(0, 0), far, _HalfplaneInstance([], [P(2, 0)], far))
-        hosts = {ctx.segments[v[0]].host for v in ctx.graph(0).vertices}
-        assert 0 not in hosts  # x >= 1 contains the monitored point at k = 0
+        hosts = {ctx.segments[v[0]].host for v in ctx.chains(0)}
+        assert hosts and 0 not in hosts  # x >= 1 contains the monitored point at k = 0
 
     def test_winding_two_rejected(self):
         # synthetic graph: two mandatory crossings in every cycle
@@ -267,6 +278,73 @@ class TestDecisionGraph:
     def test_no_crossing_edge_no_cycle(self):
         graph = WindGraph(vertices=[(0,), (1,)], succ=[[1], [0]], cross=[False, False])
         assert find_winding_cycle(graph) is None
+
+    def test_non_crossing_cycle_behind_crossing_node(self):
+        # no decision graph has a cycle of non-crossing arcs; on a graph
+        # given whole, the walk still ends and the search answers as the
+        # reference does, whether or not the crossing node closes a cycle
+        # past that loop.  In the fourth, the walk for 0 closes node 2
+        # while 1 is open, so 2's mask must not miss that 2 reaches 4
+        cases = [
+            ([[1], [2], [1, 3], [0]], [True, False, False, False]),
+            ([[1], [2], [1, 3], [4], []], [True, False, False, True, False]),
+            ([[2], [0], [3], [4, 1], [2]], [True, False, False, False, False]),
+            ([[1], [2, 3], [1], [4], [2]], [True, False, False, False, True]),
+        ]
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            succ = [sorted(rng.sample(range(n), rng.randint(0, min(n, 3)))) for _ in range(n)]
+            cases.append((succ, [rng.random() < 0.3 for _ in range(n)]))
+        cycles = 0
+        for succ, cross in cases:
+            graph = WindGraph([(v,) for v in range(len(succ))], succ, list(cross))
+            expected = reference_cycle(succ, cross)
+            assert find_winding_cycle(graph) == expected, (succ, cross)
+            cycles += expected is not None
+        assert find_winding_cycle(WindGraph([(0,), (1,), (2,), (3,)], *cases[0])) == [0, 1, 2, 3, 0]
+        assert reference_cycle(*cases[1]) is None
+        assert reference_cycle(*cases[3]) == [4, 2, 1, 3, 4]
+        assert 50 < cycles < len(cases) - 50
+
+    def test_cycles_match_reference(self):
+        # the same chains close the same first cycle as the full graph's
+        # search, or both find none; the reference searches once per
+        # crossing arc, so the rings go to k = 3 at three anchors each
+        contexts = [(c[-1], 3) for c in list(_hand_contexts()) + list(_seeded_contexts())]
+        contexts += [(ctx, 4) for ctx in _tangent_fan_contexts()]
+        for seed in range(4):
+            inst = _HalfplaneInstance(*ring_instance(seed, 12))
+            covering = inst.covering_anchors
+            contexts += [(inst.context(idx), 3 if pos < 3 else 1) for pos, idx in enumerate(covering)]
+        found = 0
+        for ctx, top in contexts:
+            for k in range(top + 1):
+                graph = ctx.graph(k)
+                cycle = find_winding_cycle(graph)
+                got = None if cycle is None else [graph.vertices[v] for v in cycle]
+                assert got == reference_winding_cycle(ctx, k)
+                assert len(set(graph.vertices)) == len(graph.vertices)  # one id per chain
+                found += got is not None
+        assert found > 50
+
+    def test_fan_walk_gives_ids_to_few_chains(self, monkeypatch):
+        # the search meets only part of the chains the full graph lists
+        import membercover.halfplanes as hp
+
+        graphs = []
+        raw_graph = hp._AnchorContext.graph
+
+        def recording(ctx, k):
+            graphs.append((ctx, k, raw_graph(ctx, k)))
+            return graphs[-1][-1]
+
+        monkeypatch.setattr(hp._AnchorContext, "graph", recording)
+        report = exact_mmgsc_halfplanes_report(*tangent_fan(1, 16, 4))
+        assert report.path == "cycle" and report.k == 4
+        ctx, k, graph = graphs[-1]
+        assert k == 4
+        assert len(graph.vertices) < len(ctx.chains(k))
 
 
 def _reference_context(anchor, active, s_hpts):
@@ -438,11 +516,34 @@ class TestAnchorContext:
         assert pairs > 1000
 
     def test_successor_lists_increase(self):
-        # graph() builds each successor list in vertex order, unsorted
+        # each successor list, filled on demand, lists the full graph's
+        # successors of its chain in order, and they increase
         for _inst, _anchor, _active, ctx in list(_hand_contexts()) + list(_seeded_contexts()):
             for k in range(4):
-                for nexts in ctx.graph(k).succ:
+                vertices, succ, _cross = reference_graph(ctx, k)
+                index = {v: i for i, v in enumerate(vertices)}
+                graph = ctx.graph(k)
+                v = 0
+                while v < len(graph.vertices):  # every chain the crossing ones reach
+                    nexts = [graph.vertices[w] for w in graph.successors(v)]
+                    assert nexts == [vertices[w] for w in succ[index[graph.vertices[v]]]]
                     assert all(a < b for a, b in zip(nexts, nexts[1:]))
+                    v += 1
+
+    def test_crossing_flags_match_per_segment_formula(self):
+        # one ray-side sign per endpoint gives the two tests per segment
+        contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
+        contexts += list(_tangent_fan_contexts())
+        for seed in range(4):
+            inst = _HalfplaneInstance(*ring_instance(seed, 12))
+            contexts += [inst.context(idx) for idx in inst.covering_anchors[:5]]
+        for ctx in contexts:
+            assert ctx.cross == [
+                _cross2(_dirvec(ctx.p_h, s.a_h), ctx.ray) < 0
+                and _cross2(ctx.ray, _dirvec(ctx.p_h, s.b_h)) < 0
+                for s in ctx.segments
+            ]
+        assert sum(sum(ctx.cross) for ctx in contexts) > 100
 
     def test_orientation_tests_per_context(self, monkeypatch):
         # an orientation test is one _orient call or one point of a
