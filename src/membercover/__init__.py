@@ -18,21 +18,18 @@ from .geometry import (
     complement_region,
     face_sample_points,
     grid_partition,
-    union_compare,
 )
 from .halfplanes import (
     AnchorOnLine,
     SegmentPhi,
     WindGraph,
     additive_error_cover,
-    build_decision_graph,
     build_segments,
     decide_membership,
-    exact_mmgsc_halfplanes,
+    exact_mmgsc_halfplanes_report,
     find_winding_cycle,
     min_size_halfplane_cover,
     one_stable_local_search,
-    plane_cover_triple,
     ptas,
 )
 from .instances import InstanceDoc, generate, parse_instance, serialize_instance
@@ -58,10 +55,8 @@ from .squares import (
     CornerPartition,
     SquareWithoutCorner,
     corner_partition,
-    maximal_squares,
     quadrant_greedy_cover,
-    solve_cell,
-    solve_mmgsc_squares,
+    solve_mmgsc_squares_report,
     solve_one_corner,
 )
 

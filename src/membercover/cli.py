@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .covers import CoverSolution, Uncoverable
 from .geometry import frac, integer
-from .halfplanes import additive_error_cover, exact_mmgsc_halfplanes, ptas
+from .halfplanes import additive_error_cover, exact_mmgsc_halfplanes_report, ptas
 from .instances import (
     KIND_HALFPLANES,
     KIND_SQUARES,
@@ -294,13 +294,16 @@ def _cmd_solve(args) -> int:
 
 def _cmd_exact(args) -> int:
     doc = _load(args.instance)
+    search = args.solver == "search"
+    if search and (args.objective != OBJECTIVE_MEMBERSHIP or doc.kind != KIND_HALFPLANES):
+        raise _UsageError("the search solver needs membership on a halfplanes instance")
     budget = OracleBudget(max_ranges=args.max_ranges)
     if args.objective == OBJECTIVE_PLY:
         value, ids = exact_mpgsc_bruteforce(doc.s, doc.ranges, budget)
     elif args.objective == OBJECTIVE_SIZE:
         value, ids = exact_minsize_bruteforce(doc.s, doc.ranges, budget)
-    elif doc.kind == KIND_HALFPLANES and args.solver == "search":
-        cover = exact_mmgsc_halfplanes(doc.s, doc.sprime, doc.ranges)
+    elif search:
+        cover = exact_mmgsc_halfplanes_report(doc.s, doc.sprime, doc.ranges).cover
         value, ids = cover.memb, cover.ids
     else:
         value, ids = exact_mmgsc_bruteforce(doc.s, doc.sprime, doc.ranges, budget)
@@ -427,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver",
         choices=("bruteforce", "search"),
         default="bruteforce",
-        help="membership on halfplanes can also use the escalation search",
+        help="search: the escalation search, for membership on halfplanes only",
     )
     exact.add_argument("--max-ranges", type=_at_least(0), default=16)
     exact.set_defaults(func=_cmd_exact)

@@ -9,11 +9,11 @@ per-cell slices.  The face samples of a line arrangement are homogeneous
 integer triples.  Every predicate is decided by exact sign tests or integer
 comparisons.  Union and region questions share one kernel,
 `strictly_feasible`, the Helly and Motzkin sign test on an open halfplane
-system: a region is the closure of such a system, and `region_subset` and
-`union_compare` ask it whether a system plus one flipped constraint still
-has a point.  There is no floating-point path anywhere in this module;
-degenerate inputs (shared boundaries, duplicate ranges, collinear normals)
-are therefore handled exactly rather than by epsilon tuning.
+system: a region is the closure of such a system, and `region_subset` asks
+it whether a system plus one flipped constraint still has a point.  There
+is no floating-point path anywhere in this module; degenerate inputs
+(shared boundaries, duplicate ranges, collinear normals) are therefore
+handled exactly rather than by epsilon tuning.
 
 Conventions used throughout the package:
 
@@ -33,12 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
-
-UNION_EQUAL = "equal"
-UNION_SUBSET = "subset"
-UNION_SUPERSET = "superset"
-UNION_INCOMPARABLE = "incomparable"
-
 
 MAX_DIGITS = 256  # past about 308 digits a coordinate overflows svgplot's floats
 _INT_BOUND = 10**MAX_DIGITS
@@ -402,23 +396,3 @@ def region_subset(p: ConvexRegion, q: ConvexRegion) -> bool:
     return not any(
         strictly_feasible(p.constraints + ((-a, -b, -c),)) for (a, b, c) in q.constraints
     )
-
-
-def union_compare(z: Sequence[Halfplane], z2: Sequence[Halfplane]) -> str:
-    """Classify the union of z against the union of z2.
-
-    Unions of closed halfplanes are regular closed sets, so comparing the
-    closed complement regions is exact: union(z) subseteq union(z2) iff
-    comp(z2) subseteq comp(z).
-    """
-    comp1 = complement_region(z)
-    comp2 = complement_region(z2)
-    le = region_subset(comp2, comp1)
-    ge = region_subset(comp1, comp2)
-    if le and ge:
-        return UNION_EQUAL
-    if le:
-        return UNION_SUBSET
-    if ge:
-        return UNION_SUPERSET
-    return UNION_INCOMPARABLE

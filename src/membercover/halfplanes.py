@@ -167,14 +167,6 @@ class SegmentPhi:
     a_h: HPt
     b_h: HPt
 
-    @property
-    def left(self) -> Point:
-        return _hpt_point(self.a_h)
-
-    @property
-    def right(self) -> Point:
-        return _hpt_point(self.b_h)
-
 
 def build_segments(h_active: Sequence[Halfplane], p: Point) -> list[SegmentPhi]:
     """All finite arrangement segments of the active boundary lines.
@@ -361,10 +353,10 @@ class _AnchorContext:
             reach.append(row)
         return reach
 
-    def chains(self, k: int, starts: Iterable[Chain] | None = None) -> list[Chain]:
-        """All (k+1)-chains passing the containment conditions, depth first:
-        those extending the increasing prefixes `starts`, chains of 1 to k+1
-        segments, or every chain when no prefixes are given.
+    def chains(self, k: int, starts: Iterable[Chain]) -> list[Chain]:
+        """The (k+1)-chains passing the containment conditions that extend
+        the increasing prefixes `starts`, chains of 1 to k+1 segments,
+        depth first.
 
         Each step carries the running OR of the triangle and on-segment
         masks and the running AND of the S' masks; a chain is tested at its
@@ -386,8 +378,6 @@ class _AnchorContext:
         out: list[Chain] = []
         tri, on, sp = self.tri_mask, self.on_mask, self.sp_mask
         succ, every_succ_sp = self.succ_seg, self.every_succ_sp
-        if starts is None:
-            starts = [(s,) for s in range(len(tri))]
         reach = self._reach(k)
 
         def extend(chain: Chain, tri_or: int, on_or: int, sp_and: int) -> None:
@@ -443,18 +433,6 @@ def _columns(rows: Sequence[int], width: int) -> list[int]:
     """The transpose of a bit table: entry j is the bitmask of the rows
     that hold bit j.  Its own inverse: rows to columns and back."""
     return [sum([(row >> j & 1) << bit for bit, row in enumerate(rows)]) for j in range(width)]
-
-
-def build_decision_graph(
-    points: Sequence[Point],
-    sprime: Sequence[Point],
-    h_active: Sequence[Halfplane],
-    p: Point,
-    k: int,
-) -> WindGraph:
-    """Decision graph for one anchor; exact and self-contained."""
-    inst = _HalfplaneInstance(points, sprime, h_active)
-    return _AnchorContext(p, list(h_active), inst).graph(k)
 
 
 def find_winding_cycle(graph: WindGraph) -> list[int] | None:
@@ -863,15 +841,6 @@ def exact_mmgsc_halfplanes_report(
     return _HalfplaneInstance(points, sprime, halfplanes).escalate()
 
 
-def exact_mmgsc_halfplanes(
-    points: Sequence[Point],
-    sprime: Sequence[Point],
-    halfplanes: Sequence[Halfplane],
-) -> CoverSolution:
-    """Optimal membership cover by escalating the decision threshold."""
-    return exact_mmgsc_halfplanes_report(points, sprime, halfplanes).cover
-
-
 # ---------------------------------------------------------------------------
 # plane covers, minimum-size covers, local search
 # ---------------------------------------------------------------------------
@@ -906,13 +875,6 @@ def _plane_covers(halfplanes: Sequence[Halfplane]) -> Iterator[tuple[int, ...]]:
             or triple_certificate(flipped[i], flipped[j], flipped[k])
         ):
             yield (i, j, k)
-
-
-def plane_cover_triple(halfplanes: Sequence[Halfplane]) -> list[Halfplane] | None:
-    """Up to three halfplanes covering the whole plane, if any exist."""
-    ordered = sorted(halfplanes, key=lambda h: h.id)
-    combo = next(_plane_covers(ordered), None)
-    return None if combo is None else [ordered[j] for j in combo]
 
 
 def _min_size_cover(

@@ -12,8 +12,8 @@ least 1.
 
 `solve_mpgsc` puts S and the square corners on one integer grid once
 (`geometry.SquareGrid.of`) and hands each cell its slice of it.  `ply`
-takes bare squares, since the brute-force ply oracle calls it on subsets, so it scales
-their corners itself, once per call.
+takes bare squares, since the brute-force ply oracle calls it on subsets,
+so it scales their corners itself, once per call.
 """
 
 from __future__ import annotations

@@ -191,12 +191,6 @@ def corner_partition(
     )
 
 
-def maximal_squares(grid: SquareGrid, cell: GridCell, corner: int) -> list[UnitSquare]:
-    """The grid's squares, by id, whose cell-clipped region no other square
-    swallows: the squares of `_staircase`."""
-    return [q for _u, _v, q in _staircase(grid, cell, corner)]
-
-
 def quadrant_greedy_cover(
     points: Sequence[tuple[Fraction, Fraction]],
     quads: Sequence[tuple[int, Fraction, Fraction]],
@@ -313,10 +307,6 @@ def solve_cell_report(grid: SquareGrid, cell: GridCell) -> CellReport:
     return CellReport(cover, sol.value, partition, tuple(chosen), False)
 
 
-def solve_cell(grid: SquareGrid, cell: GridCell) -> CoverSolution:
-    return solve_cell_report(grid, cell).cover
-
-
 @dataclass(frozen=True)
 class SquaresReport:
     cover: CoverSolution
@@ -328,6 +318,8 @@ def solve_mmgsc_squares_report(
     sprime: Sequence[Point],
     squares: Sequence[UnitSquare],
 ) -> SquaresReport:
+    """Grid decomposition followed by per-cell solves: the union of the
+    cell covers, and the largest cell LP value."""
     grid = SquareGrid.of(points, squares, sprime)
     cells = grid_partition(grid)
     ids: set[int] = set()
@@ -341,12 +333,3 @@ def solve_mmgsc_squares_report(
     uv_of = {q.id: uv for q, uv in zip(grid.squares, grid.uv)}
     (sp_rows,) = square_tables(grid.d, [uv_of[i] for i in chosen], grid.sp_xy)
     return SquaresReport(CoverSolution(tuple(chosen), depth(sp_rows, ALL)), max_lp)
-
-
-def solve_mmgsc_squares(
-    points: Sequence[Point],
-    sprime: Sequence[Point],
-    squares: Sequence[UnitSquare],
-) -> CoverSolution:
-    """Grid decomposition followed by per-cell solves; union of the covers."""
-    return solve_mmgsc_squares_report(points, sprime, squares).cover

@@ -39,7 +39,7 @@ from membercover.lp import (
     solve_lp,
 )
 from membercover.oracle import incidence
-from membercover.squares import quadrant_greedy_cover
+from membercover.squares import _staircase, quadrant_greedy_cover
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +314,7 @@ def canonical_square(q: UnitSquare, cell: GridCell, corner: int) -> tuple[Fracti
 
 def maximal_squares_reference(squares, cell: GridCell, corner: int) -> list[UnitSquare]:
     """The dominance-maximal squares by id, on the Fraction keys of
-    `canonical_square`: the reference for `squares.maximal_squares`."""
+    `canonical_square`: the reference for `staircase_squares`."""
     decorated = sorted(
         [(canonical_square(q, cell, corner), q) for q in squares],
         key=lambda t: (-t[0][0], -t[0][1], t[1].id),
@@ -325,6 +325,12 @@ def maximal_squares_reference(squares, cell: GridCell, corner: int) -> list[Unit
             kept.append(q)
             best_v = v
     return sorted(kept, key=lambda q: q.id)
+
+
+def staircase_squares(grid, cell: GridCell, corner: int) -> list[UnitSquare]:
+    """The squares of `squares._staircase`, by id: those of the grid whose
+    cell-clipped region no other square swallows."""
+    return [q for _u, _v, q in _staircase(grid, cell, corner)]
 
 
 def min_size_cell_cover_reference(points, squares, cell: GridCell) -> tuple[int, ...]:
@@ -376,6 +382,22 @@ def strict_feasible_lp(cons) -> bool:
     if sol.status != OPTIMAL:
         return False  # even t = 0 infeasible: closed system already empty
     return -sol.value > 0
+
+
+def union_within_lp(z, z2) -> bool:
+    """Is the union of the closed halfplanes z inside that of z2?  Each h
+    of z is the closure of {h > 0} and the complement of the union of z2 is
+    open, so h lies in that union iff {h > 0} and {-g > 0 : g in z2} have
+    no common point: one `strict_feasible_lp` call per h.  The union
+    reference of the one-stability tests, apart from the sign kernel
+    `one_stable_local_search` runs on."""
+    flipped = [(-g.a, -g.b, -g.c) for g in z2]
+    return not any(strict_feasible_lp([h.line(), *flipped]) for h in z)
+
+
+def union_grows_lp(z, z2) -> bool:
+    """Is the union of z2 strictly larger than that of z?"""
+    return union_within_lp(z, z2) and not union_within_lp(z2, z)
 
 
 def region_subset_lp(p, q) -> bool:
@@ -513,11 +535,17 @@ def in_triangle(x, p, a, b) -> bool:
 # for the on-demand walk of `find_winding_cycle`
 # ---------------------------------------------------------------------------
 
+def all_chains(ctx, k):
+    """Every passing (k+1)-chain of an anchor context, in enumeration
+    order: `ctx.chains(k)` from every one-segment prefix."""
+    return ctx.chains(k, [(s,) for s in range(len(ctx.segments))])
+
+
 def reference_graph(ctx, k):
     """The decision graph of an anchor context at k, in full: every chain
-    of `ctx.chains(k)` a node, in its order, and the successors of v the
-    chains whose first k segments are v's last k, in node order."""
-    vertices = ctx.chains(k)
+    of `all_chains(ctx, k)` a node, in its order, and the successors of v
+    the chains whose first k segments are v's last k, in node order."""
+    vertices = all_chains(ctx, k)
     index = {v: i for i, v in enumerate(vertices)}
     succ = []
     if k == 0:

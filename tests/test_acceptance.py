@@ -18,6 +18,8 @@ from conftest import (
     membership_of_fractional,
     one_corner_instance,
     square_instance,
+    staircase_squares,
+    union_grows_lp,
     verify_winding_certificate,
 )
 
@@ -32,13 +34,11 @@ from membercover import (
     exact_mmgsc_bruteforce,
     exact_mpgsc_bruteforce,
     incidence,
-    maximal_squares,
     memb_eval,
     ptas,
     quadrant_greedy_cover,
     solve_lp,
     solve_mpgsc,
-    union_compare,
     verify_cover,
 )
 from membercover.cli import run_bench
@@ -167,7 +167,7 @@ def test_criterion_04_greedy_equals_minimum_and_lp():
         canon_points, quads = one_corner_instance(seed, max_squares=8)
         squares = [UnitSquare(i, Point.of(u, v)) for i, u, v in quads]
         points = [Point.of(u, v) for u, v in canon_points]
-        maxi = maximal_squares(SquareGrid.of([], squares), CELL, 0)
+        maxi = staircase_squares(SquareGrid.of([], squares), CELL, 0)
         chosen = quadrant_greedy_cover(
             canon_points, [(q.id, q.tr.x, q.tr.y) for q in maxi]
         )
@@ -242,7 +242,7 @@ def test_criterion_07_additive_error(halfplane_battery):
                 if h_in.id in ids:
                     continue
                 candidate = [h for h in chosen if h.id != h_out.id] + [h_in]
-                if union_compare(chosen, candidate) == "subset":
+                if union_grows_lp(chosen, candidate):
                     unstable += 1
     _line("criterion 7 (additive error <= 2, output 1-stable)",
           violations == 0 and unstable == 0,

@@ -220,6 +220,23 @@ def test_exact_search_solver(tmp_path, capsys, instance):
     assert memb_eval(doc.sprime, report["witness"], doc.ranges) == report["value"]
 
 
+@pytest.mark.parametrize("kind, instance, flags", [
+    ("halfplanes", halfplane_instance(9), ("--objective", "size")),
+    ("squares", square_instance(7), ()),
+])
+def test_exact_search_solver_outside_halfplane_membership(tmp_path, capsys, kind, instance, flags):
+    # the search decides halfplane membership only; anywhere else it is
+    # refused rather than silently replaced by the brute force
+    points, sprime, ranges = instance
+    doc = InstanceDoc(kind, tuple(points), tuple(sprime), tuple(ranges))
+    inst = tmp_path / "in.json"
+    inst.write_text(serialize_instance(doc))
+    code, out, err = _run(capsys, "exact", str(inst), "--solver", "search", *flags)
+    assert code == 1
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 # instances that the reader refuses: coordinates outside the grammar that
 # str(Fraction) writes or past the digit cap, and a JSON int past int's limit
 BAD_INSTANCES = {

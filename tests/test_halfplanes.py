@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     additive_reference,
+    all_chains,
     fan_instance,
     halfplane_instance,
     in_triangle,
@@ -18,6 +19,8 @@ from conftest import (
     ring_instance,
     strict_feasible_lp,
     tangent_fan,
+    union_grows_lp,
+    union_within_lp,
     verify_winding_certificate,
 )
 
@@ -26,21 +29,17 @@ from membercover import (
     Point,
     Uncoverable,
     additive_error_cover,
-    build_decision_graph,
     build_segments,
     complement_region,
     decide_membership,
     exact_minsize_bruteforce,
     exact_mmgsc_bruteforce,
-    exact_mmgsc_halfplanes,
     find_winding_cycle,
     incidence,
     memb_eval,
     min_size_halfplane_cover,
     one_stable_local_search,
-    plane_cover_triple,
     ptas,
-    union_compare,
     verify_cover,
 )
 from membercover.halfplanes import (
@@ -54,6 +53,7 @@ from membercover.halfplanes import (
     _dummy_halfplanes,
     _flipped,
     _hpt,
+    _hpt_point,
     _min_size_cover,
     _plane_covers,
     exact_mmgsc_halfplanes_report,
@@ -75,18 +75,20 @@ BOX = [
 
 class TestPlaneCover:
     def test_opposite_pair(self):
-        triple = plane_cover_triple([Halfplane(0, 0, 1, 0), Halfplane(1, 0, -1, 0)])
-        assert triple is not None and len(triple) == 2
+        hs = [Halfplane(0, 0, 1, 0), Halfplane(1, 0, -1, 0)]
+        assert list(_plane_covers(hs)) == [(0, 1)]
+        assert _HalfplaneInstance([], [], hs).covers_plane
 
     def test_three_at_120_degrees(self):
         hs = [Halfplane(0, 1, 0, 1), Halfplane(1, -1, 2, 2), Halfplane(2, -1, -2, 2)]
-        triple = plane_cover_triple(hs)
-        assert triple is not None
-        assert complement_region(triple).empty
+        assert list(_plane_covers(hs)) == [(0, 1, 2)]
+        assert complement_region(hs).empty
+        assert _HalfplaneInstance([], [], hs).covers_plane
 
     def test_narrow_normal_fan_has_none(self):
         hs = [Halfplane(i, 1, i, -1) for i in range(4)]
-        assert plane_cover_triple(hs) is None
+        assert list(_plane_covers(hs)) == []
+        assert not _HalfplaneInstance([], [], hs).covers_plane
 
     def test_plane_covers_match_lp_oracle(self):
         degenerate = [
@@ -144,8 +146,7 @@ class TestPlaneCover:
                 if not strictly_feasible(_flipped(c))
             ]
             assert [tuple([ordered[j] for j in c]) for c in _plane_covers(hs)] == expected
-            first = plane_cover_triple(hs)
-            assert first == (list(expected[0]) if expected else None)
+            assert _HalfplaneInstance([], [], hs).covers_plane == bool(expected)
             for g, h in combinations(hs, 2):
                 if g.a * h.b == g.b * h.a:
                     seen["antiparallel" if g.a * h.a + g.b * h.b < 0 else "parallel"] += 1
@@ -170,8 +171,9 @@ class TestBuildSegments:
         assert len(segs) == 3
         for seg in segs:
             # clockwise orientation seen from the anchor, arc below a halfturn
-            ux, uy = seg.left.x - p.x, seg.left.y - p.y
-            vx, vy = seg.right.x - p.x, seg.right.y - p.y
+            left, right = _hpt_point(seg.a_h), _hpt_point(seg.b_h)
+            ux, uy = left.x - p.x, left.y - p.y
+            vx, vy = right.x - p.x, right.y - p.y
             assert ux * vy - uy * vx < 0
 
     def test_two_lines_no_finite_segments(self):
@@ -232,7 +234,7 @@ class TestDecisionGraph:
         assert len(vertices) == 4
         assert sum(len(s) for s in succ) == 4
         assert sum(cross) == 1
-        graph = build_decision_graph([], [], BOX, P(0, 0), 0)
+        graph = ctx.graph(0)
         assert len(graph.vertices) == 1
         cycle = find_winding_cycle(graph)
         assert cycle is not None and len(cycle) == 5
@@ -263,7 +265,7 @@ class TestDecisionGraph:
             Halfplane(3, 0, -1, -1),
         ]
         ctx = _AnchorContext(P(0, 0), far, _HalfplaneInstance([], [P(2, 0)], far))
-        hosts = {ctx.segments[v[0]].host for v in ctx.chains(0)}
+        hosts = {ctx.segments[v[0]].host for v in all_chains(ctx, 0)}
         assert hosts and 0 not in hosts  # x >= 1 contains the monitored point at k = 0
 
     def test_winding_two_rejected(self):
@@ -344,7 +346,7 @@ class TestDecisionGraph:
         assert report.path == "cycle" and report.k == 4
         ctx, k, graph = graphs[-1]
         assert k == 4
-        assert len(graph.vertices) < len(ctx.chains(k))
+        assert len(graph.vertices) < len(all_chains(ctx, k))
 
 
 def _reference_context(anchor, active, s_hpts):
@@ -474,13 +476,13 @@ class TestAnchorContext:
         contexts += list(_tangent_fan_contexts())
         for ctx in contexts:
             for k in range(5):
-                assert ctx.chains(k) == _reference_chains(ctx, k)
+                assert all_chains(ctx, k) == _reference_chains(ctx, k)
 
     def test_cutoff_tables_match_successor_walk(self):
         contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
         contexts += list(_tangent_fan_contexts())
         for ctx in contexts:
-            ctx.chains(4)
+            all_chains(ctx, 4)
             assert len(ctx.reach) == 5
             for s, nexts in enumerate(ctx.succ_seg):
                 common = -1
@@ -671,19 +673,19 @@ class TestDecideMembership:
 class TestExactSolver:
     def test_zero_membership_instance(self):
         planes = [Halfplane(0, 0, 1, 0), Halfplane(1, 0, -1, 5)]
-        cover = exact_mmgsc_halfplanes([P(0, 1)], [P(0, -10)], planes)
+        cover = exact_mmgsc_halfplanes_report([P(0, 1)], [P(0, -10)], planes).cover
         assert cover.memb == 0
 
     def test_forced_two(self):
         # the monitored point lies in both halfplanes and both are needed
         planes = [Halfplane(0, 1, 0, 0), Halfplane(1, -1, 0, 0)]
         points = [P(1, 0), P(-1, 0)]
-        cover = exact_mmgsc_halfplanes(points, [P(0, 0)], planes)
+        cover = exact_mmgsc_halfplanes_report(points, [P(0, 0)], planes).cover
         assert cover.memb == 2
 
     def test_uncoverable(self):
         with pytest.raises(Uncoverable):
-            exact_mmgsc_halfplanes([P(0, 5)], [], [Halfplane(0, 0, -1, -1)])
+            exact_mmgsc_halfplanes_report([P(0, 5)], [], [Halfplane(0, 0, -1, -1)])
 
     def test_matches_oracle(self):
         for seed in range(30):
@@ -730,8 +732,8 @@ class TestExactSolver:
     def test_identical_inputs_identical_outputs(self):
         for seed in (1, 4, 9):
             points, sprime, planes = halfplane_instance(seed, max_planes=7, max_points=6)
-            a = exact_mmgsc_halfplanes(points, sprime, planes)
-            b = exact_mmgsc_halfplanes(points, sprime, planes)
+            a = exact_mmgsc_halfplanes_report(points, sprime, planes).cover
+            b = exact_mmgsc_halfplanes_report(points, sprime, planes).cover
             assert a == b
             c = additive_error_cover(points, sprime, planes)
             d = additive_error_cover(points, sprime, planes)
@@ -937,9 +939,9 @@ class TestLocalSearch:
                     if h_in.id in ids:
                         continue
                     candidate = [h for h in out if h.id != h_out.id] + [h_in]
-                    assert union_compare(out, candidate) != "subset"
+                    assert not union_grows_lp(out, candidate)
 
-    def test_matches_union_compare_reference(self):
+    def test_matches_reference_local_search(self):
         # seeded random starts of every size, not only minimum-size covers
         rng = random.Random(53)
         swapped = 0
@@ -953,8 +955,8 @@ class TestLocalSearch:
 
 
 def _reference_local_search(chosen, pool):
-    """The swap loop over complement regions: take the first (out, inc) in
-    id order whose swap strictly grows the union, until none does.  Returns
+    """The swap loop on the LP union test: take the first (out, inc) in id
+    order whose swap strictly grows the union, until none does.  Returns
     the stable set and the number of swaps taken."""
     current = sorted(chosen, key=lambda h: h.id)
     pool_sorted = sorted(pool, key=lambda h: h.id)
@@ -966,7 +968,7 @@ def _reference_local_search(chosen, pool):
             for inc in pool_sorted
             if inc.id not in ids
         )
-        better = next((c for c in candidates if union_compare(current, c) == "subset"), None)
+        better = next((c for c in candidates if union_grows_lp(current, c)), None)
         if better is None:
             return current, swaps
         current = better
@@ -1320,7 +1322,7 @@ class TestAngleFacts:
             changed = False
             for h in list(kept):
                 rest = [o for o in kept if o.id != h.id]
-                if rest and union_compare(rest, kept) == "equal":
+                if rest and union_within_lp([h], rest):
                     kept = rest
                     changed = True
                     break

@@ -149,8 +149,29 @@ def test_no_region_calls_in_halfplanes():
     # test; the region names stay imported in halfplanes.py for the tracer only
     path = SRC / "halfplanes.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    names = {"complement_region", "region_subset", "union_compare", "region_from_constraints"}
+    names = {"complement_region", "region_subset", "region_from_constraints"}
     assert _calls(tree, names) == []
+
+
+def test_no_cover_only_wrappers():
+    # each solver has one entry: no public def only returns `.cover` of
+    # another call, so a caller that wants the cover reads it off the report
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) else node.body
+            ret = body[0] if len(body) == 1 else None
+            if (
+                isinstance(ret, ast.Return)
+                and isinstance(ret.value, ast.Attribute)
+                and ret.value.attr == "cover"
+                and isinstance(ret.value.value, ast.Call)
+            ):
+                found.append(f"{path.name}:{node.name}")
+    assert found == []
 
 
 def test_face_sampling_on_integers():

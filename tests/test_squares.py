@@ -16,6 +16,7 @@ from conftest import (
     mixed_grid_instance,
     one_corner_instance,
     square_instance,
+    staircase_squares,
 )
 
 from membercover import (
@@ -29,12 +30,10 @@ from membercover import (
     corner_partition,
     exact_mmgsc_bruteforce,
     incidence,
-    maximal_squares,
     memb_eval,
     quadrant_greedy_cover,
-    solve_cell,
     solve_lp,
-    solve_mmgsc_squares,
+    solve_mmgsc_squares_report,
     solve_mpgsc,
     solve_one_corner,
     verify_cover,
@@ -117,15 +116,15 @@ class TestMaximalSquares:
 
     def test_antichain_all_kept(self):
         sqs = self._of([(Fraction(1, 2), Fraction(9, 10)), (Fraction(7, 10), Fraction(7, 10)), (Fraction(9, 10), Fraction(1, 2))])
-        assert [q.id for q in maximal_squares(SquareGrid.of([], sqs), CELL, 0)] == [0, 1, 2]
+        assert [q.id for q in staircase_squares(SquareGrid.of([], sqs), CELL, 0)] == [0, 1, 2]
 
     def test_dominated_dropped(self):
         sqs = self._of([(Fraction(1, 2), Fraction(1, 2)), (Fraction(9, 10), Fraction(9, 10))])
-        assert [q.id for q in maximal_squares(SquareGrid.of([], sqs), CELL, 0)] == [1]
+        assert [q.id for q in staircase_squares(SquareGrid.of([], sqs), CELL, 0)] == [1]
 
     def test_duplicate_keeps_lowest_id(self):
         sqs = self._of([(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))])
-        assert [q.id for q in maximal_squares(SquareGrid.of([], sqs), CELL, 0)] == [0]
+        assert [q.id for q in staircase_squares(SquareGrid.of([], sqs), CELL, 0)] == [0]
 
     def test_matches_pairwise_filter(self):
         rng = random.Random(13)
@@ -134,7 +133,7 @@ class TestMaximalSquares:
                 UnitSquare(i, P(Fraction(rng.randint(1, 64), 64), Fraction(rng.randint(1, 64), 64)))
                 for i in range(10)
             ]
-            got = {q.id for q in maximal_squares(SquareGrid.of([], sqs), CELL, 0)}
+            got = {q.id for q in staircase_squares(SquareGrid.of([], sqs), CELL, 0)}
             coords = {q.id: canonical_square(q, CELL, 0) for q in sqs}
             expected = set()
             for q in sqs:
@@ -216,13 +215,13 @@ class TestSolveCell:
     def test_zero_membership_branch(self):
         squares = [UnitSquare(0, P(1, 1)), UnitSquare(1, P("3/2", "3/2"))]
         sprime = [P("5/4", "5/4")]
-        cover = solve_cell(SquareGrid.of([P("1/2", "1/2")], squares, sprime), CELL)
+        cover = solve_cell_report(SquareGrid.of([P("1/2", "1/2")], squares, sprime), CELL).cover
         assert cover.memb == 0
         assert cover.ids == (0,)  # exactly the squares avoiding monitored points
 
     def test_uncoverable(self):
         with pytest.raises(Uncoverable):
-            solve_cell(SquareGrid.of([P("1/2", "1/2")], [UnitSquare(0, P(5, 5))]), CELL)
+            solve_cell_report(SquareGrid.of([P("1/2", "1/2")], [UnitSquare(0, P(5, 5))]), CELL)
 
     def test_lp_bound_and_oracle_bound(self):
         for seed in range(40):
@@ -254,7 +253,7 @@ class TestSolveCell:
         seen = len(calls)  # the patch is live
         del calls[:]
         report = solve_cell_report(SquareGrid.of(points, squares, sprime), CELL)
-        solve_mmgsc_squares(multi_points, multi_sprime, multi_squares)
+        solve_mmgsc_squares_report(multi_points, multi_sprime, multi_squares)
         solve_mpgsc(multi_points, multi_squares)
         monkeypatch.undo()
         assert seen == len(points) * len(squares) > 0
@@ -280,7 +279,7 @@ class TestOneGridPerSolve:
             points, sprime, squares = square_instance(seed)
             for name in calls:
                 calls[name] = 0
-            solve_mmgsc_squares(points, sprime, squares)
+            solve_mmgsc_squares_report(points, sprime, squares)
             assert calls["grid_unit"] <= 1 and calls["on_grid"] <= 3, (seed, calls)
             for name in calls:
                 calls[name] = 0
@@ -291,27 +290,27 @@ class TestOneGridPerSolve:
 class TestSolveSquares:
     def test_single_cell_equals_cell_solver(self):
         points, sprime, squares = cell_instance(11)
-        whole = solve_mmgsc_squares(points, sprime, squares)
-        cell = solve_cell(SquareGrid.of(points, squares, sprime), CELL)
+        whole = solve_mmgsc_squares_report(points, sprime, squares).cover
+        cell = solve_cell_report(SquareGrid.of(points, squares, sprime), CELL).cover
         assert whole.ids == cell.ids
 
     def test_two_cells_shared_square(self):
         sq = UnitSquare(0, P("3/2", 1))
         points = [P("3/4", "1/2"), P("5/4", "1/2")]
-        cover = solve_mmgsc_squares(points, [], [sq])
+        cover = solve_mmgsc_squares_report(points, [], [sq]).cover
         assert cover.ids == (0,)
         assert verify_cover(points, cover.ids, [sq])
 
     def test_multi_cell_bound(self):
         for seed in range(25):
             points, sprime, squares = square_instance(seed)
-            cover = solve_mmgsc_squares(points, sprime, squares)
+            cover = solve_mmgsc_squares_report(points, sprime, squares).cover
             assert verify_cover(points, cover.ids, squares)
             opt, _ = exact_mmgsc_bruteforce(points, sprime, squares)
             assert cover.memb <= 9 * (16 * opt + 8)
 
     def test_empty_points(self):
-        cover = solve_mmgsc_squares([], [P(0, 0)], [UnitSquare(0, P(1, 1))])
+        cover = solve_mmgsc_squares_report([], [P(0, 0)], [UnitSquare(0, P(1, 1))]).cover
         assert cover.ids == () and cover.memb == 0
 
     def test_adding_square_never_raises_lp_value(self):
@@ -397,7 +396,7 @@ class TestIntegerGrid:
             cell = GRID_CELLS[trial % 3]
             _points, _sprime, squares = mixed_grid_instance(rng, cell)
             for corner in range(4):
-                assert maximal_squares(
+                assert staircase_squares(
                     SquareGrid.of([], squares), cell, corner
                 ) == maximal_squares_reference(
                     squares, cell, corner
