@@ -20,7 +20,6 @@ from .geometry import (
     grid_partition,
 )
 from .halfplanes import (
-    AnchorOnLine,
     SegmentPhi,
     WindGraph,
     additive_error_cover,

@@ -297,6 +297,8 @@ def _cmd_exact(args) -> int:
     search = args.solver == "search"
     if search and (args.objective != OBJECTIVE_MEMBERSHIP or doc.kind != KIND_HALFPLANES):
         raise _UsageError("the search solver needs membership on a halfplanes instance")
+    if args.objective == OBJECTIVE_PLY and doc.kind != KIND_SQUARES:
+        raise _UsageError("ply objective needs a squares instance")
     budget = OracleBudget(max_ranges=args.max_ranges)
     if args.objective == OBJECTIVE_PLY:
         value, ids = exact_mpgsc_bruteforce(doc.s, doc.ranges, budget)

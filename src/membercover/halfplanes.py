@@ -25,6 +25,12 @@ memoized post-order walk over them therefore gives each node it meets
 the set of crossing nodes it reaches, and only the crossing arc that
 closes a cycle gets a breadth-first search.
 
+The boundary arrangement is listed once per instance, and each anchor
+selects its segments.  An anchor lies strictly outside each of its active
+halfplanes h, h(anchor) < 0, so for u, v on h's line orient(anchor, u, v)
+< 0 iff v - u is a positive multiple of (b_h, -a_h): no anchor changes how
+a segment is oriented.
+
 All hot predicates run on homogeneous integer coordinates.
 """
 
@@ -64,10 +70,6 @@ from .geometry import complement_region, region_subset  # noqa: F401
 DUMMY_BASE_ID = -1  # dummies use ids -1..-4, never colliding with instances
 
 
-class AnchorOnLine(ValueError):
-    """The anchor point lies on a boundary line; pick a different face."""
-
-
 # ---------------------------------------------------------------------------
 # homogeneous integer points
 # ---------------------------------------------------------------------------
@@ -101,17 +103,6 @@ def _line_intersect(l1: tuple[int, int, int], l2: tuple[int, int, int]) -> HPt |
     if det == 0:
         return None
     return _hpt_normalize(b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, det)
-
-
-def _orient(p: HPt, q: HPt, r: HPt) -> int:
-    """Sign of the turn p->q->r; weights are positive so the homogeneous
-    3x3 determinant carries the affine orientation sign directly."""
-    d = (
-        p[0] * (q[1] * r[2] - r[1] * q[2])
-        - p[1] * (q[0] * r[2] - r[0] * q[2])
-        + p[2] * (q[0] * r[1] - r[0] * q[1])
-    )
-    return (d > 0) - (d < 0)
 
 
 def _dirvec(p: HPt, q: HPt) -> tuple[int, int]:
@@ -160,7 +151,8 @@ class SegmentPhi:
 
     Both endpoints are intersections of the host line with other boundary
     lines; seen from the anchor, the order anchor -> left -> right is
-    clockwise and spans less than a halfturn.
+    clockwise and spans less than a halfturn.  As h(anchor) < 0 on the host
+    h, that is: right - left is a positive multiple of (b_h, -a_h).
     """
 
     host: int  # halfplane id
@@ -168,37 +160,20 @@ class SegmentPhi:
     b_h: HPt
 
 
-def build_segments(h_active: Sequence[Halfplane], p: Point) -> list[SegmentPhi]:
-    """All finite arrangement segments of the active boundary lines.
+# per host line, its position and its segments, each with the bitmasks of
+# the other lines through its left and right endpoints, over `extended`
+Arrangement = list[tuple[int, list[tuple[SegmentPhi, int, int]]]]
 
-    Each line contributes one segment per pair of its intersection points
-    with the other lines.  Raises AnchorOnLine when p sits on a boundary
-    line; callers must then pick a different face sample.
-    """
-    p_h = _hpt(p)
-    for h in h_active:
-        v = h.a * p_h[0] + h.b * p_h[1] + h.c * p_h[2]
-        if v == 0:
-            raise AnchorOnLine(f"anchor {p!r} lies on the boundary of {h.id}")
-        if v > 0:
-            raise ValueError(f"halfplane {h.id} contains the anchor {p!r}")
-    segments: list[SegmentPhi] = []
-    lines = [h.line() for h in h_active]
-    for i, host in enumerate(h_active):
-        pts: set[HPt] = set()
-        for j, other in enumerate(lines):
-            if j == i:
-                continue
-            hit = _line_intersect(lines[i], other)
-            if hit is not None:
-                pts.add(hit)
-        ordered = sorted(pts)
-        for a, b in combinations(ordered, 2):
-            if _orient(p_h, a, b) < 0:
-                segments.append(SegmentPhi(host.id, a, b))
-            else:
-                segments.append(SegmentPhi(host.id, b, a))
-    return segments
+
+def build_segments(arrangement: Arrangement, active: int) -> list[SegmentPhi]:
+    """One anchor's segments, the finite segments of the lines in `active`:
+    those of the instance arrangement whose host is in the bitmask and whose
+    endpoints each lie on another line in it, in arrangement order."""
+    out: list[SegmentPhi] = []
+    for host, segments in arrangement:
+        if active >> host & 1:
+            out += [seg for seg, left, right in segments if left & active and right & active]
+    return out
 
 
 def _ray_direction(p_h: HPt, endpoints: Iterable[HPt]) -> tuple[int, int]:
@@ -274,19 +249,19 @@ class _AnchorContext:
     def __init__(self, anchor: Point, active: list[Halfplane], inst: _HalfplaneInstance):
         self.anchor = anchor
         self.p_h = _hpt(anchor)
-        self.segments = build_segments(active, anchor)
-        endpoints = set([s.a_h for s in self.segments] + [s.b_h for s in self.segments])
-        self.ray = _ray_direction(self.p_h, endpoints)
-
-        s_pts, sides = inst.s_hpts, inst.line_sides
-        # per endpoint e, the points x with orient(p, e, x) <= 0 and >= 0
-        wedge = {e: _sign_masks(_cross3(self.p_h, e), s_pts) for e in endpoints}
+        s_pts, sides, position = inst.s_hpts, inst.line_sides, inst.position
         # points of S on at least one active boundary line can still end
         # up on a chain segment; any other point swallowed by a triangle
         # kills every chain through it
-        on_some_line = 0
+        on_some_line = active_bits = 0
         for h in active:
             on_some_line |= sides[h.id][1]
+            active_bits |= 1 << position[h.id]
+        self.segments = build_segments(inst.arrangement, active_bits)
+        endpoints = set([s.a_h for s in self.segments] + [s.b_h for s in self.segments])
+        self.ray = _ray_direction(self.p_h, endpoints)
+        # per endpoint e, the points x with orient(p, e, x) <= 0 and >= 0
+        wedge = {e: _sign_masks(_cross3(self.p_h, e), s_pts) for e in endpoints}
 
         keep: list[SegmentPhi] = []
         tri_list: list[int] = []
@@ -299,9 +274,7 @@ class _AnchorContext:
             keep.append(seg)
             tri_list.append(tri)
             on_list.append(tri & online)
-        self.segments = keep
-        self.tri_mask = tri_list
-        self.on_mask = on_list
+        self.segments, self.tri_mask, self.on_mask = keep, tri_list, on_list
         self.sp_mask = [inst.sp_masks[s.host] for s in self.segments]
         # a segment crosses the ray iff its left endpoint lies clockwise of
         # the ray and its right endpoint counterclockwise: one side test per
@@ -311,10 +284,8 @@ class _AnchorContext:
 
         # succ_seg[s]: the segments j starting at the right endpoint of s
         # that turn clockwise from s, cross(dir s, dir j) <= 0.  Segment s
-        # on host (a, b, c) has orient(p, left, right) < 0 with the anchor
-        # on the side a*x + b*y + c < 0, so right - left is a positive
-        # multiple of (b, -a), the same for every anchor; the cross product
-        # then has the sign of a_s * b_j - a_j * b_s on the hosts' normals.
+        # on host (a, b, c) runs along (b, -a) (see SegmentPhi), so the cross
+        # product has the sign of a_s * b_j - a_j * b_s on the hosts' normals.
         normal = {h.id: (h.a, h.b) for h in active}
         by_left: dict[HPt, list[tuple[int, int, int]]] = {}
         for idx, seg in enumerate(self.segments):
@@ -597,11 +568,13 @@ class _HalfplaneInstance:
         # halfplanes, which lead `extended`
         self.line_sides: dict[int, tuple[int, int]] = {}
         self.sp_masks: dict[int, int] = {}
+        self.lines = [h.line() for h in self.extended]
+        self.position = {h.id: i for i, h in enumerate(self.extended)}
         s_columns = []
-        for h in self.extended:
-            nonpos, nonneg = _sign_masks(h.line(), self.s_hpts)
+        for h, line in zip(self.extended, self.lines):
+            nonpos, nonneg = _sign_masks(line, self.s_hpts)
             self.line_sides[h.id] = (nonpos, nonpos & nonneg)
-            self.sp_masks[h.id] = _sign_masks(h.line(), sp_hpts)[1]
+            self.sp_masks[h.id] = _sign_masks(line, sp_hpts)[1]
             s_columns.append(nonneg)
         n = len(self.halfplanes)
         self.s_columns = s_columns[:n]
@@ -676,6 +649,29 @@ class _HalfplaneInstance:
             raise Uncoverable(self.uncovered)
         return _min_size_cover(self.halfplanes, self.s_rows, self.s_columns, self.size_floor)
 
+    # -- the boundary arrangement ------------------------------------------
+
+    @cached_property
+    def arrangement(self) -> Arrangement:
+        """Every finite segment of the lines of `extended`, host by host, as
+        the pairs of the host's sorted intersection points, each oriented
+        along (b, -a) on its host (a, b, c) as every anchor sees it."""
+        arrangement: Arrangement = []
+        for i, (host, line) in enumerate(zip(self.extended, self.lines)):
+            through: dict[HPt, int] = {}
+            for j, other in enumerate(self.lines):
+                hit = _line_intersect(line, other)  # None on parallels, the host too
+                if hit is not None:
+                    through[hit] = through.get(hit, 0) | 1 << j
+            a, b, _c = line
+            segments = []
+            for u, v in combinations(sorted(through), 2):
+                if (b * u[0] - a * u[1]) * v[2] > (b * v[0] - a * v[1]) * u[2]:
+                    u, v = v, u
+                segments.append((SegmentPhi(host.id, u, v), through[u], through[v]))
+            arrangement.append((i, segments))
+        return arrangement
+
     # -- anchors ------------------------------------------------------------
 
     @cached_property
@@ -683,14 +679,13 @@ class _HalfplaneInstance:
         """One sample per face inside the dummy box, with its face: entry i
         tells whether it lies outside extended[i] (no sample is on a line).
         The samples come in (x, y) order, so each face keeps its least one."""
-        lines = [h.line() for h in self.extended]
         seen: set[tuple[bool, ...]] = set()
         chosen = []
-        for x, y, w in face_sample_points(lines):
+        for x, y, w in face_sample_points(self.lines):
             bound = self.delta * w
             if not (-bound < x < bound and -bound < y < bound):
                 continue
-            outside = tuple([a * x + b * y + c * w < 0 for (a, b, c) in lines])
+            outside = tuple([a * x + b * y + c * w < 0 for (a, b, c) in self.lines])
             if outside not in seen:
                 seen.add(outside)
                 chosen.append((Point(Fraction(x, w), Fraction(y, w)), outside))

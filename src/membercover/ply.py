@@ -118,7 +118,9 @@ def min_size_cell_cover_approx(grid: SquareGrid, cell: GridCell) -> CoverSolutio
 def solve_mpgsc(
     points: Sequence[Point], squares: Sequence[UnitSquare]
 ) -> tuple[CoverSolution, PlyReport]:
-    """Cover the points while keeping the maximum square overlap low."""
+    """Cover the points while keeping the maximum square overlap low.  The
+    cover's `memb` is its membership over the empty S' of the ply problem,
+    so always 0; its ply is the `PlyReport`'s `value`."""
     cells = grid_partition(SquareGrid.of(points, squares))
     ids: set[int] = set()
     for cell in sorted(cells, key=lambda c: (c.i, c.j)):

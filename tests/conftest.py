@@ -18,9 +18,11 @@ import math
 from membercover import GridCell, Halfplane, Point, UnitSquare
 from membercover.covers import CoverSolution
 from membercover.halfplanes import (
+    SegmentPhi,
     _dirvec,
     _dot2,
-    _orient,
+    _hpt,
+    _line_intersect,
     _plane_covers,
     one_stable_local_search,
 )
@@ -508,8 +510,55 @@ def bucket_fractional_cover(partition, corner: int) -> FractionalCover:
 
 
 # ---------------------------------------------------------------------------
-# per-segment containment, the reference for the anchor-context masks
+# per-anchor segments and per-segment containment, the references for the
+# anchor-context segments and masks
 # ---------------------------------------------------------------------------
+
+def _orient(p, q, r) -> int:
+    """Sign of the turn p->q->r; weights are positive so the homogeneous
+    3x3 determinant carries the affine orientation sign directly."""
+    d = (
+        p[0] * (q[1] * r[2] - r[1] * q[2])
+        - p[1] * (q[0] * r[2] - r[0] * q[2])
+        + p[2] * (q[0] * r[1] - r[0] * q[1])
+    )
+    return (d > 0) - (d < 0)
+
+
+def reference_segments(h_active, p):
+    """All finite arrangement segments of the active boundary lines, built
+    for one anchor p: one intersection per pair of lines and one
+    orientation test per segment.
+
+    Each line contributes one segment per pair of its intersection points
+    with the other lines.  Raises ValueError when p sits on a boundary
+    line or inside an active halfplane.
+    """
+    p_h = _hpt(p)
+    for h in h_active:
+        v = h.a * p_h[0] + h.b * p_h[1] + h.c * p_h[2]
+        if v == 0:
+            raise ValueError(f"anchor {p!r} lies on the boundary of {h.id}")
+        if v > 0:
+            raise ValueError(f"halfplane {h.id} contains the anchor {p!r}")
+    segments = []
+    lines = [h.line() for h in h_active]
+    for i, host in enumerate(h_active):
+        pts = set()
+        for j, other in enumerate(lines):
+            if j == i:
+                continue
+            hit = _line_intersect(lines[i], other)
+            if hit is not None:
+                pts.add(hit)
+        ordered = sorted(pts)
+        for a, b in combinations(ordered, 2):
+            if _orient(p_h, a, b) < 0:
+                segments.append(SegmentPhi(host.id, a, b))
+            else:
+                segments.append(SegmentPhi(host.id, b, a))
+    return segments
+
 
 def on_segment(x, a, b) -> bool:
     """Is the homogeneous point x on the closed segment [a, b]?  One

@@ -274,11 +274,12 @@ BAD_INSTANCES["deep"] = "[" * 100000  # past the JSON decoder's recursion limit
         ("gen", "--kind", "squares", "--seed", " 1_0 "),
         ("gen", "--kind", "squares", "--points", "\u0663"),
         ("gen", "--kind", "squares", "--points", "1" * 300),
+        ("exact", "{inst}", "--objective", "ply"),
     ],
     ids=["plot-broken-json", "plot-list-cover", "verify-list-cover", "verify-bool-id",
          "bad-epsilon", "negative-count", *BAD_INSTANCES, "exponent-epsilon",
          "negative-max-ranges", "not-utf8", "json-int-cover", "padded-seed",
-         "arabic-indic-count", "long-count"],
+         "arabic-indic-count", "long-count", "exact-ply-halfplanes"],
 )
 def test_bad_input_is_one_line_error(tmp_path, capsys, argv):
     inst = tmp_path / "in.json"

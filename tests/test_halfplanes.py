@@ -15,6 +15,7 @@ from conftest import (
     on_segment,
     reference_cycle,
     reference_graph,
+    reference_segments,
     reference_winding_cycle,
     ring_instance,
     strict_feasible_lp,
@@ -43,7 +44,6 @@ from membercover import (
     verify_cover,
 )
 from membercover.halfplanes import (
-    AnchorOnLine,
     WindGraph,
     WindingCertificate,
     _AnchorContext,
@@ -158,6 +158,13 @@ class TestPlaneCover:
         assert min(seen.values()) >= 20, seen  # every degenerate kind is exercised
 
 
+def _segments_of(hs):
+    """The segments of the lines of `hs` alone, selected from the
+    arrangement of an instance over them."""
+    inst = _HalfplaneInstance([], [], hs)
+    return build_segments(inst.arrangement, sum([1 << inst.position[h.id] for h in hs]))
+
+
 class TestBuildSegments:
     def test_triangle_arrangement(self):
         hs = [
@@ -167,7 +174,7 @@ class TestBuildSegments:
         ]
         p = P(1, 1)
         assert not any(h.contains(p) for h in hs)
-        segs = build_segments(hs, p)
+        segs = _segments_of(hs)
         assert len(segs) == 3
         for seg in segs:
             # clockwise orientation seen from the anchor, arc below a halfturn
@@ -177,20 +184,7 @@ class TestBuildSegments:
             assert ux * vy - uy * vx < 0
 
     def test_two_lines_no_finite_segments(self):
-        hs = [Halfplane(0, 1, 0, -1), Halfplane(1, 0, 1, -1)]
-        p = P(0, 0)
-        assert build_segments(hs, p) == []
-
-    def test_anchor_on_line_rejected(self):
-        with pytest.raises(AnchorOnLine):
-            build_segments([Halfplane(0, 1, 0, 0), Halfplane(1, 0, 1, -1)], P(0, -1))
-
-    def test_active_halfplane_holding_the_anchor_rejected(self):
-        # x >= 0 holds (1, -1) strictly: the anchor must lie outside every
-        # active halfplane
-        with pytest.raises(ValueError, match="contains the anchor") as caught:
-            build_segments([Halfplane(0, 0, 1, -1), Halfplane(1, 1, 0, 0)], P(1, -1))
-        assert not isinstance(caught.value, AnchorOnLine)
+        assert _segments_of([Halfplane(0, 1, 0, -1), Halfplane(1, 0, 1, -1)]) == []
 
     def test_counts_match_per_line_oracle(self):
         rng = random.Random(3)
@@ -202,11 +196,8 @@ class TestBuildSegments:
                     a = rng.randint(-5, 5)
                     b = rng.randint(-5, 5)
                 hs.append(Halfplane(i, a, b, rng.randint(-40, -10)))
-            p = P(0, 0)
-            active = [h for h in hs if not h.contains(p)]
-            if any(h.a * p.x + h.b * p.y + h.c == 0 for h in active):
-                continue
-            segs = build_segments(active, p)
+            active = [h for h in hs if not h.contains(P(0, 0))]
+            segs = _segments_of(active)
             # oracle: intersections per line via pairwise elimination
             total = 0
             for h in active:
@@ -223,6 +214,25 @@ class TestBuildSegments:
                 m = len(pts)
                 total += m * (m - 1) // 2
             assert len(segs) == total
+
+    def test_selection_matches_per_anchor_build(self):
+        # every anchor, covering or not, selects from the instance's one
+        # arrangement the segments a build from its own active lines and
+        # its own orientation tests gives, in the same order
+        cases = [fan_instance(seed) for seed in range(20)]
+        cases += [halfplane_instance(seed) for seed in range(150)]
+        cases += [ring_instance(seed, 12) for seed in range(6)]
+        anchors = segments = 0
+        for points, sprime, planes in cases:
+            inst = _HalfplaneInstance(points, sprime, planes)
+            for anchor, outside in inst.anchors:
+                active = [h for h, out in zip(inst.extended, outside) if out]
+                active_bits = sum([1 << i for i, out in enumerate(outside) if out])
+                selected = build_segments(inst.arrangement, active_bits)
+                assert selected == reference_segments(active, anchor)
+                anchors += 1
+                segments += len(selected)
+        assert anchors > 2500 and segments > 500000
 
 
 class TestDecisionGraph:
@@ -360,7 +370,7 @@ def _reference_context(anchor, active, s_hpts):
         if any(h.a * x + h.b * y + h.c * w == 0 for h in active)
     ])
     segments, tris, ons = [], [], []
-    for seg in build_segments(active, anchor):
+    for seg in reference_segments(active, anchor):
         tri = on = 0
         for bit, x in enumerate(s_hpts):
             if in_triangle(x, p_h, seg.a_h, seg.b_h):
@@ -548,12 +558,11 @@ class TestAnchorContext:
         assert sum(sum(ctx.cross) for ctx in contexts) > 100
 
     def test_orientation_tests_per_context(self, monkeypatch):
-        # an orientation test is one _orient call or one point of a
-        # _sign_masks call: at most one per (S point, endpoint) pair for the
-        # masks, plus one per segment built for its clockwise order
+        # an orientation test is one point of a _sign_masks call: at most
+        # one per (S point, endpoint) pair; the arrangement orients every
+        # segment once per instance, with no anchor
         import membercover.halfplanes as hp
 
-        orients = _count_calls(monkeypatch, (hp,), "_orient")
         masks = _count_calls(monkeypatch, (hp,), "_sign_masks")
         built = []
         raw_build = hp.build_segments
@@ -566,12 +575,11 @@ class TestAnchorContext:
         for points, sprime, planes in (fan_instance(1), halfplane_instance(3)):
             inst = _HalfplaneInstance(points, sprime, planes)
             for idx in range(len(inst.anchors)):
-                del orients[:], masks[:], built[:]
+                del masks[:], built[:]
                 inst.context(idx)
                 (segments,) = built
                 endpoints = set([s.a_h for s in segments] + [s.b_h for s in segments])
-                tests = len(orients) + len(points) * len(masks)
-                assert tests <= len(points) * len(endpoints) + len(segments)
+                assert len(points) * len(masks) <= len(points) * len(endpoints)
 
 
 class TestCoveringAnchors:

@@ -144,6 +144,23 @@ def test_halfplane_tables_built_only_by_the_instance():
     assert scopes == {"_HalfplaneInstance.__init__", "_AnchorContext.__init__"}
 
 
+def test_arrangement_built_once_per_instance():
+    # line intersections and segment orientations do not depend on the
+    # anchor: the instance's arrangement computes them once, and
+    # build_segments and the anchor contexts only select from it.  The one
+    # orientation kernel of the library is _cross3 with _sign_masks; the
+    # per-segment _orient lives in the tests as a reference
+    path = SRC / "halfplanes.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scopes = {scope for scope, _arg, _line in _calls(tree, {"_line_intersect"})}
+    assert scopes == {"_HalfplaneInstance.arrangement"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{d}" for d in _defs(tree) if d.rsplit(".", 1)[-1] == "_orient"]
+    assert found == []
+
+
 def test_no_region_calls_in_halfplanes():
     # every union question of the halfplane solvers is one strict-feasibility
     # test; the region names stay imported in halfplanes.py for the tracer only
