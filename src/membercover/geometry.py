@@ -218,9 +218,10 @@ def grid_partition(grid: SquareGrid) -> dict[GridCell, SquareGrid]:
 # face sampling of a line arrangement
 # ---------------------------------------------------------------------------
 
-def face_sample_points(lines: Sequence[tuple]) -> list[tuple[int, int, int]]:
-    """Return points hitting the interior of every arrangement face, as
-    homogeneous integer triples (X, Y, W) with W > 0, meaning (X/W, Y/W).
+def face_sample_points(lines: Sequence[tuple]) -> list[tuple[int, int, int, int]]:
+    """Return points hitting the interior of every arrangement face, each
+    as (X, Y, W, outside) with W > 0: the point (X/W, Y/W) and the bitmask
+    of its face, bit i set iff a*X + b*Y + c*W < 0 on lines[i].
 
     Lines are (a, b, c) triples for ``a*x + b*y + c = 0`` with nonzero
     (a, b).  The construction sweeps vertical slabs between consecutive
@@ -233,6 +234,12 @@ def face_sample_points(lines: Sequence[tuple]) -> list[tuple[int, int, int]]:
     Slabs come out increasing and ordinates within a slab increasing, so
     the samples are in (x, y) order.  No returned point lies on an input
     line.
+
+    The masks come from one walk up each slab.  The samples of a slab share
+    their side of every vertical line.  Below every ordinate a sample lies
+    outside exactly the sloped lines with b > 0, and a sloped line changes
+    side only at its own ordinate, so the walk XORs in the lines through
+    each ordinate it passes.
     """
     for (a, b, _c) in lines:
         if a == 0 and b == 0:
@@ -249,26 +256,37 @@ def face_sample_points(lines: Sequence[tuple]) -> list[tuple[int, int, int]]:
     lcm_b = math.lcm(*[abs(b) for (_a, b, _c) in lines if b != 0])
     y_unit = slab_unit * lcm_b  # denominator of the ordinates on a slab
     w = 2 * y_unit
-    sloped = [(a, c, lcm_b // b) for (a, b, c) in lines if b != 0]
+    sloped = [(a, c, lcm_b // b, 1 << i) for i, (a, b, c) in enumerate(lines) if b != 0]
+    vertical = [(a, c, 1 << i) for i, (a, b, c) in enumerate(lines) if b == 0]
+    below = sum([1 << i for i, (_a, b, _c) in enumerate(lines) if b > 0])
 
-    def mid_candidates(values: set[int], unit: int) -> list[int]:
+    def mid_candidates(ordered: list[int], unit: int) -> list[int]:
         # numerators over 2 * unit of one unit below, the midpoints between
-        # and one unit above the numerators `values` over `unit`
-        if not values:
+        # and one unit above the increasing numerators `ordered` over `unit`
+        if not ordered:
             return [0]
-        ordered = sorted(values)
         out = [2 * ordered[0] - 2 * unit]
         out.extend([lo + hi for lo, hi in zip(ordered, ordered[1:])])
         out.append(2 * ordered[-1] + 2 * unit)
         return out
 
-    samples: list[tuple[int, int, int]] = []
-    for x_num in mid_candidates(xs, d):
+    samples: list[tuple[int, int, int, int]] = []
+    for x_num in mid_candidates(sorted(xs), d):
+        outside = below
+        for a, c, bit in vertical:
+            if a * x_num + c * slab_unit < 0:
+                outside |= bit
         # on x = x_num / slab_unit the line meets y = -(a x + c) / b
-        ys = {-(a * x_num + c * slab_unit) * scale for (a, c, scale) in sloped}
+        through: dict[int, int] = {}
+        for a, c, scale, bit in sloped:
+            y = -(a * x_num + c * slab_unit) * scale
+            through[y] = through.get(y, 0) | bit
+        ordered = sorted(through)
         x = x_num * 2 * lcm_b
-        for y in mid_candidates(ys, y_unit):
-            samples.append((x, y, w))
+        flips = [0] + [through[y] for y in ordered]
+        for y, flip in zip(mid_candidates(ordered, y_unit), flips):
+            outside ^= flip
+            samples.append((x, y, w, outside))
     return samples
 
 

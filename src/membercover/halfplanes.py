@@ -31,6 +31,13 @@ halfplanes h, h(anchor) < 0, so for u, v on h's line orient(anchor, u, v)
 < 0 iff v - u is a positive multiple of (b_h, -a_h): no anchor changes how
 a segment is oriented.
 
+A segment's successors are the segments that leave its right endpoint and
+turn clockwise from it.  Each segment runs along (b, -a) on its host, so the
+turn is read off the two hosts' normals, not the segments.  The successor
+list, the S' points in every successor and the reach rows therefore depend
+only on the segment's right endpoint and host: an anchor context builds
+each once per such group, and every segment of the group reads it.
+
 All hot predicates run on homogeneous integer coordinates.
 """
 
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import lp as lpmod
 from .covers import (
@@ -145,14 +152,14 @@ def _sign_masks(line: tuple[int, int, int], pts: Sequence[HPt]) -> tuple[int, in
 # segments of the boundary arrangement
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SegmentPhi:
+class SegmentPhi(NamedTuple):
     """A candidate polygon edge: a finite piece of a host boundary line.
 
     Both endpoints are intersections of the host line with other boundary
     lines; seen from the anchor, the order anchor -> left -> right is
     clockwise and spans less than a halfturn.  As h(anchor) < 0 on the host
-    h, that is: right - left is a positive multiple of (b_h, -a_h).
+    h, that is: right - left is a positive multiple of (b_h, -a_h).  A
+    named tuple, as the arrangement builds hundreds per instance.
     """
 
     host: int  # halfplane id
@@ -263,65 +270,86 @@ class _AnchorContext:
         # per endpoint e, the points x with orient(p, e, x) <= 0 and >= 0
         wedge = {e: _sign_masks(_cross3(self.p_h, e), s_pts) for e in endpoints}
 
-        keep: list[SegmentPhi] = []
-        tri_list: list[int] = []
-        on_list: list[int] = []
-        for seg in self.segments:
-            side, online = sides[seg.host]
-            tri = wedge[seg.a_h][0] & wedge[seg.b_h][1] & side
-            if tri & ~on_some_line:
-                continue  # swallows a point that no segment can carry
-            keep.append(seg)
-            tri_list.append(tri)
-            on_list.append(tri & online)
-        self.segments, self.tri_mask, self.on_mask = keep, tri_list, on_list
-        self.sp_mask = [inst.sp_masks[s.host] for s in self.segments]
         # a segment crosses the ray iff its left endpoint lies clockwise of
         # the ray and its right endpoint counterclockwise: one side test per
         # endpoint
         ray_side = {e: _cross2(_dirvec(self.p_h, e), self.ray) for e in endpoints}
-        self.cross = [ray_side[s.a_h] < 0 < ray_side[s.b_h] for s in self.segments]
+        sp_masks = inst.sp_masks
+        # by_left holds, per left endpoint, each host's kept segments from it
+        by_left: dict[HPt, dict[int, list[int]]] = {}
+        keep: list[SegmentPhi] = []
+        tri_list: list[int] = []
+        on_list: list[int] = []
+        sp_list: list[int] = []
+        cross: list[bool] = []
+        for seg in self.segments:
+            host, a_h, b_h = seg
+            side, online = sides[host]
+            tri = wedge[a_h][0] & wedge[b_h][1] & side
+            if tri & ~on_some_line:
+                continue  # swallows a point that no segment can carry
+            by_left.setdefault(a_h, {}).setdefault(host, []).append(len(keep))
+            keep.append(seg)
+            tri_list.append(tri)
+            on_list.append(tri & online)
+            sp_list.append(sp_masks[host])
+            cross.append(ray_side[a_h] < 0 < ray_side[b_h])
+        self.segments, self.tri_mask, self.on_mask = keep, tri_list, on_list
+        self.sp_mask, self.cross = sp_list, cross
 
         # succ_seg[s]: the segments j starting at the right endpoint of s
         # that turn clockwise from s, cross(dir s, dir j) <= 0.  Segment s
         # on host (a, b, c) runs along (b, -a) (see SegmentPhi), so the cross
         # product has the sign of a_s * b_j - a_j * b_s on the hosts' normals.
+        # The list depends only on (right endpoint, host), a group of
+        # segments, and so do the facts below: each is built once per group
+        # and each segment of the group reads the same object.  Hosts come in
+        # segment order in by_left and their segments are contiguous, so
+        # joining the turning hosts' lists keeps a successor list increasing.
         normal = {h.id: (h.a, h.b) for h in active}
-        by_left: dict[HPt, list[tuple[int, int, int]]] = {}
-        for idx, seg in enumerate(self.segments):
-            by_left.setdefault(seg.a_h, []).append((idx, *normal[seg.host]))
-        self.succ_seg: list[list[int]] = []
-        for seg in self.segments:
-            a, b = normal[seg.host]
-            self.succ_seg.append(
-                [j for j, a_j, b_j in by_left.get(seg.b_h, ()) if a * b_j <= a_j * b]
-            )
-
+        groups: dict[tuple[HPt, int], int] = {}
+        group: list[int] = []  # per segment, its group
+        succ_lists: list[list[int]] = []
         # every_succ_sp[s]: the S' points in every successor of s (-1, all
-        # of them, when s has none); reach[t][s]: the S points on some
-        # segment 1..t successor steps from s, grown by `_reach` on demand
-        every_succ_sp = []
-        for nexts in self.succ_seg:
-            common = -1
-            for j in nexts:
-                common &= self.sp_mask[j]
-            every_succ_sp.append(common)
-        self.every_succ_sp = every_succ_sp
+        # of them, when s has none); a successor's S' mask is its host's
+        every_sp: list[int] = []
+        for host, _a_h, b_h in self.segments:
+            key = (b_h, host)
+            g = groups.get(key)
+            if g is None:
+                g = groups[key] = len(succ_lists)
+                a, b = normal[host]
+                nexts: list[int] = []
+                common = -1
+                for host_j, starting in by_left.get(b_h, {}).items():
+                    a_j, b_j = normal[host_j]
+                    if a * b_j <= a_j * b:
+                        nexts += starting
+                        common &= sp_masks[host_j]
+                succ_lists.append(nexts)
+                every_sp.append(common)
+            group.append(g)
+        self._group, self._succ_lists = group, succ_lists
+        self.succ_seg = [succ_lists[g] for g in group]
+        self.every_succ_sp = [every_sp[g] for g in group]
+        # reach[t][s]: the S points on some segment 1..t successor steps
+        # from s, grown by `_reach`
         self.reach: list[list[int]] = [[0] * len(self.segments)]
 
     def _reach(self, t: int) -> list[list[int]]:
         """The reach table through t steps, extending the rows built so far:
-        reach[t][s] is the OR over successors j of on_mask[j] | reach[t-1][j]."""
+        reach[t][s] is the OR over successors j of on_mask[j] | reach[t-1][j],
+        one OR per group of segments that share their successors."""
         reach, on = self.reach, self.on_mask
         while len(reach) <= t:
             prev = reach[-1]
-            row = []
-            for nexts in self.succ_seg:
+            rows = []
+            for nexts in self._succ_lists:
                 seen = 0
                 for j in nexts:
                     seen |= on[j] | prev[j]
-                row.append(seen)
-            reach.append(row)
+                rows.append(seen)
+            reach.append([rows[g] for g in self._group])
         return reach
 
     def chains(self, k: int, starts: Iterable[Chain]) -> list[Chain]:
@@ -349,7 +377,7 @@ class _AnchorContext:
         out: list[Chain] = []
         tri, on, sp = self.tri_mask, self.on_mask, self.sp_mask
         succ, every_succ_sp = self.succ_seg, self.every_succ_sp
-        reach = self._reach(k)
+        reach = self.reach if len(self.reach) > k else self._reach(k)
 
         def extend(chain: Chain, tri_or: int, on_or: int, sp_and: int) -> None:
             s = chain[-1]
@@ -390,6 +418,8 @@ class _AnchorContext:
         (from the one-segment chains (j,) at k = 0); they come out
         increasing.  Every passing chain with a crossing first segment is
         a crossing node already, so each chain met later is non-crossing.
+        The first `chains` call builds the reach rows through k, and every
+        `step` reads them.
         """
         succ = self.succ_seg
 
@@ -656,19 +686,23 @@ class _HalfplaneInstance:
         """Every finite segment of the lines of `extended`, host by host, as
         the pairs of the host's sorted intersection points, each oriented
         along (b, -a) on its host (a, b, c) as every anchor sees it."""
+        lines = self.lines
+        # per line, its intersection points with the bitmask of the other
+        # lines through each; each pair is intersected once
+        through: list[dict[HPt, int]] = [{} for _ in lines]
+        for i, j in combinations(range(len(lines)), 2):
+            hit = _line_intersect(lines[i], lines[j])  # None on parallels
+            if hit is not None:
+                through[i][hit] = through[i].get(hit, 0) | 1 << j
+                through[j][hit] = through[j].get(hit, 0) | 1 << i
         arrangement: Arrangement = []
-        for i, (host, line) in enumerate(zip(self.extended, self.lines)):
-            through: dict[HPt, int] = {}
-            for j, other in enumerate(self.lines):
-                hit = _line_intersect(line, other)  # None on parallels, the host too
-                if hit is not None:
-                    through[hit] = through.get(hit, 0) | 1 << j
-            a, b, _c = line
+        for i, (host, (a, b, _c)) in enumerate(zip(self.extended, lines)):
             segments = []
-            for u, v in combinations(sorted(through), 2):
+            on_line = through[i]
+            for u, v in combinations(sorted(on_line), 2):
                 if (b * u[0] - a * u[1]) * v[2] > (b * v[0] - a * v[1]) * u[2]:
                     u, v = v, u
-                segments.append((SegmentPhi(host.id, u, v), through[u], through[v]))
+                segments.append((SegmentPhi(host.id, u, v), on_line[u], on_line[v]))
             arrangement.append((i, segments))
         return arrangement
 
@@ -678,17 +712,20 @@ class _HalfplaneInstance:
     def anchors(self) -> list[tuple[Point, tuple[bool, ...]]]:
         """One sample per face inside the dummy box, with its face: entry i
         tells whether it lies outside extended[i] (no sample is on a line).
-        The samples come in (x, y) order, so each face keeps its least one."""
-        seen: set[tuple[bool, ...]] = set()
+        The samples come in (x, y) order, so each face keeps its least one;
+        a face is known by the sampler's outside bitmask, and only a new
+        face gets its point and tuple."""
+        n = len(self.lines)
+        seen: set[int] = set()
         chosen = []
-        for x, y, w in face_sample_points(self.lines):
-            bound = self.delta * w
-            if not (-bound < x < bound and -bound < y < bound):
+        for x, y, w, outside in face_sample_points(self.lines):
+            if outside in seen:
                 continue
-            outside = tuple([a * x + b * y + c * w < 0 for (a, b, c) in self.lines])
-            if outside not in seen:
+            bound = self.delta * w
+            if -bound < x < bound and -bound < y < bound:
                 seen.add(outside)
-                chosen.append((Point(Fraction(x, w), Fraction(y, w)), outside))
+                face = tuple([outside >> i & 1 == 1 for i in range(n)])
+                chosen.append((Point(Fraction(x, w), Fraction(y, w)), face))
         return chosen
 
     @cached_property

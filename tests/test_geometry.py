@@ -149,6 +149,9 @@ def _face_sample_cases():
         [(1, 0, 0), (1, 0, -1), (0, 1, 0), (0, 1, -1)],  # grid
         [(1, 0, 0), (1, 0, 0), (0, 1, 5)],              # duplicate line
         [(1, 2, 3), (2, 4, 6), (1, -1, 0), (0, 1, -2)],  # scaled duplicate
+        [(1, 0, 0), (-1, 0, 3), (2, 0, -1), (-1, 0, 0)],  # all vertical, negated duplicate
+        [(1, 2, 0), (1, 2, -5), (-1, -2, 7), (2, 4, 1)],  # all parallel, sloped
+        [(1, 1, 0), (1, 1, 0), (-2, -2, 0), (1, -1, 2)],  # duplicates, scaled and negated
     ]
     rng = random.Random(17)
     for _ in range(12):
@@ -166,13 +169,15 @@ def _face_sample_cases():
 
 
 def _face_signs(lines, samples):
-    """The sign vector of each homogeneous sample, asserting W > 0 and that
-    no sample lies on a line."""
+    """The sign vector of each homogeneous sample, asserting W > 0, that
+    no sample lies on a line and that its mask is the set of lines it lies
+    strictly outside of, by direct sign evaluation."""
     sigs = set()
-    for (x, y, w) in samples:
+    for (x, y, w, outside) in samples:
         assert w > 0
         values = [a * x + b * y + c * w for (a, b, c) in lines]
         assert 0 not in values
+        assert outside == sum([1 << i for i, v in enumerate(values) if v < 0])
         sigs.add(tuple([v > 0 for v in values]))
     return sigs
 
@@ -180,13 +185,13 @@ def _face_signs(lines, samples):
 class TestFaceSamples:
     def test_one_line_two_sides(self):
         pts = face_sample_points([(0, 1, 0)])
-        assert all(w > 0 for _x, _y, w in pts)
-        assert any(y > 0 for _x, y, _w in pts) and any(y < 0 for _x, y, _w in pts)
+        assert all(w > 0 for _x, _y, w, _m in pts)
+        assert any(y > 0 for _x, y, _w, _m in pts) and any(y < 0 for _x, y, _w, _m in pts)
 
     def test_two_lines_four_quadrants(self):
         pts = face_sample_points([(0, 1, 0), (1, 0, 0)])
-        assert all(w > 0 for _x, _y, w in pts)
-        signs = {(x > 0, y > 0) for x, y, _w in pts}
+        assert all(w > 0 for _x, _y, w, _m in pts)
+        signs = {(x > 0, y > 0) for x, y, _w, _m in pts}
         assert len(signs) == 4
 
     def test_five_general_lines_sixteen_faces(self):
@@ -200,20 +205,19 @@ class TestFaceSamples:
             assert len(sigs) == _face_count_oracle(lines)
 
     def test_integer_samples_match_fraction_reference(self):
-        # the same points in the same order as the Fraction construction, on
-        # the cases above, on seeded systems with duplicate, scaled, negated,
-        # parallel and concurrent lines, and on the halfplanes of the solver
-        # test instances
+        # the same points in the same order as the Fraction construction,
+        # each with the mask of direct signs, on the cases above, on seeded
+        # systems with duplicate, scaled, negated, parallel and concurrent
+        # lines, and on the halfplanes of the solver test instances
         cases = [[(1, 1, 0), (1, -2, 3), (2, 1, -5), (1, 3, 7), (3, -1, -1)]]
         cases += list(_face_sample_cases())
         cases += [[h.line() for h in _seeded_system(seed)] for seed in range(240)]
         cases += [[h.line() for h in fan_instance(seed)[2]] for seed in range(4)]
         cases += [[h.line() for h in halfplane_instance(seed)[2]] for seed in range(20)]
         for lines in cases:
-            got = [
-                Point(Fraction(x, w), Fraction(y, w))
-                for x, y, w in face_sample_points(lines)
-            ]
+            samples = face_sample_points(lines)
+            _face_signs(lines, samples)  # asserts each mask by direct signs
+            got = [Point(Fraction(x, w), Fraction(y, w)) for x, y, w, _outside in samples]
             assert got == face_sample_points_reference(lines), lines
         assert len(cases) > 200
 

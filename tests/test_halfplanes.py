@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -430,6 +431,11 @@ HAND_OFF_LINES = [P("1/2", "1/2"), P(2, 2)]
 HAND_ANCHORS = [P(0, 0), P("1/2", "-1/3"), P(5, 5), P("-3/2", "1/7")]
 
 
+# sha256 of the concatenated repr of `anchors` over fan_instance(0..19),
+# halfplane_instance(0..149) and ring_instance(0..5, 12)
+ANCHORS_SHA256 = "733cada870947ace349c555bfa53f390073aee956ae2e547c8b97bc1fa85bef6"
+
+
 def _hand_contexts():
     """Contexts of the hand-built instance at the chosen anchors."""
     inst = _HalfplaneInstance(HAND_ON_LINES + HAND_OFF_LINES, [P(2, 2)], HAND_PLANES)
@@ -526,6 +532,29 @@ class TestAnchorContext:
                 expected.append([j for j in starts if _cross2(dirs[i], dirs[j]) <= 0])
             assert ctx.succ_seg == expected
         assert pairs > 1000
+
+    def test_successor_facts_shared_per_group(self):
+        # a segment's successors, and with them its every_succ_sp entry and
+        # reach rows, depend only on its right endpoint and host: segments
+        # share one succ_seg list object iff they share (b_h, host)
+        contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
+        contexts += list(_tangent_fan_contexts())
+        for seed in range(4):
+            inst = _HalfplaneInstance(*ring_instance(seed, 12))
+            contexts += [inst.context(idx) for idx in inst.covering_anchors[:5]]
+        shared = 0
+        for ctx in contexts:
+            ctx.graph(3)
+            first: dict = {}  # per (b_h, host), its first segment
+            for s, seg in enumerate(ctx.segments):
+                g = first.setdefault((seg.b_h, seg.host), s)
+                assert ctx.succ_seg[s] is ctx.succ_seg[g]
+                assert ctx.every_succ_sp[s] == ctx.every_succ_sp[g]
+                assert all(row[s] == row[g] for row in ctx.reach)
+                shared += s != g
+            lists = {id(ctx.succ_seg[g]) for g in first.values()}
+            assert len(lists) == len(first)
+        assert shared > 1000
 
     def test_successor_lists_increase(self):
         # each successor list, filled on demand, lists the full graph's
@@ -632,6 +661,17 @@ class TestCoveringAnchors:
             assert len(inst.anchors) > 1
             assert [inst.anchors[idx][0] for idx in inst.covering_anchors] == [anchor]
         assert paths.count("cycle") == 6
+
+    def test_anchors_match_recorded_digest(self):
+        # the anchors, points and face tuples, as the sampler gave them when
+        # they signed every sample against every line
+        digest = hashlib.sha256()
+        cases = [fan_instance(seed) for seed in range(20)]
+        cases += [halfplane_instance(seed) for seed in range(150)]
+        cases += [ring_instance(seed, 12) for seed in range(6)]
+        for points, sprime, planes in cases:
+            digest.update(repr(_HalfplaneInstance(points, sprime, planes).anchors).encode())
+        assert digest.hexdigest() == ANCHORS_SHA256
 
 
 class TestDecideMembership:
