@@ -13,30 +13,39 @@ irrational angle sums never appear: every edge subtends an arc smaller
 than a halfturn, hence a cycle's crossing count equals its winding
 number.  The polygon's hosts are the cover returned and all lie outside
 the guessed point, so only faces whose outside halfplanes cover the
-mandatory points are searched.
+mandatory points are searched.  Of those, only the faces whose outside
+sets are maximal: a point outside every halfplane that the guessed point
+is outside of lies inside every polygon around the guessed point, so its
+own search finds each of those polygons.
 
-The graph is never listed whole.  It starts from the chains whose first
-edge crosses the ray, and a node's successors are enumerated, and new
-chains given ids, only when the search first asks for them.  The arcs
-that do not cross the ray form no cycle: every arc turns clockwise by
-more than zero and less than a halfturn, so a closed walk turns by a
-positive multiple of a full revolution and crosses the ray.  One
-memoized post-order walk over them therefore gives each node it meets
-the set of crossing nodes it reaches, and only the crossing arc that
-closes a cycle gets a breadth-first search.
+The cycle's polygon is convex with the guessed point p strictly inside,
+and its interior lies outside every host, so the cover is valid iff no
+point of S lies in that interior.  The closed triangle (p, a, b) of an
+edge [a, b], minus the edge, lies in the interior, and the triangles of
+the edges tile the polygon.  So a segment whose triangle holds a point of
+S off the segment is dropped from the anchor's context at once, and on
+the segments kept every polygon is valid: the chains test only the
+monitored points.
+
+A segment's successors are the segments that leave its right endpoint and
+turn strictly clockwise from it.  No polygon is lost when a collinear step
+is refused: each edge joins two intersections of boundary lines, so it is
+one segment, and the walk with one segment per edge passes whenever a walk
+in collinear pieces does.  An edge's triangle is the union of its pieces'
+triangles, and a window of k+1 pieces spans at most k+1 consecutive
+edges, so its hosts are among those of the window of edges that starts
+with it, whose S' AND is therefore no larger.  Each segment runs
+along (b, -a) on its host, so the turn is read off the two hosts'
+normals, not the segments.  The successor list and the S' points in every
+successor therefore depend only on the segment's right endpoint and host:
+an anchor context builds each once per such group, and every segment of
+the group reads it.
 
 The boundary arrangement is listed once per instance, and each anchor
 selects its segments.  An anchor lies strictly outside each of its active
 halfplanes h, h(anchor) < 0, so for u, v on h's line orient(anchor, u, v)
 < 0 iff v - u is a positive multiple of (b_h, -a_h): no anchor changes how
 a segment is oriented.
-
-A segment's successors are the segments that leave its right endpoint and
-turn clockwise from it.  Each segment runs along (b, -a) on its host, so the
-turn is read off the two hosts' normals, not the segments.  The successor
-list, the S' points in every successor and the reach rows therefore depend
-only on the segment's right endpoint and host: an anchor context builds
-each once per such group, and every segment of the group reads it.
 
 All hot predicates run on homogeneous integer coordinates.
 """
@@ -160,6 +169,11 @@ class SegmentPhi(NamedTuple):
     clockwise and spans less than a halfturn.  As h(anchor) < 0 on the host
     h, that is: right - left is a positive multiple of (b_h, -a_h).  A
     named tuple, as the arrangement builds hundreds per instance.
+
+    As an edge of a polygon around the anchor, it bounds the closed
+    triangle (anchor, left, right), which lies in the polygon's interior
+    except for the segment itself: an anchor keeps the segment only when
+    no point of S lies in the triangle off the segment.
     """
 
     host: int  # halfplane id
@@ -244,25 +258,30 @@ class WindGraph:
 
 
 class _AnchorContext:
-    """Segment arrangement plus containment bitmasks for one anchor.
+    """The kept segments and their successor facts for one anchor.
 
-    A segment's closed triangle (anchor, left, right) is the intersection
-    of {orient(p, left, x) <= 0}, {orient(p, right, x) >= 0} and the host
-    line's closed side holding the anchor, so its mask is an AND of one
-    orientation mask per endpoint and one side mask of the instance; the
-    points of the triangle on the host line are those on the segment.
+    A segment is kept only when its closed triangle (anchor, left, right)
+    holds no point of S off the segment.  A cycle winding once around the
+    anchor is a convex polygon with the anchor strictly inside, and its
+    interior lies outside every host, so its cover is valid iff no point
+    of S lies in that interior.  Each triangle minus its edge lies in the
+    interior, and the triangles of the edges tile the polygon: a polygon
+    is valid iff every one of its edges passes this test, so the search
+    never needs to look at more than one segment's masks at a time.
+
+    The triangle is the intersection of {orient(p, left, x) <= 0},
+    {orient(p, right, x) >= 0} and the host line's closed side holding the
+    anchor, so its mask is an AND of one orientation mask per endpoint and
+    one side mask of the instance; its points on the host line are those
+    on the segment.
     """
 
     def __init__(self, anchor: Point, active: list[Halfplane], inst: _HalfplaneInstance):
         self.anchor = anchor
         self.p_h = _hpt(anchor)
         s_pts, sides, position = inst.s_hpts, inst.line_sides, inst.position
-        # points of S on at least one active boundary line can still end
-        # up on a chain segment; any other point swallowed by a triangle
-        # kills every chain through it
-        on_some_line = active_bits = 0
+        active_bits = 0
         for h in active:
-            on_some_line |= sides[h.id][1]
             active_bits |= 1 << position[h.id]
         self.segments = build_segments(inst.arrangement, active_bits)
         endpoints = set([s.a_h for s in self.segments] + [s.b_h for s in self.segments])
@@ -278,135 +297,89 @@ class _AnchorContext:
         # by_left holds, per left endpoint, each host's kept segments from it
         by_left: dict[HPt, dict[int, list[int]]] = {}
         keep: list[SegmentPhi] = []
-        tri_list: list[int] = []
-        on_list: list[int] = []
         sp_list: list[int] = []
         cross: list[bool] = []
         for seg in self.segments:
             host, a_h, b_h = seg
             side, online = sides[host]
-            tri = wedge[a_h][0] & wedge[b_h][1] & side
-            if tri & ~on_some_line:
-                continue  # swallows a point that no segment can carry
+            if wedge[a_h][0] & wedge[b_h][1] & side & ~online:
+                continue  # its triangle holds a point of S off the segment
             by_left.setdefault(a_h, {}).setdefault(host, []).append(len(keep))
             keep.append(seg)
-            tri_list.append(tri)
-            on_list.append(tri & online)
             sp_list.append(sp_masks[host])
             cross.append(ray_side[a_h] < 0 < ray_side[b_h])
-        self.segments, self.tri_mask, self.on_mask = keep, tri_list, on_list
-        self.sp_mask, self.cross = sp_list, cross
+        self.segments, self.sp_mask, self.cross = keep, sp_list, cross
 
         # succ_seg[s]: the segments j starting at the right endpoint of s
-        # that turn clockwise from s, cross(dir s, dir j) <= 0.  Segment s
-        # on host (a, b, c) runs along (b, -a) (see SegmentPhi), so the cross
-        # product has the sign of a_s * b_j - a_j * b_s on the hosts' normals.
-        # The list depends only on (right endpoint, host), a group of
-        # segments, and so do the facts below: each is built once per group
-        # and each segment of the group reads the same object.  Hosts come in
-        # segment order in by_left and their segments are contiguous, so
-        # joining the turning hosts' lists keeps a successor list increasing.
+        # that turn strictly clockwise from s, cross(dir s, dir j) < 0.
+        # Segment s on host (a, b, c) runs along (b, -a) (see SegmentPhi), so
+        # the cross product has the sign of a_s * b_j - a_j * b_s on the
+        # hosts' normals.  The list depends only on (right endpoint, host), a
+        # group of segments, and so does every_succ_sp: each is built once
+        # per group and each segment of the group reads the same object.
+        # Hosts come in segment order in by_left and their segments are
+        # contiguous, so joining the turning hosts' lists keeps a successor
+        # list increasing.
         normal = {h.id: (h.a, h.b) for h in active}
-        groups: dict[tuple[HPt, int], int] = {}
-        group: list[int] = []  # per segment, its group
-        succ_lists: list[list[int]] = []
+        groups: dict[tuple[HPt, int], tuple[list[int], int]] = {}
         # every_succ_sp[s]: the S' points in every successor of s (-1, all
         # of them, when s has none); a successor's S' mask is its host's
-        every_sp: list[int] = []
+        succ_seg: list[list[int]] = []
+        every_succ_sp: list[int] = []
         for host, _a_h, b_h in self.segments:
             key = (b_h, host)
-            g = groups.get(key)
-            if g is None:
-                g = groups[key] = len(succ_lists)
+            facts = groups.get(key)
+            if facts is None:
                 a, b = normal[host]
                 nexts: list[int] = []
                 common = -1
                 for host_j, starting in by_left.get(b_h, {}).items():
                     a_j, b_j = normal[host_j]
-                    if a * b_j <= a_j * b:
+                    if a * b_j < a_j * b:
                         nexts += starting
                         common &= sp_masks[host_j]
-                succ_lists.append(nexts)
-                every_sp.append(common)
-            group.append(g)
-        self._group, self._succ_lists = group, succ_lists
-        self.succ_seg = [succ_lists[g] for g in group]
-        self.every_succ_sp = [every_sp[g] for g in group]
-        # reach[t][s]: the S points on some segment 1..t successor steps
-        # from s, grown by `_reach`
-        self.reach: list[list[int]] = [[0] * len(self.segments)]
-
-    def _reach(self, t: int) -> list[list[int]]:
-        """The reach table through t steps, extending the rows built so far:
-        reach[t][s] is the OR over successors j of on_mask[j] | reach[t-1][j],
-        one OR per group of segments that share their successors."""
-        reach, on = self.reach, self.on_mask
-        while len(reach) <= t:
-            prev = reach[-1]
-            rows = []
-            for nexts in self._succ_lists:
-                seen = 0
-                for j in nexts:
-                    seen |= on[j] | prev[j]
-                rows.append(seen)
-            reach.append([rows[g] for g in self._group])
-        return reach
+                facts = groups[key] = (nexts, common)
+            succ_seg.append(facts[0])
+            every_succ_sp.append(facts[1])
+        self.succ_seg, self.every_succ_sp = succ_seg, every_succ_sp
 
     def chains(self, k: int, starts: Iterable[Chain]) -> list[Chain]:
-        """The (k+1)-chains passing the containment conditions that extend
-        the increasing prefixes `starts`, chains of 1 to k+1 segments,
-        depth first.
+        """The (k+1)-chains passing the membership condition that extend the
+        increasing prefixes `starts`, chains of 1 to k+1 segments, depth
+        first: no point of S' lies in every host of the chain.
 
-        Each step carries the running OR of the triangle and on-segment
-        masks and the running AND of the S' masks; a chain is tested at its
-        last segment.  A prefix is cut off as soon as no completion of it
-        can pass, by two necessary conditions:
-
-        - a point in the prefix's triangles and on none of its segments
-          must lie on a later segment, and every later segment is reached
-          from the prefix's last segment s within the t segments still to
-          add: the point must be in reach[t][s];
-        - before the last segment, the prefix's S' AND must miss some
-          successor's S' mask, so it must miss every_succ_sp[s].
-
-        Both conditions hold for every prefix of a passing chain, so the
-        cut subtrees emit nothing and the chains come out as the full
-        enumeration lists them, in the same order: increasing, since every
-        successor list increases.
+        Every kept segment's triangle holds no point of S off the segment,
+        so the S test of a window of k+1 edges holds on every chain, and a
+        chain carries only the running AND of its S' masks.  Before the last
+        segment, that AND must miss some successor's S' mask, so it must
+        miss every_succ_sp[s] of the prefix's last segment s; a prefix that
+        does not is cut off, as no completion of it can pass.  The chains
+        come out increasing, since every successor list increases.
         """
         out: list[Chain] = []
-        tri, on, sp = self.tri_mask, self.on_mask, self.sp_mask
-        succ, every_succ_sp = self.succ_seg, self.every_succ_sp
-        reach = self.reach if len(self.reach) > k else self._reach(k)
+        sp, succ, every_succ_sp = self.sp_mask, self.succ_seg, self.every_succ_sp
 
-        def extend(chain: Chain, tri_or: int, on_or: int, sp_and: int) -> None:
+        def extend(chain: Chain, sp_and: int) -> None:
             s = chain[-1]
-            left = k - len(chain)  # segments still to add after a successor
-            if left:
-                ahead = reach[left]
+            if len(chain) < k:
                 for j in succ[s]:
-                    t_or, o_or = tri_or | tri[j], on_or | on[j]
-                    if not (t_or & ~o_or & ~ahead[j]):
-                        extend(chain + (j,), t_or, o_or, sp_and & sp[j])
+                    extend(chain + (j,), sp_and & sp[j])
                 return
             if sp_and & every_succ_sp[s]:
                 return
             for j in succ[s]:  # the last segment: test the chain, do not descend
-                if not (sp_and & sp[j]) and not ((tri_or | tri[j]) & ~(on_or | on[j])):
+                if not sp_and & sp[j]:
                     out.append(chain + (j,))
 
         for prefix in starts:
-            tri_or = on_or = 0
             sp_and = -1
             for s in prefix:
-                tri_or |= tri[s]
-                on_or |= on[s]
                 sp_and &= sp[s]
             if len(prefix) > k:  # a whole chain: test it
-                if not sp_and and not (tri_or & ~on_or):
+                if not sp_and:
                     out.append(prefix)
-            elif not (tri_or & ~on_or & ~reach[k + 1 - len(prefix)][prefix[-1]]):
-                extend(prefix, tri_or, on_or, sp_and)
+            else:
+                extend(prefix, sp_and)
         return out
 
     def graph(self, k: int) -> WindGraph:
@@ -418,8 +391,6 @@ class _AnchorContext:
         (from the one-segment chains (j,) at k = 0); they come out
         increasing.  Every passing chain with a crossing first segment is
         a crossing node already, so each chain met later is non-crossing.
-        The first `chains` call builds the reach rows through k, and every
-        `step` reads them.
         """
         succ = self.succ_seg
 
@@ -730,18 +701,35 @@ class _HalfplaneInstance:
 
     @cached_property
     def covering_anchors(self) -> list[int]:
-        """Indices of the anchors whose outside halfplanes cover S.  A cycle's
-        hosts are the cover it returns and all lie outside its anchor, so
-        no other anchor holds a cycle."""
+        """Indices of the anchors whose outside halfplanes cover S and whose
+        outside sets are maximal among those, in anchor order.
+
+        A cycle's hosts are the cover it returns and all lie outside its
+        anchor, so no anchor whose outside halfplanes miss a point of S
+        holds a cycle.  If anchor q is outside every halfplane that anchor
+        p is outside of, every polygon around p, the intersection of its
+        hosts' complements, holds q strictly inside, and its edges are
+        segments of q's context too: q's search finds each cycle around p.
+        Distinct faces have distinct outside sets, so p is dropped when
+        its set is a proper subset of another covering anchor's.
+        """
         full = (1 << len(self.points)) - 1
-        chosen = []
+        covering: list[tuple[int, int]] = []
         for idx, (_p, outside) in enumerate(self.anchors):
-            covered = 0
-            for column in compress(self.s_columns, outside):  # dummies cover nothing
-                covered |= column
+            covered = mask = 0
+            # zip stops before the dummies: they cover nothing, and every
+            # anchor lies outside all four
+            for bit, (column, out) in enumerate(zip(self.s_columns, outside)):
+                if out:
+                    covered |= column
+                    mask |= 1 << bit
             if covered == full:
-                chosen.append(idx)
-        return chosen
+                covering.append((idx, mask))
+        return [
+            idx
+            for idx, mask in covering
+            if not any(mask != other and mask & other == mask for _j, other in covering)
+        ]
 
     def context(self, idx: int) -> _AnchorContext:
         ctx = self._contexts.get(idx)

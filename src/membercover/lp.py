@@ -12,7 +12,9 @@ column is skipped.  Every other row, the cost row included, is updated in
 place, and only at the pivot row's nonzero columns; it is multiplied first
 when the pivot entry does not divide its entry in the entering column, and
 in almost every pivot of a cover program the pivot entry is 1.  Pricing
-out clears the cost row the same way, one basic column at a time.
+out clears the phase-2 cost row the same way, one basic column at a time;
+the phase-1 reduced costs are built in one pass over the rows that carry
+an artificial.
 
 The arithmetic is fraction-free (Edmonds' integer-preserving pivoting).
 Every row is equal to the rational row times an implicit positive scale.
@@ -208,6 +210,29 @@ def _price_out(tableau: list[list[int]], basis: list[int]) -> None:
             _clear((cost,), trow, b)
 
 
+def _phase_one_costs(
+    tableau: list[list[int]], basis: list[int], first_art: int, n_cols: int
+) -> list[int]:
+    """The phase-1 reduced-cost row, the sum of the artificials priced out.
+
+    Each row that carries an artificial has it basic, at a positive entry
+    t, and is the only row nonzero in that column; every other basic
+    column costs 0.  So the reduced costs are minus the sum of those rows,
+    each scaled by L / t for L the lcm of the entries t, with the
+    artificial columns cleared, reduced by their gcd: the row that a
+    `_price_out` of each artificial in turn gives."""
+    carriers = [(trow, trow[b]) for trow, b in zip(tableau, basis) if b >= first_art]
+    scale = math.lcm(*[t for _trow, t in carriers])
+    cost = [0] * (n_cols + 1)
+    for trow, t in carriers:
+        f = scale // t
+        for j, v in enumerate(trow):
+            if v:
+                cost[j] -= f * v
+    cost[first_art:n_cols] = [0] * (n_cols - first_art)
+    return _reduce(cost)
+
+
 def _scaled(coeffs: Sequence[Rational], rhs: Rational) -> tuple[list[int], int, int]:
     """Integer coefficients and rhs equal to the rational ones times the
     lcm of their denominators, and that lcm."""
@@ -271,11 +296,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     m = len(tableau)
 
     if artificials:
-        cost = [0] * (n_cols + 1)
-        for a in artificials:
-            cost[a] = 1
-        tableau.append(cost)
-        _price_out(tableau, basis)
+        tableau.append(_phase_one_costs(tableau, basis, artificials[0], n_cols))
         if _simplex_phase(tableau, basis, n_cols) != OPTIMAL:
             raise RuntimeError("phase 1 is always bounded")
         if tableau.pop()[-1] != 0:

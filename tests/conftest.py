@@ -19,11 +19,15 @@ from membercover import GridCell, Halfplane, Point, UnitSquare
 from membercover.covers import CoverSolution
 from membercover.halfplanes import (
     SegmentPhi,
+    WindGraph,
+    _cross2,
     _dirvec,
     _dot2,
     _hpt,
     _line_intersect,
     _plane_covers,
+    _ray_direction,
+    find_winding_cycle,
     one_stable_local_search,
 )
 from membercover.lp import (
@@ -577,6 +581,109 @@ def in_triangle(x, p, a, b) -> bool:
     o2 = _orient(a, b, x)
     o3 = _orient(b, p, x)
     return (o1 >= 0 and o2 >= 0 and o3 >= 0) or (o1 <= 0 and o2 <= 0 and o3 <= 0)
+
+
+def segment_masks(s_hpts, anchor, segments):
+    """Per segment, the points of S in its closed triangle with the anchor
+    and the points on it: one `in_triangle` and one `on_segment` test per
+    segment and point."""
+    p_h = _hpt(anchor)
+    tris, ons = [], []
+    for seg in segments:
+        tri = on = 0
+        for bit, x in enumerate(s_hpts):
+            if in_triangle(x, p_h, seg.a_h, seg.b_h):
+                tri |= 1 << bit
+                if on_segment(x, seg.a_h, seg.b_h):
+                    on |= 1 << bit
+        tris.append(tri)
+        ons.append(on)
+    return tris, ons
+
+
+def window_relation(inst, anchor, active):
+    """The window relation's decision at one anchor: a function telling, for
+    k, whether its decision graph at k holds a cycle winding once around
+    the anchor.
+
+    The window relation tests S on k+1 edges at a time.  It drops a segment
+    only when its triangle swallows a point of S on no active line; a
+    successor may turn clockwise or go straight on, cross(dir s, dir j) <= 0;
+    and a chain passes when every point of S that its triangles swallow
+    lies on one of its segments and no point of S' lies in all its hosts.
+    A prefix is cut off when a point it swallows and does not carry lies on
+    no segment that the segments still to add can reach, as then no
+    completion of it passes.  The search is `find_winding_cycle` on the
+    chains, met on demand from the crossing ones."""
+    active_lines = [h.line() for h in active]
+    on_some_line = sum([
+        1 << bit
+        for bit, (x, y, w) in enumerate(inst.s_hpts)
+        if any(a * x + b * y + c * w == 0 for a, b, c in active_lines)
+    ])
+    segments = reference_segments(active, anchor)
+    tri_all, on_all = segment_masks(inst.s_hpts, anchor, segments)
+    kept = [i for i, tri in enumerate(tri_all) if not tri & ~on_some_line]
+    segs = [segments[i] for i in kept]
+    tri, on = [tri_all[i] for i in kept], [on_all[i] for i in kept]
+    sp = [inst.sp_masks[seg.host] for seg in segs]
+    dirs = [_dirvec(seg.a_h, seg.b_h) for seg in segs]
+    starting = {}
+    for j, seg in enumerate(segs):
+        starting.setdefault(seg.a_h, []).append(j)
+    succ = [
+        [j for j in starting.get(seg.b_h, []) if _cross2(dirs[i], dirs[j]) <= 0]
+        for i, seg in enumerate(segs)
+    ]
+    p_h = _hpt(anchor)
+    ray = _ray_direction(p_h, [e for seg in segs for e in seg[1:]])
+    cross = [
+        _cross2(_dirvec(p_h, seg.a_h), ray) < 0 < _cross2(_dirvec(p_h, seg.b_h), ray)
+        for seg in segs
+    ]
+    # reach[t][s]: the S points on some segment 1..t successor steps from s
+    reach = [[0] * len(segs)]
+
+    def has_cycle(k):
+        while len(reach) <= k:
+            prev, row = reach[-1], []
+            for nexts in succ:
+                seen = 0
+                for j in nexts:
+                    seen |= on[j] | prev[j]
+                row.append(seen)
+            reach.append(row)
+
+        def chains(starts):
+            out = []
+
+            def extend(chain, tri_or, on_or, sp_and):
+                left = k + 1 - len(chain)
+                if tri_or & ~on_or & ~reach[left][chain[-1]]:
+                    return
+                if not left:
+                    if not sp_and:
+                        out.append(chain)
+                    return
+                for j in succ[chain[-1]]:
+                    extend(chain + (j,), tri_or | tri[j], on_or | on[j], sp_and & sp[j])
+
+            for prefix in starts:
+                tri_or = on_or = 0
+                sp_and = -1
+                for s in prefix:
+                    tri_or, on_or, sp_and = tri_or | tri[s], on_or | on[s], sp_and & sp[s]
+                extend(prefix, tri_or, on_or, sp_and)
+            return out
+
+        def step(v):
+            return chains([v[1:]] if k else [(j,) for j in succ[v[0]]])
+
+        crossing = chains([(s,) for s in range(len(segs)) if cross[s]])
+        graph = WindGraph(crossing, [None] * len(crossing), [True] * len(crossing), step)
+        return find_winding_cycle(graph) is not None
+
+    return has_cycle
 
 
 # ---------------------------------------------------------------------------

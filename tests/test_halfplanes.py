@@ -19,11 +19,13 @@ from conftest import (
     reference_segments,
     reference_winding_cycle,
     ring_instance,
+    segment_masks,
     strict_feasible_lp,
     tangent_fan,
     union_grows_lp,
     union_within_lp,
     verify_winding_certificate,
+    window_relation,
 )
 
 from membercover import (
@@ -325,10 +327,10 @@ class TestDecisionGraph:
         # search, or both find none; the reference searches once per
         # crossing arc, so the rings go to k = 3 at three anchors each
         contexts = [(c[-1], 3) for c in list(_hand_contexts()) + list(_seeded_contexts())]
-        contexts += [(ctx, 4) for ctx in _tangent_fan_contexts()]
+        contexts += [(c[-1], 4) for c in _tangent_fan_contexts()]
         for seed in range(4):
             inst = _HalfplaneInstance(*ring_instance(seed, 12))
-            covering = inst.covering_anchors
+            covering = _covering_indices(inst)
             contexts += [(inst.context(idx), 3 if pos < 3 else 1) for pos, idx in enumerate(covering)]
         found = 0
         for ctx, top in contexts:
@@ -361,42 +363,28 @@ class TestDecisionGraph:
 
 
 def _reference_context(anchor, active, s_hpts):
-    """Segments, triangle masks and on-segment masks of one anchor, by one
-    `in_triangle` and one `on_segment` test per segment and point of S;
-    a segment whose triangle swallows a point on no active line is dropped."""
-    p_h = _hpt(anchor)
-    on_some_line = sum([
-        1 << bit
-        for bit, (x, y, w) in enumerate(s_hpts)
-        if any(h.a * x + h.b * y + h.c * w == 0 for h in active)
-    ])
-    segments, tris, ons = [], [], []
-    for seg in reference_segments(active, anchor):
-        tri = on = 0
-        for bit, x in enumerate(s_hpts):
-            if in_triangle(x, p_h, seg.a_h, seg.b_h):
-                tri |= 1 << bit
-                if on_segment(x, seg.a_h, seg.b_h):
-                    on |= 1 << bit
-        if not tri & ~on_some_line:
-            segments.append(seg)
-            tris.append(tri)
-            ons.append(on)
-    return segments, tris, ons
+    """The segments of one anchor, by one `in_triangle` and one
+    `on_segment` test per segment and point of S: a segment whose triangle
+    holds a point off the segment is dropped."""
+    segments = reference_segments(active, anchor)
+    tris, ons = segment_masks(s_hpts, anchor, segments)
+    return [seg for seg, tri, on in zip(segments, tris, ons) if not tri & ~on]
 
 
-def _reference_chains(ctx, k):
-    """Every (k+1)-path of successors, its masks combined at its last
-    segment, as the chains were first enumerated."""
+def _reference_chains(ctx, k, s_hpts):
+    """Every (k+1)-path of successors whose triangles swallow only points
+    on its segments and whose hosts share no point of S', the masks
+    combined at its last segment, as the chains were first enumerated."""
     out = []
+    tris, ons = segment_masks(s_hpts, ctx.anchor, ctx.segments)
 
     def extend(chain):
         if len(chain) == k + 1:
             tri_or = on_or = 0
             sp_and = -1
             for idx in chain:
-                tri_or |= ctx.tri_mask[idx]
-                on_or |= ctx.on_mask[idx]
+                tri_or |= tris[idx]
+                on_or |= ons[idx]
                 sp_and &= ctx.sp_mask[idx]
             if not tri_or & ~on_or and not sp_and:
                 out.append(tuple(chain))
@@ -440,7 +428,7 @@ def _hand_contexts():
     """Contexts of the hand-built instance at the chosen anchors."""
     inst = _HalfplaneInstance(HAND_ON_LINES + HAND_OFF_LINES, [P(2, 2)], HAND_PLANES)
     for anchor in HAND_ANCHORS:
-        active = [h for h in inst.extended if not h.contains(anchor)]
+        active = _active(inst, anchor)
         yield inst, anchor, active, _AnchorContext(anchor, active, inst)
 
 
@@ -452,8 +440,7 @@ def _seeded_contexts():
         inst = _HalfplaneInstance(points, sprime, planes)
         for idx in range(len(inst.anchors)):
             ctx = inst.context(idx)
-            active = [h for h in inst.extended if not h.contains(ctx.anchor)]
-            yield inst, ctx.anchor, active, ctx
+            yield inst, ctx.anchor, _active(inst, ctx.anchor), ctx
 
 
 def _tangent_fan_contexts():
@@ -463,65 +450,82 @@ def _tangent_fan_contexts():
     for points, sprime, planes in (tangent_fan("halfplanes-fan:1", 8, 2), tangent_fan(1, 10, 3)):
         inst = _HalfplaneInstance(points, sprime, planes)
         for idx in inst.covering_anchors:
-            yield inst.context(idx)
+            ctx = inst.context(idx)
+            yield inst, ctx.anchor, _active(inst, ctx.anchor), ctx
+
+
+def _active(inst, anchor):
+    """The halfplanes of `extended` that the anchor lies outside of."""
+    return [h for h in inst.extended if not h.contains(anchor)]
+
+
+def _covering_indices(inst):
+    """The anchors whose outside halfplanes cover S, by Halfplane.contains:
+    the faces searched before only the maximal ones were."""
+    planes = inst.halfplanes
+    return [
+        idx
+        for idx, (anchor, _outside) in enumerate(inst.anchors)
+        if all(any(h.contains(q) and not h.contains(anchor) for h in planes) for q in inst.points)
+    ]
+
+
+def _ring_contexts(per_seed):
+    """The contexts of the first `per_seed` anchors that cover S, and of
+    every searched one, of ring_instance(0..3, 12)."""
+    for seed in range(4):
+        inst = _HalfplaneInstance(*ring_instance(seed, 12))
+        chosen = _covering_indices(inst)[:per_seed]
+        for idx in chosen + [i for i in inst.covering_anchors if i not in chosen]:
+            ctx = inst.context(idx)
+            yield inst, ctx.anchor, _active(inst, ctx.anchor), ctx
 
 
 class TestAnchorContext:
     def test_masks_match_per_segment_reference(self):
         contexts = list(_hand_contexts()) + list(_seeded_contexts())
         for inst, anchor, active, ctx in contexts:
-            expected = _reference_context(anchor, active, inst.s_hpts)
-            assert (ctx.segments, ctx.tri_mask, ctx.on_mask) == expected, anchor
+            assert ctx.segments == _reference_context(anchor, active, inst.s_hpts), anchor
         assert len(contexts) > 100
 
     def test_hand_built_boundary_cases(self):
         # points on an active line are carried by some kept segment; a
-        # triangle swallowing a point on no line drops its segment
+        # kept segment's triangle holds points of S only on the segment
         on_bits = (1 << len(HAND_ON_LINES)) - 1
-        for _inst, anchor, active, ctx in _hand_contexts():
+        for inst, anchor, _active_planes, ctx in _hand_contexts():
             carried = 0
-            for tri, on in zip(ctx.tri_mask, ctx.on_mask):
+            for tri, on in zip(*segment_masks(inst.s_hpts, anchor, ctx.segments)):
                 assert tri & ~on_bits == 0
+                assert tri == on
                 carried |= on
             if anchor == P(0, 0):
                 assert carried == on_bits
 
     def test_chains_match_reference(self):
-        # the cutoffs drop only prefixes that no completion lets pass
-        contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
+        # the cutoff drops only prefixes that no completion lets pass, and
+        # the triangles of a passing chain swallow only points on it
+        contexts = list(_hand_contexts()) + list(_seeded_contexts())
         contexts += list(_tangent_fan_contexts())
-        for ctx in contexts:
+        for inst, _anchor, _active_planes, ctx in contexts:
             for k in range(5):
-                assert all_chains(ctx, k) == _reference_chains(ctx, k)
+                assert all_chains(ctx, k) == _reference_chains(ctx, k, inst.s_hpts)
 
     def test_cutoff_tables_match_successor_walk(self):
         contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
-        contexts += list(_tangent_fan_contexts())
+        contexts += [c[-1] for c in _tangent_fan_contexts()]
         for ctx in contexts:
-            all_chains(ctx, 4)
-            assert len(ctx.reach) == 5
             for s, nexts in enumerate(ctx.succ_seg):
                 common = -1
                 for j in nexts:
                     common &= ctx.sp_mask[j]
                 assert ctx.every_succ_sp[s] == common
-                # the segments 1..t steps from s, one step at a time
-                frontier, seen = {s}, 0
-                assert ctx.reach[0][s] == 0
-                for t in range(1, 5):
-                    frontier = {j for i in frontier for j in ctx.succ_seg[i]}
-                    for j in frontier:
-                        seen |= ctx.on_mask[j]
-                    assert ctx.reach[t][s] == seen
 
     def test_successors_match_direction_reference(self):
         # succ_seg turns by the hosts' normals; the reference turns by the
         # segments' own directions, one _cross2 per (segment, successor)
         contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
-        contexts += list(_tangent_fan_contexts())
-        for seed in range(4):
-            inst = _HalfplaneInstance(*ring_instance(seed, 12))
-            contexts += [inst.context(idx) for idx in inst.covering_anchors[:5]]
+        contexts += [c[-1] for c in _tangent_fan_contexts()]
+        contexts += [c[-1] for c in _ring_contexts(5)]
         pairs = 0
         for ctx in contexts:
             dirs = [_dirvec(seg.a_h, seg.b_h) for seg in ctx.segments]
@@ -529,19 +533,17 @@ class TestAnchorContext:
             for i, seg in enumerate(ctx.segments):
                 starts = [j for j, nxt in enumerate(ctx.segments) if nxt.a_h == seg.b_h]
                 pairs += len(starts)
-                expected.append([j for j in starts if _cross2(dirs[i], dirs[j]) <= 0])
+                expected.append([j for j in starts if _cross2(dirs[i], dirs[j]) < 0])
             assert ctx.succ_seg == expected
         assert pairs > 1000
 
     def test_successor_facts_shared_per_group(self):
-        # a segment's successors, and with them its every_succ_sp entry and
-        # reach rows, depend only on its right endpoint and host: segments
-        # share one succ_seg list object iff they share (b_h, host)
+        # a segment's successors, and with them its every_succ_sp entry,
+        # depend only on its right endpoint and host: segments share one
+        # succ_seg list object iff they share (b_h, host)
         contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
-        contexts += list(_tangent_fan_contexts())
-        for seed in range(4):
-            inst = _HalfplaneInstance(*ring_instance(seed, 12))
-            contexts += [inst.context(idx) for idx in inst.covering_anchors[:5]]
+        contexts += [c[-1] for c in _tangent_fan_contexts()]
+        contexts += [c[-1] for c in _ring_contexts(5)]
         shared = 0
         for ctx in contexts:
             ctx.graph(3)
@@ -550,11 +552,28 @@ class TestAnchorContext:
                 g = first.setdefault((seg.b_h, seg.host), s)
                 assert ctx.succ_seg[s] is ctx.succ_seg[g]
                 assert ctx.every_succ_sp[s] == ctx.every_succ_sp[g]
-                assert all(row[s] == row[g] for row in ctx.reach)
                 shared += s != g
             lists = {id(ctx.succ_seg[g]) for g in first.values()}
             assert len(lists) == len(first)
         assert shared > 1000
+
+    def test_cycles_exist_as_under_window_relation(self):
+        # testing each segment's triangle alone and refusing collinear
+        # steps keep the decision: the window relation's graph holds a
+        # once-winding cycle at k exactly when the context's graph does.
+        # On the rings the window relation's walk meets millions of chains
+        # at k = 4, so they go to k = 2, where each ring draw is decided
+        contexts = list(_hand_contexts()) + list(_seeded_contexts())
+        contexts += list(_tangent_fan_contexts())
+        contexts = [(c, 4) for c in contexts] + [(c, 2) for c in _ring_contexts(3)]
+        found = 0
+        for (inst, anchor, active, ctx), top in contexts:
+            has_cycle = window_relation(inst, anchor, active)
+            for k in range(top + 1):
+                got = find_winding_cycle(ctx.graph(k)) is not None
+                assert got == has_cycle(k), (anchor, k)
+                found += got
+        assert found > 50
 
     def test_successor_lists_increase(self):
         # each successor list, filled on demand, lists the full graph's
@@ -574,10 +593,8 @@ class TestAnchorContext:
     def test_crossing_flags_match_per_segment_formula(self):
         # one ray-side sign per endpoint gives the two tests per segment
         contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
-        contexts += list(_tangent_fan_contexts())
-        for seed in range(4):
-            inst = _HalfplaneInstance(*ring_instance(seed, 12))
-            contexts += [inst.context(idx) for idx in inst.covering_anchors[:5]]
+        contexts += [c[-1] for c in _tangent_fan_contexts()]
+        contexts += [c[-1] for c in _ring_contexts(5)]
         for ctx in contexts:
             assert ctx.cross == [
                 _cross2(_dirvec(ctx.p_h, s.a_h), ctx.ray) < 0
@@ -614,27 +631,38 @@ class TestAnchorContext:
 class TestCoveringAnchors:
     def test_skipped_anchors_hold_no_cycle(self):
         # an anchor whose outside halfplanes miss a point of S has no cycle
-        # at any k; the covering set is checked against Halfplane.contains
+        # at any k, and a covering anchor whose outside set lies inside
+        # another's has none that the other lacks; the covering sets are
+        # checked against Halfplane.contains, and the searched anchors are
+        # those whose sets are maximal
         cases = [(HAND_ON_LINES + HAND_OFF_LINES, [P(2, 2)], HAND_PLANES)]
         cases += [fan_instance(seed) for seed in range(3)]
         cases += [halfplane_instance(seed) for seed in range(12)]
-        skipped = 0
+        skipped = dominated = 0
         for points, sprime, planes in cases:
             inst = _HalfplaneInstance(points, sprime, planes)
-            expected = [
-                idx
-                for idx, (anchor, _outside) in enumerate(inst.anchors)
-                if all(any(h.contains(q) and not h.contains(anchor) for h in planes) for q in points)
-            ]
-            assert inst.covering_anchors == expected
+            covering = _covering_indices(inst)
+            outside = {
+                idx: {h.id for h in planes if not h.contains(inst.anchors[idx][0])}
+                for idx in covering
+            }
+            searched = [i for i in covering if not any(outside[i] < outside[j] for j in covering)]
+            assert inst.covering_anchors == searched
             for idx in range(len(inst.anchors)):
-                if idx in expected:
+                if idx in searched:
                     continue
-                skipped += 1
                 ctx = inst.context(idx)
+                if idx not in covering:
+                    skipped += 1
+                    for k in range(4):
+                        assert find_winding_cycle(ctx.graph(k)) is None
+                    continue
+                dominated += 1
+                (over, *_) = [j for j in searched if outside[idx] < outside[j]]
                 for k in range(4):
-                    assert find_winding_cycle(ctx.graph(k)) is None
-        assert skipped > 100
+                    if find_winding_cycle(ctx.graph(k)) is not None:
+                        assert find_winding_cycle(inst.context(over).graph(k)) is not None
+        assert skipped > 100 and dominated > 50
 
     def test_fan_solves_build_contexts_only_at_covering_anchors(self, monkeypatch):
         import membercover.halfplanes as hp
@@ -763,6 +791,28 @@ class TestExactSolver:
         assert report.cover.ids == tuple(range(16))
         assert report.cover.memb == memb_eval(sprime, report.cover.ids, planes) == 3
         verify_winding_certificate(report, points, sprime, planes)
+
+    def test_tangent_fan_high_k_graphs_stay_small(self, monkeypatch):
+        # every kept segment's triangle holds S only on the segment, so the
+        # chains test only S'; at k = 6 and 7 the graphs that the whole
+        # escalation builds hold a few hundred chains between them
+        import membercover.halfplanes as hp
+
+        graphs = []
+        raw_graph = hp._AnchorContext.graph
+
+        def recording(ctx, k):
+            graphs.append(raw_graph(ctx, k))
+            return graphs[-1]
+
+        monkeypatch.setattr(hp._AnchorContext, "graph", recording)
+        for n, k, bound in ((24, 6, 300), (16, 7, 100)):
+            del graphs[:]
+            points, sprime, planes = tangent_fan(1, n, k)
+            report = exact_mmgsc_halfplanes_report(points, sprime, planes)
+            assert (report.k, report.path, report.cover.ids) == (k, "cycle", tuple(range(n)))
+            verify_winding_certificate(report, points, sprime, planes)
+            assert sum(len(graph.vertices) for graph in graphs) < bound
 
     def test_minsize_path(self):
         # four halfplanes below tangents of y = x^2 + 10, each holding only

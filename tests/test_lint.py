@@ -302,7 +302,7 @@ def test_one_triple_certificate():
 
 
 def test_one_chain_enumerator():
-    # a chain enumerator tests the triangle masks; the anchor context's
+    # a chain enumerator tests the S' masks; the anchor context's
     # `chains` is the only one in the library, nested defs counting as
     # their enclosing function, and the full enumeration that it must match
     # stays in the tests as `_reference_chains`
@@ -316,7 +316,7 @@ def test_one_chain_enumerator():
             in_def = not isinstance(node, ast.ClassDef)
         if (
             isinstance(node, ast.Attribute)
-            and node.attr == "tri_mask"
+            and node.attr == "sp_mask"
             and isinstance(node.ctx, ast.Load)
         ):
             readers.add(scope)
