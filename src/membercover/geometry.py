@@ -157,8 +157,9 @@ class SquareGrid(NamedTuple):
     """Points of S and unit squares on the integer grid of unit `d`, with
     the monitored points S' as integers only: `xy[i]` is (D*x, D*y) of
     `points[i]`, `uv[i]` the top-right corner of `squares[i]` and `sp_xy`
-    holds S' in input order.  A named tuple, so that a solve cuts its
-    slices per cell and per corner cheaply."""
+    holds S' in input order (a cell slice of `grid_partition` holds only
+    the S' points of the cell's 3x3 block).  A named tuple, so that a solve
+    cuts its slices per cell and per corner cheaply."""
 
     d: int
     points: tuple[Point, ...]
@@ -192,14 +193,17 @@ def grid_partition(grid: SquareGrid) -> dict[GridCell, SquareGrid]:
     Each point lands in exactly one cell (half-open rule), the cell
     (X // D, Y // D); each square is attached to every cell whose closed
     square meets it, that is to the cells ceil(U/D) - 2 <= i <= floor(U/D)
-    and likewise in y.  Cells without points are omitted, since they need
-    no cover.
+    and likewise in y.  Each S' point is attached, in input order, to every
+    cell whose closed 3x3 block [(i-1)D, (i+2)D] x [(j-1)D, (j+2)D] holds
+    it, the cells ceil(X/D) - 2 <= i <= floor(X/D) + 1 and likewise in y:
+    a square of the cell lies in that block.  Cells without points are
+    omitted, since they need no cover.
     """
     d = grid.d
     # keyed by (i, j) until the end: a plain tuple hashes faster than a GridCell
-    cells: dict[tuple[int, int], tuple[list, list, list, list]] = {}
+    cells: dict[tuple[int, int], tuple[list, list, list, list, list]] = {}
     for p, xy in zip(grid.points, grid.xy):
-        members = cells.setdefault((xy[0] // d, xy[1] // d), ([], [], [], []))
+        members = cells.setdefault((xy[0] // d, xy[1] // d), ([], [], [], [], []))
         members[0].append(p)
         members[1].append(xy)
     for q, uv in zip(grid.squares, grid.uv):
@@ -211,7 +215,17 @@ def grid_partition(grid: SquareGrid) -> dict[GridCell, SquareGrid]:
                 if members is not None:
                     members[2].append(q)
                     members[3].append(uv)
-    return {GridCell(*cell): grid.part(*members) for cell, members in cells.items()}
+    for xy in grid.sp_xy:
+        x, y = xy
+        for i in range(-(-x // d) - 2, x // d + 2):
+            for j in range(-(-y // d) - 2, y // d + 2):
+                members = cells.get((i, j))
+                if members is not None:
+                    members[4].append(xy)
+    return {
+        GridCell(*cell): SquareGrid(d, *[tuple(m) for m in members])
+        for cell, members in cells.items()
+    }
 
 
 # ---------------------------------------------------------------------------

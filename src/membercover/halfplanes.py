@@ -847,7 +847,12 @@ def decide_membership(
     halfplanes: Sequence[Halfplane],
     k: int,
 ) -> CoverSolution | None:
-    """Is there a cover whose membership stays at most k?  Exact."""
+    """Is there a cover whose membership stays at most k?  Exact.  `k` is
+    an int (not a bool), else ValueError; below 0 no cover qualifies."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
+    if k < 0:
+        return None
     report = _HalfplaneInstance(points, sprime, halfplanes).decide(k)
     return report.cover if report is not None else None
 

@@ -9,14 +9,24 @@ and cover it with an exactly optimal quadrant greedy.  A cover found this
 way exceeds the LP load by at most an additive 2 per bucket, which yields
 the 16*y + 8 per-cell bound and a constant factor overall.
 
+A cell's LP is built and solved on first read, at most once: by the
+corner split when some point's squares span two corners, or by
+`solve_mmgsc_squares_report` for the largest cell LP value, which reads a
+cell's LP only when the cell's cover membership exceeds the largest value
+read so far.  That cover, with y its membership over the cell's S' rows,
+is feasible for the cell LP, so a skipped cell's LP value cannot exceed it.
+
 Every square predicate is decided on Python ints.  Each solve moves its
 points, monitored points and square corners onto one integer grid once
 (`geometry.SquareGrid.of`): a point becomes (X, Y), a square its top-right
 corner (U, V), and the square contains the point iff U - D <= X <= U and
 V - D <= Y <= V.  Every step below reads those integers through its
-slice of the grid: `grid_partition` gives each cell one, the corner split
-gives each corner bucket one, and `square_tables` builds every S and S'
-table with that one test.  A square holds the cell corner (cx, cy) iff
+slice of the grid: `grid_partition` gives each cell one, with the S'
+points of its 3x3 block, the corner split gives each corner bucket one,
+and `square_tables` builds every cell's S and S' tables with that one
+test.  The final membership tests each S' point only against the chosen
+corners in the at most four cells that a square containing it can have
+its corner in.  A square holds the cell corner (cx, cy) iff
 U - D <= cx*D <= U and V - D <= cy*D <= V, corner-local coordinates are
 one integer subtraction, and the corner split reads the LP weights over
 their common denominator.  `Fraction` remains only at the boundary: the
@@ -25,20 +35,14 @@ input, the LP solution and the reports.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import lp as lpmod
-from .covers import (
-    ALL,
-    CoverSolution,
-    Uncoverable,
-    check_covered,
-    depth,
-    quiet_cover,
-)
+from .covers import CoverSolution, Uncoverable, check_covered, quiet_cover
 from .geometry import GridCell, Point, SquareGrid, UnitSquare, grid_partition
 
 
@@ -262,49 +266,93 @@ def round_cell_lp(
 
 @dataclass(frozen=True)
 class CellReport:
-    """Cell solve with its diagnostics: the LP value, the corner partition
-    and the ids of each corner bucket's cover (all empty on the quiet
-    path, where no LP runs)."""
+    """Cell solve with its diagnostics: the corner partition and the ids
+    of each corner bucket's cover (all empty on the quiet path, where no
+    LP runs), and `solve`, which builds and solves the cell LP on first
+    call and returns that solution on every later one (None on the quiet
+    path).  `lp_solution` and `lp_value` read it."""
 
     cover: CoverSolution
-    lp_value: Fraction | None
     partition: CornerPartition | None
     bucket_ids: tuple[tuple[int, ...], ...]
     zero_membership: bool
+    solve: Callable[[], lpmod.LPSolution] | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def lp_solution(self) -> lpmod.LPSolution | None:
+        return None if self.solve is None else self.solve()
+
+    @property
+    def lp_value(self) -> Fraction | None:
+        return None if self.solve is None else self.solve().value
 
 
 def solve_cell_report(grid: SquareGrid, cell: GridCell) -> CellReport:
-    """Membership cover of one cell, given its slice of the grid (its
-    points and squares, and all of S')."""
+    """Membership cover of one cell, given its slice of the grid: its
+    points and squares, and the S' points `grid_partition` gives it, those
+    of its 3x3 block, or any superset of them, such as all of S'."""
     if not grid.points:
-        return CellReport(CoverSolution((), 0), None, None, (), True)
-    # a square attached to the cell lies in the 3x3 block of cells around
-    # it, so only the S' points in that block can have a nonzero row
-    d = grid.d
-    left, bottom = (cell.i - 1) * d, (cell.j - 1) * d
-    near = [
-        (x, y) for x, y in grid.sp_xy
-        if left <= x <= left + 3 * d and bottom <= y <= bottom + 3 * d
-    ]
-    s_rows, sp_rows = square_tables(d, grid.uv, grid.xy, near)
+        return CellReport(CoverSolution((), 0), None, (), True)
+    s_rows, sp_rows = square_tables(grid.d, grid.uv, grid.xy, grid.sp_xy)
     check_covered(grid.points, s_rows)
 
-    # cell-local S': a monitored point outside every cell square has depth
-    # 0 in any cover drawn from them, and its LP row -y <= 0 is redundant
+    # cell-local S': a monitored point outside every cell square, as every
+    # point outside the cell's 3x3 block is, has depth 0 in any cover drawn
+    # from them, and its LP row -y <= 0 is redundant
     sp_rows = [row for row in sp_rows if row]
 
     # zero-membership shortcut: if the squares avoiding every monitored
     # point already cover the cell, take exactly those
     quiet = quiet_cover(grid.points, s_rows, sp_rows, grid.squares)
     if quiet is not None:
-        return CellReport(quiet, None, None, (), True)
+        return CellReport(quiet, None, (), True)
 
-    sol = solve_cell_lp(lpmod.build_membership_lp(s_rows, sp_rows, len(grid.squares)))
-    partition, chosen = round_cell_lp(grid, s_rows, cell, lambda: sol)
+    solve = functools.cache(
+        lambda: solve_cell_lp(lpmod.build_membership_lp(s_rows, sp_rows, len(grid.squares)))
+    )
+    partition, chosen = round_cell_lp(grid, s_rows, cell, solve)
     cover = CoverSolution.build([i for ids in chosen for i in ids], sp_rows, grid.squares)
-    # the report carries the LP whether or not the corner split read it
-    partition = CornerPartition(partition.squares, partition.buckets, sol)
-    return CellReport(cover, sol.value, partition, tuple(chosen), False)
+    return CellReport(cover, partition, tuple(chosen), False, solve)
+
+
+def _max_lp_value(
+    read: Sequence[Fraction], unread: Sequence[tuple[int, Callable[[], lpmod.LPSolution]]]
+) -> Fraction | None:
+    """The largest LP value of the non-quiet cells, given the values their
+    corner splits read and (cover membership, `solve`) of every other one.
+    The membership bounds the cell's LP value from above, so those LPs are
+    read in descending order of it (ties in the given order) only while it
+    exceeds the largest value read."""
+    best = max(read, default=None)
+    for memb, solve in sorted(unread, key=lambda cell: -cell[0]):
+        if best is not None and memb <= best:
+            break
+        value = solve().value
+        best = value if best is None else max(best, value)
+    return best
+
+
+def _membership(d: int, uv: Sequence[tuple[int, int]], sp_xy: Sequence[tuple[int, int]]) -> int:
+    """The most squares with grid corners `uv` that contain one point of
+    `sp_xy`, 0 without points: `depth` of their `square_tables` rows.
+
+    A square contains (X, Y) iff X <= U <= X + D and Y <= V <= Y + D, so
+    its corner lies in one of the cells (X // D + {0, 1}, Y // D + {0, 1}).
+    Each corner is listed under the four cells whose points it can reach,
+    and each point is tested against its own cell's list only."""
+    seen: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for u, v in uv:
+        i, j = u // d, v // d
+        for key in ((i, j), (i - 1, j), (i, j - 1), (i - 1, j - 1)):
+            seen.setdefault(key, []).append((u, v))
+    best = 0
+    for x, y in sp_xy:
+        count = 0
+        for u, v in seen.get((x // d, y // d), ()):
+            if x <= u <= x + d and y <= v <= y + d:
+                count += 1
+        best = max(best, count)
+    return best
 
 
 @dataclass(frozen=True)
@@ -323,13 +371,18 @@ def solve_mmgsc_squares_report(
     grid = SquareGrid.of(points, squares, sprime)
     cells = grid_partition(grid)
     ids: set[int] = set()
-    max_lp: Fraction | None = None
+    read: list[Fraction] = []
+    unread: list[tuple[int, Callable[[], lpmod.LPSolution]]] = []
     for cell in sorted(cells, key=lambda c: (c.i, c.j)):
         report = solve_cell_report(cells[cell], cell)
         ids.update(report.cover.ids)
-        if report.lp_value is not None and (max_lp is None or report.lp_value > max_lp):
-            max_lp = report.lp_value
+        if report.partition is None:
+            continue
+        if report.partition.lp_solution is not None:
+            read.append(report.partition.lp_solution.value)
+        else:
+            unread.append((report.cover.memb, report.solve))
     chosen = sorted(ids)
     uv_of = {q.id: uv for q, uv in zip(grid.squares, grid.uv)}
-    (sp_rows,) = square_tables(grid.d, [uv_of[i] for i in chosen], grid.sp_xy)
-    return SquaresReport(CoverSolution(tuple(chosen), depth(sp_rows, ALL)), max_lp)
+    memb = _membership(grid.d, [uv_of[i] for i in chosen], grid.sp_xy)
+    return SquaresReport(CoverSolution(tuple(chosen), memb), _max_lp_value(read, unread))

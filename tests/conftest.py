@@ -15,8 +15,8 @@ from typing import Mapping
 
 import math
 
-from membercover import GridCell, Halfplane, Point, UnitSquare
-from membercover.covers import CoverSolution
+from membercover import GridCell, Halfplane, Point, SquareGrid, UnitSquare, grid_partition
+from membercover.covers import CoverSolution, quiet_cover
 from membercover.halfplanes import (
     SegmentPhi,
     WindGraph,
@@ -40,12 +40,13 @@ from membercover.lp import (
     LinearProgram,
     LPSolution,
     _reduce,
+    build_membership_lp,
     build_size_lp,
     make_program,
     solve_lp,
 )
 from membercover.oracle import incidence
-from membercover.squares import _staircase, quadrant_greedy_cover
+from membercover.squares import _staircase, quadrant_greedy_cover, solve_cell_lp
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +501,10 @@ def membership_of_fractional(sprime, cover: FractionalCover, ranges) -> Fraction
     return max(loads, default=Fraction(0))
 
 
-def bucket_fractional_cover(partition, corner: int) -> FractionalCover:
-    """Per-bucket weights of a cell's CornerPartition: four times the LP
-    weight, capped at one."""
-    sol = partition.lp_solution
+def bucket_fractional_cover(report, corner: int) -> FractionalCover:
+    """Per-bucket weights of a non-quiet CellReport's corner partition:
+    four times the cell LP weight, capped at one."""
+    partition, sol = report.partition, report.lp_solution
     bucket = set(q.id for q in partition.buckets[corner].squares)
     weights = {
         q.id: min(4 * sol.assignment[pos], Fraction(1))
@@ -511,6 +512,21 @@ def bucket_fractional_cover(partition, corner: int) -> FractionalCover:
         if q.id in bucket
     }
     return FractionalCover(weights)
+
+
+def eager_max_lp_value(points, sprime, squares) -> Fraction | None:
+    """The largest cell LP value of a squares membership solve with every
+    non-quiet cell's LP built and solved, from `oracle.incidence` tables:
+    the reference for `SquaresReport.max_lp_value`.  None when every cell
+    is quiet."""
+    values = []
+    for grid in grid_partition(SquareGrid.of(points, squares, sprime)).values():
+        s_rows = incidence(grid.points, grid.squares)
+        sp_rows = [row for row in incidence(sprime, grid.squares) if row]
+        if quiet_cover(grid.points, s_rows, sp_rows, grid.squares) is None:
+            program = build_membership_lp(s_rows, sp_rows, len(grid.squares))
+            values.append(solve_cell_lp(program).value)
+    return max(values, default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_criterion_03_quarter_load(cell_battery):
         part = report.partition
         if part is None:
             continue
-        sol = part.lp_solution
+        sol = report.lp_solution
         for corner in range(4):
             bucket = set(q.id for q in part.buckets[corner].squares)
             for p in part.buckets[corner].points:
@@ -191,7 +191,7 @@ def test_criterion_05_bucket_membership_within_two(cell_battery):
             if not report.partition.buckets[corner].points:
                 continue
             memb = memb_eval(sprime, report.bucket_ids[corner], squares)
-            frac = bucket_fractional_cover(report.partition, corner)
+            frac = bucket_fractional_cover(report, corner)
             frac_memb = membership_of_fractional(sprime, frac, squares)
             checked += 1
             if Fraction(memb) > frac_memb + 2:

@@ -116,6 +116,28 @@ class TestGridPartition:
                 )
                 assert overlap == (q.id in [r.id for r in ranges])
 
+    def test_sprime_of_each_cell_block(self):
+        # each slice holds, in input order, the S' points of the closed 3x3
+        # block of cells around its own, points on block edges included
+        rng = random.Random(4)
+
+        def coord():
+            # a third of the coordinates on grid lines
+            if rng.random() < 1 / 3:
+                return Fraction(rng.randint(-2, 4))
+            return Fraction(rng.randint(-128, 255), 64)
+
+        for _trial in range(30):
+            points = [Point(coord(), coord()) for _ in range(12)]
+            sprime = [Point(coord(), coord()) for _ in range(25)]
+            grid = SquareGrid.of(points, [UnitSquare(0, P(1, 1))], sprime)
+            cells = grid_partition(grid)
+            for cell, part in cells.items():
+                assert list(part.sp_xy) == [
+                    xy for xy, p in zip(grid.sp_xy, sprime)
+                    if cell.i - 1 <= p.x <= cell.i + 2 and cell.j - 1 <= p.y <= cell.j + 2
+                ]
+
 
 def _face_count_oracle(lines):
     """1 + n + sum over vertices of (lines through it - 1), on distinct lines."""

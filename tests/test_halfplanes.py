@@ -715,6 +715,17 @@ class TestDecideMembership:
     def test_uncoverable_is_none(self):
         assert decide_membership([P(0, 5)], [], [Halfplane(0, 0, -1, -1)], 1) is None
 
+    def test_negative_k_is_none(self):
+        # membership is never below 0, even where k = 0 has a cover
+        points, planes = [P(1, 1)], [Halfplane(0, 1, 0, 0)]
+        assert decide_membership(points, [], planes, 0) is not None
+        assert decide_membership(points, [], planes, -1) is None
+
+    @pytest.mark.parametrize("k", [True, False, 1.5, 1.0, Fraction(1), "1", None])
+    def test_k_not_an_int_raises(self, k):
+        with pytest.raises(ValueError):
+            decide_membership([P(1, 1)], [], [Halfplane(0, 1, 0, 0)], k)
+
     def test_agrees_with_oracle_threshold(self):
         for seed in range(40):
             points, sprime, planes = halfplane_instance(seed, max_planes=6, max_points=5)

@@ -11,6 +11,7 @@ from conftest import (
     canonical_square,
     cell_corners,
     cell_instance,
+    eager_max_lp_value,
     maximal_squares_reference,
     membership_of_fractional,
     mixed_grid_instance,
@@ -38,11 +39,15 @@ from membercover import (
     solve_one_corner,
     verify_cover,
 )
+from membercover import lp as lpmod
+from membercover.covers import ALL, depth
 from membercover.geometry import grid_unit, on_grid
+from membercover.instances import generate
 from membercover.lp import OPTIMAL, LPSolution
 from membercover.squares import (
     SquareWithoutCorner,
     _corner_local,
+    _membership,
     solve_cell_report,
     square_tables,
 )
@@ -206,7 +211,7 @@ class TestSolveOneCorner:
                 if not bucket.points:
                     continue
                 ids = solve_one_corner(bucket, CELL, corner)
-                frac = bucket_fractional_cover(report.partition, corner)
+                frac = bucket_fractional_cover(report, corner)
                 frac_memb = membership_of_fractional(sprime, frac, squares)
                 assert Fraction(memb_eval(sprime, ids, squares)) <= frac_memb + 2
 
@@ -324,6 +329,95 @@ class TestSolveSquares:
                 incidence(points, bigger), incidence(sprime, bigger), len(bigger)
             )).value
             assert more <= base
+
+
+class TestMaxLpValue:
+    """`max_lp_value` reads a cell's LP only when its corner split solved it
+    or its cover membership, an upper bound on its LP value, exceeds the
+    largest value read so far; the maximum is still that of every cell."""
+
+    def test_square_instances_match_eager(self):
+        for seed in range(60):
+            points, sprime, squares = square_instance(seed)
+            got = solve_mmgsc_squares_report(points, sprime, squares).max_lp_value
+            assert got == eager_max_lp_value(points, sprime, squares), seed
+
+    def test_cell_battery_matches_eager(self):
+        for seed in range(300):
+            points, sprime, squares = cell_instance(seed)
+            got = solve_mmgsc_squares_report(points, sprime, squares).max_lp_value
+            assert got == eager_max_lp_value(points, sprime, squares), seed
+
+    def test_generated_documents_match_eager(self):
+        checked = 0
+        for seed in range(40):
+            doc = generate("squares", 10, 30, extent=2, seed=seed)
+            try:
+                got = solve_mmgsc_squares_report(doc.s, doc.sprime, doc.ranges).max_lp_value
+            except Uncoverable:
+                continue
+            assert got == eager_max_lp_value(doc.s, doc.sprime, doc.ranges), seed
+            checked += got is not None
+        assert checked >= 20
+
+    # cell (0, 0): the point's squares hold the corners (0, 0) and (1, 1),
+    # so the corner split solves the cell LP, of value 1
+    SPLIT = (
+        [P("1/2", "1/2")],
+        [P("3/4", "3/4")],
+        [UnitSquare(0, P(1, 1)), UnitSquare(1, P("3/2", "3/2"))],
+    )
+
+    def _solve_counting(self, monkeypatch, parts):
+        calls = []
+        solve_lp = lpmod.solve_lp
+        monkeypatch.setattr(lpmod, "solve_lp", lambda program: calls.append(1) or solve_lp(program))
+        points, sprime, squares = [sum(lists, []) for lists in zip(*parts)]
+        report = solve_mmgsc_squares_report(points, sprime, squares)
+        return report, len(calls)
+
+    def test_cover_within_read_value_skips_lp(self, monkeypatch):
+        # cell (2, 0): one point, in one square at corner (2, 0), with an S'
+        # point in it: membership 1, not above cell (0, 0)'s LP value
+        one = ([P("5/2", "1/2")], [P("5/2", "1/2")], [UnitSquare(2, P(3, 1))])
+        report, calls = self._solve_counting(monkeypatch, [self.SPLIT, one])
+        assert report.cover.memb == 1 and report.max_lp_value == 1
+        assert calls == 1
+
+    def test_cover_above_read_value_reads_lp(self, monkeypatch):
+        # cell (2, 0): two points, each in one square at corner (2, 0), both
+        # squares holding one S' point: membership 2, above cell (0, 0)'s LP
+        # value, so its LP (value 2) is read; cell (4, 0), membership 1, is
+        # then skipped
+        two = (
+            [P("11/4", "1/4"), P("9/4", "3/4")],
+            [P("9/4", "1/4")],
+            [UnitSquare(2, P(3, "1/2")), UnitSquare(3, P("5/2", 1))],
+        )
+        one = ([P("9/2", "1/2")], [P("9/2", "1/2")], [UnitSquare(4, P(5, 1))])
+        report, calls = self._solve_counting(monkeypatch, [self.SPLIT, two, one])
+        assert report.cover.memb == 2 and report.max_lp_value == 2
+        assert calls == 2
+
+    def test_unread_lp_read_on_demand(self):
+        report = solve_cell_report(
+            SquareGrid.of([P("1/2", "1/2")], [UnitSquare(0, P(1, 1))], [P("1/2", "1/2")]), CELL
+        )
+        assert report.partition.lp_solution is None  # the split read no weights
+        assert report.lp_value == 1 and report.lp_solution.assignment == (1, 1)
+
+
+class TestFinalMembership:
+    def test_local_buckets_match_square_tables(self):
+        rng = random.Random(8)
+        for trial in range(200):
+            d = rng.choice([1, 3, 64])
+            uv, sp_xy = [
+                [(rng.randint(-3 * d, 3 * d), rng.randint(-3 * d, 3 * d)) for _ in range(n)]
+                for n in (rng.randint(0, 12), rng.randint(0, 12))
+            ]
+            (rows,) = square_tables(d, uv, sp_xy)
+            assert _membership(d, uv, sp_xy) == depth(rows, ALL), trial
 
 
 class TestCanonical:
