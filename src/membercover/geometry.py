@@ -215,13 +215,22 @@ def grid_partition(grid: SquareGrid) -> dict[GridCell, SquareGrid]:
                 if members is not None:
                     members[2].append(q)
                     members[3].append(uv)
+    # the S' lists of the cells of each window met, looked up once per window
+    windows: dict[tuple[int, int, int, int], list[list]] = {}
     for xy in grid.sp_xy:
         x, y = xy
-        for i in range(-(-x // d) - 2, x // d + 2):
-            for j in range(-(-y // d) - 2, y // d + 2):
-                members = cells.get((i, j))
-                if members is not None:
-                    members[4].append(xy)
+        window = (-(-x // d) - 2, x // d + 2, -(-y // d) - 2, y // d + 2)
+        targets = windows.get(window)
+        if targets is None:
+            i_lo, i_hi, j_lo, j_hi = window
+            targets = windows[window] = [
+                members[4]
+                for i in range(i_lo, i_hi)
+                for j in range(j_lo, j_hi)
+                if (members := cells.get((i, j))) is not None
+            ]
+        for sp in targets:
+            sp.append(xy)
     return {
         GridCell(*cell): SquareGrid(d, *[tuple(m) for m in members])
         for cell, members in cells.items()
@@ -233,74 +242,112 @@ def grid_partition(grid: SquareGrid) -> dict[GridCell, SquareGrid]:
 # ---------------------------------------------------------------------------
 
 def face_sample_points(lines: Sequence[tuple]) -> list[tuple[int, int, int, int]]:
-    """Return points hitting the interior of every arrangement face, each
-    as (X, Y, W, outside) with W > 0: the point (X/W, Y/W) and the bitmask
-    of its face, bit i set iff a*X + b*Y + c*W < 0 on lines[i].
+    """One point in the interior of each face of the arrangement, as (X, Y,
+    W, outside) with W > 0: the point (X/W, Y/W) and the bitmask of its
+    face, bit i set iff a*X + b*Y + c*W < 0 on lines[i].
 
     Lines are (a, b, c) triples for ``a*x + b*y + c = 0`` with nonzero
-    (a, b).  The construction sweeps vertical slabs between consecutive
+    (a, b).  Samples sit on vertical slab lines midway between consecutive
     critical abscissas (pairwise intersections plus vertical lines, with
-    sentinels one unit beyond the extremes) and emits midpoints between
-    consecutive ordinates on each slab line.  Abscissas share the
-    denominator D, the lcm of the intersection determinants (and of |a| for
-    vertical lines), so slab abscissas share 2D; ordinates on a slab share
-    2D * L with L the lcm of the nonzero |b|, so every sample has W = 4DL.
-    Slabs come out increasing and ordinates within a slab increasing, so
-    the samples are in (x, y) order.  No returned point lies on an input
-    line.
+    sentinels one unit beyond the extremes), midway between consecutive
+    ordinates or one unit beyond the extreme ones.  Abscissas share the
+    denominator D, the lcm of the intersection determinants (and of |a|
+    for vertical lines), so slab abscissas share 2D; ordinates on a slab
+    share 2D * L with L the lcm of the nonzero |b|, so W = 4DL.  Each face
+    gets its sample on the first slab it meets, its least in (x, y) order,
+    and the samples come in (x, y) order.  No sample lies on a line.
 
-    The masks come from one walk up each slab.  The samples of a slab share
-    their side of every vertical line.  Below every ordinate a sample lies
-    outside exactly the sloped lines with b > 0, and a sloped line changes
-    side only at its own ordinate, so the walk XORs in the lines through
-    each ordinate it passes.
+    A sweep over the critical abscissas keeps the vertical order of the
+    sloped lines (coincident ones as one entry holding all their bits) and
+    the outside mask of each gap: below every line a point lies outside
+    the sloped lines with b > 0, and crossing an entry flips its bits.  The
+    lines through a vertex are consecutive in the order and come reversed
+    right of it, and the gaps inside each reversed block are the faces that
+    begin at the vertex.  Right of a vertical line every face begins, so
+    the order is sorted again and every gap is new.  O(n^2 log n) in all.
     """
     for (a, b, _c) in lines:
         if a == 0 and b == 0:
             raise ValueError("degenerate line with zero normal")
-    crossings: list[tuple[int, int]] = []  # abscissa as (numerator, denominator)
-    for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
+    # each crossing as (x, y) numerators over their determinant, with its lines
+    crossings: list[tuple[int, int, int, int, int]] = []
+    for (i, (a1, b1, c1)), (j, (a2, b2, c2)) in combinations(enumerate(lines), 2):
         det = a1 * b2 - a2 * b1
         if det != 0:
-            crossings.append((b1 * c2 - b2 * c1, det))
-    crossings += [(-c, a) for (a, b, c) in lines if b == 0]
-    d = math.lcm(*[abs(den) for _num, den in crossings])
-    xs = {num * (d // den) for num, den in crossings}
+            crossings.append((b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, det, i, j))
+    vertical = [(a, c, 1 << i) for i, (a, b, c) in enumerate(lines) if b == 0]
+    d = math.lcm(*[abs(det) for _x, _y, det, _i, _j in crossings], *[abs(a) for a, _c, _b in vertical])
+    vertical_xs = {-c * (d // a) for a, c, _bit in vertical}
     slab_unit = 2 * d  # denominator of the slab abscissas
     lcm_b = math.lcm(*[abs(b) for (_a, b, _c) in lines if b != 0])
     y_unit = slab_unit * lcm_b  # denominator of the ordinates on a slab
     w = 2 * y_unit
-    sloped = [(a, c, lcm_b // b, 1 << i) for i, (a, b, c) in enumerate(lines) if b != 0]
-    vertical = [(a, c, 1 << i) for i, (a, b, c) in enumerate(lines) if b == 0]
     below = sum([1 << i for i, (_a, b, _c) in enumerate(lines) if b > 0])
+    # one entry [a, c, L / b, bits, index] per distinct sloped line, from its
+    # first copy, with the bits of every copy
+    merged: dict[tuple[int, int, int], list[int]] = {}
+    entry_of: dict[int, list[int]] = {}
+    for i, (a, b, c) in enumerate(lines):
+        if b != 0:
+            g = math.gcd(a, b, c) * (1 if b > 0 else -1)
+            entry = merged.setdefault((a // g, b // g, c // g), [a, c, lcm_b // b, 0, len(merged)])
+            entry[3] |= 1 << i
+            entry_of[i] = entry
+    entries = list(merged.values())
+    # per abscissa X over D of a vertex of sloped lines, the entries through
+    # each vertex there, by its ordinate over D; a crossing with a vertical
+    # line lies on it
+    vertices: dict[int, dict[int, set[int]]] = {}
+    for x, y, det, i, j in crossings:
+        if i in entry_of and j in entry_of:
+            at = vertices.setdefault(x * (d // det), {})
+            at.setdefault(y * (d // det), set()).update((entry_of[i][4], entry_of[j][4]))
+    xs = sorted(vertices.keys() | vertical_xs)
 
-    def mid_candidates(ordered: list[int], unit: int) -> list[int]:
-        # numerators over 2 * unit of one unit below, the midpoints between
-        # and one unit above the increasing numerators `ordered` over `unit`
-        if not ordered:
-            return [0]
-        out = [2 * ordered[0] - 2 * unit]
-        out.extend([lo + hi for lo, hi in zip(ordered, ordered[1:])])
-        out.append(2 * ordered[-1] + 2 * unit)
-        return out
+    def ordinate(e: int, x_num: int) -> int:
+        # entry e meets the slab line x = x_num / slab_unit at this / y_unit
+        a, c, scale, _bits, _e = entries[e]
+        return -(a * x_num + c * slab_unit) * scale
+
+    order: list[int] = []  # the entries from the bottom up
+    pos = [0] * len(entries)
+    gaps = [0] * (len(entries) + 1)  # gaps[t]: the mask between order[t-1] and order[t]
+
+    def renumber(lo: int, hi: int) -> None:
+        for t in range(lo, hi):
+            pos[order[t]] = t
+            gaps[t + 1] = gaps[t] ^ entries[order[t]][3]
 
     samples: list[tuple[int, int, int, int]] = []
-    for x_num in mid_candidates(sorted(xs), d):
-        outside = below
-        for a, c, bit in vertical:
-            if a * x_num + c * slab_unit < 0:
-                outside |= bit
-        # on x = x_num / slab_unit the line meets y = -(a x + c) / b
-        through: dict[int, int] = {}
-        for a, c, scale, bit in sloped:
-            y = -(a * x_num + c * slab_unit) * scale
-            through[y] = through.get(y, 0) | bit
-        ordered = sorted(through)
+    slab_xs = [2 * xs[0] - 2 * d] if xs else [0]
+    slab_xs += [lo + hi for lo, hi in zip(xs, xs[1:])]
+    slab_xs += [2 * xs[-1] + 2 * d] if xs else []
+    for x_c, x_num in zip([None] + xs, slab_xs):
+        if x_c is None or x_c in vertical_xs:
+            order[:] = sorted(range(len(entries)), key=lambda e: ordinate(e, x_num))
+            gaps[0] = below
+            for a, c, bit in vertical:
+                if a * x_num + c * slab_unit < 0:
+                    gaps[0] |= bit
+            renumber(0, len(order))
+            new_gaps = list(range(len(order) + 1))
+        else:
+            new_gaps = []
+            for through in vertices[x_c].values():
+                lo = min([pos[e] for e in through])
+                hi = lo + len(through)
+                order[lo:hi] = order[lo:hi][::-1]
+                renumber(lo, hi)
+                new_gaps += range(lo + 1, hi)
+            new_gaps.sort()
         x = x_num * 2 * lcm_b
-        flips = [0] + [through[y] for y in ordered]
-        for y, flip in zip(mid_candidates(ordered, y_unit), flips):
-            outside ^= flip
-            samples.append((x, y, w, outside))
+        top = len(order)
+        for t in new_gaps:
+            y = 0  # midway between the gap's ordinates, one unit beyond an end
+            if order:
+                y_lo = ordinate(order[t - 1], x_num) if t else ordinate(order[0], x_num) - 2 * y_unit
+                y = y_lo + (ordinate(order[t], x_num) if t < top else y_lo + 2 * y_unit)
+            samples.append((x, y, w, gaps[t]))
     return samples
 
 

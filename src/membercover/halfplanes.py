@@ -41,11 +41,17 @@ successor therefore depend only on the segment's right endpoint and host:
 an anchor context builds each once per such group, and every segment of
 the group reads it.
 
-The boundary arrangement is listed once per instance, and each anchor
-selects its segments.  An anchor lies strictly outside each of its active
+The boundary arrangement is built once per instance, by its vertices:
+each line with its intersection points in order along (b, -a), O(n^2) in
+all, and the anchors are its face samples, one per face, from a sweep over
+the same vertices.  An anchor lies strictly outside each of its active
 halfplanes h, h(anchor) < 0, so for u, v on h's line orient(anchor, u, v)
 < 0 iff v - u is a positive multiple of (b_h, -a_h): no anchor changes how
-a segment is oriented.
+a segment is oriented.  Each anchor walks its active lines: from each
+vertex u it keeps the segments to the next vertices v while the triangle
+(anchor, u, v) holds no point of S off the line, and stops at the first
+that does, whose triangle lies inside that of every vertex beyond it.  So
+it builds only the segments it keeps, not all O(n^3) vertex pairs.
 
 All hot predicates run on homogeneous integer coordinates.
 """
@@ -53,7 +59,7 @@ All hot predicates run on homogeneous integer coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress
@@ -168,7 +174,7 @@ class SegmentPhi(NamedTuple):
     lines; seen from the anchor, the order anchor -> left -> right is
     clockwise and spans less than a halfturn.  As h(anchor) < 0 on the host
     h, that is: right - left is a positive multiple of (b_h, -a_h).  A
-    named tuple, as the arrangement builds hundreds per instance.
+    named tuple, as an anchor context builds hundreds.
 
     As an edge of a polygon around the anchor, it bounds the closed
     triangle (anchor, left, right), which lies in the polygon's interior
@@ -181,19 +187,41 @@ class SegmentPhi(NamedTuple):
     b_h: HPt
 
 
-# per host line, its position and its segments, each with the bitmasks of
-# the other lines through its left and right endpoints, over `extended`
-Arrangement = list[tuple[int, list[tuple[SegmentPhi, int, int]]]]
+# per line of `extended`, in its order: the line's id and its vertices in
+# order along (b, -a), each with the bitmask of the other lines through it
+# and its rank in HPt order
+Arrangement = list[tuple[int, list[tuple[HPt, int, int]]]]
 
 
-def build_segments(arrangement: Arrangement, active: int) -> list[SegmentPhi]:
-    """One anchor's segments, the finite segments of the lines in `active`:
-    those of the instance arrangement whose host is in the bitmask and whose
-    endpoints each lie on another line in it, in arrangement order."""
+def build_segments(
+    arrangement: Arrangement,
+    active: int,
+    wedge: dict[HPt, tuple[int, int]],
+    sides: dict[int, tuple[int, int]],
+) -> list[SegmentPhi]:
+    """One anchor's kept segments, walked as the module docstring says: on
+    each line in the bitmask `active`, the pairs (u, v) of its vertices on
+    another line in it, u before v along (b, -a), whose triangle (anchor,
+    u, v) holds no point of S off the line.  `wedge[e]` holds the points x
+    of S with orient(anchor, e, x) <= 0 and >= 0, `sides` the instance's
+    line sides.  The segments come host by host, each host's in
+    `combinations` order over its vertices in HPt order."""
     out: list[SegmentPhi] = []
-    for host, segments in arrangement:
-        if active >> host & 1:
-            out += [seg for seg, left, right in segments if left & active and right & active]
+    for i, (host, vertices) in enumerate(arrangement):
+        if not active >> i & 1:
+            continue
+        side, online = sides[host]
+        off = side & ~online
+        on = [(v, rank) for v, through, rank in vertices if through & active]
+        kept: list[tuple[int, int, HPt, HPt]] = []
+        for t, (u, rank_u) in enumerate(on[:-1]):
+            left = wedge[u][0] & off
+            for v, rank_v in on[t + 1:]:
+                if left & wedge[v][1]:
+                    break
+                kept.append((rank_u, rank_v, u, v) if rank_u < rank_v else (rank_v, rank_u, u, v))
+        kept.sort()
+        out += [SegmentPhi(host, u, v) for _first, _second, u, v in kept]
     return out
 
 
@@ -224,8 +252,10 @@ class WindGraph:
 
     A node's id is its position in `vertices`.  The graph starts with every
     crossing node; `successors(v)` fills `succ[v]` on first request, by
-    `step` on the node's chain, and appends each chain not met before as a
-    new, non-crossing node.  A graph given whole has no `step`.
+    `step` on the node's chain and `inner[v]`, the S' AND of its segments
+    between its first and its last, and appends each chain not met before
+    as a new, non-crossing node with the AND `step` gives it.  A graph
+    given whole has no `step`.
 
     `cross[v]` tells whether the angular arc of the node's first segment
     crosses the reference ray; it is the crossing flag of every arc
@@ -235,7 +265,8 @@ class WindGraph:
     vertices: list[Chain]
     succ: list[list[int] | None]
     cross: list[bool]
-    step: Callable[[Chain], list[Chain]] | None = None
+    step: Callable[[Chain, int], list[tuple[Chain, int]]] | None = None
+    inner: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.ids = {v: i for i, v in enumerate(self.vertices)}
@@ -245,11 +276,12 @@ class WindGraph:
         if out is None:
             ids, vertices = self.ids, self.vertices
             out = []
-            for chain in self.step(vertices[v]):
+            for chain, inner in self.step(vertices[v], self.inner[v]):
                 w = ids.get(chain)
                 if w is None:
                     w = ids[chain] = len(vertices)
                     vertices.append(chain)
+                    self.inner.append(inner)
                     self.succ.append(None)
                     self.cross.append(False)
                 out.append(w)
@@ -283,11 +315,18 @@ class _AnchorContext:
         active_bits = 0
         for h in active:
             active_bits |= 1 << position[h.id]
-        self.segments = build_segments(inst.arrangement, active_bits)
-        endpoints = set([s.a_h for s in self.segments] + [s.b_h for s in self.segments])
+        # the endpoints of every segment of the active lines: on each active
+        # line with two or more, its vertices that lie on another active line
+        endpoints: set[HPt] = set()
+        for i, (_host, vertices) in enumerate(inst.arrangement):
+            if active_bits >> i & 1:
+                on = [v for v, through, _rank in vertices if through & active_bits]
+                if len(on) > 1:
+                    endpoints.update(on)
         self.ray = _ray_direction(self.p_h, endpoints)
         # per endpoint e, the points x with orient(p, e, x) <= 0 and >= 0
         wedge = {e: _sign_masks(_cross3(self.p_h, e), s_pts) for e in endpoints}
+        self.segments = build_segments(inst.arrangement, active_bits, wedge, sides)
 
         # a segment crosses the ray iff its left endpoint lies clockwise of
         # the ray and its right endpoint counterclockwise: one side test per
@@ -296,19 +335,13 @@ class _AnchorContext:
         sp_masks = inst.sp_masks
         # by_left holds, per left endpoint, each host's kept segments from it
         by_left: dict[HPt, dict[int, list[int]]] = {}
-        keep: list[SegmentPhi] = []
         sp_list: list[int] = []
         cross: list[bool] = []
-        for seg in self.segments:
-            host, a_h, b_h = seg
-            side, online = sides[host]
-            if wedge[a_h][0] & wedge[b_h][1] & side & ~online:
-                continue  # its triangle holds a point of S off the segment
-            by_left.setdefault(a_h, {}).setdefault(host, []).append(len(keep))
-            keep.append(seg)
+        for s, (host, a_h, b_h) in enumerate(self.segments):
+            by_left.setdefault(a_h, {}).setdefault(host, []).append(s)
             sp_list.append(sp_masks[host])
             cross.append(ray_side[a_h] < 0 < ray_side[b_h])
-        self.segments, self.sp_mask, self.cross = keep, sp_list, cross
+        self.sp_mask, self.cross = sp_list, cross
 
         # succ_seg[s]: the segments j starting at the right endpoint of s
         # that turn strictly clockwise from s, cross(dir s, dir j) < 0.
@@ -343,10 +376,15 @@ class _AnchorContext:
             every_succ_sp.append(facts[1])
         self.succ_seg, self.every_succ_sp = succ_seg, every_succ_sp
 
-    def chains(self, k: int, starts: Iterable[Chain]) -> list[Chain]:
+    def chains(
+        self, k: int, starts: Iterable[tuple[Chain, int]]
+    ) -> list[tuple[Chain, int]]:
         """The (k+1)-chains passing the membership condition that extend the
-        increasing prefixes `starts`, chains of 1 to k+1 segments, depth
-        first: no point of S' lies in every host of the chain.
+        increasing prefixes in `starts`, depth first: no point of S' lies in
+        every host of the chain.  A prefix, of 1 to k+1 segments, comes with
+        the S' AND of its segments before its last (-1 for one segment), and
+        a chain goes out with the S' AND of its segments between its first
+        and its last: what the prefix of its successors carries.
 
         Every kept segment's triangle holds no point of S off the segment,
         so the S test of a window of k+1 edges holds on every chain, and a
@@ -356,30 +394,28 @@ class _AnchorContext:
         does not is cut off, as no completion of it can pass.  The chains
         come out increasing, since every successor list increases.
         """
-        out: list[Chain] = []
+        out: list[tuple[Chain, int]] = []
         sp, succ, every_succ_sp = self.sp_mask, self.succ_seg, self.every_succ_sp
-
-        def extend(chain: Chain, sp_and: int) -> None:
-            s = chain[-1]
-            if len(chain) < k:
-                for j in succ[s]:
-                    extend(chain + (j,), sp_and & sp[j])
-                return
-            if sp_and & every_succ_sp[s]:
-                return
-            for j in succ[s]:  # the last segment: test the chain, do not descend
-                if not sp_and & sp[j]:
-                    out.append(chain + (j,))
-
-        for prefix in starts:
-            sp_and = -1
-            for s in prefix:
-                sp_and &= sp[s]
+        for prefix, before in starts:
+            last = sp[prefix[-1]]
+            inner = -1  # the AND between the prefix's first and last
+            for s in prefix[1:-1]:
+                inner &= sp[s]
             if len(prefix) > k:  # a whole chain: test it
-                if not sp_and:
-                    out.append(prefix)
-            else:
-                extend(prefix, sp_and)
+                if not before & last:
+                    out.append((prefix, inner))
+                continue
+            # depth first, each chain with the AND over it and over all but
+            # its first segment
+            stack = [(prefix, before & last, inner & last if len(prefix) > 1 else -1)]
+            while stack:
+                chain, sp_and, inner = stack.pop()
+                s = chain[-1]
+                if len(chain) < k:
+                    stack += [(chain + (j,), sp_and & sp[j], inner & sp[j]) for j in reversed(succ[s])]
+                elif not sp_and & every_succ_sp[s]:
+                    # the last segment: test the chain, do not descend
+                    out += [(chain + (j,), inner) for j in succ[s] if not sp_and & sp[j]]
         return out
 
     def graph(self, k: int) -> WindGraph:
@@ -388,17 +424,22 @@ class _AnchorContext:
 
         The successors of a node v are the passing chains v[1:] + (j,),
         for j in succ_seg[v[-1]], listed by `chains` from the prefix v[1:]
-        (from the one-segment chains (j,) at k = 0); they come out
-        increasing.  Every passing chain with a crossing first segment is
-        a crossing node already, so each chain met later is non-crossing.
+        and the node's `inner` entry (from the one-segment chains (j,) at
+        k = 0); they come out increasing.  Every passing chain with a
+        crossing first segment is a crossing node already, so each chain
+        met later is non-crossing.
         """
         succ = self.succ_seg
 
-        def step(v: Chain) -> list[Chain]:
-            return self.chains(k, [v[1:]] if k else [(j,) for j in succ[v[0]]])
+        def step(v: Chain, inner: int) -> list[tuple[Chain, int]]:
+            return self.chains(k, [(v[1:], inner)] if k else [((j,), -1) for j in succ[v[0]]])
 
-        crossing = self.chains(k, [(s,) for s in compress(range(len(succ)), self.cross)])
-        return WindGraph(crossing, [None] * len(crossing), [True] * len(crossing), step)
+        crossing = self.chains(k, [((s,), -1) for s in compress(range(len(succ)), self.cross)])
+        n = len(crossing)
+        return WindGraph(
+            [chain for chain, _inner in crossing], [None] * n, [True] * n, step,
+            [inner for _chain, inner in crossing],
+        )
 
 
 def _columns(rows: Sequence[int], width: int) -> list[int]:
@@ -654,12 +695,12 @@ class _HalfplaneInstance:
 
     @cached_property
     def arrangement(self) -> Arrangement:
-        """Every finite segment of the lines of `extended`, host by host, as
-        the pairs of the host's sorted intersection points, each oriented
-        along (b, -a) on its host (a, b, c) as every anchor sees it."""
+        """Every line of `extended` with its intersection points, in order
+        along (b, -a) on the line (a, b, c), as every anchor orients its
+        segments; each pair of lines is intersected once."""
         lines = self.lines
         # per line, its intersection points with the bitmask of the other
-        # lines through each; each pair is intersected once
+        # lines through each
         through: list[dict[HPt, int]] = [{} for _ in lines]
         for i, j in combinations(range(len(lines)), 2):
             hit = _line_intersect(lines[i], lines[j])  # None on parallels
@@ -667,42 +708,43 @@ class _HalfplaneInstance:
                 through[i][hit] = through[i].get(hit, 0) | 1 << j
                 through[j][hit] = through[j].get(hit, 0) | 1 << i
         arrangement: Arrangement = []
-        for i, (host, (a, b, _c)) in enumerate(zip(self.extended, lines)):
-            segments = []
-            on_line = through[i]
-            for u, v in combinations(sorted(on_line), 2):
-                if (b * u[0] - a * u[1]) * v[2] > (b * v[0] - a * v[1]) * u[2]:
-                    u, v = v, u
-                segments.append((SegmentPhi(host.id, u, v), on_line[u], on_line[v]))
-            arrangement.append((i, segments))
+        for host, (a, b, _c), on_line in zip(self.extended, lines, through):
+            ranked = sorted(on_line)
+            # (b x - a y) over the common weight orders the points along the line
+            w = math.lcm(*[v[2] for v in ranked])
+            along = sorted(
+                range(len(ranked)),
+                key=lambda r: (b * ranked[r][0] - a * ranked[r][1]) * (w // ranked[r][2]),
+            )
+            arrangement.append((host.id, [(ranked[r], on_line[ranked[r]], r) for r in along]))
         return arrangement
 
     # -- anchors ------------------------------------------------------------
 
     @cached_property
+    def faces(self) -> list[tuple[int, int, int, int]]:
+        """One sample per face inside the dummy box, as `face_sample_points`
+        gives it: (X, Y, W, outside), bit i of outside set iff the point
+        (X/W, Y/W) lies outside extended[i].  A face inside the box lies
+        outside all four dummies, which come last."""
+        box = 15 << len(self.halfplanes)
+        return [face for face in face_sample_points(self.lines) if face[3] & box == box]
+
+    @cached_property
     def anchors(self) -> list[tuple[Point, tuple[bool, ...]]]:
-        """One sample per face inside the dummy box, with its face: entry i
-        tells whether it lies outside extended[i] (no sample is on a line).
-        The samples come in (x, y) order, so each face keeps its least one;
-        a face is known by the sampler's outside bitmask, and only a new
-        face gets its point and tuple."""
+        """The faces as points, each with its face: entry i tells whether it
+        lies outside extended[i].  The search builds a point only for an
+        anchor that gets a context."""
         n = len(self.lines)
-        seen: set[int] = set()
-        chosen = []
-        for x, y, w, outside in face_sample_points(self.lines):
-            if outside in seen:
-                continue
-            bound = self.delta * w
-            if -bound < x < bound and -bound < y < bound:
-                seen.add(outside)
-                face = tuple([outside >> i & 1 == 1 for i in range(n)])
-                chosen.append((Point(Fraction(x, w), Fraction(y, w)), face))
-        return chosen
+        return [
+            (Point(Fraction(x, w), Fraction(y, w)), tuple([outside >> i & 1 == 1 for i in range(n)]))
+            for x, y, w, outside in self.faces
+        ]
 
     @cached_property
     def covering_anchors(self) -> list[int]:
-        """Indices of the anchors whose outside halfplanes cover S and whose
-        outside sets are maximal among those, in anchor order.
+        """Indices of the faces whose outside halfplanes cover S and whose
+        outside sets are maximal among those, in face order.
 
         A cycle's hosts are the cover it returns and all lie outside its
         anchor, so no anchor whose outside halfplanes miss a point of S
@@ -715,16 +757,15 @@ class _HalfplaneInstance:
         """
         full = (1 << len(self.points)) - 1
         covering: list[tuple[int, int]] = []
-        for idx, (_p, outside) in enumerate(self.anchors):
-            covered = mask = 0
-            # zip stops before the dummies: they cover nothing, and every
-            # anchor lies outside all four
-            for bit, (column, out) in enumerate(zip(self.s_columns, outside)):
-                if out:
+        for idx, (_x, _y, _w, outside) in enumerate(self.faces):
+            covered = 0
+            # the columns stop before the dummies: they cover nothing, and
+            # every face lies outside all four
+            for bit, column in enumerate(self.s_columns):
+                if outside >> bit & 1:
                     covered |= column
-                    mask |= 1 << bit
             if covered == full:
-                covering.append((idx, mask))
+                covering.append((idx, outside))
         return [
             idx
             for idx, mask in covering
@@ -734,8 +775,9 @@ class _HalfplaneInstance:
     def context(self, idx: int) -> _AnchorContext:
         ctx = self._contexts.get(idx)
         if ctx is None:
-            p, outside = self.anchors[idx]
-            ctx = _AnchorContext(p, list(compress(self.extended, outside)), self)
+            x, y, w, outside = self.faces[idx]
+            active = [h for i, h in enumerate(self.extended) if outside >> i & 1]
+            ctx = _AnchorContext(Point(Fraction(x, w), Fraction(y, w)), active, self)
             self._contexts[idx] = ctx
         return ctx
 

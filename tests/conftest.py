@@ -692,11 +692,12 @@ def window_relation(inst, anchor, active):
                 extend(prefix, tri_or, on_or, sp_and)
             return out
 
-        def step(v):
-            return chains([v[1:]] if k else [(j,) for j in succ[v[0]]])
+        def step(v, _inner):
+            return [(c, -1) for c in chains([v[1:]] if k else [(j,) for j in succ[v[0]]])]
 
         crossing = chains([(s,) for s in range(len(segs)) if cross[s]])
-        graph = WindGraph(crossing, [None] * len(crossing), [True] * len(crossing), step)
+        n = len(crossing)
+        graph = WindGraph(crossing, [None] * n, [True] * n, step, [-1] * n)
         return find_winding_cycle(graph) is not None
 
     return has_cycle
@@ -710,7 +711,7 @@ def window_relation(inst, anchor, active):
 def all_chains(ctx, k):
     """Every passing (k+1)-chain of an anchor context, in enumeration
     order: `ctx.chains(k)` from every one-segment prefix."""
-    return ctx.chains(k, [(s,) for s in range(len(ctx.segments))])
+    return [chain for chain, _inner in ctx.chains(k, [((s,), -1) for s in range(len(ctx.segments))])]
 
 
 def reference_graph(ctx, k):

@@ -26,6 +26,7 @@ from conftest import (
     fan_instance,
     halfplane_instance,
     region_subset_lp,
+    ring_instance,
     strict_feasible_lp,
     union_within_lp,
 )
@@ -222,25 +223,33 @@ class TestFaceSamples:
         assert len(_face_signs(lines, face_sample_points(lines))) == 16
 
     def test_degenerate_arrangements_up_to_six(self):
+        # one sample per face
         for lines in _face_sample_cases():
-            sigs = _face_signs(lines, face_sample_points(lines))
+            samples = face_sample_points(lines)
+            sigs = _face_signs(lines, samples)
             assert len(sigs) == _face_count_oracle(lines)
+            assert len(samples) == _face_count_oracle(lines)
 
     def test_integer_samples_match_fraction_reference(self):
-        # the same points in the same order as the Fraction construction,
-        # each with the mask of direct signs, on the cases above, on seeded
-        # systems with duplicate, scaled, negated, parallel and concurrent
-        # lines, and on the halfplanes of the solver test instances
+        # the first point of each face in the Fraction construction's
+        # order, in that order, each with the mask of direct signs, on the
+        # cases above, on seeded systems with duplicate, scaled, negated,
+        # parallel and concurrent lines, and on the halfplanes of the
+        # solver test instances
         cases = [[(1, 1, 0), (1, -2, 3), (2, 1, -5), (1, 3, 7), (3, -1, -1)]]
         cases += list(_face_sample_cases())
         cases += [[h.line() for h in _seeded_system(seed)] for seed in range(240)]
         cases += [[h.line() for h in fan_instance(seed)[2]] for seed in range(4)]
         cases += [[h.line() for h in halfplane_instance(seed)[2]] for seed in range(20)]
+        cases += [[h.line() for h in ring_instance(seed, 24)[2]] for seed in range(4)]
         for lines in cases:
             samples = face_sample_points(lines)
             _face_signs(lines, samples)  # asserts each mask by direct signs
             got = [Point(Fraction(x, w), Fraction(y, w)) for x, y, w, _outside in samples]
-            assert got == face_sample_points_reference(lines), lines
+            first: dict[tuple[bool, ...], Point] = {}
+            for p in face_sample_points_reference(lines):
+                first.setdefault(tuple([a * p.x + b * p.y + c > 0 for a, b, c in lines]), p)
+            assert got == list(first.values()), lines
         assert len(cases) > 200
 
 

@@ -52,6 +52,7 @@ from membercover.halfplanes import (
     _AnchorContext,
     _HalfplaneInstance,
     _cross2,
+    _cross3,
     _dirvec,
     _dummy_halfplanes,
     _flipped,
@@ -59,6 +60,7 @@ from membercover.halfplanes import (
     _hpt_point,
     _min_size_cover,
     _plane_covers,
+    _sign_masks,
     exact_mmgsc_halfplanes_report,
 )
 from membercover.geometry import strictly_feasible
@@ -162,13 +164,96 @@ class TestPlaneCover:
 
 
 def _segments_of(hs):
-    """The segments of the lines of `hs` alone, selected from the
-    arrangement of an instance over them."""
+    """The segments of the lines of `hs` alone, walked on the arrangement
+    of an instance over them with no point of S, so no triangle blocks."""
     inst = _HalfplaneInstance([], [], hs)
-    return build_segments(inst.arrangement, sum([1 << inst.position[h.id] for h in hs]))
+    wedge = {v: (0, 0) for _host, vertices in inst.arrangement for v, _through, _rank in vertices}
+    active = sum([1 << inst.position[h.id] for h in hs])
+    return build_segments(inst.arrangement, active, wedge, inst.line_sides)
+
+
+def _walk_cases():
+    """Seeded instances whose lines hold duplicates, parallels and
+    concurrent triples, with points of S on their lines and at their
+    crossings."""
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        planes = []
+        while len(planes) < n:
+            kind = rng.randrange(4) if planes else 0
+            a, b, c = rng.choice(planes).line() if planes else (0, 0, 0)
+            if kind in (0, 3):
+                a = b = 0
+                while a == 0 and b == 0:
+                    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                # a fresh line, or one concurrent at (1, 2)
+                c = rng.randint(-6, 6) if kind == 0 else -(a + 2 * b)
+            elif kind == 2:
+                c = rng.randint(-6, 6)  # parallel, or a duplicate by chance
+            planes.append(Halfplane(len(planes), a, b, c))  # kind 1 keeps the duplicate
+        points = [P(1, 2)]
+        for _ in range(rng.randint(2, 7)):
+            a, b, c = rng.choice(planes).line()
+            t = Fraction(rng.randint(-12, 12), 2)
+            points.append(Point(Fraction(-(b * t + c), a), t) if b == 0 else Point(t, Fraction(-(a * t + c), b)))
+        points.append(P(rng.randint(-5, 5), rng.randint(-5, 5)))
+        yield points, planes
+
+
+class _CountingDict(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
 
 
 class TestBuildSegments:
+    def test_walk_keeps_what_the_exhaustive_filter_keeps(self):
+        # at every face of arrangements with duplicate, parallel and
+        # concurrent host lines and points of S on them, the walk keeps the
+        # segments that a triangle test of every pair keeps, in the same
+        # order, and reads the wedge of each vertex it tests once: each
+        # left endpoint, the vertices it keeps, and the first blocked one
+        faces = blocked = on_host = 0
+        kinds = {"duplicate": 0, "parallel": 0, "concurrent": 0}
+        for points, planes in _walk_cases():
+            lines = [h.line() for h in planes]
+            kinds["duplicate"] += len(set(lines)) < len(lines)
+            kinds["parallel"] += any(
+                g[0] * h[1] == g[1] * h[0] and g != h for g, h in combinations(lines, 2)
+            )
+            kinds["concurrent"] += sum(1 for a, b, c in lines if a + 2 * b + c == 0) >= 3
+            inst = _HalfplaneInstance(points, [], planes)
+            for x, y, w, outside in inst.faces:
+                anchor = Point(Fraction(x, w), Fraction(y, w))
+                active = [h for i, h in enumerate(inst.extended) if outside >> i & 1]
+                p_h = _hpt(anchor)
+                wedge = _CountingDict({
+                    v: _sign_masks(_cross3(p_h, v), inst.s_hpts)
+                    for _host, vertices in inst.arrangement
+                    for v, _through, _rank in vertices
+                })
+                kept = build_segments(inst.arrangement, outside, wedge, inst.line_sides)
+                assert kept == _reference_context(anchor, active, inst.s_hpts)
+                ends = pairs = 0
+                for i, (_host, vertices) in enumerate(inst.arrangement):
+                    if outside >> i & 1:
+                        m = len([v for v, through, _rank in vertices if through & outside])
+                        ends += m
+                        pairs += m * (m - 1) // 2
+                assert wedge.reads <= 2 * ends + len(kept)
+                faces += 1
+                blocked += pairs - len(kept)
+                on_host += sum(
+                    1 for seg in kept for q in inst.s_hpts if on_segment(q, seg.a_h, seg.b_h)
+                )
+        assert faces > 600 and blocked > 12000 and on_host > 10000
+        assert min(kinds.values()) >= 10, kinds
+
     def test_triangle_arrangement(self):
         hs = [
             Halfplane(0, -1, 0, 0),   # x <= 0
@@ -219,23 +304,23 @@ class TestBuildSegments:
             assert len(segs) == total
 
     def test_selection_matches_per_anchor_build(self):
-        # every anchor, covering or not, selects from the instance's one
-        # arrangement the segments a build from its own active lines and
-        # its own orientation tests gives, in the same order
+        # every anchor, covering or not, walks the instance's one
+        # arrangement to the segments that a build from its own active
+        # lines and its own orientation tests keeps, those whose triangle
+        # holds no point of S off the segment, in the same order
         cases = [fan_instance(seed) for seed in range(20)]
         cases += [halfplane_instance(seed) for seed in range(150)]
         cases += [ring_instance(seed, 12) for seed in range(6)]
         anchors = segments = 0
         for points, sprime, planes in cases:
             inst = _HalfplaneInstance(points, sprime, planes)
-            for anchor, outside in inst.anchors:
+            for idx, (anchor, outside) in enumerate(inst.anchors):
                 active = [h for h, out in zip(inst.extended, outside) if out]
-                active_bits = sum([1 << i for i, out in enumerate(outside) if out])
-                selected = build_segments(inst.arrangement, active_bits)
-                assert selected == reference_segments(active, anchor)
+                kept = inst.context(idx).segments
+                assert kept == _reference_context(anchor, active, inst.s_hpts)
                 anchors += 1
-                segments += len(selected)
-        assert anchors > 2500 and segments > 500000
+                segments += len(kept)
+        assert anchors > 2500 and segments >= 289875
 
 
 class TestDecisionGraph:
@@ -605,27 +690,25 @@ class TestAnchorContext:
 
     def test_orientation_tests_per_context(self, monkeypatch):
         # an orientation test is one point of a _sign_masks call: at most
-        # one per (S point, endpoint) pair; the arrangement orients every
-        # segment once per instance, with no anchor
+        # one call per active vertex, a point on an active line and on
+        # another; the arrangement orders every line's vertices once per
+        # instance, with no anchor
         import membercover.halfplanes as hp
 
         masks = _count_calls(monkeypatch, (hp,), "_sign_masks")
-        built = []
-        raw_build = hp.build_segments
-
-        def recording(*args):
-            built.append(raw_build(*args))
-            return built[-1]
-
-        monkeypatch.setattr(hp, "build_segments", recording)
         for points, sprime, planes in (fan_instance(1), halfplane_instance(3)):
             inst = _HalfplaneInstance(points, sprime, planes)
-            for idx in range(len(inst.anchors)):
-                del masks[:], built[:]
+            for idx, (_x, _y, _w, outside) in enumerate(inst.faces):
+                del masks[:]
                 inst.context(idx)
-                (segments,) = built
-                endpoints = set([s.a_h for s in segments] + [s.b_h for s in segments])
-                assert len(points) * len(masks) <= len(points) * len(endpoints)
+                active_vertices = {
+                    v
+                    for i, (_host, vertices) in enumerate(inst.arrangement)
+                    if outside >> i & 1
+                    for v, through, _rank in vertices
+                    if through & outside
+                }
+                assert len(masks) <= len(active_vertices)
 
 
 class TestCoveringAnchors:

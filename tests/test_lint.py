@@ -161,6 +161,16 @@ def test_arrangement_built_once_per_instance():
     assert found == []
 
 
+def test_no_pair_list_of_one_lines_vertices():
+    # the arrangement keeps each line's vertices in order and an anchor
+    # walks them, so no list of every vertex pair, O(n^3) segments, comes
+    # back: halfplanes.py calls `combinations` only over lines or halfplanes
+    path = SRC / "halfplanes.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    over = {arg.split(", ")[0] for _scope, arg, _line in _calls(tree, {"combinations"})}
+    assert over == {"range(len(lines))", "range(len(self.halfplanes))", "range(len(flipped))"}
+
+
 def test_no_region_calls_in_halfplanes():
     # every union question of the halfplane solvers is one strict-feasibility
     # test; the region names stay imported in halfplanes.py for the tracer only
