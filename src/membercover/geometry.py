@@ -241,10 +241,14 @@ def grid_partition(grid: SquareGrid) -> dict[GridCell, SquareGrid]:
 # face sampling of a line arrangement
 # ---------------------------------------------------------------------------
 
-def face_sample_points(lines: Sequence[tuple]) -> list[tuple[int, int, int, int]]:
+def face_sample_points(
+    lines: Sequence[tuple], between: tuple[int, int] | None = None
+) -> list[tuple[int, int, int, int]]:
     """One point in the interior of each face of the arrangement, as (X, Y,
     W, outside) with W > 0: the point (X/W, Y/W) and the bitmask of its
-    face, bit i set iff a*X + b*Y + c*W < 0 on lines[i].
+    face, bit i set iff a*X + b*Y + c*W < 0 on lines[i].  With `between`,
+    the indices of two vertical lines, left then right, only the faces
+    between them, with the samples the whole arrangement gives them.
 
     Lines are (a, b, c) triples for ``a*x + b*y + c = 0`` with nonzero
     (a, b).  Samples sit on vertical slab lines midway between consecutive
@@ -255,7 +259,9 @@ def face_sample_points(lines: Sequence[tuple]) -> list[tuple[int, int, int, int]
     for vertical lines), so slab abscissas share 2D; ordinates on a slab
     share 2D * L with L the lcm of the nonzero |b|, so W = 4DL.  Each face
     gets its sample on the first slab it meets, its least in (x, y) order,
-    and the samples come in (x, y) order.  No sample lies on a line.
+    and the samples come in (x, y) order.  No sample lies on a line.  A face
+    between two vertical lines meets only the slabs between them, so the
+    sweep can start at the left one and stop at the right one.
 
     A sweep over the critical abscissas keeps the vertical order of the
     sloped lines (coincident ones as one entry holding all their bits) and
@@ -294,15 +300,19 @@ def face_sample_points(lines: Sequence[tuple]) -> list[tuple[int, int, int, int]
             entry[3] |= 1 << i
             entry_of[i] = entry
     entries = list(merged.values())
+    x_lo, x_hi = -math.inf, math.inf  # the abscissas swept, over D
+    if between is not None:
+        (a_lo, _b, c_lo), (a_hi, _b, c_hi) = lines[between[0]], lines[between[1]]
+        x_lo, x_hi = -c_lo * (d // a_lo), -c_hi * (d // a_hi)
     # per abscissa X over D of a vertex of sloped lines, the entries through
     # each vertex there, by its ordinate over D; a crossing with a vertical
     # line lies on it
     vertices: dict[int, dict[int, set[int]]] = {}
     for x, y, det, i, j in crossings:
-        if i in entry_of and j in entry_of:
+        if i in entry_of and j in entry_of and x_lo <= x * (d // det) <= x_hi:
             at = vertices.setdefault(x * (d // det), {})
             at.setdefault(y * (d // det), set()).update((entry_of[i][4], entry_of[j][4]))
-    xs = sorted(vertices.keys() | vertical_xs)
+    xs = sorted([x for x in vertices.keys() | vertical_xs if x_lo <= x <= x_hi])
 
     def ordinate(e: int, x_num: int) -> int:
         # entry e meets the slab line x = x_num / slab_unit at this / y_unit
@@ -322,7 +332,10 @@ def face_sample_points(lines: Sequence[tuple]) -> list[tuple[int, int, int, int]
     slab_xs = [2 * xs[0] - 2 * d] if xs else [0]
     slab_xs += [lo + hi for lo, hi in zip(xs, xs[1:])]
     slab_xs += [2 * xs[-1] + 2 * d] if xs else []
-    for x_c, x_num in zip([None] + xs, slab_xs):
+    starts: list[int | None] = [None] + xs  # where each slab begins
+    if between is not None:  # from the left bound, where the order is sorted
+        slab_xs, starts = slab_xs[1:-1], xs
+    for x_c, x_num in zip(starts, slab_xs):
         if x_c is None or x_c in vertical_xs:
             order[:] = sorted(range(len(entries)), key=lambda e: ordinate(e, x_num))
             gaps[0] = below

@@ -43,15 +43,23 @@ the group reads it.
 
 The boundary arrangement is built once per instance, by its vertices:
 each line with its intersection points in order along (b, -a), O(n^2) in
-all, and the anchors are its face samples, one per face, from a sweep over
-the same vertices.  An anchor lies strictly outside each of its active
-halfplanes h, h(anchor) < 0, so for u, v on h's line orient(anchor, u, v)
-< 0 iff v - u is a positive multiple of (b_h, -a_h): no anchor changes how
-a segment is oriented.  Each anchor walks its active lines: from each
-vertex u it keeps the segments to the next vertices v while the triangle
-(anchor, u, v) holds no point of S off the line, and stops at the first
-that does, whose triangle lies inside that of every vertex beyond it.  So
-it builds only the segments it keeps, not all O(n^3) vertex pairs.
+all, and the anchors are its face samples, one per face inside the dummy
+box, from a sweep over the same vertices between the box's vertical
+sides.  An anchor lies strictly outside each of its active halfplanes h,
+h(anchor) < 0, so for u, v on h's line orient(anchor, u, v) < 0 iff v - u
+is a positive multiple of (b_h, -a_h): no anchor changes how a segment is
+oriented.  A walk from a vertex u of an active line keeps the segments to
+the next vertices v while the triangle (anchor, u, v) holds no point of S
+off the line, and stops at the first that does, whose triangle lies inside
+that of every vertex beyond it.  An anchor's context walks only where the
+cycle search goes: from the vertices before the reference ray's hit on
+each line, outward, to those after it, for the crossing segments; then
+from a segment's right endpoint along each line through it, when the
+search first asks for its successors.  Segments get ids as they are met,
+but the crossing ones and every successor list are sorted by the key
+(line position, lower and higher HPt rank of the endpoints) that orders a
+build of every segment, so the search meets the chains and the cycle that
+such a build gives.
 
 All hot predicates run on homogeneous integer coordinates.
 """
@@ -61,9 +69,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, compress
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from functools import cached_property, partial
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import lp as lpmod
 from .covers import (
@@ -174,7 +182,7 @@ class SegmentPhi(NamedTuple):
     lines; seen from the anchor, the order anchor -> left -> right is
     clockwise and spans less than a halfturn.  As h(anchor) < 0 on the host
     h, that is: right - left is a positive multiple of (b_h, -a_h).  A
-    named tuple, as an anchor context builds hundreds.
+    named tuple, as an anchor context builds many.
 
     As an edge of a polygon around the anchor, it bounds the closed
     triangle (anchor, left, right), which lies in the polygon's interior
@@ -192,37 +200,34 @@ class SegmentPhi(NamedTuple):
 # and its rank in HPt order
 Arrangement = list[tuple[int, list[tuple[HPt, int, int]]]]
 
+# a segment's place in the order of the eager tables: its line's position in
+# `extended`, then the lower and the higher HPt rank of its endpoints
+SegmentKey = tuple[int, int, int]
+
 
 def build_segments(
-    arrangement: Arrangement,
+    vertices: list[tuple[HPt, int, int]],
+    t: int,
+    start: int,
     active: int,
-    wedge: dict[HPt, tuple[int, int]],
-    sides: dict[int, tuple[int, int]],
-) -> list[SegmentPhi]:
-    """One anchor's kept segments, walked as the module docstring says: on
-    each line in the bitmask `active`, the pairs (u, v) of its vertices on
-    another line in it, u before v along (b, -a), whose triangle (anchor,
-    u, v) holds no point of S off the line.  `wedge[e]` holds the points x
-    of S with orient(anchor, e, x) <= 0 and >= 0, `sides` the instance's
-    line sides.  The segments come host by host, each host's in
-    `combinations` order over its vertices in HPt order."""
-    out: list[SegmentPhi] = []
-    for i, (host, vertices) in enumerate(arrangement):
-        if not active >> i & 1:
-            continue
-        side, online = sides[host]
-        off = side & ~online
-        on = [(v, rank) for v, through, rank in vertices if through & active]
-        kept: list[tuple[int, int, HPt, HPt]] = []
-        for t, (u, rank_u) in enumerate(on[:-1]):
-            left = wedge[u][0] & off
-            for v, rank_v in on[t + 1:]:
-                if left & wedge[v][1]:
-                    break
-                kept.append((rank_u, rank_v, u, v) if rank_u < rank_v else (rank_v, rank_u, u, v))
-        kept.sort()
-        out += [SegmentPhi(host, u, v) for _first, _second, u, v in kept]
-    return out
+    off: int,
+    wedge: Mapping[HPt, tuple[int, int]],
+) -> list[tuple[HPt, int]]:
+    """One walk of the module docstring, on one line's `vertices`: from
+    vertex t, the vertices v from index `start` on that lie on a line in the
+    bitmask `active`, while the triangle (anchor, vertex t, v) holds no
+    point of S off the line; it stops at the first that does.  `off` holds
+    the points of S strictly on the anchor's side of the line, `wedge[e]`
+    the points x of S with orient(anchor, e, x) <= 0 and >= 0.  Each kept v
+    comes with its HPt rank."""
+    left = wedge[vertices[t][0]][0] & off
+    kept: list[tuple[HPt, int]] = []
+    for v, through, rank in vertices[start:]:
+        if through & active:
+            if left & wedge[v][1]:
+                break
+            kept.append((v, rank))
+    return kept
 
 
 def _ray_direction(p_h: HPt, endpoints: Iterable[HPt]) -> tuple[int, int]:
@@ -247,15 +252,17 @@ Chain = tuple[int, ...]
 
 @dataclass
 class WindGraph:
-    """Nodes are (k+1)-tuples of chained segments, as indices into the
-    anchor context's kept segments; arcs shift by one.
+    """Nodes are (k+1)-tuples of chained segments, as ids of the anchor
+    context's kept segments, which it walks as the graph asks for them;
+    arcs shift by one.
 
     A node's id is its position in `vertices`.  The graph starts with every
     crossing node; `successors(v)` fills `succ[v]` on first request, by
     `step` on the node's chain and `inner[v]`, the S' AND of its segments
     between its first and its last, and appends each chain not met before
-    as a new, non-crossing node with the AND `step` gives it.  A graph
-    given whole has no `step`.
+    as a new, non-crossing node with the AND `step` gives it.  `step` lists
+    chains in their segments' key order, so the node ids are those that a
+    context holding every segment gives.  A graph given whole has no `step`.
 
     `cross[v]` tells whether the angular arc of the node's first segment
     crosses the reference ray; it is the crossing flag of every arc
@@ -289,8 +296,21 @@ class WindGraph:
         return out
 
 
+class _OnDemand(dict):
+    """A table filled on first read: a missing key's entry is `fill(key)`."""
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class _AnchorContext:
-    """The kept segments and their successor facts for one anchor.
+    """The kept segments and their successor facts for one anchor, walked
+    on demand.
 
     A segment is kept only when its closed triangle (anchor, left, right)
     holds no point of S off the segment.  A cycle winding once around the
@@ -303,84 +323,137 @@ class _AnchorContext:
 
     The triangle is the intersection of {orient(p, left, x) <= 0},
     {orient(p, right, x) >= 0} and the host line's closed side holding the
-    anchor, so its mask is an AND of one orientation mask per endpoint and
-    one side mask of the instance; its points on the host line are those
-    on the segment.
+    anchor, so its mask is an AND of one orientation mask per endpoint,
+    `wedge`, and one side mask of the instance; its points on the host line
+    are those on the segment.
+
+    `__init__` walks the crossing segments, `leaving` and `successors` the
+    others on first request (None in `succ_seg` and `every_succ_sp` until
+    then), as the module docstring says; `wedge` signs S against a vertex
+    on first read, and `ids` maps each `SegmentKey` to its id.  The context
+    refers neither to its instance nor to itself, so it is freed without
+    the cycle collector.
     """
 
     def __init__(self, anchor: Point, active: list[Halfplane], inst: _HalfplaneInstance):
         self.anchor = anchor
-        self.p_h = _hpt(anchor)
-        s_pts, sides, position = inst.s_hpts, inst.line_sides, inst.position
-        active_bits = 0
-        for h in active:
-            active_bits |= 1 << position[h.id]
+        self.p_h = p_h = _hpt(anchor)
+        self.active = active_bits = sum([1 << inst.position[h.id] for h in active])
+        self.arrangement, self.lines, self.slots = inst.arrangement, inst.lines, inst.slots
+        self.line_sides, self.sp_masks, self.position = inst.line_sides, inst.sp_masks, inst.position
         # the endpoints of every segment of the active lines: on each active
         # line with two or more, its vertices that lie on another active line
         endpoints: set[HPt] = set()
-        for i, (_host, vertices) in enumerate(inst.arrangement):
+        ends: dict[int, list[int]] = {}  # per such line, the endpoints' indices
+        for i, (_host, vertices) in enumerate(self.arrangement):
             if active_bits >> i & 1:
-                on = [v for v, through, _rank in vertices if through & active_bits]
+                on = [t for t, (_v, through, _rank) in enumerate(vertices) if through & active_bits]
                 if len(on) > 1:
-                    endpoints.update(on)
-        self.ray = _ray_direction(self.p_h, endpoints)
-        # per endpoint e, the points x with orient(p, e, x) <= 0 and >= 0
-        wedge = {e: _sign_masks(_cross3(self.p_h, e), s_pts) for e in endpoints}
-        self.segments = build_segments(inst.arrangement, active_bits, wedge, sides)
-
-        # a segment crosses the ray iff its left endpoint lies clockwise of
-        # the ray and its right endpoint counterclockwise: one side test per
-        # endpoint
-        ray_side = {e: _cross2(_dirvec(self.p_h, e), self.ray) for e in endpoints}
-        sp_masks = inst.sp_masks
-        # by_left holds, per left endpoint, each host's kept segments from it
-        by_left: dict[HPt, dict[int, list[int]]] = {}
-        sp_list: list[int] = []
-        cross: list[bool] = []
-        for s, (host, a_h, b_h) in enumerate(self.segments):
-            by_left.setdefault(a_h, {}).setdefault(host, []).append(s)
-            sp_list.append(sp_masks[host])
-            cross.append(ray_side[a_h] < 0 < ray_side[b_h])
-        self.sp_mask, self.cross = sp_list, cross
-
+                    ends[i] = on
+                    endpoints.update([vertices[t][0] for t in on])
+        self.ray = ray = _ray_direction(p_h, endpoints)
+        self.wedge: dict[HPt, tuple[int, int]] = _OnDemand(partial(self._sign_wedge, p_h, inst.s_hpts))
+        self.segments: list[SegmentPhi] = []
+        self.ids: dict[SegmentKey, int] = {}
+        self.sp_mask: list[int] = []
         # succ_seg[s]: the segments j starting at the right endpoint of s
-        # that turn strictly clockwise from s, cross(dir s, dir j) < 0.
-        # Segment s on host (a, b, c) runs along (b, -a) (see SegmentPhi), so
-        # the cross product has the sign of a_s * b_j - a_j * b_s on the
-        # hosts' normals.  The list depends only on (right endpoint, host), a
-        # group of segments, and so does every_succ_sp: each is built once
-        # per group and each segment of the group reads the same object.
-        # Hosts come in segment order in by_left and their segments are
-        # contiguous, so joining the turning hosts' lists keeps a successor
-        # list increasing.
-        normal = {h.id: (h.a, h.b) for h in active}
-        groups: dict[tuple[HPt, int], tuple[list[int], int]] = {}
-        # every_succ_sp[s]: the S' points in every successor of s (-1, all
-        # of them, when s has none); a successor's S' mask is its host's
-        succ_seg: list[list[int]] = []
-        every_succ_sp: list[int] = []
-        for host, _a_h, b_h in self.segments:
-            key = (b_h, host)
-            facts = groups.get(key)
-            if facts is None:
-                a, b = normal[host]
-                nexts: list[int] = []
-                common = -1
-                for host_j, starting in by_left.get(b_h, {}).items():
-                    a_j, b_j = normal[host_j]
-                    if a * b_j < a_j * b:
+        # that turn strictly clockwise from s; every_succ_sp[s]: the S'
+        # points in every successor of s (-1, all of them, when s has none)
+        self.succ_seg: list[list[int] | None] = []
+        self.every_succ_sp: list[int | None] = []
+        self._walks: dict[tuple[int, int], list[int]] = {}
+        self._groups: dict[tuple[HPt, int], tuple[list[int], int]] = {}
+        # the segments from the endpoints before the ray's hit on a line,
+        # which see the ray clockwise and come first, to those after it;
+        # triangles nest, so none is left once a walk outward keeps nothing
+        for i, on in ends.items():
+            a, b, _c = self.lines[i]
+            if a * ray[0] + b * ray[1] <= 0:
+                continue  # the ray misses the line
+            vertices = self.arrangement[i][1]
+            m = 0
+            while m < len(on) and _cross2(_dirvec(p_h, vertices[on[m]][0]), ray) < 0:
+                m += 1
+            if m < len(on):
+                for t in reversed(on[:m]):
+                    if not self._walk(i, t, on[m]):
+                        break
+        self.crossing = [s for _key, s in sorted(self.ids.items())]
+
+    @staticmethod
+    def _sign_wedge(p_h: HPt, s_pts: Sequence[HPt], e: HPt) -> tuple[int, int]:
+        return _sign_masks(_cross3(p_h, e), s_pts)
+
+    def _walk(self, i: int, t: int, start: int) -> list[int]:
+        """The ids of the kept segments from vertex t of active line i to
+        its vertices from index `start` on, by `build_segments`, in key
+        order; those not met before get the next ids."""
+        host, vertices = self.arrangement[i]
+        side, online = self.line_sides[host]
+        u, _through, r = vertices[t]
+        kept = build_segments(vertices, t, start, self.active, side & ~online, self.wedge)
+        ids = self.ids
+        out: list[int] = []
+        new: list[SegmentPhi] = []
+        for key, v in sorted([((i, r, q) if r < q else (i, q, r), v) for v, q in kept]):
+            s = ids.get(key)
+            if s is None:
+                s = ids[key] = len(ids)
+                new.append(SegmentPhi(host, u, v))
+            out.append(s)
+        if new:
+            self.segments += new
+            self.sp_mask += [self.sp_masks[host]] * len(new)
+            self.succ_seg += [None] * len(new)
+            self.every_succ_sp += [None] * len(new)
+        return out
+
+    def leaving(self, i: int, t: int) -> list[int]:
+        """The ids of the kept segments leaving vertex t of active line i,
+        in key order: one walk, on first request."""
+        out = self._walks.get((i, t))
+        if out is None:
+            out = self._walks[i, t] = self._walk(i, t, t + 1)
+        return out
+
+    def successors(self, s: int) -> list[int]:
+        """succ_seg[s], filled with every_succ_sp[s] from the facts of its
+        (right endpoint, host) group, built on the group's first request.
+        Segment s on host (a, b, c) runs along (b, -a), so a segment j
+        leaving its right endpoint turns strictly clockwise iff a * b_j <
+        a_j * b; every_succ_sp ANDs the S' masks of the turning hosts that
+        give a kept segment.  Lines come in position order, so the list
+        comes in key order."""
+        out = self.succ_seg[s]
+        if out is not None:
+            return out
+        host, _a_h, b_h = self.segments[s]
+        i = self.position[host]
+        facts = self._groups.get((b_h, i))
+        if facts is None:
+            lines, slots = self.lines, self.slots
+            a, b, _c = lines[i]
+            through = self.arrangement[i][1][slots[b_h, i]][1] & self.active
+            nexts: list[int] = []
+            common = -1
+            while through:
+                j = (through & -through).bit_length() - 1  # the lowest line left
+                through &= through - 1
+                a_j, b_j, _c_j = lines[j]
+                if a * b_j < a_j * b:
+                    starting = self.leaving(j, slots[b_h, j])
+                    if starting:
                         nexts += starting
-                        common &= sp_masks[host_j]
-                facts = groups[key] = (nexts, common)
-            succ_seg.append(facts[0])
-            every_succ_sp.append(facts[1])
-        self.succ_seg, self.every_succ_sp = succ_seg, every_succ_sp
+                        common &= self.sp_masks[self.arrangement[j][0]]
+            facts = self._groups[b_h, i] = (nexts, common)
+        self.succ_seg[s], self.every_succ_sp[s] = facts
+        return facts[0]
 
     def chains(
         self, k: int, starts: Iterable[tuple[Chain, int]]
     ) -> list[tuple[Chain, int]]:
         """The (k+1)-chains passing the membership condition that extend the
-        increasing prefixes in `starts`, depth first: no point of S' lies in
+        prefixes in `starts`, depth first: no point of S' lies in
         every host of the chain.  A prefix, of 1 to k+1 segments, comes with
         the S' AND of its segments before its last (-1 for one segment), and
         a chain goes out with the S' AND of its segments between its first
@@ -392,10 +465,11 @@ class _AnchorContext:
         segment, that AND must miss some successor's S' mask, so it must
         miss every_succ_sp[s] of the prefix's last segment s; a prefix that
         does not is cut off, as no completion of it can pass.  The chains
-        come out increasing, since every successor list increases.
+        come out in key order, as every successor list does.
         """
         out: list[tuple[Chain, int]] = []
         sp, succ, every_succ_sp = self.sp_mask, self.succ_seg, self.every_succ_sp
+        successors = self.successors
         for prefix, before in starts:
             last = sp[prefix[-1]]
             inner = -1  # the AND between the prefix's first and last
@@ -411,6 +485,8 @@ class _AnchorContext:
             while stack:
                 chain, sp_and, inner = stack.pop()
                 s = chain[-1]
+                if succ[s] is None:
+                    successors(s)
                 if len(chain) < k:
                     stack += [(chain + (j,), sp_and & sp[j], inner & sp[j]) for j in reversed(succ[s])]
                 elif not sp_and & every_succ_sp[s]:
@@ -425,16 +501,15 @@ class _AnchorContext:
         The successors of a node v are the passing chains v[1:] + (j,),
         for j in succ_seg[v[-1]], listed by `chains` from the prefix v[1:]
         and the node's `inner` entry (from the one-segment chains (j,) at
-        k = 0); they come out increasing.  Every passing chain with a
+        k = 0); they come out in key order.  Every passing chain with a
         crossing first segment is a crossing node already, so each chain
         met later is non-crossing.
         """
-        succ = self.succ_seg
 
         def step(v: Chain, inner: int) -> list[tuple[Chain, int]]:
-            return self.chains(k, [(v[1:], inner)] if k else [((j,), -1) for j in succ[v[0]]])
+            return self.chains(k, [(v[1:], inner)] if k else [((j,), -1) for j in self.successors(v[0])])
 
-        crossing = self.chains(k, [((s,), -1) for s in compress(range(len(succ)), self.cross)])
+        crossing = self.chains(k, [((s,), -1) for s in self.crossing])
         n = len(crossing)
         return WindGraph(
             [chain for chain, _inner in crossing], [None] * n, [True] * n, step,
@@ -719,6 +794,16 @@ class _HalfplaneInstance:
             arrangement.append((host.id, [(ranked[r], on_line[ranked[r]], r) for r in along]))
         return arrangement
 
+    @cached_property
+    def slots(self) -> dict[tuple[HPt, int], int]:
+        """Per vertex of the arrangement and position in `extended` of a line
+        through it, the vertex's index on that line."""
+        return {
+            (v, i): t
+            for i, (_host, vertices) in enumerate(self.arrangement)
+            for t, (v, _through, _rank) in enumerate(vertices)
+        }
+
     # -- anchors ------------------------------------------------------------
 
     @cached_property
@@ -726,9 +811,11 @@ class _HalfplaneInstance:
         """One sample per face inside the dummy box, as `face_sample_points`
         gives it: (X, Y, W, outside), bit i of outside set iff the point
         (X/W, Y/W) lies outside extended[i].  A face inside the box lies
-        outside all four dummies, which come last."""
-        box = 15 << len(self.halfplanes)
-        return [face for face in face_sample_points(self.lines) if face[3] & box == box]
+        outside all four dummies, which come last; the sweep runs between
+        the vertical ones, x = -delta and x = delta."""
+        n = len(self.halfplanes)
+        box = 15 << n
+        return [face for face in face_sample_points(self.lines, (n + 2, n + 3)) if face[3] & box == box]
 
     @cached_property
     def anchors(self) -> list[tuple[Point, tuple[bool, ...]]]:

@@ -27,6 +27,7 @@ from membercover.halfplanes import (
     _line_intersect,
     _plane_covers,
     _ray_direction,
+    build_segments,
     find_winding_cycle,
     one_stable_local_search,
 )
@@ -708,10 +709,44 @@ def window_relation(inst, anchor, active):
 # for the on-demand walk of `find_winding_cycle`
 # ---------------------------------------------------------------------------
 
+def walk_segments(arrangement, active, wedge, sides):
+    """Every segment that `build_segments` keeps from each vertex of each
+    line in the bitmask `active` that lies on another such line, in key
+    order (the line's position, then the lower and the higher HPt rank of
+    the endpoints): all that an anchor's context can walk."""
+    found = []
+    for i, (host, vertices) in enumerate(arrangement):
+        if active >> i & 1:
+            side, online = sides[host]
+            for t, (u, through, r) in enumerate(vertices):
+                if through & active:
+                    for v, q in build_segments(vertices, t, t + 1, active, side & ~online, wedge):
+                        found.append(((i, min(r, q), max(r, q)), SegmentPhi(host, u, v)))
+    return [seg for _key, seg in sorted(found)]
+
+
+def materialize(ctx):
+    """Walk all of an anchor context by its own walk: `leaving` from each
+    vertex of each active line that lies on another active line, then
+    `successors` of every segment.  Its tables then hold every kept segment
+    and successor list, under its own ids; returns the ids in key order,
+    the order of the ids of a build of every segment."""
+    for i, (_host, vertices) in enumerate(ctx.arrangement):
+        if ctx.active >> i & 1:
+            for t, (_v, through, _rank) in enumerate(vertices):
+                if through & ctx.active:
+                    ctx.leaving(i, t)
+    for s in range(len(ctx.segments)):
+        ctx.successors(s)
+    keys = list(ctx.ids)  # in id order
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 def all_chains(ctx, k):
     """Every passing (k+1)-chain of an anchor context, in enumeration
-    order: `ctx.chains(k)` from every one-segment prefix."""
-    return [chain for chain, _inner in ctx.chains(k, [((s,), -1) for s in range(len(ctx.segments))])]
+    order: `ctx.chains(k)` from every one-segment prefix, in key order,
+    once the context is materialized."""
+    return [chain for chain, _inner in ctx.chains(k, [((s,), -1) for s in materialize(ctx)])]
 
 
 def reference_graph(ctx, k):
@@ -730,7 +765,8 @@ def reference_graph(ctx, k):
             by_head.setdefault(v[:-1], []).append(i)
         for v in vertices:
             succ.append(by_head.get(v[1:], []))
-    return vertices, succ, [ctx.cross[v[0]] for v in vertices]
+    crossing = set(ctx.crossing)
+    return vertices, succ, [v[0] in crossing for v in vertices]
 
 
 def reference_cycle(succ, cross):

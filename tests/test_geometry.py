@@ -233,15 +233,8 @@ class TestFaceSamples:
     def test_integer_samples_match_fraction_reference(self):
         # the first point of each face in the Fraction construction's
         # order, in that order, each with the mask of direct signs, on the
-        # cases above, on seeded systems with duplicate, scaled, negated,
-        # parallel and concurrent lines, and on the halfplanes of the
-        # solver test instances
-        cases = [[(1, 1, 0), (1, -2, 3), (2, 1, -5), (1, 3, 7), (3, -1, -1)]]
-        cases += list(_face_sample_cases())
-        cases += [[h.line() for h in _seeded_system(seed)] for seed in range(240)]
-        cases += [[h.line() for h in fan_instance(seed)[2]] for seed in range(4)]
-        cases += [[h.line() for h in halfplane_instance(seed)[2]] for seed in range(20)]
-        cases += [[h.line() for h in ring_instance(seed, 24)[2]] for seed in range(4)]
+        # battery
+        cases = _sweep_battery()
         for lines in cases:
             samples = face_sample_points(lines)
             _face_signs(lines, samples)  # asserts each mask by direct signs
@@ -251,6 +244,48 @@ class TestFaceSamples:
                 first.setdefault(tuple([a * p.x + b * p.y + c > 0 for a, b, c in lines]), p)
             assert got == list(first.values()), lines
         assert len(cases) > 200
+
+    def test_sweep_between_two_verticals_is_the_filtered_full_sweep(self):
+        # the faces between two vertical lines, swept from the left one to
+        # the right one, get the samples of the whole sweep, in its order
+        # and with its integers; the bounds are scaled and negated, and
+        # many pass through a vertex or lie on a vertical line
+        rng = random.Random(29)
+        checked = cut = through = 0
+        for lines in _sweep_battery():
+            on_lines = {Fraction(-c, a) for a, b, c in lines if b == 0}
+            for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
+                det = a1 * b2 - a2 * b1
+                if det:
+                    on_lines.add(Fraction(b1 * c2 - b2 * c1, det))
+            xs = on_lines | {Fraction(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(3)}
+            lo, hi = sorted(rng.sample(sorted(xs), 2))
+            bounds = [
+                (scale * x.denominator, 0, -scale * x.numerator)
+                for x in (lo, hi)
+                for scale in [rng.choice((1, -1, 2, -3))]
+            ]
+            bounded = lines + bounds
+            full = face_sample_points(bounded)
+            inside = [f for f in full if lo < Fraction(f[0], f[2]) < hi]
+            assert face_sample_points(bounded, (len(lines), len(lines) + 1)) == inside, bounded
+            checked += 1
+            cut += 0 < len(inside) < len(full)
+            through += lo in on_lines or hi in on_lines
+        assert checked > 200 and cut > 200 and through > 100, (checked, cut, through)
+
+
+def _sweep_battery():
+    """A hand-built arrangement, the degenerate cases above, seeded
+    systems with duplicate, scaled, negated, parallel and concurrent lines,
+    and the halfplanes of the solver test instances."""
+    cases = [[(1, 1, 0), (1, -2, 3), (2, 1, -5), (1, 3, 7), (3, -1, -1)]]
+    cases += list(_face_sample_cases())
+    cases += [[h.line() for h in _seeded_system(seed)] for seed in range(240)]
+    cases += [[h.line() for h in fan_instance(seed)[2]] for seed in range(4)]
+    cases += [[h.line() for h in halfplane_instance(seed)[2]] for seed in range(20)]
+    cases += [[h.line() for h in ring_instance(seed, 24)[2]] for seed in range(4)]
+    return cases
 
 
 # (constraints, strictly feasible?) for a*x + b*y + c > 0

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -13,6 +14,7 @@ from conftest import (
     fan_instance,
     halfplane_instance,
     in_triangle,
+    materialize,
     on_segment,
     reference_cycle,
     reference_graph,
@@ -25,6 +27,7 @@ from conftest import (
     union_grows_lp,
     union_within_lp,
     verify_winding_certificate,
+    walk_segments,
     window_relation,
 )
 
@@ -33,11 +36,11 @@ from membercover import (
     Point,
     Uncoverable,
     additive_error_cover,
-    build_segments,
     complement_region,
     decide_membership,
     exact_minsize_bruteforce,
     exact_mmgsc_bruteforce,
+    face_sample_points,
     find_winding_cycle,
     incidence,
     memb_eval,
@@ -164,12 +167,13 @@ class TestPlaneCover:
 
 
 def _segments_of(hs):
-    """The segments of the lines of `hs` alone, walked on the arrangement
-    of an instance over them with no point of S, so no triangle blocks."""
+    """The segments of the lines of `hs` alone, walked from every vertex on
+    the arrangement of an instance over them with no point of S, so no
+    triangle blocks."""
     inst = _HalfplaneInstance([], [], hs)
     wedge = {v: (0, 0) for _host, vertices in inst.arrangement for v, _through, _rank in vertices}
     active = sum([1 << inst.position[h.id] for h in hs])
-    return build_segments(inst.arrangement, active, wedge, inst.line_sides)
+    return walk_segments(inst.arrangement, active, wedge, inst.line_sides)
 
 
 def _walk_cases():
@@ -214,10 +218,11 @@ class _CountingDict(dict):
 class TestBuildSegments:
     def test_walk_keeps_what_the_exhaustive_filter_keeps(self):
         # at every face of arrangements with duplicate, parallel and
-        # concurrent host lines and points of S on them, the walk keeps the
-        # segments that a triangle test of every pair keeps, in the same
-        # order, and reads the wedge of each vertex it tests once: each
-        # left endpoint, the vertices it keeps, and the first blocked one
+        # concurrent host lines and points of S on them, the walks from
+        # every vertex keep the segments that a triangle test of every pair
+        # keeps, in key order, and each walk reads the wedge of each vertex
+        # it tests once: its left endpoint, the vertices it keeps, and the
+        # first blocked one
         faces = blocked = on_host = 0
         kinds = {"duplicate": 0, "parallel": 0, "concurrent": 0}
         for points, planes in _walk_cases():
@@ -237,7 +242,7 @@ class TestBuildSegments:
                     for _host, vertices in inst.arrangement
                     for v, _through, _rank in vertices
                 })
-                kept = build_segments(inst.arrangement, outside, wedge, inst.line_sides)
+                kept = walk_segments(inst.arrangement, outside, wedge, inst.line_sides)
                 assert kept == _reference_context(anchor, active, inst.s_hpts)
                 ends = pairs = 0
                 for i, (_host, vertices) in enumerate(inst.arrangement):
@@ -307,7 +312,7 @@ class TestBuildSegments:
         # every anchor, covering or not, walks the instance's one
         # arrangement to the segments that a build from its own active
         # lines and its own orientation tests keeps, those whose triangle
-        # holds no point of S off the segment, in the same order
+        # holds no point of S off the segment, in the same order (key order)
         cases = [fan_instance(seed) for seed in range(20)]
         cases += [halfplane_instance(seed) for seed in range(150)]
         cases += [ring_instance(seed, 12) for seed in range(6)]
@@ -316,7 +321,8 @@ class TestBuildSegments:
             inst = _HalfplaneInstance(points, sprime, planes)
             for idx, (anchor, outside) in enumerate(inst.anchors):
                 active = [h for h, out in zip(inst.extended, outside) if out]
-                kept = inst.context(idx).segments
+                ctx = inst.context(idx)
+                kept = [ctx.segments[s] for s in materialize(ctx)]
                 assert kept == _reference_context(anchor, active, inst.s_hpts)
                 anchors += 1
                 segments += len(kept)
@@ -459,8 +465,10 @@ def _reference_context(anchor, active, s_hpts):
 def _reference_chains(ctx, k, s_hpts):
     """Every (k+1)-path of successors whose triangles swallow only points
     on its segments and whose hosts share no point of S', the masks
-    combined at its last segment, as the chains were first enumerated."""
+    combined at its last segment, as the chains were first enumerated,
+    from every segment of the materialized context in key order."""
     out = []
+    order = materialize(ctx)
     tris, ons = segment_masks(s_hpts, ctx.anchor, ctx.segments)
 
     def extend(chain):
@@ -479,7 +487,7 @@ def _reference_chains(ctx, k, s_hpts):
             extend(chain)
             chain.pop()
 
-    for start in range(len(ctx.segments)):
+    for start in order:
         extend([start])
     return out
 
@@ -507,6 +515,11 @@ HAND_ANCHORS = [P(0, 0), P("1/2", "-1/3"), P(5, 5), P("-3/2", "1/7")]
 # sha256 of the concatenated repr of `anchors` over fan_instance(0..19),
 # halfplane_instance(0..149) and ring_instance(0..5, 12)
 ANCHORS_SHA256 = "733cada870947ace349c555bfa53f390073aee956ae2e547c8b97bc1fa85bef6"
+
+# sha256 of the concatenated repr of `exact_mmgsc_halfplanes_report` over
+# fan_instance(0..19), ring_instance(0..11, 12), halfplane_instance(0..149),
+# tangent_fan(1, 24, 6) and tangent_fan(1, 16, 7)
+REPORTS_SHA256 = "619cc2d1433abb6176ebc352b8e1795c3e14b053e5a928d31694981a0ffb66b2"
 
 
 def _hand_contexts():
@@ -570,7 +583,8 @@ class TestAnchorContext:
     def test_masks_match_per_segment_reference(self):
         contexts = list(_hand_contexts()) + list(_seeded_contexts())
         for inst, anchor, active, ctx in contexts:
-            assert ctx.segments == _reference_context(anchor, active, inst.s_hpts), anchor
+            kept = [ctx.segments[s] for s in materialize(ctx)]
+            assert kept == _reference_context(anchor, active, inst.s_hpts), anchor
         assert len(contexts) > 100
 
     def test_hand_built_boundary_cases(self):
@@ -578,6 +592,7 @@ class TestAnchorContext:
         # kept segment's triangle holds points of S only on the segment
         on_bits = (1 << len(HAND_ON_LINES)) - 1
         for inst, anchor, _active_planes, ctx in _hand_contexts():
+            materialize(ctx)
             carried = 0
             for tri, on in zip(*segment_masks(inst.s_hpts, anchor, ctx.segments)):
                 assert tri & ~on_bits == 0
@@ -599,7 +614,8 @@ class TestAnchorContext:
         contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
         contexts += [c[-1] for c in _tangent_fan_contexts()]
         for ctx in contexts:
-            for s, nexts in enumerate(ctx.succ_seg):
+            for s in materialize(ctx):
+                nexts = ctx.succ_seg[s]
                 common = -1
                 for j in nexts:
                     common &= ctx.sp_mask[j]
@@ -607,16 +623,18 @@ class TestAnchorContext:
 
     def test_successors_match_direction_reference(self):
         # succ_seg turns by the hosts' normals; the reference turns by the
-        # segments' own directions, one _cross2 per (segment, successor)
+        # segments' own directions, one _cross2 per (segment, successor),
+        # and lists them in key order
         contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
         contexts += [c[-1] for c in _tangent_fan_contexts()]
         contexts += [c[-1] for c in _ring_contexts(5)]
         pairs = 0
         for ctx in contexts:
+            order = materialize(ctx)
             dirs = [_dirvec(seg.a_h, seg.b_h) for seg in ctx.segments]
             expected = []
             for i, seg in enumerate(ctx.segments):
-                starts = [j for j, nxt in enumerate(ctx.segments) if nxt.a_h == seg.b_h]
+                starts = [j for j in order if ctx.segments[j].a_h == seg.b_h]
                 pairs += len(starts)
                 expected.append([j for j in starts if _cross2(dirs[i], dirs[j]) < 0])
             assert ctx.succ_seg == expected
@@ -633,7 +651,8 @@ class TestAnchorContext:
         for ctx in contexts:
             ctx.graph(3)
             first: dict = {}  # per (b_h, host), its first segment
-            for s, seg in enumerate(ctx.segments):
+            for s in materialize(ctx):
+                seg = ctx.segments[s]
                 g = first.setdefault((seg.b_h, seg.host), s)
                 assert ctx.succ_seg[s] is ctx.succ_seg[g]
                 assert ctx.every_succ_sp[s] == ctx.every_succ_sp[g]
@@ -661,38 +680,48 @@ class TestAnchorContext:
         assert found > 50
 
     def test_successor_lists_increase(self):
-        # each successor list, filled on demand, lists the full graph's
-        # successors of its chain in order, and they increase
-        for _inst, _anchor, _active, ctx in list(_hand_contexts()) + list(_seeded_contexts()):
+        # each successor list, filled on demand on a context walked only as
+        # far as the graph goes, lists the full graph's successors of its
+        # chain in order, and they increase in the ids of a build of every
+        # segment: in key order
+        for inst, anchor, active, _ctx in list(_hand_contexts()) + list(_seeded_contexts()):
             for k in range(4):
-                vertices, succ, _cross = reference_graph(ctx, k)
-                index = {v: i for i, v in enumerate(vertices)}
+                ctx = _AnchorContext(anchor, active, inst)
                 graph = ctx.graph(k)
                 v = 0
                 while v < len(graph.vertices):  # every chain the crossing ones reach
-                    nexts = [graph.vertices[w] for w in graph.successors(v)]
-                    assert nexts == [vertices[w] for w in succ[index[graph.vertices[v]]]]
-                    assert all(a < b for a, b in zip(nexts, nexts[1:]))
+                    graph.successors(v)
                     v += 1
+                vertices, succ, _cross = reference_graph(ctx, k)
+                index = {v: i for i, v in enumerate(vertices)}
+                keys = list(ctx.ids)
+                for v, nexts in enumerate(graph.succ):
+                    nexts = [graph.vertices[w] for w in nexts]
+                    assert nexts == [vertices[w] for w in succ[index[graph.vertices[v]]]]
+                    ranked = [[keys[s] for s in chain] for chain in nexts]
+                    assert all(a < b for a, b in zip(ranked, ranked[1:]))
 
     def test_crossing_flags_match_per_segment_formula(self):
-        # one ray-side sign per endpoint gives the two tests per segment
+        # the walks outward from the ray's hit on each line meet the
+        # segments that the two ray-side tests per segment call crossing,
+        # and list them in key order
         contexts = [c[-1] for c in list(_hand_contexts()) + list(_seeded_contexts())]
         contexts += [c[-1] for c in _tangent_fan_contexts()]
         contexts += [c[-1] for c in _ring_contexts(5)]
         for ctx in contexts:
-            assert ctx.cross == [
-                _cross2(_dirvec(ctx.p_h, s.a_h), ctx.ray) < 0
-                and _cross2(ctx.ray, _dirvec(ctx.p_h, s.b_h)) < 0
-                for s in ctx.segments
+            assert ctx.crossing == [
+                s
+                for s in materialize(ctx)
+                if _cross2(_dirvec(ctx.p_h, ctx.segments[s].a_h), ctx.ray) < 0
+                and _cross2(ctx.ray, _dirvec(ctx.p_h, ctx.segments[s].b_h)) < 0
             ]
-        assert sum(sum(ctx.cross) for ctx in contexts) > 100
+        assert sum(len(ctx.crossing) for ctx in contexts) > 100
 
     def test_orientation_tests_per_context(self, monkeypatch):
         # an orientation test is one point of a _sign_masks call: at most
         # one call per active vertex, a point on an active line and on
-        # another; the arrangement orders every line's vertices once per
-        # instance, with no anchor
+        # another, however much of the context is walked; the arrangement
+        # orders every line's vertices once per instance, with no anchor
         import membercover.halfplanes as hp
 
         masks = _count_calls(monkeypatch, (hp,), "_sign_masks")
@@ -700,7 +729,7 @@ class TestAnchorContext:
             inst = _HalfplaneInstance(points, sprime, planes)
             for idx, (_x, _y, _w, outside) in enumerate(inst.faces):
                 del masks[:]
-                inst.context(idx)
+                materialize(inst.context(idx))
                 active_vertices = {
                     v
                     for i, (_host, vertices) in enumerate(inst.arrangement)
@@ -709,6 +738,40 @@ class TestAnchorContext:
                     if through & outside
                 }
                 assert len(masks) <= len(active_vertices)
+
+    def test_solves_walk_at_most_half_the_segments(self, monkeypatch):
+        # a context walks the segments crossing the ray and then only where
+        # the cycle search goes: summed over the fan instances, and on the
+        # k = 6 fan, the solves meet at most half of the kept segments
+        import membercover.halfplanes as hp
+
+        built = []
+        raw_init = hp._AnchorContext.__init__
+
+        def recording(self, anchor, active, inst):
+            raw_init(self, anchor, active, inst)
+            built.append(self)
+
+        monkeypatch.setattr(hp._AnchorContext, "__init__", recording)
+        for cases in ([fan_instance(seed) for seed in range(20)], [tangent_fan(1, 24, 6)]):
+            del built[:]
+            for points, sprime, planes in cases:
+                exact_mmgsc_halfplanes_report(points, sprime, planes)
+            walked = sum(len(ctx.segments) for ctx in built)
+            kept = sum(len(materialize(ctx)) for ctx in built)
+            assert built and 2 * walked <= kept, (walked, kept)
+
+    def test_solves_leave_no_reference_cycles(self):
+        # a context refers neither to its instance nor to itself, so each
+        # solve's objects are freed as it returns, without the collector
+        gc.collect()
+        gc.disable()
+        try:
+            for points, sprime, planes in [fan_instance(seed) for seed in range(8)] + [tangent_fan(1, 16, 4)]:
+                assert exact_mmgsc_halfplanes_report(points, sprime, planes).path in ("cycle", "quiet")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCoveringAnchors:
@@ -772,6 +835,25 @@ class TestCoveringAnchors:
             assert len(inst.anchors) > 1
             assert [inst.anchors[idx][0] for idx in inst.covering_anchors] == [anchor]
         assert paths.count("cycle") == 6
+
+    def test_faces_are_the_full_sweep_inside_the_box(self):
+        # the sweep between the vertical dummies, filtered by the other
+        # two, keeps the samples of the whole arrangement's sweep that lie
+        # inside the dummy box, in its order
+        cases = [(HAND_ON_LINES + HAND_OFF_LINES, [P(2, 2)], HAND_PLANES)]
+        cases += [fan_instance(seed) for seed in range(20)]
+        cases += [halfplane_instance(seed) for seed in range(150)]
+        cases += [ring_instance(seed, 12) for seed in range(12)]
+        cases += [ring_instance(seed, 24) for seed in range(4)]
+        cases += [tangent_fan(1, 24, 6), tangent_fan(1, 16, 7)]
+        outside_box = 0
+        for points, sprime, planes in cases:
+            inst = _HalfplaneInstance(points, sprime, planes)
+            box = 15 << len(inst.halfplanes)
+            full = face_sample_points(inst.lines)
+            assert inst.faces == [face for face in full if face[3] & box == box]
+            outside_box += len(full) - len(inst.faces)
+        assert outside_box > 5000
 
     def test_anchors_match_recorded_digest(self):
         # the anchors, points and face tuples, as the sampler gave them when
@@ -907,6 +989,18 @@ class TestExactSolver:
             assert (report.k, report.path, report.cover.ids) == (k, "cycle", tuple(range(n)))
             verify_winding_certificate(report, points, sprime, planes)
             assert sum(len(graph.vertices) for graph in graphs) < bound
+
+    def test_reports_match_recorded_digest(self):
+        # the reports, covers, paths and winding certificates, as the
+        # context that built every segment and successor list gave them
+        digest = hashlib.sha256()
+        cases = [fan_instance(seed) for seed in range(20)]
+        cases += [ring_instance(seed, 12) for seed in range(12)]
+        cases += [halfplane_instance(seed) for seed in range(150)]
+        cases += [tangent_fan(1, 24, 6), tangent_fan(1, 16, 7)]
+        for points, sprime, planes in cases:
+            digest.update(repr(exact_mmgsc_halfplanes_report(points, sprime, planes)).encode())
+        assert digest.hexdigest() == REPORTS_SHA256
 
     def test_minsize_path(self):
         # four halfplanes below tangents of y = x^2 + 10, each holding only

@@ -136,12 +136,12 @@ def test_grid_scaled_only_by_the_public_solves():
 def test_halfplane_tables_built_only_by_the_instance():
     # every halfplane solver reads the S and S' tables and line sides of one
     # _HalfplaneInstance, built by integer sign passes; an anchor context
-    # signs S only against its own segment endpoints
+    # signs S only against its own segment endpoints, one on first read
     path = SRC / "halfplanes.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _calls(tree, {"incidence", "covering_incidence"}) == []
     scopes = {scope for scope, _arg, _line in _calls(tree, {"_sign_masks"})}
-    assert scopes == {"_HalfplaneInstance.__init__", "_AnchorContext.__init__"}
+    assert scopes == {"_HalfplaneInstance.__init__", "_AnchorContext._sign_wedge"}
 
 
 def test_arrangement_built_once_per_instance():
