@@ -9,6 +9,7 @@ back every approximation guarantee at desk scale.
 
 from .covers import CoverSolution, Uncoverable
 from .geometry import (
+    Arrangement,
     ConvexRegion,
     GridCell,
     Halfplane,

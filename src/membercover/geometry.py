@@ -5,9 +5,10 @@ them onto one integer grid once: `SquareGrid.of` takes the lcm D of their
 denominators (`grid_unit`) and the integers D*x and D*y (`on_grid`), so a
 unit square with top-right corner (U, V) on that grid is the box
 U - D <= X <= U, V - D <= Y <= V; `grid_partition` cuts that grid into
-per-cell slices.  The face samples of a line arrangement are homogeneous
-integer triples.  Every predicate is decided by exact sign tests or integer
-comparisons.  Union and region questions share one kernel,
+per-cell slices.  `Arrangement.of` lists each line's vertices as
+homogeneous integer points, and the face samples, integer triples too,
+come from a sweep over those vertices.  Every predicate is decided by
+exact sign tests or integer comparisons.  Union and region questions share one kernel,
 `strictly_feasible`, the Helly and Motzkin sign test on an open halfplane
 system: a region is the closure of such a system, and `region_subset` asks
 it whether a system plus one flipped constraint still has a point.  There
@@ -238,51 +239,95 @@ def grid_partition(grid: SquareGrid) -> dict[GridCell, SquareGrid]:
 
 
 # ---------------------------------------------------------------------------
-# face sampling of a line arrangement
+# a line arrangement by its vertices, and one sample per face
 # ---------------------------------------------------------------------------
 
+HPt = tuple[int, int, int]  # (X, Y, W) with W > 0, meaning (X/W, Y/W)
+Vertex = tuple[HPt, int, int]  # on a line: point, other lines through it, HPt rank
+
+
+def _line_intersect(l1: tuple[int, int, int], l2: tuple[int, int, int]) -> HPt | None:
+    """The point where two lines meet, in lowest terms; None on parallels."""
+    a1, b1, c1 = l1
+    a2, b2, c2 = l2
+    det = a1 * b2 - a2 * b1
+    if det == 0:
+        return None
+    x, y = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+    g = math.gcd(x, y, det) if det > 0 else -math.gcd(x, y, det)
+    return (x // g, y // g, det // g)
+
+
+@dataclass(frozen=True, slots=True)
+class Arrangement:
+    """The vertices of an arrangement of (a, b, c) lines: `vertices[i]`
+    holds the points where lines[i] meets another line, in order along (b,
+    -a), as `Vertex`es, whose masks leave out the copies of lines[i]: they
+    meet it in no point."""
+
+    lines: tuple[tuple[int, int, int], ...]
+    vertices: tuple[list[Vertex], ...]
+
+    @staticmethod
+    def of(lines: Sequence[tuple[int, int, int]]) -> "Arrangement":
+        """Each pair of lines intersected once; a zero normal raises ValueError."""
+        if any(a == 0 and b == 0 for a, b, _c in lines):
+            raise ValueError("degenerate line with zero normal")
+        # per line, its intersection points and the other lines through each
+        through: list[dict[HPt, int]] = [{} for _ in lines]
+        for i, j in combinations(range(len(lines)), 2):
+            hit = _line_intersect(lines[i], lines[j])  # None on parallels
+            if hit is not None:
+                through[i][hit] = through[i].get(hit, 0) | 1 << j
+                through[j][hit] = through[j].get(hit, 0) | 1 << i
+        vertices = []
+        for (a, b, _c), on_line in zip(lines, through):
+            ranked = sorted(on_line)
+            # (b x - a y) over the common weight orders the points along the line
+            w = math.lcm(*[v[2] for v in ranked])
+            along = sorted(
+                enumerate(ranked), key=lambda rv: (b * rv[1][0] - a * rv[1][1]) * (w // rv[1][2])
+            )
+            vertices.append([(v, on_line[v], r) for r, v in along])
+        return Arrangement(tuple(lines), tuple(vertices))
+
+
 def face_sample_points(
-    lines: Sequence[tuple], between: tuple[int, int] | None = None
+    arrangement: Arrangement, between: tuple[int, int] | None = None
 ) -> list[tuple[int, int, int, int]]:
     """One point in the interior of each face of the arrangement, as (X, Y,
     W, outside) with W > 0: the point (X/W, Y/W) and the bitmask of its
     face, bit i set iff a*X + b*Y + c*W < 0 on lines[i].  With `between`,
-    the indices of two vertical lines, left then right, only the faces
-    between them, with the samples the whole arrangement gives them.
+    the indices of two vertical lines, left then right (else ValueError),
+    only the faces between them, with the samples the whole arrangement
+    gives them.
 
-    Lines are (a, b, c) triples for ``a*x + b*y + c = 0`` with nonzero
-    (a, b).  Samples sit on vertical slab lines midway between consecutive
-    critical abscissas (pairwise intersections plus vertical lines, with
-    sentinels one unit beyond the extremes), midway between consecutive
-    ordinates or one unit beyond the extreme ones.  Abscissas share the
-    denominator D, the lcm of the intersection determinants (and of |a|
-    for vertical lines), so slab abscissas share 2D; ordinates on a slab
-    share 2D * L with L the lcm of the nonzero |b|, so W = 4DL.  Each face
-    gets its sample on the first slab it meets, its least in (x, y) order,
-    and the samples come in (x, y) order.  No sample lies on a line.  A face
-    between two vertical lines meets only the slabs between them, so the
-    sweep can start at the left one and stop at the right one.
+    Samples sit on vertical slab lines midway between consecutive critical
+    abscissas (the vertices' and the vertical lines', with sentinels one
+    unit beyond the extremes), midway between consecutive ordinates or one
+    unit beyond the extreme ones.  Abscissas share the denominator D, the
+    lcm of the vertex weights and of |a| on vertical lines, so slab
+    abscissas share 2D; ordinates on a slab share 2D * L with L the lcm of
+    the nonzero |b|, so W = 4DL.  Each face gets its sample on the first
+    slab it meets, its least in (x, y) order, and the samples come in (x,
+    y) order.  No sample lies on a line.  A face between two vertical lines
+    meets only the slabs between them, so the sweep can start at the left
+    one and stop at the right one.
 
     A sweep over the critical abscissas keeps the vertical order of the
     sloped lines (coincident ones as one entry holding all their bits) and
     the outside mask of each gap: below every line a point lies outside
     the sloped lines with b > 0, and crossing an entry flips its bits.  The
-    lines through a vertex are consecutive in the order and come reversed
-    right of it, and the gaps inside each reversed block are the faces that
+    entries through a vertex, read off any one line through it (its copies
+    share its entry), are consecutive in the order and come reversed right
+    of it, and the gaps inside each reversed block are the faces that
     begin at the vertex.  Right of a vertical line every face begins, so
     the order is sorted again and every gap is new.  O(n^2 log n) in all.
     """
-    for (a, b, _c) in lines:
-        if a == 0 and b == 0:
-            raise ValueError("degenerate line with zero normal")
-    # each crossing as (x, y) numerators over their determinant, with its lines
-    crossings: list[tuple[int, int, int, int, int]] = []
-    for (i, (a1, b1, c1)), (j, (a2, b2, c2)) in combinations(enumerate(lines), 2):
-        det = a1 * b2 - a2 * b1
-        if det != 0:
-            crossings.append((b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, det, i, j))
+    lines = arrangement.lines
     vertical = [(a, c, 1 << i) for i, (a, b, c) in enumerate(lines) if b == 0]
-    d = math.lcm(*[abs(det) for _x, _y, det, _i, _j in crossings], *[abs(a) for a, _c, _b in vertical])
+    weights = {v[2] for on_line in arrangement.vertices for v, _through, _rank in on_line}
+    d = math.lcm(*weights, *[abs(a) for a, _c, _bit in vertical])
     vertical_xs = {-c * (d // a) for a, c, _bit in vertical}
     slab_unit = 2 * d  # denominator of the slab abscissas
     lcm_b = math.lcm(*[abs(b) for (_a, b, _c) in lines if b != 0])
@@ -302,16 +347,18 @@ def face_sample_points(
     entries = list(merged.values())
     x_lo, x_hi = -math.inf, math.inf  # the abscissas swept, over D
     if between is not None:
-        (a_lo, _b, c_lo), (a_hi, _b, c_hi) = lines[between[0]], lines[between[1]]
+        (a_lo, b_lo, c_lo), (a_hi, b_hi, c_hi) = lines[between[0]], lines[between[1]]
+        if b_lo or b_hi or -c_lo * (d // a_lo) >= -c_hi * (d // a_hi):
+            raise ValueError(f"bounds {between} are not two vertical lines, left then right")
         x_lo, x_hi = -c_lo * (d // a_lo), -c_hi * (d // a_hi)
-    # per abscissa X over D of a vertex of sloped lines, the entries through
-    # each vertex there, by its ordinate over D; a crossing with a vertical
-    # line lies on it
-    vertices: dict[int, dict[int, set[int]]] = {}
-    for x, y, det, i, j in crossings:
-        if i in entry_of and j in entry_of and x_lo <= x * (d // det) <= x_hi:
-            at = vertices.setdefault(x * (d // det), {})
-            at.setdefault(y * (d // det), set()).update((entry_of[i][4], entry_of[j][4]))
+    # per abscissa X over D of a vertex of sloped lines, the lines through
+    # each vertex there, as the first of them lists it
+    vertices: dict[int, dict[HPt, int]] = {}
+    for i in entry_of:
+        for v, through, _rank in arrangement.vertices[i]:
+            x = v[0] * (d // v[2])
+            if x_lo <= x <= x_hi:
+                vertices.setdefault(x, {}).setdefault(v, through | 1 << i)
     xs = sorted([x for x in vertices.keys() | vertical_xs if x_lo <= x <= x_hi])
 
     def ordinate(e: int, x_num: int) -> int:
@@ -346,7 +393,11 @@ def face_sample_points(
             new_gaps = list(range(len(order) + 1))
         else:
             new_gaps = []
-            for through in vertices[x_c].values():
+            for mask in vertices[x_c].values():
+                through = set()
+                while mask:
+                    through.add(entry_of[(mask & -mask).bit_length() - 1][4])
+                    mask &= mask - 1
                 lo = min([pos[e] for e in through])
                 hi = lo + len(through)
                 order[lo:hi] = order[lo:hi][::-1]

@@ -41,11 +41,11 @@ successor therefore depend only on the segment's right endpoint and host:
 an anchor context builds each once per such group, and every segment of
 the group reads it.
 
-The boundary arrangement is built once per instance, by its vertices:
-each line with its intersection points in order along (b, -a), O(n^2) in
-all, and the anchors are its face samples, one per face inside the dummy
-box, from a sweep over the same vertices between the box's vertical
-sides.  An anchor lies strictly outside each of its active halfplanes h,
+The boundary arrangement is one `geometry.Arrangement` per instance, each
+line with its vertices in order along (b, -a): the anchors are its face
+samples, one per face inside the dummy box, from a sweep over those
+vertices between the box's vertical sides, and segments join them.  An
+anchor lies strictly outside each of its active halfplanes h,
 h(anchor) < 0, so for u, v on h's line orient(anchor, u, v) < 0 iff v - u
 is a positive multiple of (b_h, -a_h): no anchor changes how a segment is
 oriented.  A walk from a vertex u of an active line keeps the segments to
@@ -84,8 +84,11 @@ from .covers import (
     quiet_cover,
 )
 from .geometry import (
+    Arrangement,
     Halfplane,
+    HPt,
     Point,
+    Vertex,
     face_sample_points,
     frac,
     pair_certificate,
@@ -104,9 +107,6 @@ DUMMY_BASE_ID = -1  # dummies use ids -1..-4, never colliding with instances
 # homogeneous integer points
 # ---------------------------------------------------------------------------
 
-HPt = tuple[int, int, int]  # (X, Y, W) with W > 0, meaning (X/W, Y/W)
-
-
 def _hpt(p: Point) -> HPt:
     x, y = p.x, p.y
     w = math.lcm(x.denominator, y.denominator)
@@ -115,24 +115,6 @@ def _hpt(p: Point) -> HPt:
 
 def _hpt_point(h: HPt) -> Point:
     return Point(Fraction(h[0], h[2]), Fraction(h[1], h[2]))
-
-
-def _hpt_normalize(x: int, y: int, w: int) -> HPt:
-    if w < 0:
-        x, y, w = -x, -y, -w
-    g = math.gcd(math.gcd(abs(x), abs(y)), w)
-    if g > 1:
-        x, y, w = x // g, y // g, w // g
-    return (x, y, w)
-
-
-def _line_intersect(l1: tuple[int, int, int], l2: tuple[int, int, int]) -> HPt | None:
-    a1, b1, c1 = l1
-    a2, b2, c2 = l2
-    det = a1 * b2 - a2 * b1
-    if det == 0:
-        return None
-    return _hpt_normalize(b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, det)
 
 
 def _dirvec(p: HPt, q: HPt) -> tuple[int, int]:
@@ -195,18 +177,13 @@ class SegmentPhi(NamedTuple):
     b_h: HPt
 
 
-# per line of `extended`, in its order: the line's id and its vertices in
-# order along (b, -a), each with the bitmask of the other lines through it
-# and its rank in HPt order
-Arrangement = list[tuple[int, list[tuple[HPt, int, int]]]]
-
 # a segment's place in the order of the eager tables: its line's position in
 # `extended`, then the lower and the higher HPt rank of its endpoints
 SegmentKey = tuple[int, int, int]
 
 
 def build_segments(
-    vertices: list[tuple[HPt, int, int]],
+    vertices: list[Vertex],
     t: int,
     start: int,
     active: int,
@@ -339,13 +316,13 @@ class _AnchorContext:
         self.anchor = anchor
         self.p_h = p_h = _hpt(anchor)
         self.active = active_bits = sum([1 << inst.position[h.id] for h in active])
-        self.arrangement, self.lines, self.slots = inst.arrangement, inst.lines, inst.slots
+        self.arrangement, self.extended, self.slots = inst.arrangement, inst.extended, inst.slots
         self.line_sides, self.sp_masks, self.position = inst.line_sides, inst.sp_masks, inst.position
         # the endpoints of every segment of the active lines: on each active
         # line with two or more, its vertices that lie on another active line
         endpoints: set[HPt] = set()
         ends: dict[int, list[int]] = {}  # per such line, the endpoints' indices
-        for i, (_host, vertices) in enumerate(self.arrangement):
+        for i, vertices in enumerate(self.arrangement.vertices):
             if active_bits >> i & 1:
                 on = [t for t, (_v, through, _rank) in enumerate(vertices) if through & active_bits]
                 if len(on) > 1:
@@ -367,10 +344,10 @@ class _AnchorContext:
         # which see the ray clockwise and come first, to those after it;
         # triangles nest, so none is left once a walk outward keeps nothing
         for i, on in ends.items():
-            a, b, _c = self.lines[i]
+            a, b, _c = self.arrangement.lines[i]
             if a * ray[0] + b * ray[1] <= 0:
                 continue  # the ray misses the line
-            vertices = self.arrangement[i][1]
+            vertices = self.arrangement.vertices[i]
             m = 0
             while m < len(on) and _cross2(_dirvec(p_h, vertices[on[m]][0]), ray) < 0:
                 m += 1
@@ -388,7 +365,7 @@ class _AnchorContext:
         """The ids of the kept segments from vertex t of active line i to
         its vertices from index `start` on, by `build_segments`, in key
         order; those not met before get the next ids."""
-        host, vertices = self.arrangement[i]
+        host, vertices = self.extended[i].id, self.arrangement.vertices[i]
         side, online = self.line_sides[host]
         u, _through, r = vertices[t]
         kept = build_segments(vertices, t, start, self.active, side & ~online, self.wedge)
@@ -431,9 +408,9 @@ class _AnchorContext:
         i = self.position[host]
         facts = self._groups.get((b_h, i))
         if facts is None:
-            lines, slots = self.lines, self.slots
+            lines, slots = self.arrangement.lines, self.slots
             a, b, _c = lines[i]
-            through = self.arrangement[i][1][slots[b_h, i]][1] & self.active
+            through = self.arrangement.vertices[i][slots[b_h, i]][1] & self.active
             nexts: list[int] = []
             common = -1
             while through:
@@ -444,7 +421,7 @@ class _AnchorContext:
                     starting = self.leaving(j, slots[b_h, j])
                     if starting:
                         nexts += starting
-                        common &= self.sp_masks[self.arrangement[j][0]]
+                        common &= self.sp_masks[self.extended[j].id]
             facts = self._groups[b_h, i] = (nexts, common)
         self.succ_seg[s], self.every_succ_sp[s] = facts
         return facts[0]
@@ -770,29 +747,9 @@ class _HalfplaneInstance:
 
     @cached_property
     def arrangement(self) -> Arrangement:
-        """Every line of `extended` with its intersection points, in order
-        along (b, -a) on the line (a, b, c), as every anchor orients its
-        segments; each pair of lines is intersected once."""
-        lines = self.lines
-        # per line, its intersection points with the bitmask of the other
-        # lines through each
-        through: list[dict[HPt, int]] = [{} for _ in lines]
-        for i, j in combinations(range(len(lines)), 2):
-            hit = _line_intersect(lines[i], lines[j])  # None on parallels
-            if hit is not None:
-                through[i][hit] = through[i].get(hit, 0) | 1 << j
-                through[j][hit] = through[j].get(hit, 0) | 1 << i
-        arrangement: Arrangement = []
-        for host, (a, b, _c), on_line in zip(self.extended, lines, through):
-            ranked = sorted(on_line)
-            # (b x - a y) over the common weight orders the points along the line
-            w = math.lcm(*[v[2] for v in ranked])
-            along = sorted(
-                range(len(ranked)),
-                key=lambda r: (b * ranked[r][0] - a * ranked[r][1]) * (w // ranked[r][2]),
-            )
-            arrangement.append((host.id, [(ranked[r], on_line[ranked[r]], r) for r in along]))
-        return arrangement
+        """The arrangement of `extended`, whose faces are sampled and which
+        every anchor context walks."""
+        return Arrangement.of(self.lines)
 
     @cached_property
     def slots(self) -> dict[tuple[HPt, int], int]:
@@ -800,7 +757,7 @@ class _HalfplaneInstance:
         through it, the vertex's index on that line."""
         return {
             (v, i): t
-            for i, (_host, vertices) in enumerate(self.arrangement)
+            for i, vertices in enumerate(self.arrangement.vertices)
             for t, (v, _through, _rank) in enumerate(vertices)
         }
 
@@ -815,18 +772,7 @@ class _HalfplaneInstance:
         the vertical ones, x = -delta and x = delta."""
         n = len(self.halfplanes)
         box = 15 << n
-        return [face for face in face_sample_points(self.lines, (n + 2, n + 3)) if face[3] & box == box]
-
-    @cached_property
-    def anchors(self) -> list[tuple[Point, tuple[bool, ...]]]:
-        """The faces as points, each with its face: entry i tells whether it
-        lies outside extended[i].  The search builds a point only for an
-        anchor that gets a context."""
-        n = len(self.lines)
-        return [
-            (Point(Fraction(x, w), Fraction(y, w)), tuple([outside >> i & 1 == 1 for i in range(n)]))
-            for x, y, w, outside in self.faces
-        ]
+        return [face for face in face_sample_points(self.arrangement, (n + 2, n + 3)) if face[3] & box == box]
 
     @cached_property
     def covering_anchors(self) -> list[int]:

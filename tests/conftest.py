@@ -17,6 +17,7 @@ import math
 
 from membercover import GridCell, Halfplane, Point, SquareGrid, UnitSquare, grid_partition
 from membercover.covers import CoverSolution, quiet_cover
+from membercover.geometry import _line_intersect
 from membercover.halfplanes import (
     SegmentPhi,
     WindGraph,
@@ -24,7 +25,6 @@ from membercover.halfplanes import (
     _dirvec,
     _dot2,
     _hpt,
-    _line_intersect,
     _plane_covers,
     _ray_direction,
     build_segments,
@@ -704,20 +704,32 @@ def window_relation(inst, anchor, active):
     return has_cycle
 
 
+def anchors(inst):
+    """The faces of a halfplane instance as points, each with its face:
+    entry i tells whether it lies outside extended[i]."""
+    n = len(inst.lines)
+    return [
+        (Point(Fraction(x, w), Fraction(y, w)), tuple([outside >> i & 1 == 1 for i in range(n)]))
+        for x, y, w, outside in inst.faces
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the whole decision graph and one search per crossing arc, the reference
 # for the on-demand walk of `find_winding_cycle`
 # ---------------------------------------------------------------------------
 
-def walk_segments(arrangement, active, wedge, sides):
+def walk_segments(inst, active, wedge):
     """Every segment that `build_segments` keeps from each vertex of each
-    line in the bitmask `active` that lies on another such line, in key
-    order (the line's position, then the lower and the higher HPt rank of
-    the endpoints): all that an anchor's context can walk."""
+    line of the instance's arrangement in the bitmask `active` that lies
+    on another such line, in key order (the line's position, then the
+    lower and the higher HPt rank of the endpoints): all that an anchor's
+    context can walk."""
     found = []
-    for i, (host, vertices) in enumerate(arrangement):
+    for i, vertices in enumerate(inst.arrangement.vertices):
         if active >> i & 1:
-            side, online = sides[host]
+            host = inst.extended[i].id
+            side, online = inst.line_sides[host]
             for t, (u, through, r) in enumerate(vertices):
                 if through & active:
                     for v, q in build_segments(vertices, t, t + 1, active, side & ~online, wedge):
@@ -731,7 +743,7 @@ def materialize(ctx):
     `successors` of every segment.  Its tables then hold every kept segment
     and successor list, under its own ids; returns the ids in key order,
     the order of the ids of a build of every segment."""
-    for i, (_host, vertices) in enumerate(ctx.arrangement):
+    for i, vertices in enumerate(ctx.arrangement.vertices):
         if ctx.active >> i & 1:
             for t, (_v, through, _rank) in enumerate(vertices):
                 if through & ctx.active:

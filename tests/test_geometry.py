@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from membercover import (
+    Arrangement,
     ConvexRegion,
     GridCell,
     Halfplane,
@@ -207,12 +210,12 @@ def _face_signs(lines, samples):
 
 class TestFaceSamples:
     def test_one_line_two_sides(self):
-        pts = face_sample_points([(0, 1, 0)])
+        pts = face_sample_points(Arrangement.of([(0, 1, 0)]))
         assert all(w > 0 for _x, _y, w, _m in pts)
         assert any(y > 0 for _x, y, _w, _m in pts) and any(y < 0 for _x, y, _w, _m in pts)
 
     def test_two_lines_four_quadrants(self):
-        pts = face_sample_points([(0, 1, 0), (1, 0, 0)])
+        pts = face_sample_points(Arrangement.of([(0, 1, 0), (1, 0, 0)]))
         assert all(w > 0 for _x, _y, w, _m in pts)
         signs = {(x > 0, y > 0) for x, y, _w, _m in pts}
         assert len(signs) == 4
@@ -220,12 +223,12 @@ class TestFaceSamples:
     def test_five_general_lines_sixteen_faces(self):
         lines = [(1, 1, 0), (1, -2, 3), (2, 1, -5), (1, 3, 7), (3, -1, -1)]
         assert _face_count_oracle(lines) == 16
-        assert len(_face_signs(lines, face_sample_points(lines))) == 16
+        assert len(_face_signs(lines, face_sample_points(Arrangement.of(lines)))) == 16
 
     def test_degenerate_arrangements_up_to_six(self):
         # one sample per face
         for lines in _face_sample_cases():
-            samples = face_sample_points(lines)
+            samples = face_sample_points(Arrangement.of(lines))
             sigs = _face_signs(lines, samples)
             assert len(sigs) == _face_count_oracle(lines)
             assert len(samples) == _face_count_oracle(lines)
@@ -236,7 +239,7 @@ class TestFaceSamples:
         # battery
         cases = _sweep_battery()
         for lines in cases:
-            samples = face_sample_points(lines)
+            samples = face_sample_points(Arrangement.of(lines))
             _face_signs(lines, samples)  # asserts each mask by direct signs
             got = [Point(Fraction(x, w), Fraction(y, w)) for x, y, w, _outside in samples]
             first: dict[tuple[bool, ...], Point] = {}
@@ -266,13 +269,56 @@ class TestFaceSamples:
                 for scale in [rng.choice((1, -1, 2, -3))]
             ]
             bounded = lines + bounds
-            full = face_sample_points(bounded)
+            arrangement = Arrangement.of(bounded)
+            full = face_sample_points(arrangement)
             inside = [f for f in full if lo < Fraction(f[0], f[2]) < hi]
-            assert face_sample_points(bounded, (len(lines), len(lines) + 1)) == inside, bounded
+            assert face_sample_points(arrangement, (len(lines), len(lines) + 1)) == inside, bounded
             checked += 1
             cut += 0 < len(inside) < len(full)
             through += lo in on_lines or hi in on_lines
         assert checked > 200 and cut > 200 and through > 100, (checked, cut, through)
+
+    @pytest.mark.parametrize(
+        "lines, between",
+        [
+            ([(0, 1, 0), (1, 0, 0)], (0, 1)),     # a horizontal left bound
+            ([(1, 0, 0), (0, 1, 0)], (0, 1)),     # a horizontal right bound
+            ([(1, 0, 0), (1, 1, 0)], (0, 1)),     # a sloped right bound
+            ([(1, 0, -2), (1, 0, 3)], (0, 1)),    # x = 2 left of x = -3: reversed
+            ([(1, 0, -2), (-2, 0, 4)], (0, 1)),   # the same abscissa, scaled and negated
+            ([(1, 0, -2), (1, 0, 3)], (1, 1)),    # one line twice
+        ],
+    )
+    def test_bad_bounds_raise(self, lines, between):
+        # the bounds must be two vertical lines, the left one strictly left
+        # of the right one
+        with pytest.raises(ValueError):
+            face_sample_points(Arrangement.of(lines), between)
+
+    def test_good_bounds_give_the_faces_between(self):
+        arrangement = Arrangement.of([(1, 0, -2), (1, 0, 3)])  # x = 2 and x = -3
+        assert face_sample_points(arrangement, (1, 0)) == [(-2, 0, 4, 1)]
+        assert face_sample_points(arrangement)[1:2] == [(-2, 0, 4, 1)]
+
+
+class TestArrangement:
+    def test_zero_normal_raises(self):
+        with pytest.raises(ValueError):
+            Arrangement.of([(1, 0, 0), (0, 0, 1)])
+
+    def test_vertices_in_order_with_the_lines_through_them(self):
+        # y = 0 twice (once scaled), x = 0, x = 1 and y = x: a line's masks
+        # hold every other line through a vertex but its coincident copies
+        lines = [(0, 1, 0), (0, -2, 0), (1, 0, 0), (1, 0, -1), (1, -1, 0)]
+        arrangement = Arrangement.of(lines)
+        assert arrangement.lines == tuple(lines)
+        origin, right, top = (0, 0, 1), (1, 0, 1), (1, 1, 1)
+        # y = 0 runs along (1, 0), y = 0 scaled by -2 along (-2, 0)
+        assert arrangement.vertices[0] == [(origin, 0b10100, 0), (right, 0b01000, 1)]
+        assert arrangement.vertices[1] == [(right, 0b01000, 1), (origin, 0b10100, 0)]
+        assert arrangement.vertices[2] == [(origin, 0b10011, 0)]
+        assert arrangement.vertices[3] == [(top, 0b10000, 1), (right, 0b00011, 0)]
+        assert arrangement.vertices[4] == [(top, 0b01000, 1), (origin, 0b00111, 0)]
 
 
 def _sweep_battery():

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     additive_reference,
     all_chains,
+    anchors,
     fan_instance,
     halfplane_instance,
     in_triangle,
@@ -66,7 +67,7 @@ from membercover.halfplanes import (
     _sign_masks,
     exact_mmgsc_halfplanes_report,
 )
-from membercover.geometry import strictly_feasible
+from membercover.geometry import Arrangement, strictly_feasible
 
 
 def P(x, y):
@@ -171,9 +172,9 @@ def _segments_of(hs):
     the arrangement of an instance over them with no point of S, so no
     triangle blocks."""
     inst = _HalfplaneInstance([], [], hs)
-    wedge = {v: (0, 0) for _host, vertices in inst.arrangement for v, _through, _rank in vertices}
+    wedge = {v: (0, 0) for vertices in inst.arrangement.vertices for v, _through, _rank in vertices}
     active = sum([1 << inst.position[h.id] for h in hs])
-    return walk_segments(inst.arrangement, active, wedge, inst.line_sides)
+    return walk_segments(inst, active, wedge)
 
 
 def _walk_cases():
@@ -239,13 +240,13 @@ class TestBuildSegments:
                 p_h = _hpt(anchor)
                 wedge = _CountingDict({
                     v: _sign_masks(_cross3(p_h, v), inst.s_hpts)
-                    for _host, vertices in inst.arrangement
+                    for vertices in inst.arrangement.vertices
                     for v, _through, _rank in vertices
                 })
-                kept = walk_segments(inst.arrangement, outside, wedge, inst.line_sides)
+                kept = walk_segments(inst, outside, wedge)
                 assert kept == _reference_context(anchor, active, inst.s_hpts)
                 ends = pairs = 0
-                for i, (_host, vertices) in enumerate(inst.arrangement):
+                for i, vertices in enumerate(inst.arrangement.vertices):
                     if outside >> i & 1:
                         m = len([v for v, through, _rank in vertices if through & outside])
                         ends += m
@@ -316,17 +317,17 @@ class TestBuildSegments:
         cases = [fan_instance(seed) for seed in range(20)]
         cases += [halfplane_instance(seed) for seed in range(150)]
         cases += [ring_instance(seed, 12) for seed in range(6)]
-        anchors = segments = 0
+        searched = segments = 0
         for points, sprime, planes in cases:
             inst = _HalfplaneInstance(points, sprime, planes)
-            for idx, (anchor, outside) in enumerate(inst.anchors):
+            for idx, (anchor, outside) in enumerate(anchors(inst)):
                 active = [h for h, out in zip(inst.extended, outside) if out]
                 ctx = inst.context(idx)
                 kept = [ctx.segments[s] for s in materialize(ctx)]
                 assert kept == _reference_context(anchor, active, inst.s_hpts)
-                anchors += 1
+                searched += 1
                 segments += len(kept)
-        assert anchors > 2500 and segments >= 289875
+        assert searched > 2500 and segments >= 289875
 
 
 class TestDecisionGraph:
@@ -536,7 +537,7 @@ def _seeded_contexts():
     cases += [halfplane_instance(seed) for seed in range(12)]
     for points, sprime, planes in cases:
         inst = _HalfplaneInstance(points, sprime, planes)
-        for idx in range(len(inst.anchors)):
+        for idx in range(len(inst.faces)):
             ctx = inst.context(idx)
             yield inst, ctx.anchor, _active(inst, ctx.anchor), ctx
 
@@ -563,7 +564,7 @@ def _covering_indices(inst):
     planes = inst.halfplanes
     return [
         idx
-        for idx, (anchor, _outside) in enumerate(inst.anchors)
+        for idx, (anchor, _outside) in enumerate(anchors(inst))
         if all(any(h.contains(q) and not h.contains(anchor) for h in planes) for q in inst.points)
     ]
 
@@ -732,7 +733,7 @@ class TestAnchorContext:
                 materialize(inst.context(idx))
                 active_vertices = {
                     v
-                    for i, (_host, vertices) in enumerate(inst.arrangement)
+                    for i, vertices in enumerate(inst.arrangement.vertices)
                     if outside >> i & 1
                     for v, through, _rank in vertices
                     if through & outside
@@ -788,13 +789,14 @@ class TestCoveringAnchors:
         for points, sprime, planes in cases:
             inst = _HalfplaneInstance(points, sprime, planes)
             covering = _covering_indices(inst)
+            points_of = [anchor for anchor, _outside in anchors(inst)]
             outside = {
-                idx: {h.id for h in planes if not h.contains(inst.anchors[idx][0])}
+                idx: {h.id for h in planes if not h.contains(points_of[idx])}
                 for idx in covering
             }
             searched = [i for i in covering if not any(outside[i] < outside[j] for j in covering)]
             assert inst.covering_anchors == searched
-            for idx in range(len(inst.anchors)):
+            for idx in range(len(inst.faces)):
                 if idx in searched:
                     continue
                 ctx = inst.context(idx)
@@ -832,9 +834,28 @@ class TestCoveringAnchors:
                 continue
             # only the face outside every halfplane covers the tangency points
             ((anchor, inst),) = built
-            assert len(inst.anchors) > 1
-            assert [inst.anchors[idx][0] for idx in inst.covering_anchors] == [anchor]
+            assert len(inst.faces) > 1
+            assert [anchors(inst)[idx][0] for idx in inst.covering_anchors] == [anchor]
         assert paths.count("cycle") == 6
+
+    def test_one_arrangement_per_solve(self, monkeypatch):
+        # an exact solve that reaches the cycle search intersects the pairs
+        # of lines once: it builds one Arrangement, and the face sweep reads
+        # that same object
+        import membercover.halfplanes as hp
+
+        built = []
+        raw_of = Arrangement.of
+
+        def recording(lines):
+            built.append(raw_of(lines))
+            return built[-1]
+
+        monkeypatch.setattr(Arrangement, "of", staticmethod(recording))
+        swept = _count_calls(monkeypatch, (hp,), "face_sample_points")
+        assert exact_mmgsc_halfplanes_report(*fan_instance(1)).path == "cycle"
+        assert len(built) == 1 and len(swept) == 1
+        assert swept[0][0] is built[0]
 
     def test_faces_are_the_full_sweep_inside_the_box(self):
         # the sweep between the vertical dummies, filtered by the other
@@ -850,7 +871,7 @@ class TestCoveringAnchors:
         for points, sprime, planes in cases:
             inst = _HalfplaneInstance(points, sprime, planes)
             box = 15 << len(inst.halfplanes)
-            full = face_sample_points(inst.lines)
+            full = face_sample_points(inst.arrangement)
             assert inst.faces == [face for face in full if face[3] & box == box]
             outside_box += len(full) - len(inst.faces)
         assert outside_box > 5000
@@ -863,7 +884,7 @@ class TestCoveringAnchors:
         cases += [halfplane_instance(seed) for seed in range(150)]
         cases += [ring_instance(seed, 12) for seed in range(6)]
         for points, sprime, planes in cases:
-            digest.update(repr(_HalfplaneInstance(points, sprime, planes).anchors).encode())
+            digest.update(repr(anchors(_HalfplaneInstance(points, sprime, planes))).encode())
         assert digest.hexdigest() == ANCHORS_SHA256
 
 

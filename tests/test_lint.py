@@ -146,29 +146,39 @@ def test_halfplane_tables_built_only_by_the_instance():
 
 def test_arrangement_built_once_per_instance():
     # line intersections and segment orientations do not depend on the
-    # anchor: the instance's arrangement computes them once, and
-    # build_segments and the anchor contexts only select from it.  The one
-    # orientation kernel of the library is _cross3 with _sign_masks; the
-    # per-segment _orient lives in the tests as a reference
-    path = SRC / "halfplanes.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    scopes = {scope for scope, _arg, _line in _calls(tree, {"_line_intersect"})}
-    assert scopes == {"_HalfplaneInstance.arrangement"}
-    found = []
+    # anchor: geometry's Arrangement.of computes them once per instance,
+    # and the face sweep, build_segments and the anchor contexts only read
+    # it.  The one orientation kernel of the library is _cross3 with
+    # _sign_masks; the per-segment _orient lives in the tests as a reference
+    kernels, found = set(), []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        kernels |= {f"{path.name}:{scope}" for scope, _arg, _line in _calls(tree, {"_line_intersect"})}
         found += [f"{path.name}:{d}" for d in _defs(tree) if d.rsplit(".", 1)[-1] == "_orient"]
+    assert kernels == {"geometry.py:Arrangement.of"}
     assert found == []
+    path = SRC / "halfplanes.py"
+    defs = _defs(ast.parse(path.read_text(), filename=str(path)))
+    assert not defs & {"_line_intersect", "_hpt_normalize"}
 
 
 def test_no_pair_list_of_one_lines_vertices():
-    # the arrangement keeps each line's vertices in order and an anchor
-    # walks them, so no list of every vertex pair, O(n^3) segments, comes
-    # back: halfplanes.py calls `combinations` only over lines or halfplanes
-    path = SRC / "halfplanes.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    over = {arg.split(", ")[0] for _scope, arg, _line in _calls(tree, {"combinations"})}
-    assert over == {"range(len(lines))", "range(len(self.halfplanes))", "range(len(flipped))"}
+    # the arrangement keeps each line's vertices in order, and the face
+    # sweep and each anchor walk them, so no second pass over the pairs of
+    # lines and no list of every vertex pair, O(n^3) segments, comes back:
+    # only Arrangement.of runs `combinations` over lines, and halfplanes.py
+    # runs it only over halfplanes
+    over_lines = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = _calls(tree, {"combinations"})
+        over_lines |= {f"{path.name}:{scope}" for scope, arg, _line in calls if "lines" in arg.split(", ")[0]}
+        if path.name == "geometry.py":
+            assert "face_sample_points" not in {scope.split(".")[0] for scope, _arg, _line in calls}
+        if path.name == "halfplanes.py":
+            over = {arg.split(", ")[0] for _scope, arg, _line in calls}
+            assert over == {"range(len(self.halfplanes))", "range(len(flipped))"}
+    assert over_lines == {"geometry.py:Arrangement.of"}
 
 
 def test_no_region_calls_in_halfplanes():
@@ -207,7 +217,7 @@ def test_face_sampling_on_integers():
     # count as their enclosing function
     for name, scope, banned in (
         ("geometry.py", "face_sample_points", "Fraction"),
-        ("halfplanes.py", "_HalfplaneInstance.anchors", "_hpt"),
+        ("halfplanes.py", "_HalfplaneInstance.faces", "_hpt"),
     ):
         path = SRC / name
         tree = ast.parse(path.read_text(), filename=str(path))
