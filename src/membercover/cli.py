@@ -473,6 +473,9 @@ def run_cli(argv=None) -> int:
     except (_UsageError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except Uncoverable as exc:
         print(f"uncoverable: {exc}", file=sys.stderr)
         return 2

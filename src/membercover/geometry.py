@@ -293,14 +293,14 @@ class Arrangement:
 
 
 def face_sample_points(
-    arrangement: Arrangement, between: tuple[int, int] | None = None
+    arrangement: Arrangement, box: tuple[int, int, int, int] | None = None
 ) -> list[tuple[int, int, int, int]]:
     """One point in the interior of each face of the arrangement, as (X, Y,
     W, outside) with W > 0: the point (X/W, Y/W) and the bitmask of its
-    face, bit i set iff a*X + b*Y + c*W < 0 on lines[i].  With `between`,
-    the indices of two vertical lines, left then right (else ValueError),
-    only the faces between them, with the samples the whole arrangement
-    gives them.
+    face, bit i set iff a*X + b*Y + c*W < 0 on lines[i].  With `box`, the
+    indices of two horizontal lines, bottom then top, and of two vertical
+    lines, left then right (else ValueError), only the faces inside the
+    box, with the samples the whole arrangement gives them.
 
     Samples sit on vertical slab lines midway between consecutive critical
     abscissas (the vertices' and the vertical lines', with sentinels one
@@ -310,9 +310,10 @@ def face_sample_points(
     abscissas share 2D; ordinates on a slab share 2D * L with L the lcm of
     the nonzero |b|, so W = 4DL.  Each face gets its sample on the first
     slab it meets, its least in (x, y) order, and the samples come in (x,
-    y) order.  No sample lies on a line.  A face between two vertical lines
-    meets only the slabs between them, so the sweep can start at the left
-    one and stop at the right one.
+    y) order.  No sample lies on a line.  A face inside the box meets only
+    the slabs between its sides, so the sweep can start at the left one
+    and stop at the right one, and on each slab it is a gap between the
+    entries of the bottom and the top line.
 
     A sweep over the critical abscissas keeps the vertical order of the
     sloped lines (coincident ones as one entry holding all their bits) and
@@ -345,12 +346,23 @@ def face_sample_points(
             entry[3] |= 1 << i
             entry_of[i] = entry
     entries = list(merged.values())
+
+    def ordinate(e: int, x_num: int) -> int:
+        # entry e meets the slab line x = x_num / slab_unit at this / y_unit
+        a, c, scale, _bits, _e = entries[e]
+        return -(a * x_num + c * slab_unit) * scale
+
     x_lo, x_hi = -math.inf, math.inf  # the abscissas swept, over D
-    if between is not None:
-        (a_lo, b_lo, c_lo), (a_hi, b_hi, c_hi) = lines[between[0]], lines[between[1]]
-        if b_lo or b_hi or -c_lo * (d // a_lo) >= -c_hi * (d // a_hi):
-            raise ValueError(f"bounds {between} are not two vertical lines, left then right")
+    if box is not None:
+        (a_b, b_b, _c_b), (a_t, b_t, _c_t), (a_lo, b_lo, c_lo), (a_hi, b_hi, c_hi) = [lines[i] for i in box]
+        if (
+            a_b or a_t or not b_b or not b_t or b_lo or b_hi
+            or -c_lo * (d // a_lo) >= -c_hi * (d // a_hi)
+            or ordinate(entry_of[box[0]][4], 0) >= ordinate(entry_of[box[1]][4], 0)
+        ):
+            raise ValueError(f"bounds {box} are not a box: bottom, top, left, right")
         x_lo, x_hi = -c_lo * (d // a_lo), -c_hi * (d // a_hi)
+        floor, ceiling = entry_of[box[0]][4], entry_of[box[1]][4]  # the bottom and top entries
     # per abscissa X over D of a vertex of sloped lines, the lines through
     # each vertex there, as the first of them lists it
     vertices: dict[int, dict[HPt, int]] = {}
@@ -360,11 +372,6 @@ def face_sample_points(
             if x_lo <= x <= x_hi:
                 vertices.setdefault(x, {}).setdefault(v, through | 1 << i)
     xs = sorted([x for x in vertices.keys() | vertical_xs if x_lo <= x <= x_hi])
-
-    def ordinate(e: int, x_num: int) -> int:
-        # entry e meets the slab line x = x_num / slab_unit at this / y_unit
-        a, c, scale, _bits, _e = entries[e]
-        return -(a * x_num + c * slab_unit) * scale
 
     order: list[int] = []  # the entries from the bottom up
     pos = [0] * len(entries)
@@ -380,7 +387,7 @@ def face_sample_points(
     slab_xs += [lo + hi for lo, hi in zip(xs, xs[1:])]
     slab_xs += [2 * xs[-1] + 2 * d] if xs else []
     starts: list[int | None] = [None] + xs  # where each slab begins
-    if between is not None:  # from the left bound, where the order is sorted
+    if box is not None:  # from the left bound, where the order is sorted
         slab_xs, starts = slab_xs[1:-1], xs
     for x_c, x_num in zip(starts, slab_xs):
         if x_c is None or x_c in vertical_xs:
@@ -404,6 +411,8 @@ def face_sample_points(
                 renumber(lo, hi)
                 new_gaps += range(lo + 1, hi)
             new_gaps.sort()
+        if box is not None:  # the gaps inside the box
+            new_gaps = [t for t in new_gaps if pos[floor] < t <= pos[ceiling]]
         x = x_num * 2 * lcm_b
         top = len(order)
         for t in new_gaps:

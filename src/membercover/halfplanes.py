@@ -6,17 +6,26 @@ points keeps every monitored point inside at most k chosen halfplanes.
 Candidate solutions that do not cover the whole plane are recognized by
 their complement: a bounded convex polygon whose edges lie on boundary
 lines of the chosen halfplanes.  The search walks a graph whose nodes are
-(k+1)-tuples of consecutive candidate edges; a polygon exists iff the
-graph has a cycle winding exactly once around a guessed interior point.
-Winding is counted combinatorially, as crossings of a reference ray, so
-irrational angle sums never appear: every edge subtends an arc smaller
-than a halfturn, hence a cycle's crossing count equals its winding
-number.  The polygon's hosts are the cover returned and all lie outside
-the guessed point, so only faces whose outside halfplanes cover the
-mandatory points are searched.  Of those, only the faces whose outside
-sets are maximal: a point outside every halfplane that the guessed point
-is outside of lies inside every polygon around the guessed point, so its
-own search finds each of those polygons.
+k-tuples of consecutive candidate edges and whose arcs are the (k+1)-tuples
+that pass the membership test, each from its first k edges to its last k;
+a polygon exists iff the graph has a cycle winding exactly once around a
+guessed interior point.  Winding is counted combinatorially, as crossings
+of a reference ray, so irrational angle sums never appear: every edge
+subtends an arc smaller than a halfturn, hence a cycle's crossing count
+equals its winding number.  The polygon's hosts are the cover returned
+and all lie outside the guessed point, so only faces whose outside
+halfplanes cover the mandatory points are searched.  Of those, only the
+faces whose outside sets are maximal: a point outside every halfplane
+that the guessed point is outside of lies inside every polygon around the
+guessed point, so its own search finds each of those polygons.
+
+The graph is the line graph of the one whose nodes are the passing
+(k+1)-tuples, an arc joining two that overlap in k edges.  A tuple's
+successors there depend only on its last k edges, so that graph holds
+each k-tuple many times over, and this one once.  A closed walk in either
+is the same cyclic sequence of edges with the same crossings, and a
+search in node order closes its first cycle with the same first
+(k+1)-tuple in both.
 
 The cycle's polygon is convex with the guessed point p strictly inside,
 and its interior lies outside every host, so the cover is valid iff no
@@ -67,7 +76,7 @@ All hot predicates run on homogeneous integer coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
@@ -229,17 +238,17 @@ Chain = tuple[int, ...]
 
 @dataclass
 class WindGraph:
-    """Nodes are (k+1)-tuples of chained segments, as ids of the anchor
-    context's kept segments, which it walks as the graph asks for them;
-    arcs shift by one.
+    """Nodes are k-chains, k >= 1 chained segments as ids of the anchor
+    context's kept segments, which it walks as the graph asks for them; an
+    arc v -> w is a passing (k+1)-chain whose first k segments are v and
+    whose last k are w.
 
     A node's id is its position in `vertices`.  The graph starts with every
     crossing node; `successors(v)` fills `succ[v]` on first request, by
-    `step` on the node's chain and `inner[v]`, the S' AND of its segments
-    between its first and its last, and appends each chain not met before
-    as a new, non-crossing node with the AND `step` gives it.  `step` lists
-    chains in their segments' key order, so the node ids are those that a
-    context holding every segment gives.  A graph given whole has no `step`.
+    `step` on the node's chain, and appends each chain not met before as a
+    new, non-crossing node.  `step` lists chains in their segments' key
+    order, so the node ids are those that a context holding every segment
+    gives.  A graph given whole has no `step`.
 
     `cross[v]` tells whether the angular arc of the node's first segment
     crosses the reference ray; it is the crossing flag of every arc
@@ -249,8 +258,7 @@ class WindGraph:
     vertices: list[Chain]
     succ: list[list[int] | None]
     cross: list[bool]
-    step: Callable[[Chain, int], list[tuple[Chain, int]]] | None = None
-    inner: list[int] = field(default_factory=list)
+    step: Callable[[Chain], list[Chain]] | None = None
 
     def __post_init__(self) -> None:
         self.ids = {v: i for i, v in enumerate(self.vertices)}
@@ -260,12 +268,11 @@ class WindGraph:
         if out is None:
             ids, vertices = self.ids, self.vertices
             out = []
-            for chain, inner in self.step(vertices[v], self.inner[v]):
+            for chain in self.step(vertices[v]):
                 w = ids.get(chain)
                 if w is None:
                     w = ids[chain] = len(vertices)
                     vertices.append(chain)
-                    self.inner.append(inner)
                     self.succ.append(None)
                     self.cross.append(False)
                 out.append(w)
@@ -426,15 +433,10 @@ class _AnchorContext:
         self.succ_seg[s], self.every_succ_sp[s] = facts
         return facts[0]
 
-    def chains(
-        self, k: int, starts: Iterable[tuple[Chain, int]]
-    ) -> list[tuple[Chain, int]]:
+    def chains(self, k: int, starts: Iterable[Chain]) -> list[Chain]:
         """The (k+1)-chains passing the membership condition that extend the
-        prefixes in `starts`, depth first: no point of S' lies in
-        every host of the chain.  A prefix, of 1 to k+1 segments, comes with
-        the S' AND of its segments before its last (-1 for one segment), and
-        a chain goes out with the S' AND of its segments between its first
-        and its last: what the prefix of its successors carries.
+        prefixes in `starts`, of 1 to k segments each, depth first: no point
+        of S' lies in every host of the chain.
 
         Every kept segment's triangle holds no point of S off the segment,
         so the S test of a window of k+1 edges holds on every chain, and a
@@ -444,54 +446,44 @@ class _AnchorContext:
         does not is cut off, as no completion of it can pass.  The chains
         come out in key order, as every successor list does.
         """
-        out: list[tuple[Chain, int]] = []
+        out: list[Chain] = []
         sp, succ, every_succ_sp = self.sp_mask, self.succ_seg, self.every_succ_sp
         successors = self.successors
-        for prefix, before in starts:
-            last = sp[prefix[-1]]
-            inner = -1  # the AND between the prefix's first and last
-            for s in prefix[1:-1]:
-                inner &= sp[s]
-            if len(prefix) > k:  # a whole chain: test it
-                if not before & last:
-                    out.append((prefix, inner))
-                continue
-            # depth first, each chain with the AND over it and over all but
-            # its first segment
-            stack = [(prefix, before & last, inner & last if len(prefix) > 1 else -1)]
+        for prefix in starts:
+            sp_and = -1
+            for s in prefix:
+                sp_and &= sp[s]
+            stack = [(prefix, sp_and)]
             while stack:
-                chain, sp_and, inner = stack.pop()
+                chain, sp_and = stack.pop()
                 s = chain[-1]
                 if succ[s] is None:
                     successors(s)
                 if len(chain) < k:
-                    stack += [(chain + (j,), sp_and & sp[j], inner & sp[j]) for j in reversed(succ[s])]
+                    stack += [(chain + (j,), sp_and & sp[j]) for j in reversed(succ[s])]
                 elif not sp_and & every_succ_sp[s]:
                     # the last segment: test the chain, do not descend
-                    out += [(chain + (j,), inner) for j in succ[s] if not sp_and & sp[j]]
+                    out += [chain + (j,) for j in succ[s] if not sp_and & sp[j]]
         return out
 
     def graph(self, k: int) -> WindGraph:
-        """The decision graph at k, holding at first only its crossing
-        nodes: the passing chains whose first segment crosses the ray.
+        """The decision graph at k >= 1, holding at first only its crossing
+        nodes: the first k segments, in order and each once, of the passing
+        chains from the crossing segments.
 
-        The successors of a node v are the passing chains v[1:] + (j,),
-        for j in succ_seg[v[-1]], listed by `chains` from the prefix v[1:]
-        and the node's `inner` entry (from the one-segment chains (j,) at
-        k = 0); they come out in key order.  Every passing chain with a
-        crossing first segment is a crossing node already, so each chain
-        met later is non-crossing.
+        The successors of a node v are the last k segments of the passing
+        chains that `chains` extends v to, in key order.  A node met later
+        is non-crossing, or a crossing k-chain with no passing extension,
+        which leaves no arc to cross.  As the line graph of the graph on the
+        passing chains, it holds a once-winding cycle iff that graph does.
         """
 
-        def step(v: Chain, inner: int) -> list[tuple[Chain, int]]:
-            return self.chains(k, [(v[1:], inner)] if k else [((j,), -1) for j in self.successors(v[0])])
+        def step(v: Chain) -> list[Chain]:
+            return [c[1:] for c in self.chains(k, [v])]
 
-        crossing = self.chains(k, [((s,), -1) for s in self.crossing])
+        crossing = list(dict.fromkeys([c[:-1] for c in self.chains(k, [(s,) for s in self.crossing])]))
         n = len(crossing)
-        return WindGraph(
-            [chain for chain, _inner in crossing], [None] * n, [True] * n, step,
-            [inner for _chain, inner in crossing],
-        )
+        return WindGraph(crossing, [None] * n, [True] * n, step)
 
 
 def _columns(rows: Sequence[int], width: int) -> list[int]:
@@ -767,12 +759,10 @@ class _HalfplaneInstance:
     def faces(self) -> list[tuple[int, int, int, int]]:
         """One sample per face inside the dummy box, as `face_sample_points`
         gives it: (X, Y, W, outside), bit i of outside set iff the point
-        (X/W, Y/W) lies outside extended[i].  A face inside the box lies
-        outside all four dummies, which come last; the sweep runs between
-        the vertical ones, x = -delta and x = delta."""
+        (X/W, Y/W) lies outside extended[i].  The dummies come last, as the
+        box's bottom, top, left and right sides."""
         n = len(self.halfplanes)
-        box = 15 << n
-        return [face for face in face_sample_points(self.arrangement, (n + 2, n + 3)) if face[3] & box == box]
+        return face_sample_points(self.arrangement, (n, n + 1, n + 2, n + 3))
 
     @cached_property
     def covering_anchors(self) -> list[int]:

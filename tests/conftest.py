@@ -693,12 +693,12 @@ def window_relation(inst, anchor, active):
                 extend(prefix, tri_or, on_or, sp_and)
             return out
 
-        def step(v, _inner):
-            return [(c, -1) for c in chains([v[1:]] if k else [(j,) for j in succ[v[0]]])]
+        def step(v):
+            return chains([v[1:]] if k else [(j,) for j in succ[v[0]]])
 
         crossing = chains([(s,) for s in range(len(segs)) if cross[s]])
         n = len(crossing)
-        graph = WindGraph(crossing, [None] * n, [True] * n, step, [-1] * n)
+        graph = WindGraph(crossing, [None] * n, [True] * n, step)
         return find_winding_cycle(graph) is not None
 
     return has_cycle
@@ -715,8 +715,8 @@ def anchors(inst):
 
 
 # ---------------------------------------------------------------------------
-# the whole decision graph and one search per crossing arc, the reference
-# for the on-demand walk of `find_winding_cycle`
+# the whole (k+1)-chain graph and one search per crossing arc, the reference
+# for the on-demand walk of `find_winding_cycle` on its line graph
 # ---------------------------------------------------------------------------
 
 def walk_segments(inst, active, wedge):
@@ -755,28 +755,22 @@ def materialize(ctx):
 
 
 def all_chains(ctx, k):
-    """Every passing (k+1)-chain of an anchor context, in enumeration
-    order: `ctx.chains(k)` from every one-segment prefix, in key order,
-    once the context is materialized."""
-    return [chain for chain, _inner in ctx.chains(k, [((s,), -1) for s in materialize(ctx)])]
+    """Every passing (k+1)-chain of an anchor context, k >= 1, in
+    enumeration order: `ctx.chains(k)` from every one-segment prefix, in
+    key order, once the context is materialized."""
+    return ctx.chains(k, [(s,) for s in materialize(ctx)])
 
 
 def reference_graph(ctx, k):
-    """The decision graph of an anchor context at k, in full: every chain
-    of `all_chains(ctx, k)` a node, in its order, and the successors of v
-    the chains whose first k segments are v's last k, in node order."""
+    """The (k+1)-chain graph of an anchor context at k >= 1, in full: every
+    chain of `all_chains(ctx, k)` a node, in its order, and the successors
+    of v the chains whose first k segments are v's last k, in node order.
+    The decision graph is its line graph."""
     vertices = all_chains(ctx, k)
-    index = {v: i for i, v in enumerate(vertices)}
-    succ = []
-    if k == 0:
-        for v in vertices:
-            succ.append([index[(j,)] for j in ctx.succ_seg[v[0]] if (j,) in index])
-    else:
-        by_head = {}
-        for i, v in enumerate(vertices):
-            by_head.setdefault(v[:-1], []).append(i)
-        for v in vertices:
-            succ.append(by_head.get(v[1:], []))
+    by_head = {}
+    for i, v in enumerate(vertices):
+        by_head.setdefault(v[:-1], []).append(i)
+    succ = [by_head.get(v[1:], []) for v in vertices]
     crossing = set(ctx.crossing)
     return vertices, succ, [v[0] in crossing for v in vertices]
 
@@ -818,6 +812,24 @@ def reference_winding_cycle(ctx, k):
     vertices, succ, cross = reference_graph(ctx, k)
     cycle = reference_cycle(succ, cross)
     return None if cycle is None else [vertices[v] for v in cycle]
+
+
+def reference_line_cycle(ctx, k):
+    """The first segments of the nodes of the once-winding cycle that the
+    per-arc search finds on the line graph of `reference_graph(ctx, k)`,
+    or None.  Its nodes are the k-chains that begin or end a passing
+    (k+1)-chain, in key order, and its arcs are those chains, in key
+    order: the decision graph at k, given whole."""
+    chains = all_chains(ctx, k)
+    keys = list(ctx.ids)  # in id order
+    nodes = sorted({c[:-1] for c in chains} | {c[1:] for c in chains}, key=lambda v: [keys[s] for s in v])
+    index = {v: i for i, v in enumerate(nodes)}
+    succ = [[] for _ in nodes]
+    for c in chains:
+        succ[index[c[:-1]]].append(index[c[1:]])
+    crossing = set(ctx.crossing)
+    cycle = reference_cycle(succ, [v[0] in crossing for v in nodes])
+    return None if cycle is None else [nodes[v][0] for v in cycle]
 
 
 def additive_reference(inst):

@@ -220,6 +220,21 @@ def test_exact_search_solver(tmp_path, capsys, instance):
     assert memb_eval(doc.sprime, report["witness"], doc.ranges) == report["value"]
 
 
+@pytest.mark.parametrize("argv", [("solve",), ("exact", "--solver", "search")])
+def test_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch, argv):
+    # a search graph too large for memory ends with exit 1 and one line
+    def exhausted(*_args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "ptas", exhausted)
+    monkeypatch.setattr(cli, "exact_mmgsc_halfplanes_report", exhausted)
+    points, sprime, ranges = fan_instance(1)
+    inst = tmp_path / "in.json"
+    inst.write_text(serialize_instance(InstanceDoc("halfplanes", tuple(points), tuple(sprime), tuple(ranges))))
+    code, out, err = _run(capsys, argv[0], str(inst), *argv[1:])
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("kind, instance, flags", [
     ("halfplanes", halfplane_instance(9), ("--objective", "size")),
     ("squares", square_instance(7), ()),

@@ -208,6 +208,11 @@ def _face_signs(lines, samples):
     return sigs
 
 
+# y = -3, y = 2, x = -3, x = 2, y = -x, y = -3 scaled by -2 and x = -3
+# scaled by -2: a box, with a sloped line and a copy of two of its sides
+BOX_LINES = [(0, 1, 3), (0, 1, -2), (1, 0, 3), (1, 0, -2), (1, 1, 0), (0, -2, -6), (-2, 0, -6)]
+
+
 class TestFaceSamples:
     def test_one_line_two_sides(self):
         pts = face_sample_points(Arrangement.of([(0, 1, 0)]))
@@ -249,56 +254,80 @@ class TestFaceSamples:
         assert len(cases) > 200
 
     def test_sweep_between_two_verticals_is_the_filtered_full_sweep(self):
-        # the faces between two vertical lines, swept from the left one to
-        # the right one, get the samples of the whole sweep, in its order
-        # and with its integers; the bounds are scaled and negated, and
-        # many pass through a vertex or lie on a vertical line
+        # the faces inside a box, swept from its left side to its right one,
+        # get the samples of the whole sweep, in its order and with its
+        # integers; the sides are scaled and negated, and many pass through
+        # a vertex or lie on a line of the arrangement
         rng = random.Random(29)
-        checked = cut = through = 0
+        checked = cut = through = level = 0
         for lines in _sweep_battery():
             on_lines = {Fraction(-c, a) for a, b, c in lines if b == 0}
+            on_levels = {Fraction(-c, b) for a, b, c in lines if a == 0}
             for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
                 det = a1 * b2 - a2 * b1
                 if det:
                     on_lines.add(Fraction(b1 * c2 - b2 * c1, det))
+                    on_levels.add(Fraction(a2 * c1 - a1 * c2, det))
             xs = on_lines | {Fraction(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(3)}
             lo, hi = sorted(rng.sample(sorted(xs), 2))
-            bounds = [
+            sides = [
                 (scale * x.denominator, 0, -scale * x.numerator)
                 for x in (lo, hi)
                 for scale in [rng.choice((1, -1, 2, -3))]
             ]
-            bounded = lines + bounds
+            ys = on_levels | {Fraction(y, 3) for y in rng.sample(range(-36, 37), 3)}
+            y_lo, y_hi = sorted(rng.sample(sorted(ys), 2))
+            levels = [
+                (0, scale * y.denominator, -scale * y.numerator)
+                for y in (y_lo, y_hi)
+                for scale in [rng.choice((1, -1, 2, -3))]
+            ]
+            bounded = lines + levels + sides
             arrangement = Arrangement.of(bounded)
             full = face_sample_points(arrangement)
-            inside = [f for f in full if lo < Fraction(f[0], f[2]) < hi]
-            assert face_sample_points(arrangement, (len(lines), len(lines) + 1)) == inside, bounded
+            inside = [
+                f for f in full
+                if lo < Fraction(f[0], f[2]) < hi and y_lo < Fraction(f[1], f[2]) < y_hi
+            ]
+            n = len(lines)
+            assert face_sample_points(arrangement, (n, n + 1, n + 2, n + 3)) == inside, bounded
             checked += 1
             cut += 0 < len(inside) < len(full)
             through += lo in on_lines or hi in on_lines
-        assert checked > 200 and cut > 200 and through > 100, (checked, cut, through)
+            level += y_lo in on_levels or y_hi in on_levels
+        assert checked > 200 and cut > 200 and through > 100 and level > 100, (checked, cut, through, level)
 
     @pytest.mark.parametrize(
         "lines, between",
         [
-            ([(0, 1, 0), (1, 0, 0)], (0, 1)),     # a horizontal left bound
-            ([(1, 0, 0), (0, 1, 0)], (0, 1)),     # a horizontal right bound
-            ([(1, 0, 0), (1, 1, 0)], (0, 1)),     # a sloped right bound
-            ([(1, 0, -2), (1, 0, 3)], (0, 1)),    # x = 2 left of x = -3: reversed
-            ([(1, 0, -2), (-2, 0, 4)], (0, 1)),   # the same abscissa, scaled and negated
-            ([(1, 0, -2), (1, 0, 3)], (1, 1)),    # one line twice
+            (BOX_LINES, (0, 1, 1, 3)),    # a horizontal left side
+            (BOX_LINES, (0, 1, 2, 0)),    # a horizontal right side
+            (BOX_LINES, (0, 1, 2, 4)),    # a sloped right side
+            (BOX_LINES, (0, 1, 3, 2)),    # x = 2 left of x = -3: reversed
+            (BOX_LINES, (0, 1, 2, 6)),    # the same abscissa, scaled and negated
+            (BOX_LINES, (0, 1, 3, 3)),    # one line twice
+            (BOX_LINES, (2, 1, 0, 3)),    # a vertical bottom
+            (BOX_LINES, (0, 4, 2, 3)),    # a sloped top
+            (BOX_LINES, (1, 0, 2, 3)),    # y = 2 below y = -3: reversed
+            (BOX_LINES, (0, 5, 2, 3)),    # the same ordinate, scaled and negated
+            (BOX_LINES, (0, 0, 2, 3)),    # one line twice
         ],
     )
     def test_bad_bounds_raise(self, lines, between):
-        # the bounds must be two vertical lines, the left one strictly left
-        # of the right one
+        # the bounds must be two horizontal lines, the bottom one strictly
+        # below the top one, then two vertical lines, the left one strictly
+        # left of the right one
+        face_sample_points(Arrangement.of(lines), (0, 1, 2, 3))
         with pytest.raises(ValueError):
             face_sample_points(Arrangement.of(lines), between)
 
     def test_good_bounds_give_the_faces_between(self):
-        arrangement = Arrangement.of([(1, 0, -2), (1, 0, 3)])  # x = 2 and x = -3
-        assert face_sample_points(arrangement, (1, 0)) == [(-2, 0, 4, 1)]
-        assert face_sample_points(arrangement)[1:2] == [(-2, 0, 4, 1)]
+        # y = -3, y = 2, x = -3 and x = 2, and y = x through two corners
+        arrangement = Arrangement.of([(0, 1, 3), (0, 1, -2), (1, 0, 3), (1, 0, -2), (1, -1, 0)])
+        full = face_sample_points(arrangement)
+        inside = face_sample_points(arrangement, (0, 1, 2, 3))
+        assert [f[3] & 15 for f in inside] == [0b1010, 0b1010]
+        assert inside == [f for f in full if f[3] & 15 == 0b1010]
 
 
 class TestArrangement:

@@ -1,10 +1,13 @@
 import gc
 import hashlib
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from conftest import (
     on_segment,
     reference_cycle,
     reference_graph,
+    reference_line_cycle,
     reference_segments,
     reference_winding_cycle,
     ring_instance,
@@ -331,20 +335,20 @@ class TestBuildSegments:
 
 
 class TestDecisionGraph:
-    def test_box_cycle_k0(self):
-        # the walk starts from the one crossing chain and meets the other
-        # three as the full graph has them
+    def test_box_cycle_k1(self):
+        # the walk starts from the one crossing node and meets the other
+        # three, the first segments of the full (k+1)-chain graph's nodes
         ctx = _AnchorContext(P(0, 0), BOX, _HalfplaneInstance([], [], BOX))
-        vertices, succ, cross = reference_graph(ctx, 0)
+        vertices, succ, cross = reference_graph(ctx, 1)
         assert len(vertices) == 4
         assert sum(len(s) for s in succ) == 4
         assert sum(cross) == 1
-        graph = ctx.graph(0)
+        graph = ctx.graph(1)
         assert len(graph.vertices) == 1
         cycle = find_winding_cycle(graph)
         assert cycle is not None and len(cycle) == 5
-        assert [graph.vertices[v] for v in cycle] == reference_winding_cycle(ctx, 0)
-        assert sorted(graph.vertices) == sorted(vertices)
+        assert [graph.vertices[v][0] for v in cycle] == [c[0] for c in reference_winding_cycle(ctx, 1)]
+        assert sorted(graph.vertices) == sorted([v[:-1] for v in vertices])
 
     def test_point_inside_triangle_blocks_segment(self):
         # a mandatory point swallowed by a segment's triangle knocks the
@@ -352,15 +356,16 @@ class TestDecisionGraph:
         anchor = P("1/2", "1/2")
         ctx = _AnchorContext(anchor, BOX, _HalfplaneInstance([P(0, 0)], [], BOX))
         free = _AnchorContext(anchor, BOX, _HalfplaneInstance([], [], BOX))
-        blocked = reference_graph(ctx, 0)[0]
-        assert len(reference_graph(free, 0)[0]) == 4
+        blocked = reference_graph(ctx, 1)[0]
+        assert len(reference_graph(free, 1)[0]) == 4
         assert len(blocked) < 4
         for v in blocked:
-            seg = ctx.segments[v[0]]
-            # the witness point (0,0) must not lie inside this triangle
-            assert not in_triangle(_hpt(P(0, 0)), _hpt(anchor), seg.a_h, seg.b_h)
-        assert reference_winding_cycle(ctx, 0) is None
-        assert find_winding_cycle(ctx.graph(0)) is None
+            for s in v:
+                seg = ctx.segments[s]
+                # the witness point (0,0) must not lie inside this triangle
+                assert not in_triangle(_hpt(P(0, 0)), _hpt(anchor), seg.a_h, seg.b_h)
+        assert reference_winding_cycle(ctx, 1) is None
+        assert find_winding_cycle(ctx.graph(1)) is None
 
     def test_monitored_point_in_host_intersection_blocks(self):
         far = [
@@ -369,9 +374,12 @@ class TestDecisionGraph:
             Halfplane(2, 0, 1, -1),
             Halfplane(3, 0, -1, -1),
         ]
-        ctx = _AnchorContext(P(0, 0), far, _HalfplaneInstance([], [P(2, 0)], far))
-        hosts = {ctx.segments[v[0]].host for v in all_chains(ctx, 0)}
-        assert hosts and 0 not in hosts  # x >= 1 contains the monitored point at k = 0
+        # x >= 1 and y >= 1 contain the monitored point: at k = 1 the chain
+        # from y = 1 to x = 1 fails, the other three pass
+        ctx = _AnchorContext(P(0, 0), far, _HalfplaneInstance([], [P(2, 2)], far))
+        hosts = [{ctx.segments[s].host for s in v} for v in all_chains(ctx, 1)]
+        assert len(hosts) == 3 and {0, 2} not in hosts
+        assert find_winding_cycle(ctx.graph(1)) is None
 
     def test_winding_two_rejected(self):
         # synthetic graph: two mandatory crossings in every cycle
@@ -415,25 +423,36 @@ class TestDecisionGraph:
         assert 50 < cycles < len(cases) - 50
 
     def test_cycles_match_reference(self):
-        # the same chains close the same first cycle as the full graph's
-        # search, or both find none; the reference searches once per
-        # crossing arc, so the rings go to k = 3 at three anchors each
+        # the search finds the first cycle of the per-arc search on the
+        # whole decision graph, or both find none.  It has a cycle exactly
+        # when the (k+1)-chain graph has one: the same first crossing
+        # (k+1)-chain closes both, so their first k+1 segments agree, and
+        # its breadth-first search starts from that chain's last k
+        # segments, not from one arc out of them, so its cycle is no
+        # longer.  The references search once per crossing arc, so the
+        # rings go to k = 3 at three anchors each
         contexts = [(c[-1], 3) for c in list(_hand_contexts()) + list(_seeded_contexts())]
         contexts += [(c[-1], 4) for c in _tangent_fan_contexts()]
         for seed in range(4):
             inst = _HalfplaneInstance(*ring_instance(seed, 12))
             covering = _covering_indices(inst)
             contexts += [(inst.context(idx), 3 if pos < 3 else 1) for pos, idx in enumerate(covering)]
-        found = 0
+        found = shorter = 0
         for ctx, top in contexts:
-            for k in range(top + 1):
+            for k in range(1, top + 1):
                 graph = ctx.graph(k)
                 cycle = find_winding_cycle(graph)
-                got = None if cycle is None else [graph.vertices[v] for v in cycle]
-                assert got == reference_winding_cycle(ctx, k)
+                got = None if cycle is None else [graph.vertices[v][0] for v in cycle]
+                assert got == reference_line_cycle(ctx, k)
+                chains = reference_winding_cycle(ctx, k)
+                assert (got is None) == (chains is None)
+                if got is not None:
+                    heads = [c[0] for c in chains]
+                    assert got[:k + 1] == heads[:k + 1] and len(got) <= len(heads)
+                    shorter += len(got) < len(heads)
                 assert len(set(graph.vertices)) == len(graph.vertices)  # one id per chain
                 found += got is not None
-        assert found > 50
+        assert found > 50 and shorter > 0
 
     def test_fan_walk_gives_ids_to_few_chains(self, monkeypatch):
         # the search meets only part of the chains the full graph lists
@@ -451,7 +470,10 @@ class TestDecisionGraph:
         assert report.path == "cycle" and report.k == 4
         ctx, k, graph = graphs[-1]
         assert k == 4
-        assert len(graph.vertices) < len(all_chains(ctx, k))
+        chains = all_chains(ctx, k)
+        listed = {c[:-1] for c in chains} | {c[1:] for c in chains}
+        assert set(graph.vertices) <= listed
+        assert len(graph.vertices) < len(listed)
 
 
 def _reference_context(anchor, active, s_hpts):
@@ -608,7 +630,7 @@ class TestAnchorContext:
         contexts = list(_hand_contexts()) + list(_seeded_contexts())
         contexts += list(_tangent_fan_contexts())
         for inst, _anchor, _active_planes, ctx in contexts:
-            for k in range(5):
+            for k in range(1, 5):
                 assert all_chains(ctx, k) == _reference_chains(ctx, k, inst.s_hpts)
 
     def test_cutoff_tables_match_successor_walk(self):
@@ -674,7 +696,7 @@ class TestAnchorContext:
         found = 0
         for (inst, anchor, active, ctx), top in contexts:
             has_cycle = window_relation(inst, anchor, active)
-            for k in range(top + 1):
+            for k in range(1, top + 1):
                 got = find_winding_cycle(ctx.graph(k)) is not None
                 assert got == has_cycle(k), (anchor, k)
                 found += got
@@ -682,23 +704,23 @@ class TestAnchorContext:
 
     def test_successor_lists_increase(self):
         # each successor list, filled on demand on a context walked only as
-        # far as the graph goes, lists the full graph's successors of its
-        # chain in order, and they increase in the ids of a build of every
-        # segment: in key order
+        # far as the graph goes, lists the last k segments of the full
+        # (k+1)-chain graph's nodes that start with its chain, in order,
+        # and they increase in the ids of a build of every segment: in key
+        # order
         for inst, anchor, active, _ctx in list(_hand_contexts()) + list(_seeded_contexts()):
-            for k in range(4):
+            for k in range(1, 4):
                 ctx = _AnchorContext(anchor, active, inst)
                 graph = ctx.graph(k)
                 v = 0
                 while v < len(graph.vertices):  # every chain the crossing ones reach
                     graph.successors(v)
                     v += 1
-                vertices, succ, _cross = reference_graph(ctx, k)
-                index = {v: i for i, v in enumerate(vertices)}
+                vertices, _succ, _cross = reference_graph(ctx, k)
                 keys = list(ctx.ids)
                 for v, nexts in enumerate(graph.succ):
                     nexts = [graph.vertices[w] for w in nexts]
-                    assert nexts == [vertices[w] for w in succ[index[graph.vertices[v]]]]
+                    assert nexts == [c[1:] for c in vertices if c[:-1] == graph.vertices[v]]
                     ranked = [[keys[s] for s in chain] for chain in nexts]
                     assert all(a < b for a, b in zip(ranked, ranked[1:]))
 
@@ -802,12 +824,12 @@ class TestCoveringAnchors:
                 ctx = inst.context(idx)
                 if idx not in covering:
                     skipped += 1
-                    for k in range(4):
+                    for k in range(1, 4):
                         assert find_winding_cycle(ctx.graph(k)) is None
                     continue
                 dominated += 1
                 (over, *_) = [j for j in searched if outside[idx] < outside[j]]
-                for k in range(4):
+                for k in range(1, 4):
                     if find_winding_cycle(ctx.graph(k)) is not None:
                         assert find_winding_cycle(inst.context(over).graph(k)) is not None
         assert skipped > 100 and dominated > 50
@@ -1010,6 +1032,45 @@ class TestExactSolver:
             assert (report.k, report.path, report.cover.ids) == (k, "cycle", tuple(range(n)))
             verify_winding_certificate(report, points, sprime, planes)
             assert sum(len(graph.vertices) for graph in graphs) < bound
+
+    def test_ring_decides_under_an_address_limit(self):
+        # at k = 2 this ring's graph on (k+1)-chains held 2.4 M nodes, and
+        # the reach masks over them ran out of memory under this limit; on
+        # k-chains both decisions run in one child process limited to
+        # 1.5 GB of address space
+        import membercover.halfplanes as hp
+
+        src = Path(hp.__file__).resolve().parent.parent
+        code = (
+            "import resource\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, hard))\n"
+            "from conftest import ring_instance\n"
+            "from membercover.halfplanes import _HalfplaneInstance\n"
+            "inst = _HalfplaneInstance(*ring_instance(1, 48, 24, 12))\n"
+            "print(inst.decide(1), inst.decide(2).path)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert (out.returncode, out.stdout, out.stderr) == (0, "None cycle\n", "")
+
+    def test_ring_graph_holds_each_k_chain_once(self, monkeypatch):
+        # the k = 2 graph of this ring once its search ends: on (k+1)-chains
+        # it held 115,292 nodes, 41,933 of them crossing
+        import membercover.halfplanes as hp
+
+        graphs = []
+        raw_graph = hp._AnchorContext.graph
+
+        def recording(ctx, k):
+            graphs.append(raw_graph(ctx, k))
+            return graphs[-1]
+
+        monkeypatch.setattr(hp._AnchorContext, "graph", recording)
+        assert _HalfplaneInstance(*ring_instance(2, 40, 24, 12)).decide(2).path == "cycle"
+        assert [(len(graph.vertices), sum(graph.cross)) for graph in graphs] == [(22798, 1799)]
 
     def test_reports_match_recorded_digest(self):
         # the reports, covers, paths and winding certificates, as the
