@@ -2,7 +2,8 @@
 incidence tables (`oracle.incidence`): coverage, membership and quiet sets
 are computed on the rows under a `chosen` bitmask of positions.  The
 solvers build their tables with their own integer kernels
-(`squares.square_tables`, and `_sign_masks` in `halfplanes`)."""
+(`squares.square_tables`, and `_sign_tables` in `halfplanes`, one sign pass
+per halfplane that fills its column and its bit in every row at once)."""
 
 from __future__ import annotations
 

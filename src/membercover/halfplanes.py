@@ -70,7 +70,15 @@ but the crossing ones and every successor list are sorted by the key
 build of every segment, so the search meets the chains and the cycle that
 such a build gives.
 
-All hot predicates run on homogeneous integer coordinates.
+All hot predicates run on homogeneous integer coordinates.  An instance
+reads each coordinate of S and S' once, into those integers, and sizes the
+dummy box from them.  One sign pass per instance halfplane over S and S'
+sets the points' bits in its columns and its bit in the points' rows at
+once; the dummies hold no point, so their facts need no pass.  The scan
+for covers of at most three halfplanes ORs S columns against the mask of
+all of S, in (size, ids) order; it takes a pair's OR once for all its
+triples, and skips the triples of a pair that misses more points than the
+widest column holds.
 """
 
 from __future__ import annotations
@@ -117,9 +125,14 @@ DUMMY_BASE_ID = -1  # dummies use ids -1..-4, never colliding with instances
 # ---------------------------------------------------------------------------
 
 def _hpt(p: Point) -> HPt:
+    """(X, Y, W) with W the lcm of the denominators, reading each
+    coordinate's numerator and denominator once."""
     x, y = p.x, p.y
-    w = math.lcm(x.denominator, y.denominator)
-    return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
+    xd, yd = x.denominator, y.denominator
+    if xd == yd:
+        return (x.numerator, y.numerator, xd)
+    w = math.lcm(xd, yd)
+    return (x.numerator * (w // xd), y.numerator * (w // yd), w)
 
 
 def _hpt_point(h: HPt) -> Point:
@@ -160,6 +173,43 @@ def _sign_masks(line: tuple[int, int, int], pts: Sequence[HPt]) -> tuple[int, in
         if v >= 0:
             nonneg |= 1 << bit
     return nonpos, nonneg
+
+
+def _sign_tables(
+    lines: Sequence[tuple[int, int, int]], s_pts: Sequence[HPt], sp_pts: Sequence[HPt]
+) -> tuple[list[tuple[int, int]], list[int], list[int], list[int], list[int]]:
+    """The sides, the S columns, the S' columns, the S rows and the S' rows
+    of `lines`: per line, the bitmasks of S on its side <= 0 and on it, of S
+    on its side >= 0 and of S' on that side, and per point of S and of S',
+    the bitmask of the lines with the point on their side >= 0.
+
+    One integer sign pass per line over S and then S' sets a point's bit
+    in the line's masks and the line's bit in the point's row at once, so
+    neither table is a transpose of the other."""
+    s_rows = [0] * len(s_pts)
+    sp_rows = [0] * len(sp_pts)
+    sides: list[tuple[int, int]] = []
+    s_columns: list[int] = []
+    sp_columns: list[int] = []
+    for j, (a, b, c) in enumerate(lines):
+        line_bit = 1 << j
+        nonpos = nonneg = 0
+        for i, (x, y, w) in enumerate(s_pts):
+            v = a * x + b * y + c * w
+            if v <= 0:
+                nonpos |= 1 << i
+            if v >= 0:
+                nonneg |= 1 << i
+                s_rows[i] |= line_bit
+        inside = 0
+        for i, (x, y, w) in enumerate(sp_pts):
+            if a * x + b * y + c * w >= 0:
+                inside |= 1 << i
+                sp_rows[i] |= line_bit
+        sides.append((nonpos, nonpos & nonneg))
+        s_columns.append(nonneg)
+        sp_columns.append(inside)
+    return sides, s_columns, sp_columns, s_rows, sp_rows
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +536,6 @@ class _AnchorContext:
         return WindGraph(crossing, [None] * n, [True] * n, step)
 
 
-def _columns(rows: Sequence[int], width: int) -> list[int]:
-    """The transpose of a bit table: entry j is the bitmask of the rows
-    that hold bit j.  Its own inverse: rows to columns and back."""
-    return [sum([(row >> j & 1) << bit for bit, row in enumerate(rows)]) for j in range(width)]
-
-
 def find_winding_cycle(graph: WindGraph) -> list[int] | None:
     """A cycle crossing the reference ray exactly once, if one exists.
 
@@ -606,35 +650,18 @@ class ExactSolveReport:
     certificate: WindingCertificate | None
 
 
-def _dummy_halfplanes(
-    points: Sequence[Point], sprime: Sequence[Point]
-) -> tuple[list[Halfplane], int]:
-    """Four axis-aligned halfplanes outside a box holding every point.
-
-    The offset is integral (one beyond the floor of the largest coordinate
-    magnitude) so the coefficients stay integers, and strict so no input
-    point touches a dummy.
-    """
-    # the floor of the largest magnitude is the largest floor, on ints
-    floors = [abs(c.numerator) // c.denominator for p in points for c in (p.x, p.y)]
-    floors += [abs(c.numerator) // c.denominator for p in sprime for c in (p.x, p.y)]
-    delta = max(floors, default=0) + 1
-    return [
-        Halfplane(DUMMY_BASE_ID - 0, 0, -1, -delta),  # y <= -delta
-        Halfplane(DUMMY_BASE_ID - 1, 0, 1, -delta),   # y >= delta
-        Halfplane(DUMMY_BASE_ID - 2, -1, 0, -delta),  # x <= -delta
-        Halfplane(DUMMY_BASE_ID - 3, 1, 0, -delta),   # x >= delta
-    ], delta
-
-
 class _HalfplaneInstance:
     """One instance (S, S', H), built once per public call, and every fact
     its solvers read off it; the PTAS asks one for both of its solvers.
 
-    One integer sign pass per line of `extended` over S and S' is the only
-    point-versus-line test: it gives the line sides and the S and S' tables
-    over the id-sorted halfplanes.  The dummies contain no point, so the
-    same rows serve over `extended`.  Other facts are computed on first use.
+    Each coordinate of S and S' is read once, into homogeneous integers,
+    and the box of the four dummies is sized from those.  One integer sign
+    pass per instance halfplane over S and S', `_sign_tables`, is the only
+    point-versus-line test: it gives the line sides, the S columns and S'
+    masks, and the S and S' rows over the id-sorted halfplanes.  The
+    dummies' facts need no pass: every point lies strictly inside the box,
+    on each dummy's side <= 0, and in none of them, so the same rows serve
+    over `extended`.  Other facts are computed on first use.
     """
 
     def __init__(
@@ -645,27 +672,34 @@ class _HalfplaneInstance:
     ):
         self.points = list(points)
         self.halfplanes = sorted(halfplanes, key=lambda h: h.id)
-        self.dummies, self.delta = _dummy_halfplanes(points, sprime)
-        self.extended = self.halfplanes + self.dummies
         self.s_hpts = [_hpt(q) for q in self.points]
         sp_hpts = [_hpt(q) for q in sprime]
-        # per id of `extended`: S on the closed side h <= 0 and on the line,
-        # and S' in h; the tables transpose the columns of the instance
-        # halfplanes, which lead `extended`
-        self.line_sides: dict[int, tuple[int, int]] = {}
-        self.sp_masks: dict[int, int] = {}
+        # four axis-aligned halfplanes outside a box holding every point: the
+        # offset is one beyond the largest floor of a coordinate magnitude,
+        # integral so the coefficients stay integers, and strict so no point
+        # touches a dummy
+        self.delta = delta = max(
+            [max(abs(x), abs(y)) // w for x, y, w in self.s_hpts + sp_hpts], default=0
+        ) + 1
+        self.dummies = [
+            Halfplane(DUMMY_BASE_ID - 0, 0, -1, -delta),  # y <= -delta
+            Halfplane(DUMMY_BASE_ID - 1, 0, 1, -delta),   # y >= delta
+            Halfplane(DUMMY_BASE_ID - 2, -1, 0, -delta),  # x <= -delta
+            Halfplane(DUMMY_BASE_ID - 3, 1, 0, -delta),   # x >= delta
+        ]
+        self.extended = self.halfplanes + self.dummies
         self.lines = [h.line() for h in self.extended]
         self.position = {h.id: i for i, h in enumerate(self.extended)}
-        s_columns = []
-        for h, line in zip(self.extended, self.lines):
-            nonpos, nonneg = _sign_masks(line, self.s_hpts)
-            self.line_sides[h.id] = (nonpos, nonpos & nonneg)
-            self.sp_masks[h.id] = _sign_masks(line, sp_hpts)[1]
-            s_columns.append(nonneg)
         n = len(self.halfplanes)
-        self.s_columns = s_columns[:n]
-        self.s_rows = _columns(self.s_columns, len(self.points))
-        self.sp_rows = _columns(list(self.sp_masks.values())[:n], len(sp_hpts))
+        sides, self.s_columns, sp_columns, self.s_rows, self.sp_rows = _sign_tables(
+            self.lines[:n], self.s_hpts, sp_hpts
+        )
+        # per id of `extended`: S on the closed side h <= 0 and on the line,
+        # and S' in h
+        ids = [h.id for h in self.extended]
+        in_box = ((1 << len(self.points)) - 1, 0)  # a dummy's side: all of S, none on it
+        self.line_sides: dict[int, tuple[int, int]] = dict(zip(ids, sides + [in_box] * 4))
+        self.sp_masks: dict[int, int] = dict(zip(ids, sp_columns + [0] * 4))
         self._contexts: dict[int, _AnchorContext] = {}
 
     # -- cheap certificates -------------------------------------------------
@@ -683,23 +717,22 @@ class _HalfplaneInstance:
 
     @cached_property
     def _small_scan(self) -> tuple[tuple[int, int, tuple[int, ...]] | None, int]:
-        # combinations come out in (size, ids) order, the halfplanes being
+        # the small covers come out in (size, ids) order, the halfplanes being
         # id-sorted, and no cover has membership 0 without a quiet cover;
         # so the first cover at that floor is the least option.  The first
         # cover met, no later than that return, has the least size.
         floor = 0 if self.quiet_cover is not None else 1
         best = None
         least_size = 4
-        for size in (1, 2, 3):
-            for combo in combinations(range(len(self.halfplanes)), size):
-                chosen = sum([1 << j for j in combo])
-                if first_uncovered(self.points, self.s_rows, chosen) is None:
-                    least_size = min(least_size, size)
-                    memb = depth(self.sp_rows, chosen)
-                    if best is None or memb < best[0]:
-                        best = (memb, size, tuple([self.halfplanes[j].id for j in combo]))
-                        if memb <= floor:
-                            return best, least_size
+        for combo in _small_covers(self.s_columns, (1 << len(self.points)) - 1):
+            size = len(combo)
+            least_size = min(least_size, size)
+            chosen = sum([1 << j for j in combo])
+            memb = depth(self.sp_rows, chosen)
+            if best is None or memb < best[0]:
+                best = (memb, size, tuple([self.halfplanes[j].id for j in combo]))
+                if memb <= floor:
+                    return best, least_size
         return best, least_size
 
     @property
@@ -967,6 +1000,33 @@ def _plane_covers(halfplanes: Sequence[Halfplane]) -> Iterator[tuple[int, ...]]:
             yield (i, j, k)
 
 
+def _small_covers(columns: Sequence[int], full: int) -> Iterator[tuple[int, ...]]:
+    """Every set of at most three positions whose S columns OR to `full`,
+    as increasing positions in (size, positions) order, the order of
+    `combinations`.
+
+    A pair's OR is taken once for all its triples, which are read one by
+    one only when one of them covers.  No third column adds more points
+    than the widest column holds, so a pair that misses more points than
+    that has no covering triple and is skipped at once."""
+    n = len(columns)
+    for i in range(n):
+        if columns[i] == full:
+            yield (i,)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if columns[i] | columns[j] == full:
+                yield (i, j)
+    least = full.bit_count() - max([c.bit_count() for c in columns], default=0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = columns[i] | columns[j]
+            if pair.bit_count() >= least and full in map(pair.__or__, columns[j + 1:]):
+                for m in range(j + 1, n):
+                    if pair | columns[m] == full:
+                        yield (i, j, m)
+
+
 def _min_size_cover(
     ordered: Sequence[Halfplane],
     s_rows: Sequence[int],
@@ -997,7 +1057,7 @@ def _min_size_cover(
     while covered != full:
         pick = max(
             range(len(ordered)),
-            key=lambda i: (bin(masks[i] & ~covered).count("1"), -ordered[i].id),
+            key=lambda i: ((masks[i] & ~covered).bit_count(), -ordered[i].id),
         )
         if masks[pick] & ~covered == 0:
             raise AssertionError("greedy stalled despite full coverage existing")
@@ -1016,7 +1076,7 @@ def _min_size_cover(
             return [ordered[i] for i in sorted(greedy)]
 
     order = sorted(
-        range(len(ordered)), key=lambda i: (-bin(masks[i]).count("1"), ordered[i].id)
+        range(len(ordered)), key=lambda i: (-masks[i].bit_count(), ordered[i].id)
     )
     suffix_union = [0] * (len(order) + 1)
     for pos in range(len(order) - 1, -1, -1):
@@ -1024,7 +1084,7 @@ def _min_size_cover(
 
     best_size = len(greedy)
     best_pick = sorted(greedy)
-    max_gain = max(bin(m).count("1") for m in masks)
+    max_gain = max([m.bit_count() for m in masks])
 
     def dfs(pos: int, chosen: list[int], covered: int) -> None:
         nonlocal best_size, best_pick
@@ -1039,7 +1099,7 @@ def _min_size_cover(
             return
         if covered | suffix_union[pos] != full:
             return
-        missing = bin(full & ~covered).count("1")
+        missing = (full & ~covered).bit_count()
         if len(chosen) + (missing + max_gain - 1) // max_gain >= best_size:
             return
         i = order[pos]

@@ -41,8 +41,9 @@ def incidence(points: Sequence[Point], ranges: Sequence) -> list[int]:
     """Row i is the bitmask of the positions in `ranges` of the ranges that
     contain points[i]: one `range.contains(point)` call per pair.  The
     solvers build the same tables with their own integer kernels
-    (`squares.square_tables`, and `_sign_masks` in `halfplanes`), and the
-    tests compare those against it."""
+    (`squares.square_tables`, and `_sign_tables` in `halfplanes`, one sign
+    pass per halfplane that fills its column and its bit in every row at
+    once), and the tests compare those against it."""
     rows = []
     for p in points:
         row = 0

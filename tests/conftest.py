@@ -16,7 +16,7 @@ from typing import Mapping
 import math
 
 from membercover import GridCell, Halfplane, Point, SquareGrid, UnitSquare, grid_partition
-from membercover.covers import CoverSolution, quiet_cover
+from membercover.covers import CoverSolution, depth, first_uncovered, quiet_cover
 from membercover.geometry import _line_intersect
 from membercover.halfplanes import (
     SegmentPhi,
@@ -846,6 +846,27 @@ def additive_reference(inst):
         for combo in _plane_covers(inst.halfplanes)
     ]
     return min([best, *candidates], key=lambda cs: cs.memb)
+
+
+def small_scan_reference(inst):
+    """`_HalfplaneInstance._small_scan` on the rows: each combination of at
+    most three halfplanes in (size, ids) order, tested by `first_uncovered`
+    on the S rows, returning at the first cover at the floor; the reference
+    for the scan on the S columns."""
+    floor = 0 if inst.quiet_cover is not None else 1
+    best = None
+    least_size = 4
+    for size in (1, 2, 3):
+        for combo in combinations(range(len(inst.halfplanes)), size):
+            chosen = sum([1 << j for j in combo])
+            if first_uncovered(inst.points, inst.s_rows, chosen) is None:
+                least_size = min(least_size, size)
+                memb = depth(inst.sp_rows, chosen)
+                if best is None or memb < best[0]:
+                    best = (memb, size, tuple([inst.halfplanes[j].id for j in combo]))
+                    if memb <= floor:
+                        return best, least_size
+    return best, least_size
 
 
 # ---------------------------------------------------------------------------

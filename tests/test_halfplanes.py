@@ -27,6 +27,7 @@ from conftest import (
     reference_winding_cycle,
     ring_instance,
     segment_masks,
+    small_scan_reference,
     strict_feasible_lp,
     tangent_fan,
     union_grows_lp,
@@ -62,7 +63,6 @@ from membercover.halfplanes import (
     _cross2,
     _cross3,
     _dirvec,
-    _dummy_halfplanes,
     _flipped,
     _hpt,
     _hpt_point,
@@ -1259,6 +1259,38 @@ class TestSizeFloor:
                         options.append((memb, size, tuple(ids)))
             assert inst.small_option == min(options, default=None)
 
+    def test_small_scan_matches_the_row_scan(self):
+        # the scan on the S columns against `first_uncovered` on the rows
+        # for each combination, on the batteries and on a quiet instance
+        # (floor 0), one with empty S and ones with no small cover
+        cases = [halfplane_instance(seed) for seed in range(200)]
+        cases += [fan_instance(seed) for seed in range(20)]
+        cases += [ring_instance(seed, 12) for seed in range(12)]
+        cases += [([P(2, 2), P(-2, 0)], [P(0, 0)], BOX), ([], [P(0, 0), P(2, 0)], BOX)]
+        floors, quiet, empty = set(), 0, 0
+        for points, sprime, planes in cases:
+            inst = _HalfplaneInstance(points, sprime, planes)
+            assert inst._small_scan == small_scan_reference(inst)
+            floors.add(inst.size_floor)
+            quiet += inst.quiet_cover is not None
+            empty += not points
+        assert floors == {1, 2, 3, 4}
+        assert quiet and empty
+
+    def test_small_scan_reads_no_rows(self, monkeypatch):
+        # a fan has no small cover, so the scan meets every combination of
+        # at most three halfplanes, and tests none of them on the rows
+        import membercover.covers as covers
+        import membercover.halfplanes as hp
+
+        inst = _HalfplaneInstance(*fan_instance(1))
+        assert inst.quiet_cover is None  # read first: it tests the rows once
+        calls = _count_calls(monkeypatch, (covers, hp), "first_uncovered")
+        assert inst.size_floor == 4
+        assert calls == []
+        assert inst.uncovered is None  # the counter does see a test
+        assert len(calls) == 1
+
     def test_small_covers_skip_the_size_lp(self, monkeypatch):
         import membercover.lp as lpmod
 
@@ -1546,6 +1578,12 @@ class TestGoldens:
         assert len(calls) == 1
 
 
+def _transpose(rows, width):
+    """The transpose of a bit table: entry j is the bitmask of the rows
+    that hold bit j."""
+    return [sum([(row >> j & 1) << i for i, row in enumerate(rows)]) for j in range(width)]
+
+
 def _count_calls(monkeypatch, owners, name):
     """Patch `name` in each of `owners` to count its calls in one list."""
     calls = []
@@ -1581,10 +1619,9 @@ class TestOneInstance:
             ]
             sprime = [P(Fraction(rng.randint(-900, 0), 7), Fraction(-rng.randint(1, 99), 13))]
             coords = [abs(c) for q in pts + sprime for c in (q.x, q.y)]
-            _dummies, delta = _dummy_halfplanes(pts, sprime)
-            assert delta == math.floor(max(coords)) + 1
-        assert _dummy_halfplanes([P("-7/2", "1/3")], [])[1] == 4
-        assert _dummy_halfplanes([], [])[1] == 1
+            assert _HalfplaneInstance(pts, sprime, []).delta == math.floor(max(coords)) + 1
+        assert _HalfplaneInstance([P("-7/2", "1/3")], [], []).delta == 4
+        assert _HalfplaneInstance([], [], []).delta == 1
 
     def test_plane_flag_matches_full_region(self):
         fans = [
@@ -1618,17 +1655,26 @@ class TestOneInstance:
                     for q in (pts, sp):
                         assert incidence(q, inst.extended) == incidence(q, inst.halfplanes)
 
-    def test_tables_match_fraction_incidence(self):
-        # the integer sign pass of the instance against Fraction arithmetic
+    @staticmethod
+    def _table_cases():
         cases = [halfplane_instance(seed) for seed in range(200)]
         cases += [fan_instance(seed) for seed in range(8)]
         hand_s = HAND_ON_LINES + HAND_OFF_LINES
+        # mixed denominators, in S and S', and S' points on boundary lines
+        mixed = [P("1/3", "-5/7"), P("7/12", 2), P("-9/4", "1/6"), P(3, "-1/2")]
+        on_lines = [P("1/2", "5/2"), P(-1, "1/3"), P("4/3", "7/3"), P(1, "-2/5")]
         cases += [
             (hand_s, HAND_ON_LINES + [P(2, 2)], HAND_PLANES),
             (hand_s, [], HAND_PLANES),
             ([], HAND_ON_LINES, HAND_PLANES),
+            (hand_s + mixed, mixed + on_lines, HAND_PLANES),
+            (mixed, on_lines, HAND_PLANES),
         ]
-        for points, sprime, planes in cases:
+        return cases
+
+    def test_tables_match_fraction_incidence(self):
+        # the integer sign pass of the instance against Fraction arithmetic
+        for points, sprime, planes in self._table_cases():
             inst = _HalfplaneInstance(points, sprime, planes)
             assert inst.s_rows == incidence(points, inst.halfplanes)
             assert inst.sp_rows == incidence(sprime, inst.halfplanes)
@@ -1638,6 +1684,22 @@ class TestOneInstance:
                 online = sum([1 << bit for bit, v in enumerate(values) if v == 0])
                 assert inst.line_sides[h.id] == (nonpos, online)
             assert [inst.sp_masks[h.id] for h in inst.dummies] == [0] * 4
+
+    def test_columns_transpose_rows(self):
+        # the one sign pass fills the columns and the rows together: the S
+        # columns and the S' masks of the instance halfplanes are the
+        # transposes of the S and S' rows
+        on_lines = 0
+        for points, sprime, planes in self._table_cases():
+            inst = _HalfplaneInstance(points, sprime, planes)
+            n = len(inst.halfplanes)
+            sp_columns = [inst.sp_masks[h.id] for h in inst.halfplanes]
+            assert inst.s_columns == _transpose(inst.s_rows, n)
+            assert inst.s_rows == _transpose(inst.s_columns, len(points))
+            assert sp_columns == _transpose(inst.sp_rows, n)
+            assert inst.sp_rows == _transpose(sp_columns, len(sprime))
+            on_lines += sum(1 for h in planes for q in sprime if h.a * q.x + h.b * q.y + h.c == 0)
+        assert on_lines >= 8  # S' points on boundary lines are tested
 
     def test_solves_make_no_fraction_containment_test(self, monkeypatch):
         # every side of a point against a boundary line is an integer sign

@@ -40,9 +40,9 @@ def test_no_environment_reads():
 
 # The solvers test points against ranges with integer kernels: for squares
 # `squares.square_tables` on one integer grid, and for halfplanes the sign
-# test `_sign_masks` on homogeneous points.  The generic `Fraction` table
-# `incidence` lives in oracle.py, so no solver module makes a `.contains(`
-# call.  Entries are (module, enclosing def, argument source).
+# tests `_sign_tables` and `_sign_masks` on homogeneous points.  The generic
+# `Fraction` table `incidence` lives in oracle.py, so no solver module makes
+# a `.contains(` call.  Entries are (module, enclosing def, argument source).
 CONTAINS_ALLOWED: set[tuple[str, str, str]] = set()
 SOLVER_MODULES = ("covers.py", "lp.py", "squares.py", "ply.py", "halfplanes.py")
 
@@ -135,13 +135,21 @@ def test_grid_scaled_only_by_the_public_solves():
 
 def test_halfplane_tables_built_only_by_the_instance():
     # every halfplane solver reads the S and S' tables and line sides of one
-    # _HalfplaneInstance, built by integer sign passes; an anchor context
-    # signs S only against its own segment endpoints, one on first read
+    # _HalfplaneInstance, built by one integer sign pass per instance
+    # halfplane, _sign_tables; an anchor context signs S only against its
+    # own segment endpoints, one _sign_masks on first read
     path = SRC / "halfplanes.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _calls(tree, {"incidence", "covering_incidence"}) == []
-    scopes = {scope for scope, _arg, _line in _calls(tree, {"_sign_masks"})}
-    assert scopes == {"_HalfplaneInstance.__init__", "_AnchorContext._sign_wedge"}
+    scopes = {
+        (name, scope)
+        for name in ("_sign_tables", "_sign_masks")
+        for scope, _arg, _line in _calls(tree, {name})
+    }
+    assert scopes == {
+        ("_sign_tables", "_HalfplaneInstance.__init__"),
+        ("_sign_masks", "_AnchorContext._sign_wedge"),
+    }
 
 
 def test_arrangement_built_once_per_instance():
@@ -167,7 +175,7 @@ def test_no_pair_list_of_one_lines_vertices():
     # sweep and each anchor walk them, so no second pass over the pairs of
     # lines and no list of every vertex pair, O(n^3) segments, comes back:
     # only Arrangement.of runs `combinations` over lines, and halfplanes.py
-    # runs it only over halfplanes
+    # runs it only over halfplanes, the id-sorted ones or their flips
     over_lines = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -177,7 +185,7 @@ def test_no_pair_list_of_one_lines_vertices():
             assert "face_sample_points" not in {scope.split(".")[0] for scope, _arg, _line in calls}
         if path.name == "halfplanes.py":
             over = {arg.split(", ")[0] for _scope, arg, _line in calls}
-            assert over == {"range(len(self.halfplanes))", "range(len(flipped))"}
+            assert over and over <= {"range(len(self.halfplanes))", "range(len(flipped))"}
     assert over_lines == {"geometry.py:Arrangement.of"}
 
 
