@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import random
 from fractions import Fraction
@@ -559,3 +560,31 @@ class TestIntegerGrid:
                 ) if covered else []
                 got = solve_one_corner(SquareGrid.of(covered, bucket), cell, corner)
                 assert got == tuple(sorted(expected))
+
+
+# sha256 of the concatenated repr of `solve_mpgsc` (cover and ply report
+# with its witness) and of `solve_mmgsc_squares_report` (cover ids,
+# membership and `max_lp_value`) over `_digest_battery()`
+SQUARES_SHA256 = "9241c127d36ee1b655ee336e2d44d3c68cd933cb96481ceaaa91dcc757a7d2d1"
+
+
+def _digest_battery():
+    """square_instance(0..99), the same at up to 30 squares and points on
+    extent 4 (0..49), cell_instance(0..199) and 300 mixed_grid_instance
+    draws around GRID_CELLS, their points cut to the coverable ones."""
+    cases = [square_instance(seed) for seed in range(100)]
+    cases += [square_instance(seed, 30, 30, 4) for seed in range(50)]
+    cases += [cell_instance(seed) for seed in range(200)]
+    rng = random.Random(12)
+    for trial in range(300):
+        points, sprime, squares = mixed_grid_instance(rng, GRID_CELLS[trial % 3])
+        cases.append(([p for p in points if any(q.contains(p) for q in squares)], sprime, squares))
+    return cases
+
+
+def test_square_solves_match_recorded_digest():
+    digest = hashlib.sha256()
+    for points, sprime, squares in _digest_battery():
+        digest.update(repr(solve_mpgsc(points, squares)).encode())
+        digest.update(repr(solve_mmgsc_squares_report(points, sprime, squares)).encode())
+    assert digest.hexdigest() == SQUARES_SHA256
