@@ -160,7 +160,7 @@ class SquareGrid(NamedTuple):
     `points[i]`, `uv[i]` the top-right corner of `squares[i]` and `sp_xy`
     holds S' in input order (a cell slice of `grid_partition` holds only
     the S' points of the cell's 3x3 block).  A named tuple, so that a solve
-    cuts its slices per cell and per corner cheaply."""
+    cuts its slices per cell cheaply."""
 
     d: int
     points: tuple[Point, ...]

@@ -11,9 +11,10 @@ of largest load, which is at least 1/4 since its coverage row sums to at
 least 1.
 
 `solve_mpgsc` puts S and the square corners on one integer grid once
-(`geometry.SquareGrid.of`) and hands each cell its slice of it.  `ply`
-takes bare squares, since the brute-force ply oracle calls it on subsets,
-so it scales their corners itself, once per call.
+(`geometry.SquareGrid.of`), hands each cell its slice of it and sweeps
+the chosen squares' corners on that grid (`_grid_ply`).  `ply` takes bare
+squares, since the brute-force ply oracle calls it on subsets, so it
+scales their corners itself, once per call, and runs the same sweep.
 """
 
 from __future__ import annotations
@@ -49,7 +50,17 @@ class PlyReport:
 
 
 def ply(squares: Sequence[UnitSquare]) -> PlyReport:
-    """Exact maximum depth of a set of closed unit squares, by a sweep.
+    """Exact maximum depth of a set of closed unit squares, and the
+    lexicographically first point attaining it: `_grid_ply` on the integer
+    grid of their corners."""
+    corners = [q.tr for q in squares]
+    d = grid_unit(corners)
+    return _grid_ply(d, on_grid(corners, d))
+
+
+def _grid_ply(d: int, uv: Sequence[tuple[int, int]]) -> PlyReport:
+    """Exact maximum depth of the closed unit squares with top-right grid
+    corners `uv` on the grid of unit `d`, by a sweep.
 
     The deepest points form a union of closed boxes, each the intersection
     of some squares, so the smallest x among them is some square's left
@@ -58,15 +69,13 @@ def ply(squares: Sequence[UnitSquare]) -> PlyReport:
     1-D sweep over the y events of the squares spanning it, opens before
     closes at equal y, and keeps a point only when it is strictly deeper
     than the best so far.  So the witness is the lexicographically first
-    (x, y) of maximum depth.  O(m^2 log m) for m squares.
+    (x, y) of maximum depth, the same rational point on any grid that
+    holds the corners.  O(m^2 log m) for m squares.
 
-    The sweep runs on the integer grid of unit D: a square with top-right
-    corner (U, V) is the box (U - D, U, V - D, V), and only the witness
-    goes back to Fractions.
+    A square with grid corner (U, V) is the box (U - D, U, V - D, V), and
+    only the witness goes back to Fractions.
     """
-    corners = [q.tr for q in squares]
-    d = grid_unit(corners)
-    boxes = sorted([(u - d, u, v - d, v) for u, v in on_grid(corners, d)])
+    boxes = sorted([(u - d, u, v - d, v) for u, v in uv])
     best = 0
     witness = None
     for x in sorted({box[0] for box in boxes}):
@@ -121,10 +130,11 @@ def solve_mpgsc(
     """Cover the points while keeping the maximum square overlap low.  The
     cover's `memb` is its membership over the empty S' of the ply problem,
     so always 0; its ply is the `PlyReport`'s `value`."""
-    cells = grid_partition(SquareGrid.of(points, squares))
+    grid = SquareGrid.of(points, squares)
+    cells = grid_partition(grid)
     ids: set[int] = set()
     for cell in sorted(cells, key=lambda c: (c.i, c.j)):
         ids.update(min_size_cell_cover_approx(cells[cell], cell).ids)
     chosen = sorted(ids)
-    by_id = {q.id: q for q in squares}
-    return CoverSolution(tuple(chosen), 0), ply([by_id[i] for i in chosen])
+    uv_of = {q.id: uv for q, uv in zip(grid.squares, grid.uv)}
+    return CoverSolution(tuple(chosen), 0), _grid_ply(grid.d, [uv_of[i] for i in chosen])

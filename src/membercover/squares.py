@@ -4,10 +4,11 @@ Pipeline: partition the plane into unit grid cells, and inside each cell
 relax the instance to an exact rational LP, split points and squares by
 the cell corner that carries the largest fractional load (a point whose
 squares all hold one corner goes there without reading the weights),
-reduce each corner bucket to a staircase of dominance-maximal squares,
-and cover it with an exactly optimal quadrant greedy.  A cover found this
-way exceeds the LP load by at most an additive 2 per bucket, which yields
-the 16*y + 8 per-cell bound and a constant factor overall.
+and cover each corner bucket with the quadrant greedy.  The greedy picks
+only dominance-maximal squares, so its cover is a staircase, on which it
+is exactly optimal, and no staircase has to be built first.  A cover
+found this way exceeds the LP load by at most an additive 2 per bucket,
+which yields the 16*y + 8 per-cell bound and a constant factor overall.
 
 A cell's LP is built and solved on first read, at most once: by the
 corner split when some point's squares span two corners, or by
@@ -21,16 +22,17 @@ points, monitored points and square corners onto one integer grid once
 (`geometry.SquareGrid.of`): a point becomes (X, Y), a square its top-right
 corner (U, V), and the square contains the point iff U - D <= X <= U and
 V - D <= Y <= V.  Every step below reads those integers through its
-slice of the grid: `grid_partition` gives each cell one, with the S'
-points of its 3x3 block, the corner split gives each corner bucket one,
-and `square_tables` builds every cell's S and S' tables with that one
-test.  The final membership tests each S' point only against the chosen
-corners in the at most four cells that a square containing it can have
-its corner in.  A square holds the cell corner (cx, cy) iff
-U - D <= cx*D <= U and V - D <= cy*D <= V, corner-local coordinates are
-one integer subtraction, and the corner split reads the LP weights over
-their common denominator.  `Fraction` remains only at the boundary: the
-input, the LP solution and the reports.
+cell's slice of the grid, which `grid_partition` gives each cell with the
+S' points of its 3x3 block: `square_tables` builds every cell's S and S'
+tables with that one test, the corner split keeps each corner bucket as
+lists of positions in the slice, and the greedy reads its bucket's
+integers through them.  The final membership tests each S' point only
+against the chosen corners in the at most four cells that a square
+containing it can have its corner in.  A square holds the cell corner
+(cx, cy) iff U - D <= cx*D <= U and V - D <= cy*D <= V, corner-local
+coordinates are one integer subtraction, and the corner split reads the
+LP weights over their common denominator.  `Fraction` remains only at
+the boundary: the input, the LP solution and the reports.
 """
 
 from __future__ import annotations
@@ -87,45 +89,37 @@ def _corner_local(
     )
 
 
-def _staircase(
-    grid: SquareGrid, cell: GridCell, corner: int
-) -> list[tuple[int, int, UnitSquare]]:
-    """(u, v, square) of the dominance-maximal squares of the grid, by id,
-    with (u, v) the square's corner-local grid corner.
-
-    After the reflection the cell is [0, D]^2 and a square containing the
-    corner acts as the quadrant x <= u, y <= v, so Q is dominated by Q' iff
-    u <= u' and v <= v'.  Exact duplicates keep the lowest id.
-    """
-    decorated = [
-        _corner_local(uv, cell, corner, 2, grid.d) + (q,)
-        for uv, q in zip(grid.uv, grid.squares)
-    ]
-    decorated.sort(key=lambda t: (-t[0], -t[1], t[2].id))
-    kept: list[tuple[int, int, UnitSquare]] = []
-    best_v: int | None = None
-    for u, v, q in decorated:
-        if best_v is None or v > best_v:
-            kept.append((u, v, q))
-            best_v = v
-    kept.sort(key=lambda t: t[2].id)
-    return kept
-
-
 @dataclass(frozen=True)
 class CornerPartition:
-    """Split of a cell instance into four one-corner buckets, each a slice
-    of the cell's grid: `buckets[c].points` and `buckets[c].squares` are
-    the points and squares of corner c.
+    """Split of a cell instance into four one-corner buckets:
+    `point_pos[c]` and `square_pos[c]` are the ascending positions in
+    `grid` of the points and squares of corner c.
 
-    `squares` keeps the cell order, which is also the LP variable order of
-    `lp_solution`: the cell LP's solution, or None when no point of the
-    cell needed its weights.
+    `buckets[c]` is corner c's slice of the grid, built on first read; the
+    solvers read only the position lists.  `squares` is the cell order,
+    which is also the LP variable order of `lp_solution`: the cell LP's
+    solution, or None when no point of the cell needed its weights.
     """
 
-    squares: tuple[UnitSquare, ...]
-    buckets: tuple[SquareGrid, ...]
+    grid: SquareGrid = field(repr=False)
+    # lists, so left out of the hash, which the grid and `lp_solution` still key
+    point_pos: tuple[list[int], ...] = field(hash=False)
+    square_pos: tuple[list[int], ...] = field(hash=False)
     lp_solution: lpmod.LPSolution | None
+
+    @property
+    def squares(self) -> tuple[UnitSquare, ...]:
+        return self.grid.squares
+
+    @functools.cached_property
+    def buckets(self) -> tuple[SquareGrid, ...]:
+        """Per corner, its points and squares with their grid integers."""
+        g = self.grid
+        return tuple([
+            g.part([g.points[k] for k in pts], [g.xy[k] for k in pts],
+                   [g.squares[k] for k in sqs], [g.uv[k] for k in sqs])
+            for pts, sqs in zip(self.point_pos, self.square_pos)
+        ])
 
 
 def corner_partition(
@@ -148,33 +142,39 @@ def corner_partition(
 
     `s_rows` is the incidence table of the grid's points over its squares.
     A square with grid corner (U, V) contains the cell corner (cx, cy) iff
-    U - D <= cx*D <= U and V - D <= cy*D <= V.  Loads are compared as
-    integers over the common denominator of the LP weights.
+    cx <= U <= cx + D and cy <= V <= cy + D, so its first corner lies on
+    the cell's lower x edge if that is within reach, else on the upper
+    one, and likewise in y.  Loads are compared as integers over the
+    common denominator of the LP weights.  The buckets are kept as
+    position lists in the grid; no slice is cut.
     """
     d = grid.d
-    corners = [((cell.i + (idx & 1)) * d, (cell.j + (idx >> 1)) * d) for idx in range(N_CORNERS)]
-    # per corner: its points, their grid integers, its squares, their corners
-    buckets: list[tuple[list, list, list, list]] = [([], [], [], []) for _ in range(N_CORNERS)]
-    bucket_of: list[int] = []
+    x0, y0 = cell.i * d, cell.j * d
+    # per square, its first corner: the cell's lower x edge if it reaches
+    # it, else the upper one, and likewise in y; 4 or more when it reaches
+    # neither edge of some axis
+    bucket_of = [
+        (0 if x0 <= u <= x0 + d else 1 if x0 + d < u <= x0 + 2 * d else 4)
+        + (0 if y0 <= v <= y0 + d else 2 if y0 + d < v <= y0 + 2 * d else 4)
+        for u, v in grid.uv
+    ]
+    point_pos: tuple[list[int], ...] = ([], [], [], [])
+    square_pos: tuple[list[int], ...] = ([], [], [], [])
     held = [0] * N_CORNERS  # per corner, the bitmask of the positions of its squares
-    for pos, (q, uv) in enumerate(zip(grid.squares, grid.uv)):
-        u, v = uv
-        for idx, (cx, cy) in enumerate(corners):
-            if u - d <= cx <= u and v - d <= cy <= v:
-                buckets[idx][2].append(q)
-                buckets[idx][3].append(uv)
-                bucket_of.append(idx)
-                held[idx] |= 1 << pos
-                break
-        else:
+    for pos, corner in enumerate(bucket_of):
+        if corner >= N_CORNERS:
             raise SquareWithoutCorner(
-                f"square {q.id} meets cell ({cell.i},{cell.j}) but no corner"
+                f"square {grid.squares[pos].id} meets cell ({cell.i},{cell.j}) but no corner"
             )
+        square_pos[corner].append(pos)
+        held[corner] |= 1 << pos
     lpsol = weights = None
-    for p, xy, row in zip(grid.points, grid.xy, s_rows):
-        at = [idx for idx in range(N_CORNERS) if row & held[idx]]
-        if len(at) == 1:
-            winner = at[0]
+    for k, row in enumerate(s_rows):
+        # a point's squares sit at one corner iff they all sit at the corner
+        # of its lowest square; a point in no square reads the weights
+        low = bucket_of[(row & -row).bit_length() - 1] if row else None
+        if low is not None and row & held[low] == row:
+            winner = low
         else:
             if weights is None:
                 lpsol = solve()
@@ -185,14 +185,9 @@ def corner_partition(
             for pos, corner in enumerate(bucket_of):
                 if row >> pos & 1:
                     delta[corner] += weights[pos]
-            winner = max(range(N_CORNERS), key=lambda idx: (delta[idx], -idx))
-        buckets[winner][0].append(p)
-        buckets[winner][1].append(xy)
-    return CornerPartition(
-        squares=grid.squares,
-        buckets=tuple([grid.part(*members) for members in buckets]),
-        lp_solution=lpsol,
-    )
+            winner = delta.index(max(delta))  # ties to the lowest corner
+        point_pos[winner].append(k)
+    return CornerPartition(grid, point_pos, square_pos, lpsol)
 
 
 def quadrant_greedy_cover(
@@ -203,9 +198,12 @@ def quadrant_greedy_cover(
 
     Repeatedly take the uncovered point with the largest x (ties: largest
     y) and cover it with the quadrant of largest v among those containing
-    it (ties: largest u, then lowest id).  For staircase instances this
-    greedy is exactly optimal.  It only compares coordinates, so they may
-    be Fractions or the integers of one grid.
+    it (ties: largest u, then lowest id).  The only quadrants that
+    dominate that pick (u <= u', v <= v') are its exact duplicates of
+    higher id, so the greedy picks the same quadrants from all of them as
+    from their staircase (the dominance-maximal ones, the lowest id of
+    each duplicate), where it is exactly optimal.  It only compares
+    coordinates, so they may be Fractions or the integers of one grid.
     """
     remaining = sorted(points, key=lambda p: (-p[0], -p[1]))
     chosen: list[int] = []
@@ -225,19 +223,26 @@ def quadrant_greedy_cover(
     return chosen
 
 
-def solve_one_corner(grid: SquareGrid, cell: GridCell, corner: int) -> tuple[int, ...]:
-    """Ids of a minimum-size cover of a one-corner bucket, its slice of the
-    cell grid, sorted, via the quadrant greedy on corner-local grid
-    coordinates.
+def solve_one_corner(
+    grid: SquareGrid,
+    cell: GridCell,
+    corner: int,
+    points: Sequence[int],
+    squares: Sequence[int],
+) -> tuple[int, ...]:
+    """Ids of a minimum-size cover of a one-corner bucket, sorted, via the
+    quadrant greedy on corner-local grid coordinates.
 
-    Restricting to dominance-maximal squares keeps the cover a staircase,
-    which bounds its membership by any fractional cover's plus two.
+    The bucket is the grid's points at the positions `points` and its
+    squares at the positions `squares`.  Every square of the bucket goes
+    to the greedy, whose pick is always a dominance-maximal square, so the
+    cover is a staircase, which bounds its membership by any fractional
+    cover's plus two.
     """
-    if not grid.points:
-        return ()
-    canon_quads = [(q.id, u, v) for u, v, q in _staircase(grid, cell, corner)]
-    canon_points = [_corner_local(xy, cell, corner, 1, grid.d) for xy in grid.xy]
-    return tuple(sorted(quadrant_greedy_cover(canon_points, canon_quads)))
+    d, xy, uv, sqs = grid.d, grid.xy, grid.uv, grid.squares
+    local = [_corner_local(xy[k], cell, corner, 1, d) for k in points]
+    quads = [(sqs[k].id, *_corner_local(uv[k], cell, corner, 2, d)) for k in squares]
+    return tuple(sorted(quadrant_greedy_cover(local, quads)))
 
 
 def solve_cell_lp(program: lpmod.LinearProgram) -> lpmod.LPSolution:
@@ -257,10 +262,12 @@ def round_cell_lp(
 ) -> tuple[CornerPartition, list[tuple[int, ...]]]:
     """Round a cell's cover program, whose solution `solve` returns when
     the corner split asks for it: the corner partition, and the
-    quadrant-greedy cover ids of each corner."""
+    quadrant-greedy cover ids of each corner, () for a corner without
+    points."""
     partition = corner_partition(grid, s_rows, cell, solve)
     return partition, [
-        solve_one_corner(partition.buckets[c], cell, c) for c in range(N_CORNERS)
+        solve_one_corner(grid, cell, c, pts, partition.square_pos[c]) if pts else ()
+        for c, pts in enumerate(partition.point_pos)
     ]
 
 

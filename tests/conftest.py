@@ -47,7 +47,12 @@ from membercover.lp import (
     solve_lp,
 )
 from membercover.oracle import incidence
-from membercover.squares import _staircase, quadrant_greedy_cover, solve_cell_lp
+from membercover.squares import (
+    _corner_local,
+    quadrant_greedy_cover,
+    solve_cell_lp,
+    solve_one_corner,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +341,32 @@ def maximal_squares_reference(squares, cell: GridCell, corner: int) -> list[Unit
 
 
 def staircase_squares(grid, cell: GridCell, corner: int) -> list[UnitSquare]:
-    """The squares of `squares._staircase`, by id: those of the grid whose
-    cell-clipped region no other square swallows."""
-    return [q for _u, _v, q in _staircase(grid, cell, corner)]
+    """The dominance-maximal squares of the grid, by id, on the corner-local
+    grid corners that the solvers use: those whose cell-clipped region no
+    other square swallows.
+
+    After the reflection the cell is [0, D]^2 and a square containing the
+    corner acts as the quadrant x <= u, y <= v, so Q is dominated by Q' iff
+    u <= u' and v <= v'.  Exact duplicates keep the lowest id.  The
+    reference for the quadrant greedy's picks, which are always among
+    these.
+    """
+    decorated = sorted(
+        [_corner_local(uv, cell, corner, 2, grid.d) + (q,) for uv, q in zip(grid.uv, grid.squares)],
+        key=lambda t: (-t[0], -t[1], t[2].id),
+    )
+    kept, best_v = [], None
+    for _u, v, q in decorated:
+        if best_v is None or v > best_v:
+            kept.append(q)
+            best_v = v
+    return sorted(kept, key=lambda q: q.id)
+
+
+def solve_grid_corner(grid, cell: GridCell, corner: int) -> tuple[int, ...]:
+    """`solve_one_corner` with every point and square of the grid as the
+    bucket."""
+    return solve_one_corner(grid, cell, corner, range(len(grid.xy)), range(len(grid.squares)))
 
 
 def min_size_cell_cover_reference(points, squares, cell: GridCell) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from conftest import (
     membership_of_fractional,
     mixed_grid_instance,
     one_corner_instance,
+    solve_grid_corner,
     square_instance,
     staircase_squares,
 )
@@ -37,7 +38,6 @@ from membercover import (
     solve_lp,
     solve_mmgsc_squares_report,
     solve_mpgsc,
-    solve_one_corner,
     verify_cover,
 )
 from membercover import lp as lpmod
@@ -153,6 +153,37 @@ class TestMaximalSquares:
                     expected.add(q.id)
             assert got == expected
 
+    def test_greedy_over_all_squares_equals_staircase(self):
+        # the greedy takes the square of largest (v, u, -id) that holds its
+        # point, and only its exact duplicates of higher id dominate that
+        # square: the squares off the staircase never change a pick, so the
+        # solvers build no staircase
+        cases = [cell_instance(seed)[::2] + (CELL,) for seed in range(150)]
+        rng = random.Random(16)
+        for trial in range(300):
+            points, _sprime, squares = mixed_grid_instance(rng, GRID_CELLS[trial % 3])
+            cases.append((points, squares, GRID_CELLS[trial % 3]))
+        thinned = 0
+        for points, squares, cell in cases:
+            for corner in range(4):
+                bucket = [q for q in squares if q.contains(cell_corners(cell)[corner])]
+                covered = [p for p in points if any(q.contains(p) for q in bucket)]
+                if not covered:
+                    continue
+                stairs = staircase_squares(SquareGrid.of([], bucket), cell, corner)
+                thinned += len(stairs) < len(bucket)
+                local = [canonical_point(p, cell, corner) for p in covered]
+                picks = [
+                    quadrant_greedy_cover(
+                        local, [(q.id,) + canonical_square(q, cell, corner) for q in quads]
+                    )
+                    for quads in (bucket, stairs)
+                ]
+                assert picks[0] == picks[1]
+                got = solve_grid_corner(SquareGrid.of(covered, bucket), cell, corner)
+                assert got == tuple(sorted(picks[1]))
+        assert thinned > 300
+
 
 class TestQuadrantGreedy:
     def test_single(self):
@@ -198,7 +229,7 @@ class TestQuadrantGreedy:
 class TestSolveOneCorner:
     def test_zero_membership(self):
         sq = UnitSquare(0, P(1, 1))
-        ids = solve_one_corner(SquareGrid.of([P("1/2", "1/2")], [sq]), CELL, 0)
+        ids = solve_grid_corner(SquareGrid.of([P("1/2", "1/2")], [sq]), CELL, 0)
         assert ids == (0,) and memb_eval([P(5, 5)], ids, [sq]) == 0
 
     def test_membership_close_to_fraction(self):
@@ -211,7 +242,7 @@ class TestSolveOneCorner:
                 bucket = report.partition.buckets[corner]
                 if not bucket.points:
                     continue
-                ids = solve_one_corner(bucket, CELL, corner)
+                ids = solve_grid_corner(bucket, CELL, corner)
                 frac = bucket_fractional_cover(report, corner)
                 frac_memb = membership_of_fractional(sprime, frac, squares)
                 assert Fraction(memb_eval(sprime, ids, squares)) <= frac_memb + 2
@@ -558,7 +589,7 @@ class TestIntegerGrid:
                 expected = quadrant_greedy_cover(
                     [canonical_point(p, cell, corner) for p in covered], quads
                 ) if covered else []
-                got = solve_one_corner(SquareGrid.of(covered, bucket), cell, corner)
+                got = solve_grid_corner(SquareGrid.of(covered, bucket), cell, corner)
                 assert got == tuple(sorted(expected))
 
 
