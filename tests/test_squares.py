@@ -619,3 +619,25 @@ def test_square_solves_match_recorded_digest():
         digest.update(repr(solve_mpgsc(points, squares)).encode())
         digest.update(repr(solve_mmgsc_squares_report(points, sprime, squares)).encode())
     assert digest.hexdigest() == SQUARES_SHA256
+
+
+# sha256 of the concatenated repr of every `LPSolution` that `solve_lp`
+# returns to `solve_mpgsc` and `solve_mmgsc_squares_report`, in call order,
+# over `_digest_battery()`: the cell LPs' exact vertices, not only the covers
+LP_SHA256 = "37e61a2d7ea23fa5d800a80c820e3cff216d4df1cc32051c38160e50300deae9"
+
+
+def test_cell_lps_match_recorded_digest(monkeypatch):
+    digest = hashlib.sha256()
+    solve_lp = lpmod.solve_lp
+
+    def spy(program):
+        sol = solve_lp(program)
+        digest.update(repr(sol).encode())
+        return sol
+
+    monkeypatch.setattr(lpmod, "solve_lp", spy)
+    for points, sprime, squares in _digest_battery():
+        solve_mpgsc(points, squares)
+        solve_mmgsc_squares_report(points, sprime, squares)
+    assert digest.hexdigest() == LP_SHA256
