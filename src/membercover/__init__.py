@@ -34,7 +34,7 @@ from .halfplanes import (
 )
 from .instances import InstanceDoc, generate, parse_instance, serialize_instance
 from .lp import (
-    LinearProgram,
+    CoverProgram,
     LPSolution,
     build_membership_lp,
     build_size_lp,

@@ -1,4 +1,5 @@
-"""Exact linear programming with Bland's rule on integer rows.
+"""Exact linear programming with Bland's rule on integer rows, for the
+fractional cover programs of the square solvers.
 
 A two-phase primal simplex.  All variables are nonnegative; upper bounds
 are expanded into rows.  Bland's pivoting rule (lowest eligible index for
@@ -12,15 +13,10 @@ column is skipped.  Every other row, the cost row included, is updated in
 place, and only at the pivot row's nonzero columns; it is multiplied first
 when the pivot entry does not divide its entry in the entering column, and
 in almost every pivot of a cover program the pivot entry is 1.  Pricing
-out clears the phase-2 cost row the same way, one basic column at a time;
-the phase-1 reduced costs are built in one pass over the rows that carry
-an artificial.
+out clears the phase-2 cost row the same way, one basic column at a time.
 
 The arithmetic is fraction-free (Edmonds' integer-preserving pivoting).
 Every row is equal to the rational row times an implicit positive scale.
-A row is built as ints straight from its constraint: the coefficients and
-the rhs times the lcm of their denominators, the slack at plus or minus
-that lcm and the artificial at the lcm, divided by the gcd of the entries.
 A pivot cross-multiplies instead of dividing and then divides each changed
 row by the gcd of its entries, which keeps the integers small.  Scaling a
 row by a positive constant changes no sign and no ratio rhs/a, and ratios
@@ -28,12 +24,13 @@ are compared by cross-multiplying, so Bland's rule takes exactly the pivots
 the rational tableau would take and returns the same vertex.  A basic
 variable's value is its row's rhs over its own entry in that row.
 
-The module also builds the fractional-cover programs used by the square
-solvers: the membership program (minimize the largest fractional load on
-a monitored point) and the size program (minimize total weight).  Their
-0/1/-1 coefficients stay plain ints: `make_program` passes ints through
-and reads every other value, a bool too, with `frac`, and the tableau
-takes an all-int row as it is.
+The programs are the fractional covers of the square solvers, given by
+their incidence bitmasks (`CoverProgram`): the membership program
+(minimize the largest fractional load on a monitored point) and the size
+program (minimize total weight).  Every coefficient is 0, 1 or -1 and every
+rhs 0 or 1, so `solve_lp` writes the phase-1 tableau, its basis and both
+cost rows straight from the masks, each row at scale 1: no entry needs
+scaling, no rhs a sign flip and no row a gcd.
 """
 
 from __future__ import annotations
@@ -41,56 +38,70 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
-
-from .geometry import frac
 
 REL_LE = "<="
 REL_GE = ">="
-REL_EQ = "=="
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-Rational = int | Fraction  # an int is exact with denominator 1
-
-
 @dataclass(frozen=True)
 class ConstraintRow:
-    coeffs: tuple[Rational, ...]
+    coeffs: tuple[int, ...]
     rel: str
-    rhs: Rational
+    rhs: int
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    """min objective . x  subject to rows, 0 <= x_i (<= upper_bounds[i])."""
+class CoverProgram:
+    """A fractional cover program over `n_ranges` ranges, by incidence rows.
 
-    n_vars: int
-    objective: tuple[Rational, ...]
-    rows: tuple[ConstraintRow, ...]
-    upper_bounds: tuple[Rational | None, ...]
+    Variables are one weight x_j in [0, 1] per range, in table order, and
+    with `load` a final load variable y >= 0.  Each row of `s_rows` is the
+    bitmask of the ranges holding a mandatory point, which must collect
+    total weight at least one; each row of `sp_rows` that of a monitored
+    point, which may collect at most y.  The objective is y with the load
+    and the total weight without it.
+    """
+
+    s_rows: tuple[int, ...]
+    sp_rows: tuple[int, ...]
+    n_ranges: int
+    load: bool
 
     def __post_init__(self) -> None:
-        if len(self.objective) != self.n_vars:
-            raise ValueError(
-                f"objective has {len(self.objective)} coefficients, "
-                f"expected {self.n_vars}"
-            )
-        if len(self.upper_bounds) != self.n_vars:
-            raise ValueError(
-                f"{len(self.upper_bounds)} upper bounds, expected {self.n_vars}"
-            )
-        for i, row in enumerate(self.rows):
-            if len(row.coeffs) != self.n_vars:
-                raise ValueError(
-                    f"row {i} has {len(row.coeffs)} coefficients, "
-                    f"expected {self.n_vars}"
-                )
-            if row.rel not in (REL_LE, REL_GE, REL_EQ):
-                raise ValueError(f"row {i} has unknown relation {row.rel!r}")
+        n = self.n_ranges
+        if n < 0:
+            raise ValueError(f"n_ranges is {n}, expected at least 0")
+        if self.sp_rows and not self.load:
+            raise ValueError("S' rows bound the load variable, which the program lacks")
+        for name, rows in (("S", self.s_rows), ("S'", self.sp_rows)):
+            for i, row in enumerate(rows):
+                if row < 0 or row >> n:
+                    raise ValueError(f"{name} row {i} is {row}, not a mask of {n} ranges")
+
+    @property
+    def n_vars(self) -> int:
+        return self.n_ranges + self.load
+
+    @cached_property
+    def rows(self) -> tuple[ConstraintRow, ...]:
+        """The S rows, then the S' rows, as coefficient rows over the
+        `n_vars` variables; the bounds x_j <= 1 are not among them."""
+        n, width = self.n_ranges, self.n_vars
+        rows = [
+            ConstraintRow(tuple([row >> j & 1 for j in range(width)]), REL_GE, 1)
+            for row in self.s_rows
+        ]
+        for row in self.sp_rows:
+            coeffs = [row >> j & 1 for j in range(width)]
+            coeffs[n] = -1
+            rows.append(ConstraintRow(tuple(coeffs), REL_LE, 0))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -100,41 +111,27 @@ class LPSolution:
     assignment: tuple[Fraction, ...]
 
 
-def _all_ints(values: Sequence) -> bool:
-    """Is every value an int (a bool is not)?"""
-    return set(map(type, values)) <= {int}
+def build_membership_lp(
+    s_rows: Sequence[int], sp_rows: Sequence[int], n_ranges: int
+) -> CoverProgram:
+    """Fractional relaxation of the membership objective.
+
+    `s_rows` and `sp_rows` are the incidence tables (`oracle.incidence`) of
+    the mandatory and the monitored points over the same `n_ranges` ranges:
+    min y such that every mandatory point collects total weight at least
+    one and every monitored point at most y.  A row that is negative or has
+    a bit at or above `n_ranges` raises `ValueError`.
+    """
+    return CoverProgram(tuple(s_rows), tuple(sp_rows), n_ranges, True)
 
 
-def _rational(value) -> Rational:
-    """Ints as they are, anything else (a bool too) through `frac`."""
-    return value if type(value) is int else frac(value)
+def build_size_lp(s_rows: Sequence[int], n_ranges: int) -> CoverProgram:
+    """Fractional relaxation of minimum-size cover: min total weight.
 
-
-def _rationals(values) -> tuple[Rational, ...]:
-    """Each value as `_rational` reads it; an all-int list in one check."""
-    values = list(values)
-    return tuple(values if _all_ints(values) else [_rational(v) for v in values])
-
-
-def make_program(n_vars, objective, rows, upper_bounds=None) -> LinearProgram:
-    # tuples come from lists, not generators: CPython resizes a tuple built
-    # from a generator, and the resized blocks pile up on its tuple free
-    # lists until a full collection, which the integer tableau rarely triggers
-    ups = tuple(upper_bounds) if upper_bounds is not None else (None,) * n_vars
-    return LinearProgram(
-        n_vars=n_vars,
-        objective=_rationals(objective),
-        rows=tuple([
-            ConstraintRow(_rationals(coeffs), rel, _rational(rhs)) for coeffs, rel, rhs in rows
-        ]),
-        upper_bounds=tuple([None if u is None else _rational(u) for u in ups]),
-    )
-
-
-def _reduce(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries (a positive constant)."""
-    g = math.gcd(*row)
-    return [v // g for v in row] if g > 1 else row
+    `s_rows` is the incidence table of the points over the `n_ranges`
+    ranges, read as `build_membership_lp` reads it.
+    """
+    return CoverProgram(tuple(s_rows), (), n_ranges, False)
 
 
 def _clear(rows, prow: list[int], col: int) -> None:
@@ -210,101 +207,34 @@ def _price_out(tableau: list[list[int]], basis: list[int]) -> None:
             _clear((cost,), trow, b)
 
 
-def _phase_one_costs(
-    tableau: list[list[int]], basis: list[int], first_art: int, n_cols: int
-) -> list[int]:
-    """The phase-1 reduced-cost row, the sum of the artificials priced out.
+def _solve_tableau(
+    tableau: list[list[int]],
+    basis: list[int],
+    phase_one: list[int] | None,
+    objective: list[int],
+    n_vars: int,
+) -> tuple[str, list[Fraction]]:
+    """Both phases of the simplex from a phase-1 tableau (in place): the
+    status and, at an optimum, the values of the first `n_vars` columns.
 
-    Each row that carries an artificial has it basic, at a positive entry
-    t, and is the only row nonzero in that column; every other basic
-    column costs 0.  So the reduced costs are minus the sum of those rows,
-    each scaled by L / t for L the lcm of the entries t, with the
-    artificial columns cleared, reduced by their gcd: the row that a
-    `_price_out` of each artificial in turn gives."""
-    carriers = [(trow, trow[b]) for trow, b in zip(tableau, basis) if b >= first_art]
-    scale = math.lcm(*[t for _trow, t in carriers])
-    cost = [0] * (n_cols + 1)
-    for trow, t in carriers:
-        f = scale // t
-        for j, v in enumerate(trow):
-            if v:
-                cost[j] -= f * v
-    cost[first_art:n_cols] = [0] * (n_cols - first_art)
-    return _reduce(cost)
-
-
-def _scaled(coeffs: Sequence[Rational], rhs: Rational) -> tuple[list[int], int, int]:
-    """Integer coefficients and rhs equal to the rational ones times the
-    lcm of their denominators, and that lcm."""
-    if type(rhs) is int and _all_ints(coeffs):
-        return list(coeffs), rhs, 1  # no denominator to read
-    scale = math.lcm(rhs.denominator, *[c.denominator for c in coeffs])
-    return (
-        [c.numerator * (scale // c.denominator) for c in coeffs],
-        rhs.numerator * (scale // rhs.denominator),
-        scale,
-    )
-
-
-def _initial_tableau(lp: LinearProgram) -> tuple[list[list[int]], list[int], list[int], int]:
-    """The phase-1 tableau as integer rows, its basis, the artificial
-    columns and the column count.
-
-    One row per constraint, then one per upper bound, each normalized to a
-    nonnegative rhs.  Columns: structural | one slack or surplus per
-    inequality | one artificial per row lacking a natural basic column.
+    `basis` holds each row's basic column.  The artificial columns are the
+    last ones, from `len(objective) - 1` on; a row that holds one basic has
+    it at a positive entry and is the only row nonzero in it.  `phase_one`
+    is the phase-1 reduced-cost row, None when no row carries an
+    artificial; `objective` is the phase-2 cost row over the columns before
+    the artificials, its rhs 0 last.
     """
-    n = lp.n_vars
-    rows = [_scaled(r.coeffs, r.rhs) + (r.rel,) for r in lp.rows]
-    for i, ub in enumerate(lp.upper_bounds):
-        if ub is not None:
-            coeffs = [0] * n
-            coeffs[i] = ub.denominator
-            rows.append((coeffs, ub.numerator, ub.denominator, REL_LE))
-    for r, (coeffs, rhs, scale, rel) in enumerate(rows):
-        if rhs < 0:
-            flipped = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}[rel]
-            rows[r] = ([-c for c in coeffs], -rhs, scale, flipped)
-
-    m = len(rows)
-    n_slacks = sum(1 for *_, rel in rows if rel != REL_EQ)
-    n_cols = n + n_slacks + sum(1 for *_, rel in rows if rel != REL_LE)
-    tableau: list[list[int]] = []
-    basis: list[int] = [-1] * m
-    artificials: list[int] = []
-    slack, art = n, n + n_slacks
-    for r, (coeffs, rhs, scale, rel) in enumerate(rows):
-        trow = coeffs + [0] * (n_cols - n) + [rhs]
-        if rel != REL_EQ:
-            trow[slack] = scale if rel == REL_LE else -scale
-            basis[r] = slack
-            slack += 1
-        if rel != REL_LE:
-            trow[art] = scale
-            basis[r] = art
-            artificials.append(art)
-            art += 1
-        # the slack or artificial entry is +-scale, so a row at scale 1 is reduced
-        tableau.append(_reduce(trow) if scale > 1 else trow)
-    return tableau, basis, artificials, n_cols
-
-
-def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Exact optimum (or infeasible/unbounded status) of a LinearProgram."""
-    n = lp.n_vars
-    tableau, basis, artificials, n_cols = _initial_tableau(lp)
-    m = len(tableau)
-
-    if artificials:
-        tableau.append(_phase_one_costs(tableau, basis, artificials[0], n_cols))
-        if _simplex_phase(tableau, basis, n_cols) != OPTIMAL:
+    n_cols = len(objective) - 1
+    if phase_one is not None:
+        m = len(tableau)
+        tableau.append(phase_one)
+        if _simplex_phase(tableau, basis, len(phase_one) - 1) != OPTIMAL:
             raise RuntimeError("phase 1 is always bounded")
         if tableau.pop()[-1] != 0:
-            return LPSolution(INFEASIBLE, None, ())
+            return INFEASIBLE, []
         # pivot artificials out of the basis where possible; a row whose
         # artificial cannot leave is redundant and dropped.  The artificials
         # are the last columns, so phase 2 runs on each row cut before them
-        n_cols = artificials[0]
         keep_rows = []
         for r in range(m):
             if basis[r] >= n_cols:
@@ -318,58 +248,73 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         for trow in tableau:
             del trow[n_cols:-1]
 
-    objective, _, _ = _scaled(lp.objective, 0)
-    tableau.append(_reduce(objective + [0] * (n_cols + 1 - n)))
+    tableau.append(objective)
     _price_out(tableau, basis)
-    status = _simplex_phase(tableau, basis, n_cols)
-    if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, None, ())
+    if _simplex_phase(tableau, basis, n_cols) == UNBOUNDED:
+        return UNBOUNDED, []
 
-    assignment = [Fraction(0)] * n
+    assignment = [Fraction(0)] * n_vars
     for trow, b in zip(tableau, basis):
-        if b < n:
+        if b < n_vars:
             assignment[b] = Fraction(trow[-1], trow[b])
-    # most weights of a cover program are 0, and so are most of its costs
-    value = sum(
-        [c * v for c, v in zip(lp.objective, assignment) if c and v], start=Fraction(0)
-    )
+    return OPTIMAL, assignment
+
+
+def _cover_tableau(
+    program: CoverProgram,
+) -> tuple[list[list[int]], list[int], list[int] | None, list[int]]:
+    """The phase-1 tableau of a cover program, its basis, the phase-1 cost
+    row (None without S rows) and the phase-2 objective row, as
+    `_solve_tableau` takes them.
+
+    Rows: the S rows, the S' rows, then one bound row x_j + t_j = 1 per
+    range.  Columns: the `n_vars` variables | one surplus per S row, one
+    slack per S' row and per bound row | one artificial per S row | rhs.
+    An S row holds its bits, -1 at its surplus, +1 at its artificial (its
+    basic column) and rhs 1; an S' row its bits, -1 at y, +1 at its slack
+    and rhs 0.  The phase-1 costs, the artificials priced out, are minus
+    the sum of the S rows with the artificial columns cleared.
+    """
+    s_rows, sp_rows, n = program.s_rows, program.sp_rows, program.n_ranges
+    n_vars, m_s = program.n_vars, len(s_rows)
+    slack = n_vars + m_s  # the first S' slack
+    first_art = slack + len(sp_rows) + n
+    pad = [0] * (first_art + m_s + 1 - n)
+    tableau = []
+    for i, row in enumerate(s_rows):
+        trow = [row >> j & 1 for j in range(n)] + pad
+        trow[n_vars + i] = -1
+        trow[first_art + i] = trow[-1] = 1
+        tableau.append(trow)
+    for k, row in enumerate(sp_rows):
+        trow = [row >> j & 1 for j in range(n)] + pad
+        trow[n] = -1
+        trow[slack + k] = 1
+        tableau.append(trow)
+    slack += len(sp_rows)
+    for j in range(n):
+        trow = [0] * (first_art + m_s + 1)
+        trow[j] = trow[slack + j] = trow[-1] = 1
+        tableau.append(trow)
+    basis = list(range(first_art, first_art + m_s)) + list(range(n_vars + m_s, first_art))
+
+    phase_one = None
+    if s_rows:
+        phase_one = [-sum(column) for column in zip(*tableau[:m_s])]
+        phase_one[first_art:-1] = [0] * m_s
+    if program.load:
+        objective = [0] * (first_art + 1)
+        objective[n] = 1
+    else:
+        objective = [1] * n + [0] * (first_art + 1 - n)
+    return tableau, basis, phase_one, objective
+
+
+def solve_lp(program: CoverProgram) -> LPSolution:
+    """Exact optimum (or infeasible status) of a CoverProgram."""
+    status, assignment = _solve_tableau(*_cover_tableau(program), program.n_vars)
+    if status != OPTIMAL:
+        return LPSolution(status, None, ())
+    # most weights of a size program are 0
+    value = assignment[-1] if program.load else sum([v for v in assignment if v], start=Fraction(0))
     return LPSolution(OPTIMAL, value, tuple(assignment))
-
-
-# ---------------------------------------------------------------------------
-# cover programs
-# ---------------------------------------------------------------------------
-
-def _indicator(row: int, width: int) -> list[int]:
-    """Coefficients one at the set bits of an incidence row, zero elsewhere."""
-    return [row >> j & 1 for j in range(width)]
-
-
-def build_membership_lp(
-    s_rows: Sequence[int], sp_rows: Sequence[int], n_ranges: int
-) -> LinearProgram:
-    """Fractional relaxation of the membership objective.
-
-    `s_rows` and `sp_rows` are the incidence tables (`oracle.incidence`) of
-    the mandatory and the monitored points over the same `n_ranges` ranges.
-    Variables are one weight per range (in table order, bounded by one)
-    plus a final load variable y; every mandatory point must collect total
-    weight at least one, every monitored point at most y.
-    """
-    n = n_ranges
-    rows = [(_indicator(row, n + 1), REL_GE, 1) for row in s_rows]
-    for row in sp_rows:
-        coeffs = _indicator(row, n + 1)
-        coeffs[n] = -1
-        rows.append((coeffs, REL_LE, 0))
-    return make_program(n + 1, [0] * n + [1], rows, [1] * n + [None])
-
-
-def build_size_lp(s_rows: Sequence[int], n_ranges: int) -> LinearProgram:
-    """Fractional relaxation of minimum-size cover: min total weight.
-
-    `s_rows` is the incidence table of the points over the `n_ranges` ranges.
-    """
-    n = n_ranges
-    rows = [(_indicator(row, n), REL_GE, 1) for row in s_rows]
-    return make_program(n, [1] * n, rows, [1] * n)

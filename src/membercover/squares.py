@@ -245,7 +245,7 @@ def solve_one_corner(
     return tuple(sorted(quadrant_greedy_cover(local, quads)))
 
 
-def solve_cell_lp(program: lpmod.LinearProgram) -> lpmod.LPSolution:
+def solve_cell_lp(program: lpmod.CoverProgram) -> lpmod.LPSolution:
     """The optimum of a cell's cover program, whose coverage the caller
     has checked."""
     sol = lpmod.solve_lp(program)

@@ -16,8 +16,9 @@ from typing import Mapping
 import math
 
 from membercover import GridCell, Halfplane, Point, SquareGrid, UnitSquare, grid_partition
+from membercover import lp as lpmod
 from membercover.covers import CoverSolution, depth, first_uncovered, quiet_cover
-from membercover.geometry import _line_intersect
+from membercover.geometry import _line_intersect, frac
 from membercover.halfplanes import (
     SegmentPhi,
     WindGraph,
@@ -34,16 +35,14 @@ from membercover.halfplanes import (
 from membercover.lp import (
     INFEASIBLE,
     OPTIMAL,
-    REL_EQ,
     REL_GE,
     REL_LE,
     UNBOUNDED,
-    LinearProgram,
+    ConstraintRow,
+    CoverProgram,
     LPSolution,
-    _reduce,
     build_membership_lp,
     build_size_lp,
-    make_program,
     solve_lp,
 )
 from membercover.oracle import incidence
@@ -53,6 +52,201 @@ from membercover.squares import (
     solve_cell_lp,
     solve_one_corner,
 )
+
+
+# ---------------------------------------------------------------------------
+# general linear programs: a front end over rational rows that drives the
+# library's simplex core, `lp._solve_tableau`, beside its cover programs
+# ---------------------------------------------------------------------------
+
+REL_EQ = "=="
+
+Rational = int | Fraction  # an int is exact with denominator 1
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """min objective . x  subject to rows, 0 <= x_i (<= upper_bounds[i])."""
+
+    n_vars: int
+    objective: tuple[Rational, ...]
+    rows: tuple[ConstraintRow, ...]
+    upper_bounds: tuple[Rational | None, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.objective) != self.n_vars:
+            raise ValueError(
+                f"objective has {len(self.objective)} coefficients, "
+                f"expected {self.n_vars}"
+            )
+        if len(self.upper_bounds) != self.n_vars:
+            raise ValueError(
+                f"{len(self.upper_bounds)} upper bounds, expected {self.n_vars}"
+            )
+        for i, row in enumerate(self.rows):
+            if len(row.coeffs) != self.n_vars:
+                raise ValueError(
+                    f"row {i} has {len(row.coeffs)} coefficients, "
+                    f"expected {self.n_vars}"
+                )
+            if row.rel not in (REL_LE, REL_GE, REL_EQ):
+                raise ValueError(f"row {i} has unknown relation {row.rel!r}")
+
+
+def _all_ints(values) -> bool:
+    """Is every value an int (a bool is not)?"""
+    return set(map(type, values)) <= {int}
+
+
+def _rational(value) -> Rational:
+    """Ints as they are, anything else (a bool too) through `frac`."""
+    return value if type(value) is int else frac(value)
+
+
+def _rationals(values) -> tuple[Rational, ...]:
+    """Each value as `_rational` reads it; an all-int list in one check."""
+    values = list(values)
+    return tuple(values if _all_ints(values) else [_rational(v) for v in values])
+
+
+def make_program(n_vars, objective, rows, upper_bounds=None) -> LinearProgram:
+    ups = tuple(upper_bounds) if upper_bounds is not None else (None,) * n_vars
+    return LinearProgram(
+        n_vars=n_vars,
+        objective=_rationals(objective),
+        rows=tuple([
+            ConstraintRow(_rationals(coeffs), rel, _rational(rhs)) for coeffs, rel, rhs in rows
+        ]),
+        upper_bounds=tuple([None if u is None else _rational(u) for u in ups]),
+    )
+
+
+def as_linear_program(lp) -> LinearProgram:
+    """A CoverProgram as the LinearProgram it stands for; any other program
+    as it is."""
+    if not isinstance(lp, CoverProgram):
+        return lp
+    n = lp.n_ranges
+    return LinearProgram(
+        n_vars=lp.n_vars,
+        objective=(0,) * n + (1,) if lp.load else (1,) * n,
+        rows=lp.rows,
+        upper_bounds=(1,) * n + (None,) * lp.load,
+    )
+
+
+def _reduce(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (a positive constant)."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _phase_one_costs(
+    tableau: list[list[int]], basis: list[int], first_art: int, n_cols: int
+) -> list[int]:
+    """The phase-1 reduced-cost row, the sum of the artificials priced out.
+
+    Each row that carries an artificial has it basic, at a positive entry
+    t, and is the only row nonzero in that column; every other basic
+    column costs 0.  So the reduced costs are minus the sum of those rows,
+    each scaled by L / t for L the lcm of the entries t, with the
+    artificial columns cleared, reduced by their gcd: the row that a
+    price-out of each artificial in turn gives."""
+    carriers = [(trow, trow[b]) for trow, b in zip(tableau, basis) if b >= first_art]
+    scale = math.lcm(*[t for _trow, t in carriers])
+    cost = [0] * (n_cols + 1)
+    for trow, t in carriers:
+        f = scale // t
+        for j, v in enumerate(trow):
+            if v:
+                cost[j] -= f * v
+    cost[first_art:n_cols] = [0] * (n_cols - first_art)
+    return _reduce(cost)
+
+
+def _scaled(coeffs, rhs: Rational) -> tuple[list[int], int, int]:
+    """Integer coefficients and rhs equal to the rational ones times the
+    lcm of their denominators, and that lcm."""
+    if type(rhs) is int and _all_ints(coeffs):
+        return list(coeffs), rhs, 1  # no denominator to read
+    scale = math.lcm(rhs.denominator, *[c.denominator for c in coeffs])
+    return (
+        [c.numerator * (scale // c.denominator) for c in coeffs],
+        rhs.numerator * (scale // rhs.denominator),
+        scale,
+    )
+
+
+def initial_tableau(lp: LinearProgram) -> tuple[list[list[int]], list[int], list[int], int]:
+    """The phase-1 tableau as integer rows, its basis, the artificial
+    columns and the column count.
+
+    One row per constraint, then one per upper bound, each normalized to a
+    nonnegative rhs.  Columns: structural | one slack or surplus per
+    inequality | one artificial per row lacking a natural basic column.
+    A row is built as ints straight from its constraint: the coefficients
+    and the rhs times the lcm of their denominators, the slack at plus or
+    minus that lcm and the artificial at the lcm, divided by the gcd of
+    the entries.
+    """
+    n = lp.n_vars
+    rows = [_scaled(r.coeffs, r.rhs) + (r.rel,) for r in lp.rows]
+    for i, ub in enumerate(lp.upper_bounds):
+        if ub is not None:
+            coeffs = [0] * n
+            coeffs[i] = ub.denominator
+            rows.append((coeffs, ub.numerator, ub.denominator, REL_LE))
+    for r, (coeffs, rhs, scale, rel) in enumerate(rows):
+        if rhs < 0:
+            flipped = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}[rel]
+            rows[r] = ([-c for c in coeffs], -rhs, scale, flipped)
+
+    m = len(rows)
+    n_slacks = sum(1 for *_, rel in rows if rel != REL_EQ)
+    n_cols = n + n_slacks + sum(1 for *_, rel in rows if rel != REL_LE)
+    tableau: list[list[int]] = []
+    basis: list[int] = [-1] * m
+    artificials: list[int] = []
+    slack, art = n, n + n_slacks
+    for r, (coeffs, rhs, scale, rel) in enumerate(rows):
+        trow = coeffs + [0] * (n_cols - n) + [rhs]
+        if rel != REL_EQ:
+            trow[slack] = scale if rel == REL_LE else -scale
+            basis[r] = slack
+            slack += 1
+        if rel != REL_LE:
+            trow[art] = scale
+            basis[r] = art
+            artificials.append(art)
+            art += 1
+        # the slack or artificial entry is +-scale, so a row at scale 1 is reduced
+        tableau.append(_reduce(trow) if scale > 1 else trow)
+    return tableau, basis, artificials, n_cols
+
+
+def objective_row(lp: LinearProgram, n_cols: int) -> list[int]:
+    """The phase-2 cost row over the first `n_cols` columns, as ints."""
+    objective, _, _ = _scaled(lp.objective, 0)
+    return _reduce(objective + [0] * (n_cols + 1 - lp.n_vars))
+
+
+def general_solve_lp(lp: LinearProgram) -> LPSolution:
+    """Exact optimum (or infeasible/unbounded status) of a LinearProgram,
+    by `initial_tableau` and the library's simplex core."""
+    tableau, basis, artificials, n_cols = initial_tableau(lp)
+    phase_one = None
+    if artificials:
+        phase_one = _phase_one_costs(tableau, basis, artificials[0], n_cols)
+        n_cols = artificials[0]
+    status, assignment = lpmod._solve_tableau(
+        tableau, basis, phase_one, objective_row(lp, n_cols), lp.n_vars
+    )
+    if status != OPTIMAL:
+        return LPSolution(status, None, ())
+    value = sum(
+        [c * v for c, v in zip(lp.objective, assignment) if c and v], start=Fraction(0)
+    )
+    return LPSolution(OPTIMAL, value, tuple(assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +278,7 @@ def lp_vertex_enumeration(lp: LinearProgram):
     equality candidate, solves all n-subsets, filters feasible points and
     minimizes the objective.  Exponential, test-only.
     """
+    lp = as_linear_program(lp)
     n = lp.n_vars
     cons = []  # (coeffs, rhs, kind) with kind in {le, ge, eq}
     for row in lp.rows:
@@ -132,10 +327,12 @@ def to_ints(row) -> list[int]:
     return _reduce([v.numerator * (scale // v.denominator) for v in row])
 
 
-def fraction_tableau(lp: LinearProgram):
-    """(tableau, basis, artificials, n_cols) of `lp.solve_lp`'s phase 1, with
-    every row built over Fraction at full width and then turned into ints
-    by `to_ints`: the reference for `lp._initial_tableau`."""
+def fraction_tableau(lp):
+    """(tableau, basis, artificials, n_cols) of the phase 1 of a
+    LinearProgram or a CoverProgram, with every row built over Fraction at
+    full width and then turned into ints by `to_ints`: the reference for
+    `initial_tableau` and for `lp._cover_tableau`."""
+    lp = as_linear_program(lp)
     rows = [(list(r.coeffs), r.rel, r.rhs) for r in lp.rows]
     for i, ub in enumerate(lp.upper_bounds):
         if ub is not None:
@@ -241,8 +438,10 @@ def _reference_price_out(cost: list[int], tableau: list[list[int]], basis: list[
     return cost
 
 
-def reference_solve_lp(lp: LinearProgram) -> LPSolution:
-    """Exact optimum (or infeasible/unbounded status) of a LinearProgram."""
+def reference_solve_lp(lp) -> LPSolution:
+    """Exact optimum (or infeasible/unbounded status) of a LinearProgram or
+    a CoverProgram."""
+    lp = as_linear_program(lp)
     n = lp.n_vars
     tableau, basis, artificials, n_cols = fraction_tableau(lp)
     m = len(tableau)
@@ -412,7 +611,7 @@ def strict_feasible_lp(cons) -> bool:
     question by sign tests on pairs and triples instead of a simplex.
     """
     rows = [([a, -a, b, -b, -1], REL_GE, -c) for (a, b, c) in cons]
-    sol = solve_lp(make_program(5, [0, 0, 0, 0, -1], rows, [None] * 5))
+    sol = general_solve_lp(make_program(5, [0, 0, 0, 0, -1], rows, [None] * 5))
     if sol.status == UNBOUNDED:
         return True
     if sol.status != OPTIMAL:
@@ -451,7 +650,7 @@ def region_subset_lp(p, q) -> bool:
         return False
     rows = [([a, -a, b, -b], REL_GE, -c) for (a, b, c) in p.constraints]
     for a, b, c in q.constraints:
-        sol = solve_lp(make_program(4, [a, -a, b, -b], rows, [None] * 4))
+        sol = general_solve_lp(make_program(4, [a, -a, b, -b], rows, [None] * 4))
         if sol.status == UNBOUNDED:
             return False
         if sol.status != OPTIMAL:

@@ -287,6 +287,23 @@ def test_cell_lp_solved_in_one_place():
     assert scopes == {"squares.py:solve_cell_lp"}
 
 
+def test_lp_keeps_only_the_cover_front_end():
+    # `solve_lp` writes its tableau from the cover programs' bitmasks and
+    # reads no number from outside; the general front end over rational
+    # rows is the reference in tests/conftest.py
+    path = SRC / "lp.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not _defs(tree) & {"make_program", "_scaled", "_rationals"}
+    assert "_cover_tableau" in _defs(tree)  # the rule still names a live module
+    imported = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry")
+        for a in node.names
+    }
+    assert "frac" not in imported
+
+
 def _same_sign_tests(tree):
     """Dotted names of the defs holding `x > 0 and y > 0 and z > 0` (or the
     same with <): three values tested for one strict sign, the shape of the

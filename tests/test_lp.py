@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,10 +11,16 @@ import pytest
 import conftest
 from conftest import (
     FractionalCover,
+    LinearProgram,
+    as_linear_program,
     cell_instance,
     fraction_tableau,
+    general_solve_lp,
+    initial_tableau,
     lp_vertex_enumeration,
+    make_program,
     membership_of_fractional,
+    objective_row,
     reference_solve_lp,
     to_ints,
 )
@@ -35,9 +42,8 @@ from membercover.lp import (
     OPTIMAL,
     UNBOUNDED,
     ConstraintRow,
-    LinearProgram,
+    CoverProgram,
     LPSolution,
-    make_program,
 )
 
 F = Fraction
@@ -50,25 +56,25 @@ def P(x, y):
 class TestSimplex:
     def test_min_bounded_variable(self):
         lp = make_program(1, [1], [([1], ">=", 1)], [None])
-        sol = solve_lp(lp)
+        sol = general_solve_lp(lp)
         assert sol.status == OPTIMAL and sol.value == 1
 
     def test_two_vars_cover(self):
         lp = make_program(2, [1, 1], [([1, 1], ">=", 1)], [1, 1])
-        sol = solve_lp(lp)
+        sol = general_solve_lp(lp)
         assert sol.status == OPTIMAL and sol.value == 1
 
     def test_infeasible(self):
         lp = make_program(1, [1], [([0], ">=", 1)], [None])
-        assert solve_lp(lp).status == INFEASIBLE
+        assert general_solve_lp(lp).status == INFEASIBLE
 
     def test_unbounded(self):
         lp = make_program(1, [-1], [], [None])
-        assert solve_lp(lp).status == UNBOUNDED
+        assert general_solve_lp(lp).status == UNBOUNDED
 
     def test_equality_rows(self):
         lp = make_program(2, [1, 2], [([1, 1], "==", 3), ([1, -1], "<=", 1)], [None, None])
-        sol = solve_lp(lp)
+        sol = general_solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.assignment[0] + sol.assignment[1] == 3
         assert sol.value == lp_vertex_enumeration(lp)
@@ -84,7 +90,7 @@ class TestSimplex:
                 rows.append((coeffs, rel, Fraction(rng.randint(-2, 4))))
             objective = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
             lp = make_program(n, objective, rows, [Fraction(3)] * n)
-            sol = solve_lp(lp)
+            sol = general_solve_lp(lp)
             oracle = lp_vertex_enumeration(lp)
             if sol.status == OPTIMAL:
                 assert sol.value == oracle
@@ -130,13 +136,56 @@ class TestSimplex:
                     assert lhs <= row.rhs
                 else:
                     assert lhs == row.rhs
-            for v, ub in zip(sol.assignment, lp.upper_bounds):
+            for v, ub in zip(sol.assignment, as_linear_program(lp).upper_bounds):
                 assert v >= 0 and (ub is None or v <= ub)
+
+
+def reference_cover_tableau(program: CoverProgram):
+    """(tableau, basis, phase-1 cost row or None, phase-2 objective row) of
+    a cover program from `fraction_tableau`: the phase-1 costs by pricing
+    out each artificial of a cost row with 1 at every artificial, the
+    objective by `to_ints`; the reference for `lp._cover_tableau`."""
+    tableau, basis, artificials, n_cols = fraction_tableau(program)
+    phase_one = None
+    if artificials:
+        cost = [0] * (n_cols + 1)
+        for a in artificials:
+            cost[a] = 1
+        phase_one = conftest._reference_price_out(cost, tableau, basis)
+        n_cols = artificials[0]
+    objective = as_linear_program(program).objective
+    return tableau, basis, phase_one, to_ints([*objective] + [F(0)] * (n_cols + 1 - len(objective)))
+
+
+def cell_programs():
+    """The membership and the size program of each seeded cell instance."""
+    for seed in range(40):
+        points, sprime, squares = cell_instance(seed)
+        s_rows = incidence(points, squares)
+        yield build_membership_lp(s_rows, incidence(sprime, squares), len(squares))
+        yield build_size_lp(s_rows, len(squares))
+
+
+def spy_pivots(monkeypatch) -> dict[str, list[tuple[int, int]]]:
+    """The (row, col) pivots of the library core (`_pivot`) and of the
+    dense reference (`_reference_pivot`), recorded as they are taken."""
+    paths = {}
+    for module, name in ((lpmod, "_pivot"), (conftest, "_reference_pivot")):
+        path = paths[name] = []
+
+        def spy(tableau, basis, row, col, pivot=getattr(module, name), path=path):
+            path.append((row, col))
+            pivot(tableau, basis, row, col)
+
+        monkeypatch.setattr(module, name, spy)
+    return paths
 
 
 class TestIntegerRows:
     """The tableau rows built as ints against `to_ints` of the rows built
-    over Fraction, on rational programs: equal rows take equal pivots."""
+    over Fraction: equal rows take equal pivots.  The general programs go
+    through `conftest.initial_tableau`, the cover programs through the
+    library's `lp._cover_tableau`."""
 
     @staticmethod
     def _random_program(rng):
@@ -155,61 +204,95 @@ class TestIntegerRows:
         rng = random.Random(12)
         for _ in range(300):
             lp = self._random_program(rng)
-            assert lpmod._initial_tableau(lp) == fraction_tableau(lp)
+            assert initial_tableau(lp) == fraction_tableau(lp)
 
     def test_cover_program_rows_match_fraction_rows(self):
-        for seed in range(20):
-            points, sprime, squares = cell_instance(seed)
-            s_rows = incidence(points, squares)
-            for lp in (
-                build_membership_lp(s_rows, incidence(sprime, squares), len(squares)),
-                build_size_lp(s_rows, len(squares)),
-            ):
-                assert lpmod._initial_tableau(lp) == fraction_tableau(lp)
+        for program in cell_programs():
+            assert lpmod._cover_tableau(program) == reference_cover_tableau(program)
 
     def test_cost_row_matches_fraction_row(self):
         rng = random.Random(13)
         for _ in range(100):
             lp = self._random_program(rng)
-            objective, _rhs, _scale = lpmod._scaled(lp.objective, 0)
-            assert lpmod._reduce(objective + [0] * 3) == to_ints(list(lp.objective) + [F(0)] * 3)
+            assert objective_row(lp, lp.n_vars + 2) == to_ints(list(lp.objective) + [F(0)] * 3)
 
 
 class TestPivotPath:
     """The pivots that touch only the rows and columns they change against
     the dense ones of `reference_solve_lp`: the same (row, col) pivots in
-    the same order, and `==` solutions."""
+    the same order, and `==` solutions.  The random general programs reach
+    the library core through `conftest.general_solve_lp`."""
 
     @staticmethod
     def _programs():
         rng = random.Random(12)
         for _ in range(300):
             yield TestIntegerRows._random_program(rng)
-        for seed in range(40):
-            points, sprime, squares = cell_instance(seed)
-            s_rows = incidence(points, squares)
-            yield build_membership_lp(s_rows, incidence(sprime, squares), len(squares))
-            yield build_size_lp(s_rows, len(squares))
+        yield from cell_programs()
 
     def test_same_pivots_and_solutions_as_reference(self, monkeypatch):
-        paths = {}
-        for module, name in ((lpmod, "_pivot"), (conftest, "_reference_pivot")):
-            path = paths[name] = []
-
-            def spy(tableau, basis, row, col, pivot=getattr(module, name), path=path):
-                path.append((row, col))
-                pivot(tableau, basis, row, col)
-
-            monkeypatch.setattr(module, name, spy)
+        paths = spy_pivots(monkeypatch)
         statuses = set()
         for lp in self._programs():
             for path in paths.values():
                 path.clear()
-            sol = solve_lp(lp)
+            sol = general_solve_lp(lp) if isinstance(lp, LinearProgram) else solve_lp(lp)
             assert sol == reference_solve_lp(lp)
             assert paths["_pivot"] == paths["_reference_pivot"]
             statuses.add(sol.status)
         assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+# Cover programs at the edges of the tableau layout, with the status each
+# must end in
+COVER_EDGES = {
+    "no_s_rows": (lambda: build_membership_lp([], [0b011, 0b110], 3), OPTIMAL),
+    "no_sprime_rows": (lambda: build_membership_lp([0b011, 0b100], [], 3), OPTIMAL),
+    "size_no_rows": (lambda: build_size_lp([], 3), OPTIMAL),
+    "zero_s_row": (lambda: build_membership_lp([0b01, 0], [0b11], 2), INFEASIBLE),
+    "size_zero_s_row": (lambda: build_size_lp([0b10, 0], 2), INFEASIBLE),
+    "no_ranges": (lambda: build_membership_lp([], [0], 0), OPTIMAL),
+    "size_no_ranges": (lambda: build_size_lp([], 0), OPTIMAL),
+    "no_ranges_s_row": (lambda: build_size_lp([0], 0), INFEASIBLE),
+    "duplicate_rows": (
+        lambda: build_membership_lp([0b101, 0b101, 0b011], [0b110, 0b110, 0b101], 3), OPTIMAL
+    ),
+    "size_duplicate_rows": (lambda: build_size_lp([0b0110, 0b0110, 0b1001, 0b1001], 4), OPTIMAL),
+    "zero_sprime_row": (lambda: build_membership_lp([0b01, 0b10], [0, 0b11], 2), OPTIMAL),
+}
+
+
+class TestCoverTableau:
+    """Cover programs at the edges: the tableau that `solve_lp` writes from
+    the masks against the Fraction reference of the same program, then the
+    pivots and the solution against `reference_solve_lp`.  The cell
+    batteries run in `TestIntegerRows` and `TestPivotPath`."""
+
+    @pytest.mark.parametrize("case", sorted(COVER_EDGES))
+    def test_edge_case(self, case, monkeypatch):
+        make, status = COVER_EDGES[case]
+        program = make()
+        assert lpmod._cover_tableau(program) == reference_cover_tableau(program)
+        paths = spy_pivots(monkeypatch)
+        sol = solve_lp(program)
+        assert sol == reference_solve_lp(program)
+        assert paths["_pivot"] == paths["_reference_pivot"]
+        assert sol.status == status
+        if status == OPTIMAL:
+            assert sol.value == lp_vertex_enumeration(program)
+
+    def test_views_match_the_rows(self):
+        # the rows and the column count a tracer reads off a program
+        program = build_membership_lp([0b101], [0b011, 0], 3)
+        assert program.n_vars == 4
+        assert program.rows == (
+            ConstraintRow((1, 0, 1, 0), ">=", 1),
+            ConstraintRow((1, 1, 0, -1), "<=", 0),
+            ConstraintRow((0, 0, 0, -1), "<=", 0),
+        )
+        size = build_size_lp([0b10, 0b11], 2)
+        assert size.n_vars == 2
+        assert size.rows == (ConstraintRow((0, 1), ">=", 1), ConstraintRow((1, 1), ">=", 1))
 
 
 # Exact solutions of seeded cell programs, recorded with the rational
@@ -306,7 +389,7 @@ class TestExactSolutions:
             [([0, 1, -1], ">=", 1), ([-2, 1, 2], ">=", 0), ([0, 0, -1], ">=", 0)],
             [None, None, None],
         )
-        sol = solve_lp(lp)
+        sol = general_solve_lp(lp)
         assert any(e < 0 for e in entries)
         assert sol == LPSolution(OPTIMAL, F(3, 2), (F(1, 2), F(1), F(0)))
         assert sol.value == lp_vertex_enumeration(lp)
@@ -320,6 +403,23 @@ MALFORMED = {
     ),
     "relation": lambda: LinearProgram(
         1, (F(1),), (ConstraintRow((F(1),), "<", F(1)),), (None,)
+    ),
+}
+
+
+# Builder input that a cover program cannot read, with the message each
+# must raise
+BAD_BUILDER_INPUT = {
+    "bit_past_the_ranges": (lambda: build_size_lp([0b100], 2), "S row 0 is 4"),
+    "negative_row": (lambda: build_size_lp([0b1, -1], 2), "S row 1 is -1"),
+    "negative_n_ranges": (lambda: build_size_lp([1], -1), "n_ranges is -1"),
+    "sprime_bit_past_the_ranges": (
+        lambda: build_membership_lp([0b1], [0b01, 0b110], 2), "S' row 1 is 6"
+    ),
+    "negative_sprime_row": (lambda: build_membership_lp([0b1], [-2], 2), "S' row 0 is -2"),
+    "membership_negative_n_ranges": (lambda: build_membership_lp([], [], -1), "n_ranges is -1"),
+    "sprime_rows_without_load": (
+        lambda: CoverProgram((1,), (1,), 1, False), "S' rows bound the load variable"
     ),
 }
 
@@ -341,15 +441,20 @@ class TestValidation:
             with pytest.raises(ValueError):
                 make_program(*args)
 
+    @pytest.mark.parametrize("case", sorted(BAD_BUILDER_INPUT))
+    def test_bad_builder_input_raises(self, case):
+        make, message = BAD_BUILDER_INPUT[case]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
     def test_malformed_program_raises_under_optimize(self):
         src = str(Path(membercover.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
         code = (
-            "from fractions import Fraction as F\n"
-            "from membercover.lp import LinearProgram\n"
+            "from membercover.lp import build_size_lp\n"
             "assert False, 'asserts are on'\n"
             "try:\n"
-            "    LinearProgram(2, (F(1),), (), (None, None))\n"
+            "    build_size_lp([0b100], 2)\n"
             "except ValueError:\n"
             "    print('ValueError')\n"
         )
