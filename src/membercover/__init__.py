@@ -10,13 +10,11 @@ back every approximation guarantee at desk scale.
 from .covers import CoverSolution, Uncoverable
 from .geometry import (
     Arrangement,
-    ConvexRegion,
     GridCell,
     Halfplane,
     Point,
     SquareGrid,
     UnitSquare,
-    complement_region,
     face_sample_points,
     grid_partition,
 )

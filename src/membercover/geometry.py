@@ -6,13 +6,13 @@ denominators (`grid_unit`) and the integers D*x and D*y (`on_grid`), so a
 unit square with top-right corner (U, V) on that grid is the box
 U - D <= X <= U, V - D <= Y <= V; `grid_partition` cuts that grid into
 per-cell slices.  `Arrangement.of` lists each line's vertices as
-homogeneous integer points, and the face samples, integer triples too,
-come from a sweep over those vertices.  Every predicate is decided by
-exact sign tests or integer comparisons.  Union and region questions share one kernel,
-`strictly_feasible`, the Helly and Motzkin sign test on an open halfplane
-system: a region is the closure of such a system, and `region_subset` asks
-it whether a system plus one flipped constraint still has a point.  There
-is no floating-point path anywhere in this module; degenerate inputs
+homogeneous integer points, and the face samples inside a box of four of
+the lines, integer triples too, come from a sweep over those vertices.
+Every predicate is decided by exact sign tests or integer comparisons.
+Union questions go to one kernel, `strictly_feasible`, the Helly and
+Motzkin sign test on an open halfplane system: closed halfplanes cover
+the plane iff their open complements share no point.  There is no
+floating-point path anywhere in this module; degenerate inputs
 (shared boundaries, duplicate ranges, collinear normals) are therefore
 handled exactly rather than by epsilon tuning.
 
@@ -293,27 +293,26 @@ class Arrangement:
 
 
 def face_sample_points(
-    arrangement: Arrangement, box: tuple[int, int, int, int] | None = None
+    arrangement: Arrangement, box: tuple[int, int, int, int]
 ) -> list[tuple[int, int, int, int]]:
-    """One point in the interior of each face of the arrangement, as (X, Y,
-    W, outside) with W > 0: the point (X/W, Y/W) and the bitmask of its
-    face, bit i set iff a*X + b*Y + c*W < 0 on lines[i].  With `box`, the
-    indices of two horizontal lines, bottom then top, and of two vertical
-    lines, left then right (else ValueError), only the faces inside the
-    box, with the samples the whole arrangement gives them.
+    """One point in the interior of each face of the arrangement inside
+    `box`, as (X, Y, W, outside) with W > 0: the point (X/W, Y/W) and the
+    bitmask of its face, bit i set iff a*X + b*Y + c*W < 0 on lines[i].
+    `box` holds the indices of two horizontal lines, bottom then top, and
+    of two vertical lines, left then right; any other four raise
+    ValueError.
 
     Samples sit on vertical slab lines midway between consecutive critical
-    abscissas (the vertices' and the vertical lines', with sentinels one
-    unit beyond the extremes), midway between consecutive ordinates or one
-    unit beyond the extreme ones.  Abscissas share the denominator D, the
-    lcm of the vertex weights and of |a| on vertical lines, so slab
-    abscissas share 2D; ordinates on a slab share 2D * L with L the lcm of
-    the nonzero |b|, so W = 4DL.  Each face gets its sample on the first
-    slab it meets, its least in (x, y) order, and the samples come in (x,
-    y) order.  No sample lies on a line.  A face inside the box meets only
-    the slabs between its sides, so the sweep can start at the left one
-    and stop at the right one, and on each slab it is a gap between the
-    entries of the bottom and the top line.
+    abscissas (the vertices' and the vertical lines' from the left side to
+    the right one), midway between consecutive ordinates.  Abscissas share
+    the denominator D, the lcm of the vertex weights and of |a| on vertical
+    lines, so slab abscissas share 2D; ordinates on a slab share 2D * L
+    with L the lcm of the nonzero |b|, so W = 4DL.  Each face gets its
+    sample on the first slab it meets, its least in (x, y) order, and the
+    samples come in (x, y) order.  No sample lies on a line.  A face inside
+    the box meets only the slabs between its sides, and on each slab it is
+    a gap between the entries of the bottom and the top line, so both of
+    the gap's neighbours exist.
 
     A sweep over the critical abscissas keeps the vertical order of the
     sloped lines (coincident ones as one entry holding all their bits) and
@@ -322,8 +321,9 @@ def face_sample_points(
     entries through a vertex, read off any one line through it (its copies
     share its entry), are consecutive in the order and come reversed right
     of it, and the gaps inside each reversed block are the faces that
-    begin at the vertex.  Right of a vertical line every face begins, so
-    the order is sorted again and every gap is new.  O(n^2 log n) in all.
+    begin at the vertex.  Right of a vertical line, the left side first,
+    every face begins, so the order is sorted again and every gap is new.
+    O(n^2 log n) in all.
     """
     lines = arrangement.lines
     vertical = [(a, c, 1 << i) for i, (a, b, c) in enumerate(lines) if b == 0]
@@ -352,17 +352,15 @@ def face_sample_points(
         a, c, scale, _bits, _e = entries[e]
         return -(a * x_num + c * slab_unit) * scale
 
-    x_lo, x_hi = -math.inf, math.inf  # the abscissas swept, over D
-    if box is not None:
-        (a_b, b_b, _c_b), (a_t, b_t, _c_t), (a_lo, b_lo, c_lo), (a_hi, b_hi, c_hi) = [lines[i] for i in box]
-        if (
-            a_b or a_t or not b_b or not b_t or b_lo or b_hi
-            or -c_lo * (d // a_lo) >= -c_hi * (d // a_hi)
-            or ordinate(entry_of[box[0]][4], 0) >= ordinate(entry_of[box[1]][4], 0)
-        ):
-            raise ValueError(f"bounds {box} are not a box: bottom, top, left, right")
-        x_lo, x_hi = -c_lo * (d // a_lo), -c_hi * (d // a_hi)
-        floor, ceiling = entry_of[box[0]][4], entry_of[box[1]][4]  # the bottom and top entries
+    (a_b, b_b, _c_b), (a_t, b_t, _c_t), (a_lo, b_lo, c_lo), (a_hi, b_hi, c_hi) = [lines[i] for i in box]
+    if (
+        a_b or a_t or not b_b or not b_t or b_lo or b_hi
+        or -c_lo * (d // a_lo) >= -c_hi * (d // a_hi)
+        or ordinate(entry_of[box[0]][4], 0) >= ordinate(entry_of[box[1]][4], 0)
+    ):
+        raise ValueError(f"bounds {box} are not a box: bottom, top, left, right")
+    x_lo, x_hi = -c_lo * (d // a_lo), -c_hi * (d // a_hi)  # the abscissas swept, over D
+    floor, ceiling = entry_of[box[0]][4], entry_of[box[1]][4]  # the bottom and top entries
     # per abscissa X over D of a vertex of sloped lines, the lines through
     # each vertex there, as the first of them lists it
     vertices: dict[int, dict[HPt, int]] = {}
@@ -383,14 +381,9 @@ def face_sample_points(
             gaps[t + 1] = gaps[t] ^ entries[order[t]][3]
 
     samples: list[tuple[int, int, int, int]] = []
-    slab_xs = [2 * xs[0] - 2 * d] if xs else [0]
-    slab_xs += [lo + hi for lo, hi in zip(xs, xs[1:])]
-    slab_xs += [2 * xs[-1] + 2 * d] if xs else []
-    starts: list[int | None] = [None] + xs  # where each slab begins
-    if box is not None:  # from the left bound, where the order is sorted
-        slab_xs, starts = slab_xs[1:-1], xs
-    for x_c, x_num in zip(starts, slab_xs):
-        if x_c is None or x_c in vertical_xs:
+    # each slab begins at an abscissa of xs, the first at the left side
+    for x_c, x_num in zip(xs, [lo + hi for lo, hi in zip(xs, xs[1:])]):
+        if x_c in vertical_xs:
             order[:] = sorted(range(len(entries)), key=lambda e: ordinate(e, x_num))
             gaps[0] = below
             for a, c, bit in vertical:
@@ -411,33 +404,17 @@ def face_sample_points(
                 renumber(lo, hi)
                 new_gaps += range(lo + 1, hi)
             new_gaps.sort()
-        if box is not None:  # the gaps inside the box
-            new_gaps = [t for t in new_gaps if pos[floor] < t <= pos[ceiling]]
         x = x_num * 2 * lcm_b
-        top = len(order)
         for t in new_gaps:
-            y = 0  # midway between the gap's ordinates, one unit beyond an end
-            if order:
-                y_lo = ordinate(order[t - 1], x_num) if t else ordinate(order[0], x_num) - 2 * y_unit
-                y = y_lo + (ordinate(order[t], x_num) if t < top else y_lo + 2 * y_unit)
-            samples.append((x, y, w, gaps[t]))
+            if pos[floor] < t <= pos[ceiling]:  # inside the box: midway between its neighbours
+                y = ordinate(order[t - 1], x_num) + ordinate(order[t], x_num)
+                samples.append((x, y, w, gaps[t]))
     return samples
 
 
 # ---------------------------------------------------------------------------
-# convex regions as halfplane intersections
+# strict feasibility of an open halfplane system
 # ---------------------------------------------------------------------------
-
-def _normalize_constraint(a, b, c) -> tuple[int, int, int]:
-    """Scale a rational constraint to a primitive integer triple."""
-    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
-    scale = math.lcm(fa.denominator, fb.denominator, fc.denominator)
-    ia, ib, ic = int(fa * scale), int(fb * scale), int(fc * scale)
-    g = math.gcd(math.gcd(abs(ia), abs(ib)), abs(ic))
-    if g > 1:
-        ia, ib, ic = ia // g, ib // g, ic // g
-    return (ia, ib, ic)
-
 
 def pair_certificate(con1: tuple, con2: tuple) -> bool:
     """Do the open constraints {con1 > 0, con2 > 0} have a Motzkin
@@ -501,50 +478,3 @@ def strictly_feasible(cons: Sequence[tuple]) -> bool:
             return False
     return True
 
-
-@dataclass(frozen=True)
-class ConvexRegion:
-    """Closure of an open intersection of halfplanes.
-
-    Complement regions are closures of open sets, so a region counts as
-    empty when the strict system has no solution, even if the closed
-    constraints still share a segment or point; an empty region stores no
-    constraints.  A nonempty region keeps every distinct constraint,
-    redundant ones included: `contains` and `region_subset` are exact
-    either way.
-    """
-
-    constraints: tuple[tuple[int, int, int], ...]
-    empty: bool
-
-    def contains(self, p: Point) -> bool:
-        if self.empty:
-            return False
-        return all(a * p.x + b * p.y + c >= 0 for (a, b, c) in self.constraints)
-
-
-def region_from_constraints(raw: Iterable[tuple]) -> ConvexRegion:
-    """Build a ConvexRegion from (a, b, c) constraint triples, scaled to
-    primitive integers and deduplicated."""
-    cons = tuple(sorted({_normalize_constraint(*t) for t in raw}))
-    empty = not strictly_feasible(cons)
-    return ConvexRegion(() if empty else cons, empty)
-
-
-def complement_region(halfplanes: Sequence[Halfplane]) -> ConvexRegion:
-    """Closure of the plane minus the union: intersect the flipped halfplanes."""
-    return region_from_constraints((-h.a, -h.b, -h.c) for h in halfplanes)
-
-
-def region_subset(p: ConvexRegion, q: ConvexRegion) -> bool:
-    """Exact test P subseteq Q.  P is the closure of its open system, so
-    P lies in the closed halfplane g >= 0 iff that open system together
-    with -g > 0 has no solution: one `strictly_feasible` call per
-    constraint g of Q."""
-    if p.empty:
-        return True
-    if q.empty:
-        return False
-    return not any(
-        strictly_feasible(p.constraints + ((-a, -b, -c),)) for (a, b, c) in q.constraints
-    )

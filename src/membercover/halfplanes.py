@@ -113,9 +113,10 @@ from .geometry import (
     triple_certificate,
 )
 
-# nothing in this module calls these; the names stay only because
-# perfbench/tracing.py patches them here and raises KeyError when missing
-from .geometry import complement_region, region_subset  # noqa: F401
+# placeholders read only by perfbench/tracing.py, which patches these names
+# here and raises KeyError when one is missing; no solve calls them.  ROADMAP
+# item 9 deletes them together with the tracer's patch.
+complement_region = region_subset = None
 
 DUMMY_BASE_ID = -1  # dummies use ids -1..-4, never colliding with instances
 

@@ -635,31 +635,6 @@ def union_grows_lp(z, z2) -> bool:
     return union_within_lp(z, z2) and not union_within_lp(z2, z)
 
 
-def region_subset_lp(p, q) -> bool:
-    """P subseteq Q for ConvexRegions by LP: minimize each constraint g of Q
-    over P's closed constraints, on split variables x+, x-, y+, y-; P is not
-    inside Q when some minimum is unbounded or negative.
-
-    The reference for `geometry.region_subset`, which asks the strict
-    feasibility kernel instead.  Emptiness is read from the regions, whose
-    `empty` flags `strict_feasible_lp` checks separately.
-    """
-    if p.empty:
-        return True
-    if q.empty:
-        return False
-    rows = [([a, -a, b, -b], REL_GE, -c) for (a, b, c) in p.constraints]
-    for a, b, c in q.constraints:
-        sol = general_solve_lp(make_program(4, [a, -a, b, -b], rows, [None] * 4))
-        if sol.status == UNBOUNDED:
-            return False
-        if sol.status != OPTIMAL:
-            raise RuntimeError("a nonempty region has feasible closed constraints")
-        if sol.value + c < 0:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # face sampling of a line arrangement in Fraction, the reference for the
 # integer sampler
@@ -699,6 +674,23 @@ def face_sample_points_reference(lines) -> list[Point]:
         for y_star in mid_candidates(ys):
             samples.append(Point(x_star, y_star))
     return samples
+
+
+def face_samples_in_box_reference(lines, box) -> tuple[list[Point], int]:
+    """The sample `face_sample_points(Arrangement.of(lines), box)` gives each
+    face inside the box, in its order: the first point of
+    `face_sample_points_reference` in each face whose points lie strictly
+    between the bottom and top lines (a == 0) and the left and right lines
+    (b == 0) that `box` indexes; and the number of faces outside the box."""
+    y_lo, y_hi = [Fraction(-lines[i][2], lines[i][1]) for i in box[:2]]
+    x_lo, x_hi = [Fraction(-lines[i][2], lines[i][0]) for i in box[2:]]
+    first: dict[tuple[bool, ...], Point] = {}
+    for p in face_sample_points_reference(lines):
+        # the sign of a*x + b*y + c, times the positive denominators
+        xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+        first.setdefault(tuple([a * xn * yd + b * yn * xd + c * xd * yd > 0 for a, b, c in lines]), p)
+    inside = [p for p in first.values() if x_lo < p.x < x_hi and y_lo < p.y < y_hi]
+    return inside, len(first) - len(inside)
 
 
 # ---------------------------------------------------------------------------

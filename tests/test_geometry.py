@@ -7,28 +7,22 @@ import pytest
 
 from membercover import (
     Arrangement,
-    ConvexRegion,
     GridCell,
     Halfplane,
     Point,
     SquareGrid,
     UnitSquare,
-    complement_region,
     face_sample_points,
     grid_partition,
 )
 from membercover import geometry
-from membercover.geometry import (
-    region_from_constraints,
-    region_subset,
-    strictly_feasible,
-)
+from membercover.geometry import strictly_feasible
+from membercover.halfplanes import _flipped
 
 from conftest import (
-    face_sample_points_reference,
+    face_samples_in_box_reference,
     fan_instance,
     halfplane_instance,
-    region_subset_lp,
     ring_instance,
     strict_feasible_lp,
     union_within_lp,
@@ -213,14 +207,42 @@ def _face_signs(lines, samples):
 BOX_LINES = [(0, 1, 3), (0, 1, -2), (1, 0, 3), (1, 0, -2), (1, 1, 0), (0, -2, -6), (-2, 0, -6)]
 
 
+def _boxed(lines):
+    """The lines, then y = -m, y = m, x = -m and x = m, with m one more than
+    every |coordinate| of a vertex and of a point where a line meets an
+    axis, and the indices of those four: the box holds every vertex and
+    meets every line, so each face of the lines holds one face inside it."""
+    points = [(Fraction(-c, a), 0) for a, _b, c in lines if a]
+    points += [(0, Fraction(-c, b)) for _a, b, c in lines if b]
+    for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
+        det = a1 * b2 - a2 * b1
+        if det:
+            points.append((Fraction(b1 * c2 - b2 * c1, det), Fraction(a2 * c1 - a1 * c2, det)))
+    m = math.floor(max(abs(c) for p in points for c in p)) + 1
+    n = len(lines)
+    return [*lines, (0, 1, m), (0, 1, -m), (1, 0, m), (1, 0, -m)], (n, n + 1, n + 2, n + 3)
+
+
+def _checked_samples(lines, box):
+    """`face_sample_points` inside the box, after checking that its masks
+    are the direct signs, that its samples share one W and that they are
+    the reference's, in its order; and the number of faces outside."""
+    samples = face_sample_points(Arrangement.of(lines), box)
+    _face_signs(lines, samples)
+    assert len({w for _x, _y, w, _outside in samples}) <= 1
+    inside, outside = face_samples_in_box_reference(lines, box)
+    assert [Point(Fraction(x, w), Fraction(y, w)) for x, y, w, _outside in samples] == inside, lines
+    return samples, outside
+
+
 class TestFaceSamples:
     def test_one_line_two_sides(self):
-        pts = face_sample_points(Arrangement.of([(0, 1, 0)]))
+        pts, _outside = _checked_samples(*_boxed([(0, 1, 0)]))
         assert all(w > 0 for _x, _y, w, _m in pts)
         assert any(y > 0 for _x, y, _w, _m in pts) and any(y < 0 for _x, y, _w, _m in pts)
 
     def test_two_lines_four_quadrants(self):
-        pts = face_sample_points(Arrangement.of([(0, 1, 0), (1, 0, 0)]))
+        pts, _outside = _checked_samples(*_boxed([(0, 1, 0), (1, 0, 0)]))
         assert all(w > 0 for _x, _y, w, _m in pts)
         signs = {(x > 0, y > 0) for x, y, _w, _m in pts}
         assert len(signs) == 4
@@ -228,36 +250,32 @@ class TestFaceSamples:
     def test_five_general_lines_sixteen_faces(self):
         lines = [(1, 1, 0), (1, -2, 3), (2, 1, -5), (1, 3, 7), (3, -1, -1)]
         assert _face_count_oracle(lines) == 16
-        assert len(_face_signs(lines, face_sample_points(Arrangement.of(lines)))) == 16
+        boxed, box = _boxed(lines)
+        assert len(_face_signs(boxed, face_sample_points(Arrangement.of(boxed), box))) == 16
 
     def test_degenerate_arrangements_up_to_six(self):
-        # one sample per face
+        # one sample per face of the lines, each inside a box around them
         for lines in _face_sample_cases():
-            samples = face_sample_points(Arrangement.of(lines))
-            sigs = _face_signs(lines, samples)
+            boxed, box = _boxed(lines)
+            samples = face_sample_points(Arrangement.of(boxed), box)
+            sigs = _face_signs(boxed, samples)
             assert len(sigs) == _face_count_oracle(lines)
             assert len(samples) == _face_count_oracle(lines)
 
     def test_integer_samples_match_fraction_reference(self):
-        # the first point of each face in the Fraction construction's
-        # order, in that order, each with the mask of direct signs, on the
-        # battery
+        # inside a box beyond every vertex, the first point of each face in
+        # the Fraction construction's order, in that order, each with the
+        # mask of direct signs, on the battery
         cases = _sweep_battery()
         for lines in cases:
-            samples = face_sample_points(Arrangement.of(lines))
-            _face_signs(lines, samples)  # asserts each mask by direct signs
-            got = [Point(Fraction(x, w), Fraction(y, w)) for x, y, w, _outside in samples]
-            first: dict[tuple[bool, ...], Point] = {}
-            for p in face_sample_points_reference(lines):
-                first.setdefault(tuple([a * p.x + b * p.y + c > 0 for a, b, c in lines]), p)
-            assert got == list(first.values()), lines
+            _checked_samples(*_boxed(lines))
         assert len(cases) > 200
 
     def test_sweep_between_two_verticals_is_the_filtered_full_sweep(self):
         # the faces inside a box, swept from its left side to its right one,
-        # get the samples of the whole sweep, in its order and with its
-        # integers; the sides are scaled and negated, and many pass through
-        # a vertex or lie on a line of the arrangement
+        # get the samples the Fraction sweep of the whole arrangement gives
+        # them, in its order; the sides are scaled and negated, and many
+        # pass through a vertex or lie on a line of the arrangement
         rng = random.Random(29)
         checked = cut = through = level = 0
         for lines in _sweep_battery():
@@ -282,17 +300,10 @@ class TestFaceSamples:
                 for y in (y_lo, y_hi)
                 for scale in [rng.choice((1, -1, 2, -3))]
             ]
-            bounded = lines + levels + sides
-            arrangement = Arrangement.of(bounded)
-            full = face_sample_points(arrangement)
-            inside = [
-                f for f in full
-                if lo < Fraction(f[0], f[2]) < hi and y_lo < Fraction(f[1], f[2]) < y_hi
-            ]
             n = len(lines)
-            assert face_sample_points(arrangement, (n, n + 1, n + 2, n + 3)) == inside, bounded
+            samples, outside = _checked_samples(lines + levels + sides, (n, n + 1, n + 2, n + 3))
             checked += 1
-            cut += 0 < len(inside) < len(full)
+            cut += bool(samples) and outside > 0
             through += lo in on_lines or hi in on_lines
             level += y_lo in on_levels or y_hi in on_levels
         assert checked > 200 and cut > 200 and through > 100 and level > 100, (checked, cut, through, level)
@@ -323,11 +334,10 @@ class TestFaceSamples:
 
     def test_good_bounds_give_the_faces_between(self):
         # y = -3, y = 2, x = -3 and x = 2, and y = x through two corners
-        arrangement = Arrangement.of([(0, 1, 3), (0, 1, -2), (1, 0, 3), (1, 0, -2), (1, -1, 0)])
-        full = face_sample_points(arrangement)
-        inside = face_sample_points(arrangement, (0, 1, 2, 3))
+        lines = [(0, 1, 3), (0, 1, -2), (1, 0, 3), (1, 0, -2), (1, -1, 0)]
+        inside, outside = _checked_samples(lines, (0, 1, 2, 3))
         assert [f[3] & 15 for f in inside] == [0b1010, 0b1010]
-        assert inside == [f for f in full if f[3] & 15 == 0b1010]
+        assert outside == 10
 
 
 class TestArrangement:
@@ -412,10 +422,13 @@ def _seeded_system(seed):
 
 
 class TestComplementRegion:
+    # the complement of a union of closed halfplanes is the closure of the
+    # open system of their flips; the union is the plane iff that system
+    # has no point
     def test_slab(self):
-        reg = complement_region([Halfplane(0, 0, 1, -1), Halfplane(1, 0, -1, -1)])
-        assert not reg.empty
-        assert reg.contains(P(0, 0)) and not reg.contains(P(0, 2))
+        hs = [Halfplane(0, 0, 1, -1), Halfplane(1, 0, -1, -1)]
+        assert strictly_feasible(_flipped(hs))
+        assert _in_complement(hs, P(0, 0)) and not _in_complement(hs, P(0, 2))
 
     def test_dummy_box(self):
         hs = [
@@ -424,24 +437,17 @@ class TestComplementRegion:
             Halfplane(2, -1, 0, -3),
             Halfplane(3, 1, 0, -3),
         ]
-        reg = complement_region(hs)
-        assert not reg.empty
-        assert reg.contains(P(3, 3)) and not reg.contains(P(4, 0))
+        assert strictly_feasible(_flipped(hs))
+        assert _in_complement(hs, P(3, 3)) and not _in_complement(hs, P(4, 0))
 
     def test_opposite_pair_is_empty(self):
-        reg = complement_region([Halfplane(0, 0, 1, 0), Halfplane(1, 0, -1, 0)])
-        assert reg.empty
+        assert not strictly_feasible(_flipped([Halfplane(0, 0, 1, 0), Halfplane(1, 0, -1, 0)]))
 
-    def test_emptiness_matches_lp_oracle(self):
-        outcomes = []
-        for seed in range(2000):
-            hs = _seeded_system(seed)
-            cons = [(-h.a, -h.b, -h.c) for h in hs]
-            feasible = strict_feasible_lp(cons)
-            assert complement_region(hs).empty == (not feasible)
-            assert strictly_feasible(cons) == feasible
-            outcomes.append(feasible)
-        assert 500 < sum(outcomes) < 1500  # both answers well exercised
+
+def _in_complement(hs, p):
+    """Does p lie in the closed complement of the union of hs, on or
+    outside every boundary?"""
+    return all(h.a * p.x + h.b * p.y + h.c <= 0 for h in hs)
 
 
 def _union_member(hs, p):
@@ -449,10 +455,10 @@ def _union_member(hs, p):
 
 
 def _union_within(z, z2):
-    """Is the union of z inside that of z2, read from the regions?  Unions
-    of closed halfplanes are regular closed sets, so it is iff the closed
-    complement of z2's union lies in that of z's."""
-    return region_subset(complement_region(z2), complement_region(z))
+    """Is the union of z inside that of z2, asked as the swap test of
+    `one_stable_local_search` asks it?  A closed h lies in the union of z2
+    iff {h > 0} and the open complements {-g > 0} of z2 share no point."""
+    return not any(strictly_feasible([h.line(), *_flipped(z2)]) for h in z)
 
 
 class TestUnionCompare:
@@ -511,6 +517,23 @@ class TestUnionCompare:
             extra = Halfplane(2, a, b, rng.randint(-3, 3))
             assert _union_within(z, z + [extra])
 
+    def test_matches_lp_oracle(self):
+        # z2 holds some of z's halfplanes and up to three of another
+        # system's, so either union often lies inside the other and often
+        # does not; both orders are asked
+        outcomes = []
+        for seed in range(2000):
+            rng = random.Random(seed)
+            z = _seeded_system(seed)
+            z2 = rng.sample(z, rng.randint(0, len(z))) + _seeded_system(seed + 10_000)[: rng.randint(0, 3)]
+            for a, b in ((z, z2), (z2, z)):
+                got = _union_within(a, b)
+                assert got == union_within_lp(a, b), (z, z2)
+                if a and b:
+                    outcomes.append(got)
+        assert len(outcomes) > 1500
+        assert 0.2 * len(outcomes) < sum(outcomes) < 0.8 * len(outcomes)
+
 
 class TestStrictlyFeasible:
     def test_hand_built_systems(self):
@@ -520,6 +543,15 @@ class TestStrictlyFeasible:
         touching = [Halfplane(0, 1, 0, 0), Halfplane(1, -1, 0, 0)]
         assert all(h.contains(P(0, 0)) for h in touching)
 
+    def test_matches_lp_oracle(self):
+        outcomes = []
+        for seed in range(2000):
+            cons = _flipped(_seeded_system(seed))
+            feasible = strict_feasible_lp(cons)
+            assert strictly_feasible(cons) == feasible
+            outcomes.append(feasible)
+        assert 500 < sum(outcomes) < 1500  # both answers well exercised
+
     def test_decides_without_fractions(self, monkeypatch):
         # integer signs decide; the kernel builds no rational on integer input
         def no_fraction(*args):
@@ -528,29 +560,3 @@ class TestStrictlyFeasible:
         monkeypatch.setattr(geometry, "Fraction", no_fraction)
         for cons, feasible in STRICT_SYSTEMS:
             assert strictly_feasible(cons) == feasible
-
-
-class TestRegionInternals:
-    def test_region_subset_basic(self):
-        tri = region_from_constraints([(1, 0, 0), (0, 1, 0), (-1, -1, 2)])
-        quad = region_from_constraints([(1, 0, 0), (0, 1, 0)])
-        assert region_subset(tri, quad)
-        assert not region_subset(quad, tri)
-
-    def test_region_subset_matches_lp_oracle(self):
-        # P is the complement of a seeded system and Q the complement of
-        # some of its halfplanes plus up to three of another system's, so
-        # P often lies inside Q and often does not; both orders are asked
-        outcomes = []
-        for seed in range(2000):
-            rng = random.Random(seed)
-            z = _seeded_system(seed)
-            z2 = rng.sample(z, rng.randint(0, len(z))) + _seeded_system(seed + 10_000)[: rng.randint(0, 3)]
-            p, q = complement_region(z), complement_region(z2)
-            for a, b in ((p, q), (q, p)):
-                got = region_subset(a, b)
-                assert got == region_subset_lp(a, b), (z, z2)
-                if not a.empty and not b.empty:
-                    outcomes.append(got)
-        assert len(outcomes) > 1500
-        assert 0.2 * len(outcomes) < sum(outcomes) < 0.8 * len(outcomes)

@@ -15,6 +15,7 @@ from conftest import (
     additive_reference,
     all_chains,
     anchors,
+    face_samples_in_box_reference,
     fan_instance,
     halfplane_instance,
     in_triangle,
@@ -42,11 +43,9 @@ from membercover import (
     Point,
     Uncoverable,
     additive_error_cover,
-    complement_region,
     decide_membership,
     exact_minsize_bruteforce,
     exact_mmgsc_bruteforce,
-    face_sample_points,
     find_winding_cycle,
     incidence,
     memb_eval,
@@ -95,7 +94,7 @@ class TestPlaneCover:
     def test_three_at_120_degrees(self):
         hs = [Halfplane(0, 1, 0, 1), Halfplane(1, -1, 2, 2), Halfplane(2, -1, -2, 2)]
         assert list(_plane_covers(hs)) == [(0, 1, 2)]
-        assert complement_region(hs).empty
+        assert not strictly_feasible(_flipped(hs))
         assert _HalfplaneInstance([], [], hs).covers_plane
 
     def test_narrow_normal_fan_has_none(self):
@@ -881,8 +880,9 @@ class TestCoveringAnchors:
 
     def test_faces_are_the_full_sweep_inside_the_box(self):
         # the sweep between the vertical dummies, filtered by the other
-        # two, keeps the samples of the whole arrangement's sweep that lie
-        # inside the dummy box, in its order
+        # two, gives each face inside the dummy box the sample the Fraction
+        # sweep of the whole arrangement gives it, in its order, with the
+        # mask of direct signs
         cases = [(HAND_ON_LINES + HAND_OFF_LINES, [P(2, 2)], HAND_PLANES)]
         cases += [fan_instance(seed) for seed in range(20)]
         cases += [halfplane_instance(seed) for seed in range(150)]
@@ -892,10 +892,13 @@ class TestCoveringAnchors:
         outside_box = 0
         for points, sprime, planes in cases:
             inst = _HalfplaneInstance(points, sprime, planes)
-            box = 15 << len(inst.halfplanes)
-            full = face_sample_points(inst.arrangement)
-            assert inst.faces == [face for face in full if face[3] & box == box]
-            outside_box += len(full) - len(inst.faces)
+            lines = inst.arrangement.lines
+            n = len(inst.halfplanes)
+            inside, outside = face_samples_in_box_reference(lines, (n, n + 1, n + 2, n + 3))
+            assert [Point(Fraction(x, w), Fraction(y, w)) for x, y, w, _o in inst.faces] == inside
+            for x, y, w, mask in inst.faces:
+                assert mask == sum([1 << i for i, (a, b, c) in enumerate(lines) if a * x + b * y + c * w < 0])
+            outside_box += outside
         assert outside_box > 5000
 
     def test_anchors_match_recorded_digest(self):
@@ -1524,12 +1527,12 @@ class TestGoldens:
     def test_seeded_instances(self):
         for seed, expected in GOLDEN_SEEDS.items():
             points, sprime, planes = halfplane_instance(seed)
-            assert complement_region(planes).empty == (seed in (4, 5, 9, 13, 26, 73))
+            assert (not strictly_feasible(_flipped(planes))) == (seed in (4, 5, 9, 13, 26, 73))
             assert _golden_row(points, sprime, planes) == expected, seed
 
     def test_plane_cover_beats_local_search(self):
         for planes, points, sprime, expected in GOLDEN_HAND:
-            assert complement_region(planes).empty
+            assert not strictly_feasible(_flipped(planes))
             assert _golden_row(points, sprime, planes) == expected
 
     def test_cycle_certificates(self):
@@ -1563,19 +1566,6 @@ class TestGoldens:
             hosts=(0, 3, 5, 2, 4, 1),
             crossings=1,
         )
-
-    def test_halfplane_solves_build_no_region(self, monkeypatch):
-        # plane covers and swaps are strict-feasibility tests on raw triples
-        import membercover.geometry as geometry
-
-        calls = _count_calls(monkeypatch, (geometry,), "region_from_constraints")
-        for points, sprime, planes in (halfplane_instance(4), fan_instance(1)):
-            ptas(points, sprime, planes, 1)
-            additive_error_cover(points, sprime, planes)
-            exact_mmgsc_halfplanes_report(points, sprime, planes)
-        assert calls == []
-        complement_region(planes)  # the counter does see a build
-        assert len(calls) == 1
 
 
 def _transpose(rows, width):
@@ -1635,7 +1625,7 @@ class TestOneInstance:
             inst = _HalfplaneInstance(points, sprime, hs)
             full_set_covers = not strict_feasible_lp([(-h.a, -h.b, -h.c) for h in hs])
             assert inst.covers_plane == full_set_covers
-        assert not any(complement_region(hs).empty for hs in fans)  # not vacuous
+        assert all(strictly_feasible(_flipped(hs)) for hs in fans)  # not vacuous
 
     def test_dummies_contain_no_point(self):
         # the tables over the instance halfplanes serve over `extended`;
@@ -1743,7 +1733,7 @@ class TestAngleFacts:
                 b = rng.randint(-4, 4)
             c = -(a * q.x + b * q.y) + rng.randint(0, 3)
             planes.append(Halfplane(i, a, b, int(c)))
-        if complement_region(planes).empty:
+        if not strictly_feasible(_flipped(planes)):
             return None
         # drop union-redundant members
         kept = list(planes)

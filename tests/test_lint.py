@@ -189,13 +189,41 @@ def test_no_pair_list_of_one_lines_vertices():
     assert over_lines == {"geometry.py:Arrangement.of"}
 
 
+# the region calculus, deleted: no solver built a region, and union
+# questions go to `strictly_feasible` alone
+REGION_NAMES = {
+    "_normalize_constraint",
+    "ConvexRegion",
+    "region_from_constraints",
+    "complement_region",
+    "region_subset",
+}
+
+
 def test_no_region_calls_in_halfplanes():
     # every union question of the halfplane solvers is one strict-feasibility
-    # test; the region names stay imported in halfplanes.py for the tracer only
+    # test; halfplanes.py binds the two region names perfbench/tracing.py
+    # patches there only to the placeholder `complement_region =
+    # region_subset = None`, and imports, defines or calls none of them
     path = SRC / "halfplanes.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    names = {"complement_region", "region_subset", "region_from_constraints"}
-    assert _calls(tree, names) == []
+    assert _calls(tree, REGION_NAMES) == []
+    placeholder = [
+        node for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["complement_region", "region_subset"]
+        and isinstance(node.value, ast.Constant) and node.value.value is None
+    ]
+    assert len(placeholder) == 1
+    bindings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in REGION_NAMES:
+            bindings.append(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in REGION_NAMES:
+            bindings.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bindings += [node.lineno for a in node.names if (a.asname or a.name) in REGION_NAMES]
+    assert bindings == [placeholder[0].lineno] * 2
 
 
 def test_no_cover_only_wrappers():
@@ -377,13 +405,11 @@ def test_one_chain_enumerator():
 
 
 def test_one_union_kernel():
-    # region containment asks the same strict-feasibility kernel as the
-    # halfplane solvers; the LP-free region calculus and the clockwise
-    # angle order, which no solver called, stay deleted
-    path = SRC / "geometry.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert "region_subset" in {s for s, _arg, _line in _calls(tree, {"strictly_feasible"})}
-    gone = {
+    # union questions have one kernel, `strictly_feasible` in geometry.py;
+    # the region calculus, the LP-free region helpers and the clockwise
+    # angle order, which no solver called, stay deleted, and no module
+    # imports a region name
+    gone = REGION_NAMES | {
         "linear_inf",
         "_recession_directions",
         "_parallel_interval",
@@ -391,11 +417,21 @@ def test_one_union_kernel():
         "cw_angle_cmp",
         "angle_cmp",
     }
-    found = []
+    found, kernels = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{name}" for name in _defs(tree) if name.split(".")[-1] in gone]
+        defs = _defs(tree)
+        found += [f"{path.name}:{name}" for name in defs if name.split(".")[-1] in gone]
+        kernels += [path.name for name in defs if name == "strictly_feasible"]
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for a in node.names
+            if a.name in REGION_NAMES
+        ]
     assert found == []
+    assert kernels == ["geometry.py"]
 
 
 def test_outside_numbers_only_through_frac():
