@@ -287,32 +287,28 @@ def _ray_direction(p_h: HPt, endpoints: Iterable[HPt]) -> tuple[int, int]:
 Chain = tuple[int, ...]
 
 
-@dataclass
 class WindGraph:
     """Nodes are k-chains, k >= 1 chained segments as ids of the anchor
     context's kept segments, which it walks as the graph asks for them; an
     arc v -> w is a passing (k+1)-chain whose first k segments are v and
     whose last k are w.
 
-    A node's id is its position in `vertices`.  The graph starts with every
-    crossing node; `successors(v)` fills `succ[v]` on first request, by
-    `step` on the node's chain, and appends each chain not met before as a
-    new, non-crossing node.  `step` lists chains in their segments' key
-    order, so the node ids are those that a context holding every segment
-    gives.  A graph given whole has no `step`.
-
-    `cross[v]` tells whether the angular arc of the node's first segment
-    crosses the reference ray; it is the crossing flag of every arc
-    leaving v.
+    A node's id is its position in `vertices`.  The graph starts with the
+    given chains, its crossing nodes, whose first segment's angular arc
+    crosses the reference ray: node v crosses iff v < crossing, and so
+    does every arc leaving it.  `successors(v)` fills `succ[v]` on first
+    request, by `step` on the node's chain, and appends each chain not met
+    before as a new, non-crossing node.  `step` lists chains in their
+    segments' key order, so the node ids are those that a context holding
+    every segment gives.
     """
 
-    vertices: list[Chain]
-    succ: list[list[int] | None]
-    cross: list[bool]
-    step: Callable[[Chain], list[Chain]] | None = None
-
-    def __post_init__(self) -> None:
-        self.ids = {v: i for i, v in enumerate(self.vertices)}
+    def __init__(self, vertices: list[Chain], step: Callable[[Chain], list[Chain]]):
+        self.vertices = vertices
+        self.step = step
+        self.crossing = len(vertices)
+        self.succ: list[list[int] | None] = [None] * len(vertices)
+        self.ids = {v: i for i, v in enumerate(vertices)}
 
     def successors(self, v: int) -> list[int]:
         out = self.succ[v]
@@ -325,7 +321,6 @@ class WindGraph:
                     w = ids[chain] = len(vertices)
                     vertices.append(chain)
                     self.succ.append(None)
-                    self.cross.append(False)
                 out.append(w)
             self.succ[v] = out
         return out
@@ -362,18 +357,18 @@ class _AnchorContext:
     `wedge`, and one side mask of the instance; its points on the host line
     are those on the segment.
 
-    `__init__` walks the crossing segments, `leaving` and `successors` the
-    others on first request (None in `succ_seg` and `every_succ_sp` until
-    then), as the module docstring says; `wedge` signs S against a vertex
-    on first read, and `ids` maps each `SegmentKey` to its id.  The context
-    refers neither to its instance nor to itself, so it is freed without
-    the cycle collector.
+    The anchor comes as the instance holds it, `p_h` a homogeneous point
+    in lowest terms, and the active lines as `active_bits`, bit i set iff
+    the anchor lies outside extended[i].  `__init__` walks the crossing
+    segments, `leaving` and `successors` the others on first request (None
+    in `succ_seg` and `every_succ_sp` until then), as the module docstring
+    says; `wedge` signs S against a vertex on first read, and `ids` maps
+    each `SegmentKey` to its id.  The context refers neither to its
+    instance nor to itself, so it is freed without the cycle collector.
     """
 
-    def __init__(self, anchor: Point, active: list[Halfplane], inst: _HalfplaneInstance):
-        self.anchor = anchor
-        self.p_h = p_h = _hpt(anchor)
-        self.active = active_bits = sum([1 << inst.position[h.id] for h in active])
+    def __init__(self, p_h: HPt, active_bits: int, inst: _HalfplaneInstance):
+        self.p_h, self.active = p_h, active_bits
         self.arrangement, self.extended, self.slots = inst.arrangement, inst.extended, inst.slots
         self.line_sides, self.sp_masks, self.position = inst.line_sides, inst.sp_masks, inst.position
         # the endpoints of every segment of the active lines: on each active
@@ -528,13 +523,8 @@ class _AnchorContext:
         which leaves no arc to cross.  As the line graph of the graph on the
         passing chains, it holds a once-winding cycle iff that graph does.
         """
-
-        def step(v: Chain) -> list[Chain]:
-            return [c[1:] for c in self.chains(k, [v])]
-
         crossing = list(dict.fromkeys([c[:-1] for c in self.chains(k, [(s,) for s in self.crossing])]))
-        n = len(crossing)
-        return WindGraph(crossing, [None] * n, [True] * n, step)
+        return WindGraph(crossing, lambda v: [c[1:] for c in self.chains(k, [v])])
 
 
 def find_winding_cycle(graph: WindGraph) -> list[int] | None:
@@ -551,11 +541,9 @@ def find_winding_cycle(graph: WindGraph) -> list[int] | None:
 
     Returns node ids with the first repeated at the end, or None.
     """
-    cross, successors = graph.cross, graph.successors
+    crossing, successors = graph.crossing, graph.successors
     reached: dict[int, int] = {}
-    for u in range(len(graph.vertices)):  # nodes added by the walk do not cross
-        if not cross[u]:
-            continue
+    for u in range(crossing):
         for v in successors(u):
             if not _crossings_reached(graph, v, reached) >> u & 1:
                 continue
@@ -564,7 +552,7 @@ def find_winding_cycle(graph: WindGraph) -> list[int] | None:
             while queue and u not in parent:
                 frontier: list[int] = []
                 for w in queue:
-                    if cross[w]:
+                    if w < crossing:
                         continue  # its outgoing arcs would cross again
                     for nxt in successors(w):
                         if nxt not in parent:
@@ -572,7 +560,7 @@ def find_winding_cycle(graph: WindGraph) -> list[int] | None:
                             frontier.append(nxt)
                 queue = frontier
             if u not in parent:
-                continue  # only past a mask the walk saturated
+                raise RuntimeError("the search missed a path that the reach mask promised")
             path = []
             node: int | None = u
             while node is not None:
@@ -587,16 +575,14 @@ def _crossings_reached(graph: WindGraph, v: int, reached: dict[int, int]) -> int
     """The bitmask of the crossing nodes w with a path v ... w whose nodes
     before w do not cross; a crossing v reaches only itself.
 
-    One post-order walk, memoized in `reached` across calls.  On a
-    decision graph the non-crossing arcs hold no cycle: every arc turns
-    clockwise by more than zero and less than a halfturn, so a closed walk
-    winds at least once and crosses the ray.  On any other graph, an arc
-    back to an open node ORs in -1, the open node's mark, which saturates
-    the masks of the nodes on that path: every bit set, so the caller's
-    search decides for them.  Every other mask is exact.
+    One post-order walk, memoized in `reached` across calls, in which -1
+    marks a node still open.  The non-crossing arcs hold no cycle: every
+    arc turns clockwise by more than zero and less than a halfturn, so a
+    closed walk winds at least once and crosses the ray.  An arc back to an
+    open node would close such a cycle, so it raises RuntimeError.
     """
-    cross, successors = graph.cross, graph.successors
-    if cross[v]:
+    crossing, successors = graph.crossing, graph.successors
+    if v < crossing:
         return 1 << v
     mask = reached.get(v)
     if mask is not None:
@@ -605,11 +591,13 @@ def _crossings_reached(graph: WindGraph, v: int, reached: dict[int, int]) -> int
     path, arcs, acc = [v], [iter(successors(v))], [0]
     while path:
         for w in arcs[-1]:
-            if cross[w]:
+            if w < crossing:
                 acc[-1] |= 1 << w
                 continue
             mask = reached.get(w)
             if mask is not None:
+                if mask < 0:
+                    raise RuntimeError("the non-crossing arcs hold a cycle")
                 acc[-1] |= mask
                 continue
             reached[w] = -1
@@ -833,8 +821,8 @@ class _HalfplaneInstance:
         ctx = self._contexts.get(idx)
         if ctx is None:
             x, y, w, outside = self.faces[idx]
-            active = [h for i, h in enumerate(self.extended) if outside >> i & 1]
-            ctx = _AnchorContext(Point(Fraction(x, w), Fraction(y, w)), active, self)
+            g = math.gcd(x, y, w)
+            ctx = _AnchorContext((x // g, y // g, w // g), outside, self)
             self._contexts[idx] = ctx
         return ctx
 
@@ -881,7 +869,7 @@ class _HalfplaneInstance:
         heads = [graph.vertices[v][0] for v in cycle[:-1]]
         hosts_in_order = tuple([ctx.segments[s].host for s in heads])
         polygon = tuple([_hpt_point(ctx.segments[s].a_h) for s in heads])
-        crossings = sum(1 for v in cycle[:-1] if graph.cross[v])
+        crossings = sum(1 for v in cycle[:-1] if v < graph.crossing)
         cover_ids = sorted(set(h for h in hosts_in_order if h >= 0))
         chosen = mask_of(cover_ids, self.halfplanes)
         cover = CoverSolution(tuple(cover_ids), depth(self.sp_rows, chosen))
@@ -893,7 +881,7 @@ class _HalfplaneInstance:
         if first_uncovered(self.points, self.s_rows, chosen) is not None:
             raise RuntimeError("reconstructed cover misses a point")
         cert = WindingCertificate(
-            anchor=ctx.anchor,
+            anchor=_hpt_point(ctx.p_h),
             ray=ctx.ray,
             k=k,
             polygon=polygon,

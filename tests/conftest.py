@@ -22,6 +22,7 @@ from membercover.geometry import _line_intersect, frac
 from membercover.halfplanes import (
     SegmentPhi,
     WindGraph,
+    _AnchorContext,
     _cross2,
     _dirvec,
     _dot2,
@@ -916,9 +917,7 @@ def window_relation(inst, anchor, active):
             return chains([v[1:]] if k else [(j,) for j in succ[v[0]]])
 
         crossing = chains([(s,) for s in range(len(segs)) if cross[s]])
-        n = len(crossing)
-        graph = WindGraph(crossing, [None] * n, [True] * n, step)
-        return find_winding_cycle(graph) is not None
+        return find_winding_cycle(WindGraph(crossing, step)) is not None
 
     return has_cycle
 
@@ -937,6 +936,13 @@ def anchors(inst):
 # the whole (k+1)-chain graph and one search per crossing arc, the reference
 # for the on-demand walk of `find_winding_cycle` on its line graph
 # ---------------------------------------------------------------------------
+
+def anchor_context(anchor, active, inst):
+    """The context of `inst` at the Point `anchor`, outside the halfplanes
+    `active` of `inst.extended`, built from the forms the instance holds
+    them in: the anchor's homogeneous point and the bitmask of the lines."""
+    return _AnchorContext(_hpt(anchor), sum([1 << inst.position[h.id] for h in active]), inst)
+
 
 def walk_segments(inst, active, wedge):
     """Every segment that `build_segments` keeps from each vertex of each

@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     additive_reference,
     all_chains,
+    anchor_context,
     anchors,
     face_samples_in_box_reference,
     fan_instance,
@@ -57,7 +58,6 @@ from membercover import (
 from membercover.halfplanes import (
     WindGraph,
     WindingCertificate,
-    _AnchorContext,
     _HalfplaneInstance,
     _cross2,
     _cross3,
@@ -333,11 +333,37 @@ class TestBuildSegments:
         assert searched > 2500 and segments >= 289875
 
 
+def _forward_table(rng, n, crossing):
+    """A random successor table of the decision graph's shape on n nodes:
+    those below `crossing` cross, and an arc leaving another node goes to
+    a crossing node or forward in `order`, a random order of the others,
+    so the non-crossing arcs hold no cycle.  Returns (table, order)."""
+    order = list(range(crossing, n))
+    rng.shuffle(order)
+    rank = {v: r for r, v in enumerate(order)}
+    table = []
+    for v in range(n):
+        targets = [w for w in range(n) if v < crossing or w < crossing or rank[w] > rank[v]]
+        table.append(rng.sample(targets, rng.randint(0, min(len(targets), 3))))
+    return table, order
+
+
+def _table_graph(table, crossing):
+    """The decision graph over a successor table of labels: the crossing
+    labels are given as one-label chains, and `step` grows the rest."""
+    return WindGraph([(v,) for v in range(crossing)], lambda v: [(w,) for w in table[v[0]]])
+
+
+def _labels(graph, cycle):
+    """A cycle's node ids as the labels of their chains."""
+    return None if cycle is None else [graph.vertices[v][0] for v in cycle]
+
+
 class TestDecisionGraph:
     def test_box_cycle_k1(self):
         # the walk starts from the one crossing node and meets the other
         # three, the first segments of the full (k+1)-chain graph's nodes
-        ctx = _AnchorContext(P(0, 0), BOX, _HalfplaneInstance([], [], BOX))
+        ctx = anchor_context(P(0, 0), BOX, _HalfplaneInstance([], [], BOX))
         vertices, succ, cross = reference_graph(ctx, 1)
         assert len(vertices) == 4
         assert sum(len(s) for s in succ) == 4
@@ -353,8 +379,8 @@ class TestDecisionGraph:
         # a mandatory point swallowed by a segment's triangle knocks the
         # segment out of the graph; the box can then no longer close
         anchor = P("1/2", "1/2")
-        ctx = _AnchorContext(anchor, BOX, _HalfplaneInstance([P(0, 0)], [], BOX))
-        free = _AnchorContext(anchor, BOX, _HalfplaneInstance([], [], BOX))
+        ctx = anchor_context(anchor, BOX, _HalfplaneInstance([P(0, 0)], [], BOX))
+        free = anchor_context(anchor, BOX, _HalfplaneInstance([], [], BOX))
         blocked = reference_graph(ctx, 1)[0]
         assert len(reference_graph(free, 1)[0]) == 4
         assert len(blocked) < 4
@@ -375,51 +401,79 @@ class TestDecisionGraph:
         ]
         # x >= 1 and y >= 1 contain the monitored point: at k = 1 the chain
         # from y = 1 to x = 1 fails, the other three pass
-        ctx = _AnchorContext(P(0, 0), far, _HalfplaneInstance([], [P(2, 2)], far))
+        ctx = anchor_context(P(0, 0), far, _HalfplaneInstance([], [P(2, 2)], far))
         hosts = [{ctx.segments[s].host for s in v} for v in all_chains(ctx, 1)]
         assert len(hosts) == 3 and {0, 2} not in hosts
         assert find_winding_cycle(ctx.graph(1)) is None
 
     def test_winding_two_rejected(self):
-        # synthetic graph: two mandatory crossings in every cycle
-        graph = WindGraph(
-            vertices=[(0,), (1,), (2,), (3,)],
-            succ=[[1], [2], [3], [0]],
-            cross=[True, False, True, False],
-        )
-        assert find_winding_cycle(graph) is None
+        # the one cycle passes both crossing nodes, 0 and 1: it winds twice
+        table = [[2], [3], [1], [0]]
+        assert find_winding_cycle(_table_graph(table, 2)) is None
+        assert reference_cycle(table, [True, True, False, False]) is None
 
     def test_no_crossing_edge_no_cycle(self):
-        graph = WindGraph(vertices=[(0,), (1,)], succ=[[1], [0]], cross=[False, False])
+        # with no crossing node the search steps no chain; past a crossing
+        # node whose descendants never come back, it meets them all
+        stepped = []
+        assert find_winding_cycle(WindGraph([], lambda v: stepped.append(v) or [])) is None
+        assert stepped == []
+        graph = _table_graph([[1, 2], [2], []], 1)
         assert find_winding_cycle(graph) is None
+        assert graph.vertices == [(0,), (1,), (2,)]
+
+    def test_cycles_match_reference_on_random_graphs(self):
+        # on graphs of the decision graph's shape the search returns the
+        # per-arc reference's cycle, or both find none
+        rng = random.Random(5)
+        cycles = 0
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            crossing = rng.randint(0, min(n, 3))
+            table, _order = _forward_table(rng, n, crossing)
+            graph = _table_graph(table, crossing)
+            expected = reference_cycle(table, [v < crossing for v in range(n)])
+            assert _labels(graph, find_winding_cycle(graph)) == expected, (table, crossing)
+            cycles += expected is not None
+        assert 50 < cycles < 350
 
     def test_non_crossing_cycle_behind_crossing_node(self):
-        # no decision graph has a cycle of non-crossing arcs; on a graph
-        # given whole, the walk still ends and the search answers as the
-        # reference does, whether or not the crossing node closes a cycle
-        # past that loop.  In the fourth, the walk for 0 closes node 2
-        # while 1 is open, so 2's mask must not miss that 2 reaches 4
+        # no decision graph has a cycle of non-crossing arcs, as each arc
+        # turns clockwise by less than a halfturn; a walk that meets one
+        # raises rather than answer past it.  In the first, the crossing
+        # node also closes a winding cycle, 0 1 2 3 0, past the loop 1 2 1
         cases = [
-            ([[1], [2], [1, 3], [0]], [True, False, False, False]),
-            ([[1], [2], [1, 3], [4], []], [True, False, False, True, False]),
-            ([[2], [0], [3], [4, 1], [2]], [True, False, False, False, False]),
-            ([[1], [2, 3], [1], [4], [2]], [True, False, False, False, True]),
+            ([[1], [2], [1, 3], [0]], 1),
+            ([[2], [0], [3], [4, 1], [2]], 1),
+            ([[2], [], [3, 1], [2]], 2),
         ]
-        rng = random.Random(5)
+        for table, crossing in cases:
+            with pytest.raises(RuntimeError, match="non-crossing arcs hold a cycle"):
+                find_winding_cycle(_table_graph(table, crossing))
+        assert reference_cycle(cases[0][0], [True, False, False, False]) == [0, 1, 2, 3, 0]
+        # a loop a -> b -> a of non-crossing nodes added to a random graph:
+        # the search raises once its walk meets the loop, and until then
+        # it answers as the reference does
+        rng = random.Random(7)
+        raised = answered = 0
         for _ in range(300):
-            n = rng.randint(1, 9)
-            succ = [sorted(rng.sample(range(n), rng.randint(0, min(n, 3)))) for _ in range(n)]
-            cases.append((succ, [rng.random() < 0.3 for _ in range(n)]))
-        cycles = 0
-        for succ, cross in cases:
-            graph = WindGraph([(v,) for v in range(len(succ))], succ, list(cross))
-            expected = reference_cycle(succ, cross)
-            assert find_winding_cycle(graph) == expected, (succ, cross)
-            cycles += expected is not None
-        assert find_winding_cycle(WindGraph([(0,), (1,), (2,), (3,)], *cases[0])) == [0, 1, 2, 3, 0]
-        assert reference_cycle(*cases[1]) is None
-        assert reference_cycle(*cases[3]) == [4, 2, 1, 3, 4]
-        assert 50 < cycles < len(cases) - 50
+            n = rng.randint(2, 9)
+            crossing = rng.randint(1, min(n - 1, 3))
+            table, order = _forward_table(rng, n, crossing)
+            a, b = sorted(rng.choices(range(len(order)), k=2))
+            a, b = order[a], order[b]
+            if a != b and b not in table[a]:
+                table[a].append(b)
+            table[b].append(a)
+            graph = _table_graph(table, crossing)
+            try:
+                got = find_winding_cycle(graph)
+            except RuntimeError:
+                raised += 1
+                continue
+            assert _labels(graph, got) == reference_cycle(table, [v < crossing for v in range(n)])
+            answered += 1
+        assert raised > 50 and answered > 50
 
     def test_cycles_match_reference(self):
         # the search finds the first cycle of the per-arc search on the
@@ -491,7 +545,7 @@ def _reference_chains(ctx, k, s_hpts):
     from every segment of the materialized context in key order."""
     out = []
     order = materialize(ctx)
-    tris, ons = segment_masks(s_hpts, ctx.anchor, ctx.segments)
+    tris, ons = segment_masks(s_hpts, _hpt_point(ctx.p_h), ctx.segments)
 
     def extend(chain):
         if len(chain) == k + 1:
@@ -549,7 +603,7 @@ def _hand_contexts():
     inst = _HalfplaneInstance(HAND_ON_LINES + HAND_OFF_LINES, [P(2, 2)], HAND_PLANES)
     for anchor in HAND_ANCHORS:
         active = _active(inst, anchor)
-        yield inst, anchor, active, _AnchorContext(anchor, active, inst)
+        yield inst, anchor, active, anchor_context(anchor, active, inst)
 
 
 def _seeded_contexts():
@@ -560,7 +614,8 @@ def _seeded_contexts():
         inst = _HalfplaneInstance(points, sprime, planes)
         for idx in range(len(inst.faces)):
             ctx = inst.context(idx)
-            yield inst, ctx.anchor, _active(inst, ctx.anchor), ctx
+            anchor = _hpt_point(ctx.p_h)
+            yield inst, anchor, _active(inst, anchor), ctx
 
 
 def _tangent_fan_contexts():
@@ -571,7 +626,8 @@ def _tangent_fan_contexts():
         inst = _HalfplaneInstance(points, sprime, planes)
         for idx in inst.covering_anchors:
             ctx = inst.context(idx)
-            yield inst, ctx.anchor, _active(inst, ctx.anchor), ctx
+            anchor = _hpt_point(ctx.p_h)
+            yield inst, anchor, _active(inst, anchor), ctx
 
 
 def _active(inst, anchor):
@@ -598,7 +654,8 @@ def _ring_contexts(per_seed):
         chosen = _covering_indices(inst)[:per_seed]
         for idx in chosen + [i for i in inst.covering_anchors if i not in chosen]:
             ctx = inst.context(idx)
-            yield inst, ctx.anchor, _active(inst, ctx.anchor), ctx
+            anchor = _hpt_point(ctx.p_h)
+            yield inst, anchor, _active(inst, anchor), ctx
 
 
 class TestAnchorContext:
@@ -709,7 +766,7 @@ class TestAnchorContext:
         # order
         for inst, anchor, active, _ctx in list(_hand_contexts()) + list(_seeded_contexts()):
             for k in range(1, 4):
-                ctx = _AnchorContext(anchor, active, inst)
+                ctx = anchor_context(anchor, active, inst)
                 graph = ctx.graph(k)
                 v = 0
                 while v < len(graph.vertices):  # every chain the crossing ones reach
@@ -770,8 +827,8 @@ class TestAnchorContext:
         built = []
         raw_init = hp._AnchorContext.__init__
 
-        def recording(self, anchor, active, inst):
-            raw_init(self, anchor, active, inst)
+        def recording(self, p_h, active_bits, inst):
+            raw_init(self, p_h, active_bits, inst)
             built.append(self)
 
         monkeypatch.setattr(hp._AnchorContext, "__init__", recording)
@@ -839,9 +896,9 @@ class TestCoveringAnchors:
         built = []
         raw_init = hp._AnchorContext.__init__
 
-        def recording(self, anchor, active, inst):
-            built.append((anchor, inst))
-            raw_init(self, anchor, active, inst)
+        def recording(self, p_h, active_bits, inst):
+            built.append((p_h, inst))
+            raw_init(self, p_h, active_bits, inst)
 
         monkeypatch.setattr(hp._AnchorContext, "__init__", recording)
         paths = []
@@ -854,9 +911,9 @@ class TestCoveringAnchors:
                 assert built == []  # a quiet solve never reaches the anchors
                 continue
             # only the face outside every halfplane covers the tangency points
-            ((anchor, inst),) = built
+            ((p_h, inst),) = built
             assert len(inst.faces) > 1
-            assert [anchors(inst)[idx][0] for idx in inst.covering_anchors] == [anchor]
+            assert [_hpt(anchors(inst)[idx][0]) for idx in inst.covering_anchors] == [p_h]
         assert paths.count("cycle") == 6
 
     def test_one_arrangement_per_solve(self, monkeypatch):
@@ -1073,7 +1130,7 @@ class TestExactSolver:
 
         monkeypatch.setattr(hp._AnchorContext, "graph", recording)
         assert _HalfplaneInstance(*ring_instance(2, 40, 24, 12)).decide(2).path == "cycle"
-        assert [(len(graph.vertices), sum(graph.cross)) for graph in graphs] == [(22798, 1799)]
+        assert [(len(graph.vertices), graph.crossing) for graph in graphs] == [(22798, 1799)]
 
     def test_reports_match_recorded_digest(self):
         # the reports, covers, paths and winding certificates, as the

@@ -471,3 +471,28 @@ def test_cli_integers_only_through_the_strict_reader():
         and node.value.id in ("int", "float")
     ]
     assert found == []
+
+
+def test_one_decision_graph_shape():
+    # every decision graph starts from its crossing chains and grows only
+    # by `step`, so node v crosses iff v < crossing: an anchor context
+    # builds each WindGraph from those two arguments, the instance builds
+    # each context, and no module reads a per-node flag list `cross`
+    scopes, arities, flags = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name in ("WindGraph", "_AnchorContext"):
+            scopes += [(name, path.name, scope) for scope, _arg, _line in _calls(tree, {name})]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "WindGraph" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                arities.append((len(node.args), len(node.keywords)))
+            if isinstance(node, ast.Attribute) and node.attr == "cross" and isinstance(node.ctx, ast.Load):
+                flags.append(f"{path.name}:{node.lineno}")
+    assert sorted(scopes) == [
+        ("WindGraph", "halfplanes.py", "_AnchorContext.graph"),
+        ("_AnchorContext", "halfplanes.py", "_HalfplaneInstance.context"),
+    ]
+    assert arities == [(2, 0)]
+    assert flags == []
