@@ -87,7 +87,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import lp as lpmod
@@ -635,7 +635,9 @@ class ExactSolveReport:
 
     cover: CoverSolution
     k: int
-    path: str  # "empty" | "quiet" | "small" | "minsize" | "cycle"
+    # "empty" | "quiet" | "small" | "minsize" | "cycle", or "additive": the
+    # additive cover, optimal once the decision at k - 1 refused
+    path: str
     certificate: WindingCertificate | None
 
 
@@ -829,16 +831,26 @@ class _HalfplaneInstance:
     # -- the decision -------------------------------------------------------
 
     def decide(self, k: int) -> ExactSolveReport | None:
-        if not self.points:
-            return ExactSolveReport(CoverSolution((), 0), k, "empty", None)
+        """Is there a cover of membership at most k?  The cheap paths first,
+        then the cycle search at each searched anchor."""
         if self.uncovered is not None:
             return None
+        report = self._cheap_decision(k)
+        if report is not None or k == 0:
+            return report  # zero membership needs a cover by quiet halfplanes
+        return self._cycle_decision(k)
 
+    def _cheap_decision(self, k: int) -> ExactSolveReport | None:
+        """The empty, quiet, small and minsize paths of the decision at k,
+        for an S that the halfplanes cover: an accepting report, or None
+        when the answer needs the cycle search (or, at k = 0, is no)."""
+        if not self.points:
+            return ExactSolveReport(CoverSolution((), 0), k, "empty", None)
         quiet = self.quiet_cover
         if quiet is not None:
             return ExactSolveReport(quiet, k, "quiet", None)
         if k == 0:
-            return None  # zero membership needs a cover by quiet halfplanes
+            return None
 
         small = self.small_option
         if small is not None and small[0] <= k:
@@ -854,7 +866,9 @@ class _HalfplaneInstance:
                 if cover.memb > k:
                     raise RuntimeError("a cover of size <= k has membership above k")
                 return ExactSolveReport(cover, k, "minsize", None)
+        return None
 
+    def _cycle_decision(self, k: int) -> ExactSolveReport | None:
         for idx in self.covering_anchors:
             ctx = self.context(idx)
             graph = ctx.graph(k)
@@ -891,18 +905,26 @@ class _HalfplaneInstance:
         return ExactSolveReport(cover, k, "cycle", cert)
 
     def escalate(self) -> ExactSolveReport:
-        """The first k = 0, 1, 2, ... whose decision accepts.  All of H is a
-        cover of membership at most |H|, so k never passes |H|; Uncoverable
-        when S has a point outside every halfplane."""
+        """The first k = 0, 1, 2, ... whose decision accepts, bracketed by the
+        additive cover: at each k the cheap paths of `decide(k)` run first,
+        and before its cycle search, once `rough` has membership at most k,
+        the report is `rough` on the "additive" path, with no certificate.
+        Every k' < k was refused exactly, so `rough` is optimal, and k never
+        passes `rough.memb`.  Uncoverable when S has a point outside every
+        halfplane."""
         if self.uncovered is not None:
             raise Uncoverable(self.uncovered)
-        for k in range(len(self.halfplanes) + 1):
-            report = self.decide(k)
+        for k in count():
+            report = self._cheap_decision(k)
+            if report is None and k > 0:
+                if self.rough.memb <= k:
+                    return ExactSolveReport(self.rough, k, "additive", None)
+                report = self._cycle_decision(k)
             if report is not None:
                 return report
-        raise AssertionError("escalation must succeed at k = |H| for coverable input")
 
-    def additive(self) -> CoverSolution:
+    @cached_property
+    def rough(self) -> CoverSolution:
         """The additive-error cover: the minimum-size cover after one-stable
         local search, unless a plane cover has lower membership.
 
@@ -1057,6 +1079,16 @@ def _min_size_cover(
 
     lower = floor
     if not 0 < floor < 4:
+        # S rows sharing no halfplane need one halfplane each, and the size
+        # LP sums to at least one over each such row: a greedy packing bounds
+        # the LP from below, and a greedy cover no larger than it needs no LP
+        packing = used = 0
+        for row in sorted(s_rows, key=int.bit_count):
+            if not row & used:
+                used |= row
+                packing += 1
+        if len(greedy) <= packing:
+            return [ordered[i] for i in sorted(greedy)]
         lp_bound = lpmod.solve_lp(lpmod.build_size_lp(s_rows, len(ordered)))
         if lp_bound.status != lpmod.OPTIMAL:
             raise RuntimeError("coverage was prechecked")
@@ -1135,6 +1167,8 @@ def one_stable_local_search(
             h for h in pool_sorted
             if h.id not in ids and strictly_feasible([h.line(), *outside])
         ]
+        if not growing:
+            return None
         for out in current:
             rest = [h for h in current if h != out]
             escapes = [out.line(), *_flipped(rest)]
@@ -1163,11 +1197,23 @@ def additive_error_cover(
     the local-search cover and the lower membership wins; both candidates
     admit no improving single swap.
     """
-    return _HalfplaneInstance(points, sprime, halfplanes).additive()
+    return _HalfplaneInstance(points, sprime, halfplanes).rough
 
 
 ADDITIVE_ERROR = 2
 ADDITIVE_ERROR_PLANE = 3
+
+
+def _rough_suffices(memb: int, eps: Fraction, covers_plane: Callable[[], bool]) -> bool:
+    """Is memb >= (1 + eps) / eps * constant, the constant being
+    ADDITIVE_ERROR_PLANE when the halfplanes cover the plane and
+    ADDITIVE_ERROR when not?  Compared in integers with eps = p / q, as
+    memb * p >= (p + q) * constant; `covers_plane` is called only when memb
+    lies between the two constants' thresholds."""
+    scaled, unit = memb * eps.numerator, eps.numerator + eps.denominator
+    if scaled >= unit * ADDITIVE_ERROR_PLANE:
+        return True
+    return scaled >= unit * ADDITIVE_ERROR and not covers_plane()
 
 
 def ptas(
@@ -1181,16 +1227,15 @@ def ptas(
     The additive-error cover either certifies the ratio outright (when
     its membership is large against the additive constant) or is itself
     below a constant depending only on eps; the exact search then stops
-    at the optimum, no later than that membership.  `eps` is read by
+    at the optimum, and at that membership returns the additive cover
+    itself.  `eps` is read by
     `geometry.frac`, so a float or a decimal string raises ValueError.
     """
     eps = frac(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     inst = _HalfplaneInstance(points, sprime, halfplanes)
-    rough = inst.additive()
-    constant = ADDITIVE_ERROR_PLANE if inst.covers_plane else ADDITIVE_ERROR
-    threshold = (1 + eps) / eps * constant
-    if rough.memb >= threshold:
+    rough = inst.rough
+    if _rough_suffices(rough.memb, eps, lambda: inst.covers_plane):
         return rough
     return inst.escalate().cover

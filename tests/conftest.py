@@ -1060,7 +1060,7 @@ def reference_line_cycle(ctx, k):
 def additive_reference(inst):
     """The additive-error cover of a `_HalfplaneInstance`, one
     CoverSolution.build per candidate and the least membership by `min`:
-    the reference for `_HalfplaneInstance.additive`, which builds only the
+    the reference for `_HalfplaneInstance.rough`, which builds only the
     winner, and reads plane covers only until one reaches the floor."""
     if not inst.points:
         return CoverSolution((), 0)

@@ -43,6 +43,7 @@ from membercover import (
 )
 from membercover.cli import run_bench
 from membercover.halfplanes import (
+    _HalfplaneInstance,
     additive_error_cover,
     exact_mmgsc_halfplanes_report,
 )
@@ -213,8 +214,16 @@ def test_criterion_06_exact_solver_matches_oracle(halfplane_battery):
             violations += 1
             continue
         if report.certificate is not None:
-            cycles += 1
             verify_winding_certificate(report, points, sprime, planes)
+        # the escalation may end on the additive cover; the decision at its
+        # k accepts on its own, and its cycles are re-verified
+        decided = _HalfplaneInstance(points, sprime, planes).decide(report.k)
+        if decided is None or decided.cover.memb != opt:
+            violations += 1
+            continue
+        if decided.certificate is not None:
+            cycles += 1
+            verify_winding_certificate(decided, points, sprime, planes)
     ok = violations == 0 and cycles > 0 and elapsed < 600
     _line(
         "criterion 6 (halfplane exact = oracle, cycles re-verified)",

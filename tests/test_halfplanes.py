@@ -520,7 +520,8 @@ class TestDecisionGraph:
 
         monkeypatch.setattr(hp._AnchorContext, "graph", recording)
         report = exact_mmgsc_halfplanes_report(*tangent_fan(1, 16, 4))
-        assert report.path == "cycle" and report.k == 4
+        assert report.k == 4
+        assert _HalfplaneInstance(*tangent_fan(1, 16, 4)).decide(report.k).path == "cycle"
         ctx, k, graph = graphs[-1]
         assert k == 4
         chains = all_chains(ctx, k)
@@ -592,10 +593,14 @@ HAND_ANCHORS = [P(0, 0), P("1/2", "-1/3"), P(5, 5), P("-3/2", "1/7")]
 # halfplane_instance(0..149) and ring_instance(0..5, 12)
 ANCHORS_SHA256 = "733cada870947ace349c555bfa53f390073aee956ae2e547c8b97bc1fa85bef6"
 
-# sha256 of the concatenated repr of `exact_mmgsc_halfplanes_report` over
-# fan_instance(0..19), ring_instance(0..11, 12), halfplane_instance(0..149),
-# tangent_fan(1, 24, 6) and tangent_fan(1, 16, 7)
+# sha256 of the concatenated repr of `_HalfplaneInstance.decide(k)` at the
+# optimum k over fan_instance(0..19), ring_instance(0..11, 12),
+# halfplane_instance(0..149), tangent_fan(1, 24, 6) and tangent_fan(1, 16, 7)
 REPORTS_SHA256 = "619cc2d1433abb6176ebc352b8e1795c3e14b053e5a928d31694981a0ffb66b2"
+
+# the same over `exact_mmgsc_halfplanes_report`, whose escalation ends on
+# the additive cover where that cover meets the optimum
+ESCALATION_SHA256 = "ea00e2b94564b4fe02a44e1599b6c250a807e0d2fae1597ba529165ce7dfbf0e"
 
 
 def _hand_contexts():
@@ -846,8 +851,9 @@ class TestAnchorContext:
         gc.collect()
         gc.disable()
         try:
-            for points, sprime, planes in [fan_instance(seed) for seed in range(8)] + [tangent_fan(1, 16, 4)]:
-                assert exact_mmgsc_halfplanes_report(points, sprime, planes).path in ("cycle", "quiet")
+            for case in [fan_instance(seed) for seed in range(8)] + [tangent_fan(1, 16, 4)]:
+                report = exact_mmgsc_halfplanes_report(*case)
+                assert _HalfplaneInstance(*case).decide(report.k).path in ("cycle", "quiet")
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -903,9 +909,9 @@ class TestCoveringAnchors:
         monkeypatch.setattr(hp._AnchorContext, "__init__", recording)
         paths = []
         for seed in range(8):
-            points, sprime, planes = fan_instance(seed)
+            k = exact_mmgsc_halfplanes_report(*fan_instance(seed)).k
             del built[:]
-            report = exact_mmgsc_halfplanes_report(points, sprime, planes)
+            report = _HalfplaneInstance(*fan_instance(seed)).decide(k)
             paths.append(report.path)
             if report.path != "cycle":
                 assert built == []  # a quiet solve never reaches the anchors
@@ -931,7 +937,13 @@ class TestCoveringAnchors:
 
         monkeypatch.setattr(Arrangement, "of", staticmethod(recording))
         swept = _count_calls(monkeypatch, (hp,), "face_sample_points")
-        assert exact_mmgsc_halfplanes_report(*fan_instance(1)).path == "cycle"
+        # the escalation refuses k = 1 and 2 by the cycle search, and the
+        # decision at its k accepts on a cycle
+        k = exact_mmgsc_halfplanes_report(*fan_instance(1)).k
+        assert len(built) == 1 and len(swept) == 1
+        assert swept[0][0] is built[0]
+        del built[:], swept[:]
+        assert _HalfplaneInstance(*fan_instance(1)).decide(k).path == "cycle"
         assert len(built) == 1 and len(swept) == 1
         assert swept[0][0] is built[0]
 
@@ -1066,15 +1078,18 @@ class TestExactSolver:
         # the optimum is the depth of the deepest monitored point
         points, sprime, planes = tangent_fan(1, 16, 3)
         report = exact_mmgsc_halfplanes_report(points, sprime, planes)
-        assert (report.k, report.path) == (3, "cycle")
+        assert report.k == 3
         assert report.cover.ids == tuple(range(16))
         assert report.cover.memb == memb_eval(sprime, report.cover.ids, planes) == 3
-        verify_winding_certificate(report, points, sprime, planes)
+        decided = _HalfplaneInstance(points, sprime, planes).decide(report.k)
+        assert (decided.k, decided.path, decided.cover) == (3, "cycle", report.cover)
+        verify_winding_certificate(decided, points, sprime, planes)
 
     def test_tangent_fan_high_k_graphs_stay_small(self, monkeypatch):
         # every kept segment's triangle holds S only on the segment, so the
-        # chains test only S'; at k = 6 and 7 the graphs that the whole
-        # escalation builds hold a few hundred chains between them
+        # chains test only S'; at k = 6 and 7 the graphs that the escalation
+        # and the accepting decision build hold a few hundred chains between
+        # them
         import membercover.halfplanes as hp
 
         graphs = []
@@ -1089,8 +1104,10 @@ class TestExactSolver:
             del graphs[:]
             points, sprime, planes = tangent_fan(1, n, k)
             report = exact_mmgsc_halfplanes_report(points, sprime, planes)
-            assert (report.k, report.path, report.cover.ids) == (k, "cycle", tuple(range(n)))
-            verify_winding_certificate(report, points, sprime, planes)
+            assert (report.k, report.cover.ids) == (k, tuple(range(n)))
+            decided = _HalfplaneInstance(points, sprime, planes).decide(report.k)
+            assert (decided.path, decided.cover.ids) == ("cycle", tuple(range(n)))
+            verify_winding_certificate(decided, points, sprime, planes)
             assert sum(len(graph.vertices) for graph in graphs) < bound
 
     def test_ring_decides_under_an_address_limit(self):
@@ -1116,6 +1133,58 @@ class TestExactSolver:
         )
         assert (out.returncode, out.stdout, out.stderr) == (0, "None cycle\n", "")
 
+    def test_escalation_closes_by_the_additive_cover_under_an_address_limit(self):
+        # the decision at k = 2 on this ring ran out of memory after 27 s
+        # under 2.5 GB; the escalation refuses k = 1 by the cycle search and
+        # closes at 2 by the additive cover, in one child process limited
+        # to 1 GB of address space
+        import membercover.halfplanes as hp
+
+        src = Path(hp.__file__).resolve().parent.parent
+        code = (
+            "import resource\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n"
+            "from conftest import ring_instance\n"
+            "from membercover.halfplanes import _HalfplaneInstance, exact_mmgsc_halfplanes_report\n"
+            "report = exact_mmgsc_halfplanes_report(*ring_instance(0, 96, 48, 24))\n"
+            "proof = _HalfplaneInstance(*ring_instance(0, 96, 48, 24)).decide(report.k - 1)\n"
+            "print(report.k, report.path, report.cover.memb, proof)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (out.returncode, out.stdout, out.stderr) == (0, "2 additive 2 None\n", "")
+
+    def test_additive_reports_are_proved(self):
+        # an escalation that ends on the additive cover at k is proved by
+        # the decision at k - 1, which refuses; k is checked against the
+        # oracle, and against the optimum by construction on fans; on the
+        # two large rings k = 2 rests on that refusal alone
+        fans = [fan_instance(seed) for seed in range(20)]
+        cases = [(fan, memb_eval(fan[1], [h.id for h in fan[2]], fan[2])) for fan in fans]
+        cases += [(tangent_fan(1, n, k), k) for n, k in ((16, 3), (16, 4), (24, 6), (16, 7))]
+        cases += [(ring_instance(seed, 12), None) for seed in range(30)]
+        cases += [(halfplane_instance(seed), None) for seed in range(150)]
+        cases += [(ring_instance(*draw), 2) for draw in ((1, 48, 24, 12), (0, 64, 24, 24))]
+        paths = {}
+        for (points, sprime, planes), opt in cases:
+            report = exact_mmgsc_halfplanes_report(points, sprime, planes)
+            if opt is None:
+                opt, _ids = exact_mmgsc_bruteforce(points, sprime, planes)
+            assert report.k == opt
+            paths[report.path] = paths.get(report.path, 0) + 1
+            if report.path != "additive":
+                continue
+            assert report.certificate is None
+            assert verify_cover(points, report.cover.ids, planes)
+            assert report.cover.memb == memb_eval(sprime, report.cover.ids, planes) == report.k
+            assert _HalfplaneInstance(points, sprime, planes).decide(report.k - 1) is None
+        # not vacuous: fans and rings end on the additive cover, and rings
+        # whose additive cover is above the optimum still end on a cycle
+        assert paths["additive"] > 20 and paths["cycle"] > 0 and paths["small"] > 100
+
     def test_ring_graph_holds_each_k_chain_once(self, monkeypatch):
         # the k = 2 graph of this ring once its search ends: on (k+1)-chains
         # it held 115,292 nodes, 41,933 of them crossing
@@ -1132,17 +1201,28 @@ class TestExactSolver:
         assert _HalfplaneInstance(*ring_instance(2, 40, 24, 12)).decide(2).path == "cycle"
         assert [(len(graph.vertices), graph.crossing) for graph in graphs] == [(22798, 1799)]
 
-    def test_reports_match_recorded_digest(self):
-        # the reports, covers, paths and winding certificates, as the
-        # context that built every segment and successor list gave them
-        digest = hashlib.sha256()
+    @staticmethod
+    def _digest_cases():
         cases = [fan_instance(seed) for seed in range(20)]
         cases += [ring_instance(seed, 12) for seed in range(12)]
         cases += [halfplane_instance(seed) for seed in range(150)]
-        cases += [tangent_fan(1, 24, 6), tangent_fan(1, 16, 7)]
-        for points, sprime, planes in cases:
-            digest.update(repr(exact_mmgsc_halfplanes_report(points, sprime, planes)).encode())
+        return cases + [tangent_fan(1, 24, 6), tangent_fan(1, 16, 7)]
+
+    def test_reports_match_recorded_digest(self):
+        # the decisions at the optimum k: their covers, paths and winding
+        # certificates, as the context that built every segment and
+        # successor list gave them
+        digest = hashlib.sha256()
+        for case in self._digest_cases():
+            k = exact_mmgsc_halfplanes_report(*case).k
+            digest.update(repr(_HalfplaneInstance(*case).decide(k)).encode())
         assert digest.hexdigest() == REPORTS_SHA256
+
+    def test_escalation_reports_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for case in self._digest_cases():
+            digest.update(repr(exact_mmgsc_halfplanes_report(*case)).encode())
+        assert digest.hexdigest() == ESCALATION_SHA256
 
     def test_minsize_path(self):
         # four halfplanes below tangents of y = x^2 + 10, each holding only
@@ -1351,6 +1431,33 @@ class TestSizeFloor:
         assert inst.uncovered is None  # the counter does see a test
         assert len(calls) == 1
 
+    def test_packing_certifies_only_what_the_lp_certifies(self, monkeypatch):
+        # a greedy packing of S rows sharing no halfplane is a lower bound on
+        # the size LP; where it certifies the greedy cover, the LP bound does
+        # too, and the cover is a minimum one
+        import membercover.lp as lpmod
+
+        cases = [fan_instance(seed) for seed in range(20)]
+        cases += [ring_instance(seed, 12) for seed in range(30)]
+        cases += [tangent_fan(1, 16, 4)]
+        calls = _count_calls(monkeypatch, (lpmod,), "solve_lp")
+        certified = solved = 0
+        for points, sprime, planes in cases:
+            inst = _HalfplaneInstance(points, sprime, planes)
+            if inst.uncovered is not None or inst.size_floor < 4:
+                continue
+            del calls[:]
+            size = len(inst.min_cover)
+            if calls:
+                solved += 1
+                continue
+            certified += 1
+            bound = lpmod.solve_lp(lpmod.build_size_lp(inst.s_rows, len(inst.halfplanes)))
+            assert math.ceil(bound.value) >= size
+            if len(planes) <= 16:
+                assert size == exact_minsize_bruteforce(points, planes)[0]
+        assert certified > 20 and solved > 0
+
     def test_small_covers_skip_the_size_lp(self, monkeypatch):
         import membercover.lp as lpmod
 
@@ -1364,13 +1471,14 @@ class TestSizeFloor:
 
     def test_exact_search_below_four_reads_no_min_cover(self, monkeypatch):
         # fan_instance(1) has optimum 3 and no cover of three halfplanes: the
-        # exact search ends on a cycle without the minimum-size cover
+        # decision at 3 accepts on a cycle without the minimum-size cover,
+        # and the escalation's additive cover needs no size LP
         import membercover.lp as lpmod
 
         calls = _count_calls(monkeypatch, (lpmod,), "solve_lp")
         assert exact_mmgsc_halfplanes_report(*fan_instance(1)).k == 3
         inst = _HalfplaneInstance(*fan_instance(1))
-        assert inst.escalate().path == "cycle"
+        assert inst.decide(3).path == "cycle"
         assert inst.small_option is None and "min_cover" not in inst.__dict__
         assert calls == []
 
@@ -1457,7 +1565,7 @@ class TestAdditiveError:
         builds = _count_calls(monkeypatch, (hp.CoverSolution,), "build")
         for case, want in zip(cases, expected):
             del builds[:]
-            assert _HalfplaneInstance(*case).additive() == want
+            assert _HalfplaneInstance(*case).rough == want
             assert len(builds) <= 2
         # not vacuous: some of the instances have plane covers to compare
         assert any(_HalfplaneInstance(*case).covers_plane for case in cases)
@@ -1522,6 +1630,29 @@ class TestPtas:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             ptas([], [], BOX, 0)
+
+    def test_rough_suffices_matches_the_fraction_threshold(self):
+        # memb * p >= (p + q) * constant against the Fraction threshold
+        # (1 + eps) / eps * constant, and the plane cover test asked only
+        # between the two constants' thresholds
+        from membercover.halfplanes import ADDITIVE_ERROR, ADDITIVE_ERROR_PLANE, _rough_suffices
+
+        grid = [Fraction(p, q) for p in range(1, 8) for q in range(1, 8)]
+        grid += [Fraction(1, 100), Fraction(100), Fraction(2, 7)]
+        outcomes, asked_total = set(), 0
+        for eps in grid:
+            low = (1 + eps) / eps * ADDITIVE_ERROR
+            high = (1 + eps) / eps * ADDITIVE_ERROR_PLANE
+            for plane in (False, True):
+                threshold = high if plane else low
+                for memb in range(320):
+                    asked = []
+                    got = _rough_suffices(memb, eps, lambda: asked.append(memb) or plane)
+                    assert got == (memb >= threshold), (memb, eps, plane)
+                    assert len(asked) == (low <= memb < high), (memb, eps, plane)
+                    outcomes.add((got, plane))
+                    asked_total += len(asked)
+        assert len(outcomes) == 4 and asked_total > 100
 
 
 # Outputs recorded with the solvers as they stood before the plane-cover
@@ -1593,7 +1724,13 @@ class TestGoldens:
             assert _golden_row(points, sprime, planes) == expected
 
     def test_cycle_certificates(self):
+        # the escalation ends on the additive cover, and the decision at its
+        # k accepts the same cover on a cycle
         fan1 = exact_mmgsc_halfplanes_report(*fan_instance(1))
+        assert (fan1.cover.ids, fan1.cover.memb, fan1.k, fan1.path) == (
+            (0, 1, 2, 3, 4, 5, 6), 3, 3, "additive"
+        )
+        fan1 = _HalfplaneInstance(*fan_instance(1)).decide(fan1.k)
         assert (fan1.cover.ids, fan1.cover.memb, fan1.k, fan1.path) == (
             (0, 1, 2, 3, 4, 5, 6), 3, 3, "cycle"
         )
@@ -1609,6 +1746,10 @@ class TestGoldens:
             crossings=1,
         )
         fan5 = exact_mmgsc_halfplanes_report(*fan_instance(5))
+        assert (fan5.cover.ids, fan5.cover.memb, fan5.k, fan5.path) == (
+            (0, 1, 2, 3, 4, 5), 1, 1, "additive"
+        )
+        fan5 = _HalfplaneInstance(*fan_instance(5)).decide(fan5.k)
         assert (fan5.cover.ids, fan5.cover.memb, fan5.k, fan5.path) == (
             (0, 1, 2, 3, 4, 5), 1, 1, "cycle"
         )
@@ -1773,7 +1914,15 @@ class TestOneInstance:
         import membercover.lp as lpmod
 
         calls = _count_calls(monkeypatch, (lpmod,), "solve_lp")
+        # the tangency points' rows share no halfplane: their packing
+        # certifies the greedy cover, and no size LP runs
         ptas(*fan_instance(1), 1)
+        assert calls == []
+        # here the packing falls short of the greedy cover: the additive
+        # cover and the escalation share one size LP
+        inst = _HalfplaneInstance(*ring_instance(17, 12))
+        assert inst.size_floor == 4
+        ptas(*ring_instance(17, 12), 1)
         assert len(calls) == 1
 
 

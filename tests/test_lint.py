@@ -496,3 +496,45 @@ def test_one_decision_graph_shape():
     ]
     assert arities == [(2, 0)]
     assert flags == []
+
+
+def test_additive_reports_only_from_the_escalation():
+    # the decision at k stays the exact search: nothing that
+    # `_HalfplaneInstance.decide` reaches through `self` reads the additive
+    # cover, and only `escalate` writes a report on the "additive" path
+    path = SRC / "halfplanes.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_HalfplaneInstance"]
+    members = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+    reads = {
+        name: {
+            node.attr
+            for node in ast.walk(member)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self"
+        }
+        for name, member in members.items()
+    }
+    reached, todo = set(), ["decide"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [attr for attr in reads[name] if attr in members]
+    assert {"rough", "decide", "escalate"} <= set(members) and "_cycle_decision" in reached
+    assert not {"rough", "additive", "escalate"} & reached
+    assert not any({"rough", "additive"} & reads[name] for name in reached)
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            if isinstance(node, ast.Constant) and node.value == "additive":
+                found.append((path.name, scope))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, "")
+    assert found == [("halfplanes.py", "_HalfplaneInstance.escalate")]

@@ -62,8 +62,11 @@ def test_patch_table_resolves_and_uninstalls():
         # the ply solve sweeps its cover as `ply._grid_ply`, so the ply hook
         # runs on a direct call
         mc.ply.ply([q for q in squares if q.id in cover.ids])
+        # the escalation refuses k = 1 and 2 by the cycle search; the
+        # decision at its k accepts on a cycle
         report = mc.halfplanes.exact_mmgsc_halfplanes_report(*fan_instance(1))
-        assert report.path == "cycle"
+        assert report.path == "additive"
+        assert mc.halfplanes._HalfplaneInstance(*fan_instance(1)).decide(report.k).path == "cycle"
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is raw for owner, attr, raw in owners)
